@@ -2,8 +2,9 @@
 
    Parses the tree with compiler-libs, builds per-module summaries, the
    cross-module reference graph and the value-level call graph, then runs
-   the layering, domain-race, determinism, interface and interprocedural
-   effect passes (see doc/ANALYSIS.md for the SA0xx catalogue).
+   the layering, domain-race, determinism and source-hygiene, interface and
+   interprocedural effect passes (see doc/ANALYSIS.md for the SA0xx
+   catalogue and the [(* lint: allow <key> -- why *)] suppression syntax).
 
    Usage:
      tact_analyze [--rules FILE] [--effect-rules FILE] [--baseline FILE]
@@ -181,7 +182,7 @@ let () =
       let graph_all = Graph.build sums_all in
       Report.dedup
         (syntax_findings loaded.Loader.sources
-        @ layering @ Races.run graph @ Determinism.run sums
+        @ layering @ Races.run graph @ Determinism.run effect_rules sums
         @ Interfaces.run ~analyzed:o.dirs graph_all
         @ effect_findings)
     end

@@ -12,7 +12,7 @@
      --budget DUR       wall-clock budget, e.g. 30s / 2m; checked between
                         fixed-size batches so any run that executes is
                         deterministic (default: none)
-     --mutation M       planted bug: off | crash_replay | oe_slack:<x>
+     --mutation M       planted bug: off | crash_replay | oe_slack:<x> (x > 0)
                         (self-test mode; default off)
      --trace-dir DIR    where to write shrunk counterexamples (default ".")
      -j, --jobs N       fan runs over N worker domains (default 1); the
@@ -23,6 +23,7 @@
    reproduce, 2 usage error. *)
 
 open Tact_nemesis
+module Mutation = Tact_replica.Mutation
 
 let usage () =
   prerr_endline
@@ -88,6 +89,10 @@ let parse_options args =
         usage ())
     | "--mutation" :: v :: rest -> (
       match Mutation.of_string v with
+      | Some Mutation.Wrong_shard ->
+        (* campaigns run unsharded systems, where the router bug is inert *)
+        Printf.eprintf "tact_fuzz: wrong_shard needs a sharded system\n";
+        usage ()
       | Some m ->
         cli.mutation <- m;
         go rest

@@ -86,7 +86,7 @@ let check_converged sys =
    subscribers only — a replica outside a shard's interest set holds nothing
    of it and is exempt.  The containment half makes the relaxation sound:
    every write resident in a shard's logs must affect only conits routing to
-   that shard, so a cross-shard leak (the planted [fault_wrong_shard] bug)
+   that shard, so a cross-shard leak (the planted [Wrong_shard] bug)
    cannot hide behind per-shard agreement. *)
 let check_converged_sharded sh =
   let issues = ref [] in

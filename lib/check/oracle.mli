@@ -40,7 +40,7 @@ val check_converged_sharded : Tact_replica.Sharded.t -> string list
     {e subscribed} replicas agree (vectors and databases) — replicas outside
     the interest set are exempt — and no shard's log holds a write whose
     conits route elsewhere ({!Tact_replica.Sharded.shard_leaks}).  The
-    second half is what catches the {!Tact_replica.Config.fault_wrong_shard}
+    second half is what catches the {!Tact_replica.Mutation.Wrong_shard}
     planted routing bug. *)
 
 val check_theorem1 : Tact_replica.System.t -> string list

@@ -1,4 +1,5 @@
 open Tact_util
+module Mutation = Tact_replica.Mutation
 
 type config = {
   master_seed : int;
@@ -49,7 +50,7 @@ let one_run ~mutation run_seed =
   let fault_rng = Prng.split g in
   let p = Sample.plan ~seed:run_seed in
   let schedule = Sample.faults fault_rng p in
-  let r = Runner.execute ~mutate:(Mutation.apply mutation) p schedule in
+  let r = Runner.execute ~mutation p schedule in
   ( {
       run_seed;
       violations = r.Runner.violations;

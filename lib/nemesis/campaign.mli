@@ -17,7 +17,8 @@ type config = {
   master_seed : int;
   runs : int;
   jobs : int;
-  mutation : Mutation.t;  (** planted bug to enable ([Off] for real runs) *)
+  mutation : Tact_replica.Mutation.t;
+      (** planted bug to enable ([Off] for real runs) *)
   max_shrunk : int;  (** shrink at most this many failures (shrinking re-runs
                          the schedule quadratically) *)
   budget_check : (unit -> bool) option;
@@ -48,7 +49,7 @@ type summary = {
 val derive_seeds : master_seed:int -> runs:int -> int list
 (** The per-run seed sequence (exposed for the CLI's [run] command). *)
 
-val one_run : mutation:Mutation.t -> int -> outcome * Fault.schedule
+val one_run : mutation:Tact_replica.Mutation.t -> int -> outcome * Fault.schedule
 (** Execute a single seeded run: derive the plan, sample its fault schedule,
     run, oracle-check. *)
 

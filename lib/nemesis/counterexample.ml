@@ -1,5 +1,6 @@
 module Json = Tact_check.Json
 module Fingerprint = Tact_check.Fingerprint
+module Mutation = Tact_replica.Mutation
 
 type t = {
   seed : int;
@@ -14,7 +15,7 @@ let version = 1
 
 let run_with ~seed ~mutation schedule =
   let p = Sample.plan ~seed in
-  Runner.execute ~mutate:(Mutation.apply mutation) p schedule
+  Runner.execute ~mutation p schedule
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)

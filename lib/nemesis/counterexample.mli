@@ -9,7 +9,7 @@
 
 type t = {
   seed : int;
-  mutation : Mutation.t;
+  mutation : Tact_replica.Mutation.t;
   events : Fault.event list;
   quiet_after : float;
   violations : string list;
@@ -18,7 +18,7 @@ type t = {
 
 val minimize :
   seed:int ->
-  mutation:Mutation.t ->
+  mutation:Tact_replica.Mutation.t ->
   quiet_after:float ->
   Fault.event list ->
   Fault.event list * float
@@ -28,7 +28,7 @@ val minimize :
     the events unchanged if the input does not fail. *)
 
 val of_failure :
-  seed:int -> mutation:Mutation.t -> schedule:Fault.schedule -> t
+  seed:int -> mutation:Tact_replica.Mutation.t -> schedule:Fault.schedule -> t
 (** Minimize a failing run and record the shrunk run's violations and
     fingerprint. *)
 

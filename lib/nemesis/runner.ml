@@ -52,19 +52,17 @@ let catchup_slack (p : Sample.plan) =
      | None -> 0.0)
   +. 1.0
 
-let execute ?(mutate = Fun.id) (p : Sample.plan) (schedule : Fault.schedule) =
-  let config = mutate p.Sample.config in
+let execute ?mutation (p : Sample.plan) (schedule : Fault.schedule) =
   let sys =
     System.create ~seed:p.Sample.seed ~jitter:p.Sample.jitter ~loss:0.0
-      ~topology:p.Sample.topology ~config ()
+      ?mutation ~topology:p.Sample.topology ~config:p.Sample.config ()
   in
   let obs = List.mapi (fun i op -> observe op i) p.Sample.ops in
   List.iter2 (fun op o -> install_op sys op o) p.Sample.ops obs;
   Fault.install sys schedule;
   System.run ~until:(p.Sample.quiet_after +. p.Sample.drain) sys;
-  let checks = p.Sample.config in
   let ext =
-    match checks.Config.commit_scheme with
+    match p.Sample.config.Config.commit_scheme with
     | Config.Stability -> true
     | Config.Primary _ -> false
   in

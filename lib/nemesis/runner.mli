@@ -3,7 +3,7 @@
     Stability commitment), O4 (Theorem 1), plus the nemesis O5 (liveness,
     which subsumes O3 convergence) and O6 (unavailability accounting).
 
-    The run is a pure function of [(plan, schedule, mutate)] — the system is
+    The run is a pure function of [(plan, schedule, mutation)] — the system is
     built jitter-seeded from the plan's seed, loss-free at the {!System}
     level (loss is injected only through fault events), and every stochastic
     fault knob is self-seeded. *)
@@ -18,11 +18,11 @@ type result = {
 }
 
 val execute :
-  ?mutate:(Tact_replica.Config.t -> Tact_replica.Config.t) ->
+  ?mutation:Tact_replica.Mutation.t ->
   Sample.plan ->
   Fault.schedule ->
   result
-(** [mutate] (default identity) transforms the configuration just before the
-    system is built — the hook the mutation tests use to enable planted bugs
-    ([fault_crash_replay], [fault_oe_slack]).  Oracle parameters (declared
-    conits, commit scheme) are always taken from the {e unmutated} plan. *)
+(** [mutation] (default [Off]) plants a bug in the system under test — the
+    hook the fuzzer's self-tests use ({!Tact_replica.Mutation}).  Planted
+    bugs are not configuration: the plan's config, which also parameterises
+    the oracles, is the one a production replica would run. *)

@@ -65,8 +65,6 @@ type t = {
       (* bound per-replica log memory by the truncation horizon: disables
          the commit journal and evicts truncated writes' side-table entries
          (see Wlog.create_bounded); requires record_accesses = false *)
-  fault_oe_slack : float;
-  fault_crash_replay : bool;
   shards : int;
       (* number of shards the conit space is partitioned into (Sharded
          systems); plain [System]s serve the whole space as one shard *)
@@ -78,10 +76,6 @@ type t = {
       (* interest sets: [interest r] is the sorted list of shards replica [r]
          subscribes to (it replicates, syncs and serves only those); [None]
          subscribes every replica to every shard *)
-  fault_wrong_shard : bool;
-      (* planted bug: the sharded router delivers each submission to the
-         next shard over — exists so tests can prove the interest-set-aware
-         checker still catches cross-shard leaks *)
   transport : transport_knobs;
       (* deadlines, backoff and framing bounds for real transport backends;
          inert in simulation but always validated *)
@@ -102,12 +96,9 @@ let default =
     batch_flush = 0.05;
     record_accesses = true;
     bounded_log = false;
-    fault_oe_slack = 0.0;
-    fault_crash_replay = false;
     shards = 1;
     shard_id = 0;
     interest = None;
-    fault_wrong_shard = false;
     transport = default_transport;
   }
 
@@ -188,13 +179,14 @@ let validate ~n t =
     | Primary p when p < 0 || p >= n ->
       err "primary %d is not a replica id (n = %d)" p n
     | Primary _ | Stability -> (
+      (* [not (x > 0.0)], as in [bad_transport], so NaN is rejected too *)
       match t.antientropy_period with
-      | Some p when p <= 0.0 -> err "anti-entropy period must be positive"
+      | Some p when not (p > 0.0) -> err "anti-entropy period must be positive"
       | _ ->
-        if t.retry_period <= 0.0 then err "retry period must be positive"
+        if not (t.retry_period > 0.0) then err "retry period must be positive"
         else if (match t.truncate_keep with Some k -> k < 0 | None -> false)
         then err "truncate_keep must be non-negative"
-        else if t.sync = Batched && t.batch_flush <= 0.0 then
+        else if t.sync = Batched && not (t.batch_flush > 0.0) then
           err "batch_flush must be positive in Batched sync mode"
         else if t.bounded_log && t.record_accesses then
           err "bounded_log requires record_accesses = false (observation \

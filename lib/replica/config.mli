@@ -1,4 +1,11 @@
-(** Per-system configuration for a set of TACT replicas. *)
+(** Per-system configuration for a set of TACT replicas.
+
+    Every field is a production setting, validated the same way in the
+    simulator and in the [tact_serve] daemon.  Planted bugs for harness
+    self-tests are not configuration: they are a {!Mutation.t} that only
+    the simulator constructors accept ([?mutation] on {!Replica.create},
+    {!System.create} and {!Sharded.create}), so a deployed replica cannot
+    be configured into one. *)
 
 type commit_scheme =
   | Stability
@@ -96,19 +103,6 @@ type t = {
           log drops its append-only commit journal and evicts truncated
           writes' side-table entries ({!Tact_store.Wlog.create_bounded}).
           Requires [record_accesses = false]; pair with [truncate_keep]. *)
-  fault_oe_slack : float;
-      (** fault-injection knob for checker validation only: extra order-error
-          slack the accept path wrongly grants (a planted off-by-[slack] bug).
-          Must stay 0 in real configurations — the mutation tests set it to
-          prove [tact_check] catches the resulting bound violations. *)
-  fault_crash_replay : bool;
-      (** fault-injection knob for fuzzer validation only: a planted recovery
-          bug where {!Replica.crash} notifies the parked accesses' clients
-          (their [on_timeout] fires) but forgets to drop the queue entries, so
-          recovery replays them and clients observe a double completion.  Must
-          stay [false] in real configurations — the nemesis mutation tests
-          enable it to prove [tact_fuzz] catches, shrinks, and replays the
-          resulting liveness violation (doc/FAULTS.md). *)
   shards : int;
       (** how many shards the conit space is partitioned into (see
           {!Tact_store.Shard}).  Plain {!System}s serve the whole space as
@@ -124,12 +118,6 @@ type t = {
           [r] subscribes to — it replicates, syncs and serves only those
           shards, and only they are required to converge at it ({!Tact_check}
           O3).  [None] (default) subscribes every replica to every shard. *)
-  fault_wrong_shard : bool;
-      (** fault-injection knob for checker validation only: a planted routing
-          bug where the sharded router delivers each submission to the next
-          shard over.  Must stay [false] in real configurations — the shard
-          tests enable it to prove the interest-set-aware oracle still
-          catches cross-shard leaks. *)
   transport : transport_knobs;
       (** deadlines, backoff and framing bounds for real transport backends;
           default {!default_transport} *)
@@ -150,7 +138,8 @@ val bad_gossip_plan : n:int -> t -> (int * int) option
 
 val validate : n:int -> t -> (unit, string) result
 (** Sanity-check a configuration against the system size: the primary id
-    must name a replica, periods must be positive, retention non-negative,
+    must name a replica, periods (anti-entropy, retry, batch flush) must be
+    positive and not NaN, retention non-negative,
     conit names unique, every declared bound (NE, relative NE, OE, ST)
     non-negative and non-NaN, [gossip_plan], when set, must return peer ids
     in range for every replica, and the {!transport_knobs} must be coherent

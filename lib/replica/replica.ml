@@ -107,6 +107,7 @@ type t = {
   n : int;
   tr : transport;
   cfg : Config.t;
+  mutation : Mutation.t;  (* planted bug; [Off] outside harness self-tests *)
   wlog : Wlog.t;
   cover : float array;  (** cover.(o): all writes from origin [o] with accept
                             time <= cover.(o) are known here *)
@@ -156,12 +157,13 @@ type t = {
   mutable s_malformed : int;
 }
 
-let make ~id ~n ~tr ~config ?on_accept () =
+let make ~id ~n ~tr ~config ~mutation ?on_accept () =
   {
     rid = id;
     n;
     tr;
     cfg = config;
+    mutation;
     wlog =
       Wlog.create_bounded
         ~journal:(not config.Config.bounded_log)
@@ -211,11 +213,12 @@ let make ~id ~n ~tr ~config ?on_accept () =
     s_malformed = 0;
   }
 
-let create ~id ~n ~net ~config ?on_accept () =
-  make ~id ~n ~tr:(Sim { net; engine = Net.engine net }) ~config ?on_accept ()
+let create ~id ~n ~net ~config ?(mutation = Mutation.Off) ?on_accept () =
+  make ~id ~n ~tr:(Sim { net; engine = Net.engine net }) ~config ~mutation
+    ?on_accept ()
 
 let create_ext ~id ~n ~endpoint ~config ?on_accept () =
-  make ~id ~n ~tr:(Ext endpoint) ~config ?on_accept ()
+  make ~id ~n ~tr:(Ext endpoint) ~config ~mutation:Mutation.Off ?on_accept ()
 
 let now t =
   match t.tr with
@@ -607,11 +610,10 @@ and deps_satisfied t p =
   require_ok
   &&
   let oe_ok =
-    (* [fault_oe_slack] is 0 in real configurations; the checker's mutation
-       tests raise it to plant an admission off-by-one here. *)
+    (* the checker's planted admission off-by-[slack]; 0 otherwise *)
+    let slack = match t.mutation with Mutation.Oe_slack s -> s | _ -> 0.0 in
     List.for_all
-      (fun (c, (b : Bounds.t)) ->
-        Wlog.tentative_oweight t.wlog c <= b.oe +. t.cfg.Config.fault_oe_slack)
+      (fun (c, (b : Bounds.t)) -> Wlog.tentative_oweight t.wlog c <= b.oe +. slack)
       p.p_deps
   in
   (* A pull round completed after submission implies that every write
@@ -1149,18 +1151,19 @@ let crash t =
     trace t ~kind:"crash" "replica down";
     t.up <- false;
     t.crashes <- t.crashes + 1;
-    if t.cfg.Config.fault_crash_replay then
-      (* Planted bug (must stay off outside fuzzer mutation tests): the
-         clients are told their parked accesses failed, but the queue entries
-         are not dropped — recovery replays them, so each such client hears
-         back twice.  The nemesis liveness oracle (O5) flags the double
-         completion; see doc/FAULTS.md. *)
+    match t.mutation with
+    | Mutation.Crash_replay ->
+      (* Planted bug (fuzzer self-test only): the clients are told their
+         parked accesses failed, but the queue entries are not dropped —
+         recovery replays them, so each such client hears back twice.  The
+         nemesis liveness oracle (O5) flags the double completion; see
+         doc/FAULTS.md. *)
       Queue.iter
         (fun p ->
           if not p.p_done then
             match p.p_on_timeout with Some f -> f () | None -> ())
         t.pending
-    else begin
+    | Mutation.Off | Mutation.Oe_slack _ | Mutation.Wrong_shard ->
       let parked = t.pending in
       t.pending <- Queue.create ();
       t.npending <- 0;
@@ -1172,7 +1175,6 @@ let crash t =
             match p.p_on_timeout with Some f -> f () | None -> ()
           end)
         parked
-    end
   end
 
 let recover t =

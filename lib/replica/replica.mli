@@ -57,15 +57,17 @@ val create :
   n:int ->
   net:Tact_sim.Net.t ->
   config:Config.t ->
+  ?mutation:Mutation.t ->
   ?on_accept:(Tact_store.Write.t -> Tact_store.Version_vector.t -> unit) ->
   unit ->
   t
 (** A replica mounted on the deterministic simulator — messages delivered as
     closures through {!Tact_sim.Net}, timers through the labelled engine;
-    bit-identical to the pre-TRANSPORT behaviour.  [on_accept] fires whenever
-    this replica accepts a locally originated write, with a copy of the
-    pre-acceptance version vector (the write's causal context) — the hook the
-    omniscient verifier uses. *)
+    bit-identical to the pre-TRANSPORT behaviour.  [mutation] (default
+    [Off]) plants a bug for harness self-tests ({!Mutation}).  [on_accept]
+    fires whenever this replica accepts a locally originated write, with a
+    copy of the pre-acceptance version vector (the write's causal context) —
+    the hook the omniscient verifier uses. *)
 
 val create_ext :
   id:int ->
@@ -79,7 +81,8 @@ val create_ext :
     {!Tact_store.Transport.endpoint} seam: outgoing messages are serialised
     through {!Wire} and handed to [ep_send]; incoming bytes must be fed to
     {!deliver_wire}.  {!connect} is not required (peers are processes, not
-    values); {!crash}/{!recover} still model process-local failure. *)
+    values); {!crash}/{!recover} still model process-local failure.  There
+    is no [?mutation]: a replica on a real transport runs unmutated. *)
 
 val id : t -> int
 val log : t -> Tact_store.Wlog.t

@@ -16,7 +16,7 @@ type t = {
   members : int array array;  (* shard -> sorted global replica ids *)
   local_of : int array array;  (* shard -> (global id -> local idx, -1 if out) *)
   subs : System.t array;
-  fault_wrong_shard : bool;
+  mutation : Mutation.t;
 }
 
 let full_interest nshards = List.init nshards Fun.id
@@ -72,11 +72,10 @@ let sub_config router s members local_of (cfg : Config.t) =
     gossip_plan;
     shard_id = s;
     interest = None;  (* within a shard, every member fully replicates it *)
-    fault_wrong_shard = false;  (* the planted bug lives in [target_shard] *)
   }
 
 let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
-    ?router ~topology ~config () =
+    ?(mutation = Mutation.Off) ?router ~topology ~config () =
   let n = topology.Topology.n in
   (match Config.validate ~n config with
   | Ok () -> ()
@@ -121,7 +120,7 @@ let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
   in
   let subs =
     Array.init nshards (fun s ->
-        System.create ~seed:(seed + s) ~jitter ~loss ~track_writes
+        System.create ~seed:(seed + s) ~jitter ~loss ~track_writes ~mutation
           ~topology:(sub_topology topology members.(s))
           ~config:(sub_config router s members.(s) local_of.(s) config)
           ())
@@ -133,7 +132,7 @@ let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
     members;
     local_of;
     subs;
-    fault_wrong_shard = config.Config.fault_wrong_shard;
+    mutation;
   }
 
 let router t = t.router
@@ -182,10 +181,12 @@ let target_shard t conits =
     s
 
 (* Where the router actually sends the access: under the planted
-   [fault_wrong_shard] bug every submission lands one shard over. *)
+   [Wrong_shard] bug every submission lands one shard over. *)
 let routed_shard t conits =
   let s = target_shard t conits in
-  if t.fault_wrong_shard then (s + 1) mod shards t else s
+  match t.mutation with
+  | Mutation.Wrong_shard -> (s + 1) mod shards t
+  | Mutation.Off | Mutation.Crash_replay | Mutation.Oe_slack _ -> s
 
 let route t conit = Shard.route t.router conit
 

@@ -22,7 +22,7 @@
     The wire protocol carries the shard id in every {!Tact_store.Batch}
     frame; a frame that reaches a different shard's log is rejected and
     counted ({!Replica.stats.wrong_shard_frames}) — see
-    {!Config.fault_wrong_shard} for the planted routing bug the
+    {!Mutation.Wrong_shard} for the planted routing bug the
     interest-set-aware checker must catch. *)
 
 type t
@@ -32,6 +32,7 @@ val create :
   ?jitter:float ->
   ?loss:float ->
   ?track_writes:bool ->
+  ?mutation:Mutation.t ->
   ?router:Tact_store.Shard.t ->
   topology:Tact_sim.Topology.t ->
   config:Config.t ->
@@ -45,7 +46,9 @@ val create :
     to [Shard.by_hash ~shards] ([Shard.single] when [shards = 1]); an
     explicit router must agree with [config.shards] on the shard count.
     Shard [s] seeds its sub-system with [seed + s], so shard 0 of a 1-shard
-    system replays the unsharded run exactly.
+    system replays the unsharded run exactly.  [mutation] (default [Off])
+    plants a bug: [Wrong_shard] in the router, any other in every
+    sub-system's replicas ({!Mutation}).
 
     Raises [Invalid_argument] if a shard has no subscribers, or if a
     [Primary p] scheme names a replica that does not subscribe to every
@@ -104,8 +107,8 @@ val submit_write :
 (** Route the write to the shard its conits live on and submit it at the
     given global replica's instance there.  Raises [Invalid_argument] if the
     replica does not subscribe to that shard or the conits span shards.
-    Under {!Config.fault_wrong_shard} the routing is deliberately off by
-    one shard — the planted bug. *)
+    Under the {!Mutation.Wrong_shard} planted bug the routing is
+    deliberately off by one shard. *)
 
 val submit_read :
   ?require:Tact_store.Version_vector.t ->
@@ -136,7 +139,7 @@ val shard_leaks : t -> (int * int * Tact_store.Write.id * string) list
 (** Cross-shard containment audit: every [(shard, replica, write, conit)]
     where a write resident in [shard]'s logs affects a conit routing to a
     {e different} shard.  Empty in a healthy system; non-empty under the
-    {!Config.fault_wrong_shard} planted bug. *)
+    {!Mutation.Wrong_shard} planted bug. *)
 
 val total_stats : t -> Replica.stats
 (** Protocol counters summed over every replica of every shard. *)

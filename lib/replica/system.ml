@@ -19,7 +19,7 @@ type t = {
 }
 
 let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
-    ~topology ~config () =
+    ?mutation ~topology ~config () =
   (match Config.validate ~n:topology.Topology.n config with
   | Ok () -> ()
   | Error m -> invalid_arg ("System.create: " ^ m));
@@ -34,12 +34,12 @@ let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
   let replicas =
     Array.init n (fun i ->
         if track_writes then
-          Replica.create ~id:i ~n ~net ~config
+          Replica.create ~id:i ~n ~net ~config ?mutation
             ~on_accept:(fun w vec ->
               Hashtbl.replace writes w.Write.id
                 { write = w; accept_vector = vec; return_time = w.Write.accept_time })
             ()
-        else Replica.create ~id:i ~n ~net ~config ())
+        else Replica.create ~id:i ~n ~net ~config ?mutation ())
   in
   Array.iter (fun r -> Replica.connect r ~peers:(fun j -> replicas.(j))) replicas;
   { engine; net; config; replicas; writes; started = false; closed = false }

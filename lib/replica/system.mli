@@ -11,6 +11,7 @@ val create :
   ?jitter:float ->
   ?loss:float ->
   ?track_writes:bool ->
+  ?mutation:Mutation.t ->
   topology:Tact_sim.Topology.t ->
   config:Config.t ->
   unit ->
@@ -21,7 +22,8 @@ val create :
     0).  [track_writes] (default true) keeps the omniscient per-write
     registry behind {!all_writes}/{!return_time}/{!accept_vector}; disable it
     for bounded-memory scale runs, where it grows with every write ever
-    accepted (those accessors then see nothing). *)
+    accepted (those accessors then see nothing).  [mutation] (default [Off])
+    plants a bug in every replica, for harness self-tests ({!Mutation}). *)
 
 val engine : t -> Tact_sim.Engine.t
 val config : t -> Config.t

@@ -203,21 +203,24 @@ let contains hay needle =
   done;
   !found
 
-(* Lines covered by a [(* lint: allow hashtbl-... *)] annotation: the
-   comment's own lines plus the line after it ends (same coverage as
-   tact_lint).  Hashtbl_iter atoms at covered references are dropped —
-   those sites already declared themselves order-independent. *)
-let hashtbl_allow_lines (src : Loader.source) =
-  List.fold_left
-    (fun acc (cline, text) ->
-      if contains text "allow" && contains text "hashtbl" then begin
-        let last = ref cline in
-        String.iter (fun c -> if c = '\n' then incr last) text;
-        let rec span acc l = if l > !last + 1 then acc else span (l :: acc) (l + 1) in
-        span acc cline
-      end
-      else acc)
-    [] src.Loader.s_comments
+(* The annotation key that declares a Hashtbl-order site order-independent:
+   [hashtbl-iter] for [Hashtbl.iter], [hashtbl-to-seq-keys] for
+   [Hashtbl.to_seq_keys].  Shared by SA052 here and SA045 (Determinism). *)
+let hashtbl_key path =
+  let fn =
+    match String.rindex_opt path '.' with
+    | Some i -> String.sub path (i + 1) (String.length path - i - 1)
+    | None -> path
+  in
+  "hashtbl-" ^ String.map (fun c -> if c = '_' then '-' else c) fn
+
+(* A Hashtbl-order atom at a site annotated [lint: allow hashtbl-<fn>] is
+   dropped — the site already declared itself order-independent. *)
+let allowed_atom src path (r : Summary.vref) = function
+  | Hashtbl_iter ->
+    Loader.allowed src ~rule:(hashtbl_key path)
+      r.r_loc.Location.loc_start.Lexing.pos_lnum
+  | _ -> false
 
 let resolve_global (s : Summary.t) path =
   match Graph.mutable_global s path with
@@ -292,7 +295,6 @@ let direct_of_summary rules graph (s : Summary.t) acc =
   let src = s.Summary.sum_source in
   if trusted rules src.Loader.s_dir then acc
   else begin
-    let allow = hashtbl_allow_lines src in
     let acc = ref acc in
     let add def atom loc =
       let k =
@@ -318,11 +320,8 @@ let direct_of_summary rules graph (s : Summary.t) acc =
         | None -> ()
         | Some p -> (
           match classify rules p with
-          | None -> ()
-          | Some Hashtbl_iter
-            when List.mem r.r_loc.Location.loc_start.Lexing.pos_lnum allow ->
-            ()
-          | Some a -> add r.r_def a r.r_loc));
+          | Some a when not (allowed_atom src p r a) -> add r.r_def a r.r_loc
+          | _ -> ()));
         match global_touch graph s r with
         | Some g -> add r.r_def (Global_mutation g) r.r_loc
         | None -> ())
@@ -533,7 +532,6 @@ let det_findings eff =
    definition body. *)
 let task_direct eff (s : Summary.t) (site : Summary.pool_site) =
   let src = s.Summary.sum_source in
-  let allow = hashtbl_allow_lines src in
   let atoms = ref AtomSet.empty in
   let locs = ref AtomMap.empty in
   let add atom loc =
@@ -546,11 +544,8 @@ let task_direct eff (s : Summary.t) (site : Summary.pool_site) =
       | None -> ()
       | Some p -> (
         match classify eff.e_rules p with
-        | None -> ()
-        | Some Hashtbl_iter
-          when List.mem r.r_loc.Location.loc_start.Lexing.pos_lnum allow ->
-          ()
-        | Some a -> add a r.r_loc));
+        | Some a when not (allowed_atom src p r a) -> add a r.r_loc
+        | _ -> ()));
       match global_touch eff.e_graph s r with
       | Some g -> add (Global_mutation g) r.r_loc
       | None -> ())

@@ -15,7 +15,7 @@ type atom =
   | Unseeded_random  (** global [Random] state *)
   | Hashtbl_iter
       (** iteration in [Hashtbl] order, unless the site carries a
-          [lint: allow hashtbl-...] annotation *)
+          [lint: allow hashtbl-<fn>] annotation ({!hashtbl_key}) *)
   | Global_mutation of string
       (** touches the named non-[Sync] module-level mutable value
           (["Op.registry"]); reads count — they are
@@ -45,6 +45,14 @@ val parse_rules : string -> (rules, string) result
     match full dotted external paths ([Stdlib.] prefix stripped); a
     trailing [.*] matches the module and everything under it; the first
     matching entry wins; unmatched externals are assumed pure. *)
+
+val classify : rules -> string -> atom option
+(** The atom a dotted external path carries under the table ([None] when
+    it is pure or unmatched). *)
+
+val hashtbl_key : string -> string
+(** The allow-annotation key for a Hashtbl-order path:
+    [hashtbl_key "Hashtbl.to_seq_keys"] is ["hashtbl-to-seq-keys"]. *)
 
 type eff
 

@@ -4,6 +4,13 @@ type intf = {
   i_error : (int * int * string) option;
 }
 
+type allow = {
+  a_file : bool;
+  a_rules : string list;
+  a_line : int;
+  a_last : int;
+}
+
 type source = {
   s_path : string;
   s_dir : string;
@@ -11,6 +18,8 @@ type source = {
   s_ast : Parsetree.structure option;
   s_error : (int * int * string) option;
   s_comments : (int * string) list;
+  s_allows : allow list;
+  s_allow_errors : (int * string) list;
   s_intf : intf option;
 }
 
@@ -63,6 +72,77 @@ let load_intf ~path src =
   in
   { i_path = path; i_vals = vals; i_error = error }
 
+(* --- suppression annotations ------------------------------------------- *)
+
+let find_sub hay needle =
+  let hn = String.length hay and nn = String.length needle in
+  let rec go k =
+    if k + nn > hn then None
+    else if String.equal (String.sub hay k nn) needle then Some k
+    else go (k + 1)
+  in
+  go 0
+
+(* The rationale starts at the first [--] or em dash (U+2014). *)
+let split_reason body =
+  let cut =
+    List.filter_map
+      (fun sep ->
+        Option.map (fun k -> (k, String.length sep)) (find_sub body sep))
+      [ "--"; "\xe2\x80\x94" ]
+  in
+  match List.sort (fun (a, _) (b, _) -> Int.compare a b) cut with
+  | [] -> (body, None)
+  | (k, len) :: _ ->
+    ( String.sub body 0 k,
+      Some (String.trim (String.sub body (k + len) (String.length body - k - len)))
+    )
+
+let valid_key k =
+  String.length k > 0
+  && k.[0] >= 'a' && k.[0] <= 'z'
+  && String.for_all (fun c -> (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-') k
+
+let parse_allow text =
+  let text = String.trim text in
+  if not (String.starts_with ~prefix:"lint:" text) then None
+  else
+    let head, reason = split_reason (String.sub text 5 (String.length text - 5)) in
+    let words =
+      String.split_on_char ' '
+        (String.map (function '\t' | '\n' | '\r' | ',' -> ' ' | c -> c) head)
+      |> List.filter (fun w -> String.length w > 0)
+    in
+    Some
+      (match (words, reason) with
+      | ("allow" | "allow-file") :: [], _ -> Error "the annotation names no rule"
+      | ("allow" | "allow-file" as kind) :: keys, Some r when String.length r > 0 -> (
+        match List.find_opt (fun k -> not (valid_key k)) keys with
+        | Some k -> Error (Printf.sprintf "%S is not a rule key" k)
+        | None -> Ok (String.equal kind "allow-file", keys))
+      | ("allow" | "allow-file") :: _, _ -> Error "missing `-- reason`"
+      | _ -> Error "expected `lint: allow` or `lint: allow-file`")
+
+let covers a ~rule line =
+  List.exists (String.equal rule) a.a_rules
+  && (a.a_file || (line >= a.a_line && line <= a.a_last))
+
+let allowed src ~rule line = List.exists (fun a -> covers a ~rule line) src.s_allows
+
+let allows comments =
+  List.fold_right
+    (fun (line, text) (ok, bad) ->
+      match parse_allow text with
+      | None -> (ok, bad)
+      | Some (Error why) -> (ok, (line, why) :: bad)
+      | Some (Ok (a_file, a_rules)) ->
+        let newlines =
+          String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 text
+        in
+        ({ a_file; a_rules; a_line = line; a_last = line + newlines + 1 } :: ok,
+         bad))
+    comments ([], [])
+
 let load_string ?intf ~path src =
   let path = normalize path in
   let lexbuf = Lexing.from_string src in
@@ -80,6 +160,7 @@ let load_string ?intf ~path src =
     | exception _ -> (None, Some (1, 0, "parse error"))
   in
   let comments = List.rev (snd (Strip.strip src)) in
+  let s_allows, s_allow_errors = allows comments in
   let intf =
     match intf with
     | None -> None
@@ -92,6 +173,8 @@ let load_string ?intf ~path src =
     s_ast = ast;
     s_error = error;
     s_comments = comments;
+    s_allows;
+    s_allow_errors;
     s_intf = intf;
   }
 

@@ -18,6 +18,17 @@ type intf = {
   i_error : (int * int * string) option;  (** line, col, message *)
 }
 
+type allow = {
+  a_file : bool;  (** [allow-file]: covers every line of the file *)
+  a_rules : string list;  (** the annotation keys it names, in order *)
+  a_line : int;  (** 1-based line the comment opens on *)
+  a_last : int;
+      (** last covered line: the line after the comment closes, so a
+          multi-line rationale still covers the code beneath it *)
+}
+(** A parsed [(* lint: allow <rules> -- why *)] or
+    [(* lint: allow-file <rules> -- why *)] suppression annotation. *)
+
 type source = {
   s_path : string;  (** repo-relative, '/'-separated *)
   s_dir : string;  (** directory component, e.g. ["lib/util"] or ["bin"] *)
@@ -26,7 +37,11 @@ type source = {
   s_error : (int * int * string) option;  (** line, col, message *)
   s_comments : (int * string) list;
       (** comments in source order, each with the 1-based line it opened
-          on — effect annotations and lint-allow markers live here *)
+          on — effect annotations live here *)
+  s_allows : allow list;  (** well-formed allow annotations, in order *)
+  s_allow_errors : (int * string) list;
+      (** comments that open with [lint:] but do not parse as an allow
+          annotation: (line, reason) *)
   s_intf : intf option;  (** sibling [.mli], when one exists *)
 }
 
@@ -34,6 +49,22 @@ type t = {
   sources : source list;  (** sorted by path *)
   dirs : (string * string list) list;  (** dir -> sorted module names *)
 }
+
+val parse_allow : string -> (bool * string list, string) result option
+(** The one parser for suppression annotations.  [parse_allow text] reads a
+    comment's text (without delimiters): [None] when it does not open with
+    [lint:] (it is prose, whatever words it contains); otherwise
+    [Some (Ok (file_wide, keys))] for
+    [lint: allow KEY[, KEY...] -- REASON] or
+    [lint: allow-file KEY[, KEY...] -- REASON] (an em dash may stand for
+    [--]; keys are lower-case kebab words; the reason must not be empty),
+    and [Some (Error why)] for anything else. *)
+
+val covers : allow -> rule:string -> int -> bool
+(** [covers a ~rule line]: [a] names [rule] and [line] lies in its span. *)
+
+val allowed : source -> rule:string -> int -> bool
+(** Some annotation of the source covers [rule] at [line]. *)
 
 val load_string : ?intf:string -> path:string -> string -> source
 (** Parse [src] as if read from [path] (used by tests to inject synthetic

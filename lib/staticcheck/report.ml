@@ -73,6 +73,27 @@ let rules =
          epsilon comparison (metrics/bounds arithmetic accumulates rounding \
          error)";
       severity = Warning };
+    { id = "SA045"; title = "hashtbl-order";
+      advice =
+        "Hashtbl iteration order is unspecified; sort first, or annotate an \
+         order-independent site (lint: allow hashtbl-<fn> -- why)";
+      severity = Error };
+    { id = "SA046"; title = "naked-failwith";
+      advice =
+        "failwith raises an anonymous Failure; use invalid_arg or a typed \
+         exception, or annotate (lint: allow naked-failwith -- why)";
+      severity = Error };
+    { id = "SA047"; title = "alloc-hot-path";
+      advice =
+        "per-call buffer allocation on a wire hot path (lib/store, \
+         lib/sim); encode through the reusable Codec.Frame arena, or \
+         annotate a cold path (lint: allow alloc-hot-path -- why)";
+      severity = Error };
+    { id = "SA048"; title = "stale-allow";
+      advice =
+        "a lint: allow annotation that does not parse, or names a key that \
+         suppresses nothing on the lines it covers; fix or delete it";
+      severity = Warning };
     { id = "SA050"; title = "det-core-wall-clock";
       advice =
         "a wall-clock read is transitively reachable from the \

@@ -1,5 +1,5 @@
-(** Textual OCaml source preparation shared by the fast line lint
-    ([bin/tact_lint.ml]) and its tests.
+(** Textual OCaml source preparation: {!Loader} takes each file's comments
+    from here (effect and allow annotations live in comments).
 
     [strip src] blanks out comments and string/char literals in [src] while
     preserving the line structure exactly: the result has the same length and

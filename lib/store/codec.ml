@@ -16,7 +16,7 @@ let cursor data = { data; pos = 0 }
 
 module Frame = struct
   type t = {
-    mutable buf : Bytes.t;  (* lint: allow — the Frame IS the allocator *)
+    mutable buf : Bytes.t;
     mutable len : int;
     mutable allocs : int;  (* arena (re)allocations, for the bench *)
   }

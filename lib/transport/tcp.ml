@@ -332,7 +332,7 @@ and read_dialed t (p : peer) fd =
     let avail, buf =
       if avail > 0 then (avail, p.p_rbuf)
       else begin
-        (* lint: allow alloc-hot-path -- rare: probe-ack buffer growth *)
+        (* rare: probe-ack buffer growth *)
         let fresh = Bytes.create (2 * Bytes.length p.p_rbuf) in
         Bytes.blit p.p_rbuf 0 fresh 0 p.p_rlen;
         p.p_rbuf <- fresh;
@@ -460,8 +460,8 @@ let rec conn_consume t (c : conn) =
            [max_frame], so this cannot balloon). *)
         let need = hdr + len in
         if Bytes.length c.c_buf < need then begin
-          (* lint: allow alloc-hot-path -- bounded by max_frame; amortised
-             by buffer reuse across frames *)
+          (* bounded by max_frame; amortised by buffer reuse across
+             frames *)
           let fresh = Bytes.create need in
           Bytes.blit c.c_buf 0 fresh 0 c.c_len;
           c.c_buf <- fresh
@@ -473,7 +473,7 @@ let conn_read t (c : conn) =
   let avail =
     if avail > 0 then avail
     else begin
-      (* lint: allow alloc-hot-path -- doubling receive buffer, amortised *)
+      (* doubling receive buffer, amortised *)
       let fresh = Bytes.create (2 * Bytes.length c.c_buf) in
       Bytes.blit c.c_buf 0 fresh 0 c.c_len;
       c.c_buf <- fresh;

@@ -14,9 +14,6 @@
    OCaml's [Condition] has no timed wait, so this stamp protocol is what
    makes sleeping safe without polling. *)
 
-(* lint: allow-file domain-safety -- this module IS the concurrency layer the
-   rule funnels everyone else through *)
-
 type task = unit -> unit
 
 type 'a state = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace

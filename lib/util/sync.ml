@@ -1,6 +1,3 @@
-(* lint: allow-file domain-safety -- this module IS the concurrency layer the
-   rule funnels everyone else through *)
-
 module Counter = struct
   type t = int Atomic.t
 

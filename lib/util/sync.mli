@@ -1,7 +1,7 @@
 (** Small domain-safe shared-state primitives.
 
     Everything concurrency-flavoured in this codebase is meant to live in
-    lib/util (the [domain-safety] lint rule enforces it); callers that need
+    lib/util (tact_analyze's SA012 [external] rule enforces it); callers that need
     a shared counter, a guarded cell or a concurrent map during a parallel
     phase use these rather than touching [Atomic]/[Mutex] directly. *)
 

@@ -204,6 +204,9 @@ let test_plan_snapshot_fallback () =
 
 let batched c = { c with Config.sync = Config.Batched; batch_flush = 0.02 }
 
+let batched_plan (p : Tact_nemesis.Sample.plan) =
+  { p with Tact_nemesis.Sample.config = batched p.Tact_nemesis.Sample.config }
+
 (* The same deterministic workload under both sync modes: identical final
    databases on every replica, with far fewer messages on the wire.  The
    workload is bursty under a tight NE bound, so nearly every write forces
@@ -313,7 +316,7 @@ let test_differential_nemesis () =
     List.iter
       (fun schedule ->
         let pw = Runner.execute p schedule in
-        let bt = Runner.execute ~mutate:batched p schedule in
+        let bt = Runner.execute (batched_plan p) schedule in
         Alcotest.(check (list string))
           (Printf.sprintf "seed %d: identical oracle verdicts" seed)
           pw.Runner.violations bt.Runner.violations;
@@ -350,8 +353,8 @@ let test_duplication_no_double_apply () =
       quiet_after = p.Sample.quiet_after;
     }
   in
-  let a = Runner.execute ~mutate:batched p clean in
-  let b = Runner.execute ~mutate:batched p dup in
+  let a = Runner.execute (batched_plan p) clean in
+  let b = Runner.execute (batched_plan p) dup in
   Alcotest.(check (list string)) "duplication run clean" [] b.Runner.violations;
   Alcotest.(check bool) "duplicates do not double-apply" true
     (Int64.equal a.Runner.fingerprint b.Runner.fingerprint)

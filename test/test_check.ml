@@ -146,7 +146,7 @@ let test_trace_json_roundtrip () =
 
 (* --- the planted-bug mutation test ------------------------------------- *)
 
-(* An accept-path off-by-one: [fault_oe_slack] makes the replica admit
+(* An accept-path off-by-one: [Oe_slack] makes the replica admit
    accesses whose tentative order error exceeds the requested bound by up to
    the slack.  In the default schedule the anti-entropy delivery at ~0.35
    commits everything before the read at 0.40, so the bug is invisible; only
@@ -176,11 +176,11 @@ let planted_scenario ~slack =
             Config.conits = [ Conit.declare ~oe_bound:0.5 "x"; Conit.declare "y" ];
             antientropy_period = Some 0.3;
             retry_period = 0.5;
-            fault_oe_slack = slack;
           }
         in
         let sys =
           System.create ~seed:7 ~jitter:0.0 ~loss:0.0
+            ~mutation:(Mutation.Oe_slack slack)
             ~topology:(Topology.uniform ~n:2 ~latency:0.05 ~bandwidth:1e9)
             ~config ()
         in

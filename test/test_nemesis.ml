@@ -213,8 +213,54 @@ let test_unavailability_accounting () =
   Alcotest.(check bool) "timeout before any fault flagged" true
     (Oracle.check_unavailability ~schedule:late ~slack:1.0 [ obs ] <> [])
 
+(* The planted-bug selector round-trips exactly: a counterexample saved
+   with [oe_slack:0.1234567] must replay that slack, not a %g-rounded one.
+   Non-finite and non-positive slacks are refused. *)
+let mutation_table =
+  [
+    ("off", Some Mutation.Off);
+    ("crash_replay", Some Mutation.Crash_replay);
+    ("wrong_shard", Some Mutation.Wrong_shard);
+    ("oe_slack:0.1234567", Some (Mutation.Oe_slack 0.1234567));
+    ("oe_slack:1", Some (Mutation.Oe_slack 1.0));
+    ("oe_slack:nan", None);
+    ("oe_slack:inf", None);
+    ("oe_slack:-1", None);
+    ("oe_slack:0", None);
+    ("oe_slack:", None);
+    ("bogus", None);
+  ]
+
+let test_mutation_roundtrip () =
+  List.iter
+    (fun (text, want) ->
+      let got = Mutation.of_string text in
+      Alcotest.(check bool) ("of_string " ^ text) true (got = want);
+      match got with
+      | Some m ->
+        Alcotest.(check bool) ("round-trip " ^ text) true
+          (Mutation.of_string (Mutation.to_string m) = got)
+      | None -> ())
+    mutation_table;
+  let cx =
+    {
+      Counterexample.seed = 3;
+      mutation = Mutation.Oe_slack 0.1234567;
+      events = [];
+      quiet_after = 1.0;
+      violations = [];
+      fingerprint = 0L;
+    }
+  in
+  match Counterexample.of_json (Counterexample.to_json cx) with
+  | Error m -> Alcotest.failf "counterexample JSON: %s" m
+  | Ok back ->
+    Alcotest.(check bool) "slack survives the JSON file" true
+      (back.Counterexample.mutation = cx.Counterexample.mutation)
+
 let suite =
   [
+    Alcotest.test_case "mutation string round-trip" `Quick test_mutation_roundtrip;
     Alcotest.test_case "sampled schedules validate" `Quick
       test_sampled_schedules_validate;
     Alcotest.test_case "schedule JSON round-trip" `Quick

@@ -323,6 +323,12 @@ let test_config_validation () =
     (ok { Config.default with Config.antientropy_period = Some 0.0 });
   Alcotest.(check bool) "bad retry" false
     (ok { Config.default with Config.retry_period = 0.0 });
+  Alcotest.(check bool) "nan gossip period" false
+    (ok { Config.default with Config.antientropy_period = Some Float.nan });
+  Alcotest.(check bool) "nan retry" false
+    (ok { Config.default with Config.retry_period = Float.nan });
+  Alcotest.(check bool) "nan batch flush" false
+    (ok { Config.default with Config.sync = Config.Batched; batch_flush = Float.nan });
   Alcotest.(check bool) "negative retention" false
     (ok { Config.default with Config.truncate_keep = Some (-1) });
   Alcotest.(check bool) "duplicate conits" false

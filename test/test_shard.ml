@@ -327,7 +327,7 @@ let test_empty_interest_rejected () =
 
 (* --- Planted bugs ------------------------------------------------------ *)
 
-(* With [fault_wrong_shard] every submission lands one shard over; the
+(* With [Wrong_shard] planted every submission lands one shard over; the
    per-shard sub-systems still converge internally, so plain per-shard
    convergence cannot see the bug — the cross-shard containment audit
    (shard_leaks) must. *)
@@ -340,12 +340,12 @@ let test_planted_wrong_shard_caught () =
       {
         Config.default with
         Config.shards;
-        fault_wrong_shard = planted;
         antientropy_period = Some 1.0;
         conits = [ Conit.unconstrained "a"; Conit.unconstrained "b" ];
       }
     in
-    let sh = Sharded.create ~router ~topology:(topo n) ~config () in
+    let mutation = if planted then Mutation.Wrong_shard else Mutation.Off in
+    let sh = Sharded.create ~mutation ~router ~topology:(topo n) ~config () in
     for i = 0 to 5 do
       let c = if i mod 2 = 0 then "a" else "b" in
       (* Schedule on the engine the submission will actually land on. *)

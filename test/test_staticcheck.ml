@@ -16,6 +16,26 @@ let rules_path =
     "../analysis/layering.rules"
   else "analysis/layering.rules"
 
+let read_file path =
+  let ic = open_in_bin path in
+  let len = in_channel_length ic in
+  let text = really_input_string ic len in
+  close_in ic;
+  text
+
+(* The repo's effect table: the Hashtbl-order hygiene rule reads its
+   [hashtbl] classification. *)
+let effect_rules =
+  lazy
+    (let path =
+       if Sys.file_exists "../analysis/effects.rules" then
+         "../analysis/effects.rules"
+       else "analysis/effects.rules"
+     in
+     match Effects.parse_rules (read_file path) with
+     | Ok r -> r
+     | Error e -> Alcotest.failf "effects.rules did not parse: %s" e)
+
 (* Run every pass over a set of (path, contents) synthetic sources. *)
 let analyze sources =
   let loaded =
@@ -24,7 +44,7 @@ let analyze sources =
   in
   let sums = List.map (Summary.of_source loaded) loaded.Loader.sources in
   let graph = Graph.build sums in
-  (graph, Races.run graph @ Determinism.run sums)
+  (graph, Races.run graph @ Determinism.run (Lazy.force effect_rules) sums)
 
 let find_rule findings id =
   List.filter (fun (f : Report.finding) -> f.f_rule.Report.id = id) findings
@@ -153,6 +173,87 @@ let test_float_equal_scoped () =
 let test_determinism_lib_only () =
   Alcotest.(check (list string)) "bin is out of scope for SA040" []
     (ids (det "bin/tool.ml" "let f a b = compare a b\n"))
+
+(* --- source-hygiene rules (SA045-SA048) ---------------------------------- *)
+
+let allow_table =
+  [
+    ("lint: allow hashtbl-fold -- sorted below", Some (Ok (false, [ "hashtbl-fold" ])));
+    ( " lint: allow hashtbl-iter, hashtbl-fold \xe2\x80\x94 order-free ",
+      Some (Ok (false, [ "hashtbl-iter"; "hashtbl-fold" ])) );
+    ( "lint: allow-file naked-failwith alloc-hot-path -- legacy\n   module",
+      Some (Ok (true, [ "naked-failwith"; "alloc-hot-path" ])) );
+    ("never allow hashtbl order here", None);
+    ("see lint: allow hashtbl-iter -- prose", None);
+    ("lint: allow \xe2\x80\x94 the Frame IS the allocator", Some (Error ""));
+    ("lint: allow hashtbl-iter", Some (Error ""));
+    ("lint: allow hashtbl-iter --", Some (Error ""));
+    ("lint: allow Hashtbl.iter -- upper case", Some (Error ""));
+    ("lint: permit hashtbl-iter -- wrong verb", Some (Error ""));
+  ]
+
+let test_parse_allow () =
+  List.iter
+    (fun (text, want) ->
+      let got =
+        match Loader.parse_allow text with
+        | Some (Error _) -> Some (Error "")
+        | other -> other
+      in
+      Alcotest.(check bool) (Printf.sprintf "%S" text) true (got = want))
+    allow_table
+
+(* Each twin loads under a synthetic lib/ path: the dirty twin yields the
+   listed (rule, line, context) findings and nothing else, the clean twin
+   none at all (every annotation it carries suppresses a finding). *)
+let hygiene_twins =
+  [
+    ( "hyg_hashtbl", "lib/store/hashtbl",
+      [ ("SA045", 6, "keys:hashtbl-fold"); ("SA045", 7, "visit:hashtbl-iter");
+        ("SA045", 10, "pairs:hashtbl-to-seq") ] );
+    ( "hyg_failwith", "lib/store/failwith",
+      [ ("SA046", 5, "parse:failwith"); ("SA046", 6, "check:failwith") ] );
+    ( "hyg_alloc", "lib/store/alloc",
+      [ ("SA047", 6, "header:alloc"); ("SA047", 7, "scratch:alloc");
+        ("SA047", 8, "text:alloc") ] );
+  ]
+
+let test_hygiene_twins () =
+  List.iter
+    (fun (file, path, want) ->
+      let load twin =
+        det (path ^ "_" ^ twin ^ ".ml") (read_file (fixture (file ^ "_" ^ twin ^ ".ml")))
+      in
+      Alcotest.(check (list (triple string int string)))
+        (file ^ " dirty") want
+        (List.map
+           (fun (f : Report.finding) ->
+             (f.f_rule.Report.id, f.Report.f_line, f.Report.f_context))
+           (load "dirty"));
+      Alcotest.(check (list string)) (file ^ " clean") [] (ids (load "clean")))
+    hygiene_twins
+
+let test_hygiene_scope () =
+  let src = read_file (fixture "hyg_alloc_dirty.ml") in
+  Alcotest.(check (list string)) "alloc-hot-path is lib/store + lib/sim only" []
+    (ids (det "lib/transport/alloc_dirty.ml" src));
+  Alcotest.(check (list string)) "hygiene rules are lib/ only" []
+    (ids (det "bin/tool.ml" "let f t = Hashtbl.iter (fun _ _ -> ()) t\nlet g () = failwith \"g\"\n"))
+
+let test_stale_allow () =
+  let findings =
+    det "lib/core/a.ml"
+      "(* lint: allow hashtbl-iter, naked-failwith -- both named *)\n\
+       let f t = Hashtbl.iter (fun _ _ -> ()) t\n\
+       (* lint: allow -- names nothing *)\n\
+       let g x = x\n"
+  in
+  Alcotest.(check (list (pair int string))) "unused key and malformed annotation"
+    [ (1, "allow:naked-failwith"); (3, "allow:malformed") ]
+    (List.map
+       (fun (f : Report.finding) -> (f.Report.f_line, f.Report.f_context))
+       (find_rule findings "SA048"));
+  Alcotest.(check (list string)) "the used key suppresses SA045" [ "SA048" ] (ids findings)
 
 (* --- layering pass ------------------------------------------------------ *)
 
@@ -321,6 +422,10 @@ let suite =
     Alcotest.test_case "obj magic" `Quick test_obj_magic;
     Alcotest.test_case "float equality scoped" `Quick test_float_equal_scoped;
     Alcotest.test_case "determinism lib-only" `Quick test_determinism_lib_only;
+    Alcotest.test_case "allow annotation parser" `Quick test_parse_allow;
+    Alcotest.test_case "hygiene twins (SA045-SA047)" `Quick test_hygiene_twins;
+    Alcotest.test_case "hygiene scope" `Quick test_hygiene_scope;
+    Alcotest.test_case "stale allow (SA048)" `Quick test_stale_allow;
     Alcotest.test_case "layering table" `Quick test_layering;
     Alcotest.test_case "repo rules parse" `Quick test_repo_rules_parse;
     Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;

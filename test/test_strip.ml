@@ -1,4 +1,4 @@
-(* The comment/string stripper shared by tact_lint and tact_analyze:
+(* The comment/string stripper behind tact_analyze's comment annotations:
    blanking must never leak literal contents into the lintable text, and
    line structure must survive exactly (allow-annotations are addressed by
    line number). *)
