@@ -1,211 +1,71 @@
-(* The benchmark harness.
+(* The bench harness: one table of kernels.
 
-   Part 1 regenerates every table and figure indexed in DESIGN.md §5 /
-   EXPERIMENTS.md (one experiment per paper artifact, printed as tables and
-   ASCII plots).  Part 2 runs Bechamel micro-benchmarks of the protocol
-   kernels the experiments exercise.
+   Each kernel is a wall-clock measurement of one hot path, tagged with the
+   layer it exercises (codec, wlog, protocol, system, transport, check), at
+   a full size where its asymptotic cost dominates and a smoke size that
+   runs in milliseconds.  Every kernel asserts its own postconditions, so
+   [--smoke] doubles as a correctness guard.  A kernel with a reference
+   twin (writes_since merge vs reference, wlog_index flat vs hashtbl, round
+   encode naive vs arena, sync_traffic per-write vs batched) has both as
+   entries, timed one at a time on the same workload.
 
-   Part 3 runs the scaling kernels: wall-clock measurements of the hot paths
-   (write-log accept/commit, out-of-order insert storms, end-to-end served
-   accesses, anti-entropy delta extraction, parallel schedule exploration)
-   at sizes where asymptotic costs dominate.  [--json] runs only those and
-   writes a machine-readable trajectory file (BENCH_PR4.json) used to track
-   the perf of these paths across PRs.
+   Every report has one JSON schema, written and read through
+   Tact_check.Json:
+     {cores, ocaml_version, kernels: [{name, layer, n, seconds, counts?}]}
+   [counts] holds the integer figures measured next to the time (messages,
+   bytes, allocations, schedules) and the kernel's parameters besides [n].
+   Two reports compare kernel by kernel on (name, n).
 
    Usage:
-     dune exec bench/main.exe                 # quick experiments + micro
-     dune exec bench/main.exe -- --full       # full-length experiments
-     dune exec bench/main.exe -- --no-micro   # skip Bechamel
-     dune exec bench/main.exe -- E3 E12       # a subset, by id or name
-     dune exec bench/main.exe -- --json       # scaling kernels -> BENCH_PR4.json
-     dune exec bench/main.exe -- --pr6        # batched-sync kernels -> BENCH_PR6.json
-     dune exec bench/main.exe -- --pr9        # sharding kernels -> BENCH_PR9.json
-     dune exec bench/main.exe -- --pr10       # loopback transport -> BENCH_PR10.json
-     dune exec bench/main.exe -- --compare A.json B.json  # per-kernel speedups
-     dune exec bench/main.exe -- --smoke      # tiny kernel instances (CI guard)
-     dune exec bench/main.exe -- -j 4         # run experiments/kernels on a
-                                              # 4-domain pool *)
+     dune exec bench/main.exe -- --smoke [-j N]             # smoke sizes + schema self-check
+     dune exec bench/main.exe -- --json [--out=FILE] [-j N] # full sizes -> FILE (bench.json)
+     dune exec bench/main.exe -- --compare A.json B.json    # per-kernel A/B time ratio
 
-open Tact_experiments
-
-let run_experiments ~quick ~jobs ~only =
-  let selected =
-    match only with
-    | [] -> Registry.all
-    | keys ->
-      List.filter_map
-        (fun k ->
-          match Registry.find k with
-          | Some e -> Some e
-          | None ->
-            Printf.printf
-              "unknown experiment %S (use an id like E3 or a name like airline)\n" k;
-            None)
-        keys
-  in
-  let reports =
-    if jobs <= 1 then
-      List.map
-        (fun (e : Registry.entry) ->
-          let t0 = Unix.gettimeofday () in
-          let report = e.run ~quick () in
-          (e, report, Unix.gettimeofday () -. t0))
-        selected
-    else
-      (* Experiments are independent simulations; their reports are the same
-         at any job count, so run them on a pool and print in order after. *)
-      Tact_util.Pool.with_pool ~jobs (fun pool ->
-          Tact_util.Pool.map_list pool
-            (fun (e : Registry.entry) ->
-              let t0 = Unix.gettimeofday () in
-              let report = e.run ~quick () in
-              (e, report, Unix.gettimeofday () -. t0))
-            selected)
-  in
-  List.iter
-    (fun ((e : Registry.entry), report, dt) ->
-      Printf.printf "\n%s\n" (String.make 78 '=');
-      Printf.printf "%s [%s] — %s\n" e.id e.name e.paper_artifact;
-      Printf.printf "%s\n" (String.make 78 '=');
-      print_string report;
-      Printf.printf "(%s ran in %.1fs)\n" e.id dt;
-      flush stdout)
-    reports
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the kernels underneath the experiments *)
-
-open Bechamel
-open Toolkit
-
-let wlog_kernel ~writes () =
-  let open Tact_store in
-  let log = Wlog.create ~replicas:2 ~initial:[] in
-  for seq = 1 to writes do
-    ignore
-      (Wlog.accept log
-         (Write.make
-            ~id:{ origin = 0; seq }
-            ~accept_time:(float_of_int seq)
-            ~op:(Op.Add ("x", 1.0))
-            ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ]))
-  done;
-  ignore (Wlog.commit_stable log ~cover:[| infinity; infinity |])
-
-let metrics_kernel ~writes () =
-  let open Tact_store in
-  let ws =
-    List.init writes (fun i ->
-        Write.make
-          ~id:{ origin = i mod 3; seq = (i / 3) + 1 }
-          ~accept_time:(float_of_int i)
-          ~op:Op.Noop
-          ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ])
-  in
-  ignore (Tact_core.Metrics.order_error_lcp ~ecg:ws ~local:ws "c");
-  ignore (Tact_core.Metrics.value ws "c")
-
-let sim_kernel ~events () =
-  let open Tact_sim in
-  let e = Engine.create () in
-  for i = 1 to events do
-    Engine.schedule e ~delay:(float_of_int (i mod 97)) ignore
-  done;
-  Engine.run e
-
-let bboard_kernel () =
-  ignore
-    (Tact_apps.Bboard.run ~seed:3 ~n:3 ~post_rate:2.0 ~read_rate:1.0
-       ~duration:5.0 ~ne_bound:4.0 ~antientropy:None ())
-
-let vv_kernel () =
-  let open Tact_store in
-  let a = Version_vector.create 16 and b = Version_vector.create 16 in
-  for i = 0 to 15 do
-    Version_vector.set a i (i * 3);
-    Version_vector.set b i (48 - (i * 3))
-  done;
-  for _ = 1 to 1000 do
-    let c = Version_vector.copy a in
-    Version_vector.merge_into c b;
-    ignore (Version_vector.dominates c a)
-  done
-
-let budget_kernel () =
-  let rates = [| 5.0; 1.0; 0.5; 2.0 |] in
-  for self = 1 to 3 do
-    for _ = 1 to 1000 do
-      ignore
-        (Tact_protocols.Budget.share Tact_protocols.Budget.Adaptive ~bound:10.0
-           ~n:4 ~self ~receiver:0 ~rates)
-    done
-  done
-
-let csn_kernel () =
-  let open Tact_store in
-  let b = Tact_protocols.Csn_buffer.create () in
-  for i = 0 to 999 do
-    Tact_protocols.Csn_buffer.offer b ~start:i [ { Write.origin = 0; seq = i + 1 } ]
-  done;
-  ignore (Tact_protocols.Csn_buffer.slice_from b 900)
-
-let micro_tests =
-  [
-    Test.make ~name:"wlog: 500 accepts + stability commit"
-      (Staged.stage (wlog_kernel ~writes:500));
-    Test.make ~name:"metrics: LCP order error over 300 writes"
-      (Staged.stage (metrics_kernel ~writes:300));
-    Test.make ~name:"sim: 10k events through the engine"
-      (Staged.stage (sim_kernel ~events:10_000));
-    Test.make ~name:"version vectors: 1k merge/dominate (n=16)"
-      (Staged.stage vv_kernel);
-    Test.make ~name:"budget: 3k adaptive share computations"
-      (Staged.stage budget_kernel);
-    Test.make ~name:"csn buffer: 1k slice offers"
-      (Staged.stage csn_kernel);
-    Test.make ~name:"end-to-end: 5s bulletin-board simulation"
-      (Staged.stage bboard_kernel);
-  ]
-
-let run_micro () =
-  Printf.printf "\n%s\nBechamel micro-benchmarks (protocol kernels)\n%s\n"
-    (String.make 78 '=') (String.make 78 '=');
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-  let test = Test.make_grouped ~name:"tact" ~fmt:"%s %s" micro_tests in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let results = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun measure tbl ->
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Printf.printf "%-55s %14.1f ns/run (%s)\n" name est measure
-          | Some _ | None -> ())
-        tbl)
-    results
-
-(* ------------------------------------------------------------------ *)
-(* Scaling kernels: wall-clock measurements of the hot paths at sizes
-   where asymptotic behaviour dominates.  Each kernel asserts its own
-   postconditions so that [--smoke] doubles as a correctness guard. *)
+   [-j N] sets the job counts of the kernels that sweep them, pool_scaling
+   and shard_scaling, to 1 and N; the default sweep is 1, 2 and 4.  The
+   paper experiments are run by [tact all] and [tact exp]. *)
 
 open Tact_store
+
+type layer = Codec | Wlog | Protocol | System | Transport | Check
+
+let layer_names =
+  [ (Codec, "codec"); (Wlog, "wlog"); (Protocol, "protocol"); (System, "system");
+    (Transport, "transport"); (Check, "check") ]
+
+type kernel = {
+  name : string;
+  layer : layer;
+  full : int;
+  smoke : int;
+  run : int -> float * (string * int) list;
+      (* at size n: wall-clock seconds and integer counts *)
+}
+
+(* Wall clock of [f ()], rounded to the microsecond the reports carry. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Float.round ((Unix.gettimeofday () -. t0) *. 1e6) /. 1e6)
+
+(* A kernel timed end to end, with no counts. *)
+let timed f n =
+  let (), s = time (fun () -> f n) in
+  (s, [])
 
 let bench_write ~origin ~seq ~t =
   Write.make ~id:{ origin; seq } ~accept_time:t
     ~op:(Op.Add ("x", 1.0))
     ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ]
 
+(* ------------------------------------------------------------------ *)
+(* wlog                                                                *)
+
 (* Accept [writes] local writes, then commit them through the primary-CSN
-   path in timestamp order, [batch] ids at a time — the shape of a replica
+   path in timestamp order, 64 ids at a time — the shape of a replica
    catching up on a CSN backlog accumulated while commitment lagged. *)
-let kernel_accept_commit ~writes ?(batch = 64) () =
+let accept_commit writes =
+  let batch = 64 in
   let log = Wlog.create ~replicas:2 ~initial:[] in
   for seq = 1 to writes do
     ignore (Wlog.accept log (bench_write ~origin:0 ~seq ~t:(float_of_int seq)))
@@ -224,10 +84,11 @@ let kernel_accept_commit ~writes ?(batch = 64) () =
   assert (Wlog.tentative log = [])
 
 (* Two origins with interleaved timestamps where one origin's stream is
-   delivered [lag] writes behind the other: every second insert lands [lag]
+   delivered 64 writes behind the other: every second insert lands 64
    positions short of the tail of the tentative suffix — the WAN-jitter
    out-of-order arrival pattern. *)
-let kernel_insert_storm ~writes ?(lag = 64) () =
+let insert_storm writes =
+  let lag = 64 in
   let log = Wlog.create ~replicas:3 ~initial:[] in
   let half = writes / 2 in
   for i = 1 to half + lag do
@@ -243,19 +104,287 @@ let kernel_insert_storm ~writes ?(lag = 64) () =
   (* The full image saw every write exactly once despite the reordering. *)
   assert (Db.get_float (Wlog.db log) "x" = float_of_int (2 * half))
 
+(* Anti-entropy delta extraction: one sender's write log holding [writes]
+   writes spread over 16 origins with interleaved timestamps, queried for
+   the deltas owed to peers at full, half and 10% lag — initial sync, a
+   stale peer, steady-state gossip — 10 times over.  Times either the
+   k-way-merge [Wlog.writes_since] or a faithful re-creation of the seed
+   algorithm (per-(origin,seq) Hashtbl probe + List.sort); both entries
+   first assert the two produce identical output. *)
+let writes_since ~reference writes =
+  let replicas = 16 and reps = 10 in
+  let log = Wlog.create ~replicas ~initial:[] in
+  for i = 0 to writes - 1 do
+    let origin = i mod replicas and seq = (i / replicas) + 1 in
+    ignore (Wlog.insert log (bench_write ~origin ~seq ~t:(float_of_int i)))
+  done;
+  let zero = Version_vector.create replicas in
+  let by_id = Hashtbl.create (2 * writes) in
+  List.iter (fun (w : Write.t) -> Hashtbl.replace by_id w.id w) (Wlog.writes_since log zero);
+  let vec = Wlog.vector log in
+  let seed_algorithm have =
+    let out = ref [] in
+    for origin = 0 to replicas - 1 do
+      for
+        seq = Version_vector.get have origin + 1 to Version_vector.get vec origin
+      do
+        match Hashtbl.find_opt by_id { Write.origin; seq } with
+        | Some w -> out := w :: !out
+        | None -> assert false
+      done
+    done;
+    List.sort Write.ts_compare !out
+  in
+  let lagged frac =
+    let v = Version_vector.create replicas in
+    for o = 0 to replicas - 1 do
+      let n = Version_vector.get vec o in
+      Version_vector.set v o (n - int_of_float (frac *. float_of_int n))
+    done;
+    v
+  in
+  let haves = [ zero; lagged 0.5; lagged 0.1 ] in
+  List.iter
+    (fun have ->
+      let a = Wlog.writes_since log have and b = seed_algorithm have in
+      assert (List.length a = List.length b);
+      List.iter2 (fun (x : Write.t) (y : Write.t) -> assert (x.id = y.id)) a b)
+    haves;
+  let f = if reference then seed_algorithm else Wlog.writes_since log in
+  let (), s =
+    time (fun () ->
+        for _ = 1 to reps do
+          List.iter (fun have -> ignore (f have)) haves
+        done)
+  in
+  (s, [ ("replicas", replicas); ("reps", reps) ])
+
+(* The per-delivery bookkeeping trace the write log executes, over 16
+   origins committing every 64 rounds.  [index_delivery] runs the real Wlog
+   insert+commit path with an outcome probe per delivery (the E22 ring
+   shape); [index_flat] and [index_hashtbl] replay the bookkeeping alone —
+   register (duplicate check + store), record the tentative outcome, mark
+   committed in batches with the final outcome, shed at truncation —
+   against a mirror of the flat per-origin slot index and of the seed's four
+   Write.id-keyed Hashtbls it replaced. *)
+let origins = 16
+let commit_batch = 64
+
+let index_delivery writes =
+  let per_origin = writes / origins in
+  let log = Wlog.create ~replicas:(origins + 1) ~initial:[] in
+  let (), s =
+    time (fun () ->
+        for seq = 1 to per_origin do
+          for o = 1 to origins do
+            let t = (float_of_int seq *. float_of_int origins) +. float_of_int o in
+            ignore (Wlog.insert log (bench_write ~origin:o ~seq ~t));
+            assert (Wlog.outcome log { Write.origin = o; seq } <> None)
+          done;
+          if seq mod commit_batch = 0 || seq = per_origin then
+            ignore (Wlog.commit_stable log ~cover:(Array.make (origins + 1) infinity))
+        done)
+  in
+  assert (Wlog.num_known log = writes);
+  assert (Wlog.committed_count log = writes);
+  (s, [])
+
+type slot = {
+  mutable s_w : Write.t option;
+  mutable s_out : int;
+  mutable s_final : int;
+  mutable s_comm : bool;
+}
+
+let index_flat writes =
+  let per_origin = writes / origins in
+  let flat =
+    Array.init (origins + 1) (fun _ ->
+        Array.init per_origin (fun _ ->
+            { s_w = None; s_out = 0; s_final = 0; s_comm = false }))
+  in
+  let (), s =
+    time (fun () ->
+        for seq = 1 to per_origin do
+          for o = 1 to origins do
+            let s = flat.(o).(seq - 1) in
+            assert (s.s_w = None);  (* duplicate check *)
+            s.s_w <- Some (bench_write ~origin:o ~seq ~t:(float_of_int seq));
+            s.s_out <- seq
+          done;
+          if seq mod commit_batch = 0 || seq = per_origin then
+            for b = max 1 (seq - commit_batch + 1) to seq do
+              for o = 1 to origins do
+                let s = flat.(o).(b - 1) in
+                if not s.s_comm then begin
+                  s.s_comm <- true;
+                  s.s_final <- b
+                end
+              done
+            done
+        done;
+        for o = 1 to origins do
+          for i = 0 to per_origin - 1 do
+            flat.(o).(i).s_w <- None  (* truncation shed *)
+          done
+        done)
+  in
+  assert (Array.for_all (Array.for_all (fun s -> s.s_w = None)) flat);
+  (s, [])
+
+let index_hashtbl writes =
+  let per_origin = writes / origins in
+  let by_id : (Write.id, Write.t) Hashtbl.t = Hashtbl.create 1024 in
+  let committed_ids : (Write.id, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let outcomes : (Write.id, int) Hashtbl.t = Hashtbl.create 1024 in
+  let finals : (Write.id, int) Hashtbl.t = Hashtbl.create 1024 in
+  let (), s =
+    time (fun () ->
+        for seq = 1 to per_origin do
+          for o = 1 to origins do
+            let id = { Write.origin = o; seq } in
+            assert (Hashtbl.find_opt by_id id = None);  (* duplicate check *)
+            Hashtbl.replace by_id id (bench_write ~origin:o ~seq ~t:(float_of_int seq));
+            Hashtbl.replace outcomes id seq
+          done;
+          if seq mod commit_batch = 0 || seq = per_origin then
+            for b = max 1 (seq - commit_batch + 1) to seq do
+              for o = 1 to origins do
+                let id = { Write.origin = o; seq = b } in
+                if not (Hashtbl.mem committed_ids id) then begin
+                  Hashtbl.replace committed_ids id ();
+                  Hashtbl.replace finals id b
+                end
+              done
+            done
+        done;
+        for o = 1 to origins do
+          for seq = 1 to per_origin do
+            Hashtbl.remove by_id { Write.origin = o; seq }  (* truncation shed *)
+          done
+        done)
+  in
+  assert (Hashtbl.length by_id = 0);
+  assert (Hashtbl.length finals = writes);
+  (s, [])
+
+(* [writes] accepts, then one stability commit of all of them. *)
+let accept_stable writes =
+  let log = Wlog.create ~replicas:2 ~initial:[] in
+  for seq = 1 to writes do
+    ignore (Wlog.accept log (bench_write ~origin:0 ~seq ~t:(float_of_int seq)))
+  done;
+  ignore (Wlog.commit_stable log ~cover:[| infinity; infinity |]);
+  assert (Wlog.committed_count log = writes)
+
+(* ------------------------------------------------------------------ *)
+(* codec                                                               *)
+
+(* Encode-path allocations per sync round: 24-write round payloads pushed
+   through the naive path — a fresh buffer per write, as the per-write sync
+   mode would serialise — or the reusable [Codec.Frame] arena, one buffer
+   for the whole run and one [contents] handoff per round.  Allocations are
+   counted directly: one per [write_to_string] call on the naive path,
+   [Frame.allocations] (initial + growths, amortised zero) on the arena
+   path. *)
+let round_encode ~arena writes =
+  let per_round = 24 in
+  let rounds = writes / per_round in
+  let round r =
+    List.init per_round (fun i ->
+        let seq = (r * per_round) + i + 1 in
+        bench_write ~origin:0 ~seq ~t:(0.001 *. float_of_int seq))
+  in
+  let sink = ref 0 in
+  let frame = Codec.Frame.create () in
+  let allocs, s =
+    time (fun () ->
+        if arena then begin
+          for r = 0 to rounds - 1 do
+            Codec.Frame.clear frame;
+            List.iter (Codec.encode_write frame) (round r);
+            sink := !sink + String.length (Codec.Frame.contents frame)
+          done;
+          Codec.Frame.allocations frame
+        end
+        else begin
+          let allocs = ref 0 in
+          for r = 0 to rounds - 1 do
+            List.iter
+              (fun w ->
+                incr allocs;
+                sink := !sink + String.length (Codec.write_to_string w))
+              (round r)
+          done;
+          !allocs
+        end)
+  in
+  assert (!sink > 0);
+  (s, [ ("rounds", rounds); ("per_round", per_round); ("allocs", allocs) ])
+
+(* ------------------------------------------------------------------ *)
+(* protocol                                                            *)
+
+(* Definitional (LCP) order error and conit value over a [writes]-write
+   history from three origins. *)
+let metrics_lcp writes =
+  let ws =
+    List.init writes (fun i ->
+        Write.make
+          ~id:{ origin = i mod 3; seq = (i / 3) + 1 }
+          ~accept_time:(float_of_int i) ~op:Op.Noop
+          ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ])
+  in
+  assert (Tact_core.Metrics.order_error_lcp ~ecg:ws ~local:ws "c" = 0.0);
+  assert (Tact_core.Metrics.value ws "c" = float_of_int writes)
+
+(* [n] copy/merge/dominate rounds over 16-entry version vectors. *)
+let version_vector_merge n =
+  let a = Version_vector.create 16 and b = Version_vector.create 16 in
+  for i = 0 to 15 do
+    Version_vector.set a i (i * 3);
+    Version_vector.set b i (48 - (i * 3))
+  done;
+  for _ = 1 to n do
+    let c = Version_vector.copy a in
+    Version_vector.merge_into c b;
+    assert (Version_vector.dominates c a)
+  done
+
+(* [n] adaptive NE-budget share computations over four replicas. *)
+let budget_share n =
+  let rates = [| 5.0; 1.0; 0.5; 2.0 |] in
+  for i = 0 to n - 1 do
+    let share =
+      Tact_protocols.Budget.share Tact_protocols.Budget.Adaptive ~bound:10.0 ~n:4
+        ~self:(1 + (i mod 3)) ~receiver:0 ~rates
+    in
+    assert (share >= 0.0 && share <= 10.0)
+  done
+
+(* [n] one-id CSN slices offered in order, then the outbound tail read. *)
+let csn_buffer_offer n =
+  let b = Tact_protocols.Csn_buffer.create () in
+  for i = 0 to n - 1 do
+    Tact_protocols.Csn_buffer.offer b ~start:i [ { Write.origin = 0; seq = i + 1 } ]
+  done;
+  assert (List.length (Tact_protocols.Csn_buffer.slice_from b (n - 100)) = 100)
+
+(* ------------------------------------------------------------------ *)
+(* system                                                              *)
+
 (* End-to-end served-access throughput: a 2-replica system under a
    read-mostly open-loop workload with weak bounds, stability commitment and
    fast gossip, so the committed prefix grows throughout the run.  Measures
    the whole serve path: admission, observation capture, commit progress. *)
-let kernel_serve ~accesses () =
+let serve accesses =
   let open Tact_sim in
-  let open Tact_core in
   let open Tact_replica in
   let topology = Topology.uniform ~n:2 ~latency:0.005 ~bandwidth:1e9 in
   let config =
     {
       Config.default with
-      Config.conits = [ Conit.declare "c" ];
+      Config.conits = [ Tact_core.Conit.declare "c" ];
       antientropy_period = Some 0.05;
     }
   in
@@ -280,205 +409,14 @@ let kernel_serve ~accesses () =
   assert (!served = accesses);
   assert (System.converged sys)
 
-(* Anti-entropy delta extraction: one sender's write log holding [writes]
-   writes spread over [replicas] origins with interleaved timestamps, queried
-   for the deltas owed to peers at several lags.  Runs the k-way-merge
-   [Wlog.writes_since] against a faithful re-creation of the seed algorithm
-   (per-(origin,seq) Hashtbl probe + List.sort) over the same data, asserting
-   identical output, and reports both timings. *)
-type ws_result = {
-  ws_writes : int;
-  ws_replicas : int;
-  ws_reps : int;
-  ws_reference_s : float;
-  ws_merge_s : float;
-}
-
-let kernel_writes_since ~writes ~replicas ~reps () =
-  let log = Wlog.create ~replicas ~initial:[] in
-  for i = 0 to writes - 1 do
-    let origin = i mod replicas and seq = (i / replicas) + 1 in
-    ignore (Wlog.insert log (bench_write ~origin ~seq ~t:(float_of_int i)))
-  done;
-  let zero = Version_vector.create replicas in
-  let full = Wlog.writes_since log zero in
-  let by_id = Hashtbl.create (2 * writes) in
-  List.iter (fun (w : Write.t) -> Hashtbl.replace by_id w.id w) full;
-  let vec = Wlog.vector log in
-  let reference have =
-    let out = ref [] in
-    for origin = 0 to replicas - 1 do
-      for
-        seq = Version_vector.get have origin + 1 to Version_vector.get vec origin
-      do
-        match Hashtbl.find_opt by_id { Write.origin; seq } with
-        | Some w -> out := w :: !out
-        | None -> assert false
-      done
-    done;
-    List.sort Write.ts_compare !out
-  in
-  (* Peers at full, half and 10% lag — the shapes anti-entropy actually
-     serves: initial sync, a stale peer, steady-state gossip. *)
-  let lagged frac =
-    let v = Version_vector.create replicas in
-    for o = 0 to replicas - 1 do
-      let n = Version_vector.get vec o in
-      Version_vector.set v o (n - int_of_float (frac *. float_of_int n))
-    done;
-    v
-  in
-  let haves = [ zero; lagged 0.5; lagged 0.1 ] in
-  List.iter
-    (fun have ->
-      let a = Wlog.writes_since log have and b = reference have in
-      assert (List.length a = List.length b);
-      List.iter2 (fun (x : Write.t) (y : Write.t) -> assert (x.id = y.id)) a b)
-    haves;
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      List.iter (fun have -> ignore (f have)) haves
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let ws_reference_s = time reference in
-  let ws_merge_s = time (Wlog.writes_since log) in
-  { ws_writes = writes; ws_replicas = replicas; ws_reps = reps; ws_reference_s;
-    ws_merge_s }
-
-(* Parallel schedule exploration: the checker's weak-converge scenario with
-   reductions off (every interleaving executes), explored at each job count.
-   The verdict and statistics are identical at any job count — only the wall
-   clock may differ, and only on a multicore host. *)
-type ps_result = { ps_jobs : int; ps_seconds : float; ps_schedules : int }
-
-let pool_scaling ~jobs_list ~preemptions ~max_schedules () =
-  let sc =
-    match Tact_check.Scenario.find "weak-converge" with
-    | Some s -> s
-    | None -> assert false
-  in
-  let options =
-    { Tact_check.Explorer.default_options with
-      preemptions; dedup = false; prune = false; max_schedules }
-  in
-  let results =
-    List.map
-      (fun jobs ->
-        let t0 = Unix.gettimeofday () in
-        let o = Tact_check.Explorer.explore ~options ~jobs sc in
-        let dt = Unix.gettimeofday () -. t0 in
-        (match o.counterexample with
-        | None -> ()
-        | Some _ -> assert false);
-        { ps_jobs = jobs; ps_seconds = dt; ps_schedules = o.stats.schedules })
-      jobs_list
-  in
-  (match results with
-  | r0 :: rest ->
-    List.iter (fun r -> assert (r.ps_schedules = r0.ps_schedules)) rest
-  | [] -> ());
-  results
-
-(* Nemesis fault campaign: [runs] seeded fault-injected simulations back to
-   back — plan sampling, fault-schedule install, full run, O1-O6 oracle
-   sweep.  A clean-seed campaign must pass everywhere; the digest length
-   check guards the jobs-invariance witness itself. *)
-let kernel_nemesis_campaign ~runs ?(jobs = 1) () =
-  let open Tact_nemesis in
-  let summary =
-    Campaign.run { Campaign.default with Campaign.master_seed = 7; runs; jobs }
-  in
-  assert (summary.Campaign.completed = runs);
-  assert (summary.Campaign.failures = []);
-  assert (String.length summary.Campaign.digest = 16)
-
-type kernel_result = {
-  kr_name : string;
-  kr_param : int;
-  kr_seconds : float;
-  kr_seed_seconds : float option;  (* measured at the seed commit, same kernel *)
-}
-
-(* Seed-implementation timings (list-backed wlog, eager observation capture),
-   measured on this machine at the seed commit with this same harness.  Kept
-   here so BENCH_PR1.json carries the before/after trajectory. *)
-let seed_baseline =
-  [
-    (("wlog_accept_commit", 10_000), 2.084738);
-    (("wlog_accept_commit", 30_000), 26.763079);
-    (("wlog_insert_storm", 10_000), 5.140419);
-    (("wlog_insert_storm", 30_000), 83.938200);
-    (("replica_serve", 10_000), 3.710860);
-  ]
-
-let time_kernel (name, param, f) =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  let dt = Unix.gettimeofday () -. t0 in
-  { kr_name = name; kr_param = param; kr_seconds = dt;
-    kr_seed_seconds = List.assoc_opt (name, param) seed_baseline }
-
-let print_kernel r =
-  Printf.printf "%-28s n=%-7d %10.3f s%s\n%!" r.kr_name r.kr_param r.kr_seconds
-    (match r.kr_seed_seconds with
-    | Some s ->
-      Printf.sprintf "   (seed: %.3f s, %.1fx)" s
-        (s /. Float.max r.kr_seconds 1e-9)
-    | None -> "")
-
-let scaling_kernel_specs =
-  [
-    ("wlog_accept_commit", 10_000, fun () -> kernel_accept_commit ~writes:10_000 ());
-    ("wlog_accept_commit", 30_000, fun () -> kernel_accept_commit ~writes:30_000 ());
-    ("wlog_insert_storm", 10_000, fun () -> kernel_insert_storm ~writes:10_000 ());
-    ("wlog_insert_storm", 30_000, fun () -> kernel_insert_storm ~writes:30_000 ());
-    ("replica_serve", 10_000, fun () -> kernel_serve ~accesses:10_000 ());
-    ("nemesis_campaign", 500, fun () -> kernel_nemesis_campaign ~runs:500 ());
-  ]
-
-(* With [jobs > 1] the kernels themselves run concurrently on a pool (each
-   still times itself with its own wall clock); printing happens after
-   collection so lines never interleave. *)
-let scaling_kernels ~jobs () =
-  if jobs <= 1 then
-    List.map
-      (fun spec ->
-        let r = time_kernel spec in
-        print_kernel r;
-        r)
-      scaling_kernel_specs
-  else begin
-    let results =
-      Tact_util.Pool.with_pool ~jobs (fun pool ->
-          Tact_util.Pool.map_list pool time_kernel scaling_kernel_specs)
-    in
-    List.iter print_kernel results;
-    results
-  end
-
-(* ------------------------------------------------------------------ *)
-(* PR6 kernels: batched delta anti-entropy vs per-write transfers      *)
-
-(* End-to-end traffic under each sync mode, same workload: a tight NE bound
-   (every write overruns it, so every write triggers a push to every peer)
-   fed by a millisecond-spaced write train.  Per-write mode ships one
+(* End-to-end traffic under one sync mode: a tight NE bound (every write
+   overruns it, so every write triggers a push to every peer) fed by a
+   millisecond-spaced train of [writes] writes.  Per-write mode ships one
    Transfer per trigger; batched mode coalesces everything inside a flush
-   window into one frame per peer.  The message/byte counts are the wire
-   story; the run must converge in both modes. *)
-type sync_traffic = {
-  st_messages : int;
-  st_bytes : int;
-  st_max_frame : int;
-  st_batches : int;
-  st_seconds : float;
-}
-
-let run_sync_traffic ~sync ~writes () =
+   window into one frame per peer.  The run must converge. *)
+let sync_traffic ~sync writes =
   let open Tact_sim in
   let open Tact_replica in
-  let open Tact_store in
   let topology = Topology.uniform ~n:4 ~latency:0.02 ~bandwidth:1e8 in
   let config =
     {
@@ -498,272 +436,21 @@ let run_sync_traffic ~sync ~writes () =
           ~op:(Op.Add ("x", 1.0))
           ~k:ignore)
   done;
-  let t0 = Unix.gettimeofday () in
-  System.run ~until:((0.001 *. float_of_int writes) +. 10.0) sys;
-  let dt = Unix.gettimeofday () -. t0 in
+  let (), s =
+    time (fun () -> System.run ~until:((0.001 *. float_of_int writes) +. 10.0) sys)
+  in
   assert (System.converged sys);
   let tr = System.traffic sys in
-  {
-    st_messages = tr.Net.messages;
-    st_bytes = tr.Net.bytes;
-    st_max_frame = tr.Net.max_message;
-    st_batches = (System.total_stats sys).Replica.batches;
-    st_seconds = dt;
-  }
+  ( s,
+    [ ("messages", tr.Net.messages); ("bytes", tr.Net.bytes);
+      ("batches", (System.total_stats sys).Replica.batches);
+      ("max_frame", tr.Net.max_message) ] )
 
-(* Encode-path allocations per sync round: the same round payload pushed
-   through (a) the naive path — a fresh buffer per write, as the per-write
-   mode would serialise — and (b) the reusable [Codec.Frame] arena, one
-   buffer for the whole run, one [contents] handoff per round.  Buffer
-   allocations are counted directly: one per [write_to_string] call on the
-   naive path, [Frame.allocations] (initial + growths, amortised zero) on
-   the arena path. *)
-type round_alloc = {
-  ra_rounds : int;
-  ra_per_round : int;
-  ra_naive_allocs : int;
-  ra_arena_allocs : int;
-  ra_naive_seconds : float;
-  ra_arena_seconds : float;
-}
-
-let kernel_round_alloc ~rounds ~per_round () =
-  let open Tact_store in
-  let mk seq =
-    Write.make
-      ~id:{ Write.origin = 0; seq }
-      ~accept_time:(0.001 *. float_of_int seq)
-      ~op:(Op.Add ("x", 1.0))
-      ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ]
-  in
-  let round r = List.init per_round (fun i -> mk ((r * per_round) + i + 1)) in
-  let naive_allocs = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  let sink = ref 0 in
-  for r = 0 to rounds - 1 do
-    List.iter
-      (fun w ->
-        incr naive_allocs;
-        sink := !sink + String.length (Codec.write_to_string w))
-      (round r)
-  done;
-  let naive_s = Unix.gettimeofday () -. t0 in
-  let frame = Codec.Frame.create () in
-  let t1 = Unix.gettimeofday () in
-  for r = 0 to rounds - 1 do
-    Codec.Frame.clear frame;
-    List.iter (fun w -> Codec.encode_write frame w) (round r);
-    sink := !sink + String.length (Codec.Frame.contents frame)
-  done;
-  let arena_s = Unix.gettimeofday () -. t1 in
-  assert (!sink > 0);
-  {
-    ra_rounds = rounds;
-    ra_per_round = per_round;
-    ra_naive_allocs = !naive_allocs;
-    ra_arena_allocs = Codec.Frame.allocations frame;
-    ra_naive_seconds = naive_s;
-    ra_arena_seconds = arena_s;
-  }
-
-let pr6_json_report ~cores ~pw ~bt ~ra =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b
-    (Printf.sprintf "{\n  \"cores\": %d,\n  \"ocaml_version\": %S,\n" cores
-       Sys.ocaml_version);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"kernels\": [\n\
-       \    {\"name\": \"sync_traffic_per_write\", \"n\": %d, \"seconds\": \
-        %.6f},\n\
-       \    {\"name\": \"sync_traffic_batched\", \"n\": %d, \"seconds\": \
-        %.6f},\n\
-       \    {\"name\": \"round_encode_naive\", \"n\": %d, \"seconds\": %.6f},\n\
-       \    {\"name\": \"round_encode_arena\", \"n\": %d, \"seconds\": %.6f}\n\
-       \  ],\n"
-       pw.st_messages pw.st_seconds bt.st_messages bt.st_seconds
-       (ra.ra_rounds * ra.ra_per_round)
-       ra.ra_naive_seconds
-       (ra.ra_rounds * ra.ra_per_round)
-       ra.ra_arena_seconds);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"sync_traffic\": {\"per_write_messages\": %d, \"batched_messages\": \
-        %d, \"message_reduction\": %.1f, \"per_write_bytes\": %d, \
-        \"batched_bytes\": %d, \"byte_reduction\": %.1f, \"batched_frames\": \
-        %d, \"batched_max_frame\": %d},\n"
-       pw.st_messages bt.st_messages
-       (float_of_int pw.st_messages /. float_of_int (max 1 bt.st_messages))
-       pw.st_bytes bt.st_bytes
-       (float_of_int pw.st_bytes /. float_of_int (max 1 bt.st_bytes))
-       bt.st_batches bt.st_max_frame);
-  let per_round n = float_of_int n /. float_of_int ra.ra_rounds in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"round_alloc\": {\"rounds\": %d, \"writes_per_round\": %d, \
-        \"naive_allocs_per_round\": %.2f, \"arena_allocs_per_round\": %.4f, \
-        \"alloc_reduction\": %.1f, \"naive_round_ns\": %.0f, \
-        \"arena_round_ns\": %.0f}\n}\n"
-       ra.ra_rounds ra.ra_per_round
-       (per_round ra.ra_naive_allocs)
-       (per_round ra.ra_arena_allocs)
-       (float_of_int ra.ra_naive_allocs
-       /. Float.max (float_of_int ra.ra_arena_allocs) 1e-9)
-       (ra.ra_naive_seconds *. 1e9 /. float_of_int ra.ra_rounds)
-       (ra.ra_arena_seconds *. 1e9 /. float_of_int ra.ra_rounds));
-  Buffer.contents b
-
-let run_pr6 ~path =
-  Printf.printf "Batched anti-entropy kernels (PR6)\n%s\n" (String.make 78 '-');
-  let pw = run_sync_traffic ~sync:Tact_replica.Config.Per_write ~writes:600 () in
-  let bt = run_sync_traffic ~sync:Tact_replica.Config.Batched ~writes:600 () in
-  Printf.printf
-    "%-28s per-write %7d msgs %9d B   batched %5d msgs %8d B  (%.1fx / %.1fx)\n%!"
-    "sync_traffic" pw.st_messages pw.st_bytes bt.st_messages bt.st_bytes
-    (float_of_int pw.st_messages /. float_of_int (max 1 bt.st_messages))
-    (float_of_int pw.st_bytes /. float_of_int (max 1 bt.st_bytes));
-  let ra = kernel_round_alloc ~rounds:2_000 ~per_round:24 () in
-  Printf.printf
-    "%-28s naive %.1f allocs/round   arena %.4f allocs/round  (%.0fx)\n%!"
-    "round_alloc"
-    (float_of_int ra.ra_naive_allocs /. float_of_int ra.ra_rounds)
-    (float_of_int ra.ra_arena_allocs /. float_of_int ra.ra_rounds)
-    (float_of_int ra.ra_naive_allocs
-    /. Float.max (float_of_int ra.ra_arena_allocs) 1e-9);
-  Printf.printf "%-28s naive %8.0f ns/round   arena %8.0f ns/round\n%!"
-    "round_latency"
-    (ra.ra_naive_seconds *. 1e9 /. float_of_int ra.ra_rounds)
-    (ra.ra_arena_seconds *. 1e9 /. float_of_int ra.ra_rounds);
-  let cores = Domain.recommended_domain_count () in
-  let oc = open_out path in
-  output_string oc (pr6_json_report ~cores ~pw ~bt ~ra);
-  close_out oc;
-  Printf.printf "wrote %s (cores=%d, ocaml %s)\n" path cores Sys.ocaml_version
-
-(* ------------------------------------------------------------------ *)
-(* PR9 kernels: flat wlog index, sharded conit space                   *)
-
-(* The per-delivery bookkeeping trace the write log executes: register the
-   write (duplicate-check + store), record its tentative outcome, then in
-   commit batches mark it committed and store the final outcome, and
-   finally shed it at truncation.  [wlog_index] runs this exact trace twice
-   in the same binary: against a mirror of the seed's Write.id-keyed
-   Hashtbl bookkeeping (four tables) and against a mirror of the flat
-   per-origin slot index that replaced it — the before/after pin for the
-   index swap.  [wlog_index_delivery] anchors the end-to-end number: the
-   real Wlog insert+commit path at E22 delivery scale. *)
-type wi_result = {
-  wi_writes : int;
-  wi_delivery_s : float;
-  wi_flat_s : float;
-  wi_hashtbl_s : float;
-}
-
-let kernel_wlog_index ~origins ~per_origin ~commit_batch () =
-  let writes = origins * per_origin in
-  (* End-to-end: in-order per-origin delivery (the E22 ring shape), periodic
-     stability commitment, an outcome probe per delivery. *)
-  let log = Wlog.create ~replicas:(origins + 1) ~initial:[] in
-  let t0 = Unix.gettimeofday () in
-  for seq = 1 to per_origin do
-    for o = 1 to origins do
-      let t = (float_of_int seq *. float_of_int origins) +. float_of_int o in
-      ignore (Wlog.insert log (bench_write ~origin:o ~seq ~t));
-      assert (Wlog.outcome log { Write.origin = o; seq } <> None)
-    done;
-    if seq mod commit_batch = 0 || seq = per_origin then begin
-      let cover = Array.make (origins + 1) infinity in
-      ignore (Wlog.commit_stable log ~cover)
-    end
-  done;
-  let delivery_s = Unix.gettimeofday () -. t0 in
-  assert (Wlog.num_known log = writes);
-  assert (Wlog.committed_count log = writes);
-  (* Bookkeeping-only replay of the same trace, first against the flat
-     per-origin slot index... *)
-  let module Flat = struct
-    type slot = {
-      mutable s_w : Write.t option;
-      mutable s_out : int;
-      mutable s_final : int;
-      mutable s_comm : bool;
-    }
-  end in
-  let open Flat in
-  let flat =
-    Array.init (origins + 1) (fun _ ->
-        Array.init per_origin (fun _ ->
-            { s_w = None; s_out = 0; s_final = 0; s_comm = false }))
-  in
-  let mk = bench_write in
-  let t1 = Unix.gettimeofday () in
-  for seq = 1 to per_origin do
-    for o = 1 to origins do
-      let s = flat.(o).(seq - 1) in
-      assert (s.s_w = None);  (* duplicate check *)
-      s.s_w <- Some (mk ~origin:o ~seq ~t:(float_of_int seq));
-      s.s_out <- seq
-    done;
-    if seq mod commit_batch = 0 || seq = per_origin then
-      for b = seq - commit_batch + 1 to seq do
-        if b >= 1 then
-          for o = 1 to origins do
-            let s = flat.(o).(b - 1) in
-            if not s.s_comm then begin
-              s.s_comm <- true;
-              s.s_final <- b
-            end
-          done
-      done
-  done;
-  for o = 1 to origins do
-    for i = 0 to per_origin - 1 do
-      flat.(o).(i).s_w <- None  (* truncation shed *)
-    done
-  done;
-  let flat_s = Unix.gettimeofday () -. t1 in
-  (* ...then against the seed's four Hashtbls. *)
-  let by_id : (Write.id, Write.t) Hashtbl.t = Hashtbl.create 1024 in
-  let committed_ids : (Write.id, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let outcomes : (Write.id, int) Hashtbl.t = Hashtbl.create 1024 in
-  let finals : (Write.id, int) Hashtbl.t = Hashtbl.create 1024 in
-  let t2 = Unix.gettimeofday () in
-  for seq = 1 to per_origin do
-    for o = 1 to origins do
-      let id = { Write.origin = o; seq } in
-      assert (Hashtbl.find_opt by_id id = None);  (* duplicate check *)
-      Hashtbl.replace by_id id (mk ~origin:o ~seq ~t:(float_of_int seq));
-      Hashtbl.replace outcomes id seq
-    done;
-    if seq mod commit_batch = 0 || seq = per_origin then
-      for b = seq - commit_batch + 1 to seq do
-        if b >= 1 then
-          for o = 1 to origins do
-            let id = { Write.origin = o; seq = b } in
-            if not (Hashtbl.mem committed_ids id) then begin
-              Hashtbl.replace committed_ids id ();
-              Hashtbl.replace finals id b
-            end
-          done
-      done
-  done;
-  for o = 1 to origins do
-    for seq = 1 to per_origin do
-      Hashtbl.remove by_id { Write.origin = o; seq }  (* truncation shed *)
-    done
-  done;
-  let hashtbl_s = Unix.gettimeofday () -. t2 in
-  assert (Hashtbl.length by_id = 0);
-  assert (Array.for_all (Array.for_all (fun s -> s.s_w = None)) flat);
-  { wi_writes = writes; wi_delivery_s = delivery_s; wi_flat_s = flat_s;
-    wi_hashtbl_s = hashtbl_s }
-
-(* The sharded workload the scaling and overhead kernels share: [shards]
-   shards over [n] replicas, conits pinned round-robin, [total] writes
-   spread millisecond-spaced across the shards, batched sync.  Building is
-   deterministic, so two instances run at different job counts must produce
-   byte-identical digests. *)
-let build_sharded_workload ~n ~shards ~overlap ~total () =
+(* The sharded workload: [shards] shards over [n] replicas, conits pinned
+   round-robin, [total] writes spread millisecond-spaced across the shards,
+   batched sync.  Building is deterministic, so two instances run at
+   different job counts must produce byte-identical digests. *)
+let sharded_workload ~n ~shards ~overlap ~total =
   let open Tact_sim in
   let open Tact_replica in
   let nconits = 2 * shards in
@@ -803,8 +490,10 @@ let build_sharded_workload ~n ~shards ~overlap ~total () =
   done;
   (sh, (0.001 *. float_of_int total) +. 20.0)
 
-(* Same shape, unsharded: the plain-System twin of the 1-shard instance. *)
-let build_plain_workload ~n ~total () =
+(* The same shape, unsharded: the plain-System twin of the 1-shard
+   instance, so [shard_overhead_plain] vs [shard_overhead_sharded1] is the
+   wrapper's cost when sharding buys nothing. *)
+let plain_workload ~n ~total =
   let open Tact_sim in
   let open Tact_replica in
   let config =
@@ -820,163 +509,65 @@ let build_plain_workload ~n ~total () =
   let sys = System.create ~seed:9 ~jitter:0.02 ~topology ~config () in
   for k = 0 to total - 1 do
     let conit = Printf.sprintf "c%02d" (k mod 2) in
-    let writer = k mod n in
     Engine.at (System.engine sys)
       ~time:(0.001 *. float_of_int (k + 1))
       (fun () ->
-        Replica.submit_write (System.replica sys writer) ~deps:[]
+        Replica.submit_write (System.replica sys (k mod n)) ~deps:[]
           ~affects:[ { Write.conit; nweight = 1.0; oweight = 1.0 } ]
           ~op:(Op.Add ("x:" ^ conit, 1.0))
           ~k:ignore)
   done;
   (sys, (0.001 *. float_of_int total) +. 20.0)
 
-(* 1-shard sharded vs plain System on the same workload: the wrapper's cost
-   when sharding buys nothing.  The acceptance bar on a 1-core host is a
-   ratio within a few percent. *)
-type so_result = { so_total : int; so_plain_s : float; so_sharded_s : float }
+let shard_overhead_plain total =
+  let sys, horizon = plain_workload ~n:4 ~total in
+  let (), s = time (fun () -> Tact_replica.System.run ~until:horizon sys) in
+  assert (Tact_replica.System.converged sys);
+  (s, [])
 
-let kernel_shard_overhead ~n ~total () =
+let shard_overhead_sharded1 total =
   let open Tact_replica in
-  let sys, horizon = build_plain_workload ~n ~total () in
-  let t0 = Unix.gettimeofday () in
-  System.run ~until:horizon sys;
-  let plain_s = Unix.gettimeofday () -. t0 in
-  assert (System.converged sys);
-  let sh, horizon = build_sharded_workload ~n ~shards:1 ~overlap:1 ~total () in
-  let t1 = Unix.gettimeofday () in
-  Sharded.run ~jobs:1 ~until:horizon sh;
-  let sharded_s = Unix.gettimeofday () -. t1 in
+  let sh, horizon = sharded_workload ~n:4 ~shards:1 ~overlap:1 ~total in
+  let (), s = time (fun () -> Sharded.run ~jobs:1 ~until:horizon sh) in
   assert (Sharded.converged sh);
-  { so_total = total; so_plain_s = plain_s; so_sharded_s = sharded_s }
+  (s, [])
 
-(* Shard engines across pool domains: fresh instances of the same workload
-   at each job count, digests asserted byte-identical, wall clock recorded.
-   Speedup needs real cores; on a 1-core host the point of the kernel is
-   that the digests still match. *)
-type ss_result = { ss_jobs : int; ss_seconds : float }
-
-let kernel_shard_scaling ~n ~shards ~overlap ~total ~jobs_list () =
+(* Shard engines across pool domains: 4 shards over 8 replicas, each
+   subscribed to 2.  Speedup needs real cores; on a 1-core host the point of
+   the kernel is that the digest is the same at every job count. *)
+let shard_scaling ~jobs total =
   let open Tact_replica in
-  let digests = ref [] in
-  let results =
-    List.map
-      (fun jobs ->
-        let sh, horizon =
-          build_sharded_workload ~n ~shards ~overlap ~total ()
-        in
-        let t0 = Unix.gettimeofday () in
-        Sharded.run ~jobs ~until:horizon sh;
-        let dt = Unix.gettimeofday () -. t0 in
-        assert (Sharded.converged sh);
-        assert (Sharded.shard_leaks sh = []);
-        digests := Sharded.digest sh :: !digests;
-        { ss_jobs = jobs; ss_seconds = dt })
-      jobs_list
-  in
-  (match !digests with
-  | d0 :: rest -> List.iter (fun d -> assert (String.equal d d0)) rest
-  | [] -> ());
-  results
+  let sh, horizon = sharded_workload ~n:8 ~shards:4 ~overlap:2 ~total in
+  let (), s = time (fun () -> Sharded.run ~jobs ~until:horizon sh) in
+  assert (Sharded.converged sh);
+  assert (Sharded.shard_leaks sh = []);
+  ((s, []), Sharded.digest sh)
 
-let pr9_json_report ~cores ~wi ~so ~ss ~st =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b
-    (Printf.sprintf "{\n  \"cores\": %d,\n  \"ocaml_version\": %S,\n" cores
-       Sys.ocaml_version);
-  Buffer.add_string b "  \"kernels\": [\n";
-  let kernel ?(last = false) name n seconds =
-    Buffer.add_string b
-      (Printf.sprintf "    {\"name\": %S, \"n\": %d, \"seconds\": %.6f}%s\n"
-         name n seconds
-         (if last then "" else ","))
-  in
-  kernel "wlog_index_delivery" wi.wi_writes wi.wi_delivery_s;
-  kernel "wlog_index_flat" wi.wi_writes wi.wi_flat_s;
-  kernel "wlog_index_hashtbl" wi.wi_writes wi.wi_hashtbl_s;
-  kernel "shard_overhead_plain" so.so_total so.so_plain_s;
-  kernel "shard_overhead_sharded1" so.so_total so.so_sharded_s;
-  List.iter
-    (fun r ->
-      kernel (Printf.sprintf "shard_scaling_j%d" r.ss_jobs) 1 r.ss_seconds)
-    ss;
-  kernel ~last:true "sync_traffic_batched" st.st_messages st.st_seconds;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"wlog_index\": {\"writes\": %d, \"delivery_ns_per_write\": %.0f, \
-        \"flat_ns_per_op\": %.1f, \"hashtbl_ns_per_op\": %.1f, \
-        \"bookkeeping_speedup\": %.2f},\n"
-       wi.wi_writes
-       (wi.wi_delivery_s *. 1e9 /. float_of_int wi.wi_writes)
-       (wi.wi_flat_s *. 1e9 /. float_of_int wi.wi_writes)
-       (wi.wi_hashtbl_s *. 1e9 /. float_of_int wi.wi_writes)
-       (wi.wi_hashtbl_s /. Float.max wi.wi_flat_s 1e-9));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"shard_overhead\": {\"writes\": %d, \"plain_seconds\": %.6f, \
-        \"sharded1_seconds\": %.6f, \"overhead_ratio\": %.4f},\n"
-       so.so_total so.so_plain_s so.so_sharded_s
-       (so.so_sharded_s /. Float.max so.so_plain_s 1e-9));
-  let base = match ss with r :: _ -> r.ss_seconds | [] -> 0.0 in
-  Buffer.add_string b "  \"shard_scaling\": {\"digests_identical\": true, \"points\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"jobs\": %d, \"seconds\": %.6f, \"speedup_vs_jobs1\": %.2f}"
-           r.ss_jobs r.ss_seconds
-           (base /. Float.max r.ss_seconds 1e-9)))
-    ss;
-  Buffer.add_string b "\n  ]}\n}\n";
-  Buffer.contents b
+(* [n] events through the simulation engine's timer queue. *)
+let sim_engine_events n =
+  let open Tact_sim in
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let fire () = incr fired in
+  for i = 1 to n do
+    Engine.schedule e ~delay:(float_of_int (i mod 97)) fire
+  done;
+  Engine.run e;
+  assert (!fired = n)
 
-let run_pr9 ~path =
-  Printf.printf "Sharded conit space kernels (PR9)\n%s\n" (String.make 78 '-');
-  let wi = kernel_wlog_index ~origins:16 ~per_origin:4_000 ~commit_batch:64 () in
-  Printf.printf
-    "%-28s n=%-7d delivery %6.0f ns/write   flat %5.1f ns/op   hashtbl %5.1f \
-     ns/op (%.1fx)\n%!"
-    "wlog_index" wi.wi_writes
-    (wi.wi_delivery_s *. 1e9 /. float_of_int wi.wi_writes)
-    (wi.wi_flat_s *. 1e9 /. float_of_int wi.wi_writes)
-    (wi.wi_hashtbl_s *. 1e9 /. float_of_int wi.wi_writes)
-    (wi.wi_hashtbl_s /. Float.max wi.wi_flat_s 1e-9);
-  let so = kernel_shard_overhead ~n:4 ~total:4_000 () in
-  Printf.printf
-    "%-28s n=%-7d plain %7.3f s   sharded(1) %7.3f s   ratio %.3f\n%!"
-    "shard_overhead" so.so_total so.so_plain_s so.so_sharded_s
-    (so.so_sharded_s /. Float.max so.so_plain_s 1e-9);
-  let ss =
-    kernel_shard_scaling ~n:8 ~shards:4 ~overlap:2 ~total:6_000
-      ~jobs_list:[ 1; 2; 4 ] ()
+(* A bulletin-board simulation of [seconds] virtual seconds: 3 replicas,
+   Poisson posts and reads, NE bound 4, no anti-entropy. *)
+let bboard_sim seconds =
+  let r, s =
+    time (fun () ->
+        Tact_apps.Bboard.run ~seed:3 ~n:3 ~post_rate:2.0 ~read_rate:1.0
+          ~duration:(float_of_int seconds) ~ne_bound:4.0 ~antientropy:None ())
   in
-  List.iter
-    (fun r ->
-      Printf.printf "%-28s jobs=%-4d %10.3f s\n%!" "shard_scaling" r.ss_jobs
-        r.ss_seconds)
-    ss;
-  let st = run_sync_traffic ~sync:Tact_replica.Config.Batched ~writes:600 () in
-  Printf.printf "%-28s %7d msgs %9d B\n%!" "sync_traffic_batched"
-    st.st_messages st.st_bytes;
-  let cores = Domain.recommended_domain_count () in
-  let oc = open_out path in
-  output_string oc (pr9_json_report ~cores ~wi ~so ~ss ~st);
-  close_out oc;
-  Printf.printf "wrote %s (cores=%d, ocaml %s)\n" path cores Sys.ocaml_version
+  assert (r.Tact_apps.Bboard.violations = 0);
+  (s, [ ("messages", r.messages); ("bytes", r.bytes) ])
 
 (* ------------------------------------------------------------------ *)
-(* PR10 kernels: loopback throughput of the hardened TCP transport     *)
-
-(* Wall-clock throughput of the real-socket backend: two {!Tact_transport.Tcp}
-   instances on one event loop, loopback TCP, [frames] payloads of [size]
-   bytes pushed 0 -> 1 with a bounded in-flight window while the loop pumps.
-   Measures the full framed path — enqueue, 4-byte length prefix,
-   nonblocking writes, accept-side reassembly, per-frame delivery — the
-   live-service twin of the simulator's sync-traffic kernel. *)
-
-type tt_result = { tt_frames : int; tt_size : int; tt_seconds : float }
+(* transport                                                           *)
 
 let fresh_loopback_ports n =
   let fds =
@@ -996,7 +587,13 @@ let fresh_loopback_ports n =
   List.iter Unix.close fds;
   ports
 
-let kernel_transport_throughput ~frames ~size () =
+(* Wall-clock throughput of the real-socket backend: two
+   {!Tact_transport.Tcp} instances on one event loop, loopback TCP, [frames]
+   payloads of [size] bytes pushed 0 -> 1 with a bounded in-flight window
+   while the loop pumps.  Measures the full framed path — enqueue, 4-byte
+   length prefix, nonblocking writes, accept-side reassembly, per-frame
+   delivery. *)
+let transport ~size frames =
   let module L = Tact_transport.Loop in
   let module Tcp = Tact_transport.Tcp in
   let loop = L.create () in
@@ -1013,9 +610,7 @@ let kernel_transport_throughput ~frames ~size () =
     }
   in
   let mk self =
-    Tcp.create ~loop ~self ~addrs ~knobs
-      ~rng:(Tact_util.Prng.create ~seed:(40 + self))
-      ()
+    Tcp.create ~loop ~self ~addrs ~knobs ~rng:(Tact_util.Prng.create ~seed:(40 + self)) ()
   in
   let t0 = mk 0 and t1 = mk 1 in
   let got = ref 0 in
@@ -1029,286 +624,316 @@ let kernel_transport_throughput ~frames ~size () =
   done;
   assert (Tcp.peer_up t0 1);
   let payload = String.make size 'x' in
-  let t_start = Unix.gettimeofday () in
-  let deadline = t_start +. 60.0 in
+  let deadline = Unix.gettimeofday () +. 60.0 in
   let sent = ref 0 in
-  while !got < frames && Unix.gettimeofday () < deadline do
-    (* A bounded window keeps the socket pipeline full without letting the
-       outbound buffer balloon past what the kernel will absorb. *)
-    while !sent < frames && !sent - !got < 64 do
-      (match Tcp.send t0 ~dst:1 payload with Ok () -> () | Error _ -> ());
-      incr sent
-    done;
-    ignore (L.run_once ~max_wait:0.01 loop)
-  done;
-  let dt = Unix.gettimeofday () -. t_start in
+  let (), s =
+    time (fun () ->
+        while !got < frames && Unix.gettimeofday () < deadline do
+          (* A bounded window keeps the socket pipeline full without letting
+             the outbound buffer balloon past what the kernel will absorb. *)
+          while !sent < frames && !sent - !got < 64 do
+            (match Tcp.send t0 ~dst:1 payload with Ok () -> () | Error _ -> ());
+            incr sent
+          done;
+          ignore (L.run_once ~max_wait:0.01 loop)
+        done)
+  in
   assert (!got = frames);
   Tcp.close t0;
   Tcp.close t1;
-  { tt_frames = frames; tt_size = size; tt_seconds = dt }
-
-let tt_fps r = float_of_int r.tt_frames /. Float.max r.tt_seconds 1e-9
-
-let tt_mbps r =
-  float_of_int (r.tt_frames * r.tt_size)
-  /. (1024.0 *. 1024.0)
-  /. Float.max r.tt_seconds 1e-9
-
-let pr10_json_report ~cores ~small ~large ~st =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\n  \"cores\": %d,\n  \"ocaml_version\": %S,\n" cores
-       Sys.ocaml_version);
-  Buffer.add_string b "  \"kernels\": [\n";
-  Buffer.add_string b
-    (Printf.sprintf "    {\"name\": %S, \"n\": %d, \"seconds\": %.6f},\n"
-       "transport_frames_256B" small.tt_frames small.tt_seconds);
-  Buffer.add_string b
-    (Printf.sprintf "    {\"name\": %S, \"n\": %d, \"seconds\": %.6f},\n"
-       "transport_frames_64KiB" large.tt_frames large.tt_seconds);
-  Buffer.add_string b
-    (Printf.sprintf "    {\"name\": %S, \"n\": %d, \"seconds\": %.6f}\n"
-       "sync_traffic_batched" st.st_messages st.st_seconds);
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"transport_throughput\": {\"small_frames_per_s\": %.0f, \
-        \"small_mib_per_s\": %.1f, \"large_frames_per_s\": %.0f, \
-        \"large_mib_per_s\": %.1f}\n}\n"
-       (tt_fps small) (tt_mbps small) (tt_fps large) (tt_mbps large));
-  Buffer.contents b
-
-let run_pr10 ~path =
-  Printf.printf "Hardened TCP transport kernels (PR10)\n%s\n" (String.make 78 '-');
-  let small = kernel_transport_throughput ~frames:20_000 ~size:256 () in
-  Printf.printf "%-28s n=%-7d %9.3f s  %8.0f frames/s  %7.1f MiB/s\n%!"
-    "transport_256B" small.tt_frames small.tt_seconds (tt_fps small)
-    (tt_mbps small);
-  let large = kernel_transport_throughput ~frames:2_000 ~size:65_536 () in
-  Printf.printf "%-28s n=%-7d %9.3f s  %8.0f frames/s  %7.1f MiB/s\n%!"
-    "transport_64KiB" large.tt_frames large.tt_seconds (tt_fps large)
-    (tt_mbps large);
-  let st = run_sync_traffic ~sync:Tact_replica.Config.Batched ~writes:600 () in
-  Printf.printf "%-28s %7d msgs %9d B\n%!" "sync_traffic_batched" st.st_messages
-    st.st_bytes;
-  let cores = Domain.recommended_domain_count () in
-  let oc = open_out path in
-  output_string oc (pr10_json_report ~cores ~small ~large ~st);
-  close_out oc;
-  Printf.printf "wrote %s (cores=%d, ocaml %s)\n" path cores Sys.ocaml_version
+  (s, [])
 
 (* ------------------------------------------------------------------ *)
-(* --compare: per-kernel speedup between two bench json files          *)
+(* check                                                               *)
 
-(* Minimal scanner for the bench json we emit ourselves: pull each kernel
-   object's "name" and "seconds".  Not a general JSON parser — enough for
-   files this harness wrote. *)
-let parse_kernels path =
+(* Nemesis fault campaign: [runs] seeded fault-injected simulations back to
+   back — plan sampling, fault-schedule install, full run, O1-O6 oracle
+   sweep.  A clean-seed campaign must pass everywhere; the digest length
+   check guards the jobs-invariance witness itself. *)
+let nemesis_campaign runs =
+  let open Tact_nemesis in
+  let summary = Campaign.run { Campaign.default with Campaign.master_seed = 7; runs } in
+  assert (summary.Campaign.completed = runs);
+  assert (summary.Campaign.failures = []);
+  assert (String.length summary.Campaign.digest = 16)
+
+(* Parallel schedule exploration: the checker's weak-converge scenario with
+   reductions off (every interleaving executes) at [preemptions] deviations
+   per schedule.  The verdict and schedule count are the same at any job
+   count — only the wall clock may differ, and only on a multicore host. *)
+let pool_scaling ~jobs preemptions =
+  let sc =
+    match Tact_check.Scenario.find "weak-converge" with
+    | Some s -> s
+    | None -> assert false
+  in
+  let options =
+    { Tact_check.Explorer.default_options with
+      preemptions; dedup = false; prune = false; max_schedules = 0 }
+  in
+  let o, s = time (fun () -> Tact_check.Explorer.explore ~options ~jobs sc) in
+  assert (o.counterexample = None);
+  let schedules = o.stats.schedules in
+  ((s, [ ("schedules", schedules) ]), string_of_int schedules)
+
+(* ------------------------------------------------------------------ *)
+(* The table                                                           *)
+
+(* One entry per job count, named [<name>_j<jobs>].  Each run returns its
+   measurement and a witness (a digest, a schedule count); every witness
+   must equal the first one measured at the same size. *)
+let sweep ~name ~layer ~full ~smoke ~jobs f =
+  let first = ref [] in
+  List.map
+    (fun j ->
+      let run n =
+        let m, witness = f ~jobs:j n in
+        (match List.assoc_opt n !first with
+        | None -> first := (n, witness) :: !first
+        | Some w -> assert (String.equal w witness));
+        m
+      in
+      { name = Printf.sprintf "%s_j%d" name j; layer; full; smoke; run })
+    jobs
+
+let kernels ~jobs =
+  let k name layer full smoke run = { name; layer; full; smoke; run } in
+  [
+    k "round_encode_naive" Codec 48_000 480 (round_encode ~arena:false);
+    k "round_encode_arena" Codec 48_000 480 (round_encode ~arena:true);
+    k "wlog_accept_commit" Wlog 10_000 256 (timed accept_commit);
+    k "wlog_accept_commit" Wlog 30_000 512 (timed accept_commit);
+    k "wlog_insert_storm" Wlog 10_000 512 (timed insert_storm);
+    k "wlog_insert_storm" Wlog 30_000 1_024 (timed insert_storm);
+    k "wlog_accept_stable" Wlog 50_000 500 (timed accept_stable);
+    k "wlog_writes_since" Wlog 30_000 2_048 (writes_since ~reference:false);
+    k "wlog_writes_since_reference" Wlog 30_000 2_048 (writes_since ~reference:true);
+    k "wlog_index_delivery" Wlog 64_000 2_048 index_delivery;
+    k "wlog_index_flat" Wlog 64_000 2_048 index_flat;
+    k "wlog_index_hashtbl" Wlog 64_000 2_048 index_hashtbl;
+    k "metrics_lcp" Protocol 100_000 300 (timed metrics_lcp);
+    k "version_vector_merge" Protocol 200_000 1_000 (timed version_vector_merge);
+    k "budget_share" Protocol 1_000_000 3_000 (timed budget_share);
+    k "csn_buffer_offer" Protocol 100_000 1_000 (timed csn_buffer_offer);
+    k "replica_serve" System 10_000 100 (timed serve);
+    k "sync_traffic_per_write" System 600 40 (sync_traffic ~sync:Tact_replica.Config.Per_write);
+    k "sync_traffic_batched" System 600 40 (sync_traffic ~sync:Tact_replica.Config.Batched);
+    k "shard_overhead_plain" System 4_000 200 shard_overhead_plain;
+    k "shard_overhead_sharded1" System 4_000 200 shard_overhead_sharded1;
+  ]
+  @ sweep ~name:"shard_scaling" ~layer:System ~full:6_000 ~smoke:200 ~jobs shard_scaling
+  @ [
+      k "sim_engine_events" System 200_000 10_000 (timed sim_engine_events);
+      k "bboard_sim" System 60 5 bboard_sim;
+      k "transport_frames_256B" Transport 20_000 64 (transport ~size:256);
+      k "transport_frames_64KiB" Transport 2_000 8 (transport ~size:65_536);
+      k "nemesis_campaign" Check 500 10 (timed nemesis_campaign);
+    ]
+  @ sweep ~name:"pool_scaling" ~layer:Check ~full:3 ~smoke:1 ~jobs pool_scaling
+
+(* ------------------------------------------------------------------ *)
+(* The report: one schema, one writer, one reader                      *)
+
+type row = {
+  r_name : string;
+  r_layer : string;
+  r_n : int;
+  r_seconds : float;
+  r_counts : (string * int) list;
+}
+
+type report = {
+  cores : int option;  (* None in files that predate the field *)
+  ocaml_version : string option;
+  rows : row list;
+}
+
+let print_row r =
+  Printf.printf "%-9s %-28s n=%-8d %10.6f s%s\n%!" r.r_layer r.r_name r.r_n r.r_seconds
+    (String.concat ""
+       (List.map (fun (c, v) -> Printf.sprintf "  %s=%d" c v) r.r_counts))
+
+(* Run every kernel, one at a time, at its full or smoke size. *)
+let measure ~smoke kernels =
+  let rows =
+    List.map
+      (fun k ->
+        let n = if smoke then k.smoke else k.full in
+        let r_seconds, r_counts = k.run n in
+        let r =
+          { r_name = k.name; r_layer = List.assoc k.layer layer_names; r_n = n;
+            r_seconds; r_counts }
+        in
+        print_row r;
+        r)
+      kernels
+  in
+  { cores = Some (Domain.recommended_domain_count ());
+    ocaml_version = Some Sys.ocaml_version; rows }
+
+let to_json rep =
+  let open Tact_check.Json in
+  let int i = Num (float_of_int i) in
+  let opt f = function Some x -> f x | None -> Null in
+  let row r =
+    Obj
+      ([ ("name", Str r.r_name); ("layer", Str r.r_layer); ("n", int r.r_n);
+         ("seconds", Num r.r_seconds) ]
+      @
+      if r.r_counts = [] then []
+      else [ ("counts", Obj (List.map (fun (c, v) -> (c, int v)) r.r_counts)) ])
+  in
+  Obj
+    [ ("cores", opt int rep.cores);
+      ("ocaml_version", opt (fun s -> Str s) rep.ocaml_version);
+      ("kernels", Arr (List.map row rep.rows)) ]
+
+exception Schema of string
+
+let of_json j =
+  let open Tact_check.Json in
+  let get key conv v =
+    match Option.bind (member key v) conv with
+    | Some x -> x
+    | None -> raise (Schema (Printf.sprintf "missing or ill-typed %S" key))
+  in
+  let nullable key conv =
+    match member key j with
+    | Some Null -> None
+    | _ -> Some (get key conv j)
+  in
+  let layer v =
+    Option.bind (to_str v) (fun l ->
+        if List.exists (fun (_, name) -> String.equal name l) layer_names then Some l
+        else None)
+  in
+  let counts v =
+    match member "counts" v with
+    | None -> []
+    | Some (Obj kvs) ->
+      List.map
+        (fun (c, x) ->
+          match to_int x with
+          | Some i -> (c, i)
+          | None -> raise (Schema (Printf.sprintf "count %S is not an integer" c)))
+        kvs
+    | Some _ -> raise (Schema "counts is not an object")
+  in
+  let row v =
+    { r_name = get "name" to_str v; r_layer = get "layer" layer v; r_n = get "n" to_int v;
+      r_seconds = get "seconds" to_float v; r_counts = counts v }
+  in
+  { cores = nullable "cores" to_int;
+    ocaml_version = nullable "ocaml_version" to_str;
+    rows = List.map row (get "kernels" to_list j) }
+
+let save path rep =
+  let oc = open_out_bin path in
+  output_string oc (Tact_check.Json.to_string (to_json rep) ^ "\n");
+  close_out oc
+
+let load path =
   let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
+  let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let out = ref [] in
-  let n = String.length src in
-  let find_from sub i =
-    let sl = String.length sub in
-    let rec go k =
-      if k + sl > n then None
-      else if String.sub src k sl = sub then Some k
-      else go (k + 1)
-    in
-    go i
+  match Tact_check.Json.parse src with
+  | Error e -> raise (Schema e)
+  | Ok j -> of_json j
+
+(* The row of [rows] measuring the same kernel at the same size. *)
+let pair rows r =
+  List.find_opt (fun x -> String.equal x.r_name r.r_name && x.r_n = r.r_n) rows
+
+let compare_files a b =
+  let ra = load a and rb = load b in
+  let cores r = match r.cores with Some c -> string_of_int c | None -> "?" in
+  Printf.printf "A = %s (cores %s), B = %s (cores %s)\n" a (cores ra) b (cores rb);
+  Printf.printf "%-28s %8s %11s %11s %8s\n" "kernel" "n" "A" "B" "A/B";
+  Printf.printf "%s\n" (String.make 70 '-');
+  let counts x y =
+    (* counts that differ between the two runs *)
+    List.filter_map
+      (fun (c, v) ->
+        match List.assoc_opt c y.r_counts with
+        | Some w when w <> v -> Some (Printf.sprintf "  %s %d->%d" c v w)
+        | _ -> None)
+      x.r_counts
+    |> String.concat ""
   in
-  let rec scan i =
-    match find_from "\"name\":" i with
-    | None -> ()
-    | Some k -> (
-      match String.index_from_opt src k '"' with
-      | None -> ()
-      | Some _ -> (
-        let q1 = String.index_from src (k + 7) '"' in
-        let q2 = String.index_from src (q1 + 1) '"' in
-        let name = String.sub src (q1 + 1) (q2 - q1 - 1) in
-        match find_from "\"seconds\":" q2 with
-        | None -> ()
-        | Some s ->
-          let v = ref (s + 10) in
-          while !v < n && src.[!v] = ' ' do incr v done;
-          let e = ref !v in
-          while
-            !e < n
-            && (match src.[!e] with
-               | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-               | _ -> false)
-          do
-            incr e
-          done;
-          out := (name, float_of_string (String.sub src !v (!e - !v))) :: !out;
-          scan !e))
-  in
-  scan 0;
-  List.rev !out
-
-let run_compare a b =
-  let ka = parse_kernels a and kb = parse_kernels b in
-  Printf.printf "%-28s %12s %12s %9s\n" "kernel" (Filename.basename a)
-    (Filename.basename b) "speedup";
-  Printf.printf "%s\n" (String.make 64 '-');
   List.iter
-    (fun (name, sa) ->
-      match List.assoc_opt name kb with
-      | None -> Printf.printf "%-28s %10.3f s %12s\n" name sa "(missing)"
-      | Some sb ->
-        Printf.printf "%-28s %10.3f s %10.3f s %8.2fx\n" name sa sb
-          (sa /. Float.max sb 1e-9))
-    ka;
+    (fun x ->
+      match pair rb.rows x with
+      | Some y ->
+        Printf.printf "%-28s %8d %9.6f s %9.6f s %7.2fx%s\n" x.r_name x.r_n x.r_seconds
+          y.r_seconds
+          (x.r_seconds /. Float.max y.r_seconds 1e-9)
+          (counts x y)
+      | None ->
+        Printf.printf "%-28s %8d %9.6f s %11s\n" x.r_name x.r_n x.r_seconds "(missing)")
+    ra.rows;
   List.iter
-    (fun (name, sb) ->
-      if not (List.mem_assoc name ka) then
-        Printf.printf "%-28s %12s %10.3f s\n" name "(missing)" sb)
-    kb
+    (fun y ->
+      if pair ra.rows y = None then
+        Printf.printf "%-28s %8d %11s %9.6f s\n" y.r_name y.r_n "(missing)" y.r_seconds)
+    rb.rows
 
-let json_report ~cores ~jobs ~kernels ~ws ~ps =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"cores\": %d,\n  \"ocaml_version\": %S,\n  \"jobs\": %d,\n\
-       \  \"kernels\": [\n"
-       cores Sys.ocaml_version jobs);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"n\": %d, \"seconds\": %.6f, \"per_op_ns\": %.1f"
-           r.kr_name r.kr_param r.kr_seconds
-           (r.kr_seconds *. 1e9 /. float_of_int r.kr_param));
-      (match r.kr_seed_seconds with
-      | Some s ->
-        Buffer.add_string buf
-          (Printf.sprintf ", \"seed_seconds\": %.6f, \"speedup_vs_seed\": %.2f" s
-             (s /. Float.max r.kr_seconds 1e-9))
-      | None -> ());
-      Buffer.add_string buf "}")
-    kernels;
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"writes_since\": {\"writes\": %d, \"replicas\": %d, \"reps\": %d, \
-        \"reference_seconds\": %.6f, \"merge_seconds\": %.6f, \
-        \"speedup_vs_reference\": %.2f},\n"
-       ws.ws_writes ws.ws_replicas ws.ws_reps ws.ws_reference_s ws.ws_merge_s
-       (ws.ws_reference_s /. Float.max ws.ws_merge_s 1e-9));
-  Buffer.add_string buf "  \"pool_scaling\": [\n";
-  let base =
-    match ps with r :: _ -> r.ps_seconds | [] -> 0.0
-  in
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"jobs\": %d, \"seconds\": %.6f, \"schedules\": %d, \
-            \"speedup_vs_jobs1\": %.2f}"
-           r.ps_jobs r.ps_seconds r.ps_schedules
-           (base /. Float.max r.ps_seconds 1e-9)))
-    ps;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+(* The smoke report goes through the one writer and the one reader, and
+   every (name, n) must pair with itself — with at least one name measured
+   at two sizes, so pairing on the name alone would fail. *)
+let self_check rep =
+  let path = Filename.temp_file "bench" ".json" in
+  save path rep;
+  let back = load path in
+  Sys.remove path;
+  assert (back.cores = rep.cores && back.ocaml_version = rep.ocaml_version);
+  assert (List.length back.rows = List.length rep.rows);
+  List.iter (fun r -> assert (pair back.rows r = Some r)) rep.rows;
+  assert (
+    List.exists
+      (fun r -> List.exists (fun x -> x.r_name = r.r_name && x.r_n <> r.r_n) rep.rows)
+      rep.rows)
 
-let run_json ~path ~jobs =
-  Printf.printf "Scaling kernels (wall clock)\n%s\n" (String.make 78 '-');
-  let kernels = scaling_kernels ~jobs () in
-  let ws = kernel_writes_since ~writes:30_000 ~replicas:16 ~reps:10 () in
-  Printf.printf "%-28s n=%-7d %10.3f s   (seed algorithm: %.3f s, %.1fx)\n%!"
-    "wlog_writes_since" ws.ws_writes ws.ws_merge_s ws.ws_reference_s
-    (ws.ws_reference_s /. Float.max ws.ws_merge_s 1e-9);
-  let ps = pool_scaling ~jobs_list:[ 1; 2; 4 ] ~preemptions:3 ~max_schedules:0 () in
-  List.iter
-    (fun r ->
-      Printf.printf "%-28s jobs=%-4d %10.3f s   (%d schedules)\n%!"
-        "explorer_pool_scaling" r.ps_jobs r.ps_seconds r.ps_schedules)
-    ps;
-  let cores = Domain.recommended_domain_count () in
-  let oc = open_out path in
-  output_string oc (json_report ~cores ~jobs ~kernels ~ws ~ps);
-  close_out oc;
-  Printf.printf "wrote %s (cores=%d)\n" path cores
-
-(* Tiny instances of every scaling kernel: a fast CI guard (wired into
-   @bench-smoke / runtest) so the benchmark harness cannot bit-rot.  [-j N]
-   additionally exercises the pooled paths. *)
-let run_smoke ~jobs =
-  kernel_accept_commit ~writes:256 ~batch:16 ();
-  kernel_insert_storm ~writes:512 ~lag:16 ();
-  kernel_serve ~accesses:100 ();
-  kernel_nemesis_campaign ~runs:10 ~jobs:(max 1 jobs) ();
-  ignore (kernel_writes_since ~writes:2_048 ~replicas:4 ~reps:1 ());
-  ignore
-    (pool_scaling
-       ~jobs_list:[ 1; max 1 jobs ]
-       ~preemptions:1 ~max_schedules:50 ());
-  ignore (run_sync_traffic ~sync:Tact_replica.Config.Batched ~writes:40 ());
-  ignore (kernel_round_alloc ~rounds:20 ~per_round:8 ());
-  ignore (kernel_wlog_index ~origins:4 ~per_origin:64 ~commit_batch:16 ());
-  ignore (kernel_shard_overhead ~n:3 ~total:200 ());
-  ignore
-    (kernel_shard_scaling ~n:4 ~shards:2 ~overlap:1 ~total:200
-       ~jobs_list:[ 1; max 2 jobs ] ());
-  ignore (kernel_transport_throughput ~frames:64 ~size:512 ());
-  print_endline "bench smoke ok"
+let usage () =
+  prerr_endline
+    "usage: main.exe --smoke [-j N]\n\
+    \       main.exe --json [--out=FILE] [-j N]\n\
+    \       main.exe --compare A.json B.json\n\
+     (the paper experiments: tact all [--full] [-j N], tact exp <id>)";
+  exit 2
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let jobs = ref 1 in
-  let rec strip_jobs = function
-    | ("-j" | "--jobs") :: v :: rest ->
-      jobs := int_of_string v;
-      strip_jobs rest
-    | a :: rest -> a :: strip_jobs rest
-    | [] -> []
+  let rec split_jobs jobs acc = function
+    | "-j" :: v :: rest -> (
+      match int_of_string_opt v with
+      | Some j when j >= 1 -> split_jobs (Some j) acc rest
+      | _ -> usage ())
+    | a :: rest -> split_jobs jobs (a :: acc) rest
+    | [] -> (jobs, List.rev acc)
   in
-  let args = strip_jobs args in
-  let full = List.mem "--full" args in
-  let no_micro = List.mem "--no-micro" args in
-  let json = List.mem "--json" args in
-  let smoke = List.mem "--smoke" args in
-  let pr6 = List.mem "--pr6" args in
-  let pr9 = List.mem "--pr9" args in
-  let pr10 = List.mem "--pr10" args in
-  let compare_files =
+  let jobs, args = split_jobs None [] (List.tl (Array.to_list Sys.argv)) in
+  let jobs =
+    match jobs with None -> [ 1; 2; 4 ] | Some j -> List.sort_uniq Int.compare [ 1; j ]
+  in
+  try
     match args with
-    | "--compare" :: a :: b :: _ -> Some (a, b)
-    | _ -> if List.mem "--compare" args then (
-        prerr_endline "usage: bench --compare A.json B.json";
-        exit 2)
-      else None
-  in
-  let out =
-    List.fold_left
-      (fun acc a ->
-        match String.index_opt a '=' with
-        | Some i when String.length a > 6 && String.sub a 0 6 = "--out=" ->
-          ignore i;
-          String.sub a 6 (String.length a - 6)
-        | _ -> acc)
-      "BENCH_PR4.json" args
-  in
-  let only =
-    List.filter (fun a -> not (String.length a >= 2 && String.sub a 0 2 = "--")) args
-  in
-  match compare_files with
-  | Some (a, b) -> run_compare a b
-  | None ->
-  if smoke then run_smoke ~jobs:!jobs
-  else if pr6 then
-    run_pr6 ~path:(if out = "BENCH_PR4.json" then "BENCH_PR6.json" else out)
-  else if pr9 then
-    run_pr9 ~path:(if out = "BENCH_PR4.json" then "BENCH_PR9.json" else out)
-  else if pr10 then
-    run_pr10 ~path:(if out = "BENCH_PR4.json" then "BENCH_PR10.json" else out)
-  else if json then run_json ~path:out ~jobs:!jobs
-  else begin
-    run_experiments ~quick:(not full) ~jobs:!jobs ~only;
-    if not no_micro then run_micro ()
-  end
+    | [ "--smoke" ] ->
+      self_check (measure ~smoke:true (kernels ~jobs));
+      print_endline "bench smoke ok"
+    | "--json" :: rest ->
+      let out =
+        match rest with
+        | [] -> "bench.json"
+        | [ o ] when String.starts_with ~prefix:"--out=" o ->
+          String.sub o 6 (String.length o - 6)
+        | _ -> usage ()
+      in
+      let rep = measure ~smoke:false (kernels ~jobs) in
+      save out rep;
+      Printf.printf "wrote %s (cores=%s, ocaml %s)\n" out
+        (match rep.cores with Some c -> string_of_int c | None -> "?")
+        Sys.ocaml_version
+    | [ "--compare"; a; b ] -> compare_files a b
+    | _ -> usage ()
+  with Schema e ->
+    prerr_endline ("bench: " ^ e);
+    exit 2

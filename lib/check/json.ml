@@ -23,10 +23,14 @@ let escape b s =
       | c -> Buffer.add_char b c)
     s
 
+(* 15 significant digits when they read back as [x] (so 0.1 prints as 0.1),
+   else the 17 that always do. *)
 let num_to_string x =
   if Float.is_integer x && Float.abs x < 1e15 then
     Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.17g" x
+  else
+    let s = Printf.sprintf "%.15g" x in
+    if Float.equal (float_of_string s) x then s else Printf.sprintf "%.17g" x
 
 let rec emit b ~indent ~level v =
   let pad n = if indent then Buffer.add_string b (String.make (2 * n) ' ') in

@@ -1,9 +1,11 @@
 (** Minimal JSON values, printer and parser — just enough to serialize and
-    replay counterexample traces without pulling in a JSON dependency.
+    replay counterexample traces and to write and read bench reports without
+    pulling in a JSON dependency.
 
-    Numbers are represented as floats (fine here: trace payloads are small
-    integers, times and strings).  The printer emits integral floats without
-    a decimal point and everything else with round-trip precision. *)
+    Numbers are represented as floats (fine here: payloads are small
+    integers, times, durations and strings).  The printer emits integral
+    floats without a decimal point and everything else with 15 significant
+    digits when those read back as the same float, else 17. *)
 
 type t =
   | Null

@@ -6,7 +6,7 @@
     across shards; Poisson write load per shard is submitted only at
     subscribed replicas, and the shard engines drain on a domain pool
     ({!Tact_replica.Sharded.run}) — parallel wall-clock speedup is measured
-    separately by the bench harness ([--pr9], BENCH_PR9.json).  Reports wire
+    separately by the bench's [shard_scaling] kernels.  Reports wire
     traffic, average shard membership, interest-set convergence
     ({!Tact_replica.Sharded.converged}) and the cross-shard containment
     audit.  Correctness bar: every point converges per interest set with

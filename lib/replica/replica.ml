@@ -633,11 +633,11 @@ and deps_satisfied t p =
 
 (* The observed prefix of an access is its origin's history when the access
    is served but before the access itself applies — capture it first, then
-   finalise with times and result.  The committed part is captured as an O(1)
-   cursor into the log's append-only commit journal and only expanded if a
-   consumer forces [observed_local]; the tentative ids are captured eagerly
-   (their deque mutates), but that cost is bounded by the commit lag, not by
-   history. *)
+   finalise with times and result.  The committed history, including the
+   part truncation dropped, is captured as an O(1) cursor into the log's
+   append-only commit journal and only expanded if a consumer forces
+   [observed_local]; the tentative ids are captured eagerly (their deque
+   mutates), but that cost is bounded by the commit lag, not by history. *)
 and capture_observation t =
   if not t.cfg.Config.record_accesses then
     (* Records are discarded (see the guards at the record sites), so skip
@@ -647,9 +647,9 @@ and capture_observation t =
   else begin
     let vector = Version_vector.copy (Wlog.vector t.wlog) in
     let tentative = Wlog.tentative_ids t.wlog in
-    let lo, hi = Wlog.commit_cursor t.wlog in
+    let hi = Wlog.commit_cursor t.wlog in
     let wlog = t.wlog in
-    let local = lazy (Wlog.commit_slice wlog ~lo ~hi @ tentative) in
+    let local = lazy (Wlog.commit_slice wlog ~hi @ tentative) in
     (vector, tentative, local)
   end
 

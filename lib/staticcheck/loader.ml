@@ -159,7 +159,14 @@ let load_string ?intf ~path src =
       (None, Some (l, c, "lexer error"))
     | exception _ -> (None, Some (1, 0, "parse error"))
   in
-  let comments = List.rev (snd (Strip.strip src)) in
+  (* The parse leaves every comment it lexed in [Lexer.comments], in source
+     order (a docstring's text keeps its leading '*'); the next parse resets
+     the list.  After a syntax error only the comments before it are kept. *)
+  let comments =
+    List.map
+      (fun (text, (loc : Location.t)) -> (loc.loc_start.pos_lnum, text))
+      (Lexer.comments ())
+  in
   let s_allows, s_allow_errors = allows comments in
   let intf =
     match intf with

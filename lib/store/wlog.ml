@@ -49,7 +49,7 @@ type snapshot = {
 
    [journal] records the id of every write this log has ever committed, in
    commit order, and is never truncated: observation capture ({!commit_cursor})
-   reduces to a pair of indices into it. *)
+   reduces to one index into it. *)
 type t = {
   nreplicas : int;
   initial : (string * Value.t) list;
@@ -759,18 +759,16 @@ let rollbacks t = t.nrollbacks
 (* ------------------------------------------------------------------ *)
 (* Observation capture                                                 *)
 
-(* The retained committed prefix is always the most recent slice of the
-   commit journal (commits append to both; truncation and snapshot
-   installation only shorten the retained deque), so an access's observed
-   committed prefix is fully described by two journal indices — and because
-   the journal is append-only, the slice can be expanded at any later time. *)
+(* Commits append to the journal, and truncation and snapshot installation
+   only shorten the retained deque, so the journal holds the whole committed
+   history an access observed — the part truncation dropped included — and
+   its length at service time describes that history forever. *)
 let commit_cursor t =
   if not t.journal_on then
     invalid_arg "Wlog.commit_cursor: commit journal disabled (journal:false)";
-  let hi = Vec.length t.journal in
-  (hi - Deque.length t.committed, hi)
+  Vec.length t.journal
 
-let commit_slice t ~lo ~hi = List.init (hi - lo) (fun i -> Vec.get t.journal (lo + i))
+let commit_slice t ~hi = List.init hi (Vec.get t.journal)
 
 (* ------------------------------------------------------------------ *)
 (* Truncation and snapshots                                            *)

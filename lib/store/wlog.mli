@@ -131,20 +131,23 @@ val rollbacks : t -> int
 
     Serving an access must record which writes it observed (for later
     consistency verification) without walking the whole committed prefix.
-    The log keeps an append-only journal of every commit it has ever made;
-    the retained committed prefix is always the most recent slice of that
-    journal, so the observation reduces to a pair of journal indices captured
-    in O(1) and expandable at any later time. *)
+    The log keeps an append-only journal of every commit it has ever made,
+    including the ones truncation or a snapshot install later dropped from
+    the retained prefix, so the observation reduces to one journal length
+    captured in O(1) and expandable at any later time. *)
 
-val commit_cursor : t -> int * int
-(** [(lo, hi)]: the journal range holding the currently retained committed
-    prefix, in commit order.  O(1).  Because the journal is append-only, the
-    range denotes the same writes forever. *)
+val commit_cursor : t -> int
+(** The current length of the commit journal: the committed history this log
+    has made, in commit order.  O(1).  Because the journal is append-only,
+    the cursor denotes the same writes forever.  (Writes a snapshot install
+    folded in without this log committing them are not journalled; stability
+    commitment, the scheme under which the order-error LCP reading is sound,
+    never installs snapshots.) *)
 
-val commit_slice : t -> lo:int -> hi:int -> Write.id list
+val commit_slice : t -> hi:int -> Write.id list
 (** Expand a cursor captured earlier by {!commit_cursor} into the ids it
-    denotes, in commit order.  [lo]/[hi] must come from a cursor captured on
-    this log. *)
+    denotes, in commit order.  [hi] must come from a cursor captured on this
+    log. *)
 
 (** {2 Log truncation and snapshots}
 

@@ -164,6 +164,41 @@ let test_convergence_under_loss () =
   Alcotest.(check bool) "all committed despite loss" true
     (Wlog.committed_count (Replica.log (System.replica sys 0)) = 30)
 
+(* The definitional (LCP) order-error reading compares an access's local
+   history with the ECG from the first write on, so the history an access
+   records must keep the committed prefix that truncation dropped from the
+   retained log.  The same OE-bounded workload verifies clean with and
+   without truncation. *)
+let lcp_violations ~truncate_keep =
+  let topology = Topology.uniform ~n:3 ~latency:0.05 ~bandwidth:1e9 in
+  let config =
+    { Config.default with Config.antientropy_period = Some 0.2; truncate_keep }
+  in
+  let sys = System.create ~seed:3 ~jitter:0.1 ~topology ~config () in
+  let engine = System.engine sys in
+  let deps = [ ("c", Tact_core.Bounds.make ~oe:3.0 ()) ] in
+  for k = 0 to 299 do
+    let r = System.replica sys (k mod 3) in
+    Engine.schedule engine
+      ~delay:(0.05 *. float_of_int (k + 1))
+      (fun () ->
+        if k mod 2 = 0 then
+          Replica.submit_write r ~deps ~affects:[ unit_w "c" ]
+            ~op:(Op.Add ("x", 1.0)) ~k:ignore
+        else Replica.submit_read r ~deps ~f:(fun db -> Db.get db "x") ~k:ignore)
+  done;
+  System.run ~until:60.0 sys;
+  Alcotest.(check int) "every access recorded" 300
+    (List.length (System.records sys));
+  Alcotest.(check bool) "converged" true (System.converged sys);
+  List.length (Verify.check ~lcp:true sys)
+
+let test_lcp_reading_survives_truncation () =
+  Alcotest.(check int) "untruncated run verifies" 0
+    (lcp_violations ~truncate_keep:None);
+  Alcotest.(check int) "truncated run verifies" 0
+    (lcp_violations ~truncate_keep:(Some 10))
+
 let suite =
   [
     Alcotest.test_case "truncate basics" `Quick test_truncate_basics;
@@ -173,4 +208,6 @@ let suite =
     Alcotest.test_case "snapshot folds covered tentative" `Quick test_snapshot_folds_covered_tentative;
     Alcotest.test_case "rejoin via snapshot" `Quick test_rejoin_via_snapshot;
     Alcotest.test_case "convergence under loss" `Quick test_convergence_under_loss;
+    Alcotest.test_case "lcp reading survives truncation" `Quick
+      test_lcp_reading_survives_truncation;
   ]

@@ -374,9 +374,9 @@ let run_big_scenario ~scheme seed =
   let cursors = ref [] in
   let checkpoint () =
     if not (agree_big log m) then ok := false;
-    let lo, hi = Wlog.commit_cursor log in
+    let hi = Wlog.commit_cursor log in
     let eager = List.map (fun (w : Write.t) -> w.Write.id) (Wlog.committed log) in
-    cursors := (lo, hi, eager) :: !cursors
+    cursors := (hi, eager) :: !cursors
   in
   let commit_some () =
     match scheme with
@@ -440,7 +440,7 @@ let run_big_scenario ~scheme seed =
   ignore (Wlog.truncate log ~keep:5);
   let cursors_ok =
     List.for_all
-      (fun (lo, hi, eager) -> Wlog.commit_slice log ~lo ~hi = eager)
+      (fun (hi, eager) -> Wlog.commit_slice log ~hi = eager)
       !cursors
   in
   !ok && cursors_ok
