@@ -277,6 +277,39 @@ let accept_stable writes =
   ignore (Wlog.commit_stable log ~cover:[| infinity; infinity |]);
   assert (Wlog.committed_count log = writes)
 
+(* Observation capture on a records-on replica whose tentative suffix never
+   commits: [accesses] weak accesses, alternating writes and reads, at one
+   replica of two with no gossip, so the suffix grows to [accesses / 2]
+   writes and every access records it.  Times the records-on run and counts
+   the minor words one capture allocates: the run's minor words less those
+   of the same run with records off, per access. *)
+let observe_capture accesses =
+  let open Tact_sim in
+  let open Tact_replica in
+  let run record_accesses =
+    let topology = Topology.uniform ~n:2 ~latency:0.005 ~bandwidth:1e9 in
+    let config = { Config.default with Config.record_accesses } in
+    let sys = System.create ~seed:1 ~jitter:0.0 ~topology ~config () in
+    let r = System.replica sys 0 in
+    for i = 1 to accesses do
+      Engine.at (System.engine sys) ~time:(float_of_int i *. 0.001) (fun () ->
+          if i mod 2 = 1 then
+            Replica.submit_write r ~deps:[]
+              ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ]
+              ~op:(Op.Add ("x", 1.0)) ~k:ignore
+          else Replica.submit_read r ~deps:[] ~f:(fun db -> Db.get db "x") ~k:ignore)
+    done;
+    let w0 = Gc.minor_words () in
+    let (), s = time (fun () -> System.run sys) in
+    let words = Gc.minor_words () -. w0 in
+    assert (Wlog.committed_count (Replica.log r) = 0);
+    assert (List.length (Replica.records r) = if record_accesses then accesses else 0);
+    (s, words)
+  in
+  let _, off = run false in
+  let s, on = run true in
+  (s, [ ("capture_words", int_of_float ((on -. off) /. float_of_int accesses)) ])
+
 (* ------------------------------------------------------------------ *)
 (* codec                                                               *)
 
@@ -711,6 +744,7 @@ let kernels ~jobs =
     k "wlog_index_delivery" Wlog 64_000 2_048 index_delivery;
     k "wlog_index_flat" Wlog 64_000 2_048 index_flat;
     k "wlog_index_hashtbl" Wlog 64_000 2_048 index_hashtbl;
+    k "observe_capture" Wlog 4_000 200 observe_capture;
     k "metrics_lcp" Protocol 100_000 300 (timed metrics_lcp);
     k "version_vector_merge" Protocol 200_000 1_000 (timed version_vector_merge);
     k "budget_share" Protocol 1_000_000 3_000 (timed budget_share);

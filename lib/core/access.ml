@@ -10,7 +10,7 @@ type t = {
   return_time : float;
   deps : dep list;
   observed_vector : Tact_store.Version_vector.t;
-  observed_tentative : Tact_store.Write.id list;
+  observed_tentative : Tact_store.Write.id list Lazy.t;
   observed_local : Tact_store.Write.id list Lazy.t;
   observed_result : Tact_store.Value.t;
 }

@@ -27,8 +27,12 @@ type t = {
   observed_vector : Tact_store.Version_vector.t;
       (** the replica's version vector at service time — identifies the
           observed prefix history *)
-  observed_tentative : Tact_store.Write.id list;
-      (** ids of the tentative suffix at service time, in local order *)
+  observed_tentative : Tact_store.Write.id list Lazy.t;
+      (** ids of the tentative suffix at service time, in local order.
+          Lazy: replicas capture it as a {!Tact_store.Wlog.tentative_view},
+          which shares one persistent id list across consecutive records, so
+          a record costs O(1) amortised memory instead of a copy of the
+          suffix; forcing it copies the suffix's ids once. *)
   observed_local : Tact_store.Write.id list Lazy.t;
       (** the full local history order at service time (committed prefix then
           tentative suffix) — input to the definitional order-error check.

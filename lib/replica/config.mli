@@ -95,9 +95,12 @@ type t = {
           becoming dirty and its coalesced batch frame being flushed *)
   record_accesses : bool;
       (** capture per-access observation records ({!Replica.records}, the
-          consistency verifier's input).  Default [true]; disable for long
-          bounded-memory runs — the records grow with every access,
-          forever. *)
+          consistency verifier's input).  Default [true].  A record costs
+          O(1) amortised time and memory per access: consecutive records
+          share the tentative suffix ({!Tact_store.Wlog.tentative_view})
+          instead of copying it.  Disable for long bounded-memory runs —
+          the records still grow linearly with every access, forever, and
+          [bounded_log] requires them off. *)
   bounded_log : bool;
       (** bound per-replica log memory by the truncation horizon: the write
           log drops its append-only commit journal and evicts truncated

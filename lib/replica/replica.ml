@@ -636,20 +636,21 @@ and deps_satisfied t p =
    finalise with times and result.  The committed history, including the
    part truncation dropped, is captured as an O(1) cursor into the log's
    append-only commit journal and only expanded if a consumer forces
-   [observed_local]; the tentative ids are captured eagerly (their deque
-   mutates), but that cost is bounded by the commit lag, not by history. *)
+   [observed_local]; the tentative ids are captured as the log's tentative
+   view, O(writes appended since the previous capture) amortised, with the
+   suffix itself shared across consecutive records rather than copied. *)
 and capture_observation t =
   if not t.cfg.Config.record_accesses then
     (* Records are discarded (see the guards at the record sites), so skip
-       the vector copy, tentative-id walk and journal cursor — the cursor is
+       the vector copy, tentative view and journal cursor — the cursor is
        unavailable anyway when the journal is off (bounded_log). *)
-    (Version_vector.create 0, [], lazy [])
+    (Version_vector.create 0, lazy [], lazy [])
   else begin
     let vector = Version_vector.copy (Wlog.vector t.wlog) in
-    let tentative = Wlog.tentative_ids t.wlog in
+    let tentative = Wlog.tentative_view t.wlog in
     let hi = Wlog.commit_cursor t.wlog in
     let wlog = t.wlog in
-    let local = lazy (Wlog.commit_slice wlog ~hi @ tentative) in
+    let local = lazy (Wlog.commit_slice wlog ~hi @ Lazy.force tentative) in
     (vector, tentative, local)
   end
 

@@ -33,7 +33,7 @@ let access_metrics sys (a : Access.t) =
     List.filter_map (System.find_write sys) (Lazy.force a.observed_local)
   in
   let tentative_writes =
-    List.filter_map (System.find_write sys) a.observed_tentative
+    List.filter_map (System.find_write sys) (Lazy.force a.observed_tentative)
   in
   (* Writes that returned before submission but were not observed: the pool
      staleness is measured over. *)

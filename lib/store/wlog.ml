@@ -49,7 +49,13 @@ type snapshot = {
 
    [journal] records the id of every write this log has ever committed, in
    commit order, and is never truncated: observation capture ({!commit_cursor})
-   reduces to one index into it. *)
+   reduces to one index into it.
+
+   [view] is the last tentative view handed out ({!tentative_view}): the
+   suffix's ids newest-first, so the next view shares it by consing only the
+   ids appended since.  Front pops need no bookkeeping — the live view is
+   always the first [Deque.length tent] cells, reversed — and any other
+   change to the suffix order clears [view_valid]. *)
 type t = {
   nreplicas : int;
   initial : (string * Value.t) list;
@@ -64,6 +70,11 @@ type t = {
   mutable ncommitted : int;
   mutable committed_db : Db.t;
   tent : Write.t Deque.t; (* tentative suffix, timestamp order *)
+  mutable view : Write.id list; (* last view's ids, newest first *)
+  mutable view_cells : int; (* physical length of [view] *)
+  mutable view_appended : int; (* tail appends to [tent] since [view] *)
+  mutable view_valid : bool;
+      (* false once [tent] changed other than by tail appends and front pops *)
   undo : Db.undo Deque.t; (* undo.(i) reverts the application of tent.(i) *)
   mutable full_db : Db.t;
   vector : Version_vector.t;
@@ -99,6 +110,10 @@ let create_bounded ~journal ~evict_outcomes ~replicas ~initial =
     ncommitted = 0;
     committed_db = Db.create initial;
     tent = Deque.create ();
+    view = [];
+    view_cells = 0;
+    view_appended = 0;
+    view_valid = true;
     undo = Deque.create ();
     full_db = Db.create initial;
     vector = Version_vector.create replicas;
@@ -343,7 +358,8 @@ let sanitize ?(ctx = "wlog") t =
 let unsafe_swap_tentative t i j =
   let a = Deque.get t.tent i and b = Deque.get t.tent j in
   Deque.set t.tent i b;
-  Deque.set t.tent j a
+  Deque.set t.tent j a;
+  t.view_valid <- false
 
 (* Bookkeeping common to every successful insertion. *)
 let register t (w : Write.t) =
@@ -391,11 +407,13 @@ let insert_tent t (w : Write.t) =
   let n = Deque.length t.tent in
   if n = 0 || Write.ts_compare (Deque.get t.tent (n - 1)) w < 0 then begin
     Deque.push_back t.tent w;
+    t.view_appended <- t.view_appended + 1;
     n
   end
   else begin
     let pos = Deque.upper_bound t.tent ~cmp:Write.ts_compare w in
     Deque.insert t.tent pos w;
+    t.view_valid <- false;
     pos
   end
 
@@ -731,7 +749,8 @@ let commit_ids t ids =
           reordered := true;
           let pos = Deque.upper_bound t.tent ~cmp:Write.ts_compare w - 1 in
           assert (pos >= 0 && Write.compare_id (Deque.get t.tent pos).Write.id id = 0);
-          ignore (Deque.remove t.tent pos)
+          ignore (Deque.remove t.tent pos);
+          t.view_valid <- false
         end;
         commit_one t w;
         incr n)
@@ -769,6 +788,45 @@ let commit_cursor t =
   Vec.length t.journal
 
 let commit_slice t ~hi = List.init hi (Vec.get t.journal)
+
+(* The first [n] cells of a newest-first id list, oldest first. *)
+let rec take_rev n l acc =
+  if n = 0 then acc
+  else match l with x :: rest -> take_rev (n - 1) rest (x :: acc) | [] -> assert false
+
+(* Cons the ids appended since the last view onto it — at most the whole
+   live suffix, since front pops may have consumed some of them.  Rebuild
+   from the deque instead when the view was invalidated, or when it would
+   exceed 2n + 32 cells: the cells past the live n are dead ids that commits
+   popped, and the cap keeps them to a constant factor while the rebuild's
+   O(n) is paid for by the pops that made them dead. *)
+let tentative_view t =
+  let n = Deque.length t.tent in
+  let fresh = min t.view_appended n in
+  let from, base, cells =
+    if t.view_valid && t.view_cells + fresh <= (2 * n) + 32 then
+      (n - fresh, t.view, t.view_cells + fresh)
+    else (0, [], n)
+  in
+  let view = ref base in
+  for i = from to n - 1 do
+    view := (Deque.get t.tent i).Write.id :: !view
+  done;
+  let view = !view in
+  t.view <- view;
+  t.view_cells <- cells;
+  t.view_appended <- 0;
+  t.view_valid <- true;
+  if Sanitize.enabled () then begin
+    let got = List.rev (List.filteri (fun i _ -> i < n) view) in
+    let want = tentative_ids t in
+    if not (List.equal (fun a b -> Write.compare_id a b = 0) got want) then
+      Sanitize.report ~ctx:"wlog.tentative_view"
+        [ Printf.sprintf "incremental view [%s] diverges from the tentative suffix [%s]"
+            (String.concat "; " (List.map Write.id_to_string got))
+            (String.concat "; " (List.map Write.id_to_string want)) ]
+  end;
+  lazy (take_rev n view [])
 
 (* ------------------------------------------------------------------ *)
 (* Truncation and snapshots                                            *)
@@ -889,6 +947,7 @@ let install_snapshot t snap =
       t.tent;
     Deque.clear t.tent;
     List.iter (Deque.push_back t.tent) (List.rev !kept);
+    t.view_valid <- false;
     (* Rebuild the derived quantities: known vector, conit values, tentative
        oweights. *)
     Version_vector.merge_into t.vector snap.snap_vector;

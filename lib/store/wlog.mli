@@ -130,11 +130,13 @@ val rollbacks : t -> int
 (** {2 Observation capture}
 
     Serving an access must record which writes it observed (for later
-    consistency verification) without walking the whole committed prefix.
-    The log keeps an append-only journal of every commit it has ever made,
-    including the ones truncation or a snapshot install later dropped from
-    the retained prefix, so the observation reduces to one journal length
-    captured in O(1) and expandable at any later time. *)
+    consistency verification) without walking the whole committed prefix,
+    or copying the tentative suffix.  The log keeps an append-only journal
+    of every commit it has ever made, including the ones truncation or a
+    snapshot install later dropped from the retained prefix, so the
+    committed part reduces to one journal length captured in O(1) and
+    expandable at any later time; the tentative part is a
+    {!tentative_view} that shares its cells with the views before it. *)
 
 val commit_cursor : t -> int
 (** The current length of the commit journal: the committed history this log
@@ -148,6 +150,17 @@ val commit_slice : t -> hi:int -> Write.id list
 (** Expand a cursor captured earlier by {!commit_cursor} into the ids it
     denotes, in commit order.  [hi] must come from a cursor captured on this
     log. *)
+
+val tentative_view : t -> Write.id list Lazy.t
+(** The ids of the tentative suffix now, in timestamp order, as a lazy list
+    that stays fixed however the log changes afterwards.  Consecutive views
+    share one persistent newest-first id list: a view costs O(Δ) amortised
+    time and memory, Δ the writes appended at the tail of the suffix since
+    the previous view (a mid-suffix insertion, a reordering commit or a
+    snapshot install makes the next view rebuild in O(suffix)).  An unforced
+    view of a suffix of n holds at most 2n + 32 id cells; forcing copies its
+    n ids once.  Under [TACT_SANITIZE] every view is checked against
+    {!tentative_ids}. *)
 
 (** {2 Log truncation and snapshots}
 

@@ -209,7 +209,7 @@ let test_access_deps () =
       return_time = 1.0;
       deps = [ { Access.conit = "a"; bound = Bounds.strong } ];
       observed_vector = Version_vector.create 2;
-      observed_tentative = [];
+      observed_tentative = lazy [];
       observed_local = lazy [];
       observed_result = Value.Nil;
     }

@@ -254,6 +254,45 @@ let test_random_system =
        QCheck.(int_bound 100_000)
        random_system_ok)
 
+(* Access records under weak traffic, where nothing commits and the
+   tentative suffix grows all run: consecutive records share the suffix, so
+   their memory grows linearly with the accesses.  Copying the suffix into
+   every record made it grow with their square (about 4x per doubling). *)
+let test_records_memory_linear () =
+  let sys = System.create ~seed:1 ~topology:(topo 3) ~config:Config.default () in
+  let engine = System.engine sys in
+  let dt = 0.01 in
+  let drive ~from ~upto =
+    for i = from to upto - 1 do
+      let r = System.replica sys (i mod 3) in
+      Engine.at engine ~time:(float_of_int (i + 1) *. dt) (fun () ->
+          if i mod 2 = 0 then
+            Replica.submit_write r ~deps:[] ~affects:[ unit_weight "c" ]
+              ~op:(Op.Add ("x", 1.0)) ~k:ignore
+          else
+            Replica.submit_read r ~deps:[]
+              ~f:(fun db -> Db.get db "x")
+              ~k:ignore)
+    done;
+    System.run ~until:(float_of_int (upto + 1) *. dt) sys
+  in
+  let words () =
+    List.fold_left
+      (fun acc i -> acc + Obj.reachable_words (Obj.repr (Replica.records (System.replica sys i))))
+      0 [ 0; 1; 2 ]
+  in
+  drive ~from:0 ~upto:2000;
+  let w2k = words () in
+  drive ~from:2000 ~upto:4000;
+  let w4k = words () in
+  Alcotest.(check int) "every access recorded" 4000 (List.length (System.records sys));
+  Alcotest.(check int) "nothing committed" 0
+    (List.fold_left
+       (fun acc i -> acc + Wlog.committed_count (Replica.log (System.replica sys i)))
+       0 [ 0; 1; 2 ]);
+  if float_of_int w4k > 2.5 *. float_of_int w2k then
+    Alcotest.failf "record memory grew %d -> %d words from 2000 to 4000 accesses" w2k w4k
+
 let base_suite =
   [
     Alcotest.test_case "session consumes spec" `Quick test_session_consumes_spec;
@@ -264,6 +303,7 @@ let base_suite =
     Alcotest.test_case "partition blocks stability" `Quick test_partition_blocks_stability_commit;
     Alcotest.test_case "strong read across partition" `Quick test_partitioned_strong_read_blocks_then_serves;
     test_random_system;
+    Alcotest.test_case "records memory linear" `Quick test_records_memory_linear;
   ]
 
 
