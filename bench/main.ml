@@ -479,6 +479,54 @@ let sync_traffic ~sync writes =
       ("batches", (System.total_stats sys).Replica.batches);
       ("max_frame", tr.Net.max_message) ] )
 
+(* The budget window on the paper's WAN: 2 LAN clusters of 2 behind an
+   80 ms WAN, four conits with NE bound 8, bounded log.  One chained
+   generator issues [writes] budgeted writes at 100/s across the replicas,
+   then the system quiesces.  [live_words] is the process's live heap
+   afterwards, the system still reachable: the logs are held to the
+   truncation horizon and each replica keeps only its unconfirmed budgeted
+   writes, so the count stays flat as [writes] doubles. *)
+let budget_window writes =
+  let open Tact_sim in
+  let open Tact_replica in
+  let topology =
+    Topology.clustered ~clusters:2 ~per_cluster:2 ~local:0.002 ~wan:0.08
+      ~bandwidth:500_000.0
+  in
+  let conit i = Printf.sprintf "c%d" i in
+  let config =
+    {
+      Config.default with
+      Config.conits = List.init 4 (fun i -> Tact_core.Conit.declare ~ne_bound:8.0 (conit i));
+      antientropy_period = Some 1.0;
+      truncate_keep = Some 500;
+      record_accesses = false;
+      bounded_log = true;
+    }
+  in
+  let sys = System.create ~seed:16 ~track_writes:false ~topology ~config () in
+  let engine = System.engine sys in
+  let rate = 100.0 in
+  let returned = ref 0 in
+  let rec next k () =
+    if k < writes then begin
+      Replica.submit_write (System.replica sys (k mod 4)) ~deps:[]
+        ~affects:[ { Write.conit = conit (k / 4 mod 4); nweight = 1.0; oweight = 1.0 } ]
+        ~op:(Op.Add ("x", 1.0))
+        ~k:(fun _ -> incr returned);
+      Engine.schedule engine ~delay:(1.0 /. rate) (next (k + 1))
+    end
+  in
+  Engine.schedule engine ~delay:(1.0 /. rate) (next 0);
+  let (), s =
+    time (fun () -> System.run ~until:((float_of_int writes /. rate) +. 20.0) sys)
+  in
+  Gc.full_major ();
+  let live = (Gc.stat ()).Gc.live_words in
+  assert (!returned = writes);
+  assert (System.converged sys);
+  (s, [ ("live_words", live) ])
+
 (* The sharded workload: [shards] shards over [n] replicas, conits pinned
    round-robin, [total] writes spread millisecond-spaced across the shards,
    batched sync.  Building is deterministic, so two instances run at
@@ -752,6 +800,8 @@ let kernels ~jobs =
     k "replica_serve" System 10_000 100 (timed serve);
     k "sync_traffic_per_write" System 600 40 (sync_traffic ~sync:Tact_replica.Config.Per_write);
     k "sync_traffic_batched" System 600 40 (sync_traffic ~sync:Tact_replica.Config.Batched);
+    k "budget_window" System 20_000 400 budget_window;
+    k "budget_window" System 40_000 800 budget_window;
     k "shard_overhead_plain" System 4_000 200 shard_overhead_plain;
     k "shard_overhead_sharded1" System 4_000 200 shard_overhead_sharded1;
   ]

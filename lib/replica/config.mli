@@ -105,7 +105,11 @@ type t = {
       (** bound per-replica log memory by the truncation horizon: the write
           log drops its append-only commit journal and evicts truncated
           writes' side-table entries ({!Tact_store.Wlog.create_bounded}).
-          Requires [record_accesses = false]; pair with [truncate_keep]. *)
+          Requires [record_accesses = false]; pair with [truncate_keep].
+          The replica's budget window holds only the own writes some peer
+          has not confirmed, so with this flag a replica's memory depends
+          on what is in flight, not on how many writes the run has
+          processed. *)
   shards : int;
       (** how many shards the conit space is partitioned into (see
           {!Tact_store.Shard}).  Plain {!System}s serve the whole space as

@@ -115,10 +115,16 @@ type t = {
   acked_csn : int array;
   outstanding : (string, float) Hashtbl.t array;
       (** per peer: conit -> |nweight| of own accepted writes not yet
-          confirmed at that peer *)
-  sub_ptr : int array;  (** per peer: own seq up to which outstanding has been
-                            released *)
-  own_writes : Write.t Vec.t;
+          confirmed at that peer, for conits with a finite declared NE bound
+          (any other conit's share is infinite, so its weight never gates) *)
+  budget : (int * Write.weight list) Deque.t;
+      (** the budget window: (own seq, weights on bounded conits) of every
+          own write carrying such weight that some peer has not yet
+          confirmed, oldest first *)
+  mutable budget_base : int;  (** absolute index of the window's front *)
+  budget_pos : int array;
+      (** per peer: absolute index of the first window entry whose weight is
+          still counted in [outstanding] for that peer *)
   csn : Csn_buffer.t;
   mutable csn_committed : int;
   mutable in_csn : (Write.id, unit) Hashtbl.t;  (** primary only *)
@@ -173,8 +179,9 @@ let make ~id ~n ~tr ~config ~mutation ?on_accept () =
     acked = Array.init n (fun _ -> Version_vector.create n);
     acked_csn = Array.make n 0;
     outstanding = Array.init n (fun _ -> Hashtbl.create 8);
-    sub_ptr = Array.make n 0;
-    own_writes = Vec.create ();
+    budget = Deque.create ();
+    budget_base = 0;
+    budget_pos = Array.make n 0;
     csn = Csn_buffer.create ();
     csn_committed = 0;
     in_csn = Hashtbl.create 64;
@@ -240,12 +247,14 @@ let every t ~tag ~period f =
     Engine.every engine ~label:{ Engine.actor = t.rid; tag } ~period f
   | Ext ep -> ep.Transport.ep_every ~tag ~period f
 
+(* [detail] is forced only when tracing is on, so an untraced run formats
+   no trace strings. *)
 let trace t ~kind detail =
   match t.cfg.Config.trace with
   | None -> ()
   | Some tr ->
     Trace.record tr ~time:(now t)
-      ~source:(Printf.sprintf "replica %d" t.rid) ~kind detail
+      ~source:(Printf.sprintf "replica %d" t.rid) ~kind (detail ())
 
 let id t = t.rid
 let log t = t.wlog
@@ -279,12 +288,48 @@ let sanity_check t =
     (* Note: csn_committed may legitimately lead the known csn prefix — a
        snapshot install folds in remote commits without their csn slices. *)
     if t.csn_committed < 0 then addf "csn_committed = %d negative" t.csn_committed;
-    Array.iteri
-      (fun j sp ->
-        if sp > Vec.length t.own_writes then
-          addf "sub_ptr.(%d) = %d is beyond the own-write count (%d)" j sp
-            (Vec.length t.own_writes))
-      t.sub_ptr;
+    (* Budget window: every peer's cursor lies inside the window, and the
+       weight recounted from it onward is exactly that peer's outstanding
+       weight, conit by conit. *)
+    let top = t.budget_base + Deque.length t.budget in
+    for j = 0 to t.n - 1 do
+      let pos = t.budget_pos.(j) in
+      if j = t.rid then ()
+      else if pos < t.budget_base || pos > top then
+        addf "budget_pos.(%d) = %d is outside the window [%d, %d]" j pos
+          t.budget_base top
+      else begin
+        (* Recount into an association list, so mismatches are reported in
+           a deterministic order. *)
+        let add acc { Write.conit; nweight; _ } =
+          let cur = Option.value ~default:0.0 (List.assoc_opt conit acc) in
+          (conit, cur +. Float.abs nweight) :: List.remove_assoc conit acc
+        in
+        let recount = ref [] in
+        for k = pos - t.budget_base to Deque.length t.budget - 1 do
+          recount := List.fold_left add !recount (snd (Deque.get t.budget k))
+        done;
+        let compare_conit (c, want) =
+          let got =
+            Option.value ~default:0.0 (Hashtbl.find_opt t.outstanding.(j) c)
+          in
+          if Float.abs (want -. got) > 1e-6 *. Float.max 1.0 (Float.abs want)
+          then
+            addf "outstanding.(%d) for %s is %g but its window recounts %g" j c
+              got want
+        in
+        List.iter compare_conit !recount;
+        let unrecounted =
+          (* lint: allow hashtbl-fold — the names are sorted before use *)
+          Hashtbl.fold
+            (fun c _ acc -> if List.mem_assoc c !recount then acc else c :: acc)
+            t.outstanding.(j) []
+        in
+        List.iter
+          (fun c -> compare_conit (c, 0.0))
+          (List.sort String.compare unrecounted)
+      end
+    done;
     Sanitize.report ~ctx (List.rev !bad);
     Wlog.sanitize ~ctx t.wlog
   end
@@ -494,34 +539,75 @@ and outstanding_for t ~peer conit_name =
   | Some v -> v
   | None -> 0.0
 
+(* The budget window.  A write enters it only when it weighs on some conit
+   with a finite declared NE bound — any other conit's share is infinite, so
+   its weight can never hold a write back — and leaves it once every peer has
+   confirmed it.  The window therefore holds what is in flight, not the
+   replica's history. *)
+and bounded_conit t conit_name =
+  let ne_bound, ne_rel_bound, _ = declared_bounds t conit_name in
+  ne_bound < infinity || ne_rel_bound < infinity
+
 and add_outstanding t (w : Write.t) =
+  let bounded { Write.conit; _ } = bounded_conit t conit in
+  match
+    if List.for_all bounded w.affects then w.affects
+    else List.filter bounded w.affects
+  with
+  | [] -> ()
+  | weights ->
+    let k = t.budget_base + Deque.length t.budget in
+    Deque.push_back t.budget (w.id.seq, weights);
+    for j = 0 to t.n - 1 do
+      if j <> t.rid then
+        if Version_vector.covers t.acked.(j) ~origin:t.rid ~seq:w.id.seq then
+          (* Already confirmed (the write round-tripped before acceptance —
+             possible when it was pushed ahead of its return). *)
+          (if t.budget_pos.(j) = k then t.budget_pos.(j) <- k + 1)
+        else
+          List.iter
+            (fun { Write.conit; nweight; _ } ->
+              let cur = outstanding_for t ~peer:j conit in
+              Hashtbl.replace t.outstanding.(j) conit (cur +. Float.abs nweight))
+            weights
+    done;
+    trim_budget t
+
+(* Drop the front entries every peer has confirmed. *)
+and trim_budget t =
+  let low = ref (t.budget_base + Deque.length t.budget) in
   for j = 0 to t.n - 1 do
-    if j <> t.rid then
-      if Version_vector.covers t.acked.(j) ~origin:t.rid ~seq:w.id.seq then
-        (* Already confirmed (the write round-tripped before acceptance —
-           possible when it was pushed ahead of its return). *)
-        (if t.sub_ptr.(j) = w.id.seq - 1 then t.sub_ptr.(j) <- w.id.seq)
-      else
-        List.iter
-          (fun { Write.conit; nweight; _ } ->
-            let cur = outstanding_for t ~peer:j conit in
-            Hashtbl.replace t.outstanding.(j) conit (cur +. Float.abs nweight))
-          w.affects
-  done
+    if j <> t.rid && t.budget_pos.(j) < !low then low := t.budget_pos.(j)
+  done;
+  if !low > t.budget_base then begin
+    Deque.drop_front t.budget (!low - t.budget_base);
+    t.budget_base <- !low
+  end
 
 and release_outstanding t ~peer =
-  (* Advance sub_ptr.(peer) to what the peer now confirms, releasing budget. *)
-  let confirmed = Version_vector.get t.acked.(peer) t.rid in
-  let upto = min confirmed (Vec.length t.own_writes) in
-  while t.sub_ptr.(peer) < upto do
-    let w = Vec.get t.own_writes t.sub_ptr.(peer) in
-    t.sub_ptr.(peer) <- t.sub_ptr.(peer) + 1;
-    List.iter
-      (fun { Write.conit; nweight; _ } ->
-        let cur = outstanding_for t ~peer conit in
-        Hashtbl.replace t.outstanding.(peer) conit (cur -. Float.abs nweight))
-      w.affects
-  done
+  (* Advance the peer's cursor over the entries it now confirms, releasing
+     their weight. *)
+  if peer <> t.rid then begin
+    let confirmed = Version_vector.get t.acked.(peer) t.rid in
+    let start = t.budget_pos.(peer) in
+    let top = t.budget_base + Deque.length t.budget in
+    let rec advance pos =
+      if pos = top then pos
+      else
+        let seq, weights = Deque.get t.budget (pos - t.budget_base) in
+        if seq > confirmed then pos
+        else begin
+          List.iter
+            (fun { Write.conit; nweight; _ } ->
+              let cur = outstanding_for t ~peer conit in
+              Hashtbl.replace t.outstanding.(peer) conit (cur -. Float.abs nweight))
+            weights;
+          advance (pos + 1)
+        end
+    in
+    t.budget_pos.(peer) <- advance start;
+    if start = t.budget_base && t.budget_pos.(peer) > start then trim_budget t
+  end
 
 (* Peers whose budget this replica currently exceeds for any conit the write
    affects (empty = the write may return). *)
@@ -547,7 +633,8 @@ and commit_progress t =
   (match t.cfg.Config.commit_scheme with
   | Config.Stability ->
     let n = Wlog.commit_stable t.wlog ~cover:(my_cover t) in
-    if n > 0 then trace t ~kind:"commit" (Printf.sprintf "%d writes (stability)" n)
+    if n > 0 then trace t ~kind:"commit" (fun () ->
+        Printf.sprintf "%d writes (stability)" n)
   | Config.Primary _ -> commit_progress_primary t);
   match t.cfg.Config.truncate_keep with
   | Some keep -> ignore (Wlog.truncate t.wlog ~keep)
@@ -570,7 +657,8 @@ and commit_progress_primary t =
     if ids <> [] then begin
       ignore (Wlog.commit_ids t.wlog ids);
       t.csn_committed <- t.csn_committed + List.length ids;
-      trace t ~kind:"commit" (Printf.sprintf "%d writes (csn)" (List.length ids))
+      trace t ~kind:"commit" (fun () ->
+          Printf.sprintf "%d writes (csn)" (List.length ids))
     end
 
 (* Primary: assign commit sequence numbers to every known-but-unassigned
@@ -674,8 +762,8 @@ and serve_read t p f k =
   let result = f (Wlog.db t.wlog) in
   let nw = now t in
   if nw > p.p_submit then
-    trace t ~kind:"served"
-      (Printf.sprintf "read after %.3fs wait" (nw -. p.p_submit));
+    trace t ~kind:"served" (fun () ->
+        Printf.sprintf "read after %.3fs wait" (nw -. p.p_submit));
   if t.cfg.Config.record_accesses then
     t.records <-
       access_record t ~kind:Access.Read ~obs ~submit:p.p_submit ~serve:nw
@@ -691,8 +779,7 @@ and serve_write t p op affects k =
   let obs = capture_observation t in
   let pre_vector = Version_vector.copy (Wlog.vector t.wlog) in
   let outcome = Wlog.accept t.wlog w in
-  trace t ~kind:"accept" (Write.to_string w);
-  Vec.push t.own_writes w;
+  trace t ~kind:"accept" (fun () -> Write.to_string w);
   update_rate t;
   add_outstanding t w;
   (match t.on_accept with Some f -> f w pre_vector | None -> ());
@@ -954,9 +1041,9 @@ and process t msg =
   | Snapshot { from; snap; writes; vector; cover; rate; round } ->
     if Wlog.install_snapshot t.wlog snap then begin
       t.s_snapshots_installed <- t.s_snapshots_installed + 1;
-      trace t ~kind:"snapshot"
-        (Printf.sprintf "installed %d committed writes from replica %d"
-           snap.Wlog.snap_ncommitted from);
+      trace t ~kind:"snapshot" (fun () ->
+          Printf.sprintf "installed %d committed writes from replica %d"
+            snap.Wlog.snap_ncommitted from);
       (* The committed prefix the snapshot represents counts as committed for
          the primary scheme's pointer too. *)
       t.csn_committed <- max t.csn_committed snap.Wlog.snap_ncommitted
@@ -987,8 +1074,9 @@ and process t msg =
   | Transfer { from; writes; vector; cover; csn_start; csn; rate; kind } ->
     let fresh = Wlog.insert_batch t.wlog writes in
     if fresh <> [] then
-      trace t ~kind:"transfer"
-        (Printf.sprintf "%d new writes from replica %d" (List.length fresh) from);
+      trace t ~kind:"transfer" (fun () ->
+          Printf.sprintf "%d new writes from replica %d" (List.length fresh)
+            from);
     (* Cover merge is sound only after the writes are in the log. *)
     Array.iteri (fun o c -> if c > t.cover.(o) then t.cover.(o) <- c) cover;
     t.cover.(t.rid) <- now t;
@@ -1022,16 +1110,16 @@ and process t msg =
     (match Batch.decode s with
     | Error e ->
       t.s_malformed <- t.s_malformed + 1;
-      trace t ~kind:"malformed" (Transport.error_to_string e)
+      trace t ~kind:"malformed" (fun () -> Transport.error_to_string e)
     | Ok b ->
     if b.Batch.shard <> t.cfg.Config.shard_id then begin
       (* A frame carrying another shard's log must never be applied: its
          writes, vector and CSN slice all describe a different log.  Reject
          and account — the interest-set-aware oracle flags the counter. *)
       t.s_wrong_shard <- t.s_wrong_shard + 1;
-      trace t ~kind:"wrong-shard"
-        (Printf.sprintf "rejected frame for shard %d (serving %d)"
-           b.Batch.shard t.cfg.Config.shard_id)
+      trace t ~kind:"wrong-shard" (fun () ->
+          Printf.sprintf "rejected frame for shard %d (serving %d)"
+            b.Batch.shard t.cfg.Config.shard_id)
     end
     else begin
     let from = b.Batch.from in
@@ -1040,9 +1128,9 @@ and process t msg =
     | Batch.Full (snap, writes) ->
       if Wlog.install_snapshot t.wlog snap then begin
         t.s_snapshots_installed <- t.s_snapshots_installed + 1;
-        trace t ~kind:"snapshot"
-          (Printf.sprintf "installed %d committed writes from replica %d"
-             snap.Wlog.snap_ncommitted from);
+        trace t ~kind:"snapshot" (fun () ->
+            Printf.sprintf "installed %d committed writes from replica %d"
+              snap.Wlog.snap_ncommitted from);
         t.csn_committed <- max t.csn_committed snap.Wlog.snap_ncommitted
       end;
       ignore (Wlog.insert_batch t.wlog writes));
@@ -1081,10 +1169,10 @@ let admit t ?deadline p =
     | Pwrite (op, affects, k) -> serve_write t p op affects k
   else begin
     t.s_blocked <- t.s_blocked + 1;
-    trace t ~kind:"blocked"
-      (Printf.sprintf "%s with %d deps"
-         (match p.p_kind with Pread _ -> "read" | Pwrite _ -> "write")
-         (List.length p.p_deps));
+    trace t ~kind:"blocked" (fun () ->
+        Printf.sprintf "%s with %d deps"
+          (match p.p_kind with Pread _ -> "read" | Pwrite _ -> "write")
+          (List.length p.p_deps));
     Queue.push p t.pending;
     t.npending <- t.npending + 1;
     trigger_syncs t p;
@@ -1149,7 +1237,7 @@ let submit_write ?require ?deadline ?on_timeout t ~deps ~affects ~op ~k =
    [on_timeout]. *)
 let crash t =
   if t.up then begin
-    trace t ~kind:"crash" "replica down";
+    trace t ~kind:"crash" (fun () -> "replica down");
     t.up <- false;
     t.crashes <- t.crashes + 1;
     match t.mutation with
@@ -1181,7 +1269,7 @@ let crash t =
 let recover t =
   if not t.up then begin
     t.up <- true;
-    trace t ~kind:"recover" "replica up";
+    trace t ~kind:"recover" (fun () -> "replica up");
     (* Proactively resynchronise with every peer. *)
     for j = 0 to t.n - 1 do
       if j <> t.rid then send_pull t ~dst:j ~round:0
@@ -1203,14 +1291,14 @@ let deliver_wire t ~src s =
   match Wire.decode s with
   | Error e ->
     t.s_malformed <- t.s_malformed + 1;
-    trace t ~kind:"malformed" (Transport.error_to_string e)
+    trace t ~kind:"malformed" (fun () -> Transport.error_to_string e)
   | Ok msg -> (
     match Wire.sender msg with
     | Some from when from <> src ->
       t.s_malformed <- t.s_malformed + 1;
-      trace t ~kind:"malformed"
-        (Printf.sprintf "message claims sender %d but arrived from peer %d"
-           from src)
+      trace t ~kind:"malformed" (fun () ->
+          Printf.sprintf "message claims sender %d but arrived from peer %d"
+            from src)
     | Some _ | None -> handle t msg)
 
 let malformed_frames t = t.s_malformed

@@ -40,6 +40,20 @@ let push t ~time ~seq value =
     i := parent
   done
 
+(* Slots past [len] still point at entries, popped ones included.  Once the
+   live prefix falls under a quarter of the capacity, copy it into a fresh
+   array half as full, so a drained burst does not keep its popped events
+   alive (and the array shrinks with the queue). *)
+let shrink t =
+  let cap = Array.length t.data in
+  if cap > 64 && t.len < cap / 4 then
+    if t.len = 0 then t.data <- [||]
+    else begin
+      let ndata = Array.make (max 16 (2 * t.len)) t.data.(0) in
+      Array.blit t.data 0 ndata 0 t.len;
+      t.data <- ndata
+    end
+
 let pop t =
   if t.len = 0 then None
   else begin
@@ -64,6 +78,7 @@ let pop t =
         else continue := false
       done
     end;
+    shrink t;
     Some (top.time, top.seq, top.value)
   end
 

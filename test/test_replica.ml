@@ -293,6 +293,79 @@ let test_records_memory_linear () =
   if float_of_int w4k > 2.5 *. float_of_int w2k then
     Alcotest.failf "record memory grew %d -> %d words from 2000 to 4000 accesses" w2k w4k
 
+(* Under [bounded_log] a system's memory depends on what is in flight, not
+   on how many writes it has processed: the write logs are held to the
+   truncation horizon, and each replica's budget window to its unconfirmed
+   budgeted writes.  One chained generator issues the writes, so the event
+   queue does not hold the workload either.  Keeping every own write ever
+   accepted grew the heap about 1.8x per doubling. *)
+let flat_memory ~topology ~writers ~rate ~conits ~gossip ~gossip_plan ~sync () =
+  let config =
+    {
+      Config.default with
+      Config.conits =
+        List.map (fun c -> Conit.declare ~ne_bound:8.0 c) conits;
+      antientropy_period = Some gossip;
+      truncate_keep = Some 500;
+      record_accesses = false;
+      bounded_log = true;
+      gossip_plan;
+      sync;
+      batch_flush = 0.05;
+    }
+  in
+  let sys = System.create ~seed:5 ~track_writes:false ~topology ~config () in
+  let engine = System.engine sys in
+  let issued = ref 0 and target = ref 0 in
+  let rec next () =
+    if !issued < !target then begin
+      let k = !issued in
+      incr issued;
+      Replica.submit_write (System.replica sys (k mod writers)) ~deps:[]
+        ~affects:[ unit_weight (Printf.sprintf "c%d" (k / writers mod 4)) ]
+        ~op:(Op.Add (Printf.sprintf "x%d" (k mod 16), 1.0))
+        ~k:ignore;
+      Engine.schedule engine ~delay:(1.0 /. rate) next
+    end
+  in
+  let drive upto =
+    (* Issue up to [upto] writes, then let the system quiesce: logs commit
+       and truncate to the horizon, and the budget windows empty. *)
+    let until = System.now sys +. (float_of_int (upto - !issued) /. rate) +. 20.0 in
+    target := upto;
+    Engine.schedule engine ~delay:(1.0 /. rate) next;
+    System.run ~until sys
+  in
+  let words () = Obj.reachable_words (Obj.repr sys) in
+  drive 20_000;
+  let w20k = words () in
+  drive 40_000;
+  let w40k = words () in
+  Alcotest.(check int) "every write issued" 40_000 !issued;
+  if float_of_int w40k > 1.1 *. float_of_int w20k then
+    Alcotest.failf "system memory grew %d -> %d words from 20k to 40k writes"
+      w20k w40k
+
+let wan_topology =
+  Topology.clustered ~clusters:2 ~per_cluster:2 ~local:0.002 ~wan:0.08
+    ~bandwidth:500_000.0
+
+let test_flat_memory_wan_budgeted () =
+  flat_memory ~topology:wan_topology ~writers:4 ~rate:100.0
+    ~conits:[ "c0"; "c1"; "c2"; "c3" ] ~gossip:1.0 ~gossip_plan:None ~sync:Config.Per_write ()
+
+let test_flat_memory_wan_unbounded () =
+  flat_memory ~topology:wan_topology ~writers:4 ~rate:100.0 ~conits:[]
+    ~gossip:1.0 ~gossip_plan:None ~sync:Config.Per_write ()
+
+let test_flat_memory_ring () =
+  let n = 12 in
+  flat_memory
+    ~topology:(Topology.uniform ~n ~latency:0.02 ~bandwidth:1e9)
+    ~writers:2 ~rate:1000.0 ~conits:[] ~gossip:0.1
+    ~gossip_plan:(Some (fun i -> [| (i + 1) mod n |]))
+    ~sync:Config.Batched ()
+
 let base_suite =
   [
     Alcotest.test_case "session consumes spec" `Quick test_session_consumes_spec;
@@ -304,6 +377,9 @@ let base_suite =
     Alcotest.test_case "strong read across partition" `Quick test_partitioned_strong_read_blocks_then_serves;
     test_random_system;
     Alcotest.test_case "records memory linear" `Quick test_records_memory_linear;
+    Alcotest.test_case "flat memory: budgeted WAN" `Quick test_flat_memory_wan_budgeted;
+    Alcotest.test_case "flat memory: unbounded WAN" `Quick test_flat_memory_wan_unbounded;
+    Alcotest.test_case "flat memory: gossip ring" `Quick test_flat_memory_ring;
   ]
 
 

@@ -46,6 +46,37 @@ let test_heap_empty () =
   Alcotest.(check bool) "pop none" true (Heap.pop h = None);
   Alcotest.(check bool) "peek none" true (Heap.peek_time h = None)
 
+(* Popped events must not stay reachable from the queue: after a burst
+   drains, the heap holds (almost) nothing, and shrinking on the way down
+   keeps the pop order intact. *)
+let test_heap_releases_drained () =
+  let h = Heap.create () in
+  let prng = Tact_util.Prng.create ~seed:11 in
+  for i = 0 to 99_999 do
+    Heap.push h ~time:(Tact_util.Prng.float prng 100.0) ~seq:i (ref i)
+  done;
+  let words () = Obj.reachable_words (Obj.repr h) in
+  let full = words () in
+  let last = ref (neg_infinity, -1) in
+  let sorted = ref true in
+  let pop () =
+    match Heap.pop h with
+    | Some (t, s, _) ->
+      if compare (t, s) !last < 0 then sorted := false;
+      last := (t, s)
+    | None -> Alcotest.fail "heap drained early"
+  in
+  for _ = 1 to 90_000 do pop () done;
+  (* Refill above the drained minimum, then drain everything. *)
+  for i = 100_000 to 109_999 do
+    Heap.push h ~time:(100.0 +. Tact_util.Prng.float prng 100.0) ~seq:i (ref i)
+  done;
+  while not (Heap.is_empty h) do pop () done;
+  Alcotest.(check bool) "pops stay in (time, seq) order" true !sorted;
+  let drained = words () in
+  if drained > 1_000 then
+    Alcotest.failf "drained heap still reaches %d words (full: %d)" drained full
+
 let test_heap_random_drain_sorted =
   let prop =
     QCheck.Test.make ~name:"heap drains sorted" ~count:200
@@ -282,6 +313,8 @@ let base_suite =
     Alcotest.test_case "heap order" `Quick test_heap_order;
     Alcotest.test_case "heap tiebreak" `Quick test_heap_tiebreak;
     Alcotest.test_case "heap empty" `Quick test_heap_empty;
+    Alcotest.test_case "heap releases drained events" `Quick
+      test_heap_releases_drained;
     test_heap_random_drain_sorted;
     Alcotest.test_case "engine temporal order" `Quick test_engine_runs_in_order;
     Alcotest.test_case "engine simultaneous fifo" `Quick test_engine_simultaneous_fifo;
