@@ -14,7 +14,9 @@ let () =
   (* Reject malformed conit specs up front (doc/ANALYSIS.md). *)
   Tact_analysis.Guard.install ();
   let topology = Topology.uniform ~n:2 ~latency:0.08 ~bandwidth:250_000.0 in
-  let config = { Config.default with Config.antientropy_period = Some 1.0 } in
+  let config =
+    { Config.default with Config.antientropy_period = Some 1.0; procs = Editor.procs }
+  in
   let sys = System.create ~topology ~config () in
   let engine = System.engine sys in
   let author0 = Session.create (System.replica sys 0) in

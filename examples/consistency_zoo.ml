@@ -43,19 +43,21 @@ let conflict_matrix () =
       Config.conits = Conflict_matrix.conits matrix;
       antientropy_period = Some 0.3;
       initial_db = [ ("balance", Value.Float 100.0) ];
+      procs =
+        [
+          ( "withdraw",
+            fun _ db ->
+              if Db.get_float db "balance" >= 60.0 then begin
+                Db.add db "balance" (-60.0);
+                Op.Applied (Db.get db "balance")
+              end
+              else Op.Conflict "insufficient funds" );
+        ];
     }
   in
   let sys = System.create ~topology:(topo 2) ~config () in
   let engine = System.engine sys in
-  let withdraw =
-    Op.guarded ~name:"withdraw"
-      ~check:(fun db -> Db.get_float db "balance" >= 60.0)
-      ~apply:(fun db ->
-        Db.add db "balance" (-60.0);
-        Db.get db "balance")
-      ~alt:(fun _ -> "insufficient funds")
-      ()
-  in
+  let withdraw = Op.Named ("withdraw", Value.Nil) in
   (* Two replicas race to withdraw 60 from a balance of 100. *)
   for i = 0 to 1 do
     let s = Session.create (System.replica sys i) in

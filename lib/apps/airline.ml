@@ -13,21 +13,21 @@ let taken_seats db flight =
 (* The reservation write procedure: re-checks the seat against the database
    it is being applied to — the application-specific conflict check of the
    paper's system model. *)
+let reserve_proc arg db =
+  match arg with
+  | Value.List [ Value.Int flight; Value.Int seat ] ->
+    if List.mem seat (taken_seats db flight) then
+      Op.Conflict (Printf.sprintf "seat %d already taken" seat)
+    else begin
+      Db.append db (flight_key flight) (Value.Int seat);
+      Op.Applied (Value.Int seat)
+    end
+  | _ -> Op.Conflict "airline.reserve: bad argument"
+
+let procs = [ ("airline.reserve", reserve_proc) ]
+
 let reserve_op ~flight ~seat =
-  Op.Proc
-    {
-      name = Printf.sprintf "reserve f%d s%d" flight seat;
-      size = 32;
-      body =
-        (fun db ->
-          let taken = taken_seats db flight in
-          if List.mem seat taken then
-            Op.Conflict (Printf.sprintf "seat %d already taken" seat)
-          else begin
-            Db.append db (flight_key flight) (Value.Int seat);
-            Op.Applied (Value.Int seat)
-          end);
-    }
+  Op.Named ("airline.reserve", Value.List [ Value.Int flight; Value.Int seat ])
 
 let reserve session ~rng ~flight ~seats ~k =
   let replica = Session.replica session in
@@ -63,6 +63,7 @@ let run ?(seed = 1) ?(n = 4) ?(flights = 4) ?(seats = 200) ?(rate = 2.0)
             Conit.declare ~ne_rel_bound:ne_rel
               ~initial_value:(float_of_int seats) (flight_conit f));
       antientropy_period = Some 1.0;
+      procs;
     }
   in
   let sys = System.create ~seed ~topology ~config () in

@@ -20,6 +20,10 @@
 val flight_conit : int -> string
 val flight_key : int -> string
 
+val procs : Tact_store.Op.procs
+(** The reservation procedure, ["airline.reserve"]; a system running
+    {!reserve} must carry it in [Config.procs]. *)
+
 val reserve :
   Tact_replica.Session.t ->
   rng:Tact_util.Prng.t ->
@@ -27,7 +31,7 @@ val reserve :
   seats:int ->
   k:(Tact_store.Op.outcome -> unit) ->
   unit
-(** Pick a random observed-free seat on [flight] and submit the guarded
+(** Pick a random observed-free seat on [flight] and submit the
     reservation procedure.  [k] receives the {e tentative} outcome; the final
     outcome is determined at commit. *)
 

@@ -13,6 +13,11 @@ val del_conit : para:int -> string
 val author_conit : para:int -> author:int -> string
 val para_key : para:int -> string
 
+val procs : Tact_store.Op.procs
+(** The edit procedures, ["editor.insert"] and ["editor.delete"]; a system
+    running {!insert_text} or {!delete_chars} must carry them in
+    [Config.procs]. *)
+
 val insert_text :
   Tact_replica.Session.t -> para:int -> author:int -> text:string ->
   k:(Tact_store.Op.outcome -> unit) -> unit

@@ -6,24 +6,26 @@ open Tact_replica
 let section_conit s = Printf.sprintf "road.%d" s
 let section_key s = Printf.sprintf "road.%d" s
 
+let enter_proc arg db =
+  match arg with
+  | Value.List [ Value.Int section; Value.Float weight; Value.Int capacity ] ->
+    if Db.get_float db (section_key section) +. weight > float_of_int capacity
+    then Op.Conflict "section full"
+    else begin
+      Db.add db (section_key section) weight;
+      Op.Applied (Db.get db (section_key section))
+    end
+  | _ -> Op.Conflict "roads.enter: bad argument"
+
+let procs = [ ("roads.enter", enter_proc) ]
+
 let reserve_section ?(weight = 1.0) session ~section ~capacity ~k =
   Session.affect_conit session (section_conit section) ~nweight:weight ~oweight:1.0;
-  let op =
-    Op.Proc
-      {
-        name = Printf.sprintf "enter s%d" section;
-        size = 24;
-        body =
-          (fun db ->
-            if Db.get_float db (section_key section) +. weight > float_of_int capacity
-            then Op.Conflict "section full"
-            else begin
-              Db.add db (section_key section) weight;
-              Op.Applied (Db.get db (section_key section))
-            end);
-      }
-  in
-  Session.write session op ~k
+  Session.write session
+    (Op.Named
+       ( "roads.enter",
+         Value.List [ Value.Int section; Value.Float weight; Value.Int capacity ] ))
+    ~k
 
 let leave_section session ~section ~weight ~k =
   Session.affect_conit session (section_conit section) ~nweight:(-.weight) ~oweight:1.0;
@@ -49,6 +51,7 @@ let run ?(seed = 1) ?(n = 4) ?(sections = 4) ?(capacity = 1000) ?(rate = 3.0)
       Config.conits =
         List.init sections (fun s -> Tact_core.Conit.declare ~ne_bound (section_conit s));
       antientropy_period = Some 2.0;
+      procs;
     }
   in
   let sys = System.create ~seed ~topology ~config () in

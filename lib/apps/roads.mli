@@ -13,6 +13,10 @@
 val section_conit : int -> string
 val section_key : int -> string
 
+val procs : Tact_store.Op.procs
+(** The entry procedure, ["roads.enter"]; a system running
+    {!reserve_section} must carry it in [Config.procs]. *)
+
 val reserve_section :
   ?weight:float -> Tact_replica.Session.t -> section:int -> capacity:int ->
   k:(Tact_store.Op.outcome -> unit) -> unit

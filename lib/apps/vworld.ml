@@ -7,22 +7,23 @@ let pos_conit e = Printf.sprintf "pos.%d" e
 let x_key e = Printf.sprintf "pos.%d.x" e
 let y_key e = Printf.sprintf "pos.%d.y" e
 
+let move_proc arg db =
+  match arg with
+  | Value.List [ Value.Int entity; Value.Float dx; Value.Float dy ] ->
+    Db.add db (x_key entity) dx;
+    Db.add db (y_key entity) dy;
+    Op.Applied Value.Nil
+  | _ -> Op.Conflict "vworld.move: bad argument"
+
+let procs = [ ("vworld.move", move_proc) ]
+
 let move session ~entity ~dx ~dy ~k =
   let dist = sqrt ((dx *. dx) +. (dy *. dy)) in
   Session.affect_conit session (pos_conit entity) ~nweight:dist ~oweight:0.0;
-  let op =
-    Op.Proc
-      {
-        name = Printf.sprintf "move e%d" entity;
-        size = 24;
-        body =
-          (fun db ->
-            Db.add db (x_key entity) dx;
-            Db.add db (y_key entity) dy;
-            Op.Applied Value.Nil);
-      }
-  in
-  Session.write session op ~k
+  Session.write session
+    (Op.Named
+       ("vworld.move", Value.List [ Value.Int entity; Value.Float dx; Value.Float dy ]))
+    ~k
 
 let position db ~entity = (Db.get_float db (x_key entity), Db.get_float db (y_key entity))
 
@@ -62,6 +63,7 @@ let run ?(seed = 1) ?(n = 4) ?(move_rate = 4.0) ?(observe_rate = 2.0)
            itself with a pull round (self-determination, Theorem 1). *)
         List.init n (fun e -> Tact_core.Conit.declare ~ne_bound:far_bound (pos_conit e));
       antientropy_period = Some 2.0;
+      procs;
     }
   in
   let sys = System.create ~seed ~topology ~config () in

@@ -14,6 +14,10 @@ val pos_conit : int -> string
 val x_key : int -> string
 val y_key : int -> string
 
+val procs : Tact_store.Op.procs
+(** The movement procedure, ["vworld.move"]; a system running {!move} must
+    carry it in [Config.procs]. *)
+
 val move :
   Tact_replica.Session.t -> entity:int -> dx:float -> dy:float ->
   k:(Tact_store.Op.outcome -> unit) -> unit

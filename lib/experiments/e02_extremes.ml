@@ -88,7 +88,10 @@ let run_side ?(quick = false) ~strong ~seed () =
                   ~seq:id.Write.seq)
           in
           let oracle = Db.create [] in
-          List.iter (fun (w : Write.t) -> ignore (Op.apply w.op oracle)) prefix;
+          List.iter
+            (fun (w : Write.t) ->
+              ignore (Op.apply ~procs:config.Config.procs w.op oracle))
+            prefix;
           if not (Value.equal (Db.get oracle k) observed_v) then incr anomalies
         | _ -> ()))
     (System.records sys);

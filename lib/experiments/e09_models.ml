@@ -56,30 +56,24 @@ let n_ignorant_row ~nbound ~duration =
 
 (* --- Conflict matrix -------------------------------------------------- *)
 
-let account_deposit amount =
-  Op.Proc
-    {
-      name = "deposit";
-      size = 16;
-      body =
-        (fun db ->
-          Db.add db "balance" amount;
-          Op.Applied (Db.get db "balance"));
-    }
+let account_procs =
+  [
+    ( "deposit",
+      fun arg db ->
+        Db.add db "balance" (Value.to_float arg);
+        Op.Applied (Db.get db "balance") );
+    ( "withdraw",
+      fun arg db ->
+        let amount = Value.to_float arg in
+        if Db.get_float db "balance" >= amount then begin
+          Db.add db "balance" (-.amount);
+          Op.Applied (Db.get db "balance")
+        end
+        else Op.Conflict "insufficient funds" );
+  ]
 
-let account_withdraw amount =
-  Op.Proc
-    {
-      name = "withdraw";
-      size = 16;
-      body =
-        (fun db ->
-          if Db.get_float db "balance" >= amount then begin
-            Db.add db "balance" (-.amount);
-            Op.Applied (Db.get db "balance")
-          end
-          else Op.Conflict "insufficient funds");
-    }
+let account_deposit amount = Op.Named ("deposit", Value.Float amount)
+let account_withdraw amount = Op.Named ("withdraw", Value.Float amount)
 
 let conflict_matrix_run ~with_matrix ~duration =
   (* methods: 0 = deposit, 1 = withdraw; withdraw conflicts with both. *)
@@ -92,6 +86,7 @@ let conflict_matrix_run ~with_matrix ~duration =
       Config.conits = Conflict_matrix.conits matrix;
       antientropy_period = Some 0.5;
       initial_db = [ ("balance", Value.Float 200.0) ];
+      procs = account_procs;
     }
   in
   let sys = System.create ~seed:47 ~topology:(topo n) ~config () in
@@ -332,7 +327,21 @@ let memdag_rows () =
   let dag = { Memdag.nodes = 4; edges = [ (0, 1); (0, 2); (1, 3); (2, 3) ] } in
   Memdag.check dag;
   let n = 3 in
-  let config = { Config.default with Config.antientropy_period = Some 0.2 } in
+  (* Each node's write bumps the trace counter and records its value. *)
+  let node_proc arg db =
+    Db.add db "trace" 1.0;
+    Db.set db
+      (Printf.sprintf "node%d" (Value.to_int arg))
+      (Value.Float (Db.get_float db "trace"));
+    Op.Applied Value.Nil
+  in
+  let config =
+    {
+      Config.default with
+      Config.antientropy_period = Some 0.2;
+      procs = [ ("node", node_proc) ];
+    }
+  in
   let sys = System.create ~seed:97 ~topology:(topo n) ~config () in
   let engine = System.engine sys in
   let order = ref [] in
@@ -340,18 +349,7 @@ let memdag_rows () =
     Engine.schedule engine ~delay:at (fun () ->
         let session = Session.create (System.replica sys replica) in
         Memdag.submit session ~dag ~node
-          ~op:
-            (Op.Proc
-               {
-                 name = Printf.sprintf "node%d" node;
-                 size = 16;
-                 body =
-                   (fun db ->
-                     Db.add db "trace" 1.0;
-                     Db.set db (Printf.sprintf "node%d" node)
-                       (Value.Float (Db.get_float db "trace"));
-                     Op.Applied Value.Nil);
-               })
+          ~op:(Op.Named ("node", Value.Int node))
           ~k:(fun _ ->
             order := node :: !order;
             k ()))

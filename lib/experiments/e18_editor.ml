@@ -6,7 +6,9 @@ open Tact_apps
 let run_one ~instability ~duration =
   let n = 3 in
   let topology = Topology.uniform ~n ~latency:0.05 ~bandwidth:500_000.0 in
-  let config = { Config.default with Config.antientropy_period = Some 1.0 } in
+  let config =
+    { Config.default with Config.antientropy_period = Some 1.0; procs = Editor.procs }
+  in
   let sys = System.create ~seed:173 ~topology ~config () in
   let engine = System.engine sys in
   let rng = Prng.create ~seed:179 in

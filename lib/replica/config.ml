@@ -5,10 +5,8 @@ type commit_scheme = Stability | Primary of int
    coalesces a replica's pushes and pull replies into one framed batch per
    peer per flush window ({!field-batch_flush}), delta-encoded against the
    peer's vector through the {!Tact_store.Batch} codec — the payload really
-   is serialised, so batched configurations need wire-serialisable ops
-   ({!Tact_store.Op.Named}, not [Op.Proc] closures).  Both modes reach the
-   same replica databases; batched trades a bounded flush delay for far
-   fewer, larger messages. *)
+   is serialised.  Both modes reach the same replica databases; batched
+   trades a bounded flush delay for far fewer, larger messages. *)
 type sync_mode = Per_write | Batched
 
 (* Knobs for real (Ext) transport backends and their per-peer connection
@@ -52,6 +50,8 @@ type t = {
   retry_period : float;
   truncate_keep : int option;
   initial_db : (string * Tact_store.Value.t) list;
+  procs : Tact_store.Op.procs;
+      (* the write procedures every replica resolves [Op.Named] ops against *)
   trace : Tact_util.Trace.t option;
   gossip_plan : (int -> int array) option;
   sync : sync_mode;
@@ -90,6 +90,7 @@ let default =
     retry_period = 1.0;
     truncate_keep = None;
     initial_db = [];
+    procs = [];
     trace = None;
     gossip_plan = None;
     sync = Per_write;
@@ -192,9 +193,13 @@ let validate ~n t =
           err "bounded_log requires record_accesses = false (observation \
                capture needs the commit journal)"
         else begin
-          let names = List.map (fun c -> c.Tact_core.Conit.name) t.conits in
-          if List.length (List.sort_uniq String.compare names) <> List.length names
-          then err "duplicate conit declarations"
+          let dups names =
+            List.length (List.sort_uniq String.compare names) <> List.length names
+          in
+          if dups (List.map (fun c -> c.Tact_core.Conit.name) t.conits) then
+            err "duplicate conit declarations"
+          else if dups (List.map fst t.procs) then
+            err "duplicate procedure names"
           else if
             List.exists
               (fun (c : Tact_core.Conit.t) ->

@@ -31,9 +31,8 @@ type sync_mode =
           against the peer's last-known vector, or a snapshot fallback when
           the log has truncated past it — is flushed per dirty peer per
           {!field-batch_flush} window.  Payloads are truly serialised through
-          {!Tact_store.Codec.Frame}, so ops must be wire-serialisable
-          ([Op.Named], not [Op.Proc] closures).  Same final databases as
-          [Per_write]; far fewer, larger messages. *)
+          {!Tact_store.Codec.Frame}.  Same final databases as [Per_write];
+          far fewer, larger messages. *)
 
 (** Knobs for real transport backends ({!Tact_transport.Tcp}) and their
     per-peer connection supervisors.  Inert in simulation — the deterministic
@@ -80,6 +79,11 @@ type t = {
           truncation point are brought up to date with a full-state snapshot
           instead of a write-by-write diff.  [None] retains everything. *)
   initial_db : (string * Tact_store.Value.t) list;
+  procs : Tact_store.Op.procs;
+      (** the write procedures of this system: every replica resolves
+          {!Tact_store.Op.Named} ops against this one table, so an unknown
+          name conflicts identically everywhere.  Names must be distinct
+          ({!validate}).  Default [[]]. *)
   trace : Tact_util.Trace.t option;
       (** when set, replicas record their protocol lifecycle events (accepts,
           transfers, commits, blocked/served accesses, snapshots) into this
@@ -146,8 +150,8 @@ val bad_gossip_plan : n:int -> t -> (int * int) option
 val validate : n:int -> t -> (unit, string) result
 (** Sanity-check a configuration against the system size: the primary id
     must name a replica, periods (anti-entropy, retry, batch flush) must be
-    positive and not NaN, retention non-negative,
-    conit names unique, every declared bound (NE, relative NE, OE, ST)
+    positive and not NaN, retention non-negative, conit and procedure names
+    unique, every declared bound (NE, relative NE, OE, ST)
     non-negative and non-NaN, [gossip_plan], when set, must return peer ids
     in range for every replica, and the {!transport_knobs} must be coherent
     (positive non-NaN deadlines, [backoff_base <= backoff_cap], a sane

@@ -171,7 +171,7 @@ let make ~id ~n ~tr ~config ~mutation ?on_accept () =
     cfg = config;
     mutation;
     wlog =
-      Wlog.create_bounded
+      Wlog.create_bounded ~procs:config.Config.procs
         ~journal:(not config.Config.bounded_log)
         ~evict_outcomes:config.Config.bounded_log ~replicas:n
         ~initial:config.Config.initial_db;

@@ -9,10 +9,8 @@
    the remaining buffer ({!Tact_store.Codec.check_items}) before anything
    proportional to it is allocated.
 
-   [Op.Proc] closures are simulation-only and cannot cross this seam;
-   encoding one raises {!Tact_store.Codec.Unserializable} (use {!Op.Named}
-   registered procedures in live configurations, as Batched sync already
-   requires). *)
+   Every message encodes: write procedures cross as [Op.Named] pairs and are
+   resolved against the receiving replica's procedure table. *)
 
 open Tact_store
 

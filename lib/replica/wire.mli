@@ -9,10 +9,9 @@
     [Error (Transport.Malformed _)], never raises, and never allocates
     proportionally to a corrupt count field.
 
-    [Op.Proc] closures are simulation-only and cannot cross this seam:
-    encoding one raises {!Tact_store.Codec.Unserializable} — live
-    configurations use {!Tact_store.Op.Named} registered procedures, exactly
-    as Batched sync already requires. *)
+    Every message encodes: write procedures cross as
+    {!Tact_store.Op.Named} name-and-argument pairs and are resolved against
+    the receiving replica's procedure table. *)
 
 open Tact_store
 

@@ -18,7 +18,7 @@ type atom =
           [lint: allow hashtbl-<fn>] annotation ({!hashtbl_key}) *)
   | Global_mutation of string
       (** touches the named non-[Sync] module-level mutable value
-          (["Op.registry"]); reads count — they are
+          (["Config.analyze_hook"]); reads count — they are
           interleaving-dependent *)
   | Blocking of string  (** blocking call, e.g. ["Unix.read"] or
                             ["Mutex.lock"] *)

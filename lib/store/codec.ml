@@ -1,5 +1,4 @@
 exception Malformed of string
-exception Unserializable of string
 
 type cursor = { data : string; mutable pos : int }
 
@@ -181,13 +180,6 @@ let encode_op f (op : Op.t) =
     put_u8 f 4;
     put_string f name;
     encode_value f arg
-  | Op.Proc p ->
-    raise
-      (Unserializable
-         (Printf.sprintf
-            "write procedure %S is a closure; use Op.Named with a registered \
-             procedure"
-            p.Op.name))
 
 let decode_op c =
   match get_u8 c with
@@ -298,8 +290,6 @@ let decode_snapshot c =
    encoding.  Must mirror the encoders above exactly — checked by a test
    against [snapshot_to_string]. *)
 
-let value_byte_size = Value.wire_size
-
 let vector_byte_size v = 8 * (1 + Version_vector.size v)
 
 let snapshot_byte_size (s : Wlog.snapshot) =
@@ -311,7 +301,7 @@ let snapshot_byte_size (s : Wlog.snapshot) =
   in
   let db =
     List.fold_left
-      (fun acc k -> acc + 8 + String.length k + value_byte_size (Db.get s.snap_db k))
+      (fun acc k -> acc + 8 + String.length k + Value.wire_size (Db.get s.snap_db k))
       8
       (Db.keys s.snap_db)
   in

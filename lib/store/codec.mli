@@ -3,16 +3,13 @@
     A compact, self-describing binary format for values, operations, writes,
     version vectors and snapshots — the groundwork for durable state
     (snapshot files, write-ahead logs) and the exact-size accounting a real
-    transport would have.  [Op.Proc] closures are simulation-only and cannot
-    be encoded; use {!Op.Named} registered procedures for anything that must
-    cross a wire or reach a disk.
+    transport would have.  Every {!Op.t} encodes: write procedures travel as
+    {!Op.Named} name-and-argument pairs, never as code.
 
     The format is length-prefixed and versioned; decoding a corrupt or
     truncated buffer raises {!Malformed}. *)
 
 exception Malformed of string
-exception Unserializable of string
-(** Raised when encoding an [Op.Proc] closure. *)
 
 (** {2 The frame allocator}
 
@@ -113,10 +110,9 @@ val decode_vector : cursor -> Version_vector.t
 val encode_snapshot : Frame.t -> Wlog.snapshot -> unit
 val decode_snapshot : cursor -> Wlog.snapshot
 
-(** {2 Arithmetic sizes} *)
+(** {2 Arithmetic sizes}
 
-val value_byte_size : Value.t -> int
-(** [String.length (to_string encode_value v)] without encoding. *)
+    A value's encoded size is {!Value.wire_size}; an op's, {!Op.wire_size}. *)
 
 val vector_byte_size : Version_vector.t -> int
 (** Encoded size of a version vector without encoding it. *)

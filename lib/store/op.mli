@@ -17,47 +17,26 @@ type t =
   | Set of string * Value.t
   | Add of string * float  (** numeric increment (negative = decrement) *)
   | Append of string * Value.t  (** add to the list at the key *)
-  | Proc of proc
-      (** A full write procedure: [body] inspects the database, decides
-          whether it conflicts, and if not performs its updates.  [name] and
-          [size] describe it for tracing and traffic accounting.  Closures
-          are simulation-only; for a serialisable procedure use {!Named}. *)
   | Named of string * Value.t
-      (** A registered write procedure applied to an argument — the
-          wire-serialisable form of [Proc] (see {!register_proc} and
-          {!Codec}).  Application raises [Invalid_argument] if the name is
-          not registered. *)
+      (** A write procedure, by name, applied to an argument: its body is
+          looked up in the system's {!procs} table when the write is
+          (re)applied.  Names and arguments are plain data, so every op
+          crosses the wire (see {!Codec}). *)
 
-and proc = { name : string; size : int; body : Db.t -> outcome }
+type procs = (string * (Value.t -> Db.t -> outcome)) list
+(** A system's write procedures: name → body.  The body inspects the
+    database, decides whether the write conflicts, and if not performs its
+    updates.  Every replica of a system holds the same table
+    ([Config.procs]), exactly as deployed binaries would. *)
 
-val apply : t -> Db.t -> outcome
-(** Execute the operation against the database image, mutating it. *)
-
-val register_proc : string -> (Value.t -> Db.t -> outcome) -> unit
-(** Register the behaviour of a {!Named} procedure.  Registration is global
-    (all replicas execute the same code, exactly as deployed binaries would)
-    and must happen before any [Named] op is applied.  Re-registration
-    replaces the previous behaviour. *)
-
-val proc_registered : string -> bool
-
-val guarded :
-  name:string ->
-  ?size:int ->
-  check:(Db.t -> bool) ->
-  apply:(Db.t -> Value.t) ->
-  ?alt:(Db.t -> string) ->
-  unit ->
-  t
-(** Build a {!Proc}: when [check db] holds, run [apply]; otherwise the write
-    conflicts with reason [alt db] (default ["conflict"]). *)
-
-val byte_size : t -> int
-(** Estimated wire size of the operation. *)
+val apply : procs:procs -> t -> Db.t -> outcome
+(** Execute the operation against the database image, mutating it.  A
+    [Named] op whose name is not in [procs] changes nothing and yields
+    [Conflict "unknown procedure \"name\""] — the same outcome at every
+    replica, since they share one table. *)
 
 val wire_size : t -> int
-(** Exact encoded size under the {!Codec} wire format; [Proc] falls back to
-    its declared modelled size (closures are not serialisable). *)
+(** Exact encoded size under the {!Codec} wire format. *)
 
 val describe : t -> string
 

@@ -57,17 +57,10 @@ let rec to_string = function
   | List l -> "[" ^ String.concat "; " (List.map to_string l) ^ "]"
 
 (* Exact encoded size under Codec's wire format (tag byte + fixed-width
-   payloads + length-prefixed strings); Codec.value_byte_size delegates
-   here, and a codec test pins it against the real encoder. *)
+   payloads + length-prefixed strings); a codec test pins it against the
+   real encoder. *)
 let rec wire_size = function
   | Nil -> 1
   | Int _ | Float _ -> 1 + 8
   | Str s -> 1 + 8 + String.length s
   | List l -> List.fold_left (fun acc v -> acc + wire_size v) (1 + 8) l
-
-let rec byte_size = function
-  | Nil -> 1
-  | Int _ -> 8
-  | Float _ -> 8
-  | Str s -> 4 + String.length s
-  | List l -> List.fold_left (fun acc v -> acc + byte_size v) 4 l

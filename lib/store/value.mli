@@ -25,9 +25,6 @@ val to_list : t -> t list
 val to_string : t -> string
 (** Human-readable rendering (not a serialisation format). *)
 
-val byte_size : t -> int
-(** Estimated wire size, used for network traffic accounting. *)
-
 val wire_size : t -> int
 (** Exact encoded size under the {!Codec} wire format — equals
     [String.length] of the encoding without materialising it. *)

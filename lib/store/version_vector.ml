@@ -24,7 +24,5 @@ let covers t ~origin ~seq = t.(origin) >= seq
 
 let total t = Array.fold_left ( + ) 0 t
 
-let byte_size t = 8 * Array.length t
-
 let to_string t =
   "<" ^ String.concat "," (Array.to_list (Array.map string_of_int t)) ^ ">"

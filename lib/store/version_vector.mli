@@ -29,5 +29,4 @@ val covers : t -> origin:int -> seq:int -> bool
 val total : t -> int
 (** Sum of components = number of writes known. *)
 
-val byte_size : t -> int
 val to_string : t -> string

@@ -59,6 +59,7 @@ type snapshot = {
 type t = {
   nreplicas : int;
   initial : (string * Value.t) list;
+  procs : Op.procs;
   journal_on : bool;
       (* record the commit journal (observation capture needs it); off for
          bounded-memory long runs, where it would grow without bound *)
@@ -99,10 +100,11 @@ type t = {
       (* last vector seen by the sanitizer, for monotonicity (sanitize only) *)
 }
 
-let create_bounded ~journal ~evict_outcomes ~replicas ~initial =
+let create_bounded ~procs ~journal ~evict_outcomes ~replicas ~initial =
   {
     nreplicas = replicas;
     initial;
+    procs;
     journal_on = journal;
     evict_on_truncate = evict_outcomes;
     committed = Deque.create ();
@@ -131,7 +133,7 @@ let create_bounded ~journal ~evict_outcomes ~replicas ~initial =
   }
 
 let create ~replicas ~initial =
-  create_bounded ~journal:true ~evict_outcomes:false ~replicas ~initial
+  create_bounded ~procs:[] ~journal:true ~evict_outcomes:false ~replicas ~initial
 
 let htbl_add tbl key delta =
   let v = match Hashtbl.find_opt tbl key with Some v -> v | None -> 0.0 in
@@ -378,7 +380,9 @@ let register t (w : Write.t) =
    it can be rolled back, and (re-)recording its outcome — outcomes may
    change across reorderings; that is the point of write procedures. *)
 let apply_one t (w : Write.t) =
-  let outcome, u = Db.recording t.full_db (fun () -> Op.apply w.op t.full_db) in
+  let outcome, u =
+    Db.recording t.full_db (fun () -> Op.apply ~procs:t.procs w.op t.full_db)
+  in
   (slot_exn t w.id).s_outcome <- Some outcome;
   Deque.push_back t.undo u;
   outcome
@@ -645,7 +649,7 @@ let num_known t = t.nresident
 (* Move one write into the committed prefix, applying it to the committed
    image and recording its final outcome. *)
 let commit_one t (w : Write.t) =
-  let outcome = Op.apply w.op t.committed_db in
+  let outcome = Op.apply ~procs:t.procs w.op t.committed_db in
   let s = slot_exn t w.id in
   s.s_final <- Some outcome;
   s.s_committed <- true;

@@ -25,16 +25,20 @@ type insertion =
   | Buffered  (** a per-origin sequence gap; parked until the gap fills *)
 
 val create : replicas:int -> initial:(string * Value.t) list -> t
-(** Equivalent to {!create_bounded} with [journal:true]
-    [evict_outcomes:false] — full history retention. *)
+(** Equivalent to {!create_bounded} with no write procedures, [journal:true]
+    and [evict_outcomes:false] — full history retention. *)
 
 val create_bounded :
+  procs:Op.procs ->
   journal:bool ->
   evict_outcomes:bool ->
   replicas:int ->
   initial:(string * Value.t) list ->
   t
-(** [journal]: keep the append-only commit journal that observation capture
+(** [procs]: the write procedures that {!Op.Named} ops resolve against,
+    every time the log applies a write (tentatively or at commit).
+
+    [journal]: keep the append-only commit journal that observation capture
     ({!commit_cursor}) relies on.  Disable it for bounded-memory long runs —
     it grows with every commit, forever — at the price of {!commit_cursor}
     raising [Invalid_argument].

@@ -1,7 +1,9 @@
 (** Write records: an operation plus the conit weight specification.
 
     This is the unit that anti-entropy propagates between replicas (the paper
-    propagates write {e procedures}, not written data).  [affects] is the
+    propagates write {e procedures}, not written data: a procedure travels as
+    an {!Op.Named} name and argument, and each replica runs it from its own
+    copy of the system's procedure table).  [affects] is the
     per-write weight specification of Section 3.4: how the write bears on each
     conit's numerical value ([nweight]) and on order sensitivity
     ([oweight]). *)
@@ -43,9 +45,8 @@ val total_oweight : t -> float
     order serves every conit). *)
 
 val byte_size : t -> int
-(** Exact size of the write's {!Codec} encoding, without materialising it
-    ([Proc] ops fall back to their declared modelled size).  Memoized in the
-    write on first use, so traffic-accounting folds that visit the same write
+(** Exact size of the write's {!Codec} encoding, without materialising it.
+    Memoized in the write on first use, so traffic-accounting folds that visit the same write
     many times pay the size computation once. *)
 
 val to_string : t -> string

@@ -12,8 +12,9 @@
 type request =
   | Submit of { conit : string; nweight : float; oweight : float; op : Tact_store.Op.t }
       (** One write affecting one conit — the daemon maps it onto
-          [Replica.submit_write].  [Op.Proc] is rejected at encode time
-          (closures don't serialise); use [Op.Named]. *)
+          [Replica.submit_write].  A procedure ([Op.Named]) whose name
+          is not in the fleet's [Config.procs] is answered with
+          [Outcome (Conflict _)], like any other conflicting write. *)
   | Query of { key : string; conit : string; bounds : Tact_core.Bounds.t }
       (** Read [key] once [conit] meets [bounds] at the serving replica. *)
   | Status  (** liveness / accounting probe *)
@@ -38,7 +39,6 @@ type response =
           exceeded, replica crashed, ...) *)
 
 val encode_request : Tact_store.Codec.Frame.t -> request -> unit
-(** Raises [Tact_store.Codec.Unserializable] for [Submit] of an [Op.Proc]. *)
 
 val decode_request : string -> (request, Tact_store.Transport.error) result
 

@@ -88,7 +88,8 @@ let test_airline_committed_state_consistent () =
   let sys =
     System.create
       ~topology:(Topology.uniform ~n:2 ~latency:0.02 ~bandwidth:1e6)
-      ~config:{ Config.default with Config.antientropy_period = Some 0.2 }
+      ~config:
+        { Config.default with Config.antientropy_period = Some 0.2; procs = Airline.procs }
       ()
   in
   let engine = System.engine sys in
@@ -123,7 +124,8 @@ let test_editor_insert_delete () =
   let sys =
     System.create
       ~topology:(Topology.uniform ~n:2 ~latency:0.02 ~bandwidth:1e6)
-      ~config:{ Config.default with Config.antientropy_period = Some 0.2 }
+      ~config:
+        { Config.default with Config.antientropy_period = Some 0.2; procs = Editor.procs }
       ()
   in
   let engine = System.engine sys in
@@ -153,7 +155,7 @@ let test_editor_delete_clamps () =
   let sys =
     System.create
       ~topology:(Topology.uniform ~n:1 ~latency:0.0 ~bandwidth:1e6)
-      ~config:Config.default ()
+      ~config:{ Config.default with Config.procs = Editor.procs } ()
   in
   let s = Session.create (System.replica sys 0) in
   Editor.insert_text s ~para:0 ~author:0 ~text:"ab" ~k:ignore;
@@ -226,7 +228,7 @@ let test_vworld_move_geometry () =
   let sys =
     System.create
       ~topology:(Topology.uniform ~n:1 ~latency:0.0 ~bandwidth:1e6)
-      ~config:Config.default ()
+      ~config:{ Config.default with Config.procs = Vworld.procs } ()
   in
   let s = Session.create (System.replica sys 0) in
   Vworld.move s ~entity:0 ~dx:3.0 ~dy:4.0 ~k:ignore;
@@ -264,7 +266,8 @@ let test_roads_capacity_enforced () =
   let sys =
     System.create
       ~topology:(Topology.uniform ~n:2 ~latency:0.02 ~bandwidth:1e6)
-      ~config:{ Config.default with Config.antientropy_period = Some 0.2 }
+      ~config:
+        { Config.default with Config.antientropy_period = Some 0.2; procs = Roads.procs }
       ()
   in
   let engine = System.engine sys in

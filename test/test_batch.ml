@@ -291,6 +291,58 @@ let test_differential_lossy () =
   Alcotest.(check bool) "same final database despite loss" true
     (Db.equal (Replica.db (System.replica pw 0)) (Replica.db (System.replica bt 0)))
 
+(* An application workload: the shared editor's insert and delete procedures
+   cross the Batch codec as named procedures.  Deletes clamp to the text
+   present when they apply, so outcomes depend on the commit order; under
+   Stability that order is canonical, and both modes must agree on every
+   database and every final outcome. *)
+let test_differential_app () =
+  let config =
+    {
+      Config.default with
+      Config.conits =
+        [ Tact_core.Conit.declare ~ne_bound:8.0 (Tact_apps.Editor.add_conit ~para:0) ];
+      antientropy_period = Some 0.4;
+      procs = Tact_apps.Editor.procs;
+    }
+  in
+  let run config =
+    let topology = Topology.uniform ~n:3 ~latency:0.03 ~bandwidth:1e8 in
+    let sys = System.create ~seed:5 ~jitter:0.05 ~topology ~config () in
+    let engine = System.engine sys in
+    for k = 1 to 30 do
+      Engine.schedule engine
+        ~delay:(0.05 *. float_of_int k)
+        (fun () ->
+          let author = k mod 3 in
+          let s = Session.create (System.replica sys author) in
+          if k mod 4 = 0 then
+            Tact_apps.Editor.delete_chars s ~para:0 ~author ~count:3 ~k:ignore
+          else
+            Tact_apps.Editor.insert_text s ~para:0 ~author
+              ~text:(String.make (1 + (k mod 5)) (Char.chr (97 + author)))
+              ~k:ignore)
+    done;
+    System.run ~until:60.0 sys;
+    Alcotest.(check bool) "app run converged" true (System.converged sys);
+    sys
+  in
+  let pw = run config and bt = run (batched config) in
+  Alcotest.(check bool) "batched frames were coalesced" true
+    ((System.total_stats bt).Replica.batches > 0);
+  for i = 0 to 2 do
+    Alcotest.(check bool)
+      (Printf.sprintf "replica %d database identical" i)
+      true
+      (Db.equal (Replica.db (System.replica pw i)) (Replica.db (System.replica bt i)))
+  done;
+  let finals sys =
+    let log = Replica.log (System.replica sys 0) in
+    List.map (fun (w : Write.t) -> (w.id, Wlog.final_outcome log w.id)) (Wlog.committed log)
+  in
+  Alcotest.(check int) "every write committed" 30 (List.length (finals pw));
+  Alcotest.(check bool) "identical final outcomes" true (finals pw = finals bt)
+
 (* Nemesis differential: sampled plans under sampled fault schedules (plus a
    forced loss+duplication schedule) produce identical oracle verdicts in
    both modes, and — under Stability commitment, where the committed order is
@@ -370,6 +422,7 @@ let suite =
     Alcotest.test_case "planner snapshot fallback" `Quick test_plan_snapshot_fallback;
     Alcotest.test_case "differential: clean workload" `Quick test_differential_clean;
     Alcotest.test_case "differential: lossy network" `Quick test_differential_lossy;
+    Alcotest.test_case "differential: app workload" `Quick test_differential_app;
     Alcotest.test_case "differential: nemesis schedules" `Quick
       test_differential_nemesis;
     Alcotest.test_case "duplication cannot double-apply" `Quick

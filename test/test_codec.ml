@@ -52,28 +52,23 @@ let test_op_roundtrip () =
     [ Op.Noop; Op.Set ("k", Value.Int 3); Op.Add ("k", -2.5);
       Op.Append ("k", Value.Str "x"); Op.Named ("reserve", Value.Int 7) ]
 
-let test_proc_unserializable () =
-  let proc = Op.guarded ~name:"g" ~check:(fun _ -> true) ~apply:(fun _ -> Value.Nil) () in
-  Alcotest.(check bool) "closure refused" true
-    (try
-       Codec.encode_op (Codec.Frame.create ~initial:8 ()) proc;
-       false
-     with Codec.Unserializable _ -> true)
-
 let test_named_proc_applies () =
-  Op.register_proc "test.incr_by" (fun arg db ->
-      Db.add db "n" (Value.to_float arg);
-      Op.Applied (Db.get db "n"));
+  let procs =
+    [ ( "test.incr_by",
+        fun arg db ->
+          Db.add db "n" (Value.to_float arg);
+          Op.Applied (Db.get db "n") ) ]
+  in
   let db = Db.create [] in
-  (match Op.apply (Op.Named ("test.incr_by", Value.Float 4.0)) db with
+  (match Op.apply ~procs (Op.Named ("test.incr_by", Value.Float 4.0)) db with
   | Op.Applied v -> Alcotest.(check bool) "applied" true (feq (Value.to_float v) 4.0)
   | Op.Conflict _ -> Alcotest.fail "conflicted");
-  Alcotest.(check bool) "registered" true (Op.proc_registered "test.incr_by");
-  Alcotest.(check bool) "unregistered raises" true
-    (try
-       ignore (Op.apply (Op.Named ("test.nope", Value.Nil)) db);
-       false
-     with Invalid_argument _ -> true)
+  (match Op.apply ~procs (Op.Named ("test.nope", Value.Nil)) db with
+  | Op.Conflict r ->
+    Alcotest.(check string) "unknown name conflicts" "unknown procedure \"test.nope\"" r
+  | Op.Applied _ -> Alcotest.fail "unknown procedure applied");
+  Alcotest.(check bool) "conflict left state alone" true
+    (feq (Db.get_float db "n") 4.0)
 
 (* --- Write round trips ------------------------------------------------- *)
 
@@ -209,7 +204,7 @@ let test_byte_sizes () =
     (fun v ->
       Alcotest.(check int) "value size"
         (String.length (Codec.to_string Codec.encode_value v))
-        (Codec.value_byte_size v))
+        (Value.wire_size v))
     values;
   let log =
     Wlog.create ~replicas:3
@@ -252,7 +247,6 @@ let base_suite =
     test_value_roundtrip;
     Alcotest.test_case "value nan" `Quick test_value_nan_roundtrip;
     Alcotest.test_case "op round trip" `Quick test_op_roundtrip;
-    Alcotest.test_case "proc unserializable" `Quick test_proc_unserializable;
     Alcotest.test_case "named proc applies" `Quick test_named_proc_applies;
     test_write_roundtrip;
     Alcotest.test_case "write size memoized" `Quick test_write_size_memoized;
@@ -263,18 +257,21 @@ let base_suite =
     Alcotest.test_case "snapshot bad magic" `Quick test_snapshot_bad_magic;
   ]
 
-(* A whole system whose operations are all Named (wire-serialisable): it
-   behaves identically, and every accepted write round-trips the codec. *)
+(* A whole system whose writes run a procedure from its table: it converges,
+   and every accepted write round-trips the codec. *)
 let test_fully_serialisable_system () =
   let open Tact_sim in
   let open Tact_replica in
-  Op.register_proc "codec.bump" (fun arg db ->
-      Db.add db "x" (Value.to_float arg);
-      Op.Applied (Db.get db "x"));
+  let procs =
+    [ ( "codec.bump",
+        fun arg db ->
+          Db.add db "x" (Value.to_float arg);
+          Op.Applied (Db.get db "x") ) ]
+  in
   let sys =
     System.create
       ~topology:(Topology.uniform ~n:3 ~latency:0.03 ~bandwidth:1e6)
-      ~config:{ Config.default with Config.antientropy_period = Some 0.5 }
+      ~config:{ Config.default with Config.antientropy_period = Some 0.5; procs }
       ()
   in
   let engine = System.engine sys in

@@ -55,6 +55,34 @@ let test_read_your_writes_locally () =
   System.run sys;
   Alcotest.(check bool) "own write visible" true (feq !seen 1.0)
 
+let test_unknown_procedure_conflicts () =
+  (* A procedure missing from the system's table is a typed conflict, not a
+     crash: the write is logged, propagates and commits everywhere with the
+     same outcome, under the runtime invariant audit. *)
+  Tact_util.Sanitize.set_enabled true;
+  Fun.protect ~finally:Tact_util.Sanitize.clear_forced (fun () ->
+      let config = { Config.default with Config.antientropy_period = Some 0.5 } in
+      let sys = System.create ~topology:(topo 3) ~config () in
+      let outcome = ref None in
+      Replica.submit_write (System.replica sys 0) ~deps:[] ~affects:[ unit_weight "c" ]
+        ~op:(Op.Named ("nope", Value.Nil))
+        ~k:(fun o -> outcome := Some o);
+      System.run ~until:60.0 sys;
+      (match !outcome with
+      | Some (Op.Conflict r) ->
+        Alcotest.(check string) "reason" "unknown procedure \"nope\"" r
+      | Some (Op.Applied _) -> Alcotest.fail "unknown procedure applied"
+      | None -> Alcotest.fail "write never returned");
+      Alcotest.(check bool) "converged" true (System.converged sys);
+      for i = 0 to 2 do
+        let log = Replica.log (System.replica sys i) in
+        Alcotest.(check int) "write held" 1 (Wlog.num_known log);
+        Alcotest.(check bool) "committed as a conflict" true
+          (match Wlog.final_outcome log { Write.origin = 0; seq = 1 } with
+          | Some (Op.Conflict _) -> true
+          | _ -> false)
+      done)
+
 let test_access_records_complete () =
   let sys = System.create ~topology:(topo 2) ~config:Config.default () in
   let r0 = System.replica sys 0 in
@@ -370,6 +398,7 @@ let base_suite =
   [
     Alcotest.test_case "session consumes spec" `Quick test_session_consumes_spec;
     Alcotest.test_case "read your writes locally" `Quick test_read_your_writes_locally;
+    Alcotest.test_case "unknown procedure conflicts" `Quick test_unknown_procedure_conflicts;
     Alcotest.test_case "access records complete" `Quick test_access_records_complete;
     Alcotest.test_case "primary commits everything" `Quick test_primary_commits_everything;
     Alcotest.test_case "stability order canonical" `Quick test_stability_commit_order_is_canonical;
@@ -449,6 +478,11 @@ let test_config_validation () =
     (ok { Config.default with Config.truncate_keep = Some (-1) });
   Alcotest.(check bool) "duplicate conits" false
     (ok { Config.default with Config.conits = [ Conit.declare "c"; Conit.declare "c" ] });
+  (let noop _ _ = Op.Applied Value.Nil in
+   Alcotest.(check bool) "duplicate procedures" false
+     (ok { Config.default with Config.procs = [ ("p", noop); ("q", noop); ("p", noop) ] });
+   Alcotest.(check bool) "distinct procedures" true
+     (ok { Config.default with Config.procs = [ ("p", noop); ("q", noop) ] }));
   Alcotest.(check bool) "negative bound" false
     (ok { Config.default with Config.conits = [ Conit.declare ~ne_bound:(-1.0) "c" ] });
   Alcotest.(check bool) "negative oe bound" false

@@ -41,11 +41,11 @@ let test_value_conversions () =
     (fun () -> ignore (Value.to_int (Value.Str "x")))
 
 let test_value_byte_size () =
-  Alcotest.(check int) "int" 8 (Value.byte_size (Value.Int 1));
-  Alcotest.(check int) "str" 9 (Value.byte_size (Value.Str "hello"));
+  Alcotest.(check int) "int" 9 (Value.wire_size (Value.Int 1));
+  Alcotest.(check int) "str" 14 (Value.wire_size (Value.Str "hello"));
   Alcotest.(check bool) "list grows" true
-    (Value.byte_size (Value.List [ Value.Int 1; Value.Int 2 ])
-    > Value.byte_size (Value.List [ Value.Int 1 ]))
+    (Value.wire_size (Value.List [ Value.Int 1; Value.Int 2 ])
+    > Value.wire_size (Value.List [ Value.Int 1 ]))
 
 let test_value_to_string () =
   Alcotest.(check string) "render" "[1; \"a\"]"
@@ -162,37 +162,41 @@ let test_db_keys () =
 
 let test_op_set_add_append () =
   let db = Db.create [] in
-  (match Op.apply (Op.Set ("k", Value.Int 7)) db with
+  (match Op.apply ~procs:[] (Op.Set ("k", Value.Int 7)) db with
   | Op.Applied v -> Alcotest.(check bool) "set returns value" true (Value.equal v (Value.Int 7))
   | Op.Conflict _ -> Alcotest.fail "set conflicted");
-  (match Op.apply (Op.Add ("n", 3.0)) db with
+  (match Op.apply ~procs:[] (Op.Add ("n", 3.0)) db with
   | Op.Applied v -> Alcotest.(check bool) "add returns total" true (feq (Value.to_float v) 3.0)
   | Op.Conflict _ -> Alcotest.fail "add conflicted");
-  ignore (Op.apply (Op.Append ("l", Value.Int 1)) db);
+  ignore (Op.apply ~procs:[] (Op.Append ("l", Value.Int 1)) db);
   Alcotest.(check int) "append worked" 1 (List.length (Value.to_list (Db.get db "l")))
 
 let test_op_noop () =
   let db = Db.create [] in
-  (match Op.apply Op.Noop db with
+  (match Op.apply ~procs:[] Op.Noop db with
   | Op.Applied v -> Alcotest.(check bool) "nil" true (Value.equal v Value.Nil)
   | Op.Conflict _ -> Alcotest.fail "noop conflicted");
   Alcotest.(check int) "db untouched" 0 (Db.size db)
 
 let test_op_guarded () =
-  let op =
-    Op.guarded ~name:"withdraw"
-      ~check:(fun db -> Db.get_float db "bal" >= 10.0)
-      ~apply:(fun db ->
-        Db.add db "bal" (-10.0);
-        Db.get db "bal")
-      ~alt:(fun _ -> "insufficient")
-      ()
+  let procs =
+    [
+      ( "withdraw",
+        fun arg db ->
+          let amount = Value.to_float arg in
+          if Db.get_float db "bal" >= amount then begin
+            Db.add db "bal" (-.amount);
+            Op.Applied (Db.get db "bal")
+          end
+          else Op.Conflict "insufficient" );
+    ]
   in
+  let op = Op.Named ("withdraw", Value.Float 10.0) in
   let db = Db.create [ ("bal", Value.Float 15.0) ] in
-  (match Op.apply op db with
+  (match Op.apply ~procs op db with
   | Op.Applied v -> Alcotest.(check bool) "first succeeds" true (feq (Value.to_float v) 5.0)
   | Op.Conflict _ -> Alcotest.fail "unexpected conflict");
-  (match Op.apply op db with
+  (match Op.apply ~procs op db with
   | Op.Conflict r -> Alcotest.(check string) "alt reason" "insufficient" r
   | Op.Applied _ -> Alcotest.fail "should conflict");
   Alcotest.(check bool) "conflict left state alone" true (feq (Db.get_float db "bal") 5.0)
@@ -207,10 +211,9 @@ let test_op_describe_size () =
   Alcotest.(check bool) "describe" true (String.length (Op.describe (Op.Add ("k", 1.0))) > 0);
   Alcotest.(check bool) "sizes positive" true
     (List.for_all
-       (fun op -> Op.byte_size op > 0)
+       (fun op -> Op.wire_size op > 0)
        [ Op.Noop; Op.Set ("k", Value.Int 1); Op.Add ("k", 1.0);
-         Op.Append ("k", Value.Nil);
-         Op.guarded ~name:"g" ~check:(fun _ -> true) ~apply:(fun _ -> Value.Nil) () ])
+         Op.Append ("k", Value.Nil); Op.Named ("g", Value.Nil) ])
 
 (* --- Write ------------------------------------------------------------ *)
 

@@ -773,7 +773,10 @@ let client_try_read c =
     | Error e -> Alcotest.failf "client decode: %s" (Transport.error_to_string e))
   | _ -> None
 
-let test_serve_nemesis_convergence () =
+(* Three started daemons on fresh loopback ports, their client addresses,
+   and a pump that turns every daemon's loop until [cond] holds or [wall]
+   seconds pass; returns once the peer mesh is up. *)
+let serve_fleet () =
   let ports = Array.of_list (fresh_ports 6) in
   let peer_addrs = Array.init 3 (fun i -> loopback ports.(i)) in
   let client_addrs = Array.init 3 (fun i -> loopback ports.(i + 3)) in
@@ -796,6 +799,43 @@ let test_serve_nemesis_convergence () =
   Alcotest.(check bool) "mesh up" true
     (pump_all ~wall:8.0 (fun () ->
          Array.for_all (fun s -> Serve.peers_up s = 2) serves));
+  (serves, client_addrs, pump_all)
+
+(* Send one request and pump until its response arrives. *)
+let client_call ~pump_all c req =
+  client_send c req;
+  let resp = ref None in
+  ignore
+    (pump_all ~wall:8.0 (fun () ->
+         (match client_try_read c with Some r -> resp := Some r | None -> ());
+         !resp <> None));
+  !resp
+
+let test_serve_unknown_procedure () =
+  (* A client names a procedure the fleet's table lacks: the write is
+     answered with a Conflict, and the daemon keeps serving. *)
+  let serves, client_addrs, pump_all = serve_fleet () in
+  let c = client_connect client_addrs.(0) in
+  (match
+     client_call ~pump_all c
+       (Client.Submit
+          { conit = "c"; nweight = 1.0; oweight = 1.0; op = Op.Named ("nope", Value.Nil) })
+   with
+  | Some (Client.Outcome (Op.Conflict _)) -> ()
+  | Some r -> Alcotest.failf "unknown procedure: %s" (Client.describe_response r)
+  | None -> Alcotest.fail "unknown procedure not answered");
+  (match client_call ~pump_all c Client.Status with
+  | Some (Client.Status_r _) -> ()
+  | Some r -> Alcotest.failf "status: %s" (Client.describe_response r)
+  | None -> Alcotest.fail "status not answered after the conflict");
+  (try Unix.close c.cl_fd with Unix.Unix_error _ -> ());
+  Array.iter Serve.request_stop serves;
+  Alcotest.(check bool) "drained" true
+    (pump_all ~wall:6.0 (fun () -> Array.for_all Serve.stopped serves));
+  Array.iter Serve.close serves
+
+let test_serve_nemesis_convergence () =
+  let serves, client_addrs, pump_all = serve_fleet () in
   (* The nemesis schedule: a rolling partition sweeping each replica plus a
      delay spike, quiescent tail at 1.6 s — installed identically on every
      process, each applying its own projection at the real-network seam. *)
@@ -988,6 +1028,8 @@ let suite =
     Alcotest.test_case "tcp: no fd leak on create/destroy" `Quick test_tcp_no_fd_leak;
     Alcotest.test_case "serve: nemesis run converges" `Slow
       test_serve_nemesis_convergence;
+    Alcotest.test_case "serve: unknown procedure conflicts" `Quick
+      test_serve_unknown_procedure;
     Alcotest.test_case "system: teardown on raise" `Quick
       test_system_run_teardown_on_raise;
     Alcotest.test_case "system: close idempotent" `Quick test_system_close_idempotent;

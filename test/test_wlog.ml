@@ -12,18 +12,31 @@ let mk ?(op = Op.Noop) ?(affects = [ unit_w "c" ]) ~origin ~seq ~t () =
 
 let add_op k = Op.Add (k, 1.0)
 
-(* An order-sensitive op: records its position in the application order. *)
-let seq_stamp_op name =
-  Op.Proc
-    {
-      name;
-      size = 8;
-      body =
-        (fun db ->
-          Db.add db "order.counter" 1.0;
-          Db.set db ("pos." ^ name) (Value.Float (Db.get_float db "order.counter"));
-          Op.Applied Value.Nil);
-    }
+(* The write procedures these tests run.  "stamp" is order-sensitive: it
+   records its position in the application order.  "take" consumes one unit
+   of stock, conflicting when none is left. *)
+let procs =
+  [
+    ( "stamp",
+      fun arg db ->
+        let name = match arg with Value.Str name -> name | _ -> "?" in
+        Db.add db "order.counter" 1.0;
+        Db.set db ("pos." ^ name) (Value.Float (Db.get_float db "order.counter"));
+        Op.Applied Value.Nil );
+    ( "take",
+      fun _ db ->
+        if Db.get_float db "stock" >= 1.0 then begin
+          Db.add db "stock" (-1.0);
+          Op.Applied (Db.get db "stock")
+        end
+        else Op.Conflict "conflict" );
+  ]
+
+let create ~replicas ~initial =
+  Wlog.create_bounded ~procs ~journal:true ~evict_outcomes:false ~replicas ~initial
+
+let seq_stamp_op name = Op.Named ("stamp", Value.Str name)
+let take = Op.Named ("take", Value.Nil)
 
 let test_accept_applies () =
   let log = Wlog.create ~replicas:2 ~initial:[] in
@@ -64,7 +77,7 @@ let test_insert_gap_buffered () =
   Alcotest.(check bool) "both applied" true (feq (Db.get_float (Wlog.db log) "x") 2.0)
 
 let test_out_of_order_insert_reorders () =
-  let log = Wlog.create ~replicas:2 ~initial:[] in
+  let log = create ~replicas:2 ~initial:[] in
   ignore (Wlog.accept log (mk ~op:(seq_stamp_op "b") ~origin:0 ~seq:1 ~t:5.0 ()));
   Alcotest.(check int) "no rollback yet" 0 (Wlog.rollbacks log);
   (* A remote write with an earlier timestamp lands in the middle. *)
@@ -81,15 +94,7 @@ let test_out_of_order_insert_reorders () =
 let test_outcome_changes_under_reorder () =
   (* A guarded write that succeeds tentatively but conflicts after an
      earlier-timestamped write consumes the resource. *)
-  let take =
-    Op.guarded ~name:"take"
-      ~check:(fun db -> Db.get_float db "stock" >= 1.0)
-      ~apply:(fun db ->
-        Db.add db "stock" (-1.0);
-        Db.get db "stock")
-      ()
-  in
-  let log = Wlog.create ~replicas:2 ~initial:[ ("stock", Value.Float 1.0) ] in
+  let log = create ~replicas:2 ~initial:[ ("stock", Value.Float 1.0) ] in
   let mine = mk ~op:take ~origin:0 ~seq:1 ~t:5.0 () in
   (match Wlog.accept log mine with
   | Op.Applied _ -> ()
@@ -140,15 +145,7 @@ let test_commit_stable_tie_break () =
     (Wlog.commit_stable log2 ~cover:[| 10.0; 3.0 |])
 
 let test_final_outcomes () =
-  let take =
-    Op.guarded ~name:"take"
-      ~check:(fun db -> Db.get_float db "stock" >= 1.0)
-      ~apply:(fun db ->
-        Db.add db "stock" (-1.0);
-        Db.get db "stock")
-      ()
-  in
-  let log = Wlog.create ~replicas:2 ~initial:[ ("stock", Value.Float 1.0) ] in
+  let log = create ~replicas:2 ~initial:[ ("stock", Value.Float 1.0) ] in
   let late = mk ~op:take ~origin:0 ~seq:1 ~t:5.0 () in
   ignore (Wlog.accept log late);
   ignore (Wlog.insert log (mk ~op:take ~origin:1 ~seq:1 ~t:3.0 ()));
@@ -161,7 +158,7 @@ let test_final_outcomes () =
 
 let test_commit_ids_reorder () =
   (* CSN order disagreeing with timestamp order forces a full-image rebuild. *)
-  let log = Wlog.create ~replicas:2 ~initial:[] in
+  let log = create ~replicas:2 ~initial:[] in
   let a = mk ~op:(seq_stamp_op "a") ~origin:0 ~seq:1 ~t:1.0 () in
   let b = mk ~op:(seq_stamp_op "b") ~origin:0 ~seq:2 ~t:2.0 () in
   ignore (Wlog.accept log a);
@@ -290,7 +287,7 @@ let test_convergence_prop =
          done;
          let pool = Array.of_list !pool in
          let make_log () =
-           let log = Wlog.create ~replicas:n ~initial:[] in
+           let log = create ~replicas:n ~initial:[] in
            let order = Array.copy pool in
            Tact_util.Prng.shuffle rng order;
            (* Insert one at a time; gaps buffer and drain naturally. *)
@@ -360,15 +357,7 @@ let base_suite =
 (* Final outcomes under CSN reordering: the committed outcome reflects the
    supplied order, not timestamp order. *)
 let test_csn_final_outcome_order () =
-  let take =
-    Op.guarded ~name:"take"
-      ~check:(fun db -> Db.get_float db "stock" >= 1.0)
-      ~apply:(fun db ->
-        Db.add db "stock" (-1.0);
-        Db.get db "stock")
-      ()
-  in
-  let log = Wlog.create ~replicas:2 ~initial:[ ("stock", Value.Float 1.0) ] in
+  let log = create ~replicas:2 ~initial:[ ("stock", Value.Float 1.0) ] in
   let early = mk ~op:take ~origin:0 ~seq:1 ~t:1.0 () in
   let late = mk ~op:take ~origin:0 ~seq:2 ~t:2.0 () in
   ignore (Wlog.accept log early);

@@ -7,6 +7,27 @@ open Tact_store
 
 let feq a b = Float.abs (a -. b) < 1e-6
 
+(* An order-sensitive write procedure: applies only while the key stays under
+   a cap, so reorderings flip which writes conflict — exercising outcome
+   re-recording across rollback/reapply. *)
+let procs =
+  [
+    ( "cap_add",
+      fun arg db ->
+        match arg with
+        | Value.List [ Value.Str key; Value.Float limit; Value.Float delta ] ->
+          let v = Db.get_float db key in
+          if v +. delta > limit then Op.Conflict "over cap"
+          else begin
+            Db.set db key (Value.Float (v +. delta));
+            Op.Applied (Value.Float (v +. delta))
+          end
+        | _ -> Op.Conflict "bad argument" );
+  ]
+
+let create ~replicas ~initial =
+  Wlog.create_bounded ~procs ~journal:true ~evict_outcomes:false ~replicas ~initial
+
 (* ------------------------------------------------------------------ *)
 (* The reference model: a bag of known writes, a commit frontier, and   *)
 (* recomputation from scratch for every query.                          *)
@@ -70,8 +91,8 @@ module Model = struct
   let db t =
     let image = Db.create [] in
     let by_id id = List.find (fun (w : Write.t) -> w.id = id) t.offered in
-    List.iter (fun id -> ignore (Op.apply (by_id id).op image)) t.committed;
-    List.iter (fun (w : Write.t) -> ignore (Op.apply w.op image)) (tentative t);
+    List.iter (fun id -> ignore (Op.apply ~procs (by_id id).op image)) t.committed;
+    List.iter (fun (w : Write.t) -> ignore (Op.apply ~procs w.op image)) (tentative t);
     image
 
   let conit_value t conit =
@@ -276,11 +297,12 @@ module Bigmodel = struct
     let outcomes = Hashtbl.create 64 in
     List.iter
       (fun id ->
-        Hashtbl.replace outcomes id (Op.apply (Hashtbl.find t.by_id id).Write.op image))
+        Hashtbl.replace outcomes id
+          (Op.apply ~procs (Hashtbl.find t.by_id id).Write.op image))
       t.committed;
     let committed_image = Db.copy image in
     List.iter
-      (fun (w : Write.t) -> Hashtbl.replace outcomes w.id (Op.apply w.op image))
+      (fun (w : Write.t) -> Hashtbl.replace outcomes w.id (Op.apply ~procs w.op image))
       (tentative t);
     (image, committed_image, outcomes)
 
@@ -292,23 +314,8 @@ module Bigmodel = struct
       (List.filter (fun w -> Write.affects_conit w conit) (tentative t))
 end
 
-(* An order-sensitive write procedure: applies only while the key stays under
-   a cap, so reorderings flip which writes conflict — exercising outcome
-   re-recording across rollback/reapply. *)
 let cap_add key limit delta =
-  Op.Proc
-    {
-      name = "cap_add";
-      size = 16;
-      body =
-        (fun db ->
-          let v = Db.get_float db key in
-          if v +. delta > limit then Op.Conflict "over cap"
-          else begin
-            Db.set db key (Value.Float (v +. delta));
-            Op.Applied (Value.Float (v +. delta))
-          end);
-    }
+  Op.Named ("cap_add", Value.List [ Value.Str key; Value.Float limit; Value.Float delta ])
 
 let gen_big_pool rng ~replicas =
   let pool = ref [] in
@@ -360,7 +367,7 @@ let run_big_scenario ~scheme seed =
   let replicas = 4 in
   let pool = gen_big_pool rng ~replicas in
   Tact_util.Prng.shuffle rng pool;
-  let log = Wlog.create ~replicas ~initial:[] in
+  let log = create ~replicas ~initial:[] in
   let m = Bigmodel.create ~replicas in
   let max_time =
     Array.fold_left (fun acc (w : Write.t) -> Float.max acc w.accept_time) 0.0 pool
@@ -482,7 +489,7 @@ let run_view_scenario seed =
     |> Array.of_list
   in
   Tact_util.Prng.shuffle rng remote;
-  let log = Wlog.create ~replicas ~initial:[] in
+  let log = create ~replicas ~initial:[] in
   let own = ref [] in
   let latest = ref 0.0 in
   let next_remote = ref 0 in
@@ -524,7 +531,7 @@ let run_view_scenario seed =
      this log's committed vector; its snapshot is installed here when it is
      strictly ahead. *)
   let install () =
-    let donor = Wlog.create ~replicas ~initial:[] in
+    let donor = create ~replicas ~initial:[] in
     ignore (Wlog.insert_batch donor (List.rev !own @ Array.to_list remote));
     let have = Wlog.committed_vector log in
     let target =
