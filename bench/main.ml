@@ -277,6 +277,53 @@ let accept_stable writes =
   ignore (Wlog.commit_stable log ~cover:[| infinity; infinity |]);
   assert (Wlog.committed_count log = writes)
 
+(* The write log's memory per held write.  A replica that never reads
+   receives one origin's writes in 64-write [Batch] frames, commits all but
+   [tentative] of them, and truncates to [tentative / 4] retained, as a
+   bounded-memory replica does.  [words_per_write] is the live heap the log
+   adds, after a full major collection, per write it still holds. *)
+let log_live_words tentative =
+  let keep = tentative / 4 in
+  let committed = 2 * tentative in
+  let total = committed + tentative in
+  let frame_len = 64 in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let log =
+    Wlog.create_bounded ~procs:[] ~journal:false ~evict_outcomes:true ~replicas:2
+      ~initial:[]
+  in
+  let vector = Version_vector.create 2 in
+  let (), s =
+    time (fun () ->
+        let seq = ref 0 in
+        while !seq < total do
+          let ws =
+            List.init (min frame_len (total - !seq)) (fun i ->
+                let seq = !seq + i + 1 in
+                bench_write ~origin:1 ~seq ~t:(float_of_int seq))
+          in
+          seq := !seq + List.length ws;
+          Version_vector.set vector 1 !seq;
+          let frame =
+            { Batch.from = 1; shard = 0; kind = Batch.Push; vector; cover = [| 0.0; 0.0 |];
+              csn_start = 0; csn = []; rate = 0.0; payload = Batch.Delta ws }
+          in
+          let fresh =
+            Wlog.insert_batch log (Batch.payload_writes (Batch.of_string (Batch.to_string frame)))
+          in
+          assert (List.length fresh = List.length ws)
+        done;
+        let cover = [| float_of_int committed +. 0.5; 0.0 |] in
+        assert (Wlog.commit_stable log ~cover = committed);
+        assert (Wlog.truncate log ~keep = committed - keep))
+  in
+  Gc.full_major ();
+  let live = (Gc.stat ()).Gc.live_words - before in
+  assert (Wlog.retained log = keep);
+  assert (List.length (Wlog.tentative_ids log) = tentative);
+  (s, [ ("words_per_write", live / (tentative + keep)); ("retained", keep) ])
+
 (* Observation capture on a records-on replica whose tentative suffix never
    commits: [accesses] weak accesses, alternating writes and reads, at one
    replica of two with no gossip, so the suffix grows to [accesses / 2]
@@ -793,6 +840,7 @@ let kernels ~jobs =
     k "wlog_index_flat" Wlog 64_000 2_048 index_flat;
     k "wlog_index_hashtbl" Wlog 64_000 2_048 index_hashtbl;
     k "observe_capture" Wlog 4_000 200 observe_capture;
+    k "log_live_words" Wlog 2_000 200 log_live_words;
     k "metrics_lcp" Protocol 100_000 300 (timed metrics_lcp);
     k "version_vector_merge" Protocol 200_000 1_000 (timed version_vector_merge);
     k "budget_share" Protocol 1_000_000 3_000 (timed budget_share);

@@ -179,7 +179,7 @@ let make ~id ~n ~tr ~config ~mutation ?on_accept () =
     acked = Array.init n (fun _ -> Version_vector.create n);
     acked_csn = Array.make n 0;
     outstanding = Array.init n (fun _ -> Hashtbl.create 8);
-    budget = Deque.create ();
+    budget = Deque.create ~filler:(0, []) ();
     budget_base = 0;
     budget_pos = Array.make n 0;
     csn = Csn_buffer.create ();

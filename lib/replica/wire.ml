@@ -129,12 +129,6 @@ let get_cover c =
   Codec.check_items c ~n ~min_size:8 ~what:"cover";
   Array.init n (fun _ -> Codec.get_float c)
 
-let get_writes c =
-  let n = Codec.get_int c in
-  (* id (16) + accept time (8) + affect count (8) + op tag (1) *)
-  Codec.check_items c ~n ~min_size:33 ~what:"write";
-  List.init n (fun _ -> Codec.decode_write c)
-
 let get_csn c =
   let n = Codec.get_int c in
   Codec.check_items c ~n ~min_size:16 ~what:"csn";
@@ -163,7 +157,7 @@ let decode_exn s =
         | 2 -> `Gossip
         | t -> raise (Malformed (Printf.sprintf "bad transfer kind %d" t))
       in
-      let writes = get_writes c in
+      let writes = Codec.decode_writes c in
       let vector = decode_vector c in
       let cover = get_cover c in
       let csn_start = get_int c in
@@ -174,7 +168,7 @@ let decode_exn s =
       let from = get_int c in
       let round = get_int c in
       let snap = decode_snapshot c in
-      let writes = get_writes c in
+      let writes = Codec.decode_writes c in
       let vector = decode_vector c in
       let cover = get_cover c in
       let rate = get_float c in

@@ -186,13 +186,6 @@ let decode_header s =
   in
   { h_from; h_shard; h_kind; h_rate; h_csn_start; h_ranges; h_payload }
 
-let decode_writes c =
-  let open Codec in
-  let n = get_int c in
-  (* id (16) + accept time (8) + affect count (8) + op tag (1) *)
-  check_items c ~n ~min_size:33 ~what:"write";
-  List.init n (fun _ -> decode_write c)
-
 let of_string s =
   let open Codec in
   let c = cursor s in

@@ -214,7 +214,17 @@ let encode_write f (w : Write.t) =
     w.affects;
   encode_op f w.op
 
-let decode_write c =
+(* Bitwise float equality, so sharing never turns -0.0 into 0.0. *)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_weights =
+  List.equal (fun (a : Write.weight) (b : Write.weight) ->
+      String.equal a.conit b.conit
+      && same_float a.nweight b.nweight
+      && same_float a.oweight b.oweight)
+
+(* A write whose weight list equals [prev] keeps [prev] itself. *)
+let decode_write_after c ~prev =
   let origin = get_int c in
   let seq = get_int c in
   let accept_time = get_float c in
@@ -227,8 +237,25 @@ let decode_write c =
         let oweight = get_float c in
         { Write.conit; nweight; oweight })
   in
+  let affects = if same_weights affects prev then prev else affects in
   let op = decode_op c in
   Write.make ~id:{ origin; seq } ~accept_time ~op ~affects
+
+let decode_write c = decode_write_after c ~prev:[]
+
+(* The writes of one frame mostly repeat one weight list, so each write is
+   decoded against its predecessor's: one copy per run of equal lists
+   instead of one per write.  Writes are immutable, so the sharing is
+   invisible. *)
+let decode_writes c =
+  let n = get_int c in
+  (* id (16) + accept time (8) + affect count (8) + op tag (1) *)
+  check_items c ~n ~min_size:33 ~what:"write";
+  let prev = ref [] in
+  List.init n (fun _ ->
+      let w = decode_write_after c ~prev:!prev in
+      prev := w.Write.affects;
+      w)
 
 (* ------------------------------------------------------------------ *)
 (* Version vectors and snapshots *)

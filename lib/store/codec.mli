@@ -104,6 +104,12 @@ val decode_op : cursor -> Op.t
 val encode_write : Frame.t -> Write.t -> unit
 val decode_write : cursor -> Write.t
 
+val decode_writes : cursor -> Write.t list
+(** A count-prefixed sequence of {!decode_write}s, as batches and wire
+    messages carry them.  A write whose weight list equals the previous
+    write's shares that list, so a frame of writes with one weight
+    specification holds it once. *)
+
 val encode_vector : Frame.t -> Version_vector.t -> unit
 val decode_vector : cursor -> Version_vector.t
 

@@ -1,6 +1,8 @@
 type undo_entry = { u_key : string; u_prev : Value.t option }
 type undo = undo_entry list
 
+let no_undo = []
+
 type t = {
   tbl : (string, Value.t) Hashtbl.t;
   mutable watch : undo_entry list ref option;

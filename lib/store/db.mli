@@ -12,6 +12,9 @@ type t
 type undo
 (** A journal of mutations, sufficient to revert them (opaque). *)
 
+val no_undo : undo
+(** The empty journal: reverting it changes nothing. *)
+
 val create : (string * Value.t) list -> t
 val copy : t -> t
 

@@ -13,7 +13,8 @@ type slot = {
       (* physically resident in the log (tentative or retained committed);
          [None] once truncated, snapshot-covered, or a never-received seq the
          vector jumped over *)
-  mutable s_outcome : Op.outcome option;  (* latest tentative application *)
+  mutable s_outcome : Op.outcome option;
+      (* latest application: tentative, or the final one once committed *)
   mutable s_final : Op.outcome option;  (* outcome against the committed image *)
   mutable s_committed : bool;
 }
@@ -41,11 +42,14 @@ type snapshot = {
    timestamp order (binary-search insertion; the common landing-at-the-tail
    case is a plain append).
 
-   [undo] runs parallel to [tent]: [undo.(i)] journals the db mutations made
-   when [tent.(i)] was (re)applied to the full image.  An out-of-order
-   arrival at position [p] is absorbed by reverting journals back to [p] and
-   re-executing only [tent.(p..)] — O(suffix beyond the insertion point)
-   instead of copying the committed image and replaying everything.
+   Tentative writes are applied to the full image when it is read, not when
+   they arrive: the full image is the committed image plus [tent.(0..a-1)],
+   where [a = Deque.length undo], and [undo.(i)] journals the db mutations
+   made when [tent.(i)] was applied.  An arrival at position [p < a] reverts
+   the journals back to [p] — O(applied suffix beyond the insertion point) —
+   and re-execution waits for the next read ({!force}).  A replica whose
+   clients never read never applies a remote write tentatively at all, and
+   keeps no journal or tentative outcome for it.
 
    [journal] records the id of every write this log has ever committed, in
    commit order, and is never truncated: observation capture ({!commit_cursor})
@@ -76,7 +80,9 @@ type t = {
   mutable view_appended : int; (* tail appends to [tent] since [view] *)
   mutable view_valid : bool;
       (* false once [tent] changed other than by tail appends and front pops *)
-  undo : Db.undo Deque.t; (* undo.(i) reverts the application of tent.(i) *)
+  undo : Db.undo Deque.t;
+      (* undo.(i) reverts the application of tent.(i); only the applied
+         prefix of [tent] has entries *)
   mutable full_db : Db.t;
   vector : Version_vector.t;
   committed_vec : Version_vector.t;  (* writes in the committed prefix *)
@@ -100,6 +106,12 @@ type t = {
       (* last vector seen by the sanitizer, for monotonicity (sanitize only) *)
 }
 
+(* Deque fillers: static sentinels that occupy vacated slots. *)
+let no_write =
+  Write.make ~id:{ origin = -1; seq = 0 } ~accept_time:0.0 ~op:Op.Noop ~affects:[]
+
+let no_slot = { s_write = None; s_outcome = None; s_final = None; s_committed = false }
+
 let create_bounded ~procs ~journal ~evict_outcomes ~replicas ~initial =
   {
     nreplicas = replicas;
@@ -107,23 +119,25 @@ let create_bounded ~procs ~journal ~evict_outcomes ~replicas ~initial =
     procs;
     journal_on = journal;
     evict_on_truncate = evict_outcomes;
-    committed = Deque.create ();
+    committed = Deque.create ~filler:no_write ();
     journal = Vec.create ();
     ncommitted = 0;
     committed_db = Db.create initial;
-    tent = Deque.create ();
+    tent = Deque.create ~filler:no_write ();
     view = [];
     view_cells = 0;
     view_appended = 0;
     view_valid = true;
-    undo = Deque.create ();
+    undo = Deque.create ~filler:Db.no_undo ();
     full_db = Db.create initial;
     vector = Version_vector.create replicas;
     committed_vec = Version_vector.create replicas;
     trunc_vec = Version_vector.create replicas;
-    index = Array.init replicas (fun _ -> { ibase = 0; islots = Deque.create () });
+    index =
+      Array.init replicas (fun _ ->
+          { ibase = 0; islots = Deque.create ~filler:no_slot () });
     nresident = 0;
-    by_origin = Array.init replicas (fun _ -> Deque.create ());
+    by_origin = Array.init replicas (fun _ -> Deque.create ~filler:no_write ());
     pending = Hashtbl.create 8;
     values = Hashtbl.create 16;
     committed_values = Hashtbl.create 16;
@@ -221,9 +235,10 @@ let invariant_violations t =
       addf "tentative suffix out of order at positions %d..%d: %s does not precede %s"
         (i - 1) i (Write.to_string a) (Write.to_string b)
   done;
-  (* Undo journal runs parallel to the tentative suffix. *)
-  if Deque.length t.undo <> Deque.length t.tent then
-    addf "undo journal length %d mismatches tentative suffix length %d"
+  (* Undo journal covers a prefix of the tentative suffix (all of it right
+     after a read). *)
+  if Deque.length t.undo > Deque.length t.tent then
+    addf "undo journal length %d exceeds tentative suffix length %d"
       (Deque.length t.undo) (Deque.length t.tent);
   (* Commit-journal prefix property: the journal records every commit this
      log performed itself (snapshot installation folds in remote commits
@@ -330,14 +345,12 @@ let invariant_violations t =
     conits;
   (* Undo round-trip: replaying every journal entry newest-first over a copy
      of the full image must restore the committed image exactly. *)
-  if Deque.length t.undo = Deque.length t.tent then begin
-    let img = Db.copy t.full_db in
-    for i = Deque.length t.undo - 1 downto 0 do
-      Db.revert img (Deque.get t.undo i)
-    done;
-    if not (Db.equal img t.committed_db) then
-      addf "undo journal does not revert the full image to the committed image"
-  end;
+  let img = Db.copy t.full_db in
+  for i = Deque.length t.undo - 1 downto 0 do
+    Db.revert img (Deque.get t.undo i)
+  done;
+  if not (Db.equal img t.committed_db) then
+    addf "undo journal does not revert the full image to the committed image";
   List.rev !bad
 
 let sanitize ?(ctx = "wlog") t =
@@ -384,26 +397,33 @@ let apply_one t (w : Write.t) =
     Db.recording t.full_db (fun () -> Op.apply ~procs:t.procs w.op t.full_db)
   in
   (slot_exn t w.id).s_outcome <- Some outcome;
-  Deque.push_back t.undo u;
-  outcome
+  Deque.push_back t.undo u
 
-(* Revert tentative applications down to position [pos] (exclusive). *)
-let rollback_to t pos =
-  while Deque.length t.undo > pos do
-    Db.revert t.full_db (Deque.pop_back t.undo)
+(* Apply the unapplied tail of the suffix, so that the full image reflects
+   all of it.  Every read of the image or of a tentative outcome goes
+   through here first. *)
+let force t =
+  for i = Deque.length t.undo to Deque.length t.tent - 1 do
+    apply_one t (Deque.get t.tent i)
   done
 
-let reapply_from t pos =
-  for i = pos to Deque.length t.tent - 1 do
-    ignore (apply_one t (Deque.get t.tent i))
-  done
+(* After insertions whose lowest landing index is [pos]: the applications at
+   or beyond it ran in a now-stale order, so revert them (one rollback).
+   Their re-execution waits for the next {!force}. *)
+let unapply_from t pos =
+  if pos < Deque.length t.undo then begin
+    t.nrollbacks <- t.nrollbacks + 1;
+    while Deque.length t.undo > pos do
+      Db.revert t.full_db (Deque.pop_back t.undo)
+    done
+  end
 
-(* Full re-derivation of the image — only for paths where the committed order
-   itself changed (CSN reorder, snapshot installation). *)
+(* Reset the image to the committed one, with nothing applied — only for
+   paths where the committed order itself changed (CSN reorder, snapshot
+   installation). *)
 let rebuild t =
   t.full_db <- Db.copy t.committed_db;
-  Deque.clear t.undo;
-  reapply_from t 0
+  Deque.clear t.undo
 
 (* Insert into the tentative suffix at its timestamp-order position (without
    applying); returns the insertion index. *)
@@ -423,27 +443,14 @@ let insert_tent t (w : Write.t) =
 
 let next_seq t origin = Version_vector.get t.vector origin + 1
 
-(* Bring the full image back in sync after one or more insertions, given the
-   number of applied entries beforehand and the minimum insertion index.
-   Pure tail appends need no rollback; anything else reverts the suffix from
-   the first disturbed position and re-executes it. *)
-let finish_inserts t ~applied ~minpos =
-  if minpos < applied then begin
-    t.nrollbacks <- t.nrollbacks + 1;
-    rollback_to t minpos;
-    reapply_from t minpos
-  end
-  else reapply_from t applied
-
 let accept t (w : Write.t) =
   if w.id.seq <> next_seq t w.id.origin then
     invalid_arg
       (Printf.sprintf "Wlog.accept: %s out of sequence (expected seq %d)"
          (Write.id_to_string w.id) (next_seq t w.id.origin));
-  let applied = Deque.length t.undo in
   register t w;
-  let pos = insert_tent t w in
-  finish_inserts t ~applied ~minpos:pos;
+  unapply_from t (insert_tent t w);
+  force t;
   sanitize ~ctx:"wlog.accept" t;
   match (slot_exn t w.id).s_outcome with
   | Some o -> o
@@ -456,19 +463,21 @@ let known t id =
    write must be registered before looking for the next one — registration is
    what advances the vector the lookup keys on. *)
 let rec drain_pending t origin acc minpos =
-  let id = { Write.origin; seq = next_seq t origin } in
-  match Hashtbl.find_opt t.pending id with
-  | None -> (List.rev acc, minpos)
-  | Some w ->
-    Hashtbl.remove t.pending id;
-    register t w;
-    let pos = insert_tent t w in
-    drain_pending t origin (w :: acc) (min minpos pos)
+  if Hashtbl.length t.pending = 0 then (List.rev acc, minpos)
+  else
+    let id = { Write.origin; seq = next_seq t origin } in
+    match Hashtbl.find_opt t.pending id with
+    | None -> (List.rev acc, minpos)
+    | Some w ->
+      Hashtbl.remove t.pending id;
+      register t w;
+      let pos = insert_tent t w in
+      drain_pending t origin (w :: acc) (min minpos pos)
 
 (* Insert a fresh write plus whatever its arrival releases from the pending
    buffer; returns the fresh writes (oldest first) and the minimum insertion
    index.  Does not touch the full image — callers finish with
-   {!finish_inserts}. *)
+   {!unapply_from}. *)
 let insert_positions t (w : Write.t) =
   register t w;
   let pos = insert_tent t w in
@@ -482,9 +491,9 @@ let insert t (w : Write.t) =
     Buffered
   end
   else begin
-    let applied = Deque.length t.undo in
     let _, minpos = insert_positions t w in
-    finish_inserts t ~applied ~minpos;
+    unapply_from t minpos;
+    force t;
     sanitize ~ctx:"wlog.insert" t;
     match (slot_exn t w.id).s_outcome with
     | Some o -> Inserted o
@@ -492,10 +501,9 @@ let insert t (w : Write.t) =
   end
 
 let insert_batch t ws =
-  (* One rollback/re-execution for the whole batch, from the lowest position
-     any of its writes landed at. *)
+  (* At most one rollback for the whole batch, from the lowest position any
+     of its writes landed at; nothing is applied until the next read. *)
   let sorted = List.sort Write.ts_compare ws in
-  let applied = Deque.length t.undo in
   let fresh = ref [] in
   let minpos = ref max_int in
   List.iter
@@ -509,7 +517,7 @@ let insert_batch t ws =
         fresh := List.rev_append new_writes !fresh
       end)
     sorted;
-  if !fresh <> [] then finish_inserts t ~applied ~minpos:(min !minpos applied);
+  unapply_from t !minpos;
   sanitize ~ctx:"wlog.insert_batch" t;
   List.sort Write.ts_compare !fresh
 
@@ -637,7 +645,9 @@ let writes_since t v =
     !outl
   end
 
-let db t = t.full_db
+let db t =
+  force t;
+  t.full_db
 let committed_db t = t.committed_db
 let tentative t = Deque.to_list t.tent
 let tentative_ids t = List.init (Deque.length t.tent) (fun i -> (Deque.get t.tent i).Write.id)
@@ -647,11 +657,12 @@ let committed_count t = t.ncommitted
 let num_known t = t.nresident
 
 (* Move one write into the committed prefix, applying it to the committed
-   image and recording its final outcome. *)
+   image and recording its final outcome, which is also its latest one. *)
 let commit_one t (w : Write.t) =
-  let outcome = Op.apply ~procs:t.procs w.op t.committed_db in
+  let final = Some (Op.apply ~procs:t.procs w.op t.committed_db) in
   let s = slot_exn t w.id in
-  s.s_final <- Some outcome;
+  s.s_final <- final;
+  s.s_outcome <- final;
   s.s_committed <- true;
   Version_vector.set t.committed_vec w.id.origin
     (max w.id.seq (Version_vector.get t.committed_vec w.id.origin));
@@ -663,6 +674,17 @@ let commit_one t (w : Write.t) =
       htbl_add t.committed_values conit nweight;
       htbl_add t.tent_oweights conit (-.oweight))
     w.affects
+
+(* Commit the oldest tentative write.  If it was applied, its journal
+   dissolves into the base image; if not, nothing is applied and the full
+   image equals the committed one, so it is applied to both — plainly, as it
+   will never be reverted. *)
+let commit_front t =
+  let w = Deque.pop_front t.tent in
+  let applied = not (Deque.is_empty t.undo) in
+  if applied then ignore (Deque.pop_front t.undo);
+  commit_one t w;
+  if not applied then ignore (Op.apply ~procs:t.procs w.op t.full_db)
 
 (* A tentative write is stable when no origin can still produce a write that
    precedes it in timestamp order.  The strict comparison handles simultaneous
@@ -710,14 +732,12 @@ let commit_stable t ~cover =
   in
   (* Commit order equals timestamp order here, so the full image and the
      suffix's undo journals beyond the frontier are untouched: committing is
-     a front pop (the popped undo journal dissolves into the base image). *)
+     a front pop. *)
   let n = ref 0 in
   while
     (not (Deque.is_empty t.tent)) && stable_fast (Deque.peek_front t.tent)
   do
-    let w = Deque.pop_front t.tent in
-    ignore (Deque.pop_front t.undo);
-    commit_one t w;
+    commit_front t;
     incr n
   done;
   if !n > 0 then sanitize ~ctx:"wlog.commit_stable" t;
@@ -745,18 +765,15 @@ let commit_ids t ids =
           (not !reordered)
           && (not (Deque.is_empty t.tent))
           && Write.compare_id (Deque.peek_front t.tent).Write.id id = 0
-        then begin
-          ignore (Deque.pop_front t.tent);
-          ignore (Deque.pop_front t.undo)
-        end
+        then commit_front t
         else begin
           reordered := true;
           let pos = Deque.upper_bound t.tent ~cmp:Write.ts_compare w - 1 in
           assert (pos >= 0 && Write.compare_id (Deque.get t.tent pos).Write.id id = 0);
           ignore (Deque.remove t.tent pos);
-          t.view_valid <- false
+          t.view_valid <- false;
+          commit_one t w
         end;
-        commit_one t w;
         incr n)
     ids;
   if !reordered then begin
@@ -775,7 +792,9 @@ let tentative_max_oweight t =
 let conit_value t conit = htbl_get t.values conit
 let committed_conit_value t conit = htbl_get t.committed_values conit
 
-let outcome t id = match slot_find t id with Some s -> s.s_outcome | None -> None
+let outcome t id =
+  force t;
+  match slot_find t id with Some s -> s.s_outcome | None -> None
 let final_outcome t id = match slot_find t id with Some s -> s.s_final | None -> None
 let rollbacks t = t.nrollbacks
 
@@ -936,8 +955,8 @@ let install_snapshot t snap =
     Hashtbl.reset t.committed_values;
     List.iter (fun (k, v) -> Hashtbl.replace t.committed_values k v) snap.snap_values;
     (* Tentative writes the snapshot covers were committed remotely — drop
-       them (their final outcomes are not locally recoverable); keep and
-       replay the rest. *)
+       them (their final outcomes are not locally recoverable); keep the
+       rest, which the next read replays. *)
     let kept = ref [] in
     Deque.iter
       (fun (w : Write.t) ->

@@ -8,6 +8,13 @@
     committed image (state after the committed prefix only) and the full image
     (committed plus tentative), which is what reads observe.
 
+    Tentative writes are applied to the full image when it is read, not when
+    they arrive: {!db}, {!outcome}, {!accept} and {!insert} first apply
+    whatever the suffix holds that is not yet applied, while {!insert_batch}
+    only places writes.  Only the applied part of the suffix carries undo
+    journals and tentative outcomes, so a replica whose clients never read
+    pays for neither.
+
     The log also maintains, incrementally, the quantities the conit metrics
     are built from: per-conit observed value (accumulated nweights of all
     known writes — the weight-specification reading of a conit's value,
@@ -51,17 +58,20 @@ val create_bounded :
     {!final_outcome} returning [None] for them. *)
 
 val accept : t -> Write.t -> Op.outcome
-(** Insert a locally originated write.  Must be the next sequence number for
+(** Insert a locally originated write and apply the suffix up to it,
+    returning its tentative outcome.  Must be the next sequence number for
     its origin and must not precede any known write in timestamp order. *)
 
 val insert : t -> Write.t -> insertion
-(** Insert one remote write, rolling back / reapplying the tentative suffix
-    if it lands in the middle. *)
+(** Insert one remote write, rolling back the applied suffix if it lands in
+    the middle, then apply the suffix so its outcome can be returned. *)
 
 val insert_batch : t -> Write.t list -> Write.t list
-(** Insert many writes with at most one rollback; returns the writes that
-    were actually new to this replica (including any pending-buffer entries
-    the batch released), in timestamp order. *)
+(** Insert many writes without applying any: writes landing below the
+    applied part of the suffix revert it down to the lowest landing point
+    (at most one rollback), and re-execution waits for the next read.
+    Returns the writes that were actually new to this replica (including any
+    pending-buffer entries the batch released), in timestamp order. *)
 
 val vector : t -> Version_vector.t
 (** The live vector of known writes (do not mutate). *)
@@ -73,7 +83,10 @@ val writes_since : t -> Version_vector.t -> Write.t list
     in timestamp order. *)
 
 val db : t -> Db.t
-(** Full view: committed prefix plus tentative suffix applied. *)
+(** Full view: committed prefix plus tentative suffix applied.  Applies the
+    unapplied part of the suffix first, journalling each write.  The image
+    is the log's own: a held reference sees later arrivals only after the
+    next call. *)
 
 val committed_db : t -> Db.t
 
@@ -100,14 +113,16 @@ val commit_stable : t -> cover:float array -> int
     the maximal stable prefix of the tentative suffix — writes that no origin
     can still precede in timestamp order — and returns how many were
     committed.  Commit order equals timestamp order, so the full image is
-    unaffected. *)
+    unaffected (a committed write that was never applied is applied to both
+    images). *)
 
 val commit_ids : t -> Write.id list -> int
 (** Commitment in an externally supplied order (the primary-CSN scheme).
     Commits each known, not-yet-committed id in the given order; ids must be
     committed in the same order system-wide.  Because the order may differ
-    from timestamp order, the full image is re-derived.  Returns how many
-    were committed. *)
+    from timestamp order, the full image is reset to the committed image and
+    the suffix is reapplied at the next read.  Returns how many were
+    committed. *)
 
 val tentative_oweight : t -> string -> float
 (** Order error of a conit at this replica: summed oweight of tentative
@@ -123,7 +138,9 @@ val conit_value : t -> string -> float
 val committed_conit_value : t -> string -> float
 
 val outcome : t -> Write.id -> Op.outcome option
-(** Latest (tentative or committed) application outcome of a known write. *)
+(** Latest application outcome of a known write, after applying the
+    unapplied part of the suffix: its tentative outcome, or its final one
+    once it has committed. *)
 
 val final_outcome : t -> Write.id -> Op.outcome option
 (** Outcome under the committed order; [None] until the write commits. *)
@@ -204,8 +221,8 @@ val install_snapshot : t -> snapshot -> bool
     (its vector dominates the local committed vector); local writes the
     snapshot already covers are dropped (their final outcomes were computed
     remotely and are not recoverable locally), the rest of the tentative
-    suffix is replayed on top.  Returns false (and does nothing) if the local
-    committed state is not behind the snapshot. *)
+    suffix is replayed on top at the next read.  Returns false (and does
+    nothing) if the local committed state is not behind the snapshot. *)
 
 val committed_vector : t -> Version_vector.t
 (** The vector describing the committed prefix (do not mutate). *)
@@ -213,12 +230,13 @@ val committed_vector : t -> Version_vector.t
 (** {2 Invariant sanitizer}
 
     The structural invariants the indexed log relies on — tentative suffix in
-    strict timestamp order, undo journal in lockstep with it, retained
-    committed prefix equal to the most recent slice of the commit journal,
-    version-vector coverage and monotonicity, weight tallies agreeing with a
-    recount, and the undo journal reverting the full image exactly to the
-    committed image — can be audited on demand, or after every mutation when
-    [TACT_SANITIZE=1] (see {!Tact_util.Sanitize}). *)
+    strict timestamp order, undo journal no longer than it (as long only
+    right after a read), retained committed prefix equal to the most recent
+    slice of the commit journal, version-vector coverage and monotonicity,
+    weight tallies agreeing with a recount, and the undo journal reverting
+    the full image exactly to the committed image — can be audited on
+    demand, or after every mutation when [TACT_SANITIZE=1] (see
+    {!Tact_util.Sanitize}). *)
 
 val invariant_violations : t -> string list
 (** Full structural audit; empty when the log is healthy.  O(log size). *)

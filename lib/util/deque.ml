@@ -1,11 +1,18 @@
 (* Growable array with a head offset: O(1) amortised push_back and pop_front,
    O(log n) binary search, O(distance-to-tail) mid insertion.  The front slack
    left by pops is reclaimed whenever it exceeds the live length, so memory
-   stays within a constant factor of the live contents. *)
+   stays within a constant factor of the live contents.  Every slot outside
+   the live range holds the caller's [filler], so a popped element is never
+   pinned by the array. *)
 
-type 'a t = { mutable data : 'a array; mutable head : int; mutable len : int }
+type 'a t = {
+  mutable data : 'a array;
+  mutable head : int;
+  mutable len : int;
+  filler : 'a;
+}
 
-let create () = { data = [||]; head = 0; len = 0 }
+let create ~filler () = { data = [||]; head = 0; len = 0; filler }
 
 let length t = t.len
 let is_empty t = t.len = 0
@@ -18,13 +25,11 @@ let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Deque.set: index out of bounds";
   t.data.(t.head + i) <- x
 
-(* Reallocate so that [t.len + extra] elements fit starting at head 0.
-   Copying into a fresh array also drops references parked in dead slots.
-   Only meaningful with live elements (the filler must be a live value). *)
+(* Reallocate so that [t.len + extra] elements fit starting at head 0. *)
 let realloc t extra =
   if t.len > 0 then begin
     let cap = max 16 (max (t.len + extra) (2 * t.len)) in
-    let a = Array.make cap t.data.(t.head) in
+    let a = Array.make cap t.filler in
     Array.blit t.data t.head a 0 t.len;
     t.data <- a;
     t.head <- 0
@@ -34,22 +39,24 @@ let realloc t extra =
     t.head <- 0
   end
 
-(* Make room for one more element at the back; [x] seeds the first alloc. *)
-let ensure_back t x =
+(* Make room for one more element at the back. *)
+let ensure_back t =
   if Array.length t.data = 0 then begin
-    t.data <- Array.make 16 x;
+    t.data <- Array.make 16 t.filler;
     t.head <- 0
   end
   else if t.head + t.len >= Array.length t.data then
     if t.head > t.len then begin
-      (* Plenty of slack at the front: slide left instead of growing. *)
+      (* Plenty of slack at the front: slide left instead of growing, then
+         clear the old span (disjoint from the new one, as head > len). *)
       Array.blit t.data t.head t.data 0 t.len;
+      Array.fill t.data t.head t.len t.filler;
       t.head <- 0
     end
     else realloc t 1
 
 let push_back t x =
-  ensure_back t x;
+  ensure_back t;
   t.data.(t.head + t.len) <- x;
   t.len <- t.len + 1
 
@@ -60,6 +67,7 @@ let peek_front t =
 let pop_front t =
   if t.len = 0 then invalid_arg "Deque.pop_front: empty";
   let x = t.data.(t.head) in
+  t.data.(t.head) <- t.filler;
   t.head <- t.head + 1;
   t.len <- t.len - 1;
   if t.head > t.len && t.head > 16 then realloc t 0;
@@ -67,12 +75,15 @@ let pop_front t =
 
 let pop_back t =
   if t.len = 0 then invalid_arg "Deque.pop_back: empty";
-  let x = t.data.(t.head + t.len - 1) in
+  let p = t.head + t.len - 1 in
+  let x = t.data.(p) in
+  t.data.(p) <- t.filler;
   t.len <- t.len - 1;
   x
 
 let drop_front t n =
   if n < 0 || n > t.len then invalid_arg "Deque.drop_front: bad count";
+  Array.fill t.data t.head n t.filler;
   t.head <- t.head + n;
   t.len <- t.len - n;
   if t.head > t.len && t.head > 16 then realloc t 0
@@ -81,7 +92,7 @@ let drop_front t n =
    which is O(1) for the common land-at-the-tail case. *)
 let insert t i x =
   if i < 0 || i > t.len then invalid_arg "Deque.insert: index out of bounds";
-  ensure_back t x;
+  ensure_back t;
   let p = t.head + i in
   Array.blit t.data p t.data (p + 1) (t.len - i);
   t.data.(p) <- x;
@@ -94,6 +105,7 @@ let remove t i =
   let x = t.data.(p) in
   Array.blit t.data (p + 1) t.data p (t.len - i - 1);
   t.len <- t.len - 1;
+  t.data.(t.head + t.len) <- t.filler;
   x
 
 let clear t =

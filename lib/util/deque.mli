@@ -2,11 +2,18 @@
     write log.  O(1) amortised [push_back]/[pop_front], O(log n)
     [upper_bound], O(distance-to-tail) mid insertion/removal.  Front slack
     left by pops is reclaimed once it exceeds the live length, keeping memory
-    within a constant factor of the live contents. *)
+    within a constant factor of the live contents.
+
+    Popped and removed elements are released: their slots are overwritten
+    with the deque's [filler], so the deque never keeps a dead element
+    reachable. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : filler:'a -> unit -> 'a t
+(** [filler] occupies every slot outside the live range.  It is never
+    returned; pass a static sentinel so a vacated slot pins nothing. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
@@ -20,7 +27,7 @@ val pop_front : 'a t -> 'a
 val pop_back : 'a t -> 'a
 
 val drop_front : 'a t -> int -> unit
-(** Discard the first [n] elements (a pointer bump plus occasional
+(** Discard the first [n] elements (a fill of their slots plus occasional
     compaction). *)
 
 val insert : 'a t -> int -> 'a -> unit

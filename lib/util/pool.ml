@@ -16,6 +16,10 @@
 
 type task = unit -> unit
 
+(* Fills the deque slots of tasks already taken, so a finished task's closure
+   is not kept alive by its old slot. *)
+let no_task : task = fun () -> ()
+
 type 'a state = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace
 
 (* Future state is guarded by the pool's [lock]; the field is mutable but
@@ -295,7 +299,7 @@ let create ~jobs =
   let t =
     {
       njobs;
-      queues = Array.init njobs (fun _ -> Deque.create ());
+      queues = Array.init njobs (fun _ -> Deque.create ~filler:no_task ());
       qlocks = Array.init njobs (fun _ -> Mutex.create ());
       inject = Queue.create ();
       lock = Mutex.create ();

@@ -128,6 +128,40 @@ let test_write_size_memoized () =
       Alcotest.(check int) "stable on re-query" expect (Write.byte_size w))
     ops
 
+(* A frame's writes share a weight list with their predecessor exactly when
+   the lists are bitwise equal: -0.0 is not 0.0 here. *)
+let test_decode_writes_shares_weights () =
+  let wt conit nweight = { Write.conit; nweight; oweight = 1.0 } in
+  let lists =
+    [ [ wt "a" 1.0 ]; [ wt "a" 1.0 ]; [ wt "a" (-0.0) ]; [ wt "a" (-0.0) ];
+      [ wt "b" (-0.0) ]; [ wt "b" (-0.0); wt "a" 1.0 ]; []; [] ]
+  in
+  let ws =
+    List.mapi
+      (fun i affects ->
+        Write.make ~id:{ origin = 1; seq = i + 1 } ~accept_time:(float_of_int i)
+          ~op:(Op.Add ("x", 1.0)) ~affects)
+      lists
+  in
+  let f = Codec.Frame.create () in
+  Codec.put_int f (List.length ws);
+  List.iter (Codec.encode_write f) ws;
+  let decoded = Array.of_list (Codec.decode_writes (Codec.cursor (Codec.Frame.contents f))) in
+  let bits (w : Write.weight) =
+    (w.conit, Int64.bits_of_float w.nweight, Int64.bits_of_float w.oweight)
+  in
+  List.iteri
+    (fun i (w : Write.t) ->
+      Alcotest.(check bool) (Printf.sprintf "write %d weights round trip" i) true
+        (List.map bits decoded.(i).Write.affects = List.map bits w.affects))
+    ws;
+  let shared i = decoded.(i).Write.affects == decoded.(i - 1).Write.affects in
+  List.iter
+    (fun (i, want) ->
+      Alcotest.(check bool) (Printf.sprintf "write %d shares its predecessor's list" i) want
+        (shared i))
+    [ (1, true); (2, false); (3, true); (4, false); (5, false); (6, false); (7, true) ]
+
 (* --- Vectors -------------------------------------------------------------- *)
 
 let test_vector_roundtrip () =
@@ -250,6 +284,8 @@ let base_suite =
     Alcotest.test_case "named proc applies" `Quick test_named_proc_applies;
     test_write_roundtrip;
     Alcotest.test_case "write size memoized" `Quick test_write_size_memoized;
+    Alcotest.test_case "decode_writes shares weights" `Quick
+      test_decode_writes_shares_weights;
     Alcotest.test_case "vector round trip" `Quick test_vector_roundtrip;
     Alcotest.test_case "malformed rejected" `Quick test_malformed_rejected;
     Alcotest.test_case "snapshot file round trip" `Quick test_snapshot_file_roundtrip;

@@ -125,8 +125,40 @@ let test_vec_get_out_of_bounds () =
   Alcotest.check_raises "oob" (Invalid_argument "Vec.get: index out of bounds")
     (fun () -> ignore (Vec.get v 1))
 
+(* Popped elements must not stay reachable through their old slots.  The
+   sizes keep the deque below its compaction threshold, so only the pops
+   themselves can release anything. *)
+let test_deque_releases_popped () =
+  let n = 64 in
+  let d = Deque.create ~filler:(ref (-1)) () in
+  let weak = Weak.create n in
+  for i = 0 to n - 1 do
+    let x = ref i in
+    Weak.set weak i (Some x);
+    Deque.push_back d x
+  done;
+  for _ = 1 to 8 do
+    ignore (Deque.pop_front d)
+  done;
+  for _ = 1 to 8 do
+    ignore (Deque.pop_back d)
+  done;
+  Deque.drop_front d 8;
+  ignore (Deque.remove d 0);
+  (* Live now: the elements pushed at indices 17 .. 55. *)
+  Gc.full_major ();
+  let popped i = i < 17 || i >= n - 8 in
+  for i = 0 to n - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "element %d %s" i (if popped i then "released" else "held"))
+      (not (popped i)) (Weak.check weak i)
+  done;
+  Alcotest.(check int) "live length" 39 (Deque.length d);
+  Alcotest.(check int) "front" 17 !(Deque.peek_front d)
+
 let base_suite =
   [
+    Alcotest.test_case "deque releases popped" `Quick test_deque_releases_popped;
     Alcotest.test_case "mean/variance" `Quick test_mean_variance;
     Alcotest.test_case "empty stats" `Quick test_empty_stats;
     Alcotest.test_case "single observation" `Quick test_single_observation;

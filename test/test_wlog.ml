@@ -371,7 +371,103 @@ let test_csn_final_outcome_order () =
   | Some (Op.Conflict _) -> ()
   | _ -> Alcotest.fail "early write should lose under CSN order"
 
+(* Tentative writes are applied when the image is read.  A "count"
+   procedure tallies its applications per write and records its position in
+   the application order, so outcomes depend on the order.  A storm of
+   shuffled batches (gaps included) applies nothing; each read, of the image
+   or of outcomes, applies every write at most once; and images and outcomes
+   equal those of a log that applies every arrival at once. *)
+let counting_procs counts =
+  [
+    ( "count",
+      fun arg db ->
+        let k = match arg with Value.Int k -> k | _ -> -1 in
+        Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k));
+        Db.add db "n" 1.0;
+        let n = Db.get db "n" in
+        Db.set db (Printf.sprintf "pos.%d" k) n;
+        Op.Applied n );
+  ]
+
+let test_apply_on_read_counts () =
+  let replicas = 4 and per_origin = 30 in
+  let rng = Tact_util.Prng.create ~seed:11 in
+  let writes =
+    List.concat_map
+      (fun origin ->
+        let t = ref 0.0 in
+        List.init per_origin (fun i ->
+            t := !t +. 0.01 +. Tact_util.Prng.float rng 2.0;
+            mk
+              ~op:(Op.Named ("count", Value.Int ((origin * 100) + i + 1)))
+              ~origin ~seq:(i + 1) ~t:!t ()))
+      (List.init replicas Fun.id)
+  in
+  let arrivals = Array.of_list writes in
+  Tact_util.Prng.shuffle rng arrivals;
+  let counts = Hashtbl.create 64 and eager_counts = Hashtbl.create 64 in
+  let log_with procs =
+    Wlog.create_bounded ~procs ~journal:true ~evict_outcomes:false ~replicas ~initial:[]
+  in
+  let lazy_log = log_with (counting_procs counts) in
+  let eager = log_with (counting_procs eager_counts) in
+  let applications () = Hashtbl.fold (fun _ c acc -> acc + c) counts 0 in
+  let pos = ref 0 in
+  let rounds = 4 in
+  for round = 1 to rounds do
+    let stop = Array.length arrivals * round / rounds in
+    while !pos < stop do
+      let len = min (1 + Tact_util.Prng.int rng 7) (stop - !pos) in
+      let batch = Array.to_list (Array.sub arrivals !pos len) in
+      ignore (Wlog.insert_batch lazy_log batch);
+      List.iter (fun w -> ignore (Wlog.insert eager w)) batch;
+      pos := !pos + len
+    done;
+    Alcotest.(check int) (Printf.sprintf "round %d: storm applies nothing" round) 0
+      (applications ());
+    if round = rounds then begin
+      (* Commit half the suffix before reading, so writes that were never
+         applied commit. *)
+      let cover = Array.make replicas 20.0 in
+      let n = Wlog.commit_stable lazy_log ~cover in
+      Alcotest.(check int) "same commits" (Wlog.commit_stable eager ~cover) n;
+      Alcotest.(check bool) "some committed" true (n > 0);
+      Hashtbl.reset counts
+    end;
+    (* Odd rounds read the image, even rounds the outcomes. *)
+    if round mod 2 = 1 then ignore (Wlog.db lazy_log)
+    else
+      List.iter
+        (fun (w : Write.t) ->
+          Alcotest.(check bool) (Write.id_to_string w.id ^ " outcome") true
+            (Wlog.outcome lazy_log w.id = Wlog.outcome eager w.id))
+        writes;
+    Hashtbl.iter
+      (fun k c ->
+        if c > 1 then Alcotest.failf "round %d: write %d applied %d times by one read" round k c)
+      counts;
+    Hashtbl.reset counts;
+    ignore (Wlog.db lazy_log);
+    Alcotest.(check int) (Printf.sprintf "round %d: a second read applies nothing" round) 0
+      (applications ());
+    Alcotest.(check bool) (Printf.sprintf "round %d: image equals eager" round) true
+      (Db.equal (Wlog.db lazy_log) (Wlog.db eager))
+  done;
+  Alcotest.(check bool) "committed image equals eager" true
+    (Db.equal (Wlog.committed_db lazy_log) (Wlog.committed_db eager));
+  List.iter
+    (fun (w : Write.t) ->
+      let id = Write.id_to_string w.id in
+      Alcotest.(check bool) (id ^ " outcome") true
+        (Wlog.outcome lazy_log w.id = Wlog.outcome eager w.id);
+      Alcotest.(check bool) (id ^ " final outcome") true
+        (Wlog.final_outcome lazy_log w.id = Wlog.final_outcome eager w.id))
+    writes
+
 let extra_suite =
-  [ Alcotest.test_case "csn final outcome order" `Quick test_csn_final_outcome_order ]
+  [
+    Alcotest.test_case "csn final outcome order" `Quick test_csn_final_outcome_order;
+    Alcotest.test_case "apply on read counts" `Quick test_apply_on_read_counts;
+  ]
 
 let suite = base_suite @ extra_suite

@@ -469,6 +469,76 @@ let big_suite =
       ])
     [ 11; 23; 37; 58; 71 ]
 
+(* Apply on read against the model: batches (shuffled, gapped, laced with
+   re-offers of earlier writes) go in without any read, interleaved with
+   commits and single inserts, and the image and outcomes are compared only
+   at random read points — so a comparison sees whatever the log deferred
+   since the last one. *)
+let run_read_point_scenario ~scheme seed =
+  let rng = Tact_util.Prng.create ~seed in
+  let replicas = 4 in
+  let pool = gen_big_pool rng ~replicas in
+  Tact_util.Prng.shuffle rng pool;
+  let log = create ~replicas ~initial:[] in
+  let m = Bigmodel.create ~replicas in
+  let max_time =
+    Array.fold_left (fun acc (w : Write.t) -> Float.max acc w.accept_time) 0.0 pool
+  in
+  let ok = ref true in
+  let reads = ref 0 in
+  let read () =
+    incr reads;
+    if not (agree_big log m) then ok := false
+  in
+  let commit_some () =
+    match scheme with
+    | `Stability ->
+      let cover =
+        Array.init replicas (fun _ -> Tact_util.Prng.float rng (max_time +. 1.0))
+      in
+      ignore (Wlog.commit_stable log ~cover);
+      Bigmodel.commit_stable m ~cover
+    | `Csn ->
+      let ids =
+        Bigmodel.tentative m
+        |> List.filteri (fun j _ -> j < Tact_util.Prng.int rng 4)
+        |> List.map (fun (w : Write.t) -> w.Write.id)
+      in
+      let ids = if Tact_util.Prng.bool rng then List.rev ids else ids in
+      ignore (Wlog.commit_ids log ids);
+      Bigmodel.commit_ids m ids
+  in
+  let i = ref 0 in
+  let n = Array.length pool in
+  while !i < n do
+    (match Tact_util.Prng.int rng 10 with
+    | 0 -> commit_some ()
+    | 1 ->
+      incr i;
+      ignore (Wlog.insert log pool.(!i - 1));
+      Bigmodel.insert m pool.(!i - 1)
+    | _ ->
+      let len = min (1 + Tact_util.Prng.int rng 6) (n - !i) in
+      let batch =
+        Array.to_list (Array.sub pool !i len)
+        @ List.init (Tact_util.Prng.int rng 3) (fun _ ->
+              pool.(Tact_util.Prng.int rng (!i + len)))
+      in
+      i := !i + len;
+      ignore (Wlog.insert_batch log batch);
+      List.iter (Bigmodel.insert m) batch);
+    if Tact_util.Prng.int rng 8 = 0 then read ()
+  done;
+  commit_some ();
+  read ();
+  !ok && !reads > 1
+
+let test_read_points ~scheme name =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:20
+       QCheck.(int_bound 1_000_000)
+       (run_read_point_scenario ~scheme))
+
 (* ------------------------------------------------------------------ *)
 (* The incremental tentative view against the eager id list, across
    every kind of suffix mutation: in-order local accepts (tail appends),
@@ -620,3 +690,7 @@ let suite =
     Alcotest.test_case "tentative view sheds committed cells" `Quick
       test_view_sheds_committed ]
   @ big_suite
+  @ [
+      test_read_points ~scheme:`Stability "read points agree, stability commits";
+      test_read_points ~scheme:`Csn "read points agree, CSN commits";
+    ]
