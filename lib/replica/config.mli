@@ -3,9 +3,9 @@
     Every field is a production setting, validated the same way in the
     simulator and in the [tact_serve] daemon.  Planted bugs for harness
     self-tests are not configuration: they are a {!Mutation.t} that only
-    the simulator constructors accept ([?mutation] on {!Replica.create},
-    {!System.create} and {!Sharded.create}), so a deployed replica cannot
-    be configured into one. *)
+    [?mutation] on {!Replica.create}, {!System.create} and
+    {!Sharded.create} accepts.  [Tact_transport.Serve.create] passes none,
+    so a deployed replica cannot be configured into one. *)
 
 type commit_scheme =
   | Stability

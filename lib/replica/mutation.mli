@@ -2,10 +2,9 @@
 
     The checker, the fuzzer and the shard audit prove they work by catching
     a deliberately broken replica.  A mutation is not part of {!Config.t}:
-    only the simulator constructors ({!Replica.create}, {!System.create},
-    {!Sharded.create}) take one, through [?mutation] (default [Off]).
-    {!Replica.create_ext}, and so the [tact_serve] daemon, cannot enable
-    one.  The selector is stored in a counterexample's JSON so replay
+    only {!Replica.create}, {!System.create} and {!Sharded.create} take
+    one, through [?mutation] (default [Off]).  [Tact_transport.Serve.create]
+    passes none, so the [tact_serve] daemon cannot enable one.  The selector is stored in a counterexample's JSON so replay
     plants the same bug. *)
 
 type t =

@@ -1,5 +1,4 @@
 open Tact_util
-open Tact_sim
 open Tact_store
 open Tact_core
 open Tact_protocols
@@ -32,16 +31,6 @@ type msg = Wire.msg =
       (** one {!Tact_store.Batch} frame, actually serialised — header, CSN
           slice, vector, cover and delta/snapshot payload in a single
           message (Batched sync mode) *)
-
-(* Which world this replica's protocol machine runs in.  [Sim] is the
-   deterministic simulator: messages are delivered as closures through
-   {!Net.send} (bit-identical to the pre-TRANSPORT code — digests must not
-   move), timers through the labelled {!Engine}.  [Ext] is any real backend
-   behind the {!Tact_store.Transport.endpoint} seam: messages are serialised
-   through {!Wire} and incoming bytes enter via {!deliver_wire}. *)
-type transport =
-  | Sim of { net : Net.t; engine : Engine.t }
-  | Ext of Transport.endpoint
 
 type round_state = {
   mutable remaining : int;
@@ -105,7 +94,7 @@ type stats = {
 type t = {
   rid : int;
   n : int;
-  tr : transport;
+  ep : msg Transport.endpoint;
   cfg : Config.t;
   mutation : Mutation.t;  (* planted bug; [Off] outside harness self-tests *)
   wlog : Wlog.t;
@@ -137,7 +126,6 @@ type t = {
   conit_decls : (string, Conit.t) Hashtbl.t;
   rounds : (int, round_state) Hashtbl.t;
   mutable round_ctr : int;
-  mutable peers : int -> t;
   mutable up : bool;
   mutable closed : bool;  (* transport torn down; sends are inert *)
   mutable crashes : int;
@@ -163,11 +151,11 @@ type t = {
   mutable s_malformed : int;
 }
 
-let make ~id ~n ~tr ~config ~mutation ?on_accept () =
+let create ~id ~n ~endpoint ~config ?(mutation = Mutation.Off) ?on_accept () =
   {
     rid = id;
     n;
-    tr;
+    ep = endpoint;
     cfg = config;
     mutation;
     wlog =
@@ -197,7 +185,6 @@ let make ~id ~n ~tr ~config ~mutation ?on_accept () =
        tbl);
     rounds = Hashtbl.create 8;
     round_ctr = 0;
-    peers = (fun _ -> invalid_arg "Replica: not connected (call Replica.connect)");
     up = true;
     closed = false;
     crashes = 0;
@@ -220,32 +207,9 @@ let make ~id ~n ~tr ~config ~mutation ?on_accept () =
     s_malformed = 0;
   }
 
-let create ~id ~n ~net ~config ?(mutation = Mutation.Off) ?on_accept () =
-  make ~id ~n ~tr:(Sim { net; engine = Net.engine net }) ~config ~mutation
-    ?on_accept ()
-
-let create_ext ~id ~n ~endpoint ~config ?on_accept () =
-  make ~id ~n ~tr:(Ext endpoint) ~config ~mutation:Mutation.Off ?on_accept ()
-
-let now t =
-  match t.tr with
-  | Sim { engine; _ } -> Engine.now engine
-  | Ext ep -> ep.Transport.ep_now ()
-
-(* Timer seam: in [Sim] mode these compile to exactly the labelled [Engine]
-   calls the pre-TRANSPORT code made (same actor, same tags, same order), so
-   simulation digests do not move. *)
-let schedule t ~tag ~delay f =
-  match t.tr with
-  | Sim { engine; _ } ->
-    Engine.schedule engine ~label:{ Engine.actor = t.rid; tag } ~delay f
-  | Ext ep -> ep.Transport.ep_schedule ~tag ~delay f
-
-let every t ~tag ~period f =
-  match t.tr with
-  | Sim { engine; _ } ->
-    Engine.every engine ~label:{ Engine.actor = t.rid; tag } ~period f
-  | Ext ep -> ep.Transport.ep_every ~tag ~period f
+let now t = t.ep.Transport.ep_now ()
+let schedule t ~tag ~delay f = t.ep.Transport.ep_schedule ~tag ~delay f
+let every t ~tag ~period f = t.ep.Transport.ep_every ~tag ~period f
 
 (* [detail] is forced only when tracing is on, so an untraced run formats
    no trace strings. *)
@@ -259,7 +223,6 @@ let trace t ~kind detail =
 let id t = t.rid
 let log t = t.wlog
 let db t = Wlog.db t.wlog
-let connect t ~peers = t.peers <- peers
 let records t = t.records
 let pending_count t = t.npending
 
@@ -351,117 +314,75 @@ let stats t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Wire helpers                                                        *)
+(* Outgoing syncs                                                      *)
 
-let msg_size n = function
-  | Transfer { writes; csn; _ } ->
-    (* writes + vector + cover + csn slice + headers *)
-    List.fold_left (fun acc w -> acc + Write.byte_size w) 0 writes
-    + (8 * n) + (8 * n) + (8 * List.length csn) + 32
-  | Snapshot { snap; writes; _ } ->
-    (* Snapshots are fully serialisable, so their wire size is exact — and
-       computable arithmetically, without paying for the serialisation on
-       every send. *)
-    Codec.snapshot_byte_size snap
-    + List.fold_left (fun acc w -> acc + Write.byte_size w) 0 writes
-    + (2 * 8 * n) + 64
-  | Pull_req _ -> (8 * n) + 16
-  | Ack _ -> (8 * n) + 16
-  | Batch_frame s -> String.length s
+(* A rejected incoming message: counted, traced, never applied. *)
+let reject t detail =
+  t.s_malformed <- t.s_malformed + 1;
+  trace t ~kind:"malformed" detail
 
 (* A crashed replica neither processes nor emits messages: its network
    activity looks exactly like loss to its peers.  The write log itself is
    durable (write-ahead semantics), so recovery resumes from the full log;
    only execution state (parked accesses, open pull rounds) is volatile. *)
-let rec handle t msg = if t.up then process t msg
-
-and send t ~dst msg =
-  if t.up && not t.closed then begin
-    match t.tr with
-    | Sim { net; _ } ->
-      (* Capture the destination's crash epoch at send time: a message still
-         in flight when the target crashes belongs to the dead incarnation
-         and is discarded on arrival, even if the target has since recovered.
-         (Models connection state dying with the process.) *)
-      let target = t.peers dst in
-      let epoch = target.crashes in
-      Net.send net ~src:t.rid ~dst ~size:(msg_size t.n msg) (fun () ->
-          if target.crashes = epoch then handle target msg)
-    | Ext ep ->
-      (* Serialise through the reusable arena and hand the bytes to the
-         backend.  [Ok] means accepted-or-parked, not delivered; an [Error]
-         (peer down, queue bounded) is deliberately not a protocol event —
-         delivery guarantees stay with the protocol's own ack/retry
-         machinery, which covers a dropped send exactly like a lost
-         message. *)
-      Codec.Frame.clear t.frame;
-      Wire.encode t.frame msg;
-      (match ep.Transport.ep_send ~dst (Codec.Frame.contents t.frame) with
-      | Ok () -> ()
-      | Error _ -> ())
-  end
+let rec send t ~dst msg =
+  if t.up && not t.closed then
+    (* [Ok] means accepted-or-parked, not delivered; an [Error] (peer down,
+       queue bounded) is deliberately not a protocol event — delivery
+       guarantees stay with the protocol's own ack/retry machinery, which
+       covers a dropped send exactly like a lost message. *)
+    match t.ep.Transport.ep_send ~dst msg with Ok () | Error _ -> ()
 
 and my_cover t =
   let c = Array.copy t.cover in
   c.(t.rid) <- now t;
   c
 
-and snapshot_msg t ~round =
-  t.s_snapshots_sent <- t.s_snapshots_sent + 1;
-  let snap = Wlog.snapshot t.wlog in
-  Snapshot
-    {
-      from = t.rid;
-      snap;
-      writes = Wlog.writes_since t.wlog snap.Wlog.snap_vector;
-      vector = Version_vector.copy (Wlog.vector t.wlog);
-      cover = my_cover t;
-      rate = t.rate_ewma;
-      round;
-    }
+(* Every outgoing sync — push, gossip or pull reply — for a peer believed to
+   hold [peer_vector] and the CSN prefix below [csn_start]: a delta when the
+   log can still serve the peer, a snapshot fallback when truncation has
+   passed it ({!Batch.plan}).  Per_write mode sends the plan as a [Transfer]
+   or [Snapshot] value; Batched mode encodes it as one {!Batch} frame through
+   the reusable arena (exact size preallocated, so steady state is one
+   amortised-zero arena growth per frame). *)
+and sync_msg t ~peer_vector ~csn_start ~kind =
+  Batch.plan ~log:t.wlog ~peer_vector (fun payload ->
+      let vector = Version_vector.copy (Wlog.vector t.wlog) in
+      let cover = my_cover t in
+      (match payload with
+      | Batch.Full _ -> t.s_snapshots_sent <- t.s_snapshots_sent + 1
+      | Batch.Delta _ -> ());
+      match (t.cfg.Config.sync, payload) with
+      | Config.Per_write, Batch.Delta writes ->
+        let kind =
+          match kind with
+          | Batch.Push -> `Push
+          | Batch.Pull_reply r -> `Pull_reply r
+          | Batch.Gossip -> `Gossip
+        in
+        Transfer
+          { from = t.rid; writes; vector; cover; csn_start;
+            csn = Csn_buffer.slice_from t.csn csn_start; rate = t.rate_ewma;
+            kind }
+      | Config.Per_write, Batch.Full (snap, writes) ->
+        let round =
+          match kind with Batch.Pull_reply r -> r | Batch.Push | Batch.Gossip -> 0
+        in
+        Snapshot
+          { from = t.rid; snap; writes; vector; cover; rate = t.rate_ewma; round }
+      | Config.Batched, _ ->
+        Codec.Frame.clear t.frame;
+        Batch.encode t.frame
+          { Batch.from = t.rid; shard = t.cfg.Config.shard_id; kind; vector;
+            cover; csn_start; csn = Csn_buffer.slice_from t.csn csn_start;
+            rate = t.rate_ewma; payload };
+        t.s_batches <- t.s_batches + 1;
+        Batch_frame (Codec.Frame.contents t.frame))
 
-and make_transfer t ~dst ~kind =
-  if not (Wlog.can_serve t.wlog t.acked.(dst)) then snapshot_msg t ~round:0
-  else
-    Transfer
-      {
-        from = t.rid;
-        writes = Wlog.writes_since t.wlog t.acked.(dst);
-        vector = Version_vector.copy (Wlog.vector t.wlog);
-        cover = my_cover t;
-        csn_start = t.acked_csn.(dst);
-        csn = Csn_buffer.slice_from t.csn t.acked_csn.(dst);
-        rate = t.rate_ewma;
-        kind;
-      }
-
-(* One framed batch for a peer believed to hold [peer_vector]: delta when
-   the log can still serve it, snapshot fallback when truncation has passed
-   the peer.  Encoded for real through the reusable frame arena — exact size
-   preallocated, so steady state is one (amortised zero) allocation per
-   frame. *)
-and make_batch t ~peer_vector ~csn_start ~kind =
-  let b =
-    Batch.plan ~log:t.wlog ~peer_vector (fun payload ->
-        (match payload with
-        | Batch.Full _ -> t.s_snapshots_sent <- t.s_snapshots_sent + 1
-        | Batch.Delta _ -> ());
-        {
-          Batch.from = t.rid;
-          shard = t.cfg.Config.shard_id;
-          kind;
-          vector = Version_vector.copy (Wlog.vector t.wlog);
-          cover = my_cover t;
-          csn_start;
-          csn = Csn_buffer.slice_from t.csn csn_start;
-          rate = t.rate_ewma;
-          payload;
-        })
-  in
-  Codec.Frame.clear t.frame;
-  Batch.encode t.frame b;
-  t.s_batches <- t.s_batches + 1;
-  Batch_frame (Codec.Frame.contents t.frame)
+and push_now t dst =
+  send t ~dst
+    (sync_msg t ~peer_vector:t.acked.(dst) ~csn_start:t.acked_csn.(dst)
+       ~kind:Batch.Push)
 
 (* Coalescing: instead of sending immediately, mark the peer dirty and flush
    one batch per peer per flush window.  Every sync trigger that fires inside
@@ -470,10 +391,7 @@ and make_batch t ~peer_vector ~csn_start ~kind =
 and flush_batch t dst =
   if t.dirty.(dst) then begin
     t.dirty.(dst) <- false;
-    if t.up then
-      send t ~dst
-        (make_batch t ~peer_vector:t.acked.(dst) ~csn_start:t.acked_csn.(dst)
-           ~kind:Batch.Push)
+    if t.up then push_now t dst
   end
 
 and mark_dirty t dst =
@@ -484,26 +402,11 @@ and mark_dirty t dst =
   end
 
 (* Sync-mode dispatch for every push-shaped trigger (budget pushes, retries,
-   gossip): immediate per-write transfer, or a coalesced batch mark. *)
+   gossip): immediate sync, or a coalesced batch mark. *)
 and push_to t ~dst =
   match t.cfg.Config.sync with
-  | Config.Per_write -> send t ~dst (make_transfer t ~dst ~kind:`Push)
+  | Config.Per_write -> push_now t dst
   | Config.Batched -> mark_dirty t dst
-
-and transfer_reply t ~req_vector ~csn_known ~round =
-  if not (Wlog.can_serve t.wlog req_vector) then snapshot_msg t ~round
-  else
-    Transfer
-      {
-        from = t.rid;
-        writes = Wlog.writes_since t.wlog req_vector;
-        vector = Version_vector.copy (Wlog.vector t.wlog);
-        cover = my_cover t;
-        csn_start = csn_known;
-        csn = Csn_buffer.slice_from t.csn csn_known;
-        rate = t.rate_ewma;
-        kind = `Pull_reply round;
-      }
 
 (* ------------------------------------------------------------------ *)
 (* Budget bookkeeping                                                  *)
@@ -1036,83 +939,88 @@ and note_peer_vector t ~peer vector =
   Version_vector.merge_into t.acked.(peer) vector;
   release_outstanding t ~peer
 
-and process t msg =
+(* Every incoming sync — a [Transfer], a [Snapshot] or a decoded Batch
+   frame — applies here.  Everything deduplicates on re-application — the
+   write log drops known ids, CSN offers are idempotent, cover/vector merges
+   are pointwise max — so a duplicated or re-delivered sync cannot
+   double-apply. *)
+and apply_sync t ~from ~vector ~cover ~csn_start ~csn ~rate ~kind payload =
+  let writes =
+    match payload with
+    | Batch.Delta writes -> writes
+    | Batch.Full (snap, writes) ->
+      if Wlog.install_snapshot t.wlog snap then begin
+        t.s_snapshots_installed <- t.s_snapshots_installed + 1;
+        trace t ~kind:"snapshot" (fun () ->
+            Printf.sprintf "installed %d committed writes from replica %d"
+              snap.Wlog.snap_ncommitted from);
+        (* The committed prefix the snapshot represents counts as committed
+           for the primary scheme's pointer too. *)
+        t.csn_committed <- max t.csn_committed snap.Wlog.snap_ncommitted
+      end;
+      writes
+  in
+  let fresh = Wlog.insert_batch t.wlog writes in
+  if fresh <> [] then
+    trace t ~kind:"transfer" (fun () ->
+        Printf.sprintf "%d new writes from replica %d" (List.length fresh) from);
+  (* Cover merge is sound only after the writes are in the log. *)
+  Array.iteri (fun o c -> if c > t.cover.(o) then t.cover.(o) <- c) cover;
+  t.cover.(t.rid) <- now t;
+  t.rates.(from) <- rate;
+  Csn_buffer.offer t.csn ~start:csn_start csn;
+  note_peer_vector t ~peer:from vector;
+  t.acked_csn.(from) <- max t.acked_csn.(from) (csn_start + List.length csn);
+  commit_progress t;
+  match kind with
+  | Batch.Push ->
+    send t ~dst:from
+      (Ack
+         {
+           from = t.rid;
+           vector = Version_vector.copy (Wlog.vector t.wlog);
+           csn_known = Csn_buffer.known t.csn;
+         })
+  | Batch.Pull_reply round -> round_reply t ~round ~from
+  | Batch.Gossip -> ()
+
+and process t ~src msg =
   (match msg with
-  | Snapshot { from; snap; writes; vector; cover; rate; round } ->
-    if Wlog.install_snapshot t.wlog snap then begin
-      t.s_snapshots_installed <- t.s_snapshots_installed + 1;
-      trace t ~kind:"snapshot" (fun () ->
-          Printf.sprintf "installed %d committed writes from replica %d"
-            snap.Wlog.snap_ncommitted from);
-      (* The committed prefix the snapshot represents counts as committed for
-         the primary scheme's pointer too. *)
-      t.csn_committed <- max t.csn_committed snap.Wlog.snap_ncommitted
-    end;
-    ignore (Wlog.insert_batch t.wlog writes);
-    Array.iteri (fun o c -> if c > t.cover.(o) then t.cover.(o) <- c) cover;
-    t.cover.(t.rid) <- now t;
-    t.rates.(from) <- rate;
-    note_peer_vector t ~peer:from vector;
-    commit_progress t;
-    round_reply t ~round ~from
   | Pull_req { from; vector; csn_known; round } ->
     note_peer_vector t ~peer:from vector;
     t.acked_csn.(from) <- max t.acked_csn.(from) csn_known;
-    (match t.cfg.Config.sync with
-    | Config.Per_write ->
-      send t ~dst:from (transfer_reply t ~req_vector:vector ~csn_known ~round)
-    | Config.Batched ->
-      (* A pull reply is already one message per request; batching frames it
-         (real serialisation, snapshot fallback included) without delaying
-         it — rounds must complete promptly. *)
-      send t ~dst:from
-        (make_batch t ~peer_vector:vector ~csn_start:csn_known
-           ~kind:(Batch.Pull_reply round)))
+    (* A pull reply is already one message per request; it is never delayed
+       by batching — rounds must complete promptly. *)
+    send t ~dst:from
+      (sync_msg t ~peer_vector:vector ~csn_start:csn_known
+         ~kind:(Batch.Pull_reply round))
   | Ack { from; vector; csn_known } ->
     note_peer_vector t ~peer:from vector;
     t.acked_csn.(from) <- max t.acked_csn.(from) csn_known
   | Transfer { from; writes; vector; cover; csn_start; csn; rate; kind } ->
-    let fresh = Wlog.insert_batch t.wlog writes in
-    if fresh <> [] then
-      trace t ~kind:"transfer" (fun () ->
-          Printf.sprintf "%d new writes from replica %d" (List.length fresh)
-            from);
-    (* Cover merge is sound only after the writes are in the log. *)
-    Array.iteri (fun o c -> if c > t.cover.(o) then t.cover.(o) <- c) cover;
-    t.cover.(t.rid) <- now t;
-    t.rates.(from) <- rate;
-    Csn_buffer.offer t.csn ~start:csn_start csn;
-    note_peer_vector t ~peer:from vector;
-    t.acked_csn.(from) <- max t.acked_csn.(from) (csn_start + List.length csn);
-    (match t.cfg.Config.commit_scheme with
-    | Config.Primary p when p = t.rid ->
-      ignore fresh;
-      commit_progress t
-    | Config.Primary _ | Config.Stability -> commit_progress t);
-    (match kind with
-    | `Push ->
-      send t ~dst:from
-        (Ack
-           {
-             from = t.rid;
-             vector = Version_vector.copy (Wlog.vector t.wlog);
-             csn_known = Csn_buffer.known t.csn;
-           })
-    | `Pull_reply round -> round_reply t ~round ~from
-    | `Gossip -> ())
-  | Batch_frame s ->
-    (* Everything in a frame deduplicates on re-application — the write log
-       drops known ids, CSN offers are idempotent, cover/vector merges are
-       pointwise max — so a duplicated or re-delivered frame cannot
-       double-apply.  Decode is typed and total: a frame that does not parse
-       (possible only from a real transport; the simulator delivers locally
-       encoded frames) is counted and dropped, never fatal. *)
-    (match Batch.decode s with
-    | Error e ->
-      t.s_malformed <- t.s_malformed + 1;
-      trace t ~kind:"malformed" (fun () -> Transport.error_to_string e)
-    | Ok b ->
-    if b.Batch.shard <> t.cfg.Config.shard_id then begin
+    let kind =
+      match kind with
+      | `Push -> Batch.Push
+      | `Pull_reply r -> Batch.Pull_reply r
+      | `Gossip -> Batch.Gossip
+    in
+    apply_sync t ~from ~vector ~cover ~csn_start ~csn ~rate ~kind
+      (Batch.Delta writes)
+  | Snapshot { from; snap; writes; vector; cover; rate; round } ->
+    (* No CSN slice, and never acknowledged: [Pull_reply 0] is a no-op. *)
+    apply_sync t ~from ~vector ~cover ~csn_start:0 ~csn:[] ~rate
+      ~kind:(Batch.Pull_reply round) (Batch.Full (snap, writes))
+  | Batch_frame s -> (
+    (* Decode is typed and total: a frame that does not parse, or whose
+       embedded header claims a sender other than the peer it arrived from,
+       is counted and dropped, never fatal. *)
+    match Batch.decode s with
+    | Error e -> reject t (fun () -> Transport.error_to_string e)
+    | Ok b when b.Batch.from <> src ->
+      reject t (fun () ->
+          Printf.sprintf "batch frame claims sender %d but arrived from peer %d"
+            b.Batch.from src)
+    | Ok b when b.Batch.shard <> t.cfg.Config.shard_id ->
       (* A frame carrying another shard's log must never be applied: its
          writes, vector and CSN slice all describe a different log.  Reject
          and account — the interest-set-aware oracle flags the counter. *)
@@ -1120,40 +1028,10 @@ and process t msg =
       trace t ~kind:"wrong-shard" (fun () ->
           Printf.sprintf "rejected frame for shard %d (serving %d)"
             b.Batch.shard t.cfg.Config.shard_id)
-    end
-    else begin
-    let from = b.Batch.from in
-    (match b.Batch.payload with
-    | Batch.Delta writes -> ignore (Wlog.insert_batch t.wlog writes)
-    | Batch.Full (snap, writes) ->
-      if Wlog.install_snapshot t.wlog snap then begin
-        t.s_snapshots_installed <- t.s_snapshots_installed + 1;
-        trace t ~kind:"snapshot" (fun () ->
-            Printf.sprintf "installed %d committed writes from replica %d"
-              snap.Wlog.snap_ncommitted from);
-        t.csn_committed <- max t.csn_committed snap.Wlog.snap_ncommitted
-      end;
-      ignore (Wlog.insert_batch t.wlog writes));
-    Array.iteri (fun o c -> if c > t.cover.(o) then t.cover.(o) <- c) b.Batch.cover;
-    t.cover.(t.rid) <- now t;
-    t.rates.(from) <- b.Batch.rate;
-    Csn_buffer.offer t.csn ~start:b.Batch.csn_start b.Batch.csn;
-    note_peer_vector t ~peer:from b.Batch.vector;
-    t.acked_csn.(from) <-
-      max t.acked_csn.(from) (b.Batch.csn_start + List.length b.Batch.csn);
-    commit_progress t;
-    (match b.Batch.kind with
-    | Batch.Push ->
-      send t ~dst:from
-        (Ack
-           {
-             from = t.rid;
-             vector = Version_vector.copy (Wlog.vector t.wlog);
-             csn_known = Csn_buffer.known t.csn;
-           })
-    | Batch.Pull_reply round -> round_reply t ~round ~from
-    | Batch.Gossip -> ())
-    end));
+    | Ok b ->
+      apply_sync t ~from:b.Batch.from ~vector:b.Batch.vector
+        ~cover:b.Batch.cover ~csn_start:b.Batch.csn_start ~csn:b.Batch.csn
+        ~rate:b.Batch.rate ~kind:b.Batch.kind b.Batch.payload));
   pump t;
   sanity_check t
 
@@ -1281,45 +1159,40 @@ let is_up t = t.up
 let crash_count t = t.crashes
 
 (* ------------------------------------------------------------------ *)
-(* The byte-side entry points (Ext transports)                         *)
+(* Incoming messages                                                   *)
 
-(* One decoded-or-rejected wire message from the backend.  Hostile input is
-   accounted, never fatal: a frame that does not decode, or that claims a
-   sender other than the authenticated transport peer, is dropped and
-   counted — the connection (and the replica) keep going. *)
+(* One message from the transport peer [src].  A message that claims a
+   sender other than [src] is counted and dropped — never applied; a crashed
+   replica drops everything else silently, like a partition. *)
+let receive t ~src msg =
+  match Wire.sender msg with
+  | Some from when from <> src ->
+    reject t (fun () ->
+        Printf.sprintf "message claims sender %d but arrived from peer %d" from
+          src)
+  | Some _ | None -> if t.up then process t ~src msg
+
 let deliver_wire t ~src s =
   match Wire.decode s with
-  | Error e ->
-    t.s_malformed <- t.s_malformed + 1;
-    trace t ~kind:"malformed" (fun () -> Transport.error_to_string e)
-  | Ok msg -> (
-    match Wire.sender msg with
-    | Some from when from <> src ->
-      t.s_malformed <- t.s_malformed + 1;
-      trace t ~kind:"malformed" (fun () ->
-          Printf.sprintf "message claims sender %d but arrived from peer %d"
-            from src)
-    | Some _ | None -> handle t msg)
+  | Error e -> reject t (fun () -> Transport.error_to_string e)
+  | Ok msg -> receive t ~src msg
 
 let malformed_frames t = t.s_malformed
 
-(* Targeted resynchronisation: one pull at [peer], answered (through the
-   peer's {!Batch.plan} in Batched mode) with a delta against our vector or
-   a snapshot if the peer has truncated past us.  Transport supervisors call
+(* Targeted resynchronisation: one pull at [peer], answered by the peer's
+   sync builder with a delta against our vector or a snapshot if the peer
+   has truncated past us.  Transport supervisors call
    this on reconnect, so missed traffic heals no matter how long the link
    was down. *)
 let resync t ~peer =
   if peer >= 0 && peer < t.n && peer <> t.rid then send_pull t ~dst:peer ~round:0
 
-(* Idempotent transport teardown.  The simulator owns nothing per-replica
-   (the Net belongs to the System), so [Sim] close only makes sends inert;
-   an [Ext] backend releases its sockets/timers through [ep_close]. *)
+(* Idempotent transport teardown: sends become inert and the backend
+   releases what it owns through [ep_close] (nothing, in the simulator). *)
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    match t.tr with
-    | Ext ep -> ep.Transport.ep_close ()
-    | Sim _ -> ()
+    t.ep.Transport.ep_close ()
   end
 
 let start t =

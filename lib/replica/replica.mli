@@ -48,50 +48,34 @@ type stats = {
       (** incoming wire payloads rejected before application: bytes that do
           not decode, sender-id spoofs, or embedded batch frames that fail
           the typed decoder.  Always 0 in simulation (the simulator delivers
-          locally encoded messages); nonzero only when a real transport feeds
-          hostile or corrupt input through {!deliver_wire}. *)
+          messages as their senders built them); nonzero only when a real
+          transport feeds hostile or corrupt input through {!deliver_wire}. *)
 }
 
 val create :
   id:int ->
   n:int ->
-  net:Tact_sim.Net.t ->
+  endpoint:Wire.msg Tact_store.Transport.endpoint ->
   config:Config.t ->
   ?mutation:Mutation.t ->
   ?on_accept:(Tact_store.Write.t -> Tact_store.Version_vector.t -> unit) ->
   unit ->
   t
-(** A replica mounted on the deterministic simulator — messages delivered as
-    closures through {!Tact_sim.Net}, timers through the labelled engine;
-    bit-identical to the pre-TRANSPORT behaviour.  [mutation] (default
-    [Off]) plants a bug for harness self-tests ({!Mutation}).  [on_accept]
-    fires whenever this replica accepts a locally originated write, with a
-    copy of the pre-acceptance version vector (the write's causal context) —
-    the hook the omniscient verifier uses. *)
-
-val create_ext :
-  id:int ->
-  n:int ->
-  endpoint:Tact_store.Transport.endpoint ->
-  config:Config.t ->
-  ?on_accept:(Tact_store.Write.t -> Tact_store.Version_vector.t -> unit) ->
-  unit ->
-  t
-(** A replica mounted on a real transport backend through the
-    {!Tact_store.Transport.endpoint} seam: outgoing messages are serialised
-    through {!Wire} and handed to [ep_send]; incoming bytes must be fed to
-    {!deliver_wire}.  {!connect} is not required (peers are processes, not
-    values); {!crash}/{!recover} still model process-local failure.  There
-    is no [?mutation]: a replica on a real transport runs unmutated. *)
+(** A replica mounted on a transport endpoint: clock and timers come from
+    it, and every outgoing message goes to its [ep_send].  Incoming messages
+    must be fed to {!receive} (or, as bytes, to {!deliver_wire}).
+    {!System.create} builds simulator endpoints over the simulated network;
+    [Tact_transport.Serve.create] builds one that encodes through {!Wire}.
+    [mutation] (default [Off]) plants a bug for harness self-tests
+    ({!Mutation}).  [on_accept] fires whenever this replica accepts a
+    locally originated write, with a copy of the pre-acceptance version
+    vector (the write's causal context) — the hook the omniscient verifier
+    uses. *)
 
 val id : t -> int
 val log : t -> Tact_store.Wlog.t
 val db : t -> Tact_store.Db.t
 val now : t -> float
-
-val connect : t -> peers:(int -> t) -> unit
-(** Wire up peer lookup (used to deliver messages).  Must be called on every
-    replica before any traffic flows; {!System.create} does this. *)
 
 val submit_read :
   ?require:Tact_store.Version_vector.t ->
@@ -146,14 +130,19 @@ val recover : t -> unit
 val is_up : t -> bool
 val crash_count : t -> int
 
-(** {2 The byte seam (real transports)} *)
+(** {2 Incoming messages} *)
+
+val receive : t -> src:int -> Wire.msg -> unit
+(** Feed one message from transport peer [src] into the protocol.  A
+    message that claims a sender other than [src] — in its own header or in
+    an embedded Batch frame's — is counted in [malformed_frames] and
+    dropped, as is a Batch frame that fails its typed decoder; never an
+    exception, never applied.  A crashed replica drops messages silently. *)
 
 val deliver_wire : t -> src:int -> string -> unit
-(** Feed one incoming wire payload (the bytes inside a transport frame) into
-    the protocol.  Total over hostile input: a payload that does not decode
-    ({!Wire.decode}), or that claims a sender other than the authenticated
-    transport peer [src], is counted in [malformed_frames] and dropped —
-    never an exception, never applied. *)
+(** {!receive} for one wire payload (the bytes inside a transport frame).
+    Total over hostile input: a payload that does not decode ({!Wire.decode})
+    is counted in [malformed_frames] and dropped. *)
 
 val malformed_frames : t -> int
 (** Rejected incoming payloads so far (also in {!stats}). *)
@@ -166,8 +155,8 @@ val resync : t -> peer:int -> unit
     peer connection (re)establishes. *)
 
 val close : t -> unit
-(** Idempotent transport teardown: subsequent sends are inert, and an
-    external backend's [ep_close] runs (once).  Protocol state is untouched —
+(** Idempotent transport teardown: subsequent sends are inert, and the
+    endpoint's [ep_close] runs (once).  Protocol state is untouched —
     a closed replica can still be inspected. *)
 
 val bookkeeping_entries : t -> int

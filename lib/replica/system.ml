@@ -18,6 +18,24 @@ type t = {
   mutable closed : bool;
 }
 
+(* The simulator passes messages as values and charges each its modelled
+   wire size. *)
+let msg_size n = function
+  | Wire.Transfer { writes; csn; _ } ->
+    (* writes + vector + cover + csn slice + headers *)
+    List.fold_left (fun acc w -> acc + Write.byte_size w) 0 writes
+    + (8 * n) + (8 * n) + (8 * List.length csn) + 32
+  | Wire.Snapshot { snap; writes; _ } ->
+    (* Snapshots are fully serialisable, so their wire size is exact — and
+       computable arithmetically, without paying for the serialisation on
+       every send. *)
+    Codec.snapshot_byte_size snap
+    + List.fold_left (fun acc w -> acc + Write.byte_size w) 0 writes
+    + (2 * 8 * n) + 64
+  | Wire.Pull_req _ -> (8 * n) + 16
+  | Wire.Ack _ -> (8 * n) + 16
+  | Wire.Batch_frame s -> String.length s
+
 let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
     ?mutation ~topology ~config () =
   (match Config.validate ~n:topology.Topology.n config with
@@ -31,18 +49,46 @@ let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
   let net = Net.create engine topology ?jitter:jit ?loss:lss () in
   let writes = Hashtbl.create 1024 in
   let n = topology.Topology.n in
-  let replicas =
-    Array.init n (fun i ->
-        if track_writes then
-          Replica.create ~id:i ~n ~net ~config ?mutation
-            ~on_accept:(fun w vec ->
-              Hashtbl.replace writes w.Write.id
-                { write = w; accept_vector = vec; return_time = w.Write.accept_time })
-            ()
-        else Replica.create ~id:i ~n ~net ~config ?mutation ())
+  let replicas = ref [||] in
+  let on_accept =
+    if track_writes then
+      Some
+        (fun w vec ->
+          Hashtbl.replace writes w.Write.id
+            { write = w; accept_vector = vec; return_time = w.Write.accept_time })
+    else None
   in
-  Array.iter (fun r -> Replica.connect r ~peers:(fun j -> replicas.(j))) replicas;
-  { engine; net; config; replicas; writes; started = false; closed = false }
+  let endpoint i =
+    {
+      Transport.ep_now = (fun () -> Engine.now engine);
+      ep_schedule =
+        (fun ~tag ~delay f ->
+          Engine.schedule engine ~label:{ Engine.actor = i; tag } ~delay f);
+      ep_every =
+        (fun ~tag ~period f ->
+          Engine.every engine ~label:{ Engine.actor = i; tag } ~period f);
+      ep_send =
+        (fun ~dst msg ->
+          (* Capture the destination's crash epoch at send time: a message
+             still in flight when the target crashes belongs to the dead
+             incarnation and is discarded on arrival, even if the target has
+             since recovered.  (Models connection state dying with the
+             process.) *)
+          let target = !replicas.(dst) in
+          let epoch = Replica.crash_count target in
+          Net.send net ~src:i ~dst ~size:(msg_size n msg) (fun () ->
+              if Replica.crash_count target = epoch then
+                Replica.receive target ~src:i msg);
+          Ok ());
+      ep_close = ignore;
+    }
+  in
+  replicas :=
+    Array.init n (fun i ->
+        Replica.create ~id:i ~n ~endpoint:(endpoint i) ~config ?mutation
+          ?on_accept ());
+  { engine; net; config; replicas = !replicas; writes; started = false;
+    closed = false }
 
 let engine t = t.engine
 let config t = t.config
@@ -74,9 +120,9 @@ let collect_returns t =
     t.replicas
 
 (* Idempotent transport teardown for every replica.  In simulation this only
-   makes further sends inert (the Net owns no per-replica resources), but the
-   contract matters for the Ext path: [run] guarantees it even when a replica
-   raises mid-execution, so a crashed run never leaks backend resources. *)
+   makes further sends inert (the Net owns no per-replica resources); [run]
+   guarantees it even when a replica raises mid-execution, so a crashed run
+   never leaks backend resources. *)
 let close t =
   if not t.closed then begin
     t.closed <- true;

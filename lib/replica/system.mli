@@ -16,7 +16,11 @@ val create :
   config:Config.t ->
   unit ->
   t
-(** Build and wire the replicas; background activity starts on first [run].
+(** Build the replicas, each on a simulator endpoint: timers are engine
+    events labelled with the replica's id, and a send is a {!Tact_sim.Net}
+    message charged its modelled wire size and discarded on arrival if the
+    target crashed after it was sent.  Background activity starts on first
+    [run].
     [jitter] is the fractional random extra latency per message (default
     0.05); [loss] is an independent per-message drop probability (default
     0).  [track_writes] (default true) keeps the omniscient per-write

@@ -1,10 +1,10 @@
 (* The replica wire codec: every protocol message, actually serialisable.
 
-   The deterministic simulator delivers [msg] values as closures (the
-   bit-identical fast path); a real transport delivers bytes.  This module is
-   the seam between the two: [encode]/[to_string] turn any message into the
-   length-delimited payload a stream backend frames, and [decode] is total
-   over arbitrary bytes — corrupt input comes back as
+   [msg] is what a replica's transport endpoint carries: the simulator passes
+   the values as they are, a real transport delivers bytes.  [encode] and
+   [to_string] turn any message into the length-delimited payload a stream
+   backend frames, and [decode] is total over arbitrary bytes — corrupt
+   input comes back as
    [Error (Transport.Malformed _)], with every count field validated against
    the remaining buffer ({!Tact_store.Codec.check_items}) before anything
    proportional to it is allocated.

@@ -1,10 +1,10 @@
 (** The replica wire codec: every protocol message, actually serialisable.
 
-    The deterministic simulator delivers {!msg} values as closures (the
-    bit-identical fast path); a real transport ({!Tact_transport.Tcp})
-    delivers bytes and feeds them back through {!Replica.deliver_wire}.
-    This module is the seam: {!to_string} produces the payload a stream
-    backend frames (4-byte length prefix, {!Tact_store.Transport}), and
+    {!msg} is what a replica's transport endpoint carries.  The
+    deterministic simulator passes the values as they are; a real transport
+    ({!Tact_transport.Serve}) encodes them, and feeds incoming bytes back
+    through {!Replica.deliver_wire}.  {!to_string} produces the payload a
+    stream backend frames (4-byte length prefix, {!Tact_store.Transport}), and
     {!decode} is total over arbitrary bytes — hostile input returns
     [Error (Transport.Malformed _)], never raises, and never allocates
     proportionally to a corrupt count field.
@@ -43,7 +43,8 @@ type msg =
 val sender : msg -> int option
 (** The sender id a message claims, for source authentication against the
     transport-level peer identity ([None] for {!Batch_frame}, whose embedded
-    header carries its own — checked when the batch is applied). *)
+    header carries its own — {!Replica.receive} checks it against the
+    transport peer once the frame decodes). *)
 
 val encode : Codec.Frame.t -> msg -> unit
 (** Append the message's encoding (own magic + version, distinct from

@@ -61,7 +61,6 @@ let create engine topo ?jitter ?loss ?(queued = false) () =
     max_message = 0;
   }
 
-let engine t = t.engine
 let size t = t.topo.Topology.n
 
 let partitioned t a b = Hashtbl.mem t.cut (a, b)

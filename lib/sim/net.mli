@@ -38,7 +38,6 @@ val create :
     serialising earlier ones, so bursts experience queueing delay instead of
     transmitting in parallel. *)
 
-val engine : t -> Engine.t
 val size : t -> int
 (** Number of nodes in the topology. *)
 

@@ -1,6 +1,6 @@
 (* The pluggable TRANSPORT seam: error taxonomy, the endpoint record a
-   replica runs against, the backend module type, and the length-prefix
-   framing helpers stream backends share.  No Unix here — real sockets live
+   replica runs against, and the length-prefix framing helpers stream
+   backends share.  No Unix here — real sockets live
    in lib/transport, the only layer admitted to use them. *)
 
 type error =
@@ -26,25 +26,13 @@ let is_transient = function
   | Timeout _ | Refused _ | Reset _ | Unreachable _ -> true
   | Closed _ | Malformed _ | Too_large _ -> false
 
-type endpoint = {
-  ep_self : int;
-  ep_n : int;
+type 'm endpoint = {
   ep_now : unit -> float;
   ep_schedule : tag:string -> delay:float -> (unit -> unit) -> unit;
   ep_every : tag:string -> period:float -> (unit -> bool) -> unit;
-  ep_send : dst:int -> string -> (unit, error) result;
+  ep_send : dst:int -> 'm -> (unit, error) result;
   ep_close : unit -> unit;
 }
-
-module type S = sig
-  type t
-
-  val self : t -> int
-  val size : t -> int
-  val send : t -> dst:int -> string -> (unit, error) result
-  val set_handler : t -> (src:int -> string -> unit) -> unit
-  val close : t -> unit
-end
 
 (* ------------------------------------------------------------------ *)
 (* Length-prefix framing                                               *)

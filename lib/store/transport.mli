@@ -2,12 +2,12 @@
 
     Everything a replica's protocol machine needs from the world below it —
     a clock, timers and peer messaging — is captured by the {!endpoint}
-    record, and everything a concrete byte-moving backend must provide is
-    captured by the {!S} module type.  The deterministic simulator
-    ({!Tact_sim.Net} wired up by {!Tact_replica.System}) is one instance;
-    the hardened TCP backend ({!Tact_transport.Tcp}) is the production one.
-    The same protocol code runs over both: model-checked against the first,
-    deployed over the second.
+    record.  Every replica runs against one: the deterministic simulator
+    ({!Tact_replica.System} builds an endpoint over {!Tact_sim.Net} and the
+    labelled engine) and the hardened TCP backend ({!Tact_transport.Serve}
+    builds one over {!Tact_transport.Tcp}, encoding each message through
+    {!Tact_replica.Wire}).  The same protocol code runs over both:
+    model-checked against the first, deployed over the second.
 
     This module also owns the {e error taxonomy} every backend reports
     through, and the length-prefix framing helpers stream backends share.
@@ -44,13 +44,12 @@ val is_transient : error -> bool
 (** {2 The endpoint a replica runs against}
 
     A first-class record rather than a functor so one replica
-    implementation serves every backend without refunctorisation; the
-    simulator path in {!Tact_replica.Replica} bypasses it only to keep
-    closure delivery (and therefore digests) bit-identical. *)
+    implementation serves every backend without refunctorisation.  The
+    message type ['m] is the backend's choice of what crosses the seam:
+    the simulator passes protocol values and models their size, a byte
+    backend encodes them before they leave the process. *)
 
-type endpoint = {
-  ep_self : int;  (** this replica's id *)
-  ep_n : int;  (** system size *)
+type 'm endpoint = {
   ep_now : unit -> float;
       (** seconds on the backend's clock (virtual or wall, backend's choice;
           only differences are meaningful) *)
@@ -58,35 +57,14 @@ type endpoint = {
       (** one-shot timer; [tag] is provenance for traces *)
   ep_every : tag:string -> period:float -> (unit -> bool) -> unit;
       (** periodic timer, runs while the thunk returns [true] *)
-  ep_send : dst:int -> string -> (unit, error) result;
-      (** hand one encoded wire message to the backend.  [Ok] means
-          {e accepted for delivery} (possibly parked behind a reconnect),
-          not delivered — delivery guarantees stay with the protocol's own
-          acknowledgement machinery *)
+  ep_send : dst:int -> 'm -> (unit, error) result;
+      (** hand one message to the backend.  [Ok] means {e accepted for
+          delivery} (possibly parked behind a reconnect), not delivered —
+          delivery guarantees stay with the protocol's own acknowledgement
+          machinery.  Must never block the caller indefinitely and never
+          raise: backpressure and peer failure surface as [Error]. *)
   ep_close : unit -> unit;  (** idempotent backend teardown *)
 }
-
-(** {2 The backend module type} *)
-
-module type S = sig
-  type t
-
-  val self : t -> int
-  val size : t -> int
-
-  val send : t -> dst:int -> string -> (unit, error) result
-  (** Queue one wire message for the peer.  Must never block the caller
-      indefinitely and never raise: backpressure and peer failure surface as
-      [Error]. *)
-
-  val set_handler : t -> (src:int -> string -> unit) -> unit
-  (** Install the delivery callback.  Must be called before traffic flows;
-      the backend invokes it once per decoded incoming frame. *)
-
-  val close : t -> unit
-  (** Idempotent: release every resource (sockets, timers, buffers); all
-      subsequent [send]s return [Error (Closed _)]. *)
-end
 
 (** {2 Length-prefix framing}
 

@@ -1,6 +1,7 @@
 open Tact_util
 open Tact_store
 module Replica = Tact_replica.Replica
+module Wire = Tact_replica.Wire
 module Config = Tact_replica.Config
 
 (* A connected client: length-prefixed Client-protocol frames in, buffered
@@ -61,18 +62,23 @@ let create ?(request_timeout = 30.0) ?(nominal_delay = 0.0) ~id ~n ~peer_addrs
       ~send:(fun ~dst payload -> Tcp.send tcp ~dst payload)
       ()
   in
+  let wire = Codec.Frame.create () in
   let endpoint =
     {
-      Transport.ep_self = id;
-      ep_n = n;
-      ep_now = (fun () -> Loop.now loop);
+      Transport.ep_now = (fun () -> Loop.now loop);
       ep_schedule = (fun ~tag ~delay f -> Loop.schedule loop ~tag ~delay f);
       ep_every = (fun ~tag ~period f -> Loop.every loop ~tag ~period f);
-      ep_send = (fun ~dst payload -> Faulty.send faulty ~dst payload);
+      ep_send =
+        (fun ~dst msg ->
+          (* Serialise through one reusable arena, then hand the bytes to
+             the fault decorator in front of the socket. *)
+          Codec.Frame.clear wire;
+          Wire.encode wire msg;
+          Faulty.send faulty ~dst (Codec.Frame.contents wire));
       ep_close = (fun () -> Tcp.close tcp);
     }
   in
-  let replica = Replica.create_ext ~id ~n ~endpoint ~config () in
+  let replica = Replica.create ~id ~n ~endpoint ~config () in
   Tcp.set_handler tcp (fun ~src payload -> Replica.deliver_wire replica ~src payload);
   (* Reconnect implies resync — deferred so the pull runs outside the
      supervisor's action processing. *)

@@ -1,8 +1,9 @@
 (** One live replica process: the glue {!bin/tact_serve} runs.
 
     Wires a {!Loop}, a {!Tcp} backend and a {!Faulty} fault-injection
-    decorator into a {!Tact_store.Transport.endpoint}, mounts a replica on
-    it ({!Tact_replica.Replica.create_ext}), serves the {!Client} protocol
+    decorator into a {!Tact_store.Transport.endpoint} that encodes every
+    message through {!Tact_replica.Wire}, mounts a replica on it
+    ({!Tact_replica.Replica.create}), serves the {!Client} protocol
     on a second listening socket, and owns the lifecycle: start, run,
     graceful SIGTERM-style drain, idempotent close.
 

@@ -381,11 +381,11 @@ let test_planted_wrong_shard_caught () =
 
 (* A Batch frame that reaches a replica serving a different shard is
    rejected at the wire (and counted), never applied — the frame-level
-   defence behind the containment audit.  Two hand-wired replicas with
-   mismatched shard_id stand in for a leaked delivery. *)
+   defence behind the containment audit.  Two replicas with mismatched
+   shard_id, joined by a hand-built endpoint that delivers every message
+   after a fixed delay, stand in for a leaked delivery. *)
 let test_wrong_shard_frame_rejected () =
   let engine = Engine.create () in
-  let net = Net.create engine (topo 2) () in
   let mk shard_id =
     {
       Config.default with
@@ -396,11 +396,23 @@ let test_wrong_shard_frame_rejected () =
       conits = [ Conit.unconstrained "a" ];
     }
   in
-  let r0 = Replica.create ~id:0 ~n:2 ~net ~config:(mk 0) () in
-  let r1 = Replica.create ~id:1 ~n:2 ~net ~config:(mk 1) () in
-  let peers = [| r0; r1 |] in
-  Replica.connect r0 ~peers:(fun j -> peers.(j));
-  Replica.connect r1 ~peers:(fun j -> peers.(j));
+  let peers = ref [||] in
+  let endpoint src =
+    {
+      Transport.ep_now = (fun () -> Engine.now engine);
+      ep_schedule = (fun ~tag:_ ~delay f -> Engine.schedule engine ~delay f);
+      ep_every = (fun ~tag:_ ~period f -> Engine.every engine ~period f);
+      ep_send =
+        (fun ~dst msg ->
+          Engine.schedule engine ~delay:0.04 (fun () ->
+              Replica.receive !peers.(dst) ~src msg);
+          Ok ());
+      ep_close = ignore;
+    }
+  in
+  let r0 = Replica.create ~id:0 ~n:2 ~endpoint:(endpoint 0) ~config:(mk 0) () in
+  let r1 = Replica.create ~id:1 ~n:2 ~endpoint:(endpoint 1) ~config:(mk 1) () in
+  peers := [| r0; r1 |];
   Engine.at engine ~time:0.1 (fun () ->
       Replica.submit_write r0 ~deps:[]
         ~affects:[ unit_weight "a" ]

@@ -16,7 +16,11 @@
      fault-injecting decorator, with client traffic throughout and a
      convergence + clean-accounting check after the heal
    - System.run teardown: close is idempotent and runs even when a replica
-     raises mid-run *)
+     raises mid-run
+   - the replica seam on a recording endpoint: every outgoing sync comes
+     from one builder (Per_write or Batched, delta or snapshot fallback,
+     push or pull reply), and a Batch frame's embedded sender is checked
+     against the transport peer *)
 
 open Tact_util
 open Tact_store
@@ -1000,6 +1004,183 @@ let test_system_close_idempotent () =
   Replica.close r0;
   Alcotest.(check int) "stats still readable" 0 (Replica.stats r0).Replica.malformed_frames
 
+(* --- The replica seam: one sync builder, one apply path ---------------- *)
+
+(* A replica on an endpoint that only records what it sends: an engine
+   drives its timers, and nothing is delivered unless the test does it. *)
+let recording_replica ~engine ~id ~n config =
+  let sent = ref [] in
+  let endpoint =
+    {
+      Transport.ep_now = (fun () -> Tact_sim.Engine.now engine);
+      ep_schedule =
+        (fun ~tag:_ ~delay f -> Tact_sim.Engine.schedule engine ~delay f);
+      ep_every = (fun ~tag:_ ~period f -> Tact_sim.Engine.every engine ~period f);
+      ep_send =
+        (fun ~dst msg ->
+          sent := (dst, msg) :: !sent;
+          Ok ());
+      ep_close = ignore;
+    }
+  in
+  (Replica.create ~id ~n ~endpoint ~config (), sent)
+
+(* What a replica has sent since the last call, oldest first. *)
+let take sent =
+  let l = List.rev !sent in
+  sent := [];
+  l
+
+let weight conit = { Write.conit; nweight = 1.0; oweight = 1.0 }
+
+let decode_batch s =
+  match Batch.decode s with
+  | Ok b -> b
+  | Error e -> Alcotest.failf "batch frame: %s" (Transport.error_to_string e)
+
+(* The shape of one outgoing sync: (message kind, frame kind, payload), with
+   the Per_write messages' kinds spelled the way a Batch frame spells them. *)
+let sync_shape = function
+  | Wire.Transfer { kind = `Push; _ } -> ("transfer", "push", "delta")
+  | Wire.Transfer { kind = `Pull_reply r; _ } ->
+    ("transfer", Printf.sprintf "pull %d" r, "delta")
+  | Wire.Transfer { kind = `Gossip; _ } -> ("transfer", "gossip", "delta")
+  | Wire.Snapshot { round; _ } -> ("snapshot", Printf.sprintf "round %d" round, "full")
+  | Wire.Batch_frame s ->
+    let b = decode_batch s in
+    ( "batch",
+      (match b.Batch.kind with
+      | Batch.Push -> "push"
+      | Batch.Pull_reply r -> Printf.sprintf "pull %d" r
+      | Batch.Gossip -> "gossip"),
+      match b.Batch.payload with Batch.Delta _ -> "delta" | Batch.Full _ -> "full" )
+  | Wire.Pull_req _ -> ("pull_req", "", "")
+  | Wire.Ack _ -> ("ack", "", "")
+
+let shape = Alcotest.(triple string string string)
+
+(* The builder's four cases — Per_write or Batched, delta or snapshot
+   fallback — each for a gossip push and for a reply to pull round 7.
+   Replica 0 is the primary, so its write commits at once; keeping no
+   committed writes then truncates the log past replica 1, which forces the
+   snapshot fallback. *)
+let test_seam_sync_builder () =
+  let case sync fallback =
+    let name =
+      Printf.sprintf "%s/%s"
+        (match sync with Config.Per_write -> "per-write" | Config.Batched -> "batched")
+        (if fallback then "snapshot" else "delta")
+    in
+    let config =
+      {
+        Config.default with
+        Config.sync;
+        commit_scheme = Config.Primary 0;
+        truncate_keep = (if fallback then Some 0 else None);
+        antientropy_period = Some 1.0;
+        conits = [ Conit.unconstrained "a" ];
+      }
+    in
+    let engine = Tact_sim.Engine.create () in
+    let r0, sent0 = recording_replica ~engine ~id:0 ~n:2 config in
+    let r1, sent1 = recording_replica ~engine ~id:1 ~n:2 config in
+    Replica.submit_write r0 ~deps:[] ~affects:[ weight "a" ]
+      ~op:(Op.Add ("x", 1.0)) ~k:ignore;
+    Alcotest.(check int) (name ^ ": the write sends nothing") 0
+      (List.length (take sent0));
+    Replica.start r0;
+    Tact_sim.Engine.run ~until:1.5 engine;
+    let push =
+      match take sent0 with
+      | [ (1, m) ] -> m
+      | l -> Alcotest.failf "%s: %d messages after one gossip tick" name (List.length l)
+    in
+    let full = if fallback then "full" else "delta" in
+    let msg_kind =
+      match sync with
+      | Config.Per_write -> if fallback then "snapshot" else "transfer"
+      | Config.Batched -> "batch"
+    in
+    let push_kind =
+      (* A Per_write snapshot carries no kind; a push is round 0. *)
+      if msg_kind = "snapshot" then "round 0" else "push"
+    in
+    Alcotest.check shape (name ^ ": push") (msg_kind, push_kind, full) (sync_shape push);
+    (* The receiver applies the push and acknowledges it — except a
+       Per_write snapshot, which is never acknowledged. *)
+    Replica.receive r1 ~src:0 push;
+    Alcotest.(check int) (name ^ ": push applied") 1
+      (Version_vector.get (Wlog.vector (Replica.log r1)) 0);
+    let acks =
+      List.map
+        (function 0, Wire.Ack _ -> "ack" | _, m -> let k, _, _ = sync_shape m in k)
+        (take sent1)
+    in
+    Alcotest.(check (list string)) (name ^ ": push acknowledged")
+      (if msg_kind = "snapshot" then [] else [ "ack" ])
+      acks;
+    (* A pull reply answers at once, in every mode, and is never
+       acknowledged. *)
+    Replica.receive r0 ~src:1
+      (Wire.Pull_req
+         { from = 1; vector = Version_vector.create 2; csn_known = 0; round = 7 });
+    let reply =
+      match take sent0 with
+      | [ (1, m) ] -> m
+      | l -> Alcotest.failf "%s: %d replies to one pull" name (List.length l)
+    in
+    let pull_kind = if msg_kind = "snapshot" then "round 7" else "pull 7" in
+    Alcotest.check shape (name ^ ": pull reply") (msg_kind, pull_kind, full)
+      (sync_shape reply);
+    Replica.receive r1 ~src:0 reply;
+    Alcotest.(check int) (name ^ ": pull reply not acknowledged") 0
+      (List.length (take sent1));
+    Alcotest.(check (float 0.0)) (name ^ ": replica 1 converged") 1.0
+      (Db.get_float (Replica.db r1) "x")
+  in
+  List.iter
+    (fun sync -> List.iter (case sync) [ false; true ])
+    [ Config.Per_write; Config.Batched ]
+
+(* A Batch frame's embedded header names its sender; it must match the
+   transport peer the frame arrived from, exactly as a Transfer's does. *)
+let test_seam_batch_sender_checked () =
+  let engine = Tact_sim.Engine.create () in
+  let r, _ =
+    recording_replica ~engine ~id:0 ~n:3
+      { Config.default with Config.conits = [ Conit.unconstrained "a" ] }
+  in
+  let id = { Write.origin = 2; seq = 1 } in
+  let w = Write.make ~id ~accept_time:0.0 ~op:(Op.Add ("x", 1.0)) ~affects:[ weight "a" ] in
+  let vector = Version_vector.create 3 in
+  Version_vector.set vector 2 1;
+  let cover = Array.make 3 0.0 in
+  let frame =
+    Wire.to_string
+      (Wire.Batch_frame
+         (Batch.to_string
+            { Batch.from = 2; shard = 0; kind = Batch.Gossip; vector; cover;
+              csn_start = 0; csn = []; rate = 0.0; payload = Batch.Delta [ w ] }))
+  in
+  let transfer =
+    Wire.to_string
+      (Wire.Transfer
+         { from = 2; writes = [ w ]; vector; cover; csn_start = 0; csn = [];
+           rate = 0.0; kind = `Gossip })
+  in
+  Replica.deliver_wire r ~src:1 frame;
+  Alcotest.(check int) "spoofed batch frame counted" 1 (Replica.malformed_frames r);
+  Alcotest.(check bool) "spoofed batch frame not applied" false
+    (Wlog.known (Replica.log r) id);
+  Replica.deliver_wire r ~src:1 transfer;
+  Alcotest.(check int) "spoofed transfer counted" 2 (Replica.malformed_frames r);
+  Alcotest.(check bool) "spoofed transfer not applied" false
+    (Wlog.known (Replica.log r) id);
+  Replica.deliver_wire r ~src:2 frame;
+  Alcotest.(check int) "authentic batch frame accepted" 2 (Replica.malformed_frames r);
+  Alcotest.(check bool) "authentic batch frame applied" true
+    (Wlog.known (Replica.log r) id)
+
 let suite =
   [
     Alcotest.test_case "supervisor: dial/up/resync cycle" `Quick test_sup_dial_cycle;
@@ -1033,4 +1214,7 @@ let suite =
     Alcotest.test_case "system: teardown on raise" `Quick
       test_system_run_teardown_on_raise;
     Alcotest.test_case "system: close idempotent" `Quick test_system_close_idempotent;
+    Alcotest.test_case "seam: one sync builder" `Quick test_seam_sync_builder;
+    Alcotest.test_case "seam: batch sender checked" `Quick
+      test_seam_batch_sender_checked;
   ]
