@@ -182,14 +182,22 @@ let main () =
     in
     { d with Config.transport = tk; trace }
   in
-  (match Config.validate ~n:c.n config with
-  | Ok () -> ()
-  | Error e ->
-    Printf.eprintf "tact_serve: config: %s\n" e;
-    exit 2);
   let srv =
-    Serve.create ~request_timeout:c.request_timeout ~id:c.id ~n:c.n ~peer_addrs
-      ~client_addr ~config ~seed:(c.seed + c.id) ()
+    match
+      Serve.create ~request_timeout:c.request_timeout ~id:c.id ~n:c.n ~peer_addrs
+        ~client_addr ~config ~seed:(c.seed + c.id) ()
+    with
+    | srv -> srv
+    | exception Invalid_argument e ->
+      let prefix = "Serve.create: " in
+      let e =
+        if String.starts_with ~prefix e then
+          String.sub e (String.length prefix)
+            (String.length e - String.length prefix)
+        else e
+      in
+      Printf.eprintf "tact_serve: config: %s\n" e;
+      exit 2
   in
   let loop = Serve.loop srv in
   if c.trace then

@@ -15,8 +15,6 @@ open Tact_replica
 open Tact_apps
 
 let () =
-  (* Reject malformed conit specs up front (doc/ANALYSIS.md). *)
-  Tact_analysis.Guard.install ();
   let n = 4 in
   let friends = [ 1; 2 ] in
   let topology = Topology.uniform ~n ~latency:0.05 ~bandwidth:500_000.0 in

@@ -11,8 +11,6 @@ open Tact_replica
 open Tact_apps
 
 let () =
-  (* Reject malformed conit specs up front (doc/ANALYSIS.md). *)
-  Tact_analysis.Guard.install ();
   let topology = Topology.uniform ~n:2 ~latency:0.08 ~bandwidth:250_000.0 in
   let config =
     { Config.default with Config.antientropy_period = Some 1.0; procs = Editor.procs }

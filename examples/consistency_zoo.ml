@@ -167,8 +167,6 @@ let memdag () =
   System.run ~until:30.0 sys
 
 let () =
-  (* Reject malformed conit specs up front (doc/ANALYSIS.md). *)
-  Tact_analysis.Guard.install ();
   n_ignorant ();
   conflict_matrix ();
   lazy_replication ();

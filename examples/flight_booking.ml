@@ -19,8 +19,6 @@ let book ~label ~ne_rel =
     r.mean_rel_ne r.messages
 
 let () =
-  (* Reject malformed conit specs up front (doc/ANALYSIS.md). *)
-  Tact_analysis.Guard.install ();
   Printf.printf "booking a 120-seat flight from 4 replicas for 50s...\n";
   book ~label:"unbounded views:" ~ne_rel:infinity;
   book ~label:"rel-NE <= 0.10:" ~ne_rel:0.10;

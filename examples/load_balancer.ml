@@ -16,8 +16,6 @@ let balance ~label ~ne_bound =
     r.mean_imbalance r.messages
 
 let () =
-  (* Reject malformed conit specs up front (doc/ANALYSIS.md). *)
-  Tact_analysis.Guard.install ();
   Printf.printf "balancing requests across 4 replicated web servers for 40s...\n";
   balance ~label:"exact views:" ~ne_bound:1.0;
   balance ~label:"NE <= 4:" ~ne_bound:4.0;

@@ -9,8 +9,6 @@ open Tact_core
 open Tact_replica
 
 let () =
-  (* Reject malformed conit specs up front (doc/ANALYSIS.md). *)
-  Tact_analysis.Guard.install ();
   (* Three replicas, 40 ms one-way latency, conit "record.temp" may be off by
      at most 5 units anywhere, proactively maintained by pushes. *)
   let topology = Topology.uniform ~n:3 ~latency:0.04 ~bandwidth:1_000_000.0 in

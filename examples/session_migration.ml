@@ -30,8 +30,6 @@ let roam ~label ~guarantees =
   System.run ~until:30.0 sys
 
 let () =
-  (* Reject malformed conit specs up front (doc/ANALYSIS.md). *)
-  Tact_analysis.Guard.install ();
   print_endline "a user posts at site 0, roams to site 1, reads their wall:";
   roam ~label:"plain session:" ~guarantees:[];
   roam ~label:"read-your-writes session:" ~guarantees:[ Session.Read_your_writes ];

@@ -17,8 +17,6 @@ open Tact_replica
 let quote_conit = "quote.ACME"
 
 let () =
-  (* Reject malformed conit specs up front (doc/ANALYSIS.md). *)
-  Tact_analysis.Guard.install ();
   let n = 3 in
   let topology = Topology.uniform ~n ~latency:0.06 ~bandwidth:500_000.0 in
   (* Any replica's quote may be off by at most $1.00. *)

@@ -95,11 +95,7 @@ let analyze ~n ?topology ?usages (config : Config.t) =
   (* --- declaration shape ------------------------------------------- *)
   List.iter
     (fun (c : Conit.t) ->
-      if
-        bad_bound c.ne_bound || bad_bound c.ne_rel_bound || bad_bound c.oe_bound
-        || bad_bound c.st_bound
-        || Float.is_nan c.initial_value
-      then
+      if Conit.malformed c then
         emit
           (diag "TA001" ~subject:c.name
              ~hint:"bounds must be non-negative reals (infinity = unconstrained)"
@@ -129,20 +125,14 @@ let analyze ~n ?topology ?usages (config : Config.t) =
     dups;
   (* --- budget policy ----------------------------------------------- *)
   (match config.Config.budget_policy with
-  | Tact_protocols.Budget.Proportional rates ->
-    let bad =
-      Array.length rates <> n
-      || Array.exists (fun r -> r < 0.0 || Float.is_nan r) rates
-      || (n > 1 && Array.for_all (fun r -> r = 0.0) rates)
-    in
-    if bad then
-      emit
-        (diag "TA003" ~subject:"budget_policy"
-           ~hint:
-             "supply one non-negative rate per replica with a positive total"
-           "proportional budget weights are malformed for n = %d (length %d)" n
-           (Array.length rates))
-  | Tact_protocols.Budget.Even | Tact_protocols.Budget.Adaptive -> ());
+  | Tact_protocols.Budget.Proportional rates as p
+    when Tact_protocols.Budget.malformed ~n p ->
+    emit
+      (diag "TA003" ~subject:"budget_policy"
+         ~hint:"supply one non-negative rate per replica with a positive total"
+         "proportional budget weights are malformed for n = %d (length %d)" n
+         (Array.length rates))
+  | _ -> ());
   (* --- gossip plan -------------------------------------------------- *)
   (match Config.bad_gossip_plan ~n config with
   | Some (i, j) ->
@@ -351,13 +341,10 @@ let analyze ~n ?topology ?usages (config : Config.t) =
           (* A malformed Proportional policy already got TA003; analyze the
              share as if even rather than indexing a bad rates array. *)
           let policy =
-            match config.Config.budget_policy with
-            | Tact_protocols.Budget.Proportional rates
-              when Array.length rates <> n
-                   || Array.exists (fun r -> r < 0.0 || Float.is_nan r) rates
-                   || Array.for_all (fun r -> r = 0.0) rates ->
+            let p = config.Config.budget_policy in
+            if Tact_protocols.Budget.malformed ~n p then
               Tact_protocols.Budget.Even
-            | p -> p
+            else p
           in
           let share = min_share ~n policy c.ne_bound in
           let max_nw =

@@ -17,7 +17,6 @@
     measured conflict rate should track the measured mean relative NE across
     the bound sweep. *)
 
-val flight_conit : int -> string
 val flight_key : int -> string
 
 val procs : Tact_store.Op.procs

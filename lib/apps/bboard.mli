@@ -9,7 +9,6 @@
 
 val conit_all : string
 val conit_friends : string
-val board_key : string
 
 val post :
   Tact_replica.Session.t -> author:int -> friends:int list -> text:string ->

@@ -11,7 +11,6 @@
 val add_conit : para:int -> string
 val del_conit : para:int -> string
 val author_conit : para:int -> author:int -> string
-val para_key : para:int -> string
 
 val procs : Tact_store.Op.procs
 (** The edit procedures, ["editor.insert"] and ["editor.delete"]; a system

@@ -9,9 +9,6 @@
     worse routing (requests sent to servers that are not actually least
     loaded), which experiment E7 quantifies. *)
 
-val load_conit : int -> string
-val load_key : int -> string
-
 type result = {
   requests : int;
   misroutes : int;  (** routed to a server that was not truly least-loaded *)

@@ -10,7 +10,6 @@
     occupancy views send everyone down the same "best" route — the
     over-crowding failure the paper motivates road reservation with. *)
 
-val section_conit : int -> string
 val section_key : int -> string
 
 val procs : Tact_store.Op.procs
@@ -22,8 +21,6 @@ val reserve_section :
   k:(Tact_store.Op.outcome -> unit) -> unit
 (** Reserve a slot in the section; conflicts when the section is full at
     application time. *)
-
-val observed_occupancy : Tact_store.Db.t -> section:int -> float
 
 type result = {
   trips : int;

@@ -11,8 +11,6 @@
     means each observation pays only for its own accuracy. *)
 
 val pos_conit : int -> string
-val x_key : int -> string
-val y_key : int -> string
 
 val procs : Tact_store.Op.procs
 (** The movement procedure, ["vworld.move"]; a system running {!move} must
@@ -23,12 +21,6 @@ val move :
   k:(Tact_store.Op.outcome -> unit) -> unit
 (** Displace the entity; affects its position conit with nweight = the
     Euclidean length of the move. *)
-
-val observe :
-  Tact_replica.Session.t -> entity:int -> accuracy:float ->
-  k:(float * float -> unit) -> unit
-(** Read the entity's position, requiring the view to be within [accuracy]
-    world units of the true position. *)
 
 val position : Tact_store.Db.t -> entity:int -> float * float
 

@@ -18,3 +18,8 @@ let is_unconstrained c =
   && Float.equal c.ne_rel_bound infinity
   && Float.equal c.oe_bound infinity
   && Float.equal c.st_bound infinity
+
+let malformed c =
+  let bad x = x < 0.0 || Float.is_nan x in
+  bad c.ne_bound || bad c.ne_rel_bound || bad c.oe_bound || bad c.st_bound
+  || Float.is_nan c.initial_value

@@ -46,3 +46,9 @@ val unconstrained : string -> t
 val is_unconstrained : t -> bool
 (** True when every declared bound is infinite — the declaration names the
     conit but promises nothing. *)
+
+val malformed : t -> bool
+(** True when a bound is negative or NaN (NaN compares false against
+    everything, so it would silently disable the bound's checks) or the
+    initial value is NaN.  Shared by [Config.validate], which rejects such
+    a declaration, and the static analyzer's TA001. *)

@@ -17,8 +17,3 @@ let pull_read_latency ~n ~one_way =
   2.0 *. one_way
 
 let conflict_probability ~rel_ne = Float.max 0.0 (Float.min 1.0 rel_ne)
-
-let staleness_pull_rate ~read_rate ~bound ~gossip =
-  match gossip with
-  | Some period when period <= bound -> 0.0
-  | Some _ | None -> read_rate

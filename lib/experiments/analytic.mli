@@ -1,9 +1,10 @@
-(** Closed-form cost predictions for the consistency protocols, used as
-    overlays/oracles in experiments and tests.
+(** Closed-form cost predictions for the consistency protocols: the test
+    reference that [test/test_analytic.ml] holds the simulator against.  No
+    experiment reads them.
 
     These are first-order models: they predict the compulsory protocol
     traffic from the workload and the bounds, ignoring batching windfalls
-    (one push can carry several writes) and retries.  Experiments compare
+    (one push can carry several writes) and retries.  The tests compare
     simulation against them to confirm the scaling structure, not the exact
     constant. *)
 
@@ -27,8 +28,3 @@ val conflict_probability : rel_ne:float -> float
 (** Section 4.1: a reservation aimed at a uniformly random observed-free seat
     conflicts with an unseen reservation with probability equal to the
     relative numerical error (clamped to [0, 1]). *)
-
-val staleness_pull_rate : read_rate:float -> bound:float -> gossip:float option -> float
-(** Staleness-forced pulls per second for a reader population issuing
-    [read_rate] bounded reads: zero when gossip already delivers within the
-    bound, else up to one pull batch per read. *)

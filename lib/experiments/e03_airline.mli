@@ -9,6 +9,4 @@
     monotonically as the bound tightens and tracks the measured relative NE
     (the paper reports the formula "verified through experiments"). *)
 
-val bounds_swept : float list
-
 val run : ?quick:bool -> unit -> string

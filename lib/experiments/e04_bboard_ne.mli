@@ -7,6 +7,4 @@
     the bound loosens, while the reader-observed numerical error grows up to
     (but never beyond) the bound. *)
 
-val bounds_swept : float list
-
 val run : ?quick:bool -> unit -> string

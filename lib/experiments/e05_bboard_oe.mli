@@ -7,6 +7,4 @@
     falls as the bound loosens, reaching local-read latency once the bound
     exceeds the typical tentative backlog. *)
 
-val bounds_swept : float list
-
 val run : ?quick:bool -> unit -> string

@@ -6,6 +6,4 @@
     as the bound loosens, while the observed numerical error (unseen posts)
     grows. *)
 
-val bounds_swept : float list
-
 val run : ?quick:bool -> unit -> string

@@ -5,6 +5,4 @@
     misroutes and low imbalance at high dissemination traffic; loosening the
     bound trades routing quality for traffic. *)
 
-val bounds_swept : float list
-
 val run : ?quick:bool -> unit -> string

@@ -8,6 +8,4 @@
     near-flat as conits grow from 1 to 10^4 — only the weight-specification
     bytes on the wire grow (each write names its conit). *)
 
-val conit_counts : int list
-
 val run : ?quick:bool -> unit -> string

@@ -7,6 +7,4 @@
     wide-area scaling cost that motivates bounded inconsistency in the first
     place (Section 1). *)
 
-val replica_counts : int list
-
 val run : ?quick:bool -> unit -> string

@@ -7,8 +7,6 @@
     zero error, {e weak} operations carry no dependency.  "m-consistency"
     arises from a finite bound [m] instead of zero. *)
 
-val cluster_conit : int -> string
-
 val conits : clusters:int -> Tact_core.Conit.t list
 
 val strict_op :

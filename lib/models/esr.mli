@@ -11,8 +11,6 @@
     protocol caps any replica's imported error at the declared epsilon, which
     is ESR's safety condition. *)
 
-val item_conit : string -> string
-
 val conits : items:string list -> epsilon:float -> Tact_core.Conit.t list
 (** Declare each item's conit with [ne_bound = epsilon] (the system-wide
     export cap). *)

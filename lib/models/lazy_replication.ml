@@ -23,10 +23,3 @@ let forced session ~op ~k =
   Session.dependon_conit session forced_conit ~ne:0.0 ~oe:0.0 ();
   dep_immediate session;
   Session.write session op ~k
-
-let immediate session ~op ~k =
-  Session.affect_conit session forced_conit ~nweight:1.0 ~oweight:1.0;
-  Session.affect_conit session immediate_conit ~nweight:1.0 ~oweight:1.0;
-  Session.dependon_conit session forced_conit ~ne:0.0 ~oe:0.0 ();
-  Session.dependon_conit session immediate_conit ~ne:0.0 ~oe:0.0 ();
-  Session.write session op ~k

@@ -16,8 +16,6 @@ type dag = { nodes : int; edges : (int * int) list }
 val check : dag -> unit
 (** Raises [Invalid_argument] on self-edges, out-of-range nodes or cycles. *)
 
-val edge_conit : int -> int -> string
-
 val affects_of_node : dag -> int -> Tact_store.Write.weight list
 val deps_of_node : dag -> int -> (string * Tact_core.Bounds.t) list
 

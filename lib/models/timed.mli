@@ -7,8 +7,6 @@
     writer-driven; reader-driven staleness gives the same observable
     guarantee — no read ever misses a write older than [delta].) *)
 
-val conit_name : string
-
 val write :
   Tact_replica.Session.t ->
   op:Tact_store.Op.t ->

@@ -46,9 +46,6 @@ type summary = {
   digest : string;  (** deterministic digest of all outcomes, jobs-invariant *)
 }
 
-val derive_seeds : master_seed:int -> runs:int -> int list
-(** The per-run seed sequence (exposed for the CLI's [run] command). *)
-
 val one_run : mutation:Tact_replica.Mutation.t -> int -> outcome * Fault.schedule
 (** Execute a single seeded run: derive the plan, sample its fault schedule,
     run, oracle-check. *)

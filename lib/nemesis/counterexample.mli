@@ -16,21 +16,13 @@ type t = {
   fingerprint : Tact_check.Fingerprint.t;
 }
 
-val minimize :
-  seed:int ->
-  mutation:Tact_replica.Mutation.t ->
-  quiet_after:float ->
-  Fault.event list ->
-  Fault.event list * float
-(** Greedy delta-debugging: drop any single disturbance whose removal still
-    violates, to a local minimum; then tighten [quiet_after] down to just
-    after the last surviving disturbance if the violation persists.  Returns
-    the events unchanged if the input does not fail. *)
-
 val of_failure :
   seed:int -> mutation:Tact_replica.Mutation.t -> schedule:Fault.schedule -> t
 (** Minimize a failing run and record the shrunk run's violations and
-    fingerprint. *)
+    fingerprint.  Shrinking is greedy delta-debugging: drop any single
+    disturbance whose removal still violates, to a local minimum, then
+    tighten [quiet_after] down to just after the last surviving disturbance
+    if the violation persists. *)
 
 val to_json : t -> Tact_check.Json.t
 val of_json : Tact_check.Json.t -> (t, string) result

@@ -12,8 +12,6 @@ type op_obs = {
 }
 (** Per-client-operation completion accounting, maintained by {!Runner}. *)
 
-val describe_op : op_obs -> string
-
 val check_liveness :
   Tact_replica.System.t -> op_obs list -> string list
 (** O5: after the quiescent tail plus drain, every replica is up with no

@@ -15,6 +15,13 @@ let share policy ~bound ~n ~self ~receiver ~rates =
     | Proportional static -> proportional_share ~bound ~n ~self ~receiver static
     | Adaptive -> proportional_share ~bound ~n ~self ~receiver rates
 
+let malformed ~n = function
+  | Even | Adaptive -> false
+  | Proportional rates ->
+    Array.length rates <> n
+    || Array.exists (fun r -> r < 0.0 || Float.is_nan r) rates
+    || (n > 1 && Array.for_all (fun r -> Float.equal r 0.0) rates)
+
 let policy_name = function
   | Even -> "even"
   | Proportional _ -> "proportional"

@@ -30,4 +30,11 @@ val share :
     [rates.(j)] is the (believed) write rate of replica [j]; it is ignored by
     {!Even}.  Zero-rate corner cases fall back to the even split. *)
 
+val malformed : n:int -> policy -> bool
+(** A [Proportional] rate vector that cannot split bounds among [n]
+    replicas: its length is not [n], a rate is negative or NaN, or (for
+    [n > 1]) every rate is zero.  [Even] and [Adaptive] are never
+    malformed.  Shared by [Config.validate], which rejects such a policy,
+    and the static analyzer's TA003. *)
+
 val policy_name : policy -> string

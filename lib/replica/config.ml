@@ -108,10 +108,6 @@ let conit t name =
   | Some c -> c
   | None -> Tact_core.Conit.unconstrained name
 
-(* A bound is malformed when it is negative or NaN (NaN compares false
-   against everything, so it would silently disable the bound's checks). *)
-let bad_bound x = x < 0.0 || Float.is_nan x
-
 let bad_interest ~n t =
   match t.interest with
   | None -> None
@@ -200,13 +196,11 @@ let validate ~n t =
             err "duplicate conit declarations"
           else if dups (List.map fst t.procs) then
             err "duplicate procedure names"
-          else if
-            List.exists
-              (fun (c : Tact_core.Conit.t) ->
-                bad_bound c.ne_bound || bad_bound c.ne_rel_bound
-                || bad_bound c.oe_bound || bad_bound c.st_bound)
-              t.conits
-          then err "conit bounds must be non-negative"
+          else if List.exists Tact_core.Conit.malformed t.conits then
+            err "conit bounds must be non-negative and initial values not NaN"
+          else if Tact_protocols.Budget.malformed ~n t.budget_policy then
+            err "proportional budget weights need one non-negative rate per \
+                 replica (n = %d) with a positive total" n
           else if t.shards < 1 then err "shards must be >= 1 (got %d)" t.shards
           else if t.shard_id < 0 || t.shard_id >= t.shards then
             err "shard_id %d is not a shard (shards = %d)" t.shard_id t.shards
@@ -225,20 +219,3 @@ let validate ~n t =
                 | Some m -> Error m
                 | None -> Ok ()))
         end)
-
-(* ------------------------------------------------------------------ *)
-(* Static-analysis hook                                                *)
-
-(* The analyzer lives above this library (it reads [Config.t]), so the
-   dependency is inverted through a registration point: [Tact_analysis.Guard]
-   installs itself here and {!System.create} calls through.  Unset, the hook
-   is free. *)
-(* SA030/SA020 baselined -- intentional dependency-inversion point, set
-   once at startup by Tact_analysis.Guard and never per-run, so replayed
-   executions all observe the same hook *)
-let analyze_hook : (n:int -> t -> unit) option ref = ref None
-
-let set_analyze_hook h = analyze_hook := h
-
-let run_analyze_hook ~n t =
-  match !analyze_hook with None -> () | Some h -> h ~n t

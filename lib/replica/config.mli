@@ -151,18 +151,14 @@ val validate : n:int -> t -> (unit, string) result
 (** Sanity-check a configuration against the system size: the primary id
     must name a replica, periods (anti-entropy, retry, batch flush) must be
     positive and not NaN, retention non-negative, conit and procedure names
-    unique, every declared bound (NE, relative NE, OE, ST)
-    non-negative and non-NaN, [gossip_plan], when set, must return peer ids
+    unique, every declared conit well-formed ({!Tact_core.Conit.malformed}:
+    NE, relative NE, OE and ST bounds non-negative and non-NaN, initial
+    value not NaN), a [Proportional] budget policy well-formed for [n]
+    ({!Tact_protocols.Budget.malformed}: one non-negative rate per replica
+    with a positive total), [gossip_plan], when set, must return peer ids
     in range for every replica, and the {!transport_knobs} must be coherent
     (positive non-NaN deadlines, [backoff_base <= backoff_cap], a sane
-    [max_frame], a positive backlog).  {!System.create} runs this and raises
-    [Invalid_argument] on [Error]. *)
-
-val set_analyze_hook : (n:int -> t -> unit) option -> unit
-(** Register (or clear) the static-analysis hook that {!System.create} runs
-    after {!validate}.  Installed by [Tact_analysis.Guard] — the analyzer
-    depends on this library, so the call is inverted through this hook.  The
-    hook may raise (e.g. [Invalid_argument]) to reject the configuration. *)
-
-val run_analyze_hook : n:int -> t -> unit
-(** Invoke the registered hook, if any. *)
+    [max_frame], a positive backlog).  This is the only gate for a
+    configuration's shape: {!System.create}, {!Sharded.create} and
+    [Tact_transport.Serve.create] run it and raise [Invalid_argument] on
+    [Error]. *)

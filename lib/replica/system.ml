@@ -41,7 +41,6 @@ let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
   (match Config.validate ~n:topology.Topology.n config with
   | Ok () -> ()
   | Error m -> invalid_arg ("System.create: " ^ m));
-  Config.run_analyze_hook ~n:topology.Topology.n config;
   let engine = Engine.create () in
   let rng = Prng.create ~seed in
   let jit = if jitter > 0.0 then Some (rng, jitter) else None in

@@ -5,7 +5,6 @@ type 'a t = { mutable data : 'a entry array; mutable len : int }
 let create () = { data = [||]; len = 0 }
 
 let is_empty t = t.len = 0
-let size t = t.len
 
 let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 

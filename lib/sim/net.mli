@@ -38,9 +38,6 @@ val create :
     serialising earlier ones, so bursts experience queueing delay instead of
     transmitting in parallel. *)
 
-val size : t -> int
-(** Number of nodes in the topology. *)
-
 val send : t -> src:int -> dst:int -> size:int -> (unit -> unit) -> unit
 (** Deliver [deliver] at the destination after the link delay.  Messages on
     the same link are NOT ordered (models independent datagrams / parallel

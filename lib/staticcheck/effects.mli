@@ -17,9 +17,9 @@ type atom =
       (** iteration in [Hashtbl] order, unless the site carries a
           [lint: allow hashtbl-<fn>] annotation ({!hashtbl_key}) *)
   | Global_mutation of string
-      (** touches the named non-[Sync] module-level mutable value
-          (["Config.analyze_hook"]); reads count — they are
-          interleaving-dependent *)
+      (** touches the named non-[Sync] module-level mutable value (e.g.
+          ["M.counter"] for a [ref] in module [M]); reads count — they
+          are interleaving-dependent *)
   | Blocking of string  (** blocking call, e.g. ["Unix.read"] or
                             ["Mutex.lock"] *)
   | Raises of string  (** reaches ["failwith"] / ["raise"] unhandled *)

@@ -42,9 +42,6 @@ val finding :
 val key : finding -> string
 (** ["SAxxx path context"] — the baseline identity of the finding. *)
 
-val compare_findings : finding -> finding -> int
-(** Order by path, line, column, rule id, context. *)
-
 val dedup : finding list -> finding list
 (** Sort and drop findings with identical keys {e and} positions. *)
 

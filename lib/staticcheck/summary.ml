@@ -52,12 +52,6 @@ type t = {
   sum_float_eqs : float_eq list;
 }
 
-let target_module = function
-  | Proj { p_mod = ""; _ } -> None
-  | Proj { p_mod; _ } -> Some p_mod
-  | Extern (h :: _ :: _) -> Some h
-  | _ -> None
-
 (* --- walker state ------------------------------------------------------ *)
 
 type site_acc = {

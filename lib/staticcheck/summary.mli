@@ -92,6 +92,3 @@ val of_source : Loader.t -> Loader.source -> t
     reference resolution).  A source that failed to parse yields an empty
     summary. *)
 
-val target_module : target -> string option
-(** The module component of a reference, when there is one: [Proj] gives
-    [p_mod], [Extern] gives the head when the path has a tail. *)

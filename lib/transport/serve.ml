@@ -50,6 +50,9 @@ let peers_up t =
 let create ?(request_timeout = 30.0) ?(nominal_delay = 0.0) ~id ~n ~peer_addrs
     ~client_addr ~(config : Config.t) ~seed () =
   if Array.length peer_addrs <> n then invalid_arg "Serve.create: addrs/n mismatch";
+  (match Config.validate ~n config with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Serve.create: " ^ m));
   let loop = Loop.create () in
   let rng = Prng.create ~seed in
   let tcp =

@@ -25,7 +25,9 @@ val create :
   seed:int ->
   unit ->
   t
-(** Pure construction — no sockets until {!start}.  [request_timeout]
+(** Pure construction — no sockets until {!start}.  Raises
+    [Invalid_argument] when [config] fails {!Tact_replica.Config.validate}
+    for [n] replicas, as [System.create] does.  [request_timeout]
     (default 30 s) bounds how long a client access may stay parked on unmet
     bounds before an [Err "deadline"] response; [nominal_delay] seeds the
     {!Faulty} decorator's baseline one-way delay (default 0: synchronous).

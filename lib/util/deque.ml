@@ -122,13 +122,6 @@ let iter f t =
     f t.data.(t.head + i)
   done
 
-let fold_left f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(t.head + i)
-  done;
-  !acc
-
 let to_list t = List.init t.len (fun i -> t.data.(t.head + i))
 
 (* Index of the first element for which [cmp elt probe > 0] — the insertion

@@ -44,7 +44,6 @@ val sub : 'a t -> int -> int -> 'a array
     checks. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
 
 val upper_bound : 'a t -> cmp:('a -> 'a -> int) -> 'a -> int

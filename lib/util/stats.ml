@@ -45,8 +45,3 @@ let percentile xs p =
 
 let median xs = percentile xs 50.0
 
-let summary t =
-  if t.n = 0 then "n=0"
-  else
-    Printf.sprintf "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.n (mean t)
-      (stddev t) t.min t.max

@@ -24,5 +24,3 @@ val percentile : float array -> float -> float
 
 val median : float array -> float
 
-val summary : t -> string
-(** One-line human-readable summary: n / mean / sd / min / max. *)

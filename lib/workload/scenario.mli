@@ -25,19 +25,11 @@ val write :
   replica:int -> conit:string -> Tact_store.Op.t -> Tact_replica.System.t -> unit
 (** Submit an unconstrained unit-weight write at the replica. *)
 
-val read :
-  replica:int ->
-  deps:(string * Tact_core.Bounds.t) list ->
-  key:string ->
-  (float * Tact_store.Value.t) list ref ->
-  Tact_replica.System.t ->
-  unit
-(** Submit a read of [key]; its completion (time, value) is appended to the
-    collector. *)
-
 val strong_read :
   replica:int -> conit:string -> key:string ->
   (float * Tact_store.Value.t) list ref -> Tact_replica.System.t -> unit
+(** Submit a read of [key] with zero error on [conit]; its completion
+    (time, value) is appended to the collector. *)
 
 val partition : int list -> int list -> Tact_replica.System.t -> unit
 val heal : Tact_replica.System.t -> unit

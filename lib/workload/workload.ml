@@ -12,13 +12,6 @@ let poisson engine ~rng ~rate ~until f =
   in
   next ()
 
-let uniform_times engine ~rng ~count ~until f =
-  let base = Engine.now engine in
-  for _ = 1 to count do
-    let at = Tact_util.Prng.uniform_in rng ~lo:base ~hi:until in
-    Engine.schedule engine ~delay:(at -. base) f
-  done
-
 let staggered engine ~start ~gap ~count f =
   let base = Engine.now engine in
   for i = 0 to count - 1 do

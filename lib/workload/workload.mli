@@ -14,11 +14,6 @@ val poisson :
 (** Schedule events with exponential inter-arrival times of mean [1/rate]
     from now until virtual time [until]. *)
 
-val uniform_times :
-  Tact_sim.Engine.t -> rng:Tact_util.Prng.t -> count:int -> until:float -> (unit -> unit) -> unit
-(** Schedule exactly [count] events at uniformly random times in
-    (now, until). *)
-
 val staggered :
   Tact_sim.Engine.t -> start:float -> gap:float -> count:int -> (int -> unit) -> unit
 (** Schedule [count] events at [start], [start+gap], ... — deterministic

@@ -1,13 +1,12 @@
 (* The static analyzer: every diagnostic code has a triggering case and a
-   clean case, the Spec adapters extract usages faithfully, and the guard
-   hook rejects bad configurations at System.create while leaving the in-tree
-   experiments untouched. *)
+   clean case, the Spec adapters extract usages faithfully, and the
+   config-shape errors it reports are the ones Config.validate rejects at
+   every constructor, while every in-tree experiment passes. *)
 
 open Tact_core
 open Tact_replica
 module A = Tact_analysis.Analyzer
 module D = Tact_analysis.Diagnostic
-module Guard = Tact_analysis.Guard
 
 let topo ?(latency = 0.04) n =
   Tact_sim.Topology.uniform ~n ~latency ~bandwidth:1_000_000.0
@@ -268,49 +267,51 @@ let test_of_op_class () =
   Alcotest.(check int) "query affects nothing" 0 (List.length uq.A.u_affects);
   Alcotest.(check int) "query depends" 1 (List.length uq.A.u_depends)
 
-(* --- the guard hook ---------------------------------------------------- *)
+(* --- one config gate ----------------------------------------------------- *)
 
-let test_guard_rejects () =
-  (* Malformed proportional weights pass Config.validate (which does not
-     inspect the policy) but are a TA003 error — only the guard catches it. *)
-  let bad =
-    { good_config with
-      Config.budget_policy = Tact_protocols.Budget.Proportional [| 1.0 |]
-    }
+let test_validate_rejects_shape () =
+  (* The TA001/TA003 inputs are config-shape errors: Config.validate rejects
+     each (through the predicates it shares with the analyzer), so every
+     constructor refuses them without the analyzer in the loop. *)
+  let with_policy p = { good_config with Config.budget_policy = p } in
+  let with_conit c = { good_config with Config.conits = [ c ] } in
+  let prop r = with_policy (Tact_protocols.Budget.Proportional r) in
+  let rejects create =
+    match create () with _ -> false | exception Invalid_argument _ -> true
   in
-  (match Config.validate ~n:4 bad with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "validate unexpectedly rejects: %s" m);
-  Guard.with_installed (fun () ->
-      match System.create ~topology:(topo 4) ~config:bad () with
-      | _ -> Alcotest.fail "create accepted a TA003 config"
-      | exception Invalid_argument msg ->
-        let mentions sub =
-          let n = String.length sub in
-          let found = ref false in
-          for k = 0 to String.length msg - n do
-            if String.sub msg k n = sub then found := true
-          done;
-          !found
-        in
-        Alcotest.(check bool) "names the code" true (mentions "TA003");
-        Alcotest.(check bool) "names the subject" true (mentions "budget_policy"));
-  (* Uninstalled again: the same config passes create. *)
-  ignore (System.create ~topology:(topo 4) ~config:bad ())
-
-let test_guard_accepts () =
-  Guard.with_installed (fun () ->
-      let sys = System.create ~topology:(topo 4) ~config:good_config () in
-      System.run ~until:1.0 sys)
+  let bad =
+    [
+      ("short weights", prop [| 1.0 |]);
+      ("negative weight", prop [| 1.0; -1.0; 1.0; 1.0 |]);
+      ("all-zero weights", prop [| 0.0; 0.0; 0.0; 0.0 |]);
+      ("negative ne", with_conit (Conit.declare ~ne_bound:(-1.0) "c"));
+      ("nan st", with_conit (Conit.declare ~st_bound:Float.nan "c"));
+      ( "nan initial",
+        with_conit (Conit.declare ~ne_bound:1.0 ~initial_value:Float.nan "c") );
+    ]
+  in
+  List.iter
+    (fun (name, config) ->
+      Alcotest.(check bool) (name ^ ": validate rejects") true
+        (Result.is_error (Config.validate ~n:4 config));
+      Alcotest.(check bool) (name ^ ": System.create raises") true
+        (rejects (fun () -> System.create ~topology:(topo 4) ~config ()));
+      Alcotest.(check bool) (name ^ ": Sharded.create raises") true
+        (rejects (fun () -> Sharded.create ~topology:(topo 4) ~config ())))
+    bad;
+  (* E11's skewed vector is well-formed and runs. *)
+  let e11 = prop [| 5.0; 0.4; 0.4; 0.4 |] in
+  Alcotest.(check bool) "E11 weights accepted" true
+    (Result.is_ok (Config.validate ~n:4 e11));
+  System.run ~until:1.0 (System.create ~topology:(topo 4) ~config:e11 ())
 
 let test_experiments_clean () =
-  (* Every registered experiment builds its systems through System.create;
-     under the guard an analyzer error would abort the run. *)
-  Guard.with_installed (fun () ->
-      List.iter
-        (fun (e : Tact_experiments.Registry.entry) ->
-          ignore (e.Tact_experiments.Registry.run ~quick:true ()))
-        Tact_experiments.Registry.all)
+  (* Every registered experiment builds its systems through System.create,
+     whose Config.validate would abort the run on a malformed config. *)
+  List.iter
+    (fun (e : Tact_experiments.Registry.entry) ->
+      ignore (e.Tact_experiments.Registry.run ~quick:true ()))
+    Tact_experiments.Registry.all
 
 let suite =
   [
@@ -333,7 +334,6 @@ let suite =
     Alcotest.test_case "TA016 invalid weight" `Quick test_ta016;
     Alcotest.test_case "code table" `Quick test_codes_table;
     Alcotest.test_case "spec adapters" `Quick test_of_op_class;
-    Alcotest.test_case "guard rejects errors" `Quick test_guard_rejects;
-    Alcotest.test_case "guard accepts clean" `Quick test_guard_accepts;
+    Alcotest.test_case "validate rejects shape" `Quick test_validate_rejects_shape;
     Alcotest.test_case "experiments clean" `Slow test_experiments_clean;
   ]

@@ -2,8 +2,8 @@
    construction and SCC order, the rules table, fixpoint propagation over
    the planted dirty/clean fixture twins (SA050-SA064), the dead-exported
    API pass (SA004), byte-identical re-runs, and the real-tree acceptance
-   checks (deterministic core clean, nemesis campaign reaches
-   Config.analyze_hook). *)
+   checks (deterministic core clean, nemesis campaign reaches a raise
+   through System.run). *)
 
 open Tact_staticcheck
 module Json = Tact_check.Json
@@ -458,28 +458,34 @@ let test_repo_det_core_clean () =
            (find_rule findings id)))
     [ "SA050"; "SA051"; "SA052" ]
 
-let test_repo_campaign_reaches_analyze_hook () =
-  (* The domain-race pass flags the nemesis campaign reaching the
-     Config.analyze_hook global (SA020, baselined); the fixpoint must
-     rediscover it through the call graph, with the full chain. *)
+let test_repo_campaign_reaches_raise () =
+  (* The nemesis campaign reaches an unhandled [raise] (SA062, baselined)
+     through the run it checks; the fixpoint must rediscover it through the
+     call graph, with the full chain down to System.run. *)
   let _, cg, eff = Lazy.force repo_eff in
   let run =
     match Callgraph.resolve_symbol cg "Campaign.run" with
     | [ n ] -> n
     | l -> Alcotest.failf "Campaign.run: expected one node, got %d" (List.length l)
   in
-  let hook = Effects.Global_mutation "Config.analyze_hook" in
+  let raises = Effects.Raises "raise" in
   let atoms = Effects.summary_of eff run in
-  Alcotest.(check bool) "campaign reaches the analyze hook" true
-    (Effects.AtomSet.mem hook atoms);
-  match Effects.chain eff run hook with
-  | None -> Alcotest.fail "no chain to Config.analyze_hook"
+  Alcotest.(check bool) "campaign reaches a raise" true
+    (Effects.AtomSet.mem raises atoms);
+  match Effects.chain eff run raises with
+  | None -> Alcotest.fail "no chain to a raise"
   | Some nodes ->
     let text = Effects.chain_text nodes in
+    List.iter
+      (fun hop ->
+        Alcotest.(check bool) ("chain passes " ^ hop) true (contains text hop))
+      [
+        "lib/nemesis/Campaign.one_run";
+        "lib/nemesis/Runner.execute";
+        "lib/replica/System.run";
+      ];
     Alcotest.(check bool) "chain starts at the campaign" true
-      (contains text "lib/nemesis/Campaign.run");
-    Alcotest.(check bool) "chain ends in the config" true
-      (contains text "lib/replica/Config.run_analyze_hook")
+      (contains text "lib/nemesis/Campaign.run")
 
 let suite =
   [
@@ -513,6 +519,6 @@ let suite =
     Alcotest.test_case "baseline stale keys" `Quick test_baseline_stale;
     Alcotest.test_case "real tree: det core clean" `Quick
       test_repo_det_core_clean;
-    Alcotest.test_case "real tree: campaign reaches hook" `Quick
-      test_repo_campaign_reaches_analyze_hook;
+    Alcotest.test_case "real tree: campaign reaches raise" `Quick
+      test_repo_campaign_reaches_raise;
   ]

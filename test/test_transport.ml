@@ -815,6 +815,25 @@ let client_call ~pump_all c req =
          !resp <> None));
   !resp
 
+let test_serve_rejects_invalid_config () =
+  (* Serve.create runs Config.validate like System.create: a proportional
+     budget vector of the wrong length is refused at construction instead of
+     dying with an index error at the first push. *)
+  let config =
+    { Config.default with
+      Config.budget_policy = Tact_protocols.Budget.Proportional [| 1.0 |] }
+  in
+  let ports = Array.of_list (fresh_ports 4) in
+  match
+    Serve.create ~id:0 ~n:3
+      ~peer_addrs:(Array.init 3 (fun i -> loopback ports.(i)))
+      ~client_addr:(loopback ports.(3)) ~config ~seed:1 ()
+  with
+  | _ -> Alcotest.fail "Serve.create accepted short budget weights"
+  | exception Invalid_argument m ->
+    Alcotest.(check bool) "names Serve.create" true
+      (String.starts_with ~prefix:"Serve.create: " m)
+
 let test_serve_unknown_procedure () =
   (* A client names a procedure the fleet's table lacks: the write is
      answered with a Conflict, and the daemon keeps serving. *)
@@ -1211,6 +1230,8 @@ let suite =
       test_serve_nemesis_convergence;
     Alcotest.test_case "serve: unknown procedure conflicts" `Quick
       test_serve_unknown_procedure;
+    Alcotest.test_case "serve: invalid config raises" `Quick
+      test_serve_rejects_invalid_config;
     Alcotest.test_case "system: teardown on raise" `Quick
       test_system_run_teardown_on_raise;
     Alcotest.test_case "system: close idempotent" `Quick test_system_close_idempotent;
