@@ -574,6 +574,51 @@ let budget_window writes =
   assert (System.converged sys);
   (s, [ ("live_words", live) ])
 
+(* Parked accesses on the paper's WAN leave nothing behind once served:
+   2 LAN clusters of 2 behind an 80 ms WAN.  One chained generator issues
+   [reads] strict reads at 1,000/s across the replicas, each carrying a 30 s
+   deadline, and the run stops once all are served, before the first
+   deadline passes.  [live_words] is the process's live heap then, the
+   system still reachable: an access served in time keeps no timer, so the
+   count stays flat as [reads] doubles. *)
+let parked_deadline_words reads =
+  let open Tact_sim in
+  let open Tact_replica in
+  let topology =
+    Topology.clustered ~clusters:2 ~per_cluster:2 ~local:0.002 ~wan:0.08
+      ~bandwidth:500_000.0
+  in
+  let config =
+    {
+      Config.default with
+      Config.conits = [ Tact_core.Conit.declare "c" ];
+      record_accesses = false;
+    }
+  in
+  let sys = System.create ~seed:21 ~track_writes:false ~topology ~config () in
+  let engine = System.engine sys in
+  let rate = 1_000.0 in
+  let served = ref 0 in
+  let rec next k () =
+    if k < reads then begin
+      Replica.submit_read (System.replica sys (k mod 4))
+        ~deadline:(Engine.now engine +. 30.0)
+        ~deps:[ ("c", Tact_core.Bounds.strong) ]
+        ~f:(fun db -> Db.get db "x")
+        ~k:(fun _ -> incr served);
+      Engine.schedule engine ~delay:(1.0 /. rate) (next (k + 1))
+    end
+  in
+  Engine.schedule engine ~delay:(1.0 /. rate) (next 0);
+  let horizon = (float_of_int reads /. rate) +. 5.0 in
+  assert (horizon < 30.0);
+  let (), s = time (fun () -> System.run ~until:horizon sys) in
+  Gc.full_major ();
+  let live = (Gc.stat ()).Gc.live_words in
+  assert (!served = reads);
+  assert ((System.total_stats sys).Replica.timeouts = 0);
+  (s, [ ("live_words", live) ])
+
 (* The sharded workload: [shards] shards over [n] replicas, conits pinned
    round-robin, [total] writes spread millisecond-spaced across the shards,
    batched sync.  Building is deterministic, so two instances run at
@@ -850,6 +895,8 @@ let kernels ~jobs =
     k "sync_traffic_batched" System 600 40 (sync_traffic ~sync:Tact_replica.Config.Batched);
     k "budget_window" System 20_000 400 budget_window;
     k "budget_window" System 40_000 800 budget_window;
+    k "parked_deadline_words" System 10_000 200 parked_deadline_words;
+    k "parked_deadline_words" System 20_000 400 parked_deadline_words;
     k "shard_overhead_plain" System 4_000 200 shard_overhead_plain;
     k "shard_overhead_sharded1" System 4_000 200 shard_overhead_sharded1;
   ]

@@ -47,6 +47,7 @@ type pending = {
   p_require : Version_vector.t option;
       (** serve only once the log covers this vector (session guarantees) *)
   p_on_timeout : (unit -> unit) option;
+  p_deadline : float;  (** [infinity] when the client set none *)
   p_kind : pkind;
   mutable p_round : int option;  (** id of an in-flight NE pull round *)
   mutable p_round_done : bool;
@@ -122,6 +123,9 @@ type t = {
   rates : float array;
   mutable pending : pending Queue.t;  (** oldest first *)
   mutable npending : int;  (** live (not [p_done]) entries in [pending] *)
+  mutable sweep_at : float;
+      (** the deadline the sweep is armed for ([infinity]: none); no live
+          parked access has an earlier deadline *)
   return_queue : unreturned Queue.t;  (** oldest first *)
   conit_decls : (string, Conit.t) Hashtbl.t;
   rounds : (int, round_state) Hashtbl.t;
@@ -178,6 +182,7 @@ let create ~id ~n ~endpoint ~config ?(mutation = Mutation.Off) ?on_accept () =
     rates = Array.make n 0.0;
     pending = Queue.create ();
     npending = 0;
+    sweep_at = infinity;
     return_queue = Queue.create ();
     conit_decls =
       (let tbl = Hashtbl.create (List.length config.Config.conits) in
@@ -245,7 +250,15 @@ let sanity_check t =
           addf "cover.(%d) = %g is in the future (now %g)" o c nw)
       t.cover;
     let live = ref 0 in
-    Queue.iter (fun p -> if not p.p_done then incr live) t.pending;
+    Queue.iter
+      (fun p ->
+        if not p.p_done then begin
+          incr live;
+          if p.p_deadline < t.sweep_at then
+            addf "a parked access's deadline %g precedes the sweep at %g"
+              p.p_deadline t.sweep_at
+        end)
+      t.pending;
     if !live <> t.npending then
       addf "npending = %d but the queue holds %d live entries" t.npending !live;
     (* Note: csn_committed may legitimately lead the known csn prefix — a
@@ -1038,7 +1051,46 @@ and process t ~src msg =
 (* ------------------------------------------------------------------ *)
 (* Client entry points                                                 *)
 
-let admit t ?deadline p =
+(* Deadlines: one sweep per replica.  A deadline bounds how long the client
+   is willing to wait for its consistency level — the availability side of
+   the tradeoff.  The sweep is armed for the earliest live deadline; when it
+   fires it abandons every parked access whose deadline has passed (the
+   queue entry is marked dead and dropped at the next pump) and re-arms for
+   the next one. *)
+
+(* A sweep event whose deadline is no longer [sweep_at] was superseded by an
+   earlier one, or another sweep due at the same time already ran: it is a
+   no-op. *)
+let rec schedule_sweep t d =
+  schedule t ~tag:"deadline" ~delay:(Float.max 0.0 (d -. now t)) (fun () ->
+      if Float.equal d t.sweep_at then sweep t ~due:d)
+
+(* Expire first, then call back: every timed-out access is marked done and
+   counted and the sweep re-armed before any [on_timeout] runs, so a
+   callback that submits again finds the queue and the sweep consistent.
+   [due] covers a clock that lands a rounding step short of the deadline
+   the sweep was armed for. *)
+and sweep t ~due =
+  let upto = Float.max (now t) due in
+  let expired = ref [] and next = ref infinity in
+  Queue.iter
+    (fun p ->
+      if p.p_done then ()
+      else if p.p_deadline <= upto then begin
+        p.p_done <- true;
+        t.npending <- t.npending - 1;
+        t.s_timeouts <- t.s_timeouts + 1;
+        expired := p :: !expired
+      end
+      else if p.p_deadline < !next then next := p.p_deadline)
+    t.pending;
+  t.sweep_at <- !next;
+  if !next < infinity then schedule_sweep t !next;
+  List.iter
+    (fun p -> match p.p_on_timeout with Some f -> f () | None -> ())
+    (List.rev !expired)
+
+let admit t p =
   if not t.up then (
     match p.p_on_timeout with Some f -> f () | None -> ())
   else if deps_satisfied t p then
@@ -1053,25 +1105,18 @@ let admit t ?deadline p =
           (List.length p.p_deps));
     Queue.push p t.pending;
     t.npending <- t.npending + 1;
+    (* Claim the sweep before triggering and pumping run continuations, so
+       the audit holds throughout.  Schedule it last: a retry tick this
+       access starts, due at the same instant, then fires first and gives
+       the access its last chance. *)
+    let arm = p.p_deadline < t.sweep_at in
+    if arm then t.sweep_at <- p.p_deadline;
     trigger_syncs t p;
     (* Triggering may have satisfied the access synchronously (e.g. a pull
        round degenerates to nothing at n = 1). *)
     pump t;
     ensure_retry t;
-    (* A deadline bounds how long the client is willing to wait for its
-       consistency level — the availability side of the tradeoff.  If the
-       access is still parked when the deadline fires, it is abandoned (the
-       queue entry is marked dead and dropped at the next pump). *)
-    match deadline with
-    | None -> ()
-    | Some d ->
-      schedule t ~tag:"deadline" ~delay:(Float.max 0.0 (d -. now t)) (fun () ->
-          if not p.p_done then begin
-            p.p_done <- true;
-            t.npending <- t.npending - 1;
-            t.s_timeouts <- t.s_timeouts + 1;
-            match p.p_on_timeout with Some f -> f () | None -> ()
-          end)
+    if arm then schedule_sweep t p.p_deadline
   end
 
 let submit_read ?require ?deadline ?on_timeout t ~deps ~f ~k =
@@ -1081,6 +1126,7 @@ let submit_read ?require ?deadline ?on_timeout t ~deps ~f ~k =
       p_deps = deps;
       p_require = require;
       p_on_timeout = on_timeout;
+      p_deadline = Option.value deadline ~default:infinity;
       p_kind = Pread (f, k);
       p_round = None;
       p_round_done = false;
@@ -1089,7 +1135,7 @@ let submit_read ?require ?deadline ?on_timeout t ~deps ~f ~k =
       p_done = false;
     }
   in
-  admit t ?deadline p;
+  admit t p;
   sanity_check t
 
 let submit_write ?require ?deadline ?on_timeout t ~deps ~affects ~op ~k =
@@ -1099,6 +1145,7 @@ let submit_write ?require ?deadline ?on_timeout t ~deps ~affects ~op ~k =
       p_deps = deps;
       p_require = require;
       p_on_timeout = on_timeout;
+      p_deadline = Option.value deadline ~default:infinity;
       p_kind = Pwrite (op, affects, k);
       p_round = None;
       p_round_done = false;
@@ -1107,7 +1154,7 @@ let submit_write ?require ?deadline ?on_timeout t ~deps ~affects ~op ~k =
       p_done = false;
     }
   in
-  admit t ?deadline p;
+  admit t p;
   sanity_check t
 
 (* Clients of a crashed replica fail fast: parked accesses are abandoned

@@ -89,9 +89,13 @@ val submit_read :
 (** [require] additionally delays service until the replica's log covers the
     given vector — the mechanism behind session guarantees (the replica pulls
     from the origins it lags).  [deadline] (absolute virtual time) bounds how
-    long the access may stay parked on unmet bounds: if it fires first, the
+    long the access may stay parked on unmet bounds: if it passes first, the
     access is abandoned and [on_timeout] (if any) is invoked instead of [k] —
-    the availability side of the consistency/availability tradeoff. *)
+    the availability side of the consistency/availability tradeoff.  Each
+    replica keeps one deadline sweep, armed for the earliest deadline among
+    its parked accesses, not a timer per access: every access still times
+    out at exactly its own deadline, and an access served in time leaves no
+    timer behind. *)
 
 val submit_write :
   ?require:Tact_store.Version_vector.t ->

@@ -7,6 +7,8 @@
    scheduled time models scheduling/propagation delay, so the clock advances
    to max(clock, event time) and never runs backwards. *)
 
+module Heap = Tact_util.Heap
+
 type label = { actor : int; tag : string }
 
 type choice = { c_time : float; c_seq : int; c_label : label option }

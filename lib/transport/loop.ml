@@ -1,5 +1,6 @@
 (* A real-time event loop: the wall-clock twin of the simulator's
-   {!Tact_sim.Engine}.  One timer queue plus [Unix.select] over registered
+   {!Tact_sim.Engine}.  One timer heap (the engine's {!Tact_util.Heap},
+   ordered by (due, scheduling seq)) plus [Unix.select] over registered
    file descriptors — single-threaded by construction, so handlers never
    race (the same execution model the deterministic engine gives the
    protocol code).
@@ -8,12 +9,7 @@
    like the simulator's (small floats starting near 0) and never encode the
    host's epoch. *)
 
-type timer = {
-  t_due : float;
-  t_seq : int;  (* tie-break: FIFO among equal deadlines *)
-  t_tag : string;
-  t_fn : unit -> unit;
-}
+module Heap = Tact_util.Heap
 
 type fd_watch = {
   mutable want_read : bool;
@@ -24,7 +20,7 @@ type fd_watch = {
 
 type t = {
   epoch : float;  (* Unix.gettimeofday at creation *)
-  mutable timers : timer list;  (* sorted by (due, seq) *)
+  timers : (unit -> unit) Heap.t;  (* keyed by (due, seq): FIFO among ties *)
   mutable seq : int;
   watches : (Unix.file_descr, fd_watch) Hashtbl.t;
   mutable stopping : bool;
@@ -36,7 +32,7 @@ type t = {
 let create () =
   {
     epoch = Unix.gettimeofday ();
-    timers = [];
+    timers = Heap.create ();
     seq = 0;
     watches = Hashtbl.create 16;
     stopping = false;
@@ -45,22 +41,11 @@ let create () =
 
 let now t = Unix.gettimeofday () -. t.epoch
 
-let insert_timer t tm =
-  let rec ins = function
-    | [] -> [ tm ]
-    | hd :: tl ->
-      if
-        hd.t_due < tm.t_due
-        || (Float.equal hd.t_due tm.t_due && hd.t_seq < tm.t_seq)
-      then hd :: ins tl
-      else tm :: hd :: tl
-  in
-  t.timers <- ins t.timers
-
-let schedule t ~tag ~delay f =
+(* [tag] is provenance for the caller's diagnostics; the loop keeps only
+   the due time, the tie-break and the thunk. *)
+let schedule t ~tag:_ ~delay f =
   t.seq <- t.seq + 1;
-  insert_timer t
-    { t_due = now t +. Float.max 0.0 delay; t_seq = t.seq; t_tag = tag; t_fn = f }
+  Heap.push t.timers ~time:(now t +. Float.max 0.0 delay) ~seq:t.seq f
 
 let rec every t ~tag ~period f =
   schedule t ~tag ~delay:period (fun () ->
@@ -111,18 +96,17 @@ let run_once ?(max_wait = 0.25) t =
   t.wakeups <- [];
   List.iter (fun f -> f ()) deferred;
   let rec fire () =
-    match t.timers with
-    | tm :: rest when tm.t_due <= now t ->
-      t.timers <- rest;
-      tm.t_fn ();
+    match Heap.peek_time t.timers with
+    | Some due when due <= now t ->
+      Option.iter (fun (_, _, f) -> f ()) (Heap.pop t.timers);
       fire ()
-    | _ -> ()
+    | Some _ | None -> ()
   in
   fire ();
   let timeout =
-    match t.timers with
-    | [] -> max_wait
-    | tm :: _ -> Float.min max_wait (Float.max 0.0 (tm.t_due -. now t))
+    match Heap.peek_time t.timers with
+    | None -> max_wait
+    | Some due -> Float.min max_wait (Float.max 0.0 (due -. now t))
   in
   let reads = ref [] and writes = ref [] in
   (* Order-insensitive walk: select treats its fd lists as sets. *)
@@ -131,7 +115,10 @@ let run_once ?(max_wait = 0.25) t =
       if w.want_read then reads := fd :: !reads;
       if w.want_write then writes := fd :: !writes)
     t.watches;
-  if !reads = [] && !writes = [] && t.timers = [] && t.wakeups = [] then false
+  if
+    !reads = [] && !writes = [] && Heap.is_empty t.timers
+    && t.wakeups = []
+  then false
   else begin
     let r, w, _ =
       try Unix.select !reads !writes [] timeout

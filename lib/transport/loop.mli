@@ -1,10 +1,12 @@
 (** A real-time event loop: the wall-clock twin of {!Tact_sim.Engine}.
 
-    One timer queue plus [Unix.select] over registered file descriptors,
-    single-threaded by construction — handlers never race, which is the same
-    execution model the deterministic engine gives the protocol code.  The
-    {!Tact_store.Transport.endpoint} a live replica runs against is built
-    from {!now}/{!schedule}/{!every} here plus a {!Tcp} backend.
+    One timer heap (the engine's {!Tact_util.Heap}, ordered by due time and
+    then scheduling order) plus [Unix.select] over registered file
+    descriptors, single-threaded by construction — handlers never race,
+    which is the same execution model the deterministic engine gives the
+    protocol code.  The {!Tact_store.Transport.endpoint} a live replica
+    runs against is built from {!now}/{!schedule}/{!every} here plus a
+    {!Tcp} backend.
 
     Time is reported relative to loop creation, so protocol timestamps look
     like the simulator's (small floats starting near zero). *)

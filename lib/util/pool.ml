@@ -145,10 +145,15 @@ let enqueue t task =
   if t.closed then invalid_arg "Tact_util.Pool: submit after shutdown";
   match Domain.DLS.get current with
   | Some (Member (t', i)) when t' == t ->
+    (* Push under [lock], so the task is counted in [pending] before a thief
+       can run it to completion: otherwise a child finishing first could
+       bring [pending] to zero while its parent still runs, and [await_idle]
+       would return early.  Nothing takes [lock] while holding a deque lock,
+       so this nesting cannot deadlock. *)
+    Mutex.lock t.lock;
     Mutex.lock t.qlocks.(i);
     Deque.push_back t.queues.(i) task;
     Mutex.unlock t.qlocks.(i);
-    Mutex.lock t.lock;
     deposited t;
     Mutex.unlock t.lock
   | _ ->

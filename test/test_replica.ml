@@ -449,10 +449,121 @@ let test_deadline_not_fired_when_served () =
   Alcotest.(check bool) "served within deadline" true !served;
   Alcotest.(check bool) "no timeout" false !timed_out
 
+(* One sweep per replica serves every deadline.  At a replica cut off by a
+   partition, strong reads with deadlines 5, 2 and 8 park in that order, so
+   the sweep is re-armed earlier once and later twice.  Each still times out
+   at exactly its own virtual time, once.  A fourth read parks on a session
+   vector that a local write at t = 3 covers: it is served in time and never
+   times out. *)
+let test_deadline_sweep_out_of_order () =
+  let config = { Config.default with Config.conits = [ Conit.declare "c" ] } in
+  let sys = System.create ~topology:(topo 2) ~config () in
+  let engine = System.engine sys in
+  let r1 = System.replica sys 1 in
+  Net.partition (System.net sys) [ 0 ] [ 1 ];
+  let fired = ref [] in
+  let served = ref false and late = ref false in
+  Engine.schedule engine ~delay:1.0 (fun () ->
+      List.iter
+        (fun d ->
+          Replica.submit_read ~deadline:d
+            ~on_timeout:(fun () -> fired := (d, Engine.now engine) :: !fired)
+            r1 ~deps:[ ("c", Bounds.strong) ]
+            ~f:(fun db -> Db.get db "x")
+            ~k:(fun _ -> Alcotest.fail "strong read served across the partition"))
+        [ 5.0; 2.0; 8.0 ];
+      let require = Version_vector.create 2 in
+      Version_vector.set require 1 1;
+      Replica.submit_read ~require ~deadline:6.0
+        ~on_timeout:(fun () -> late := true)
+        r1 ~deps:[] ~f:(fun db -> Db.get db "x")
+        ~k:(fun _ -> served := true));
+  Engine.schedule engine ~delay:3.0 (fun () ->
+      Replica.submit_write r1 ~deps:[] ~affects:[] ~op:(Op.Add ("x", 1.0))
+        ~k:ignore);
+  System.run ~until:30.0 sys;
+  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+    "each at its own deadline, once"
+    [ (2.0, 2.0); (5.0, 5.0); (8.0, 8.0) ]
+    (List.rev !fired);
+  Alcotest.(check int) "timeouts" 3 (Replica.stats r1).Replica.timeouts;
+  Alcotest.(check bool) "session read served" true !served;
+  Alcotest.(check bool) "session read never timed out" false !late
+
+(* An access served before its deadline leaves nothing behind: 2,000 strict
+   reads, each served within one pull round, all carrying 30 s deadlines.
+   Once they are served, at most the one armed sweep is queued (a timer per
+   access would leave 2,000). *)
+let test_deadline_served_leaves_no_timer () =
+  let n = 2_000 in
+  let config = { Config.default with Config.conits = [ Conit.declare "c" ] } in
+  let sys = System.create ~topology:(topo ~latency:0.01 2) ~config () in
+  let engine = System.engine sys in
+  let r1 = System.replica sys 1 in
+  let served = ref 0 in
+  for i = 1 to n do
+    Engine.at engine ~time:(0.001 *. float_of_int i) (fun () ->
+        Replica.submit_read
+          ~deadline:(Engine.now engine +. 30.0)
+          ~on_timeout:(fun () -> Alcotest.fail "strict read timed out")
+          r1 ~deps:[ ("c", Bounds.strong) ]
+          ~f:(fun db -> Db.get db "x")
+          ~k:(fun _ -> incr served))
+  done;
+  System.run ~until:(0.001 *. float_of_int n +. 1.0) sys;
+  Alcotest.(check int) "all served" n !served;
+  let deadlines =
+    Array.fold_left
+      (fun acc (c : Engine.choice) ->
+        match c.Engine.c_label with
+        | Some { Engine.tag = "deadline"; _ } -> acc + 1
+        | _ -> acc)
+      0 (Engine.pending_choices engine)
+  in
+  if deadlines > 1 then
+    Alcotest.failf "%d deadline events still queued after every read was served"
+      deadlines
+
+(* A timeout callback that submits again, with a deadline already past, does
+   not disturb the sweep: the new access times out in a later event, once. *)
+let test_deadline_sweep_reentrant () =
+  let config = { Config.default with Config.conits = [ Conit.declare "c" ] } in
+  let sys = System.create ~topology:(topo 2) ~config () in
+  let engine = System.engine sys in
+  let r1 = System.replica sys 1 in
+  Net.partition (System.net sys) [ 0 ] [ 1 ];
+  let strong_read ~deadline ~on_timeout =
+    Replica.submit_read ~deadline ~on_timeout r1
+      ~deps:[ ("c", Bounds.strong) ]
+      ~f:(fun db -> Db.get db "x")
+      ~k:(fun _ -> Alcotest.fail "strong read served across the partition")
+  in
+  let in_first = ref false and second = ref [] in
+  Engine.schedule engine ~delay:1.0 (fun () ->
+      strong_read ~deadline:2.0 ~on_timeout:(fun () ->
+          in_first := true;
+          strong_read ~deadline:1.5 ~on_timeout:(fun () ->
+              second := (!in_first, Engine.now engine) :: !second);
+          in_first := false));
+  System.run ~until:30.0 sys;
+  (match !second with
+  | [ (inside, at) ] ->
+    Alcotest.(check bool) "in a later event" false inside;
+    Alcotest.(check (float 0.0)) "at the same virtual time" 2.0 at
+  | l -> Alcotest.failf "second access timed out %d times" (List.length l));
+  Alcotest.(check int) "timeouts" 2 (Replica.stats r1).Replica.timeouts;
+  Alcotest.(check int) "nothing parked" 0 (Replica.pending_count r1)
+
 let deadline_suite =
   [
     Alcotest.test_case "deadline fires under partition" `Quick test_deadline_timeout_under_partition;
     Alcotest.test_case "deadline unused when served" `Quick test_deadline_not_fired_when_served;
+    Alcotest.test_case "deadline sweep: out of order" `Quick
+      test_deadline_sweep_out_of_order;
+    Alcotest.test_case "deadline sweep: no timer left" `Quick
+      test_deadline_served_leaves_no_timer;
+    Alcotest.test_case "deadline sweep: re-entrant" `Quick
+      test_deadline_sweep_reentrant;
   ]
 
 

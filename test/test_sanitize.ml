@@ -17,6 +17,14 @@ let with_sanitize f =
   Sanitize.set_enabled true;
   Fun.protect ~finally:Sanitize.clear_forced f
 
+let mentions sub s =
+  let n = String.length sub in
+  let found = ref false in
+  for k = 0 to String.length s - n do
+    if String.sub s k n = sub then found := true
+  done;
+  !found
+
 (* A log with four tentative writes from two origins and one committed. *)
 let sample_log () =
   let log = Wlog.create ~replicas:2 ~initial:[] in
@@ -38,14 +46,6 @@ let test_swap_detected () =
   Wlog.unsafe_swap_tentative log 0 2;
   let vs = Wlog.invariant_violations log in
   Alcotest.(check bool) "violations found" true (vs <> []);
-  let mentions sub s =
-    let n = String.length sub in
-    let found = ref false in
-    for k = 0 to String.length s - n do
-      if String.sub s k n = sub then found := true
-    done;
-    !found
-  in
   Alcotest.(check bool) "names a position" true
     (List.exists (mentions "out of order at positions") vs);
   with_sanitize (fun () ->
@@ -103,6 +103,40 @@ let test_system_runs_clean () =
         Replica.sanity_check (System.replica sys i)
       done)
 
+(* The sweep audit: no live parked access may fall due before the deadline
+   sweep is armed to fire.  The interface offers no way to misarm the sweep,
+   so the test moves it by hand: after one read parks with deadline 4.375,
+   the replica holds exactly one boxed float of that value, the sweep time,
+   and setting it later must trip the audit. *)
+let test_sweep_audit () =
+  let topology = Topology.uniform ~n:2 ~latency:0.02 ~bandwidth:1_000_000.0 in
+  let config = { Config.default with Config.conits = [ Conit.declare "c" ] } in
+  let sys = System.create ~topology ~config () in
+  let r = System.replica sys 1 in
+  Net.partition (System.net sys) [ 0 ] [ 1 ];
+  Engine.at (System.engine sys) ~time:1.0 (fun () ->
+      Replica.submit_read ~deadline:4.375 r ~deps:[ ("c", Bounds.strong) ]
+        ~f:(fun db -> Db.get db "x")
+        ~k:ignore);
+  System.run ~until:2.0 sys;
+  with_sanitize (fun () ->
+      Replica.sanity_check r;
+      let repr = Obj.repr r in
+      let holds_deadline i =
+        let f = Obj.field repr i in
+        Obj.is_block f && Obj.tag f = Obj.double_tag
+        && Float.equal (Obj.obj f : float) 4.375
+      in
+      match List.filter holds_deadline (List.init (Obj.size repr) Fun.id) with
+      | [ i ] -> (
+        Obj.set_field repr i (Obj.repr 9.0);
+        match Replica.sanity_check r with
+        | () -> Alcotest.fail "audit accepted a sweep armed past a deadline"
+        | exception Sanitize.Violation msg ->
+          Alcotest.(check bool) "names the sweep" true
+            (mentions "precedes the sweep" msg))
+      | l -> Alcotest.failf "%d fields hold the armed deadline" (List.length l))
+
 let suite =
   [
     Alcotest.test_case "healthy log audits clean" `Quick test_healthy_clean;
@@ -111,4 +145,5 @@ let suite =
     Alcotest.test_case "db corruption detected" `Quick test_db_corruption_detected;
     Alcotest.test_case "system runs clean under sanitizer" `Quick
       test_system_runs_clean;
+    Alcotest.test_case "sweep armed past a deadline" `Quick test_sweep_audit;
   ]

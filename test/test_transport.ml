@@ -20,7 +20,9 @@
    - the replica seam on a recording endpoint: every outgoing sync comes
      from one builder (Per_write or Batched, delta or snapshot fallback,
      push or pull reply), and a Batch frame's embedded sender is checked
-     against the transport peer *)
+     against the transport peer
+   - Loop timers on the shared heap: (due, seq) order under random delays,
+     scheduling order among equal delays *)
 
 open Tact_util
 open Tact_store
@@ -1200,6 +1202,41 @@ let test_seam_batch_sender_checked () =
   Alcotest.(check bool) "authentic batch frame applied" true
     (Wlog.known (Replica.log r) id)
 
+(* --- Loop timers: the engine's heap on the wall clock ------------------ *)
+
+(* [n] timers with seeded random delays on a 10 ms grid.  Scheduling them
+   all takes far less than one grid step, so a timer on a lower step is due
+   first, and timers on one step fall due in scheduling order: the firing
+   order must be the (step, seq) order. *)
+let test_loop_timers_heap_order () =
+  let n = 1_000 in
+  let loop = Loop.create () in
+  let rng = Prng.create ~seed:21 in
+  let steps = Array.init n (fun _ -> Prng.int rng 30) in
+  let fired = ref [] in
+  Array.iteri
+    (fun i k ->
+      Loop.schedule loop ~tag:"test" ~delay:(0.01 *. float_of_int k) (fun () ->
+          fired := i :: !fired))
+    steps;
+  Loop.run loop;
+  let expected =
+    List.stable_sort
+      (fun a b -> Int.compare steps.(a) steps.(b))
+      (List.init n Fun.id)
+  in
+  Alcotest.(check (list int)) "(due, seq) order" expected (List.rev !fired)
+
+let test_loop_timers_equal_delay_fifo () =
+  let loop = Loop.create () in
+  let fired = ref [] in
+  for i = 0 to 99 do
+    Loop.schedule loop ~tag:"test" ~delay:0.0 (fun () -> fired := i :: !fired)
+  done;
+  Loop.run loop;
+  Alcotest.(check (list int)) "scheduling order" (List.init 100 Fun.id)
+    (List.rev !fired)
+
 let suite =
   [
     Alcotest.test_case "supervisor: dial/up/resync cycle" `Quick test_sup_dial_cycle;
@@ -1238,4 +1275,8 @@ let suite =
     Alcotest.test_case "seam: one sync builder" `Quick test_seam_sync_builder;
     Alcotest.test_case "seam: batch sender checked" `Quick
       test_seam_batch_sender_checked;
+    Alcotest.test_case "loop: timers in (due, seq) order" `Quick
+      test_loop_timers_heap_order;
+    Alcotest.test_case "loop: equal delays fire in order" `Quick
+      test_loop_timers_equal_delay_fifo;
   ]
