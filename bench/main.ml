@@ -574,6 +574,57 @@ let budget_window writes =
   assert (System.converged sys);
   (s, [ ("live_words", live) ])
 
+(* The write log under relay load, in E22's ring configuration: 24
+   replicas on a gossip ring, batched sync, truncation horizon 500, bounded
+   log, no access records.  Replica 0 accepts [writes] weak writes, one per
+   millisecond, and the system runs until every replica has inserted,
+   committed and truncated all of them, so the time is dominated by the
+   per-write path of 24 write logs.  [minor_words_per_write] is the
+   allocation per write over the whole run; [live_words] is the live heap
+   afterwards, the system still reachable. *)
+let ring_relay writes =
+  let open Tact_sim in
+  let open Tact_replica in
+  let n = 24 in
+  let topology = Topology.uniform ~n ~latency:0.02 ~bandwidth:1e9 in
+  let config =
+    {
+      Config.default with
+      Config.antientropy_period = Some 0.1;
+      truncate_keep = Some 500;
+      sync = Config.Batched;
+      batch_flush = 0.05;
+      record_accesses = false;
+      bounded_log = true;
+      gossip_plan = Some (fun i -> [| (i + 1) mod n |]);
+    }
+  in
+  let sys = System.create ~seed:22 ~jitter:0.02 ~track_writes:false ~topology ~config () in
+  let engine = System.engine sys in
+  let head = System.replica sys 0 in
+  let returned = ref 0 in
+  for k = 1 to writes do
+    Engine.at engine ~time:(float_of_int k *. 0.001) (fun () ->
+        Replica.submit_write head ~deps:[]
+          ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ]
+          ~op:(Op.Add ("x" ^ string_of_int (k mod 64), 1.0))
+          ~k:(fun _ -> incr returned))
+  done;
+  let minor0 = (Gc.quick_stat ()).Gc.minor_words in
+  let (), s =
+    time (fun () -> System.run ~until:((float_of_int writes *. 0.001) +. 20.0) sys)
+  in
+  let minor = (Gc.quick_stat ()).Gc.minor_words -. minor0 in
+  Gc.full_major ();
+  let live = (Gc.stat ()).Gc.live_words in
+  assert (!returned = writes);
+  assert (System.converged sys);
+  for i = 0 to n - 1 do
+    assert (Wlog.committed_count (Replica.log (System.replica sys i)) = writes)
+  done;
+  (s, [ ("minor_words_per_write", int_of_float (minor /. float_of_int writes));
+        ("live_words", live) ])
+
 (* Parked accesses on the paper's WAN leave nothing behind once served:
    2 LAN clusters of 2 behind an 80 ms WAN.  One chained generator issues
    [reads] strict reads at 1,000/s across the replicas, each carrying a 30 s
@@ -895,6 +946,7 @@ let kernels ~jobs =
     k "sync_traffic_batched" System 600 40 (sync_traffic ~sync:Tact_replica.Config.Batched);
     k "budget_window" System 20_000 400 budget_window;
     k "budget_window" System 40_000 800 budget_window;
+    k "ring_relay" System 20_000 500 ring_relay;
     k "parked_deadline_words" System 10_000 200 parked_deadline_words;
     k "parked_deadline_words" System 20_000 400 parked_deadline_words;
     k "shard_overhead_plain" System 4_000 200 shard_overhead_plain;

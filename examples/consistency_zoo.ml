@@ -47,10 +47,8 @@ let conflict_matrix () =
         [
           ( "withdraw",
             fun _ db ->
-              if Db.get_float db "balance" >= 60.0 then begin
-                Db.add db "balance" (-60.0);
-                Op.Applied (Db.get db "balance")
-              end
+              if Db.get_float db "balance" >= 60.0 then
+                Op.Applied (Db.add db "balance" (-60.0))
               else Op.Conflict "insufficient funds" );
         ];
     }

@@ -11,10 +11,7 @@ let enter_proc arg db =
   | Value.List [ Value.Int section; Value.Float weight; Value.Int capacity ] ->
     if Db.get_float db (section_key section) +. weight > float_of_int capacity
     then Op.Conflict "section full"
-    else begin
-      Db.add db (section_key section) weight;
-      Op.Applied (Db.get db (section_key section))
-    end
+    else Op.Applied (Db.add db (section_key section) weight)
   | _ -> Op.Conflict "roads.enter: bad argument"
 
 let procs = [ ("roads.enter", enter_proc) ]

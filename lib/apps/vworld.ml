@@ -10,8 +10,8 @@ let y_key e = Printf.sprintf "pos.%d.y" e
 let move_proc arg db =
   match arg with
   | Value.List [ Value.Int entity; Value.Float dx; Value.Float dy ] ->
-    Db.add db (x_key entity) dx;
-    Db.add db (y_key entity) dy;
+    ignore (Db.add db (x_key entity) dx);
+    ignore (Db.add db (y_key entity) dy);
     Op.Applied Value.Nil
   | _ -> Op.Conflict "vworld.move: bad argument"
 

@@ -59,16 +59,12 @@ let n_ignorant_row ~nbound ~duration =
 let account_procs =
   [
     ( "deposit",
-      fun arg db ->
-        Db.add db "balance" (Value.to_float arg);
-        Op.Applied (Db.get db "balance") );
+      fun arg db -> Op.Applied (Db.add db "balance" (Value.to_float arg)) );
     ( "withdraw",
       fun arg db ->
         let amount = Value.to_float arg in
-        if Db.get_float db "balance" >= amount then begin
-          Db.add db "balance" (-.amount);
-          Op.Applied (Db.get db "balance")
-        end
+        if Db.get_float db "balance" >= amount then
+          Op.Applied (Db.add db "balance" (-.amount))
         else Op.Conflict "insufficient funds" );
   ]
 
@@ -329,7 +325,7 @@ let memdag_rows () =
   let n = 3 in
   (* Each node's write bumps the trace counter and records its value. *)
   let node_proc arg db =
-    Db.add db "trace" 1.0;
+    ignore (Db.add db "trace" 1.0);
     Db.set db
       (Printf.sprintf "node%d" (Value.to_int arg))
       (Value.Float (Db.get_float db "trace"));

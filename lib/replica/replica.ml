@@ -526,21 +526,31 @@ and release_outstanding t ~peer =
   end
 
 (* Peers whose budget this replica currently exceeds for any conit the write
-   affects (empty = the write may return). *)
+   affects (empty = the write may return).  Only a nonzero weight on a conit
+   with a finite declared NE bound can exceed a share — any other conit's
+   share is infinite — so the others are dropped once, before the peer
+   loop. *)
 and over_budget_peers t (w : Write.t) =
-  let result = ref [] in
-  for j = t.n - 1 downto 0 do
-    if j <> t.rid then
-      let over =
-        List.exists
-          (fun { Write.conit; nweight; _ } ->
-            (not (Float.equal nweight 0.0))
-            && outstanding_for t ~peer:j conit > share_for t ~receiver:j conit)
-          w.affects
-      in
-      if over then result := j :: !result
-  done;
-  !result
+  match
+    List.filter
+      (fun { Write.conit; nweight; _ } ->
+        (not (Float.equal nweight 0.0)) && bounded_conit t conit)
+      w.affects
+  with
+  | [] -> []
+  | weights ->
+    let result = ref [] in
+    for j = t.n - 1 downto 0 do
+      if j <> t.rid then
+        let over =
+          List.exists
+            (fun { Write.conit; _ } ->
+              outstanding_for t ~peer:j conit > share_for t ~receiver:j conit)
+            weights
+        in
+        if over then result := j :: !result
+    done;
+    !result
 
 (* ------------------------------------------------------------------ *)
 (* Commitment                                                          *)

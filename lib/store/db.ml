@@ -26,9 +26,18 @@ let set t k v =
 let get_float t k = Value.to_float (get t k)
 let get_int t k = Value.to_int (get t k)
 
+(* One find serves both the sum and the undo journal. *)
 let add t k delta =
-  let v = get_float t k in
-  set t k (Value.Float (v +. delta))
+  let prev = Hashtbl.find_opt t.tbl k in
+  let v =
+    Value.Float
+      ((match prev with Some p -> Value.to_float p | None -> 0.0) +. delta)
+  in
+  (match t.watch with
+  | Some log -> log := { u_key = k; u_prev = prev } :: !log
+  | None -> ());
+  Hashtbl.replace t.tbl k v;
+  v
 
 let append t k v = set t k (Value.List (v :: Value.to_list (get t k)))
 

@@ -26,8 +26,8 @@ val set : t -> string -> Value.t -> unit
 val get_float : t -> string -> float
 val get_int : t -> string -> int
 
-val add : t -> string -> float -> unit
-(** Numeric increment; missing keys start at 0. *)
+val add : t -> string -> float -> Value.t
+(** Numeric increment; missing keys start at 0.  Returns the value stored. *)
 
 val append : t -> string -> Value.t -> unit
 (** Add to the list at [key]; missing keys start as [].  Lists are kept

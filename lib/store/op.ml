@@ -15,9 +15,7 @@ let apply ~procs t db =
   | Set (k, v) ->
     Db.set db k v;
     Applied v
-  | Add (k, d) ->
-    Db.add db k d;
-    Applied (Db.get db k)
+  | Add (k, d) -> Applied (Db.add db k d)
   | Append (k, v) ->
     Db.append db k v;
     Applied Value.Nil

@@ -7,12 +7,13 @@ type insertion = Inserted of Op.outcome | Duplicate | Buffered
    committed-id set, tentative outcomes, final outcomes): origins are dense
    small ints and each origin's seqs are a contiguous range, so a slot is
    found by array arithmetic — no hashing, no key boxing — on every delivery,
-   commit and outcome probe. *)
+   commit and outcome probe, and {!writes_since} merges over slices of the
+   same slot arrays. *)
 type slot = {
-  mutable s_write : Write.t option;
+  mutable s_write : Write.t;
       (* physically resident in the log (tentative or retained committed);
-         [None] once truncated, snapshot-covered, or a never-received seq the
-         vector jumped over *)
+         the [no_write] sentinel (compared physically) once truncated,
+         snapshot-covered, or a never-received seq the vector jumped over *)
   mutable s_outcome : Op.outcome option;
       (* latest application: tentative, or the final one once committed *)
   mutable s_final : Op.outcome option;  (* outcome against the committed image *)
@@ -23,10 +24,23 @@ type slot = {
    offset ([Deque.t] is exactly that): logical slot [i] covers seq
    [ibase + i + 1].  Bounded-memory logs advance [ibase] past dead prefixes
    (see {!shed_dead}); unbounded logs keep [ibase = 0] forever, mirroring the
-   old hashtables' retention. *)
+   old hashtables' retention.  It is the log's only per-origin index: every
+   seq in [(trunc_vec.(o), vector.(o)]] is resident in it, in seq (hence
+   timestamp) order, which is all {!writes_since} needs. *)
 type origin_index = {
   mutable ibase : int;  (* seqs <= ibase have been evicted from the index *)
   islots : slot Deque.t;
+}
+
+(* One conit's weight tallies, updated together by one lookup.  All fields
+   are floats, so the record is stored flat and updating it allocates
+   nothing.  [committed_value] is [nan] until the conit first commits (or a
+   snapshot supplies it): "never committed" stays distinct from 0.0, so a
+   snapshot lists exactly the conits that committed. *)
+type tally = {
+  mutable value : float;  (* accumulated nweight of every known write *)
+  mutable tent_ow : float;  (* summed oweight of the tentative suffix *)
+  mutable committed_value : float;  (* accumulated nweight of committed writes *)
 }
 
 type snapshot = {
@@ -88,19 +102,9 @@ type t = {
   committed_vec : Version_vector.t;  (* writes in the committed prefix *)
   trunc_vec : Version_vector.t;  (* writes that may have been discarded *)
   index : origin_index array;  (* per-write bookkeeping slots, per origin *)
-  mutable nresident : int;  (* slots with [s_write <> None] *)
-  by_origin : Write.t Deque.t array;
-      (* by_origin.(o) = the writes of origin o still in the log, in seq
-         order.  Registration happens in per-origin seq order and removal
-         (truncation, snapshot installation) drops per-origin prefixes, so
-         the deque is always the contiguous seq range
-         [trunc_vec.(o)+1 .. vector.(o)] — which makes serving a version
-         vector a k-way merge over array slices instead of per-(origin,seq)
-         hash probes. *)
+  mutable nresident : int;  (* slots whose [s_write] is a real write *)
   pending : (Write.id, Write.t) Hashtbl.t; (* per-origin sequence gaps *)
-  values : (string, float) Hashtbl.t; (* conit -> accumulated nweight *)
-  committed_values : (string, float) Hashtbl.t;
-  tent_oweights : (string, float) Hashtbl.t; (* conit -> tentative oweight *)
+  tallies : (string, tally) Hashtbl.t;  (* conit -> its weight tallies *)
   mutable nrollbacks : int;
   mutable shadow_vector : Version_vector.t option;
       (* last vector seen by the sanitizer, for monotonicity (sanitize only) *)
@@ -110,7 +114,8 @@ type t = {
 let no_write =
   Write.make ~id:{ origin = -1; seq = 0 } ~accept_time:0.0 ~op:Op.Noop ~affects:[]
 
-let no_slot = { s_write = None; s_outcome = None; s_final = None; s_committed = false }
+let no_slot =
+  { s_write = no_write; s_outcome = None; s_final = None; s_committed = false }
 
 let create_bounded ~procs ~journal ~evict_outcomes ~replicas ~initial =
   {
@@ -137,11 +142,8 @@ let create_bounded ~procs ~journal ~evict_outcomes ~replicas ~initial =
       Array.init replicas (fun _ ->
           { ibase = 0; islots = Deque.create ~filler:no_slot () });
     nresident = 0;
-    by_origin = Array.init replicas (fun _ -> Deque.create ~filler:no_write ());
     pending = Hashtbl.create 8;
-    values = Hashtbl.create 16;
-    committed_values = Hashtbl.create 16;
-    tent_oweights = Hashtbl.create 16;
+    tallies = Hashtbl.create 16;
     nrollbacks = 0;
     shadow_vector = None;
   }
@@ -156,11 +158,25 @@ let htbl_add tbl key delta =
 let htbl_get tbl key =
   match Hashtbl.find_opt tbl key with Some v -> v | None -> 0.0
 
+(* The conit's tallies, created on first sight.  [Hashtbl.find] rather than
+   [find_opt]: the hit path then allocates nothing. *)
+let tally t conit =
+  match Hashtbl.find t.tallies conit with
+  | r -> r
+  | exception Not_found ->
+    let r = { value = 0.0; tent_ow = 0.0; committed_value = Float.nan } in
+    Hashtbl.add t.tallies conit r;
+    r
+
+(* A committed value, reading "never committed" as 0.0. *)
+let committed_or_zero r =
+  if Float.is_nan r.committed_value then 0.0 else r.committed_value
+
 (* ------------------------------------------------------------------ *)
 (* Slot index primitives                                               *)
 
 let fresh_slot () =
-  { s_write = None; s_outcome = None; s_final = None; s_committed = false }
+  { s_write = no_write; s_outcome = None; s_final = None; s_committed = false }
 
 (* The slot for an id, if the index still covers it. *)
 let slot_find t (id : Write.id) =
@@ -193,10 +209,12 @@ let resident t origin seq =
   let oi = t.index.(origin) in
   let i = seq - oi.ibase - 1 in
   i >= 0 && i < Deque.length oi.islots
-  && (Deque.get oi.islots i).s_write <> None
+  && (Deque.get oi.islots i).s_write != no_write
 
 let resident_write t (id : Write.id) =
-  match slot_find t id with Some s -> s.s_write | None -> None
+  match slot_find t id with
+  | Some s when s.s_write != no_write -> Some s.s_write
+  | Some _ | None -> None
 
 (* The old committed-id-set membership: the slot flag while the slot lives.
    A shed slot (bounded mode) reads as not-committed here; callers that can
@@ -213,7 +231,7 @@ let shed_dead t origin =
   let oi = t.index.(origin) in
   while
     (not (Deque.is_empty oi.islots))
-    && (Deque.peek_front oi.islots).s_write = None
+    && (Deque.peek_front oi.islots).s_write == no_write
   do
     ignore (Deque.pop_front oi.islots);
     oi.ibase <- oi.ibase + 1
@@ -289,28 +307,15 @@ let invariant_violations t =
     addf "known vector %s does not dominate committed vector %s"
       (Version_vector.to_string t.vector)
       (Version_vector.to_string t.committed_vec);
-  (* Per-origin index: exactly the contiguous seqs trunc+1..vector, in
-     order, and physically the same writes the id index serves — the
-     invariant the writes_since merge path relies on. *)
+  (* Slot index: every seq in trunc+1..vector is resident and holds its own
+     write — the invariant the writes_since merge path relies on. *)
   for o = 0 to t.nreplicas - 1 do
-    let base = Version_vector.get t.trunc_vec o in
-    let len = Deque.length t.by_origin.(o) in
-    if base + len <> Version_vector.get t.vector o then
-      addf "by_origin[%d] holds %d writes above base %d but the vector says %d"
-        o len base (Version_vector.get t.vector o);
-    for i = 0 to len - 1 do
-      let w = Deque.get t.by_origin.(o) i in
-      if w.Write.id.origin <> o || w.Write.id.seq <> base + i + 1 then
-        addf "by_origin[%d] slot %d holds %s, want w%d.%d" o i
-          (Write.id_to_string w.Write.id) o (base + i + 1)
-      else
-        match resident_write t w.Write.id with
-        | Some w' when w' == w -> ()
-        | Some _ ->
-          addf "by_origin[%d] slot %d diverges from the id index" o i
-        | None ->
-          addf "by_origin[%d] slot %d (%s) missing from the id index" o i
-            (Write.id_to_string w.Write.id)
+    for seq = Version_vector.get t.trunc_vec o + 1 to Version_vector.get t.vector o do
+      match resident_write t { Write.origin = o; seq } with
+      | Some w when w.Write.id.origin = o && w.Write.id.seq = seq -> ()
+      | Some w ->
+        addf "slot index for w%d.%d holds %s" o seq (Write.id_to_string w.Write.id)
+      | None -> addf "w%d.%d is above the truncation vector but not resident" o seq
     done
   done;
   (* Weight accounting: the incremental conit-value and order-weight tallies
@@ -328,20 +333,21 @@ let invariant_violations t =
     (* lint: allow hashtbl-fold — key collection, sorted before use *)
     Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
   in
-  let conits =
-    List.sort_uniq String.compare
-      (keys t.values @ keys t.committed_values @ keys tent_n @ keys t.tent_oweights)
-  in
+  let conits = List.sort_uniq String.compare (keys t.tallies @ keys tent_n) in
   let close a b = Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.abs a +. Float.abs b) in
   List.iter
     (fun c ->
-      let expect = htbl_get t.committed_values c +. htbl_get tent_n c in
-      if not (close (htbl_get t.values c) expect) then
-        addf "conit %S value tally %g diverges from recount %g" c
-          (htbl_get t.values c) expect;
-      if not (close (htbl_get t.tent_oweights c) (htbl_get tent_o c)) then
+      let value, tent_ow, committed =
+        match Hashtbl.find_opt t.tallies c with
+        | Some r -> (r.value, r.tent_ow, committed_or_zero r)
+        | None -> (0.0, 0.0, 0.0)
+      in
+      let expect = committed +. htbl_get tent_n c in
+      if not (close value expect) then
+        addf "conit %S value tally %g diverges from recount %g" c value expect;
+      if not (close tent_ow (htbl_get tent_o c)) then
         addf "conit %S tentative order weight %g diverges from recount %g" c
-          (htbl_get t.tent_oweights c) (htbl_get tent_o c))
+          tent_ow (htbl_get tent_o c))
     conits;
   (* Undo round-trip: replaying every journal entry newest-first over a copy
      of the full image must restore the committed image exactly. *)
@@ -379,14 +385,14 @@ let unsafe_swap_tentative t i j =
 (* Bookkeeping common to every successful insertion. *)
 let register t (w : Write.t) =
   let s = slot_ensure t w.id.origin w.id.seq in
-  s.s_write <- Some w;
+  s.s_write <- w;
   t.nresident <- t.nresident + 1;
-  Deque.push_back t.by_origin.(w.id.origin) w;
   Version_vector.set t.vector w.id.origin w.id.seq;
   List.iter
     (fun { Write.conit; nweight; oweight } ->
-      htbl_add t.values conit nweight;
-      htbl_add t.tent_oweights conit oweight)
+      let r = tally t conit in
+      r.value <- r.value +. nweight;
+      r.tent_ow <- r.tent_ow +. oweight)
     w.affects
 
 (* Apply one tentative write to the full image, journalling its mutations so
@@ -500,11 +506,18 @@ let insert t (w : Write.t) =
     | None -> assert false
   end
 
+let rec ts_sorted = function
+  | a :: (b :: _ as rest) -> Write.ts_compare a b <= 0 && ts_sorted rest
+  | [ _ ] | [] -> true
+
 let insert_batch t ws =
   (* At most one rollback for the whole batch, from the lowest position any
-     of its writes landed at; nothing is applied until the next read. *)
-  let sorted = List.sort Write.ts_compare ws in
+     of its writes landed at; nothing is applied until the next read.  Every
+     producer of a batch is [writes_since], whose output is already in
+     timestamp order, so the sort is for foreign input only. *)
+  let ws = if ts_sorted ws then ws else List.sort Write.ts_compare ws in
   let fresh = ref [] in
+  let drained = ref false in
   let minpos = ref max_int in
   List.iter
     (fun (w : Write.t) ->
@@ -514,30 +527,33 @@ let insert_batch t ws =
       else begin
         let new_writes, mp = insert_positions t w in
         minpos := min !minpos mp;
+        (match new_writes with [ _ ] -> () | _ -> drained := true);
         fresh := List.rev_append new_writes !fresh
       end)
-    sorted;
+    ws;
   unapply_from t !minpos;
   sanitize ~ctx:"wlog.insert_batch" t;
-  List.sort Write.ts_compare !fresh
+  (* The fresh writes are a subsequence of the sorted batch, unless a filled
+     gap released pending writes of its origin, which may interleave with
+     the batch's later writes. *)
+  if !drained then List.sort Write.ts_compare !fresh else List.rev !fresh
 
 let vector t = t.vector
 
-(* Serve the delta beyond [v] by k-way-merging the per-origin slices: each
-   origin's missing writes are the tail of its (seq-ordered, hence
-   ts-ordered) index, so a [nreplicas]-way heap merge yields the result in
-   timestamp order directly — O(delta log k), no hashing, no sort. *)
+(* Serve the delta beyond [v] by k-way-merging slices of the slot index:
+   each origin's missing writes are the tail of its (seq-ordered, hence
+   ts-ordered) slot array, so a [nreplicas]-way heap merge yields the result
+   in timestamp order directly — O(delta log k), no hashing, no sort. *)
 let writes_since t v =
   let n = t.nreplicas in
-  let cursor = Array.make n 0 in
-  let stop = Array.make n 0 in
-  let total = ref 0 in
+  (* Per live origin: the slots of its missing seqs, oldest first. *)
+  let slices = Array.make n [||] in
+  let k = ref 0 in
   for origin = 0 to n - 1 do
     let have = Version_vector.get v origin in
     let upto = Version_vector.get t.vector origin in
     if upto > have then begin
-      let base = Version_vector.get t.trunc_vec origin in
-      if have < base then begin
+      if have < Version_vector.get t.trunc_vec origin then begin
         (* Error path only: name the first seq actually gone (under CSN
            commits a lower-seq straggler may outlive the truncation that
            overtook it), matching the probe order of the old implementation
@@ -549,44 +565,35 @@ let writes_since t v =
              "Wlog.writes_since: w%d.%d was truncated (check can_serve first)"
              origin !seq)
       end;
-      cursor.(origin) <- have - base;
-      stop.(origin) <- upto - base;
-      total := !total + (upto - have)
+      (* Every seq in (trunc_vec, vector] is resident, so [have + 1 .. upto]
+         are consecutive slots: one pointer blit per origin. *)
+      let oi = t.index.(origin) in
+      slices.(!k) <- Deque.sub oi.islots (have - oi.ibase) (upto - have);
+      incr k
     end
   done;
-  if !total = 0 then []
+  let k = !k in
+  if k = 0 then []
   else begin
-    (* Copy each live origin's pending slice into a contiguous array (one
-       pointer blit per origin), then k-way merge over the slices with a
-       binary min-heap keyed by each slice's cached head write; ts_compare
+    (* Merge in descending order from the slice tails with a binary max-heap
+       keyed by each slice's cached tail write, so each extracted write
+       conses straight onto the front of the result list: ascending output,
+       one cons per element, no rev and no intermediate array.  ts_compare
        is a total order (ties break on origin and seq), so extraction order
        is deterministic. *)
-    let slices = Array.make n [||] in
-    let nlive = ref 0 in
-    for o = 0 to n - 1 do
-      let len = stop.(o) - cursor.(o) in
-      if len > 0 then begin
-        slices.(!nlive) <- Deque.sub t.by_origin.(o) cursor.(o) len;
-        incr nlive
-      end
-    done;
-    let k = !nlive in
-    (* Merge in descending order from the slice tails with a max-heap, so
-       each extracted write conses straight onto the front of the result
-       list: ascending output, one cons per element, no rev and no
-       intermediate array. *)
     let pos = Array.make k 0 in
     let heap = Array.make k 0 in
-    let cur = Array.make k slices.(0).(0) in
+    let cur = Array.make k no_write in
     (* Unboxed copy of each tail's accept_time: heap comparisons stay on a
        flat float array instead of chasing into the write records (the
        compare is by (accept_time, id), and times are never NaN). *)
     let curk = Array.make k 0.0 in
     for s = 0 to k - 1 do
       let last = Array.length slices.(s) - 1 in
+      let w = slices.(s).(last).s_write in
       pos.(s) <- last;
-      cur.(s) <- slices.(s).(last);
-      curk.(s) <- slices.(s).(last).Write.accept_time
+      cur.(s) <- w;
+      curk.(s) <- w.Write.accept_time
     done;
     let greater a b =
       let ka = curk.(a) and kb = curk.(b) in
@@ -631,7 +638,7 @@ let writes_since t v =
       let p = pos.(s) - 1 in
       pos.(s) <- p;
       if p >= 0 then begin
-        let w = slices.(s).(p) in
+        let w = slices.(s).(p).s_write in
         cur.(s) <- w;
         curk.(s) <- w.Write.accept_time;
         sift_down 0
@@ -671,8 +678,9 @@ let commit_one t (w : Write.t) =
   t.ncommitted <- t.ncommitted + 1;
   List.iter
     (fun { Write.conit; nweight; oweight } ->
-      htbl_add t.committed_values conit nweight;
-      htbl_add t.tent_oweights conit (-.oweight))
+      let r = tally t conit in
+      r.committed_value <- committed_or_zero r +. nweight;
+      r.tent_ow <- r.tent_ow +. -.oweight)
     w.affects
 
 (* Commit the oldest tentative write.  If it was applied, its journal
@@ -783,14 +791,20 @@ let commit_ids t ids =
   if !n > 0 then sanitize ~ctx:"wlog.commit_ids" t;
   !n
 
-let tentative_oweight t conit = htbl_get t.tent_oweights conit
+let tentative_oweight t conit =
+  match Hashtbl.find_opt t.tallies conit with Some r -> r.tent_ow | None -> 0.0
 
 let tentative_max_oweight t =
   (* lint: allow hashtbl-fold — max over values, order-independent *)
-  Hashtbl.fold (fun _ v acc -> Float.max v acc) t.tent_oweights 0.0
+  Hashtbl.fold (fun _ r acc -> Float.max r.tent_ow acc) t.tallies 0.0
 
-let conit_value t conit = htbl_get t.values conit
-let committed_conit_value t conit = htbl_get t.committed_values conit
+let conit_value t conit =
+  match Hashtbl.find_opt t.tallies conit with Some r -> r.value | None -> 0.0
+
+let committed_conit_value t conit =
+  match Hashtbl.find_opt t.tallies conit with
+  | Some r -> committed_or_zero r
+  | None -> 0.0
 
 let outcome t id =
   force t;
@@ -866,7 +880,7 @@ let truncate t ~keep =
     for _ = 1 to drop do
       let w = Deque.pop_front t.committed in
       let s = slot_exn t w.Write.id in
-      s.s_write <- None;
+      s.s_write <- no_write;
       t.nresident <- t.nresident - 1;
       if t.evict_on_truncate then begin
         (* Per-write slot data would otherwise grow forever; the eviction is
@@ -877,24 +891,13 @@ let truncate t ~keep =
         s.s_final <- None;
         s.s_committed <- false
       end;
+      (* Under CSN commits the truncated write need not be its origin's
+         oldest (commit order is the primary's, not seq order): lower-seq
+         stragglers it jumps over stay resident until they are popped in
+         turn, but become unservable the moment trunc_vec passes them. *)
       let o = w.id.origin in
       Version_vector.set t.trunc_vec o
         (max w.id.seq (Version_vector.get t.trunc_vec o));
-      (* Drop the origin's prefix the truncation vector now covers.  Under
-         CSN commits the truncated write need not be its origin's oldest
-         (commit order is the primary's, not seq order); lower-seq stragglers
-         it jumps over become unservable the moment trunc_vec passes them —
-         exactly as before, when they merely lingered in the id index — so
-         the per-origin index sheds them here to stay the contiguous range
-         (trunc_vec.(o), vector.(o)]. *)
-      let bo = t.by_origin.(o) in
-      while
-        (not (Deque.is_empty bo))
-        && (Deque.peek_front bo).Write.id.seq
-           <= Version_vector.get t.trunc_vec o
-      do
-        ignore (Deque.pop_front bo)
-      done;
       if t.evict_on_truncate then shed_dead t o
     done;
     sanitize ~ctx:"wlog.truncate" t;
@@ -910,7 +913,10 @@ let snapshot t =
     snap_ncommitted = t.ncommitted;
     snap_values =
       (* lint: allow hashtbl-fold — sorted below for a deterministic wire image *)
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.committed_values []
+      Hashtbl.fold
+        (fun k r acc ->
+          if Float.is_nan r.committed_value then acc else (k, r.committed_value) :: acc)
+        t.tallies []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
   }
 
@@ -943,7 +949,7 @@ let install_snapshot t snap =
     Deque.iter
       (fun (w : Write.t) ->
         let s = slot_exn t w.Write.id in
-        s.s_write <- None;
+        s.s_write <- no_write;
         t.nresident <- t.nresident - 1;
         if t.evict_on_truncate then begin
           s.s_outcome <- None;
@@ -952,8 +958,6 @@ let install_snapshot t snap =
         end)
       t.committed;
     Deque.clear t.committed;
-    Hashtbl.reset t.committed_values;
-    List.iter (fun (k, v) -> Hashtbl.replace t.committed_values k v) snap.snap_values;
     (* Tentative writes the snapshot covers were committed remotely — drop
        them (their final outcomes are not locally recoverable); keep the
        rest, which the next read replays. *)
@@ -962,7 +966,7 @@ let install_snapshot t snap =
       (fun (w : Write.t) ->
         if covered w then begin
           let s = slot_exn t w.id in
-          s.s_write <- None;
+          s.s_write <- no_write;
           t.nresident <- t.nresident - 1;
           s.s_committed <- true
         end
@@ -974,14 +978,6 @@ let install_snapshot t snap =
     (* Rebuild the derived quantities: known vector, conit values, tentative
        oweights. *)
     Version_vector.merge_into t.vector snap.snap_vector;
-    (* The per-origin index now holds exactly the kept tentative writes:
-       everything at or below the snapshot vector was dropped above, and
-       the survivors are the contiguous seqs snap_vector.(o)+1 .. vector.(o)
-       (the tentative suffix's per-origin subsequence, in seq order). *)
-    Array.iter Deque.clear t.by_origin;
-    Deque.iter
-      (fun (w : Write.t) -> Deque.push_back t.by_origin.(w.id.origin) w)
-      t.tent;
     if t.evict_on_truncate then
       for o = 0 to t.nreplicas - 1 do
         shed_dead t o;
@@ -992,16 +988,22 @@ let install_snapshot t snap =
         let cover = Version_vector.get snap.snap_vector o in
         if Deque.is_empty oi.islots && oi.ibase < cover then oi.ibase <- cover
       done;
-    Hashtbl.reset t.tent_oweights;
-    Hashtbl.reset t.values;
-    (* lint: allow hashtbl-iter — table copy, order-independent *)
-    Hashtbl.iter (fun k v -> Hashtbl.replace t.values k v) t.committed_values;
+    (* lint: allow hashtbl-iter — per-entry reset, order-independent *)
+    Hashtbl.iter
+      (fun _ r ->
+        r.committed_value <- Float.nan;
+        r.tent_ow <- 0.0)
+      t.tallies;
+    List.iter (fun (k, v) -> (tally t k).committed_value <- v) snap.snap_values;
+    (* lint: allow hashtbl-iter — per-entry reset, order-independent *)
+    Hashtbl.iter (fun _ r -> r.value <- committed_or_zero r) t.tallies;
     Deque.iter
       (fun (w : Write.t) ->
         List.iter
           (fun { Write.conit; nweight; oweight } ->
-            htbl_add t.values conit nweight;
-            htbl_add t.tent_oweights conit oweight)
+            let r = tally t conit in
+            r.value <- r.value +. nweight;
+            r.tent_ow <- r.tent_ow +. oweight)
           w.affects)
       t.tent;
     (* Drop pending-buffer entries the snapshot already covers. *)

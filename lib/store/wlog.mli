@@ -18,7 +18,14 @@
     The log also maintains, incrementally, the quantities the conit metrics
     are built from: per-conit observed value (accumulated nweights of all
     known writes — the weight-specification reading of a conit's value,
-    Section 3.4) and per-conit tentative oweight (the replica's order error).
+    Section 3.4), per-conit tentative oweight (the replica's order error)
+    and per-conit committed value.  The three live in one flat record per
+    conit, so registering or committing a write costs one table lookup per
+    conit it affects and allocates nothing.
+
+    Each per-write job has one mechanism: one slot per (origin, seq) holds
+    a write's residency, outcomes and commit flag, and the same per-origin
+    slot arrays serve {!writes_since} as a merge over their tails.
 
     Out-of-order arrival {e within one origin's sequence} (possible only under
     message loss plus reordering) is absorbed by a pending buffer, so the
@@ -71,7 +78,10 @@ val insert_batch : t -> Write.t list -> Write.t list
     applied part of the suffix revert it down to the lowest landing point
     (at most one rollback), and re-execution waits for the next read.
     Returns the writes that were actually new to this replica (including any
-    pending-buffer entries the batch released), in timestamp order. *)
+    pending-buffer entries the batch released), in timestamp order.  A batch
+    already in timestamp order — every batch {!writes_since} builds — is
+    checked in one pass and not sorted, and neither is the result unless
+    released pending writes interleave with the batch. *)
 
 val vector : t -> Version_vector.t
 (** The live vector of known writes (do not mutate). *)

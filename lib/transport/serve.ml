@@ -10,7 +10,7 @@ type client_conn = {
   k_fd : Unix.file_descr;
   mutable k_buf : Bytes.t;
   mutable k_len : int;
-  k_out : Buffer.t;
+  k_out : Outbuf.t;
   mutable k_closed : bool;
 }
 
@@ -120,18 +120,12 @@ let drop_client t (c : client_conn) =
 
 let rec flush_client t (c : client_conn) =
   if not c.k_closed then begin
-    let data = Buffer.contents c.k_out in
-    let len = String.length data in
-    if len = 0 then Loop.clear_writable t.loop c.k_fd
+    if Outbuf.is_empty c.k_out then Loop.clear_writable t.loop c.k_fd
     else
-      match Unix.write_substring c.k_fd data 0 len with
-      | written ->
-        Buffer.clear c.k_out;
-        if written < len then begin
-          Buffer.add_substring c.k_out data written (len - written);
-          Loop.on_writable t.loop c.k_fd (fun () -> flush_client t c)
-        end
-        else Loop.clear_writable t.loop c.k_fd
+      match Outbuf.write c.k_out c.k_fd with
+      | (_ : int) ->
+        if Outbuf.is_empty c.k_out then Loop.clear_writable t.loop c.k_fd
+        else Loop.on_writable t.loop c.k_fd (fun () -> flush_client t c)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         Loop.on_writable t.loop c.k_fd (fun () -> flush_client t c)
       | exception Unix.Unix_error _ -> drop_client t c
@@ -142,9 +136,9 @@ let respond t (c : client_conn) resp =
     Codec.Frame.clear t.frame;
     Client.encode_response t.frame resp;
     let payload = Codec.Frame.contents t.frame in
-    Buffer.add_string c.k_out
+    Outbuf.add_string c.k_out
       (Transport.encode_frame_header ~len:(String.length payload));
-    Buffer.add_string c.k_out payload;
+    Outbuf.add_string c.k_out payload;
     flush_client t c
   end
 
@@ -232,7 +226,7 @@ let accept_client t listen_fd =
     Unix.set_nonblock fd;
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
     let c =
-      { k_fd = fd; k_buf = Bytes.create 4096; k_len = 0; k_out = Buffer.create 512;
+      { k_fd = fd; k_buf = Bytes.create 4096; k_len = 0; k_out = Outbuf.create 512;
         k_closed = false }
     in
     t.clients <- c :: t.clients;
@@ -290,7 +284,7 @@ let request_stop t =
         else begin
           let drained =
             Replica.pending_count t.replica = 0
-            && List.for_all (fun c -> Buffer.length c.k_out = 0) t.clients
+            && List.for_all (fun c -> Outbuf.is_empty c.k_out) t.clients
           in
           if drained || Loop.now t.loop >= deadline then begin
             close t;

@@ -55,7 +55,7 @@ type peer = {
   mutable p_sup : Supervisor.state;
   mutable p_fd : Unix.file_descr option;
   mutable p_ever_up : bool;
-  p_out : Buffer.t;  (* bytes accepted for the live connection *)
+  p_out : Outbuf.t;  (* bytes accepted for the live connection *)
   p_parked : string Queue.t;  (* whole frames parked while down *)
   mutable p_parked_bytes : int;
   mutable p_rbuf : Bytes.t;  (* probe acks arriving on the dialed conn *)
@@ -126,7 +126,7 @@ let create ?(park_cap_bytes = 64 * 1024 * 1024) ~loop ~self ~addrs
                 p_sup = Supervisor.initial;
                 p_fd = None;
                 p_ever_up = false;
-                p_out = Buffer.create 4096;
+                p_out = Outbuf.create 4096;
                 p_parked = Queue.create ();
                 p_parked_bytes = 0;
                 p_rbuf = Bytes.create 4096;
@@ -178,7 +178,7 @@ let hang_up t (p : peer) =
   | None -> ());
   p.p_fd <- None;
   p.p_rlen <- 0;
-  Buffer.clear p.p_out
+  Outbuf.clear p.p_out
 
 let sup_event t (p : peer) ev =
   let was_up = Supervisor.is_up p.p_sup in
@@ -254,7 +254,7 @@ and dial_complete t (p : peer) fd =
       match p.p_sup with
       | Supervisor.Dialing _ | Supervisor.Down _ | Supervisor.Parked _ ->
         (* Connected: say hello, then hand the socket to the flusher. *)
-        Buffer.add_string p.p_out (hello_bytes t.self);
+        Outbuf.add_string p.p_out (hello_bytes t.self);
         Loop.clear_writable t.loop fd;
         run_actions t p (sup_event t p Supervisor.Dial_ok);
         flush_out t p
@@ -267,7 +267,7 @@ and enqueue t (p : peer) frame =
   if Supervisor.is_up p.p_sup && p.p_fd <> None then begin
     tr t (fun () ->
         Printf.sprintf "enqueue -> %d: %dB" p.p_id (String.length frame));
-    Buffer.add_string p.p_out frame;
+    Outbuf.add_string p.p_out frame;
     flush_out t p
   end
   else begin
@@ -293,7 +293,7 @@ and flush_parked t (p : peer) =
     let frame = Queue.pop p.p_parked in
     p.p_parked_bytes <- p.p_parked_bytes - String.length frame;
     t.stats.parked_frames <- t.stats.parked_frames - 1;
-    Buffer.add_string p.p_out frame
+    Outbuf.add_string p.p_out frame
   done;
   flush_out t p
 
@@ -301,19 +301,13 @@ and flush_out t (p : peer) =
   match p.p_fd with
   | None -> ()
   | Some fd ->
-    let data = Buffer.contents p.p_out in
-    let len = String.length data in
-    if len = 0 then Loop.clear_writable t.loop fd
+    if Outbuf.is_empty p.p_out then Loop.clear_writable t.loop fd
     else begin
-      match Unix.write_substring fd data 0 len with
+      match Outbuf.write p.p_out fd with
       | written ->
         t.stats.sent_bytes <- t.stats.sent_bytes + written;
-        Buffer.clear p.p_out;
-        if written < len then begin
-          Buffer.add_substring p.p_out data written (len - written);
-          Loop.on_writable t.loop fd (fun () -> flush_out t p)
-        end
-        else Loop.clear_writable t.loop fd
+        if Outbuf.is_empty p.p_out then Loop.clear_writable t.loop fd
+        else Loop.on_writable t.loop fd (fun () -> flush_out t p)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         Loop.on_writable t.loop fd (fun () -> flush_out t p)
       | exception Unix.Unix_error (e, _, _) ->
@@ -393,7 +387,7 @@ let ack_probe t ~src =
     match t.peers.(src) with
     | Some p when Supervisor.is_up p.p_sup ->
       tr t (fun () -> Printf.sprintf "ack -> %d" src);
-      Buffer.add_string p.p_out (frame_of "");
+      Outbuf.add_string p.p_out (frame_of "");
       flush_out t p
     | Some _ | None -> ()
 

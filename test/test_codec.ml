@@ -55,9 +55,7 @@ let test_op_roundtrip () =
 let test_named_proc_applies () =
   let procs =
     [ ( "test.incr_by",
-        fun arg db ->
-          Db.add db "n" (Value.to_float arg);
-          Op.Applied (Db.get db "n") ) ]
+        fun arg db -> Op.Applied (Db.add db "n" (Value.to_float arg)) ) ]
   in
   let db = Db.create [] in
   (match Op.apply ~procs (Op.Named ("test.incr_by", Value.Float 4.0)) db with
@@ -300,9 +298,7 @@ let test_fully_serialisable_system () =
   let open Tact_replica in
   let procs =
     [ ( "codec.bump",
-        fun arg db ->
-          Db.add db "x" (Value.to_float arg);
-          Op.Applied (Db.get db "x") ) ]
+        fun arg db -> Op.Applied (Db.add db "x" (Value.to_float arg)) ) ]
   in
   let sys =
     System.create

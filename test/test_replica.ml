@@ -205,6 +205,37 @@ let test_partitioned_strong_read_blocks_then_serves () =
   Alcotest.(check bool) "eventually served" true (not (Float.is_nan !served_at));
   Alcotest.(check bool) "no violations" true (Verify.check ~lcp:true sys = [])
 
+(* The NE budget check only weighs conits with a finite declared bound.  With
+   replica 0 cut off from both peers, a write on an undeclared conit returns
+   at once; a write that also weighs on a bounded conit (bound 1, so a share
+   of 0.5 per peer) is held until the peers acknowledge it after the heal. *)
+let test_budget_ignores_unbounded_conits () =
+  let config =
+    {
+      Config.default with
+      Config.conits = [ Conit.declare ~ne_bound:1.0 "b" ];
+      antientropy_period = Some 0.5;
+    }
+  in
+  let sys = System.create ~topology:(topo 3) ~config () in
+  let engine = System.engine sys in
+  Net.partition (System.net sys) [ 0 ] [ 1; 2 ];
+  let free_at = ref nan and held_at = ref nan in
+  Engine.schedule engine ~delay:1.0 (fun () ->
+      Replica.submit_write (System.replica sys 0) ~deps:[]
+        ~affects:[ unit_weight "u" ] ~op:(Op.Add ("x", 1.0))
+        ~k:(fun _ -> free_at := Engine.now engine));
+  Engine.schedule engine ~delay:2.0 (fun () ->
+      Replica.submit_write (System.replica sys 0) ~deps:[]
+        ~affects:[ unit_weight "u"; unit_weight "b" ] ~op:(Op.Add ("x", 1.0))
+        ~k:(fun _ -> held_at := Engine.now engine));
+  Engine.schedule engine ~delay:10.0 (fun () -> Net.heal (System.net sys));
+  System.run ~until:60.0 sys;
+  Alcotest.(check (float 1e-9)) "unbounded write returns at once" 1.0 !free_at;
+  Alcotest.(check bool) "bounded write held until the heal" true (!held_at > 10.0);
+  Alcotest.(check bool) "bounded write returns after the heal" true
+    (not (Float.is_nan !held_at))
+
 (* --- Randomized whole-system property ---------------------------------- *)
 
 (* Any mix of bounds, topologies, workloads and partitions must yield zero
@@ -404,6 +435,7 @@ let base_suite =
     Alcotest.test_case "stability order canonical" `Quick test_stability_commit_order_is_canonical;
     Alcotest.test_case "partition blocks stability" `Quick test_partition_blocks_stability_commit;
     Alcotest.test_case "strong read across partition" `Quick test_partitioned_strong_read_blocks_then_serves;
+    Alcotest.test_case "budget ignores unbounded conits" `Quick test_budget_ignores_unbounded_conits;
     test_random_system;
     Alcotest.test_case "records memory linear" `Quick test_records_memory_linear;
     Alcotest.test_case "flat memory: budgeted WAN" `Quick test_flat_memory_wan_budgeted;

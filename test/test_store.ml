@@ -126,9 +126,11 @@ let test_db_get_set () =
 
 let test_db_add () =
   let db = Db.create [] in
-  Db.add db "c" 2.5;
-  Db.add db "c" 1.5;
+  ignore (Db.add db "c" 2.5);
+  let stored = Db.add db "c" 1.5 in
   Alcotest.(check bool) "accumulates" true (feq (Db.get_float db "c") 4.0);
+  Alcotest.(check bool) "returns the stored value" true
+    (Value.equal stored (Db.get db "c"));
   Alcotest.(check int) "get_int truncates" 4 (Db.get_int db "c")
 
 let test_db_append_newest_first () =
@@ -184,10 +186,8 @@ let test_op_guarded () =
       ( "withdraw",
         fun arg db ->
           let amount = Value.to_float arg in
-          if Db.get_float db "bal" >= amount then begin
-            Db.add db "bal" (-.amount);
-            Op.Applied (Db.get db "bal")
-          end
+          if Db.get_float db "bal" >= amount then
+            Op.Applied (Db.add db "bal" (-.amount))
           else Op.Conflict "insufficient" );
     ]
   in

@@ -859,6 +859,98 @@ let test_serve_unknown_procedure () =
     (pump_all ~wall:6.0 (fun () -> Array.for_all Serve.stopped serves));
   Array.iter Serve.close serves
 
+(* The daemon's output buffer over a socket pair with small kernel buffers:
+   varied-size appends interleave with flushes that the full socket cuts
+   short, and the reader, draining slowly, must see exactly the appended
+   bytes, in order. *)
+let test_outbuf_partial_writes () =
+  let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int w Unix.SO_SNDBUF 4096;
+  Unix.setsockopt_int r Unix.SO_RCVBUF 4096;
+  Unix.set_nonblock w;
+  Unix.set_nonblock r;
+  let ob = Outbuf.create 64 in
+  let expect = Buffer.create 1_000_000 and got = Buffer.create 1_000_000 in
+  let chunk = Bytes.create 1000 in
+  let short = ref 0 in
+  let flush () =
+    let before = Outbuf.length ob in
+    match Outbuf.write ob w with
+    | n -> if n < before then incr short
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> incr short
+  in
+  let read_some () =
+    match Unix.read r chunk 0 (Bytes.length chunk) with
+    | n -> Buffer.add_subbytes got chunk 0 n
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  for i = 0 to 4_999 do
+    let s = String.init (1 + (i * 37 mod 300)) (fun j -> Char.chr (97 + ((i + j) mod 26))) in
+    Buffer.add_string expect s;
+    Outbuf.add_string ob s;
+    flush ();
+    if i mod 7 = 0 then read_some ()
+  done;
+  while not (Outbuf.is_empty ob) do
+    read_some ();
+    flush ()
+  done;
+  while Buffer.length got < Buffer.length expect do
+    read_some ()
+  done;
+  Unix.close w;
+  Unix.close r;
+  Alcotest.(check bool) "flushes cut short" true (!short > 0);
+  Alcotest.(check int) "byte count" (Buffer.length expect) (Buffer.length got);
+  Alcotest.(check bool) "bytes in order" true
+    (String.equal (Buffer.contents expect) (Buffer.contents got))
+
+(* A client that stops reading: with a 4 KiB receive buffer it sends 5,000
+   Status requests before reading anything, then reads.  Every response
+   arrives, parses, and comes in order (the replica clock each one reports
+   never goes back).  How much of the backlog the kernel absorbs depends on
+   its socket buffer tuning; the partial-write path itself is pinned by
+   [test_outbuf_partial_writes]. *)
+let test_serve_slow_reader () =
+  let serves, client_addrs, pump_all = serve_fleet () in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.connect fd client_addrs.(0);
+  Unix.set_nonblock fd;
+  let c = { cl_fd = fd; cl_buf = Bytes.create 4096; cl_len = 0 } in
+  let requests = 5_000 in
+  let payload = Client.request_to_string Client.Status in
+  let one = Transport.encode_frame_header ~len:(String.length payload) ^ payload in
+  let msg = String.concat "" (List.init requests (fun _ -> one)) in
+  let sent = ref 0 in
+  Alcotest.(check bool) "every request sent" true
+    (pump_all ~wall:20.0 (fun () ->
+         (match Unix.write_substring fd msg !sent (String.length msg - !sent) with
+         | n -> sent := !sent + n
+         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+         !sent = String.length msg));
+  let received = ref 0 and last_now = ref neg_infinity in
+  Alcotest.(check bool) "every response read" true
+    (pump_all ~wall:20.0 (fun () ->
+         let rec drain () =
+           match client_try_read c with
+           | Some (Client.Status_r st) ->
+             if st.Client.c_now < !last_now then
+               Alcotest.failf "response %d out of order" !received;
+             last_now := st.Client.c_now;
+             incr received;
+             drain ()
+           | Some r -> Alcotest.failf "status: %s" (Client.describe_response r)
+           | None -> ()
+         in
+         drain ();
+         !received = requests));
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Array.iter Serve.request_stop serves;
+  Alcotest.(check bool) "drained" true
+    (pump_all ~wall:6.0 (fun () -> Array.for_all Serve.stopped serves));
+  Array.iter Serve.close serves
+
 let test_serve_nemesis_convergence () =
   let serves, client_addrs, pump_all = serve_fleet () in
   (* The nemesis schedule: a rolling partition sweeping each replica plus a
@@ -1267,6 +1359,10 @@ let suite =
       test_serve_nemesis_convergence;
     Alcotest.test_case "serve: unknown procedure conflicts" `Quick
       test_serve_unknown_procedure;
+    Alcotest.test_case "outbuf: partial writes keep order" `Quick
+      test_outbuf_partial_writes;
+    Alcotest.test_case "serve: slow reader gets every response" `Quick
+      test_serve_slow_reader;
     Alcotest.test_case "serve: invalid config raises" `Quick
       test_serve_rejects_invalid_config;
     Alcotest.test_case "system: teardown on raise" `Quick

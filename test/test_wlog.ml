@@ -20,15 +20,12 @@ let procs =
     ( "stamp",
       fun arg db ->
         let name = match arg with Value.Str name -> name | _ -> "?" in
-        Db.add db "order.counter" 1.0;
+        ignore (Db.add db "order.counter" 1.0);
         Db.set db ("pos." ^ name) (Value.Float (Db.get_float db "order.counter"));
         Op.Applied Value.Nil );
     ( "take",
       fun _ db ->
-        if Db.get_float db "stock" >= 1.0 then begin
-          Db.add db "stock" (-1.0);
-          Op.Applied (Db.get db "stock")
-        end
+        if Db.get_float db "stock" >= 1.0 then Op.Applied (Db.add db "stock" (-1.0))
         else Op.Conflict "conflict" );
   ]
 
@@ -383,8 +380,7 @@ let counting_procs counts =
       fun arg db ->
         let k = match arg with Value.Int k -> k | _ -> -1 in
         Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k));
-        Db.add db "n" 1.0;
-        let n = Db.get db "n" in
+        let n = Db.add db "n" 1.0 in
         Db.set db (Printf.sprintf "pos.%d" k) n;
         Op.Applied n );
   ]
@@ -464,10 +460,101 @@ let test_apply_on_read_counts () =
         (Wlog.final_outcome lazy_log w.id = Wlog.final_outcome eager w.id))
     writes
 
+(* Snapshot values list exactly the conits that committed: "z" committed
+   to a sum of 0.0 and is listed; "b" has only tentative writes and is not,
+   though its committed value reads 0.0.  The bytes of the fixed log's
+   snapshot are pinned, and installing them into a fresh log reproduces
+   them. *)
+let snapshot_golden =
+  "000000000000000200000000000000010000000000000001000000000000000200000000000000020000000000000001613ff800000000000000000000000000017a00000000000000000000000000000001000000000000000178024008000000000000"
+
+let test_snapshot_values () =
+  let wt conit nweight oweight = { Write.conit; nweight; oweight } in
+  let w ~origin ~seq ~t affects = mk ~op:(add_op "x") ~affects ~origin ~seq ~t () in
+  let log = Wlog.create ~replicas:2 ~initial:[ ("x", Value.Float 1.0) ] in
+  ignore (Wlog.accept log (w ~origin:0 ~seq:1 ~t:1.0 [ wt "a" 1.5 1.0; wt "z" 1.0 0.5 ]));
+  ignore (Wlog.insert log (w ~origin:1 ~seq:1 ~t:2.0 [ wt "z" (-1.0) 0.5 ]));
+  ignore (Wlog.insert log (w ~origin:1 ~seq:2 ~t:5.0 [ wt "b" 2.0 1.0 ]));
+  ignore (Wlog.accept log (w ~origin:0 ~seq:2 ~t:6.0 [ wt "b" 0.25 1.0; wt "a" 0.5 1.0 ]));
+  Alcotest.(check int) "two commit" 2 (Wlog.commit_stable log ~cover:[| 3.0; 3.0 |]);
+  let snap = Wlog.snapshot log in
+  Alcotest.(check (list (pair string (float 0.0)))) "committed conits only"
+    [ ("a", 1.5); ("z", 0.0) ] snap.Wlog.snap_values;
+  Alcotest.(check (float 0.0)) "tentative-only conit reads 0.0" 0.0
+    (Wlog.committed_conit_value log "b");
+  Alcotest.(check (float 0.0)) "its value counts the tentative writes" 2.25
+    (Wlog.conit_value log "b");
+  let hex s =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+  in
+  let bytes = Codec.snapshot_to_string snap in
+  Alcotest.(check string) "snapshot bytes" snapshot_golden (hex bytes);
+  let fresh = Wlog.create ~replicas:2 ~initial:[] in
+  Alcotest.(check bool) "installed" true (Wlog.install_snapshot fresh snap);
+  Alcotest.(check string) "reinstalled snapshot bytes" snapshot_golden
+    (hex (Codec.snapshot_to_string (Wlog.snapshot fresh)))
+
+(* Under primary (CSN) commit order a truncation can overtake a lower-seq
+   straggler: w0.2 commits and is truncated while w0.1 is still tentative.
+   The straggler stays resident but unservable; every vector the log can
+   still serve gets exactly the reference filter's writes (each missing seq
+   looked up by id, then sorted), and the sanitizer stays clean, with and
+   without eviction of truncated slots. *)
+let test_straggler_writes_since () =
+  List.iter
+    (fun evict ->
+      let log =
+        Wlog.create_bounded ~procs ~journal:true ~evict_outcomes:evict ~replicas:2
+          ~initial:[]
+      in
+      let all =
+        List.init 4 (fun i -> mk ~origin:0 ~seq:(i + 1) ~t:(float_of_int ((2 * i) + 1)) ())
+        @ List.init 3 (fun i -> mk ~origin:1 ~seq:(i + 1) ~t:(float_of_int ((2 * i) + 2)) ())
+      in
+      List.iter (fun w -> ignore (Wlog.insert log w)) all;
+      Alcotest.(check int) "primary order commits past the straggler" 2
+        (Wlog.commit_ids log [ { Write.origin = 0; seq = 2 }; { origin = 1; seq = 1 } ]);
+      Alcotest.(check int) "both truncated" 2 (Wlog.truncate log ~keep:0);
+      Alcotest.(check bool) "straggler still tentative" true
+        (List.mem { Write.origin = 0; seq = 1 } (Wlog.tentative_ids log));
+      let vec v =
+        let x = Version_vector.create 2 in
+        Array.iteri (Version_vector.set x) v;
+        x
+      in
+      Alcotest.(check bool) "straggler unservable" false (Wlog.can_serve log (vec [| 1; 1 |]));
+      (match Wlog.writes_since log (vec [| 0; 1 |]) with
+      | _ -> Alcotest.fail "served past the truncation vector"
+      | exception Invalid_argument m ->
+        Alcotest.(check string) "names the first seq gone"
+          "Wlog.writes_since: w0.2 was truncated (check can_serve first)" m);
+      let reference have =
+        List.filter
+          (fun (w : Write.t) ->
+            w.id.seq > have.(w.id.origin)
+            && Version_vector.covers (Wlog.vector log) ~origin:w.id.origin ~seq:w.id.seq)
+          all
+        |> List.sort Write.ts_compare
+      in
+      let ids l = List.map (fun (w : Write.t) -> Write.id_to_string w.id) l in
+      List.iter
+        (fun have ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "evict=%b since [%d;%d]" evict have.(0) have.(1))
+            (ids (reference have))
+            (ids (Wlog.writes_since log (vec have))))
+        [ [| 2; 1 |]; [| 3; 1 |]; [| 2; 3 |]; [| 4; 2 |]; [| 4; 3 |] ];
+      Alcotest.(check (list string)) "sanitizer clean" [] (Wlog.invariant_violations log))
+    [ false; true ]
+
 let extra_suite =
   [
     Alcotest.test_case "csn final outcome order" `Quick test_csn_final_outcome_order;
     Alcotest.test_case "apply on read counts" `Quick test_apply_on_read_counts;
+    Alcotest.test_case "snapshot lists committed conits" `Quick test_snapshot_values;
+    Alcotest.test_case "straggler: writes_since = reference" `Quick
+      test_straggler_writes_since;
   ]
 
 let suite = base_suite @ extra_suite

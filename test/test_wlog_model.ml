@@ -685,10 +685,66 @@ let test_view_sheds_committed () =
   Alcotest.(check bool) "content" true
     (Lazy.force v = [ { Write.origin = 0; seq = 201 } ])
 
+(* insert_batch returns the writes new to the log in timestamp order,
+   whatever order the batch came in: the pool, shuffled, is cut into
+   batches offered either sorted or as they fall.  Batches leave per-origin
+   gaps that later batches fill, releasing pending writes that interleave
+   with the filling batch's own.  The result must be the model's newly
+   known writes, sorted, and the log must keep agreeing with the model. *)
+let run_batch_order seed =
+  let rng = Tact_util.Prng.create ~seed in
+  let replicas = 3 in
+  let pool = gen_pool rng ~replicas in
+  Tact_util.Prng.shuffle rng pool;
+  let log = create ~replicas ~initial:[] in
+  let model = Model.create ~replicas in
+  let ids ws = List.map (fun (w : Write.t) -> w.Write.id) ws in
+  let ok = ref true in
+  let i = ref 0 in
+  while !i < Array.length pool do
+    let len = min (Array.length pool - !i) (1 + Tact_util.Prng.int rng 6) in
+    let batch = Array.to_list (Array.sub pool !i len) in
+    i := !i + len;
+    let batch = if Tact_util.Prng.bool rng then List.sort Write.ts_compare batch else batch in
+    let before = ids (Model.known model) in
+    List.iter (Model.insert model) batch;
+    let fresh =
+      List.filter (fun (w : Write.t) -> not (List.mem w.id before)) (Model.known model)
+    in
+    let got = Wlog.insert_batch log batch in
+    if ids got <> ids (List.sort Write.ts_compare fresh) || not (agree log model) then
+      ok := false
+  done;
+  !ok
+
+let test_batch_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"insert_batch: fresh in ts order"
+       ~count:120
+       QCheck.(int_bound 1_000_000)
+       run_batch_order)
+
+(* The fixed case: w0.2 and w0.3 wait in the pending buffer; a sorted batch
+   fills their gap, and they interleave with the batch's writes from
+   origin 1. *)
+let test_batch_drain_interleaves () =
+  let log = create ~replicas:2 ~initial:[] in
+  let w origin seq t =
+    Write.make ~id:{ origin; seq } ~accept_time:t ~op:Op.Noop ~affects:[]
+  in
+  Alcotest.(check int) "gap buffered" 0
+    (List.length (Wlog.insert_batch log [ w 0 2 3.0; w 0 3 5.0 ]));
+  let got = Wlog.insert_batch log [ w 0 1 1.0; w 1 1 2.0; w 1 2 4.0 ] in
+  Alcotest.(check (list string)) "ts order"
+    [ "w0.1"; "w1.1"; "w0.2"; "w1.2"; "w0.3" ]
+    (List.map (fun (x : Write.t) -> Write.id_to_string x.id) got)
+
 let suite =
   [ test_model_equivalence; test_truncation_preserves_state; test_view_equivalence;
     Alcotest.test_case "tentative view sheds committed cells" `Quick
-      test_view_sheds_committed ]
+      test_view_sheds_committed; test_batch_order;
+    Alcotest.test_case "insert_batch: drained gap interleaves" `Quick
+      test_batch_drain_interleaves ]
   @ big_suite
   @ [
       test_read_points ~scheme:`Stability "read points agree, stability commits";
