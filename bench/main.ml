@@ -875,7 +875,7 @@ let transport ~size frames =
    sweep.  A clean-seed campaign must pass everywhere; the digest length
    check guards the jobs-invariance witness itself. *)
 let nemesis_campaign runs =
-  let open Tact_nemesis in
+  let open Tact_check in
   let summary = Campaign.run { Campaign.default with Campaign.master_seed = 7; runs } in
   assert (summary.Campaign.completed = runs);
   assert (summary.Campaign.failures = []);

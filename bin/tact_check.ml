@@ -4,7 +4,7 @@
      tact_check list
      tact_check run SCENARIO [OPTIONS]
      tact_check all [OPTIONS]
-     tact_check replay TRACE.json
+     tact_check replay CX.json
 
    Options:
      --smoke            tight budgets for CI (defaults tuned to finish fast)
@@ -18,9 +18,12 @@
      -j, --jobs N       explore with N worker domains (default 1); the
                         verdict, statistics and trace are identical to -j 1
 
+   replay accepts a counterexample written by tact_check or tact_fuzz.
+
    Exit status: 0 all explored scenarios pass (or a replay reproduces its
-   trace exactly), 1 a violation was found (trace written) or a replay did
-   not reproduce, 2 usage error. *)
+   file: same final fingerprint, violations exactly when recorded), 1 a
+   violation was found (trace written) or a replay did not reproduce, 2
+   usage error or a file that cannot be replayed. *)
 
 open Tact_check
 
@@ -117,40 +120,24 @@ let run_scenarios cli scs =
   if ok then 0 else 1
 
 let replay path =
-  match Counterexample.load ~path with
+  match Counterexample.replay_file ~path with
   | Error m ->
-    Printf.eprintf "tact_check: cannot load %s: %s\n" path m;
-    exit 2
-  | Ok cx -> (
-    match Scenario.find cx.Counterexample.scenario with
-    | None ->
-      Printf.eprintf "tact_check: trace names unknown scenario %s\n"
-        cx.Counterexample.scenario;
-      exit 2
-    | Some sc ->
-      let v = Counterexample.replay ~sanitize:true sc cx in
-      Printf.printf "replaying %s on %s: %d deviations, %d steps\n" path
-        sc.Scenario.name
-        (List.length cx.Counterexample.deviations)
-        (Array.length v.Counterexample.result.Runner.steps);
-      List.iter
-        (Printf.printf "  %s\n")
-        v.Counterexample.result.Runner.violations;
-      let fp_ok = v.Counterexample.fingerprint_match in
-      let viol_ok =
-        v.Counterexample.reproduced = (cx.Counterexample.violations <> [])
-      in
-      Printf.printf "  violations reproduced: %b, final fingerprint match: %b\n"
-        v.Counterexample.reproduced fp_ok;
-      if fp_ok && viol_ok then 0 else 1)
+    Printf.eprintf "tact_check: cannot replay %s: %s\n" path m;
+    2
+  | Ok (lines, ok) ->
+    List.iter print_endline lines;
+    if ok then 0 else 1
 
 let () =
   match Array.to_list Sys.argv with
   | _ :: "list" :: _ ->
     List.iter
       (fun (sc : Scenario.t) ->
+        let p = sc.Scenario.plan in
         Printf.printf "%-16s %d replicas, horizon %gs — %s\n" sc.Scenario.name
-          sc.Scenario.replicas sc.Scenario.horizon sc.Scenario.summary)
+          p.Sample.n
+          (Option.value p.Sample.choice_until ~default:p.Sample.until)
+          sc.Scenario.summary)
       Scenario.all;
     exit 0
   | _ :: "run" :: name :: args -> (

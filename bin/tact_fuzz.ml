@@ -18,11 +18,14 @@
      -j, --jobs N       fan runs over N worker domains (default 1); the
                         runs, verdicts and digest are identical to -j 1
 
-   Exit status: 0 every run passed (or a replay reproduced exactly), 1 a
-   violation was found (counterexample JSON written) or a replay did not
-   reproduce, 2 usage error. *)
+   replay accepts a counterexample written by tact_fuzz or tact_check.
 
-open Tact_nemesis
+   Exit status: 0 every run passed (or a replay reproduced its file: same
+   final fingerprint, violations exactly when recorded), 1 a violation was
+   found (counterexample JSON written) or a replay did not reproduce, 2
+   usage error or a file that cannot be replayed. *)
+
+open Tact_check
 module Mutation = Tact_replica.Mutation
 
 let usage () =
@@ -117,18 +120,21 @@ let parse_options args =
 let cx_path cli seed =
   Filename.concat cli.trace_dir (Printf.sprintf "tact_fuzz.%d.cx.json" seed)
 
-let show_failure cli (cx : Counterexample.t) =
-  let path = cx_path cli cx.Counterexample.seed in
+let show_failure cli (seed, (cx : Counterexample.t)) =
+  let events, quiet_after =
+    match cx.Counterexample.faults with
+    | Some f -> (f.Fault.events, f.Fault.quiet_after)
+    | None -> ([], 0.0)
+  in
+  let path = cx_path cli seed in
   Counterexample.save ~path cx;
   Printf.printf
-    "seed %d VIOLATION (shrunk to %d fault events, quiet after %gs):\n"
-    cx.Counterexample.seed
-    (List.length cx.Counterexample.events)
-    cx.Counterexample.quiet_after;
+    "seed %d VIOLATION (shrunk to %d fault events, quiet after %gs):\n" seed
+    (List.length events) quiet_after;
   List.iter
     (fun (e : Fault.event) ->
       Printf.printf "  @%-8.3f %s\n" e.Fault.at (Fault.describe e.Fault.action))
-    cx.Counterexample.events;
+    events;
   List.iter (Printf.printf "  %s\n") cx.Counterexample.violations;
   Printf.printf "  counterexample written to %s (replay with: tact_fuzz replay %s)\n"
     path path
@@ -169,7 +175,8 @@ let campaign cli ~runs =
   if failed = 0 then 0 else 1
 
 let single cli =
-  let outcome, schedule = Campaign.one_run ~mutation:cli.mutation cli.seed in
+  let outcome = Campaign.one_run ~mutation:cli.mutation cli.seed in
+  let _, schedule = Sample.draw ~seed:cli.seed in
   Printf.printf
     "seed %d: %d ops, %d fault events, %d timeouts, %d dropped messages\n"
     cli.seed outcome.Campaign.ops outcome.Campaign.schedule_events
@@ -184,31 +191,21 @@ let single cli =
   end
   else begin
     show_failure cli
-      (Counterexample.of_failure ~seed:cli.seed ~mutation:cli.mutation ~schedule);
+      (cli.seed, Campaign.shrink ~mutation:cli.mutation cli.seed);
     1
   end
 
 let replay path =
-  match Counterexample.load ~path with
+  match Counterexample.replay_file ~path with
   | Error m ->
-    Printf.eprintf "tact_fuzz: cannot load %s: %s\n" path m;
-    exit 2
-  | Ok cx ->
-    let v = Counterexample.replay cx in
-    Printf.printf "replaying %s: seed %d, %d fault events, mutation %s\n" path
-      cx.Counterexample.seed
-      (List.length cx.Counterexample.events)
-      (Mutation.to_string cx.Counterexample.mutation);
-    List.iter
-      (Printf.printf "  %s\n")
-      v.Counterexample.result.Runner.violations;
-    Printf.printf "  violations reproduced: %b, final fingerprint match: %b\n"
-      v.Counterexample.reproduced v.Counterexample.fingerprint_match;
-    if v.Counterexample.reproduced && v.Counterexample.fingerprint_match then 0
-    else 1
+    Printf.eprintf "tact_fuzz: cannot replay %s: %s\n" path m;
+    2
+  | Ok (lines, ok) ->
+    List.iter print_endline lines;
+    if ok then 0 else 1
 
 let list () =
-  print_endline "fault generators (lib/nemesis/gen.ml, sampled by seed):";
+  print_endline "fault generators (lib/check/gen.ml, sampled by seed):";
   List.iter print_endline
     [
       "  rolling-partition    isolate one node per round, rolling around the ring";

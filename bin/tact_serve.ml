@@ -33,7 +33,7 @@
 open Tact_transport
 module Config = Tact_replica.Config
 module Replica = Tact_replica.Replica
-module Fault = Tact_nemesis.Fault
+module Fault = Tact_check.Fault
 module Json = Tact_check.Json
 
 let usage () =
@@ -115,7 +115,7 @@ let parse_cli argv =
   c
 
 (* ------------------------------------------------------------------ *)
-(* Fault schedules: interpretation lives in Tact_nemesis.Live, shared   *)
+(* Fault schedules: interpretation lives in Tact_check.Live, shared     *)
 (* with the in-process integration tests.                               *)
 
 let load_schedule ~n path =
@@ -209,7 +209,7 @@ let main () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (match c.faults with
   | Some path ->
-    Tact_nemesis.Live.install srv
+    Tact_check.Live.install srv
       ~trace:(fun line -> Printf.eprintf "%s\n%!" line)
       (load_schedule ~n:c.n path)
   | None -> ());

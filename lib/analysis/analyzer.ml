@@ -149,7 +149,10 @@ let analyze ~n ?topology ?usages (config : Config.t) =
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
           if i <> j then begin
-            let rtt = topo.Tact_sim.Topology.latency i j +. topo.latency j i in
+            let rtt =
+              Tact_sim.Topology.latency topo i j
+              +. Tact_sim.Topology.latency topo j i
+            in
             if rtt < !m then m := rtt
           end
         done

@@ -242,7 +242,7 @@ let key_le a b = not (key_lt b a)
    holds for the violation cutoff (nodes ordered after the best known
    violation are not worth executing) and for the execution budget: they
    only bound wasted work, never correctness. *)
-let parallel_phase ~options ~jobs sc =
+let parallel_phase ~options ~jobs run =
   let table : ((int * int) list, summary) Sync.Map.t =
     Sync.Map.create 4096
   in
@@ -270,7 +270,7 @@ let parallel_phase ~options ~jobs sc =
         if beyond_cutoff || beyond_budget () then ()
         else begin
           ignore (Sync.Counter.incr executed);
-          let r = Runner.run sc ~deviations in
+          let r = run deviations in
           let s =
             summarize ~options ~floor ~ndeviations:(List.length deviations) r
           in
@@ -314,15 +314,18 @@ let parallel_phase ~options ~jobs sc =
 
 (* ------------------------------------------------------------------ *)
 
-let explore ?(options = default_options) ?(jobs = 1) (sc : Scenario.t) =
+let explore ?(options = default_options) ?(jobs = 1) ?mutation
+    (sc : Scenario.t) =
+  let base = Runner.spec ?mutation sc.Scenario.plan in
+  let run deviations = Runner.run { base with Runner.deviations } in
   let live ~deviations ~floor =
     summarize ~options ~floor ~ndeviations:(List.length deviations)
-      (Runner.run sc ~deviations)
+      (run deviations)
   in
   let get_summary =
     if jobs <= 1 then live
     else begin
-      let table = parallel_phase ~options ~jobs sc in
+      let table = parallel_phase ~options ~jobs run in
       fun ~deviations ~floor ->
         match Sync.Map.find_opt table deviations with
         | Some s -> s
@@ -331,16 +334,13 @@ let explore ?(options = default_options) ?(jobs = 1) (sc : Scenario.t) =
   in
   let stats, violating = dfs ~options ~get_summary in
   let counterexample =
-    match violating with
-    | None -> None
-    | Some deviations ->
-      (* Minimization always replays sequentially, so the counterexample —
-         like the verdict and the statistics — is identical at any job
-         count. *)
-      let minimized = Counterexample.minimize sc deviations in
-      let final = Runner.run sc ~deviations:minimized in
-      Some
-        (Counterexample.of_result ~scenario:sc.Scenario.name
-           ~deviations:minimized final)
+    (* Minimization always replays sequentially, so the counterexample —
+       like the verdict and the statistics — is identical at any job
+       count. *)
+    Option.map
+      (fun deviations ->
+        Counterexample.of_failure (Counterexample.Scenario sc.Scenario.name)
+          { base with Runner.deviations })
+      violating
   in
   { stats; counterexample }

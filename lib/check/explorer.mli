@@ -66,6 +66,12 @@ type outcome = {
       (** minimized first violation, if any *)
 }
 
-val explore : ?options:options -> ?jobs:int -> Scenario.t -> outcome
+val explore :
+  ?options:options ->
+  ?jobs:int ->
+  ?mutation:Tact_replica.Mutation.t ->
+  Scenario.t ->
+  outcome
 (** [jobs] defaults to 1 (fully sequential); [jobs > 1] runs the parallel
-    sweep + sequential replay described above. *)
+    sweep + sequential replay described above.  [mutation] (default [Off])
+    plants a bug in every run ({!Tact_replica.Mutation}). *)

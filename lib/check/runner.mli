@@ -1,14 +1,30 @@
-(** Execute one schedule of a scenario and judge it with the oracles.
+(** Execute one run and judge it with the oracles.
 
-    A schedule is a {e deviation map} [(step, seq) list]: at step [step] of
-    the choice phase, fire the pending event with engine sequence number
-    [seq]; every unnamed step fires the default — earliest (time, seq) —
-    choice.  The empty list is the exact execution [dune runtest] sees.
+    A run is described by four things ({!spec}): its plan, its scheduler
+    deviations, its fault schedule and its planted bug.  It is a pure
+    function of them — the system is built from the plan's seed, loss-free
+    at the {!Tact_replica.System} level (loss is injected only through
+    fault events), and every stochastic fault knob is self-seeded.
 
-    The run has two phases: a choice-driven phase up to the scenario horizon
-    (each dispatch recorded as a {!step}), then a drain to the scenario's
-    [drain] time under default order so replicas quiesce before the oracles
-    inspect them. *)
+    A plan with a choice phase ({!Sample.plan.choice_until}) runs in two
+    phases: up to the end of the choice phase every dispatch is recorded as
+    a {!step}, and the deviation map [(step, seq) list] says "at step
+    [step], fire the pending event with engine sequence number [seq]"; every
+    unnamed step fires the default — earliest (time, seq) — choice.  The run
+    then drains under default order.  A plan without one installs no chooser
+    and takes no per-step fingerprint; its deviations are ignored. *)
+
+type spec = {
+  plan : Sample.plan;
+  deviations : (int * int) list;
+  faults : Fault.schedule option;
+      (** installed with its quiescent tail ({!Fault.install}) when present *)
+  mutation : Tact_replica.Mutation.t;
+      (** planted bug ([Off] for real runs, {!Tact_replica.Mutation}) *)
+}
+
+val spec : ?faults:Fault.schedule -> ?mutation:Tact_replica.Mutation.t -> Sample.plan -> spec
+(** No deviations; [faults] default none, [mutation] default [Off]. *)
 
 type step = {
   ready : Tact_sim.Engine.choice array;
@@ -26,9 +42,9 @@ type result = {
   diverged : int;
       (** deviations naming a sequence number that was not pending — nonzero
           only when replaying edited traces *)
+  timeouts : int;  (** client operations that timed out *)
 }
 
-val run : ?sanitize:bool -> Scenario.t -> deviations:(int * int) list -> result
-(** Build the scenario fresh and execute it under the given deviations.
-    [sanitize] (default false) turns on {!Tact_util.Sanitize} runtime
+val run : ?sanitize:bool -> spec -> result
+(** [sanitize] (default false) turns on {!Tact_util.Sanitize} runtime
     invariant auditing for the duration of the run. *)

@@ -1,65 +1,45 @@
 open Tact_core
-open Tact_store
 open Tact_replica
+open Sample
 
-type checks = {
-  bounds : bool;
-  lcp : bool;
-  committed_prefix : bool;
-  ext_compat : bool;
-  causal_compat : bool;
-  converged : bool;
-  theorem1 : bool;
-}
-
-type t = {
-  name : string;
-  summary : string;
-  replicas : int;
-  horizon : float;
-  drain : float;
-  checks : checks;
-  build : unit -> System.t;
-}
-
-let all_checks =
-  {
-    bounds = true;
-    lcp = true;
-    committed_prefix = true;
-    ext_compat = true;
-    causal_compat = true;
-    converged = true;
-    theorem1 = true;
-  }
+type t = { name : string; summary : string; plan : Sample.plan }
 
 (* ------------------------------------------------------------------ *)
-(* Workload helpers.  All scenarios are built jitter- and loss-free so a
-   schedule is a pure function of the explorer's choices. *)
+(* Plan helpers.  All scenarios are jitter- and loss-free so a schedule is
+   a pure function of the explorer's choices; the choice phase ends at
+   [horizon] and the run drains under default order to [drain]. *)
 
-let make_system ~n ~config =
-  System.create ~seed:7 ~jitter:0.0 ~loss:0.0
-    ~topology:(Tact_sim.Topology.uniform ~n ~latency:0.05 ~bandwidth:1e9)
-    ~config ()
+let plan ~n ~horizon ~drain ~checks ~conits ~ae ~retry ?(commit = Config.Stability)
+    ops =
+  {
+    seed = 7;
+    n;
+    topology = Tact_sim.Topology.uniform ~n ~latency:0.05 ~bandwidth:1e9;
+    jitter = 0.0;
+    config =
+      {
+        Config.default with
+        Config.conits;
+        commit_scheme = commit;
+        antientropy_period = Some ae;
+        retry_period = retry;
+      };
+    ops;
+    checks;
+    choice_until = Some horizon;
+    until = drain;
+  }
 
-let client_label rid = { Tact_sim.Engine.actor = rid; tag = "client" }
+let write time rid conit nweight oweight =
+  {
+    op_rid = rid;
+    op_time = time;
+    op_kind = Write_op { conit; nweight; oweight };
+    op_deadline = None;
+  }
 
-let write_at sys ~time ~rid ~conit ~nw ~ow =
-  Tact_sim.Engine.at (System.engine sys) ~label:(client_label rid) ~time
-    (fun () ->
-      Replica.submit_write (System.replica sys rid) ~deps:[]
-        ~affects:[ { Write.conit; nweight = nw; oweight = ow } ]
-        ~op:(Op.Add (conit, nw)) ~k:ignore)
-
-let read_at sys ~time ~rid ~deps =
-  Tact_sim.Engine.at (System.engine sys) ~label:(client_label rid) ~time
-    (fun () ->
-      Replica.submit_read (System.replica sys rid) ~deps
-        ~f:(fun db ->
-          match deps with
-          | (c, _) :: _ -> Db.get db c
-          | [] -> Value.Nil)
-        ~k:ignore)
+let read time rid deps =
+  { op_rid = rid; op_time = time; op_kind = Read_op { deps }; op_deadline = None }
 
 (* ------------------------------------------------------------------ *)
 (* Named scenarios.  Deliberately tiny (2-3 replicas, 2 conits, a handful of
@@ -72,30 +52,20 @@ let ne_budget =
     summary =
       "2 replicas, conits x/y with absolute NE bound 4; concurrent writes \
        overflow the per-writer budget and force pushes; NE-bounded reads";
-    replicas = 2;
-    horizon = 0.9;
-    drain = 8.0;
-    checks = { all_checks with lcp = false };
-    build =
-      (fun () ->
-        let config =
-          {
-            Config.default with
-            Config.conits =
-              [ Conit.declare ~ne_bound:4.0 "x"; Conit.declare ~ne_bound:4.0 "y" ];
-            antientropy_period = Some 0.4;
-            retry_period = 0.6;
-          }
-        in
-        let sys = make_system ~n:2 ~config in
-        write_at sys ~time:0.05 ~rid:0 ~conit:"x" ~nw:1.5 ~ow:1.0;
-        write_at sys ~time:0.10 ~rid:1 ~conit:"x" ~nw:1.5 ~ow:1.0;
-        write_at sys ~time:0.18 ~rid:0 ~conit:"x" ~nw:1.5 ~ow:1.0;
-        write_at sys ~time:0.25 ~rid:1 ~conit:"y" ~nw:1.0 ~ow:1.0;
-        read_at sys ~time:0.45 ~rid:0 ~deps:[ ("x", Bounds.make ~ne:4.0 ()) ];
-        read_at sys ~time:0.55 ~rid:1
-          ~deps:[ ("x", Bounds.make ~ne:4.0 ()); ("y", Bounds.make ~ne:4.0 ()) ];
-        sys);
+    plan =
+      plan ~n:2 ~horizon:0.9 ~drain:8.0
+        ~checks:{ all_checks with lcp = false }
+        ~conits:[ Conit.declare ~ne_bound:4.0 "x"; Conit.declare ~ne_bound:4.0 "y" ]
+        ~ae:0.4 ~retry:0.6
+        [
+          write 0.05 0 "x" 1.5 1.0;
+          write 0.10 1 "x" 1.5 1.0;
+          write 0.18 0 "x" 1.5 1.0;
+          write 0.25 1 "y" 1.0 1.0;
+          read 0.45 0 [ ("x", Bounds.make ~ne:4.0 ()) ];
+          read 0.55 1
+            [ ("x", Bounds.make ~ne:4.0 ()); ("y", Bounds.make ~ne:4.0 ()) ];
+        ];
   }
 
 let oe_stability =
@@ -104,29 +74,19 @@ let oe_stability =
     summary =
       "2 replicas, stability commitment; order-bounded reads must wait for \
        the tentative suffix to commit (checked in both OE readings)";
-    replicas = 2;
-    horizon = 0.9;
-    drain = 8.0;
-    checks = { all_checks with theorem1 = false };
-    build =
-      (fun () ->
-        let config =
-          {
-            Config.default with
-            Config.conits =
-              [ Conit.declare ~oe_bound:2.0 "x"; Conit.declare ~oe_bound:2.0 "y" ];
-            antientropy_period = Some 0.4;
-            retry_period = 0.6;
-          }
-        in
-        let sys = make_system ~n:2 ~config in
-        write_at sys ~time:0.05 ~rid:0 ~conit:"x" ~nw:1.0 ~ow:1.0;
-        write_at sys ~time:0.12 ~rid:1 ~conit:"x" ~nw:1.0 ~ow:1.0;
-        write_at sys ~time:0.20 ~rid:0 ~conit:"y" ~nw:1.0 ~ow:1.0;
-        read_at sys ~time:0.50 ~rid:1 ~deps:[ ("x", Bounds.make ~oe:2.0 ()) ];
-        read_at sys ~time:0.60 ~rid:0
-          ~deps:[ ("x", Bounds.make ~oe:2.0 ()); ("y", Bounds.make ~oe:2.0 ()) ];
-        sys);
+    plan =
+      plan ~n:2 ~horizon:0.9 ~drain:8.0
+        ~checks:{ all_checks with theorem1 = false }
+        ~conits:[ Conit.declare ~oe_bound:2.0 "x"; Conit.declare ~oe_bound:2.0 "y" ]
+        ~ae:0.4 ~retry:0.6
+        [
+          write 0.05 0 "x" 1.0 1.0;
+          write 0.12 1 "x" 1.0 1.0;
+          write 0.20 0 "y" 1.0 1.0;
+          read 0.50 1 [ ("x", Bounds.make ~oe:2.0 ()) ];
+          read 0.60 0
+            [ ("x", Bounds.make ~oe:2.0 ()); ("y", Bounds.make ~oe:2.0 ()) ];
+        ];
   }
 
 let primary_commit =
@@ -135,28 +95,18 @@ let primary_commit =
     summary =
       "3 replicas, primary (CSN) commitment at replica 0; committed prefixes \
        must agree system-wide and respect causal order (1SR, not EXT)";
-    replicas = 3;
-    horizon = 0.8;
-    drain = 8.0;
-    checks = { all_checks with lcp = false; ext_compat = false; theorem1 = false };
-    build =
-      (fun () ->
-        let config =
-          {
-            Config.default with
-            Config.conits =
-              [ Conit.declare ~oe_bound:2.0 "x"; Conit.declare ~oe_bound:2.0 "y" ];
-            commit_scheme = Config.Primary 0;
-            antientropy_period = Some 0.5;
-            retry_period = 0.6;
-          }
-        in
-        let sys = make_system ~n:3 ~config in
-        write_at sys ~time:0.05 ~rid:1 ~conit:"x" ~nw:1.0 ~ow:1.0;
-        write_at sys ~time:0.10 ~rid:2 ~conit:"y" ~nw:1.0 ~ow:1.0;
-        write_at sys ~time:0.18 ~rid:1 ~conit:"y" ~nw:1.0 ~ow:1.0;
-        read_at sys ~time:0.55 ~rid:1 ~deps:[ ("x", Bounds.make ~oe:2.0 ()) ];
-        sys);
+    plan =
+      plan ~n:3 ~horizon:0.8 ~drain:8.0
+        ~checks:
+          { all_checks with lcp = false; ext_compat = false; theorem1 = false }
+        ~conits:[ Conit.declare ~oe_bound:2.0 "x"; Conit.declare ~oe_bound:2.0 "y" ]
+        ~commit:(Config.Primary 0) ~ae:0.5 ~retry:0.6
+        [
+          write 0.05 1 "x" 1.0 1.0;
+          write 0.10 2 "y" 1.0 1.0;
+          write 0.18 1 "y" 1.0 1.0;
+          read 0.55 1 [ ("x", Bounds.make ~oe:2.0 ()) ];
+        ];
   }
 
 let staleness =
@@ -165,27 +115,17 @@ let staleness =
     summary =
       "2 replicas; staleness-bounded reads force pulls from origins whose \
        cover times lag; checks the ST metric against the ECG reference";
-    replicas = 2;
-    horizon = 1.0;
-    drain = 8.0;
-    checks = { all_checks with lcp = false; theorem1 = false };
-    build =
-      (fun () ->
-        let config =
-          {
-            Config.default with
-            Config.conits =
-              [ Conit.declare ~st_bound:0.8 "x"; Conit.declare ~st_bound:0.8 "y" ];
-            antientropy_period = Some 0.45;
-            retry_period = 0.5;
-          }
-        in
-        let sys = make_system ~n:2 ~config in
-        write_at sys ~time:0.05 ~rid:0 ~conit:"x" ~nw:1.0 ~ow:1.0;
-        write_at sys ~time:0.15 ~rid:1 ~conit:"y" ~nw:1.0 ~ow:1.0;
-        read_at sys ~time:0.70 ~rid:1 ~deps:[ ("x", Bounds.make ~st:0.8 ()) ];
-        read_at sys ~time:0.80 ~rid:0 ~deps:[ ("y", Bounds.make ~st:0.8 ()) ];
-        sys);
+    plan =
+      plan ~n:2 ~horizon:1.0 ~drain:8.0
+        ~checks:{ all_checks with lcp = false; theorem1 = false }
+        ~conits:[ Conit.declare ~st_bound:0.8 "x"; Conit.declare ~st_bound:0.8 "y" ]
+        ~ae:0.45 ~retry:0.5
+        [
+          write 0.05 0 "x" 1.0 1.0;
+          write 0.15 1 "y" 1.0 1.0;
+          read 0.70 1 [ ("x", Bounds.make ~st:0.8 ()) ];
+          read 0.80 0 [ ("y", Bounds.make ~st:0.8 ()) ];
+        ];
   }
 
 let mixed =
@@ -194,28 +134,18 @@ let mixed =
     summary =
       "3 replicas, one NE-bounded conit and one OE-bounded conit; a read \
        depends on both regimes at once";
-    replicas = 3;
-    horizon = 0.8;
-    drain = 8.0;
-    checks = { all_checks with lcp = false };
-    build =
-      (fun () ->
-        let config =
-          {
-            Config.default with
-            Config.conits =
-              [ Conit.declare ~ne_bound:3.0 "x"; Conit.declare ~oe_bound:1.0 "y" ];
-            antientropy_period = Some 0.4;
-            retry_period = 0.6;
-          }
-        in
-        let sys = make_system ~n:3 ~config in
-        write_at sys ~time:0.05 ~rid:0 ~conit:"x" ~nw:1.0 ~ow:0.0;
-        write_at sys ~time:0.10 ~rid:1 ~conit:"y" ~nw:0.5 ~ow:1.0;
-        write_at sys ~time:0.15 ~rid:2 ~conit:"x" ~nw:1.0 ~ow:0.0;
-        read_at sys ~time:0.50 ~rid:2
-          ~deps:[ ("x", Bounds.make ~ne:3.0 ()); ("y", Bounds.make ~oe:1.0 ()) ];
-        sys);
+    plan =
+      plan ~n:3 ~horizon:0.8 ~drain:8.0
+        ~checks:{ all_checks with lcp = false }
+        ~conits:[ Conit.declare ~ne_bound:3.0 "x"; Conit.declare ~oe_bound:1.0 "y" ]
+        ~ae:0.4 ~retry:0.6
+        [
+          write 0.05 0 "x" 1.0 0.0;
+          write 0.10 1 "y" 0.5 1.0;
+          write 0.15 2 "x" 1.0 0.0;
+          read 0.50 2
+            [ ("x", Bounds.make ~ne:3.0 ()); ("y", Bounds.make ~oe:1.0 ()) ];
+        ];
   }
 
 let weak_converge =
@@ -224,27 +154,17 @@ let weak_converge =
     summary =
       "2 replicas, unconstrained conits: pure eventual consistency — every \
        interleaving must still converge and agree on the committed prefix";
-    replicas = 2;
-    horizon = 0.6;
-    drain = 6.0;
-    checks =
-      { all_checks with bounds = false; lcp = false; theorem1 = false };
-    build =
-      (fun () ->
-        let config =
-          {
-            Config.default with
-            Config.conits = [ Conit.declare "x"; Conit.declare "y" ];
-            antientropy_period = Some 0.25;
-            retry_period = 0.5;
-          }
-        in
-        let sys = make_system ~n:2 ~config in
-        write_at sys ~time:0.05 ~rid:0 ~conit:"x" ~nw:1.0 ~ow:1.0;
-        write_at sys ~time:0.08 ~rid:1 ~conit:"x" ~nw:2.0 ~ow:1.0;
-        write_at sys ~time:0.12 ~rid:1 ~conit:"y" ~nw:1.0 ~ow:1.0;
-        read_at sys ~time:0.30 ~rid:0 ~deps:[ ("x", Bounds.weak) ];
-        sys);
+    plan =
+      plan ~n:2 ~horizon:0.6 ~drain:6.0
+        ~checks:{ all_checks with bounds = false; lcp = false; theorem1 = false }
+        ~conits:[ Conit.declare "x"; Conit.declare "y" ]
+        ~ae:0.25 ~retry:0.5
+        [
+          write 0.05 0 "x" 1.0 1.0;
+          write 0.08 1 "x" 2.0 1.0;
+          write 0.12 1 "y" 1.0 1.0;
+          read 0.30 0 [ ("x", Bounds.weak) ];
+        ];
   }
 
 let all =

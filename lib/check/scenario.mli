@@ -1,45 +1,13 @@
-(** Named model-checking scenarios: tiny TACT systems (2-3 replicas, 2
-    conits, a handful of client accesses) whose schedule spaces the explorer
-    can exhaust, each exercising one enforcement mechanism.
+(** Named model-checking scenarios: tiny TACT plans (2-3 replicas, 2 conits,
+    a handful of client accesses) whose schedule spaces the explorer can
+    exhaust, each exercising one enforcement mechanism.
 
-    Scenarios are built jitter- and loss-free with a fixed seed, so an
-    execution is a pure function of the scheduler's choices — the property
-    replayable counterexamples rest on. *)
+    A scenario is a {!Sample.plan} with a choice phase up to its horizon,
+    jitter- and loss-free with a fixed seed, so an execution is a pure
+    function of the scheduler's choices — the property replayable
+    counterexamples rest on. *)
 
-type checks = {
-  bounds : bool;  (** O1: per-access NE/OE/ST bounds vs the ECG reference *)
-  lcp : bool;
-      (** O1 extension: also check the definitional (LCP) order-error reading
-          — sound under stability commitment only *)
-  committed_prefix : bool;
-      (** O2: committed orders agree (pairwise prefix) across replicas *)
-  ext_compat : bool;
-      (** O2: longest committed order is external-order compatible
-          (stability commitment only) *)
-  causal_compat : bool;  (** O2: committed order is causal-order compatible *)
-  converged : bool;  (** O3: quiesced replicas hold equal images *)
-  theorem1 : bool;
-      (** O4: every access's NE stays within the conit's declared system-wide
-          bound (Theorem 1 self-determination) — enable only for absolute-NE
-          conits under the Even budget policy, where the share argument is
-          sound *)
-}
-
-type t = {
-  name : string;
-  summary : string;
-  replicas : int;
-  horizon : float;  (** end of the choice-driven phase (virtual seconds) *)
-  drain : float;
-      (** absolute virtual time to run to under the default scheduler after
-          the choice phase, so replicas quiesce before the oracles run *)
-  checks : checks;
-  build : unit -> Tact_replica.System.t;
-      (** fresh deterministic system with the client workload scheduled *)
-}
-
-val all_checks : checks
-(** Every oracle enabled (adjust with [{ all_checks with ... }]). *)
+type t = { name : string; summary : string; plan : Sample.plan }
 
 val all : t list
 (** The named catalogue (6 scenarios). *)

@@ -73,7 +73,11 @@ type unreturned = {
   u_write : Write.t;
   u_outcome : Op.outcome;  (* tentative outcome at acceptance *)
   u_wait_commit : bool;
-  u_record : float -> Op.outcome -> Access.t;
+  (* what the access record needs besides its return time and result *)
+  u_obs : Version_vector.t * Write.id list Lazy.t * Write.id list Lazy.t;
+  u_submit : float;
+  u_serve : float;
+  u_deps : (string * Bounds.t) list;
   u_k : Op.outcome -> unit;
 }
 
@@ -713,19 +717,19 @@ and serve_write t p op affects k =
      commits its own writes; a single-replica system is trivially covered). *)
   commit_progress t;
   let serve = now t in
-  let record return_t returned_outcome =
-    access_record t ~kind:(Access.Write_access w.id) ~obs ~submit:p.p_submit
-      ~serve ~return_t ~deps:p.p_deps ~result:(Op.result returned_outcome)
-  in
   (* A zero order-error dependency makes the write commit-synchronous. *)
   let wait_commit =
     List.exists (fun (_, (b : Bounds.t)) -> Float.equal b.oe 0.0) p.p_deps
     && Wlog.final_outcome t.wlog w.id = None
   in
+  let u =
+    { u_write = w; u_outcome = outcome; u_wait_commit = wait_commit;
+      u_obs = obs; u_submit = p.p_submit; u_serve = serve; u_deps = p.p_deps;
+      u_k = k }
+  in
   let over = over_budget_peers t w in
   if over = [] && not wait_commit then begin
-    if t.cfg.Config.record_accesses then
-      t.records <- record serve outcome :: t.records;
+    record_write t u ~return_t:serve outcome;
     k outcome
   end
   else begin
@@ -741,12 +745,17 @@ and serve_write t p op affects k =
       for j = 0 to t.n - 1 do
         if j <> t.rid then send_pull t ~dst:j ~round:0
       done;
-    Queue.push
-      { u_write = w; u_outcome = outcome; u_wait_commit = wait_commit;
-        u_record = record; u_k = k }
-      t.return_queue;
+    Queue.push u t.return_queue;
     ensure_retry t
   end
+
+and record_write t u ~return_t outcome =
+  if t.cfg.Config.record_accesses then
+    t.records <-
+      access_record t ~kind:(Access.Write_access u.u_write.id) ~obs:u.u_obs
+        ~submit:u.u_submit ~serve:u.u_serve ~return_t ~deps:u.u_deps
+        ~result:(Op.result outcome)
+      :: t.records
 
 and update_rate t =
   (* EWMA of the local write rate (writes/s), for adaptive budget splits. *)
@@ -915,8 +924,7 @@ and pump t =
             | _ -> u.u_outcome
           in
           ignore (Queue.pop t.return_queue);
-          if t.cfg.Config.record_accesses then
-            t.records <- u.u_record (now t) outcome :: t.records;
+          record_write t u ~return_t:(now t) outcome;
           u.u_k outcome;
           drain ()
       end

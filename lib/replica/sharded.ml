@@ -21,16 +21,6 @@ type t = {
 
 let full_interest nshards = List.init nshards Fun.id
 
-(* Shard [s]'s view of the world: member replicas renumbered 0..m-1, link
-   characteristics inherited from the global topology. *)
-let sub_topology (topology : Topology.t) members =
-  let m = Array.length members in
-  {
-    Topology.n = m;
-    latency = (fun a b -> topology.Topology.latency members.(a) members.(b));
-    bandwidth = (fun a b -> topology.Topology.bandwidth members.(a) members.(b));
-  }
-
 (* Project the global gossip plan onto the shard's members: keep only member
    targets, renumbered locally.  If any member's ring projects to empty the
    plan is dropped for the whole shard (round-robin fallback) — a partial
@@ -121,7 +111,7 @@ let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
   let subs =
     Array.init nshards (fun s ->
         System.create ~seed:(seed + s) ~jitter ~loss ~track_writes ~mutation
-          ~topology:(sub_topology topology members.(s))
+          ~topology:(Topology.sub topology members.(s))
           ~config:(sub_config router s members.(s) local_of.(s) config)
           ())
   in
@@ -133,6 +123,21 @@ let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
     local_of;
     subs;
     mutation;
+  }
+
+(* One shard spanning every replica of [sys], with identity ids: the
+   per-shard code below then serves a plain system too, without a second
+   engine or log. *)
+let of_system sys =
+  let ids = Array.init (System.size sys) Fun.id in
+  {
+    router = Shard.single;
+    cfg = System.config sys;
+    n = Array.length ids;
+    members = [| ids |];
+    local_of = [| ids |];
+    subs = [| sys |];
+    mutation = Mutation.Off;
   }
 
 let router t = t.router

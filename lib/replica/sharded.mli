@@ -54,6 +54,12 @@ val create :
     [Primary p] scheme names a replica that does not subscribe to every
     shard (the primary must be able to commit every slice). *)
 
+val of_system : System.t -> t
+(** A one-shard view of an existing system: every replica subscribes, ids
+    are unchanged, and the view shares the system's state (nothing is
+    copied or re-run).  Fault injection and the oracles take a sharded
+    system; this is how a plain one is passed to them. *)
+
 val router : t -> Tact_store.Shard.t
 val shards : t -> int
 val size : t -> int

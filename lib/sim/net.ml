@@ -119,10 +119,10 @@ let base_delay t ~src ~dst ~size =
       | Some f -> Float.max f now
       | None -> now
     in
-    let bw = t.topo.Topology.bandwidth src dst *. t.bandwidth_factor in
+    let bw = t.topo.Topology.bandwidth *. t.bandwidth_factor in
     let ser = float_of_int size /. bw in
     Hashtbl.replace t.link_free (src, dst) (free +. ser);
-    (free -. now) +. ser +. (t.topo.Topology.latency src dst *. t.delay_factor)
+    (free -. now) +. ser +. (Topology.latency t.topo src dst *. t.delay_factor)
   end
   else if t.delay_factor = 1.0 && t.bandwidth_factor = 1.0 then
     (* Fast path: bit-identical to the historical behaviour when no fault
@@ -130,8 +130,8 @@ let base_delay t ~src ~dst ~size =
     Topology.delay t.topo ~src ~dst ~size
   else if src = dst then 0.0
   else
-    (t.topo.Topology.latency src dst
-    +. float_of_int size /. (t.topo.Topology.bandwidth src dst *. t.bandwidth_factor))
+    (Topology.latency t.topo src dst
+    +. float_of_int size /. (t.topo.Topology.bandwidth *. t.bandwidth_factor))
     *. t.delay_factor
 
 let send t ~src ~dst ~size deliver =

@@ -1,12 +1,12 @@
 (** Fault injection at the real-network seam: a transport decorator that
-    interprets the nemesis disturbance vocabulary ({!Tact_nemesis.Fault})
+    interprets the nemesis disturbance vocabulary ({!Tact_check.Fault})
     against live sockets instead of the simulator.
 
     The decorator wraps two injected closures — the underlying send and a
     timer — and owns the same knobs {!Tact_sim.Net} exposes: directed
     partitions, global and per-link loss, duplication, and a delay factor.
-    It deliberately does {e not} depend on [lib/nemesis] (the daemon maps
-    {!Tact_nemesis.Fault.action} values onto these setters), and it drops
+    It deliberately does {e not} depend on [lib/check] (the daemon maps
+    {!Tact_check.Fault.action} values onto these setters), and it drops
     {e outgoing} traffic only, exactly like [Net.send] dropping on the
     directed link at send time: a symmetric cut installed on every process
     of a live system silences both directions.

@@ -22,8 +22,8 @@
 open Tact_util
 open Tact_store
 open Tact_transport
-module Fault = Tact_nemesis.Fault
-module Gen = Tact_nemesis.Gen
+module Fault = Tact_check.Fault
+module Gen = Tact_check.Gen
 module Json = Tact_check.Json
 
 let n = 3

@@ -204,8 +204,8 @@ let test_plan_snapshot_fallback () =
 
 let batched c = { c with Config.sync = Config.Batched; batch_flush = 0.02 }
 
-let batched_plan (p : Tact_nemesis.Sample.plan) =
-  { p with Tact_nemesis.Sample.config = batched p.Tact_nemesis.Sample.config }
+let batched_plan (p : Tact_check.Sample.plan) =
+  { p with Tact_check.Sample.config = batched p.Tact_check.Sample.config }
 
 (* The same deterministic workload under both sync modes: identical final
    databases on every replica, with far fewer messages on the wire.  The
@@ -349,12 +349,13 @@ let test_differential_app () =
    canonical — identical final state fingerprints.  Duplication in particular
    proves a re-delivered frame cannot double-apply. *)
 let test_differential_nemesis () =
-  let open Tact_nemesis in
+  let open Tact_check in
+  let run plan faults = Runner.run (Runner.spec ~faults plan) in
+  let messages (r : Runner.result) =
+    (System.traffic r.Runner.sys).Tact_sim.Net.messages
+  in
   for seed = 0 to 5 do
-    let g = Tact_util.Prng.create ~seed in
-    let fault_rng = Tact_util.Prng.split g in
-    let p = Sample.plan ~seed in
-    let sampled = Sample.faults fault_rng p in
+    let p, sampled = Sample.draw ~seed in
     let forced =
       {
         Fault.events =
@@ -362,13 +363,13 @@ let test_differential_nemesis () =
             { Fault.at = 0.5; action = Fault.Global_loss { rate = 0.2; salt = 3 } };
             { Fault.at = 0.75; action = Fault.Duplication { rate = 0.3; salt = 9 } };
           ];
-        quiet_after = p.Sample.quiet_after;
+        quiet_after = sampled.Fault.quiet_after;
       }
     in
     List.iter
       (fun schedule ->
-        let pw = Runner.execute p schedule in
-        let bt = Runner.execute (batched_plan p) schedule in
+        let pw = run p schedule in
+        let bt = run (batched_plan p) schedule in
         Alcotest.(check (list string))
           (Printf.sprintf "seed %d: identical oracle verdicts" seed)
           pw.Runner.violations bt.Runner.violations;
@@ -378,13 +379,13 @@ let test_differential_nemesis () =
         Alcotest.(check bool)
           (Printf.sprintf "seed %d: batched sends no more messages" seed)
           true
-          (bt.Runner.messages <= pw.Runner.messages);
+          (messages bt <= messages pw);
         match p.Sample.config.Config.commit_scheme with
         | Config.Stability ->
           Alcotest.(check bool)
             (Printf.sprintf "seed %d: identical state fingerprint" seed)
             true
-            (Int64.equal pw.Runner.fingerprint bt.Runner.fingerprint)
+            (Int64.equal pw.Runner.final_fp bt.Runner.final_fp)
         | Config.Primary _ -> ())
       [ sampled; forced ]
   done
@@ -392,24 +393,26 @@ let test_differential_nemesis () =
 (* Duplicated frames must not double-apply: a duplication-only batched run
    lands on the same fingerprint as the duplication-free batched run. *)
 let test_duplication_no_double_apply () =
-  let open Tact_nemesis in
-  let p = Sample.plan ~seed:2 in
+  let open Tact_check in
+  let p, sampled = Sample.draw ~seed:2 in
   (match p.Sample.config.Config.commit_scheme with
   | Config.Stability -> ()
   | Config.Primary _ -> Alcotest.fail "seed 2 expected to sample Stability");
-  let clean = { Fault.events = []; quiet_after = p.Sample.quiet_after } in
+  let quiet_after = sampled.Fault.quiet_after in
+  let clean = { Fault.events = []; quiet_after } in
   let dup =
     {
       Fault.events =
         [ { Fault.at = 0.25; action = Fault.Duplication { rate = 0.5; salt = 17 } } ];
-      quiet_after = p.Sample.quiet_after;
+      quiet_after;
     }
   in
-  let a = Runner.execute (batched_plan p) clean in
-  let b = Runner.execute (batched_plan p) dup in
+  let run faults = Runner.run (Runner.spec ~faults (batched_plan p)) in
+  let a = run clean in
+  let b = run dup in
   Alcotest.(check (list string)) "duplication run clean" [] b.Runner.violations;
   Alcotest.(check bool) "duplicates do not double-apply" true
-    (Int64.equal a.Runner.fingerprint b.Runner.fingerprint)
+    (Int64.equal a.Runner.final_fp b.Runner.final_fp)
 
 let suite =
   [

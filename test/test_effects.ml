@@ -480,12 +480,12 @@ let test_repo_campaign_reaches_raise () =
       (fun hop ->
         Alcotest.(check bool) ("chain passes " ^ hop) true (contains text hop))
       [
-        "lib/nemesis/Campaign.one_run";
-        "lib/nemesis/Runner.execute";
+        "lib/check/Campaign.one_run";
+        "lib/check/Runner.run";
         "lib/replica/System.run";
       ];
     Alcotest.(check bool) "chain starts at the campaign" true
-      (contains text "lib/nemesis/Campaign.run")
+      (contains text "lib/check/Campaign.run")
 
 let suite =
   [

@@ -1,20 +1,16 @@
 (* Nemesis harness: generators, schedule JSON, campaigns, planted bugs. *)
 
-open Tact_util
 open Tact_sim
 open Tact_store
 open Tact_replica
-open Tact_nemesis
+open Tact_check
 
 (* Every sampled schedule is well formed for its plan's replica count, and
    the sampler does produce disturbances (not all-empty schedules). *)
 let test_sampled_schedules_validate () =
   let total = ref 0 in
   for seed = 0 to 29 do
-    let g = Prng.create ~seed in
-    let fault_rng = Prng.split g in
-    let p = Sample.plan ~seed in
-    let s = Sample.faults fault_rng p in
+    let p, s = Sample.draw ~seed in
     total := !total + List.length s.Fault.events;
     Alcotest.(check (list string))
       (Printf.sprintf "seed %d validates" seed)
@@ -54,8 +50,8 @@ let test_schedule_json_roundtrip () =
       quiet_after = 9.75;
     }
   in
-  let text = Tact_check.Json.to_string (Fault.schedule_to_json schedule) in
-  match Tact_check.Json.parse text with
+  let text = Json.to_string (Fault.schedule_to_json schedule) in
+  match Json.parse text with
   | Error m -> Alcotest.failf "reparse failed: %s" m
   | Ok json -> (
     match Fault.schedule_of_json json with
@@ -136,11 +132,17 @@ let test_crash_replay_bug_found_and_replayed () =
   in
   match summary.Campaign.failures with
   | [] -> Alcotest.fail "planted crash-replay bug not found in 200 runs"
-  | cx :: _ ->
+  | (seed, cx) :: _ ->
     Alcotest.(check bool) "shrunk counterexample still violates" true
       (cx.Counterexample.violations <> []);
+    (* Shrinking drops events, never the schedule: the quiescent tail is
+       installed on every sampled run. *)
+    Alcotest.(check bool) "shrunk run keeps its fault schedule" true
+      (Option.is_some cx.Counterexample.faults);
+    Alcotest.(check bool) "counterexample names its seed" true
+      (cx.Counterexample.kind = Counterexample.Sampled seed);
     (* The same seed passes without the planted bug. *)
-    let clean, _ = Campaign.one_run ~mutation:Mutation.Off cx.Counterexample.seed in
+    let clean = Campaign.one_run ~mutation:Mutation.Off seed in
     Alcotest.(check (list string))
       "same run is clean without the mutation" [] clean.Campaign.violations;
     (* Round-trip through the JSON file format and replay. *)
@@ -151,14 +153,17 @@ let test_crash_replay_bug_found_and_replayed () =
         Counterexample.save ~path cx;
         match Counterexample.load ~path with
         | Error m -> Alcotest.failf "load failed: %s" m
-        | Ok loaded ->
-          let v = Counterexample.replay loaded in
+        | Ok (loaded, plan) ->
+          let v = Counterexample.replay plan loaded in
           Alcotest.(check bool) "violations reproduced" true
             v.Counterexample.reproduced;
           Alcotest.(check bool) "final fingerprint matches" true
             v.Counterexample.fingerprint_match;
+          (* A sampled plan has no choice phase: no chooser, no steps. *)
+          Alcotest.(check int) "no choice-phase steps" 0
+            (Array.length v.Counterexample.result.Runner.steps);
           (* Replay is deterministic: a second replay agrees exactly. *)
-          let v2 = Counterexample.replay loaded in
+          let v2 = Counterexample.replay plan loaded in
           Alcotest.(check (list string))
             "second replay identical"
             v.Counterexample.result.Runner.violations
@@ -198,20 +203,24 @@ let test_unavailability_accounting () =
       quiet_after = 5.0;
     }
   in
-  Alcotest.(check (list string))
-    "timeout during faults excused" []
-    (Oracle.check_unavailability ~schedule:faulty ~slack:1.0 [ obs ]);
+  let sys =
+    System.create ~topology:(Topology.uniform ~n:2 ~latency:0.05 ~bandwidth:1e9)
+      ~config:Config.default ()
+  in
+  let o6 schedule =
+    Oracle.check_unavailability (Sharded.of_system sys) ~schedule ~slack:1.0
+      [ obs ]
+  in
+  Alcotest.(check (list string)) "timeout during faults excused" [] (o6 faulty);
   let quiet = { Fault.events = []; quiet_after = 5.0 } in
-  Alcotest.(check bool) "timeout with no faults flagged" true
-    (Oracle.check_unavailability ~schedule:quiet ~slack:1.0 [ obs ] <> []);
+  Alcotest.(check bool) "timeout with no faults flagged" true (o6 quiet <> []);
   let late =
     {
       Fault.events = [ { Fault.at = 50.0; action = Fault.Crash 0 } ];
       quiet_after = 60.0;
     }
   in
-  Alcotest.(check bool) "timeout before any fault flagged" true
-    (Oracle.check_unavailability ~schedule:late ~slack:1.0 [ obs ] <> [])
+  Alcotest.(check bool) "timeout before any fault flagged" true (o6 late <> [])
 
 (* The planted-bug selector round-trips exactly: a counterexample saved
    with [oe_slack:0.1234567] must replay that slack, not a %g-rounded one.
@@ -244,12 +253,12 @@ let test_mutation_roundtrip () =
     mutation_table;
   let cx =
     {
-      Counterexample.seed = 3;
+      Counterexample.kind = Counterexample.Sampled 3;
       mutation = Mutation.Oe_slack 0.1234567;
-      events = [];
-      quiet_after = 1.0;
+      deviations = [];
+      faults = Some { Fault.events = []; quiet_after = 1.0 };
       violations = [];
-      fingerprint = 0L;
+      final_fp = 0L;
     }
   in
   match Counterexample.of_json (Counterexample.to_json cx) with

@@ -153,8 +153,8 @@ let run_diff_pair ~ctx ~config ~seed ~n ~horizon ~faults =
   (match faults with
   | None -> ()
   | Some sched ->
-    Tact_nemesis.Fault.install sys sched;
-    Tact_nemesis.Fault.install_sharded sh sched);
+    Tact_check.Fault.install (Sharded.of_system sys) sched;
+    Tact_check.Fault.install sh sched);
   let psched, pwrite, pread = plain_drivers sys in
   drive ~n ~sched:psched ~write:pwrite ~read:pread;
   let ssched, swrite, sread = sharded_drivers sh in
@@ -167,7 +167,7 @@ let run_diff_pair ~ctx ~config ~seed ~n ~horizon ~faults =
   Alcotest.(check (list string))
     (ctx ^ ": sharded O3 clean")
     []
-    (Tact_check.Oracle.check_converged_sharded sh)
+    (Tact_check.Oracle.check_converged sh)
 
 let test_one_shard_identical_per_write () =
   run_diff_pair ~ctx:"per-write" ~config:diff_config ~seed:7 ~n:4
@@ -182,18 +182,18 @@ let test_one_shard_identical_under_faults () =
   let rng = Prng.create ~seed:1234 in
   let n = 4 in
   let events =
-    Tact_nemesis.Gen.compose
+    Tact_check.Gen.compose
       [
-        Tact_nemesis.Gen.crash_storm (Prng.split rng) ~n ~start:2.0
+        Tact_check.Gen.crash_storm (Prng.split rng) ~n ~start:2.0
           ~horizon:40.0 ~mean_uptime:8.0 ~mean_downtime:4.0;
-        Tact_nemesis.Gen.flapping_link (Prng.split rng) ~n ~start:5.0
+        Tact_check.Gen.flapping_link (Prng.split rng) ~n ~start:5.0
           ~period:6.0 ~flaps:4;
       ]
   in
-  let sched = { Tact_nemesis.Fault.events; quiet_after = 60.0 } in
+  let sched = { Tact_check.Fault.events; quiet_after = 60.0 } in
   Alcotest.(check (list string))
     "schedule well formed" []
-    (Tact_nemesis.Fault.validate ~n sched);
+    (Tact_check.Fault.validate ~n sched);
   run_diff_pair ~ctx:"nemesis" ~config:diff_config ~seed:23 ~n ~horizon:200.0
     ~faults:(Some sched)
 
@@ -253,7 +253,7 @@ let test_jobs_determinism () =
     (Sharded.converged s4);
   Alcotest.(check (list string))
     "interest-set O3 clean" []
-    (Tact_check.Oracle.check_converged_sharded s4)
+    (Tact_check.Oracle.check_converged s4)
 
 (* --- Interest-set routing errors -------------------------------------- *)
 
@@ -365,11 +365,11 @@ let test_planted_wrong_shard_caught () =
   let healthy = run ~planted:false in
   Alcotest.(check (list string))
     "healthy run passes the interest-set O3" []
-    (Tact_check.Oracle.check_converged_sharded healthy);
+    (Tact_check.Oracle.check_converged healthy);
   Alcotest.(check int) "healthy run has no leaks" 0
     (List.length (Sharded.shard_leaks healthy));
   let buggy = run ~planted:true in
-  let issues = Tact_check.Oracle.check_converged_sharded buggy in
+  let issues = Tact_check.Oracle.check_converged buggy in
   Alcotest.(check bool) "planted bug caught" true (issues <> []);
   Alcotest.(check bool) "caught as a shard leak" true
     (List.exists
@@ -429,6 +429,18 @@ let test_wrong_shard_frame_rejected () =
 
 (* --- Shard-aware fault projection and O6 ------------------------------- *)
 
+(* A read at replica [r], parked over [2, 5], that timed out. *)
+let timed_out r =
+  {
+    Tact_check.Oracle.o_index = 0;
+    o_rid = r;
+    o_submit = 2.0;
+    o_deadline = Some 5.0;
+    o_read = true;
+    o_completions = 0;
+    o_timeouts = 1;
+  }
+
 let test_fault_projection_shard_local () =
   let shards = 2 in
   let n = 4 in
@@ -445,49 +457,87 @@ let test_fault_projection_shard_local () =
   in
   let sh = Sharded.create ~router ~topology:(topo n) ~config () in
   (* Crashing replica 3 must only touch shard 1's sub-system. *)
-  Tact_nemesis.Fault.apply_sharded sh (Tact_nemesis.Fault.Crash 3);
+  Tact_check.Fault.apply sh (Tact_check.Fault.Crash 3);
   Alcotest.(check bool) "crashed in its shard" false
     (Replica.is_up (Sharded.replica sh ~shard:1 3));
   Alcotest.(check bool) "shard 0 untouched" true
     (Replica.is_up (Sharded.replica sh ~shard:0 0));
-  Tact_nemesis.Fault.clear_all_sharded sh;
+  Tact_check.Fault.clear_all sh;
   Alcotest.(check bool) "recovered" true
     (Replica.is_up (Sharded.replica sh ~shard:1 3));
   (* O6: a timeout at replica 0 (shard 0) cannot be excused by a crash
-     confined to shard 1's interest set, but the global check would. *)
+     confined to shard 1's interest set. *)
   let sched =
     {
-      Tact_nemesis.Fault.events =
-        [ { Tact_nemesis.Fault.at = 1.0; action = Tact_nemesis.Fault.Crash 3 } ];
+      Tact_check.Fault.events =
+        [ { Tact_check.Fault.at = 1.0; action = Tact_check.Fault.Crash 3 } ];
       quiet_after = 10.0;
     }
   in
-  let obs r =
-    {
-      Tact_nemesis.Oracle.o_index = 0;
-      o_rid = r;
-      o_submit = 2.0;
-      o_deadline = Some 5.0;
-      o_read = true;
-      o_completions = 0;
-      o_timeouts = 1;
-    }
+  let o6 r =
+    Tact_check.Oracle.check_unavailability sh ~schedule:sched ~slack:5.0
+      [ timed_out r ]
   in
+  Alcotest.(check bool) "interest-set O6 does not excuse it" true (o6 0 <> []);
   Alcotest.(check (list string))
-    "global O6 excuses the timeout" []
-    (Tact_nemesis.Oracle.check_unavailability ~schedule:sched ~slack:5.0
-       [ obs 0 ]);
-  Alcotest.(check bool) "interest-set O6 does not" true
-    (Tact_nemesis.Oracle.check_unavailability_sharded ~sh ~schedule:sched
-       ~slack:5.0 [ obs 0 ]
-    <> []);
-  Alcotest.(check (list string))
-    "interest-set O6 excuses a peer of the crash" []
-    (Tact_nemesis.Oracle.check_unavailability_sharded ~sh ~schedule:sched
-       ~slack:5.0 [ obs 2 ]);
+    "interest-set O6 excuses a peer of the crash" [] (o6 2);
   Alcotest.(check (list string))
     "sharded liveness clean on quiet system" []
-    (Tact_nemesis.Oracle.check_liveness_sharded sh [])
+    (Tact_check.Oracle.check_liveness sh [])
+
+(* A plain system seen as one shard: every replica shares the shard, so a
+   crash anywhere excuses a timeout anywhere; O3 and O5 report in the plain
+   wording (no "shard 0:" prefix, no "in shard 0"); nothing can leak. *)
+let test_one_shard_view () =
+  let n = 3 in
+  let config =
+    { Config.default with Config.conits = [ Conit.unconstrained "a" ] }
+  in
+  let sys = System.create ~seed:5 ~topology:(topo n) ~config () in
+  let view = Sharded.of_system sys in
+  Alcotest.(check int) "one shard" 1 (Sharded.shards view);
+  Alcotest.(check int) "every replica" n (Sharded.size view);
+  for crashed = 0 to n - 1 do
+    let schedule =
+      {
+        Tact_check.Fault.events =
+          [ { Tact_check.Fault.at = 1.0; action = Tact_check.Fault.Crash crashed } ];
+        quiet_after = 10.0;
+      }
+    in
+    for r = 0 to n - 1 do
+      Alcotest.(check (list string))
+        (Printf.sprintf "crash at %d excuses a timeout at %d" crashed r)
+        []
+        (Tact_check.Oracle.check_unavailability view ~schedule ~slack:5.0
+           [ timed_out r ])
+    done
+  done;
+  (* Replica 1 down while replica 0 writes: diverged and not recovered. *)
+  Tact_check.Fault.apply view (Tact_check.Fault.Crash 1);
+  Alcotest.(check bool) "the view's crash reaches the system" false
+    (Replica.is_up (System.replica sys 1));
+  Engine.at (System.engine sys) ~time:0.5 (fun () ->
+      Replica.submit_write (System.replica sys 0) ~deps:[]
+        ~affects:[ unit_weight "a" ] ~op:(Op.Add ("a", 1.0)) ~k:ignore);
+  System.run ~until:5.0 sys;
+  let o3 = Tact_check.Oracle.check_converged view in
+  let o5 = Tact_check.Oracle.check_liveness view [] in
+  Alcotest.(check bool) "O3 flags the divergence" true (o3 <> []);
+  Alcotest.(check bool) "O3 in the plain wording" true
+    (List.for_all (String.starts_with ~prefix:"convergence: ") o3);
+  Alcotest.(check bool) "O5 names the down replica plainly" true
+    (List.mem "liveness: replica 1 still down after heal" o5);
+  Alcotest.(check bool) "O5 carries no shard" true
+    (List.for_all
+       (fun l ->
+         String.starts_with ~prefix:"liveness: " l
+         && not (String.starts_with ~prefix:"liveness: shard" l))
+       o5);
+  Alcotest.(check int) "no shard leaks" 0 (List.length (Sharded.shard_leaks view));
+  Tact_check.Fault.clear_all view;
+  Alcotest.(check bool) "clear_all recovers through the view" true
+    (Replica.is_up (System.replica sys 1))
 
 let suite =
   [
@@ -512,4 +562,6 @@ let suite =
       test_wrong_shard_frame_rejected;
     Alcotest.test_case "faults project shard-locally; O6 interest-aware"
       `Quick test_fault_projection_shard_local;
+    Alcotest.test_case "one-shard view of a plain system" `Quick
+      test_one_shard_view;
   ]

@@ -116,19 +116,19 @@ let test_topology_uniform () =
 let test_topology_clustered () =
   let t = Topology.clustered ~clusters:2 ~per_cluster:2 ~local:0.001 ~wan:0.1 ~bandwidth:1e9 in
   Alcotest.(check int) "size" 4 t.Topology.n;
-  Alcotest.(check bool) "intra cheap" true (t.Topology.latency 0 1 < 0.01);
-  Alcotest.(check bool) "inter expensive" true (t.Topology.latency 0 2 > 0.05)
+  Alcotest.(check bool) "intra cheap" true (Topology.latency t 0 1 < 0.01);
+  Alcotest.(check bool) "inter expensive" true (Topology.latency t 0 2 > 0.05)
 
 let test_topology_star () =
   let t = Topology.star ~n:4 ~spoke:0.02 ~bandwidth:1e9 in
-  Alcotest.(check bool) "hub-spoke" true (feq (t.Topology.latency 0 3) 0.02);
-  Alcotest.(check bool) "spoke-spoke doubles" true (feq (t.Topology.latency 1 3) 0.04)
+  Alcotest.(check bool) "hub-spoke" true (feq (Topology.latency t 0 3) 0.02);
+  Alcotest.(check bool) "spoke-spoke doubles" true (feq (Topology.latency t 1 3) 0.04)
 
 let test_topology_matrix () =
   let m = [| [| 0.0; 0.5 |]; [| 0.25; 0.0 |] |] in
   let t = Topology.from_matrix ~latency:m ~bandwidth:1e9 in
   Alcotest.(check bool) "asymmetric ok" true
-    (feq (t.Topology.latency 0 1) 0.5 && feq (t.Topology.latency 1 0) 0.25)
+    (feq (Topology.latency t 0 1) 0.5 && feq (Topology.latency t 1 0) 0.25)
 
 (* --- net ------------------------------------------------------------- *)
 

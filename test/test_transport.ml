@@ -12,7 +12,7 @@
      while a peer is down, reconnect-with-resync, poisoning of hostile
      connections, and fd-leak-free repeated create/destroy
    - an in-process 3-daemon nemesis run: a rolling partition plus delay
-     spike (lib/nemesis/gen.ml) against live sockets through the
+     spike (lib/check/gen.ml) against live sockets through the
      fault-injecting decorator, with client traffic throughout and a
      convergence + clean-accounting check after the heal
    - System.run teardown: close is idempotent and runs even when a replica
@@ -959,19 +959,19 @@ let test_serve_nemesis_convergence () =
   let sched =
     let rng = Prng.create ~seed:77 in
     {
-      Tact_nemesis.Fault.events =
-        Tact_nemesis.Gen.compose
+      Tact_check.Fault.events =
+        Tact_check.Gen.compose
           [
-            Tact_nemesis.Gen.rolling_partition rng ~n:3 ~start:0.2 ~period:0.4
+            Tact_check.Gen.rolling_partition rng ~n:3 ~start:0.2 ~period:0.4
               ~rounds:3;
-            Tact_nemesis.Gen.delay_spike rng ~start:0.3 ~duration:0.6 ~factor:4.0;
+            Tact_check.Gen.delay_spike rng ~start:0.3 ~duration:0.6 ~factor:4.0;
           ];
       quiet_after = 1.6;
     }
   in
   Alcotest.(check (list string)) "schedule well-formed" []
-    (Tact_nemesis.Fault.validate ~n:3 sched);
-  Array.iter (fun s -> Tact_nemesis.Live.install s sched) serves;
+    (Tact_check.Fault.validate ~n:3 sched);
+  Array.iter (fun s -> Tact_check.Live.install s sched) serves;
   (* Client traffic throughout the disturbance: one write to each replica
      per round, weak bounds — the paper's availability half.  Every write
      must be accepted (writes are local under weak bounds; the replica
@@ -1015,8 +1015,8 @@ let test_serve_nemesis_convergence () =
      through the same entry points the daemon uses. *)
   Array.iter
     (fun s ->
-      Tact_nemesis.Live.apply s Tact_nemesis.Fault.Heal_all;
-      Tact_nemesis.Live.clear_all s)
+      Tact_check.Live.apply s Tact_check.Fault.Heal_all;
+      Tact_check.Live.clear_all s)
     serves;
   (* After the quiescent tail: every replica serves the same total under a
      staleness bound — convergence through the healed network. *)
