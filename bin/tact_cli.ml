@@ -160,17 +160,17 @@ let trace_cmd =
     let open Tact_store in
     let open Tact_core in
     let open Tact_replica in
-    let tr = Tact_util.Trace.create () in
+    let events = ref [] (* newest first *) in
     let config =
       {
         Config.default with
         Config.conits = [ Conit.declare "c" ];
         antientropy_period = Some 1.0;
-        trace = Some tr;
       }
     in
     let sys =
       System.create
+        ~on_event:(fun e -> events := e :: !events)
         ~topology:(Topology.uniform ~n:3 ~latency:0.05 ~bandwidth:1e6)
         ~config ()
     in
@@ -191,8 +191,10 @@ let trace_cmd =
     Printf.printf
       "scenario: write at replica 0; replica 2 partitioned at t=1, issues a        strong read at t=1.5, partition heals at t=4.
 
-%s"
-      (Tact_util.Trace.render ~last tr)
+";
+    List.filteri (fun i _ -> i < last) !events
+    |> List.rev
+    |> List.iter (fun e -> print_endline (Event.to_string e))
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Run a small traced scenario and print the event log.")

@@ -20,10 +20,10 @@
      --io-timeout T         read/write deadline seconds
      --request-timeout T    client access deadline seconds (default 30)
      --status-every T       print a status line to stderr every T seconds
-     --trace                stream the replica's structured protocol trace
-                            (accepts, transfers, commits, blocked accesses)
-                            to stderr — the live twin of the simulator's
-                            post-mortem trace dump
+     --trace                print every event to stderr as it happens:
+                            the replica's (accepts, transfers, commits,
+                            blocked accesses), the connections' and the
+                            fired faults', one Event.to_string line each
 
    The process drains cleanly on SIGTERM or SIGINT: the client listener
    closes, parked accesses finish (bounded by the configured drain
@@ -176,16 +176,19 @@ let main () =
       | Some t -> { tk with Config.io_timeout = t }
       | None -> tk
     in
-    let trace =
-      if c.trace then Some (Tact_util.Trace.create ~capacity:65536 ())
-      else d.Config.trace
-    in
-    { d with Config.transport = tk; trace }
+    { d with Config.transport = tk }
+  in
+  (* --trace: every event, replica, connection and fault alike, printed as
+     it is emitted. *)
+  let on_event =
+    if c.trace then
+      Some (fun e -> Printf.eprintf "%s\n%!" (Tact_store.Event.to_string e))
+    else None
   in
   let srv =
     match
-      Serve.create ~request_timeout:c.request_timeout ~id:c.id ~n:c.n ~peer_addrs
-        ~client_addr ~config ~seed:(c.seed + c.id) ()
+      Serve.create ~request_timeout:c.request_timeout ?on_event ~id:c.id ~n:c.n
+        ~peer_addrs ~client_addr ~config ~seed:(c.seed + c.id) ()
     with
     | srv -> srv
     | exception Invalid_argument e ->
@@ -200,18 +203,13 @@ let main () =
       exit 2
   in
   let loop = Serve.loop srv in
-  if c.trace then
-    Tcp.set_trace (Serve.tcp srv) (fun line ->
-        Printf.eprintf "[%d] %8.3f tcp: %s\n%!" c.id (Loop.now loop) line);
   let stop_sig _ = Loop.defer loop (fun () -> Serve.request_stop srv) in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_sig);
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop_sig);
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (match c.faults with
   | Some path ->
-    Tact_check.Live.install srv
-      ~trace:(fun line -> Printf.eprintf "%s\n%!" line)
-      (load_schedule ~n:c.n path)
+    Tact_check.Live.install srv (load_schedule ~n:c.n path)
   | None -> ());
   (match c.duration with
   | Some d -> Loop.schedule loop ~tag:"duration" ~delay:d (fun () -> Serve.request_stop srv)
@@ -222,32 +220,11 @@ let main () =
         Printf.eprintf "[%d] %s\n%!" c.id (status_json srv);
         not (Serve.stopped srv))
   | None -> ());
-  let flush_trace =
-    match config.Config.trace with
-    | None -> ignore
-    | Some tr ->
-      let printed = ref 0 in
-      let flush () =
-        let evs = Tact_util.Trace.events tr in
-        List.iteri
-          (fun i (e : Tact_util.Trace.event) ->
-            if i >= !printed then
-              Printf.eprintf "[%d] %8.3f %-9s %s\n%!" c.id e.Tact_util.Trace.time
-                e.Tact_util.Trace.kind e.Tact_util.Trace.detail)
-          evs;
-        printed := List.length evs
-      in
-      Loop.every loop ~tag:"trace" ~period:0.2 (fun () ->
-          flush ();
-          not (Serve.stopped srv));
-      flush
-  in
   Serve.start srv;
   Printf.eprintf "[%d] tact_serve: listening peers=%d client=%d\n%!" c.id
     (c.port_base + c.id)
     (c.client_port_base + c.id);
   Serve.run srv;
-  flush_trace ();
   print_endline (status_json srv)
 
 let () =

@@ -27,17 +27,17 @@ let clear_all srv =
   Faulty.clear_all (Serve.faulty srv);
   if not (Replica.is_up (Serve.replica srv)) then Replica.recover (Serve.replica srv)
 
-let install ?(trace = fun _ -> ()) srv (sched : Fault.schedule) =
+let install srv (sched : Fault.schedule) =
   let loop = Serve.loop srv in
   List.iter
     (fun { Fault.at; action } ->
       Loop.schedule loop ~tag:"fault" ~delay:at (fun () ->
-          trace (Printf.sprintf "[%d] fault @%.2f: %s" (Serve.id srv) at
-                   (Fault.describe action));
+          Replica.emit (Serve.replica srv)
+            (Tact_store.Event.Fault { at; action = Fault.describe action });
           apply srv action))
     sched.Fault.events;
-  Loop.schedule loop ~tag:"fault" ~delay:sched.Fault.quiet_after (fun () ->
-      trace
-        (Printf.sprintf "[%d] fault @%.2f: heal-all (quiescent tail)" (Serve.id srv)
-           sched.Fault.quiet_after);
+  let at = sched.Fault.quiet_after in
+  Loop.schedule loop ~tag:"fault" ~delay:at (fun () ->
+      Replica.emit (Serve.replica srv)
+        (Tact_store.Event.Fault { at; action = "heal-all (quiescent tail)" });
       clear_all srv)

@@ -23,8 +23,8 @@ val clear_all : Tact_transport.Serve.t -> unit
 (** Lift every disturbance on this process: heal the decorator, recover the
     replica. *)
 
-val install : ?trace:(string -> unit) -> Tact_transport.Serve.t -> Fault.schedule -> unit
+val install : Tact_transport.Serve.t -> Fault.schedule -> unit
 (** Schedule every event on the process's event loop, plus the quiescent
     tail ({!clear_all}) at [quiet_after] — same contract as
-    {!Fault.install}.  [trace] (default silent) receives one line per fired
-    event. *)
+    {!Fault.install}.  Each one publishes a {!Tact_store.Event.Fault} into
+    the replica's event sink ({!Tact_replica.Replica.emit}) as it fires. *)

@@ -13,6 +13,25 @@ type row = {
   messages : int;
 }
 
+let commit_progress ~node ~period ~until =
+  let steps = ref [] (* (time, running total) *) and total = ref 0 in
+  let sink (e : Event.t) =
+    match e.Event.kind with
+    | Event.Commit { writes; _ } when e.Event.node = node ->
+      total := !total + writes;
+      steps := (e.Event.time, !total) :: !steps
+    | _ -> ()
+  in
+  let at time =
+    List.fold_left (fun acc (t, c) -> if t <= time then max acc c else acc) 0 !steps
+  in
+  let series () =
+    List.init (int_of_float (Float.ceil (until /. period))) (fun i ->
+        let time = float_of_int (i + 1) *. period in
+        (time, float_of_int (at time)))
+  in
+  (sink, series)
+
 let run_scheme ~scheme ~label ~duration =
   let n = 4 in
   let part_start = duration /. 3.0 and part_end = 2.0 *. duration /. 3.0 in
@@ -24,8 +43,10 @@ let run_scheme ~scheme ~label ~duration =
       antientropy_period = Some 0.5;
     }
   in
-  let sys = System.create ~seed:113 ~topology ~config () in
-  let monitor = Monitor.start sys ~period:1.0 ~until:(duration +. 30.0) in
+  let on_event, progress =
+    commit_progress ~node:0 ~period:1.0 ~until:(duration +. 30.0)
+  in
+  let sys = System.create ~seed:113 ~on_event ~topology ~config () in
   let engine = System.engine sys in
   let rng = Prng.create ~seed:127 in
   let writes = ref 0 in
@@ -48,9 +69,7 @@ let run_scheme ~scheme ~label ~duration =
       committed_during := Wlog.committed_count (Replica.log (System.replica sys 0)));
   Engine.schedule engine ~delay:part_end (fun () -> Net.heal (System.net sys));
   System.run ~until:(duration +. 120.0) sys;
-  let series =
-    (label, Monitor.series monitor ~f:(fun s -> float_of_int s.Monitor.committed.(0)))
-  in
+  let series = (label, progress ()) in
   let log0 = Replica.log (System.replica sys 0) in
   let return_time = System.return_time sys in
   ( {

@@ -25,4 +25,11 @@ type row = {
   messages : int;
 }
 
+val commit_progress :
+  node:int -> period:float -> until:float ->
+  (Tact_store.Event.t -> unit) * (unit -> (float * float) list)
+(** An event sink, and the series it feeds: replica [node]'s commit count
+    (summed {!Tact_store.Event.Commit}s) at each multiple of [period] up to
+    the first at or past [until] — E12's commit-progress plot. *)
+
 val run : ?quick:bool -> unit -> string

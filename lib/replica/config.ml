@@ -52,7 +52,6 @@ type t = {
   initial_db : (string * Tact_store.Value.t) list;
   procs : Tact_store.Op.procs;
       (* the write procedures every replica resolves [Op.Named] ops against *)
-  trace : Tact_util.Trace.t option;
   gossip_plan : (int -> int array) option;
   sync : sync_mode;
   batch_flush : float;
@@ -91,7 +90,6 @@ let default =
     truncate_keep = None;
     initial_db = [];
     procs = [];
-    trace = None;
     gossip_plan = None;
     sync = Per_write;
     batch_flush = 0.05;

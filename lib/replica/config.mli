@@ -84,10 +84,6 @@ type t = {
           {!Tact_store.Op.Named} ops against this one table, so an unknown
           name conflicts identically everywhere.  Names must be distinct
           ({!validate}).  Default [[]]. *)
-  trace : Tact_util.Trace.t option;
-      (** when set, replicas record their protocol lifecycle events (accepts,
-          transfers, commits, blocked/served accesses, snapshots) into this
-          shared trace — an observability hook for debugging and the CLI *)
   gossip_plan : (int -> int array) option;
       (** per-replica gossip target ring, cycled one target per gossip tick;
           [None] means round-robin over every peer.  Topology-aware plans

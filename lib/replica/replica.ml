@@ -159,75 +159,82 @@ type t = {
   mutable s_malformed : int;
 }
 
-let create ~id ~n ~endpoint ~config ?(mutation = Mutation.Off) ?on_accept () =
-  {
-    rid = id;
-    n;
-    ep = endpoint;
-    cfg = config;
-    mutation;
-    wlog =
-      Wlog.create_bounded ~procs:config.Config.procs
-        ~journal:(not config.Config.bounded_log)
-        ~evict_outcomes:config.Config.bounded_log ~replicas:n
-        ~initial:config.Config.initial_db;
-    cover = Array.make n 0.0;
-    acked = Array.init n (fun _ -> Version_vector.create n);
-    acked_csn = Array.make n 0;
-    outstanding = Array.init n (fun _ -> Hashtbl.create 8);
-    budget = Deque.create ~filler:(0, []) ();
-    budget_base = 0;
-    budget_pos = Array.make n 0;
-    csn = Csn_buffer.create ();
-    csn_committed = 0;
-    in_csn = Hashtbl.create 64;
-    rate_ewma = 0.0;
-    last_rate_update = 0.0;
-    rates = Array.make n 0.0;
-    pending = Queue.create ();
-    npending = 0;
-    sweep_at = infinity;
-    return_queue = Queue.create ();
-    conit_decls =
-      (let tbl = Hashtbl.create (List.length config.Config.conits) in
-       List.iter (fun (c : Conit.t) -> Hashtbl.replace tbl c.name c) config.Config.conits;
-       tbl);
-    rounds = Hashtbl.create 8;
-    round_ctr = 0;
-    up = true;
-    closed = false;
-    crashes = 0;
-    on_accept;
-    records = [];
-    retry_running = false;
-    frame = Codec.Frame.create ();
-    dirty = Array.make n false;
-    s_pushes_budget = 0;
-    s_pulls_ne = 0;
-    s_pulls_oe = 0;
-    s_pulls_st = 0;
-    s_gossips = 0;
-    s_blocked = 0;
-    s_snapshots_sent = 0;
-    s_snapshots_installed = 0;
-    s_timeouts = 0;
-    s_batches = 0;
-    s_wrong_shard = 0;
-    s_malformed = 0;
-  }
-
 let now t = t.ep.Transport.ep_now ()
+
+let create ~id ~n ~endpoint ~config ?(mutation = Mutation.Off) ?on_accept () =
+  let t =
+    {
+      rid = id;
+      n;
+      ep = endpoint;
+      cfg = config;
+      mutation;
+      wlog =
+        Wlog.create_bounded ~procs:config.Config.procs
+          ~journal:(not config.Config.bounded_log)
+          ~evict_outcomes:config.Config.bounded_log ~replicas:n
+          ~initial:config.Config.initial_db;
+      cover = Array.make n 0.0;
+      acked = Array.init n (fun _ -> Version_vector.create n);
+      acked_csn = Array.make n 0;
+      outstanding = Array.init n (fun _ -> Hashtbl.create 8);
+      budget = Deque.create ~filler:(0, []) ();
+      budget_base = 0;
+      budget_pos = Array.make n 0;
+      csn = Csn_buffer.create ();
+      csn_committed = 0;
+      in_csn = Hashtbl.create 64;
+      rate_ewma = 0.0;
+      last_rate_update = 0.0;
+      rates = Array.make n 0.0;
+      pending = Queue.create ();
+      npending = 0;
+      sweep_at = infinity;
+      return_queue = Queue.create ();
+      conit_decls =
+        (let tbl = Hashtbl.create (List.length config.Config.conits) in
+         List.iter (fun (c : Conit.t) -> Hashtbl.replace tbl c.name c) config.Config.conits;
+         tbl);
+      rounds = Hashtbl.create 8;
+      round_ctr = 0;
+      up = true;
+      closed = false;
+      crashes = 0;
+      on_accept;
+      records = [];
+      retry_running = false;
+      frame = Codec.Frame.create ();
+      dirty = Array.make n false;
+      s_pushes_budget = 0;
+      s_pulls_ne = 0;
+      s_pulls_oe = 0;
+      s_pulls_st = 0;
+      s_gossips = 0;
+      s_blocked = 0;
+      s_snapshots_sent = 0;
+      s_snapshots_installed = 0;
+      s_timeouts = 0;
+      s_batches = 0;
+      s_wrong_shard = 0;
+      s_malformed = 0;
+    }
+  in
+  (* The rate clock starts at creation: 0 in the simulator, the wall clock
+     in a daemon. *)
+  t.last_rate_update <- now t;
+  t
+
 let schedule t ~tag ~delay f = t.ep.Transport.ep_schedule ~tag ~delay f
 let every t ~tag ~period f = t.ep.Transport.ep_every ~tag ~period f
 
-(* [detail] is forced only when tracing is on, so an untraced run formats
-   no trace strings. *)
-let trace t ~kind detail =
-  match t.cfg.Config.trace with
+(* Event emission.  Every site tests [observed] before it builds the event,
+   so an unobserved run pays one branch and allocates nothing. *)
+let observed t = Option.is_some t.ep.Transport.ep_emit
+
+let emit t kind =
+  match t.ep.Transport.ep_emit with
+  | Some sink -> sink { Event.time = now t; node = t.rid; kind }
   | None -> ()
-  | Some tr ->
-    Trace.record tr ~time:(now t)
-      ~source:(Printf.sprintf "replica %d" t.rid) ~kind (detail ())
 
 let id t = t.rid
 let log t = t.wlog
@@ -333,10 +340,10 @@ let stats t =
 (* ------------------------------------------------------------------ *)
 (* Outgoing syncs                                                      *)
 
-(* A rejected incoming message: counted, traced, never applied. *)
-let reject t detail =
+(* A rejected incoming message: counted, reported, never applied. *)
+let reject t reason =
   t.s_malformed <- t.s_malformed + 1;
-  trace t ~kind:"malformed" detail
+  if observed t then emit t (Event.Malformed (reason ()))
 
 (* A crashed replica neither processes nor emits messages: its network
    activity looks exactly like loss to its peers.  The write log itself is
@@ -563,8 +570,7 @@ and commit_progress t =
   (match t.cfg.Config.commit_scheme with
   | Config.Stability ->
     let n = Wlog.commit_stable t.wlog ~cover:(my_cover t) in
-    if n > 0 then trace t ~kind:"commit" (fun () ->
-        Printf.sprintf "%d writes (stability)" n)
+    if n > 0 && observed t then emit t (Event.Commit { writes = n; csn = false })
   | Config.Primary _ -> commit_progress_primary t);
   match t.cfg.Config.truncate_keep with
   | Some keep -> ignore (Wlog.truncate t.wlog ~keep)
@@ -585,10 +591,9 @@ and commit_progress_primary t =
     in
     let ids = advance [] in
     if ids <> [] then begin
-      ignore (Wlog.commit_ids t.wlog ids);
+      let n = Wlog.commit_ids t.wlog ids in
       t.csn_committed <- t.csn_committed + List.length ids;
-      trace t ~kind:"commit" (fun () ->
-          Printf.sprintf "%d writes (csn)" (List.length ids))
+      if n > 0 && observed t then emit t (Event.Commit { writes = n; csn = true })
     end
 
 (* Primary: assign commit sequence numbers to every known-but-unassigned
@@ -691,9 +696,8 @@ and serve_read t p f k =
   let obs = capture_observation t in
   let result = f (Wlog.db t.wlog) in
   let nw = now t in
-  if nw > p.p_submit then
-    trace t ~kind:"served" (fun () ->
-        Printf.sprintf "read after %.3fs wait" (nw -. p.p_submit));
+  if nw > p.p_submit && observed t then
+    emit t (Event.Served { wait = nw -. p.p_submit });
   if t.cfg.Config.record_accesses then
     t.records <-
       access_record t ~kind:Access.Read ~obs ~submit:p.p_submit ~serve:nw
@@ -709,7 +713,7 @@ and serve_write t p op affects k =
   let obs = capture_observation t in
   let pre_vector = Version_vector.copy (Wlog.vector t.wlog) in
   let outcome = Wlog.accept t.wlog w in
-  trace t ~kind:"accept" (fun () -> Write.to_string w);
+  if observed t then emit t (Event.Accept w);
   update_rate t;
   add_outstanding t w;
   (match t.on_accept with Some f -> f w pre_vector | None -> ());
@@ -982,9 +986,8 @@ and apply_sync t ~from ~vector ~cover ~csn_start ~csn ~rate ~kind payload =
     | Batch.Full (snap, writes) ->
       if Wlog.install_snapshot t.wlog snap then begin
         t.s_snapshots_installed <- t.s_snapshots_installed + 1;
-        trace t ~kind:"snapshot" (fun () ->
-            Printf.sprintf "installed %d committed writes from replica %d"
-              snap.Wlog.snap_ncommitted from);
+        if observed t then
+          emit t (Event.Snapshot { from; committed = snap.Wlog.snap_ncommitted });
         (* The committed prefix the snapshot represents counts as committed
            for the primary scheme's pointer too. *)
         t.csn_committed <- max t.csn_committed snap.Wlog.snap_ncommitted
@@ -992,9 +995,8 @@ and apply_sync t ~from ~vector ~cover ~csn_start ~csn ~rate ~kind payload =
       writes
   in
   let fresh = Wlog.insert_batch t.wlog writes in
-  if fresh <> [] then
-    trace t ~kind:"transfer" (fun () ->
-        Printf.sprintf "%d new writes from replica %d" (List.length fresh) from);
+  if fresh <> [] && observed t then
+    emit t (Event.Transfer { from; writes = List.length fresh });
   (* Cover merge is sound only after the writes are in the log. *)
   Array.iteri (fun o c -> if c > t.cover.(o) then t.cover.(o) <- c) cover;
   t.cover.(t.rid) <- now t;
@@ -1056,9 +1058,9 @@ and process t ~src msg =
          writes, vector and CSN slice all describe a different log.  Reject
          and account — the interest-set-aware oracle flags the counter. *)
       t.s_wrong_shard <- t.s_wrong_shard + 1;
-      trace t ~kind:"wrong-shard" (fun () ->
-          Printf.sprintf "rejected frame for shard %d (serving %d)"
-            b.Batch.shard t.cfg.Config.shard_id)
+      if observed t then
+        emit t
+          (Event.Wrong_shard { shard = b.Batch.shard; serving = t.cfg.Config.shard_id })
     | Ok b ->
       apply_sync t ~from:b.Batch.from ~vector:b.Batch.vector
         ~cover:b.Batch.cover ~csn_start:b.Batch.csn_start ~csn:b.Batch.csn
@@ -1117,10 +1119,11 @@ let admit t p =
     | Pwrite (op, affects, k) -> serve_write t p op affects k
   else begin
     t.s_blocked <- t.s_blocked + 1;
-    trace t ~kind:"blocked" (fun () ->
-        Printf.sprintf "%s with %d deps"
-          (match p.p_kind with Pread _ -> "read" | Pwrite _ -> "write")
-          (List.length p.p_deps));
+    if observed t then
+      emit t
+        (Event.Blocked
+           { write = (match p.p_kind with Pread _ -> false | Pwrite _ -> true);
+             deps = List.length p.p_deps });
     Queue.push p t.pending;
     t.npending <- t.npending + 1;
     (* Claim the sweep before triggering and pumping run continuations, so
@@ -1180,7 +1183,7 @@ let submit_write ?require ?deadline ?on_timeout t ~deps ~affects ~op ~k =
    [on_timeout]. *)
 let crash t =
   if t.up then begin
-    trace t ~kind:"crash" (fun () -> "replica down");
+    emit t Event.Crash;
     t.up <- false;
     t.crashes <- t.crashes + 1;
     match t.mutation with
@@ -1212,7 +1215,7 @@ let crash t =
 let recover t =
   if not t.up then begin
     t.up <- true;
-    trace t ~kind:"recover" (fun () -> "replica up");
+    emit t Event.Recover;
     (* Proactively resynchronise with every peer. *)
     for j = 0 to t.n - 1 do
       if j <> t.rid then send_pull t ~dst:j ~round:0

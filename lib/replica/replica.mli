@@ -134,6 +134,10 @@ val recover : t -> unit
 val is_up : t -> bool
 val crash_count : t -> int
 
+val emit : t -> Tact_store.Event.kind -> unit
+(** Publish one event, stamped with this replica's id and clock, into its
+    endpoint's sink ([ep_emit]); a no-op without one. *)
+
 (** {2 Incoming messages} *)
 
 val receive : t -> src:int -> Wire.msg -> unit

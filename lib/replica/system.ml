@@ -37,7 +37,7 @@ let msg_size n = function
   | Wire.Batch_frame s -> String.length s
 
 let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
-    ?mutation ~topology ~config () =
+    ?mutation ?on_event ~topology ~config () =
   (match Config.validate ~n:topology.Topology.n config with
   | Ok () -> ()
   | Error m -> invalid_arg ("System.create: " ^ m));
@@ -80,6 +80,7 @@ let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
                 Replica.receive target ~src:i msg);
           Ok ());
       ep_close = ignore;
+      ep_emit = on_event;
     }
   in
   replicas :=

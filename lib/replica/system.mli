@@ -12,6 +12,7 @@ val create :
   ?loss:float ->
   ?track_writes:bool ->
   ?mutation:Mutation.t ->
+  ?on_event:(Tact_store.Event.t -> unit) ->
   topology:Tact_sim.Topology.t ->
   config:Config.t ->
   unit ->
@@ -27,7 +28,9 @@ val create :
     registry behind {!all_writes}/{!return_time}/{!accept_vector}; disable it
     for bounded-memory scale runs, where it grows with every write ever
     accepted (those accessors then see nothing).  [mutation] (default [Off])
-    plants a bug in every replica, for harness self-tests ({!Mutation}). *)
+    plants a bug in every replica, for harness self-tests ({!Mutation}).
+    [on_event] is every replica's event sink ({!Tact_store.Event}), stamped
+    with virtual time; without it nothing is built. *)
 
 val engine : t -> Tact_sim.Engine.t
 val config : t -> Config.t

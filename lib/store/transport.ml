@@ -32,6 +32,7 @@ type 'm endpoint = {
   ep_every : tag:string -> period:float -> (unit -> bool) -> unit;
   ep_send : dst:int -> 'm -> (unit, error) result;
   ep_close : unit -> unit;
+  ep_emit : (Event.t -> unit) option;
 }
 
 (* ------------------------------------------------------------------ *)

@@ -64,6 +64,10 @@ type 'm endpoint = {
           machinery.  Must never block the caller indefinitely and never
           raise: backpressure and peer failure surface as [Error]. *)
   ep_close : unit -> unit;  (** idempotent backend teardown *)
+  ep_emit : (Event.t -> unit) option;
+      (** the process's event sink, if anyone listens.  Producers test the
+          option before building an event, so [None] costs one branch and
+          no allocation per site. *)
 }
 
 (** {2 Length-prefix framing}

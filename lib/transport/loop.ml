@@ -5,9 +5,11 @@
    race (the same execution model the deterministic engine gives the
    protocol code).
 
-   Time is reported relative to loop creation, so protocol timestamps look
-   like the simulator's (small floats starting near 0) and never encode the
-   host's epoch. *)
+   Time is the host's wall clock, the same for every loop: covers and
+   write timestamps are compared across processes, so daemons started at
+   different moments must agree on what "now" is.  Bounded staleness across
+   hosts therefore needs loosely synchronised clocks, as the paper assumes
+   (doc/TRANSPORT.md). *)
 
 module Heap = Tact_util.Heap
 
@@ -19,7 +21,6 @@ type fd_watch = {
 }
 
 type t = {
-  epoch : float;  (* Unix.gettimeofday at creation *)
   timers : (unit -> unit) Heap.t;  (* keyed by (due, seq): FIFO among ties *)
   mutable seq : int;
   watches : (Unix.file_descr, fd_watch) Hashtbl.t;
@@ -31,7 +32,6 @@ type t = {
 
 let create () =
   {
-    epoch = Unix.gettimeofday ();
     timers = Heap.create ();
     seq = 0;
     watches = Hashtbl.create 16;
@@ -39,7 +39,7 @@ let create () =
     wakeups = [];
   }
 
-let now t = Unix.gettimeofday () -. t.epoch
+let now _ = Unix.gettimeofday ()
 
 (* [tag] is provenance for the caller's diagnostics; the loop keeps only
    the due time, the tie-break and the thunk. *)
@@ -139,12 +139,8 @@ let run_once ?(max_wait = 0.25) t =
     true
   end
 
-let run ?until t =
+let run t =
   let live = ref true in
-  let continue () =
-    (not t.stopping)
-    && (match until with Some u -> now t < u | None -> true)
-  in
-  while !live && continue () do
+  while !live && not t.stopping do
     live := run_once t
   done

@@ -8,15 +8,18 @@
     runs against is built from {!now}/{!schedule}/{!every} here plus a
     {!Tcp} backend.
 
-    Time is reported relative to loop creation, so protocol timestamps look
-    like the simulator's (small floats starting near zero). *)
+    Time is the host's wall clock, shared by every loop on the host: live
+    replicas compare each other's covers and write timestamps, so two
+    daemons started apart must not run on offset clocks.  Across hosts the
+    deployed ST bound needs loosely synchronised clocks, as the paper
+    assumes. *)
 
 type t
 
 val create : unit -> t
 
 val now : t -> float
-(** Seconds since the loop was created. *)
+(** Wall-clock seconds ([Unix.gettimeofday]). *)
 
 val schedule : t -> tag:string -> delay:float -> (unit -> unit) -> unit
 (** One-shot timer ([tag] is provenance for diagnostics).  Timers with equal
@@ -53,5 +56,5 @@ val run_once : ?max_wait:float -> t -> bool
     wait for.  Handler exceptions propagate — the caller owns crash
     policy. *)
 
-val run : ?until:float -> t -> unit
-(** Iterate until {!stop}, [until] (loop time), or nothing left to do. *)
+val run : t -> unit
+(** Iterate until {!stop} or nothing left to do. *)

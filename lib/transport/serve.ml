@@ -47,7 +47,7 @@ let peers_up t =
   done;
   !up
 
-let create ?(request_timeout = 30.0) ?(nominal_delay = 0.0) ~id ~n ~peer_addrs
+let create ?(request_timeout = 30.0) ?(nominal_delay = 0.0) ?on_event ~id ~n ~peer_addrs
     ~client_addr ~(config : Config.t) ~seed () =
   if Array.length peer_addrs <> n then invalid_arg "Serve.create: addrs/n mismatch";
   (match Config.validate ~n config with
@@ -56,8 +56,8 @@ let create ?(request_timeout = 30.0) ?(nominal_delay = 0.0) ~id ~n ~peer_addrs
   let loop = Loop.create () in
   let rng = Prng.create ~seed in
   let tcp =
-    Tcp.create ~loop ~self:id ~addrs:peer_addrs ~knobs:config.Config.transport
-      ~rng:(Prng.split rng) ()
+    Tcp.create ?on_event ~loop ~self:id ~addrs:peer_addrs
+      ~knobs:config.Config.transport ~rng:(Prng.split rng) ()
   in
   let faulty =
     Faulty.create ~self:id ~n ~nominal_delay
@@ -79,6 +79,7 @@ let create ?(request_timeout = 30.0) ?(nominal_delay = 0.0) ~id ~n ~peer_addrs
           Wire.encode wire msg;
           Faulty.send faulty ~dst (Codec.Frame.contents wire));
       ep_close = (fun () -> Tcp.close tcp);
+      ep_emit = on_event;
     }
   in
   let replica = Replica.create ~id ~n ~endpoint ~config () in

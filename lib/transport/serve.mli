@@ -17,6 +17,7 @@ type t
 val create :
   ?request_timeout:float ->
   ?nominal_delay:float ->
+  ?on_event:(Tact_store.Event.t -> unit) ->
   id:int ->
   n:int ->
   peer_addrs:Unix.sockaddr array ->
@@ -32,7 +33,9 @@ val create :
     bounds before an [Err "deadline"] response; [nominal_delay] seeds the
     {!Faulty} decorator's baseline one-way delay (default 0: synchronous).
     [seed] derives the supervisor-jitter stream; fault knobs installed
-    later carry their own seeds. *)
+    later carry their own seeds.  [on_event] is the process's one event
+    sink: the replica's endpoint and the {!Tcp} backend both publish into
+    it, stamped with {!Loop.now}, so its events arrive in time order. *)
 
 val loop : t -> Loop.t
 val replica : t -> Tact_replica.Replica.t

@@ -74,7 +74,7 @@ type t = {
   mutable conns : conn list;
   mutable handler : src:int -> string -> unit;
   mutable on_peer_up : int -> unit;
-  mutable trace : (string -> unit) option;
+  on_event : (Event.t -> unit) option;
   stats : stats;
   park_cap_bytes : int;
   mutable closed : bool;
@@ -84,10 +84,16 @@ let self t = t.self
 let size t = t.n
 let set_handler t h = t.handler <- h
 let set_on_peer_up t f = t.on_peer_up <- f
-let set_trace t f = t.trace <- Some f
 
-(* Trace lines are built lazily so a disabled trace costs one branch. *)
-let tr t k = match t.trace with None -> () | Some f -> f (k ())
+(* Connection events.  Sites test [observed] before they build the event,
+   so an unobserved backend pays one branch and allocates nothing. *)
+let observed t = Option.is_some t.on_event
+
+let emit t kind =
+  match t.on_event with
+  | Some sink -> sink { Event.time = Loop.now t.loop; node = t.self; kind }
+  | None -> ()
+
 let stats t = t.stats
 let peer_state t j =
   match t.peers.(j) with Some p -> p.p_sup | None -> Supervisor.initial
@@ -96,7 +102,7 @@ let peer_up t j = match t.peers.(j) with Some p -> Supervisor.is_up p.p_sup | No
 let peer_parked t j =
   match t.peers.(j) with Some p -> Supervisor.is_parked p.p_sup | None -> false
 
-let create ?(park_cap_bytes = 64 * 1024 * 1024) ~loop ~self ~addrs
+let create ?(park_cap_bytes = 64 * 1024 * 1024) ?on_event ~loop ~self ~addrs
     ~(knobs : Tact_replica.Config.transport_knobs) ~rng () =
   let n = Array.length addrs in
   if self < 0 || self >= n then invalid_arg "Tcp.create: self out of range";
@@ -136,7 +142,7 @@ let create ?(park_cap_bytes = 64 * 1024 * 1024) ~loop ~self ~addrs
     conns = [];
     handler = (fun ~src:_ _ -> ());
     on_peer_up = (fun _ -> ());
-    trace = None;
+    on_event;
     stats =
       {
         sent_frames = 0;
@@ -186,17 +192,18 @@ let sup_event t (p : peer) ev =
   let st, actions =
     Supervisor.step t.sup_knobs t.rng p.p_sup ev ~now:(Loop.now t.loop)
   in
-  if ev <> Supervisor.Tick || st <> before then
-    tr t (fun () ->
-        Printf.sprintf "peer %d: %s --%s--> %s" p.p_id
-          (Supervisor.to_string before)
-          (match ev with
-          | Supervisor.Tick -> "tick"
-          | Supervisor.Dial_ok -> "dial-ok"
-          | Supervisor.Dial_failed -> "dial-failed"
-          | Supervisor.Rx -> "rx"
-          | Supervisor.Io_failed -> "io-failed")
-          (Supervisor.to_string st));
+  if observed t && (ev <> Supervisor.Tick || st <> before) then begin
+    let cause =
+      match ev with
+      | Supervisor.Tick -> "tick"
+      | Supervisor.Dial_ok -> "dial-ok"
+      | Supervisor.Dial_failed -> "dial-failed"
+      | Supervisor.Rx -> "rx"
+      | Supervisor.Io_failed -> "io-failed"
+    in
+    let before = Supervisor.to_string before and after = Supervisor.to_string st in
+    emit t (Event.Link { peer = p.p_id; before; cause; after })
+  end;
   p.p_sup <- st;
   let now_up = Supervisor.is_up st in
   if now_up && not was_up then begin
@@ -265,13 +272,14 @@ and dial_complete t (p : peer) fd =
 
 and enqueue t (p : peer) frame =
   if Supervisor.is_up p.p_sup && p.p_fd <> None then begin
-    tr t (fun () ->
-        Printf.sprintf "enqueue -> %d: %dB" p.p_id (String.length frame));
+    if observed t then
+      emit t (Event.Enqueue { peer = p.p_id; bytes = String.length frame });
     Outbuf.add_string p.p_out frame;
     flush_out t p
   end
   else begin
-    tr t (fun () -> Printf.sprintf "park -> %d: %dB" p.p_id (String.length frame));
+    if observed t then
+      emit t (Event.Park { peer = p.p_id; bytes = String.length frame });
     park t p frame
   end
 
@@ -311,8 +319,9 @@ and flush_out t (p : peer) =
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         Loop.on_writable t.loop fd (fun () -> flush_out t p)
       | exception Unix.Unix_error (e, _, _) ->
-        tr t (fun () ->
-            Printf.sprintf "write -> %d failed: %s" p.p_id (Unix.error_message e));
+        if observed t then
+          emit t
+            (Event.Write_failed { peer = p.p_id; error = Unix.error_message e });
         hang_up t p;
         run_actions t p (sup_event t p Supervisor.Io_failed)
     end
@@ -369,9 +378,7 @@ and read_dialed t (p : peer) fd =
 (* Incoming side: accept / hello / frames                              *)
 
 let drop_conn t (c : conn) =
-  tr t (fun () ->
-      Printf.sprintf "conn from %s dropped"
-        (match c.c_peer with Some i -> string_of_int i | None -> "?"));
+  if observed t then emit t (Event.Dropped c.c_peer);
   Loop.forget t.loop c.c_fd;
   close_fd_quietly c.c_fd;
   t.conns <- List.filter (fun c' -> c' != c) t.conns
@@ -386,7 +393,7 @@ let ack_probe t ~src =
   if src >= 0 && src < t.n && src <> t.self then
     match t.peers.(src) with
     | Some p when Supervisor.is_up p.p_sup ->
-      tr t (fun () -> Printf.sprintf "ack -> %d" src);
+      if observed t then emit t (Event.Ack src);
       Outbuf.add_string p.p_out (frame_of "");
       flush_out t p
     | Some _ | None -> ()
@@ -405,7 +412,7 @@ let rec conn_consume t (c : conn) =
         in
         if id < 0 || id >= t.n || id = t.self then poison_conn t c
         else begin
-          tr t (fun () -> Printf.sprintf "hello <- %d" id);
+          if observed t then emit t (Event.Hello id);
           c.c_peer <- Some id;
           let rest = c.c_len - hello_size in
           Bytes.blit c.c_buf hello_size c.c_buf 0 rest;
@@ -440,9 +447,7 @@ let rec conn_consume t (c : conn) =
         c.c_len <- rest;
         t.stats.recv_frames <- t.stats.recv_frames + 1;
         t.stats.recv_bytes <- t.stats.recv_bytes + hdr + len;
-        tr t (fun () ->
-            Printf.sprintf "recv <- %d: %dB%s" src len
-              (if len = 0 then " (probe)" else ""));
+        if observed t then emit t (Event.Recv { peer = src; bytes = len });
         (match t.peers.(src) with
         | Some p -> run_actions t p (sup_event t p Supervisor.Rx)
         | None -> ());

@@ -36,6 +36,7 @@ type stats = {
 
 val create :
   ?park_cap_bytes:int ->
+  ?on_event:(Tact_store.Event.t -> unit) ->
   loop:Loop.t ->
   self:int ->
   addrs:Unix.sockaddr array ->
@@ -45,6 +46,10 @@ val create :
   t
 (** [addrs.(j)] is peer [j]'s listen address; [addrs.(self)] is ours.
     [park_cap_bytes] (default 64 MiB) bounds each peer's parked backlog.
+    [on_event] receives the connection events (link transitions, frames
+    queued, parked and received, hellos, probe acks, write failures and
+    dropped connections), stamped with {!Loop.now}; without it nothing is
+    built.
     Nothing touches the network until {!listen}.  If the process has no
     [SIGPIPE] handler installed, the signal is set to ignore so writes into
     reset sockets surface as [EPIPE] io errors instead of killing the
@@ -66,12 +71,6 @@ val send : t -> dst:int -> string -> (unit, Tact_store.Transport.error) result
 val set_handler : t -> (src:int -> string -> unit) -> unit
 (** Delivery callback: one call per decoded incoming frame, with the
     hello-authenticated sender id. *)
-
-val set_trace : t -> (string -> unit) -> unit
-(** Stream one-line connection events (supervisor transitions, frames sent,
-    parked and received, hellos, probes, drops) to a sink — the daemon's
-    [--trace] wires this to stderr.  Lines are built lazily; an unset trace
-    costs one branch per event. *)
 
 val set_on_peer_up : t -> (int -> unit) -> unit
 (** Fires (with the peer id) on every transition of a dialed connection

@@ -80,6 +80,46 @@ let write_schedule path =
   output_string oc "\n";
   close_out oc
 
+(* ---- the --trace stream: one Event.to_string line per event ----------- *)
+
+(* The kind label of an event line ("[time] replica N kind detail"). *)
+let event_kind line =
+  match String.index_opt line ']' with
+  | None -> None
+  | Some i -> (
+    match
+      List.filter (( <> ) "")
+        (String.split_on_char ' ' (String.sub line (i + 1) (String.length line - i - 1)))
+    with
+    | "replica" :: _ :: kind :: _ -> Some kind
+    | _ -> None)
+
+let replica_kinds =
+  [ "accept"; "transfer"; "commit"; "snapshot"; "blocked"; "served"; "malformed";
+    "wrong-shard"; "crash"; "recover" ]
+
+let connection_kinds =
+  [ "link"; "enqueue"; "park"; "recv"; "hello"; "ack"; "write-fail"; "dropped" ]
+
+(* Each daemon's stderr log must carry replica, connection and fault events:
+   one stream, printed as emitted. *)
+let check_trace_logs () =
+  for i = 0 to n - 1 do
+    let ic = open_in (Filename.concat log_dir (Printf.sprintf "replica-%d.stderr" i)) in
+    let kinds = ref [] in
+    (try
+       while true do
+         match event_kind (input_line ic) with
+         | Some k -> kinds := k :: !kinds
+         | None -> ()
+       done
+     with End_of_file -> close_in ic);
+    let has among = List.exists (fun k -> List.mem k among) !kinds in
+    if not (has replica_kinds) then fail "replica %d traced no replica event" i;
+    if not (has connection_kinds) then fail "replica %d traced no connection event" i;
+    if not (has [ "fault" ]) then fail "replica %d traced no fault" i
+  done
+
 (* ---- a small blocking client for the Serve protocol ------------------- *)
 
 let rec really_write fd s off len =
@@ -144,6 +184,7 @@ let () =
   let sched_path = Filename.concat log_dir "schedule.json" in
   write_schedule sched_path;
 
+  let traced = Sys.getenv_opt "TACT_SMOKE_TRACE" <> None in
   (* Spawn the three daemons; stderr (fault traces, status lines) and the
      final status JSON on stdout go to per-process logs. *)
   let spawn id =
@@ -168,10 +209,10 @@ let () =
         "--status-every"; "1";
       |]
     in
-    (* TACT_SMOKE_TRACE=1 streams each daemon's protocol trace into its
-       stderr log — turn it on when a CI failure needs a post-mortem. *)
+    (* TACT_SMOKE_TRACE=1 streams each daemon's events into its stderr log
+       (a post-mortem for a CI failure) and checks the stream afterwards. *)
     let args =
-      if Sys.getenv_opt "TACT_SMOKE_TRACE" <> None then
+      if traced then
         Array.append args [| "--trace" |]
       else args
     in
@@ -266,5 +307,6 @@ let () =
             if not ok then fail "replica %d final status lacks %s: %s" i frag line)
           [ "\"malformed\":0"; "\"parked_drops\":0"; "\"up\":true" ])
     pids;
+  if traced then check_trace_logs ();
   Printf.printf "serve-smoke ok: %d writes, converged at %g, clean drain\n" !submitted
     expect

@@ -1,4 +1,4 @@
-(* The scenario DSL and the system monitor. *)
+(* The scenario DSL and the event-derived commit series. *)
 
 open Tact_sim
 open Tact_store
@@ -7,8 +7,8 @@ open Tact_workload
 
 let feq a b = Float.abs (a -. b) < 1e-9
 
-let system () =
-  System.create
+let system ?on_event () =
+  System.create ?on_event
     ~topology:(Topology.uniform ~n:3 ~latency:0.03 ~bandwidth:1e6)
     ~config:
       {
@@ -53,18 +53,21 @@ let test_scenario_fault_timeline () =
   | _ -> Alcotest.fail "one read expected");
   Alcotest.(check bool) "converged after faults" true (System.converged sys)
 
+(* Replica 0's commit series, built from its Commit events the way E12
+   builds its plot. *)
 let test_monitor_series () =
-  let sys = system () in
-  let monitor = Monitor.start sys ~period:1.0 ~until:20.0 in
+  let on_event, progress =
+    Tact_experiments.E12_commit.commit_progress ~node:0 ~period:1.0 ~until:20.0
+  in
+  let sys = system ~on_event () in
   Scenario.run sys ~until:40.0
     [
       Scenario.at 2.0 (Scenario.write ~replica:0 ~conit:"c" (Op.Add ("x", 1.0)));
       Scenario.at 8.0 (Scenario.write ~replica:1 ~conit:"c" (Op.Add ("x", 1.0)));
     ];
-  let samples = Monitor.samples monitor in
-  Alcotest.(check bool) "sampled about 20 times" true (List.length samples >= 18);
+  let committed0 = progress () in
+  Alcotest.(check bool) "sampled about 20 times" true (List.length committed0 >= 18);
   (* Chronological and monotone in committed count. *)
-  let committed0 = Monitor.series monitor ~f:(fun s -> float_of_int s.Monitor.committed.(0)) in
   let rec monotone = function
     | (t1, v1) :: ((t2, v2) :: _ as tl) -> t1 < t2 && v1 <= v2 && monotone tl
     | _ -> true

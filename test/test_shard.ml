@@ -408,6 +408,7 @@ let test_wrong_shard_frame_rejected () =
               Replica.receive !peers.(dst) ~src msg);
           Ok ());
       ep_close = ignore;
+      ep_emit = None;
     }
   in
   let r0 = Replica.create ~id:0 ~n:2 ~endpoint:(endpoint 0) ~config:(mk 0) () in

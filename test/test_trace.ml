@@ -1,39 +1,17 @@
-(* The trace ring buffer and its replica integration. *)
+(* The typed event stream: the simulator's replicas and a live daemon
+   publish into one sink. *)
 
-open Tact_util
-
-let test_ring_buffer () =
-  let tr = Trace.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Trace.record tr ~time:(float_of_int i) ~source:"s" ~kind:"k" (string_of_int i)
-  done;
-  Alcotest.(check int) "total count" 5 (Trace.count tr);
-  let evs = Trace.events tr in
-  Alcotest.(check int) "retained = capacity" 3 (List.length evs);
-  Alcotest.(check (list string)) "oldest evicted" [ "3"; "4"; "5" ]
-    (List.map (fun (e : Trace.event) -> e.detail) evs)
-
-let test_render_and_find () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~source:"a" ~kind:"x" "one";
-  Trace.record tr ~time:2.0 ~source:"b" ~kind:"y" "two";
-  Trace.record tr ~time:3.0 ~source:"a" ~kind:"x" "three";
-  Alcotest.(check int) "find by kind" 2 (List.length (Trace.find tr ~kind:"x"));
-  let r = Trace.render ~last:1 tr in
-  Alcotest.(check bool) "render tail" true
-    (String.length r > 0
-    && List.length (String.split_on_char '\n' (String.trim r)) = 1)
+open Tact_store
 
 let test_replica_integration () =
   let open Tact_sim in
-  let open Tact_store in
   let open Tact_replica in
-  let tr = Trace.create () in
-  let config =
-    { Config.default with Config.antientropy_period = Some 0.5; trace = Some tr }
-  in
+  let events = ref [] in
+  let config = { Config.default with Config.antientropy_period = Some 0.5 } in
   let sys =
-    System.create ~topology:(Topology.uniform ~n:2 ~latency:0.03 ~bandwidth:1e6)
+    System.create
+      ~on_event:(fun e -> events := e :: !events)
+      ~topology:(Topology.uniform ~n:2 ~latency:0.03 ~bandwidth:1e6)
       ~config ()
   in
   let engine = System.engine sys in
@@ -42,13 +20,48 @@ let test_replica_integration () =
         ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ]
         ~op:(Op.Add ("x", 1.0)) ~k:ignore);
   System.run ~until:30.0 sys;
-  Alcotest.(check bool) "accept traced" true (Trace.find tr ~kind:"accept" <> []);
-  Alcotest.(check bool) "transfer traced" true (Trace.find tr ~kind:"transfer" <> []);
-  Alcotest.(check bool) "commit traced" true (Trace.find tr ~kind:"commit" <> [])
+  let saw f = List.exists (fun (e : Event.t) -> f e.Event.kind) !events in
+  Alcotest.(check bool) "accept emitted" true
+    (saw (function Event.Accept _ -> true | _ -> false));
+  Alcotest.(check bool) "transfer emitted" true
+    (saw (function Event.Transfer _ -> true | _ -> false));
+  Alcotest.(check bool) "commit emitted" true
+    (saw (function Event.Commit _ -> true | _ -> false))
+
+(* A live daemon's one sink: replica and connection events arrive through
+   the same callback, on one clock, in time order. *)
+let test_serve_one_sink () =
+  let open Tact_transport in
+  let events = ref [] (* newest first *) in
+  let serves, _, pump_all =
+    Test_transport.serve_fleet ~n:2 ~on_event:(fun e -> events := e :: !events) ()
+  in
+  Tact_replica.Replica.submit_write (Serve.replica serves.(0)) ~deps:[]
+    ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ]
+    ~op:(Op.Add ("x", 1.0)) ~k:ignore;
+  let saw f () = List.exists (fun (e : Event.t) -> f e.Event.kind) !events in
+  let accepted = saw (function Event.Accept _ -> true | _ -> false)
+  and linked = saw (function Event.Link _ -> true | _ -> false)
+  and greeted = saw (function Event.Hello _ -> true | _ -> false) in
+  (* The peer's hello may still be in flight once the mesh is up. *)
+  ignore (pump_all ~wall:5.0 greeted);
+  Alcotest.(check bool) "replica events" true (accepted ());
+  Alcotest.(check bool) "connection events" true (linked () && greeted ());
+  Alcotest.(check bool) "all from daemon 0" true
+    (List.for_all (fun (e : Event.t) -> e.Event.node = 0) !events);
+  let rec nondecreasing = function
+    | (a : Event.t) :: ((b : Event.t) :: _ as tl) ->
+      a.Event.time >= b.Event.time && nondecreasing tl
+    | _ -> true
+  in
+  Alcotest.(check bool) "time order" true (nondecreasing !events);
+  Array.iter Serve.request_stop serves;
+  Alcotest.(check bool) "drained" true
+    (pump_all ~wall:6.0 (fun () -> Array.for_all Serve.stopped serves));
+  Array.iter Serve.close serves
 
 let suite =
   [
-    Alcotest.test_case "ring buffer" `Quick test_ring_buffer;
-    Alcotest.test_case "render and find" `Quick test_render_and_find;
     Alcotest.test_case "replica integration" `Quick test_replica_integration;
+    Alcotest.test_case "serve: one sink in time order" `Quick test_serve_one_sink;
   ]

@@ -550,8 +550,9 @@ let fast_knobs =
     half_open_after = 0.5;
   }
 
-(* Pump one shared loop until [cond] holds or [deadline] (loop seconds). *)
-let pump loop ~deadline cond =
+(* Pump one shared loop until [cond] holds or [wall] seconds pass. *)
+let pump loop ~wall cond =
+  let deadline = Loop.now loop +. wall in
   while (not (cond ())) && Loop.now loop < deadline do
     ignore (Loop.run_once ~max_wait:0.01 loop)
   done;
@@ -581,7 +582,7 @@ let test_tcp_loopback_delivery () =
              (fun j -> j = Tcp.self t || Tcp.peer_up t j)
              [ 0; 1; 2 ])
   in
-  Alcotest.(check bool) "mesh establishes" true (pump loop ~deadline:5.0 all_up);
+  Alcotest.(check bool) "mesh establishes" true (pump loop ~wall:5.0 all_up);
   (* Every ordered pair exchanges a distinct payload. *)
   for i = 0 to 2 do
     for j = 0 to 2 do
@@ -593,7 +594,7 @@ let test_tcp_loopback_delivery () =
   done;
   let all_received () = Array.for_all (fun l -> List.length l = 2) got in
   Alcotest.(check bool) "all frames delivered" true
-    (pump loop ~deadline:5.0 all_received);
+    (pump loop ~wall:5.0 all_received);
   for me = 0 to 2 do
     List.iter
       (fun (src, payload) ->
@@ -628,12 +629,12 @@ let test_tcp_park_and_reconnect_resync () =
   Tcp.listen t0 ~addr:addrs.(0);
   Tcp.listen !t1 ~addr:addrs.(1);
   Alcotest.(check bool) "pair up" true
-    (pump loop ~deadline:5.0 (fun () -> Tcp.peer_up t0 1 && Tcp.peer_up !t1 0));
+    (pump loop ~wall:5.0 (fun () -> Tcp.peer_up t0 1 && Tcp.peer_up !t1 0));
   Alcotest.(check bool) "initial resync fired" true (List.mem 1 !resyncs);
   (* Kill peer 1 entirely; 0 detects the death and parks traffic. *)
   Tcp.close !t1;
   Alcotest.(check bool) "death detected" true
-    (pump loop ~deadline:5.0 (fun () -> not (Tcp.peer_up t0 1)));
+    (pump loop ~wall:5.0 (fun () -> not (Tcp.peer_up t0 1)));
   Alcotest.(check bool) "supervisor no longer up" false
     (Sup.is_up (Tcp.peer_state t0 1));
   (match Tcp.send t0 ~dst:1 "while-down" with
@@ -649,9 +650,9 @@ let test_tcp_park_and_reconnect_resync () =
   Tcp.set_handler !t1 (fun ~src payload -> got1 := (src, payload) :: !got1);
   Tcp.listen !t1 ~addr:addrs.(1);
   Alcotest.(check bool) "reconnects" true
-    (pump loop ~deadline:5.0 (fun () -> Tcp.peer_up t0 1));
+    (pump loop ~wall:5.0 (fun () -> Tcp.peer_up t0 1));
   Alcotest.(check bool) "parked frame replayed" true
-    (pump loop ~deadline:5.0 (fun () -> List.mem (0, "while-down") !got1));
+    (pump loop ~wall:5.0 (fun () -> List.mem (0, "while-down") !got1));
   Alcotest.(check bool) "resync on reconnect" true (List.mem 1 !resyncs);
   Alcotest.(check bool) "reconnect counted" true ((Tcp.stats t0).Tcp.reconnects >= 1);
   Tcp.close t0;
@@ -671,7 +672,7 @@ let test_tcp_parks_after_retry_budget () =
   in
   Tcp.listen t0 ~addr:addrs.(0);
   Alcotest.(check bool) "parks after budget" true
-    (pump loop ~deadline:5.0 (fun () -> Tcp.peer_parked t0 1));
+    (pump loop ~wall:5.0 (fun () -> Tcp.peer_parked t0 1));
   (match Tcp.send t0 ~dst:1 "still-retained" with
   | Ok () -> ()
   | Error e -> Alcotest.failf "parked send: %s" (Transport.error_to_string e));
@@ -693,7 +694,7 @@ let test_tcp_poisons_hostile_bytes () =
   let garbage = "GETGARBAGEGARBAGE" in
   ignore (Unix.write_substring hostile garbage 0 (String.length garbage));
   Alcotest.(check bool) "hostile hello poisoned" true
-    (pump loop ~deadline:5.0 (fun () -> (Tcp.stats t0).Tcp.poisoned >= 1));
+    (pump loop ~wall:5.0 (fun () -> (Tcp.stats t0).Tcp.poisoned >= 1));
   (try Unix.close hostile with Unix.Unix_error _ -> ());
   (* A correct hello followed by an oversized frame announcement. *)
   let sneaky = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -705,7 +706,7 @@ let test_tcp_poisons_hostile_bytes () =
   let huge = Transport.encode_frame_header ~len:(1 lsl 29) in
   ignore (Unix.write_substring sneaky huge 0 (String.length huge));
   Alcotest.(check bool) "oversize announcement poisoned" true
-    (pump loop ~deadline:5.0 (fun () -> (Tcp.stats t0).Tcp.poisoned >= 2));
+    (pump loop ~wall:5.0 (fun () -> (Tcp.stats t0).Tcp.poisoned >= 2));
   (try Unix.close sneaky with Unix.Unix_error _ -> ());
   Tcp.close t0
 
@@ -727,9 +728,9 @@ let test_tcp_no_fd_leak () =
     Tcp.set_handler t1 (fun ~src:_ _ -> got := true);
     Tcp.listen t0 ~addr:addrs.(0);
     Tcp.listen t1 ~addr:addrs.(1);
-    ignore (pump loop ~deadline:5.0 (fun () -> Tcp.peer_up t0 1));
+    ignore (pump loop ~wall:5.0 (fun () -> Tcp.peer_up t0 1));
     ignore (Tcp.send t0 ~dst:1 "ping");
-    ignore (pump loop ~deadline:5.0 (fun () -> !got));
+    ignore (pump loop ~wall:5.0 (fun () -> !got));
     Tcp.close t0;
     Tcp.close t1;
     Tcp.close t0 (* double close must not double-free *)
@@ -779,20 +780,25 @@ let client_try_read c =
     | Error e -> Alcotest.failf "client decode: %s" (Transport.error_to_string e))
   | _ -> None
 
-(* Three started daemons on fresh loopback ports, their client addresses,
-   and a pump that turns every daemon's loop until [cond] holds or [wall]
-   seconds pass; returns once the peer mesh is up. *)
-let serve_fleet () =
-  let ports = Array.of_list (fresh_ports 6) in
-  let peer_addrs = Array.init 3 (fun i -> loopback ports.(i)) in
-  let client_addrs = Array.init 3 (fun i -> loopback ports.(i + 3)) in
-  let config =
-    { Config.default with Config.transport = { fast_knobs with Config.drain_timeout = 2.0 } }
-  in
+let fleet_config =
+  { Config.default with Config.transport = { fast_knobs with Config.drain_timeout = 2.0 } }
+
+(* [n] (default 3) started daemons on fresh loopback ports, their client
+   addresses, and a pump that turns every daemon's loop until [cond] holds
+   or [wall] seconds pass; returns once the peer mesh is up.  Each daemon is
+   created [gap] seconds after the one before it; [on_event] is daemon 0's
+   event sink. *)
+let serve_fleet ?(n = 3) ?(gap = 0.0) ?on_event ?(config = fleet_config) () =
+  let ports = Array.of_list (fresh_ports (2 * n)) in
+  let peer_addrs = Array.init n (fun i -> loopback ports.(i)) in
+  let client_addrs = Array.init n (fun i -> loopback ports.(i + n)) in
   let serves =
-    Array.init 3 (fun id ->
-        Serve.create ~request_timeout:8.0 ~id ~n:3 ~peer_addrs
-          ~client_addr:client_addrs.(id) ~config ~seed:(100 + id) ())
+    Array.init n (fun id ->
+        if id > 0 && gap > 0.0 then Unix.sleepf gap;
+        Serve.create ~request_timeout:8.0
+          ?on_event:(if id = 0 then on_event else None)
+          ~id ~n ~peer_addrs ~client_addr:client_addrs.(id) ~config
+          ~seed:(100 + id) ())
   in
   Array.iter Serve.start serves;
   let pump_all ~wall cond =
@@ -804,7 +810,7 @@ let serve_fleet () =
   in
   Alcotest.(check bool) "mesh up" true
     (pump_all ~wall:8.0 (fun () ->
-         Array.for_all (fun s -> Serve.peers_up s = 2) serves));
+         Array.for_all (fun s -> Serve.peers_up s = n - 1) serves));
   (serves, client_addrs, pump_all)
 
 (* Send one request and pump until its response arrives. *)
@@ -835,6 +841,44 @@ let test_serve_rejects_invalid_config () =
   | exception Invalid_argument m ->
     Alcotest.(check bool) "names Serve.create" true
       (String.starts_with ~prefix:"Serve.create: " m)
+
+(* Daemons started apart share one clock.  Replica 0 is created 0.5 s before
+   replica 1 and gossips every 50 ms; then 0's traffic to 1 is cut for
+   0.4 s.  A read at 1 bounded by ST 0.2 must not be served from that stale
+   state: it parks, its pull's reply is cut too, and it times out.  A clock
+   that starts at each loop's creation would put 0's covers 0.5 s in 1's
+   future, and 1 would serve the read at once. *)
+let test_serve_staggered_clock () =
+  let config =
+    { fleet_config with
+      Config.conits = [ Tact_core.Conit.declare "c" ];
+      antientropy_period = Some 0.05 }
+  in
+  let serves, _, pump_all = serve_fleet ~n:2 ~gap:0.5 ~config () in
+  let settle wall =
+    let t0 = Unix.gettimeofday () in
+    ignore (pump_all ~wall (fun () -> Unix.gettimeofday () -. t0 >= wall))
+  in
+  settle 0.3;
+  Array.iter
+    (fun s -> Tact_check.Live.apply s (Tact_check.Fault.Cut_oneway ([ 0 ], [ 1 ])))
+    serves;
+  settle 0.4;
+  let r1 = Serve.replica serves.(1) in
+  let served = ref false and timed_out = ref false in
+  Replica.submit_read r1
+    ~deadline:(Loop.now (Serve.loop serves.(1)) +. 0.3)
+    ~on_timeout:(fun () -> timed_out := true)
+    ~deps:[ ("c", Tact_core.Bounds.make ~st:0.2 ()) ]
+    ~f:(fun db -> Db.get db "x")
+    ~k:(fun _ -> served := true);
+  Alcotest.(check bool) "stale read not served at once" false !served;
+  ignore (pump_all ~wall:3.0 (fun () -> !served || !timed_out));
+  Alcotest.(check bool) "read times out behind the cut" true (!timed_out && not !served);
+  Array.iter Serve.request_stop serves;
+  Alcotest.(check bool) "drained" true
+    (pump_all ~wall:6.0 (fun () -> Array.for_all Serve.stopped serves));
+  Array.iter Serve.close serves
 
 let test_serve_unknown_procedure () =
   (* A client names a procedure the fleet's table lacks: the write is
@@ -1134,6 +1178,7 @@ let recording_replica ~engine ~id ~n config =
           sent := (dst, msg) :: !sent;
           Ok ());
       ep_close = ignore;
+      ep_emit = None;
     }
   in
   (Replica.create ~id ~n ~endpoint ~config (), sent)
@@ -1359,6 +1404,8 @@ let suite =
       test_serve_nemesis_convergence;
     Alcotest.test_case "serve: unknown procedure conflicts" `Quick
       test_serve_unknown_procedure;
+    Alcotest.test_case "serve: daemons started apart share one clock" `Quick
+      test_serve_staggered_clock;
     Alcotest.test_case "outbuf: partial writes keep order" `Quick
       test_outbuf_partial_writes;
     Alcotest.test_case "serve: slow reader gets every response" `Quick
