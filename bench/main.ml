@@ -10,7 +10,7 @@
    entries, timed one at a time on the same workload.
 
    Every report has one JSON schema, written and read through
-   Tact_check.Json:
+   Tact_util.Json:
      {cores, ocaml_version, kernels: [{name, layer, n, seconds, counts?}]}
    [counts] holds the integer figures measured next to the time (messages,
    bytes, allocations, schedules) and the kernel's parameters besides [n].
@@ -1003,7 +1003,7 @@ let measure ~smoke kernels =
     ocaml_version = Some Sys.ocaml_version; rows }
 
 let to_json rep =
-  let open Tact_check.Json in
+  let open Tact_util.Json in
   let int i = Num (float_of_int i) in
   let opt f = function Some x -> f x | None -> Null in
   let row r =
@@ -1022,7 +1022,7 @@ let to_json rep =
 exception Schema of string
 
 let of_json j =
-  let open Tact_check.Json in
+  let open Tact_util.Json in
   let get key conv v =
     match Option.bind (member key v) conv with
     | Some x -> x
@@ -1060,14 +1060,14 @@ let of_json j =
 
 let save path rep =
   let oc = open_out_bin path in
-  output_string oc (Tact_check.Json.to_string (to_json rep) ^ "\n");
+  output_string oc (Tact_util.Json.to_string (to_json rep) ^ "\n");
   close_out oc
 
 let load path =
   let ic = open_in_bin path in
   let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  match Tact_check.Json.parse src with
+  match Tact_util.Json.parse src with
   | Error e -> raise (Schema e)
   | Ok j -> of_json j
 

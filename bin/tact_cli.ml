@@ -180,13 +180,13 @@ let trace_cmd =
           ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ]
           ~op:(Op.Add ("x", 1.0)) ~k:ignore);
     Engine.schedule engine ~delay:1.0 (fun () ->
-        Net.partition (System.net sys) [ 2 ] [ 0; 1 ]);
+        Links.partition (Net.links (System.net sys)) [ 2 ] [ 0; 1 ]);
     Engine.schedule engine ~delay:1.5 (fun () ->
         Replica.submit_read (System.replica sys 2)
           ~deps:[ ("c", Bounds.strong) ]
           ~f:(fun db -> Db.get db "x")
           ~k:ignore);
-    Engine.schedule engine ~delay:4.0 (fun () -> Net.heal (System.net sys));
+    Engine.schedule engine ~delay:4.0 (fun () -> Links.heal (Net.links (System.net sys)));
     System.run ~until:20.0 sys;
     Printf.printf
       "scenario: write at replica 0; replica 2 partitioned at t=1, issues a        strong read at t=1.5, partition heals at t=4.

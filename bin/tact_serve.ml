@@ -34,7 +34,7 @@ open Tact_transport
 module Config = Tact_replica.Config
 module Replica = Tact_replica.Replica
 module Fault = Tact_check.Fault
-module Json = Tact_check.Json
+module Json = Tact_util.Json
 
 let usage () =
   prerr_endline

@@ -32,10 +32,10 @@ let () =
   (* Partition the two sites between t=5 and t=15. *)
   Engine.schedule engine ~delay:5.0 (fun () ->
       print_endline "[t= 5.0s] -- network partition --";
-      Net.partition (System.net sys) [ 0 ] [ 1 ]);
+      Links.partition (Net.links (System.net sys)) [ 0 ] [ 1 ]);
   Engine.schedule engine ~delay:15.0 (fun () ->
       print_endline "[t=15.0s] -- partition healed --";
-      Net.heal (System.net sys));
+      Links.heal (Net.links (System.net sys)));
 
   (* A reviewer at replica 1 insists on at most 12 unseen characters and a
      fully stable (committed) view; during the partition this read blocks. *)

@@ -1,3 +1,4 @@
+module Json = Tact_util.Json
 module Mutation = Tact_replica.Mutation
 
 type kind = Scenario of string | Sampled of int

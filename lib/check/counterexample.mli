@@ -32,8 +32,8 @@ val of_failure : kind -> Runner.spec -> t
     surviving event if the violation persists.  A run that does not violate
     is recorded as it is. *)
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
+val to_json : t -> Tact_util.Json.t
+val of_json : Tact_util.Json.t -> (t, string) result
 val save : path:string -> t -> unit
 
 val load : path:string -> (t * Sample.plan, string) result

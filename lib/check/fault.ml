@@ -1,3 +1,4 @@
+module Json = Tact_util.Json
 open Tact_replica
 
 type action =
@@ -44,68 +45,72 @@ let describe = function
 let knob_rng ~salt ~rate =
   if rate <= 0.0 then None else Some (Tact_util.Prng.create ~seed:salt, rate)
 
-(* A global action projected onto one shard's sub-system: group and replica
-   ids are filtered to the shard's subscribers and renumbered locally, so a
-   fault never reaches a replica through a shard it does not serve.  Global
-   knobs (loss, duplication, delay, bandwidth) apply to every shard's net;
-   their rng salt is offset by the shard id (shard 0 keeps the raw salt, so
-   a one-shard view replays the plain draw stream exactly). *)
-let apply_in_shard sh s sys action =
-  let net = System.net sys in
-  let mem r = Sharded.subscribed sh ~shard:s r in
-  let loc r =
-    match Sharded.local_id sh ~shard:s r with
-    | Some l -> l
-    | None -> invalid_arg "Fault.apply_in_shard: non-member replica"
-  in
-  let proj g = List.filter_map (fun r -> if mem r then Some (loc r) else None) g in
+type target = {
+  links : Tact_sim.Links.t;
+  local : int array;
+  replicas : (int * Replica.t) list;
+  link_salt : int;
+  knob_salt : int;
+  emit : (Tact_store.Event.kind -> unit) option;
+}
+
+let local t r =
+  if r >= 0 && r < Array.length t.local && t.local.(r) >= 0 then Some t.local.(r)
+  else None
+
+let apply t action =
   let on_groups f a b =
-    let a' = proj a and b' = proj b in
-    if a' <> [] && b' <> [] then f a' b'
+    let a' = List.filter_map (local t) a and b' = List.filter_map (local t) b in
+    if a' <> [] && b' <> [] then f t.links a' b'
+  in
+  let on_replica r f =
+    List.iter (fun (id, rep) -> if id = r then f rep) t.replicas
   in
   match action with
-  | Cut (a, b) -> on_groups (Tact_sim.Net.partition net) a b
-  | Cut_oneway (a, b) -> on_groups (Tact_sim.Net.partition_oneway net) a b
-  | Heal_between (a, b) -> on_groups (Tact_sim.Net.heal_between net) a b
-  | Heal_all -> Tact_sim.Net.heal net
-  | Crash r -> if mem r then Replica.crash (System.replica sys (loc r))
-  | Recover r -> if mem r then Replica.recover (System.replica sys (loc r))
-  | Recover_all ->
-    for l = 0 to System.size sys - 1 do
-      Replica.recover (System.replica sys l)
-    done
+  | Cut (a, b) -> on_groups Tact_sim.Links.partition a b
+  | Cut_oneway (a, b) -> on_groups Tact_sim.Links.partition_oneway a b
+  | Heal_between (a, b) -> on_groups Tact_sim.Links.heal_between a b
+  | Heal_all -> Tact_sim.Links.heal t.links
+  | Crash r -> on_replica r Replica.crash
+  | Recover r -> on_replica r Replica.recover
+  | Recover_all -> List.iter (fun (_, rep) -> Replica.recover rep) t.replicas
   | Global_loss { rate; salt } ->
-    Tact_sim.Net.set_loss net (knob_rng ~salt:(salt + s) ~rate)
-  | Link_loss { src; dst; rate; salt } ->
-    if mem src && mem dst then
-      Tact_sim.Net.set_link_loss net ~src:(loc src) ~dst:(loc dst)
-        (knob_rng ~salt:(salt + s) ~rate)
+    Tact_sim.Links.set_loss t.links (knob_rng ~salt:(salt + t.knob_salt) ~rate)
+  | Link_loss { src; dst; rate; salt } -> (
+    match (local t src, local t dst) with
+    | Some src, Some dst ->
+      Tact_sim.Links.set_link_loss t.links ~src ~dst
+        (knob_rng ~salt:(salt + t.link_salt) ~rate)
+    | _ -> ())
   | Duplication { rate; salt } ->
-    Tact_sim.Net.set_duplication net (knob_rng ~salt:(salt + s) ~rate)
-  | Delay_factor f -> Tact_sim.Net.set_delay_factor net f
-  | Bandwidth_factor f -> Tact_sim.Net.set_bandwidth_factor net f
+    Tact_sim.Links.set_duplication t.links (knob_rng ~salt:(salt + t.knob_salt) ~rate)
+  | Delay_factor f -> Tact_sim.Links.set_delay_factor t.links f
+  | Bandwidth_factor f -> Tact_sim.Links.set_bandwidth_factor t.links f
 
-let apply sh action =
-  Sharded.iter_subs sh (fun s sys -> apply_in_shard sh s sys action)
+let clear t =
+  Tact_sim.Links.clear t.links;
+  List.iter (fun (_, rep) -> Replica.recover rep) t.replicas
 
-let clear_sys sys =
-  let net = System.net sys in
-  let n = System.size sys in
-  Tact_sim.Net.heal net;
-  Tact_sim.Net.set_loss net None;
-  Tact_sim.Net.set_duplication net None;
-  Tact_sim.Net.set_delay_factor net 1.0;
-  Tact_sim.Net.set_bandwidth_factor net 1.0;
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      if src <> dst then Tact_sim.Net.set_link_loss net ~src ~dst None
-    done
-  done;
-  for r = 0 to n - 1 do
-    Replica.recover (System.replica sys r)
-  done
-
-let clear_all sh = Sharded.iter_subs sh (fun _ sys -> clear_sys sys)
+(* One target per shard: group and replica ids are filtered to the shard's
+   subscribers and renumbered locally, so a fault never reaches a replica
+   through a shard it does not serve.  Stochastic salts are offset by the
+   shard id (shard 0 keeps the raw salt, so a one-shard view replays the
+   plain draw stream exactly). *)
+let targets sh =
+  List.init (Sharded.shards sh) (fun s ->
+      let sys = Sharded.sub sh s in
+      {
+        links = Tact_sim.Net.links (System.net sys);
+        local =
+          Array.init (Sharded.size sh) (fun r ->
+              Option.value ~default:(-1) (Sharded.local_id sh ~shard:s r));
+        replicas =
+          Array.to_list
+            (Array.mapi (fun l r -> (r, System.replica sys l)) (Sharded.members sh s));
+        link_salt = s;
+        knob_salt = s;
+        emit = System.emit sys;
+      })
 
 (* The disturbance footprint of an action: [None] for heals and recoveries
    (they cannot cause a timeout), [Some []] for global knobs (every replica
@@ -122,21 +127,35 @@ let disturbance_scope = function
 
 let fault_label = { Tact_sim.Engine.actor = -1; tag = "fault" }
 
+let tail = "heal-all (quiescent tail)"
+
+(* One step of a schedule: publish it, then act ([None] is the tail).  The
+   description is built only when there is a sink to read it. *)
+let fire t ~at action =
+  Option.iter
+    (fun emit ->
+      let what = match action with Some a -> describe a | None -> tail in
+      emit (Tact_store.Event.Fault { at; action = what }))
+    t.emit;
+  match action with Some a -> apply t a | None -> clear t
+
+(* The quiescent tail is not an event of the schedule: it is armed
+   unconditionally so that shrinking can never "find" a failure by deleting
+   the heal — after [quiet_after] every disturbance is lifted. *)
+let arm ~at t sched =
+  List.iter (fun e -> at e.at (fun () -> fire t ~at:e.at (Some e.action))) sched.events;
+  at sched.quiet_after (fun () -> fire t ~at:sched.quiet_after None)
+
 (* Each shard's engine gets its own copy of every event, applying only that
    shard's projection — shards may be drained on different pool domains, so
    a fault event running on shard A's engine must never touch shard B's
-   state.  The quiescent tail is not an event of the schedule: it is
-   installed unconditionally so that shrinking can never "find" a failure by
-   deleting the heal — after [quiet_after] every disturbance is lifted. *)
+   state. *)
 let install sh sched =
-  Sharded.iter_subs sh (fun s sys ->
-      List.iter
-        (fun e ->
-          Tact_sim.Engine.at (System.engine sys) ~label:fault_label ~time:e.at
-            (fun () -> apply_in_shard sh s sys e.action))
-        sched.events;
-      Tact_sim.Engine.at (System.engine sys) ~label:fault_label
-        ~time:sched.quiet_after (fun () -> clear_sys sys))
+  List.iteri
+    (fun s t ->
+      let engine = System.engine (Sharded.sub sh s) in
+      arm t sched ~at:(fun time f -> Tact_sim.Engine.at engine ~label:fault_label ~time f))
+    (targets sh)
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)

@@ -1,30 +1,29 @@
-(** Nemesis against live processes: interpret the fault DSL at the real
-    network seam instead of the simulator.
+(** Nemesis against live processes: the fault DSL at the real network seam.
 
-    {!Fault.apply} programs {!Tact_sim.Net}; this module programs the
-    {!Tact_transport.Faulty} decorator a {!Tact_transport.Serve} process
-    sends through.  The same {!Fault.schedule} JSON drives both, so a
-    counterexample found in simulation replays byte-for-byte against real
-    sockets (and the CI serve-smoke job does exactly that).
+    A live process is one {!Fault.target}: the links of the
+    {!Tact_transport.Faulty} decorator its {!Tact_transport.Serve} sends
+    through, and its own replica.  {!Fault.apply} programs it exactly as it
+    programs a simulator shard, and the decorator asks the same
+    {!Tact_sim.Links.fate} per message as {!Tact_sim.Net}, so one
+    {!Fault.schedule} JSON drives both worlds with the same knob semantics.
+    Message timing and the interleaving of real sockets are not replayed:
+    the same schedule disturbs a live run the same way, but the run itself
+    is not reproduced.
 
     A schedule is written for the whole system; every process installs it
-    verbatim and applies only its own projection — its outgoing links, its
-    own crash/recover — which together reproduce the simulator's
+    verbatim.  Each one drops only what it sends, and crashes and recovers
+    only its own replica, which together reproduce the simulator's
     drop-at-the-directed-link-at-send-time semantics. *)
 
-val apply : Tact_transport.Serve.t -> Fault.action -> unit
-(** Apply this process's projection of one action immediately.
-    [Bandwidth_factor] has no live analog (the kernel owns the pipe) and is
-    a no-op, so simulator schedules still install.  Stochastic knobs offset
-    their salt by the process id: each replica's outgoing stream is
-    independent, deterministically. *)
-
-val clear_all : Tact_transport.Serve.t -> unit
-(** Lift every disturbance on this process: heal the decorator, recover the
-    replica. *)
+val target : Tact_transport.Serve.t -> Fault.target
+(** The process's target.  Ids are the system's, unprojected.  A
+    [Link_loss] salt is used as given, so a link's loss stream is the one
+    an unsharded simulation draws; global loss and duplication add the
+    process id, so each process's outgoing stream is independent,
+    deterministically.  Events publish through {!Tact_replica.Replica.emit}. *)
 
 val install : Tact_transport.Serve.t -> Fault.schedule -> unit
-(** Schedule every event on the process's event loop, plus the quiescent
-    tail ({!clear_all}) at [quiet_after] — same contract as
-    {!Fault.install}.  Each one publishes a {!Tact_store.Event.Fault} into
-    the replica's event sink ({!Tact_replica.Replica.emit}) as it fires. *)
+(** {!Fault.arm} the process's target on its event loop, each step at its
+    offset from now — same contract as {!Fault.install}, so each step
+    publishes a {!Tact_store.Event.Fault} into the replica's event sink as
+    it fires. *)

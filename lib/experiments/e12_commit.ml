@@ -63,11 +63,11 @@ let run_scheme ~scheme ~label ~duration =
   done;
   (* Disconnect replica 3 (never the primary) for the middle third. *)
   Engine.schedule engine ~delay:part_start (fun () ->
-      Net.partition (System.net sys) [ 3 ] [ 0; 1; 2 ]);
+      Links.partition (Net.links (System.net sys)) [ 3 ] [ 0; 1; 2 ]);
   let committed_during = ref 0 in
   Engine.schedule engine ~delay:(part_end -. 0.01) (fun () ->
       committed_during := Wlog.committed_count (Replica.log (System.replica sys 0)));
-  Engine.schedule engine ~delay:part_end (fun () -> Net.heal (System.net sys));
+  Engine.schedule engine ~delay:part_end (fun () -> Links.heal (Net.links (System.net sys)));
   System.run ~until:(duration +. 120.0) sys;
   let series = (label, progress ()) in
   let log0 = Replica.log (System.replica sys 0) in

@@ -26,9 +26,9 @@ let run_one ~keep ~duration =
   let engine = System.engine sys in
   (* Replica 2 is cut off for the middle half of the run. *)
   Engine.schedule engine ~delay:(duration /. 4.0) (fun () ->
-      Net.partition (System.net sys) [ 2 ] [ 0; 1 ]);
+      Links.partition (Net.links (System.net sys)) [ 2 ] [ 0; 1 ]);
   Engine.schedule engine ~delay:(3.0 *. duration /. 4.0) (fun () ->
-      Net.heal (System.net sys));
+      Links.heal (Net.links (System.net sys)));
   let rng = Prng.create ~seed:137 in
   for i = 0 to 1 do
     let prng = Prng.split rng in

@@ -30,9 +30,9 @@ let run_one ~bound ~deadline ~duration =
   done;
   (* Replica 2 is partitioned for the middle half of the run. *)
   Engine.schedule engine ~delay:(duration /. 4.0) (fun () ->
-      Net.partition (System.net sys) [ 2 ] [ 0; 1 ]);
+      Links.partition (Net.links (System.net sys)) [ 2 ] [ 0; 1 ]);
   Engine.schedule engine ~delay:(3.0 *. duration /. 4.0) (fun () ->
-      Net.heal (System.net sys));
+      Links.heal (Net.links (System.net sys)));
   (* Bounded reads with deadlines at the partitioned replica. *)
   let served = ref 0 and timeouts = ref 0 in
   let rrng = Prng.split rng in

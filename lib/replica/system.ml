@@ -13,6 +13,7 @@ type t = {
   net : Net.t;
   config : Config.t;
   replicas : Replica.t array;
+  on_event : (Event.t -> unit) option;
   writes : (Write.id, write_meta) Hashtbl.t;
   mutable started : bool;
   mutable closed : bool;
@@ -87,7 +88,7 @@ let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
     Array.init n (fun i ->
         Replica.create ~id:i ~n ~endpoint:(endpoint i) ~config ?mutation
           ?on_accept ());
-  { engine; net; config; replicas = !replicas; writes; started = false;
+  { engine; net; config; replicas = !replicas; on_event; writes; started = false;
     closed = false }
 
 let engine t = t.engine
@@ -96,6 +97,11 @@ let net t = t.net
 let size t = Array.length t.replicas
 let replica t i = t.replicas.(i)
 let now t = Engine.now t.engine
+
+let emit t =
+  Option.map
+    (fun sink kind -> sink { Event.time = Engine.now t.engine; node = -1; kind })
+    t.on_event
 
 let prepare t =
   if not t.started then begin

@@ -39,6 +39,11 @@ val size : t -> int
 val replica : t -> int -> Replica.t
 val now : t -> float
 
+val emit : t -> (Tact_store.Event.kind -> unit) option
+(** Publish into [on_event] from outside the replicas (the fault injector):
+    stamped with virtual time and node -1.  [None] without a sink, so an
+    unobserved run builds nothing. *)
+
 val run : ?until:float -> t -> unit
 (** Drain the event queue (up to virtual time [until]).  Equivalent to
     {!prepare}, [Engine.run], {!collect_returns}.  If a replica raises out of

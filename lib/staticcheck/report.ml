@@ -214,86 +214,7 @@ let to_text f =
 
 (* --- JSON -------------------------------------------------------------- *)
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  let escape buf s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
-
-  let num_to_string f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.17g" f
-
-  let to_string ?(indent = true) t =
-    let buf = Buffer.create 1024 in
-    let pad d = if indent then Buffer.add_string buf (String.make (2 * d) ' ') in
-    let nl () = if indent then Buffer.add_char buf '\n' in
-    let rec go d t =
-      match t with
-      | Null -> Buffer.add_string buf "null"
-      | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-      | Num f -> Buffer.add_string buf (num_to_string f)
-      | Str s ->
-        Buffer.add_char buf '"';
-        escape buf s;
-        Buffer.add_char buf '"'
-      | Arr [] -> Buffer.add_string buf "[]"
-      | Arr xs ->
-        Buffer.add_char buf '[';
-        nl ();
-        List.iteri
-          (fun i x ->
-            if i > 0 then begin
-              Buffer.add_char buf ',';
-              nl ()
-            end;
-            pad (d + 1);
-            go (d + 1) x)
-          xs;
-        nl ();
-        pad d;
-        Buffer.add_char buf ']'
-      | Obj [] -> Buffer.add_string buf "{}"
-      | Obj kvs ->
-        Buffer.add_char buf '{';
-        nl ();
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then begin
-              Buffer.add_char buf ',';
-              nl ()
-            end;
-            pad (d + 1);
-            Buffer.add_char buf '"';
-            escape buf k;
-            Buffer.add_string buf "\": ";
-            go (d + 1) v)
-          kvs;
-        nl ();
-        pad d;
-        Buffer.add_char buf '}'
-    in
-    go 0 t;
-    Buffer.contents buf
-end
+module Json = Tact_util.Json
 
 let json_of_finding ~baselined f =
   Json.Obj

@@ -48,21 +48,6 @@ val dedup : finding list -> finding list
 val to_text : finding -> string
 (** ["path:line:col: [SAxxx title] message\n  advice"]. *)
 
-(** Minimal JSON values and printer — enough to emit findings and SARIF
-    without an external dependency (mirrors [Tact_check.Json], which lives
-    above this library in the layering). *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val to_string : ?indent:bool -> t -> string
-end
-
 val json_of : baselined:(finding -> bool) -> finding list -> string
 (** All findings as a JSON array; each object carries a ["baselined"] flag. *)
 

@@ -58,5 +58,5 @@ let label_and_detail = function
 let to_string e =
   let label, detail = label_and_detail e.kind in
   Printf.sprintf "[%9.4f] %-12s %-10s %s" e.time
-    (Printf.sprintf "replica %d" e.node)
+    (if e.node < 0 then "nemesis" else Printf.sprintf "replica %d" e.node)
     label detail

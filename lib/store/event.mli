@@ -43,7 +43,9 @@ type kind =
       (** a scheduled fault fired ([at]: its offset in the schedule) *)
 
 type t = { time : float; node : int; kind : kind }
+(** [node] is the publishing replica's id, or -1 for the simulator's fault
+    injector, which runs outside every replica. *)
 
 val to_string : t -> string
-(** One line: time, ["replica <node>"], kind label and detail, in fixed
+(** One line: time, ["replica <node>"] (["nemesis"] for node -1), kind label and detail, in fixed
     columns. *)

@@ -12,14 +12,10 @@ type t = {
   nominal_delay : float;
   schedule : delay:float -> (unit -> unit) -> unit;
   real_send : dst:int -> string -> (unit, Tact_store.Transport.error) result;
-  (* Directed cuts involving any pair; only (self, dst) is consulted on the
-     send path, but the full relation is stored so a schedule written for the
-     whole system can be installed verbatim on every process. *)
-  cuts : (int * int, unit) Hashtbl.t;
-  mutable loss : (Tact_util.Prng.t * float) option;
-  link_loss : (int * int, Tact_util.Prng.t * float) Hashtbl.t;
-  mutable duplication : (Tact_util.Prng.t * float) option;
-  mutable delay_factor : float;
+  (* The whole system's link state: only [self -> dst] links are consulted
+     on the send path, so a schedule written for the whole system can be
+     installed verbatim on every process. *)
+  links : Tact_sim.Links.t;
   stats : stats;
 }
 
@@ -30,65 +26,19 @@ let create ~self ~n ?(nominal_delay = 0.0) ~schedule ~send () =
     nominal_delay;
     schedule;
     real_send = send;
-    cuts = Hashtbl.create 16;
-    loss = None;
-    link_loss = Hashtbl.create 16;
-    duplication = None;
-    delay_factor = 1.0;
+    links = Tact_sim.Links.create ();
     stats =
       { f_sent = 0; f_dropped_cut = 0; f_dropped_loss = 0; f_duplicated = 0; f_delayed = 0 };
   }
 
 let stats t = t.stats
+let links t = t.links
 
-(* ---- partitions (same directed-pair relation as Net) ---- *)
-
-let cut_pairs ga gb f =
-  List.iter (fun a -> List.iter (fun b -> if a <> b then f a b) gb) ga
-
-let partition_oneway t ga gb = cut_pairs ga gb (fun a b -> Hashtbl.replace t.cuts (a, b) ())
-
-let partition t ga gb =
-  partition_oneway t ga gb;
-  partition_oneway t gb ga
-
-let heal_between t ga gb =
-  cut_pairs ga gb (fun a b ->
-      Hashtbl.remove t.cuts (a, b);
-      Hashtbl.remove t.cuts (b, a))
-
-let heal t = Hashtbl.reset t.cuts
-
-let partitioned t ~dst = Hashtbl.mem t.cuts (t.self, dst)
-
-(* ---- stochastic knobs ---- *)
-
-let set_loss t k = t.loss <- k
-
-let set_link_loss t ~dst = function
-  | Some k -> Hashtbl.replace t.link_loss (t.self, dst) k
-  | None -> Hashtbl.remove t.link_loss (t.self, dst)
-
-let set_duplication t k = t.duplication <- k
-
-let set_delay_factor t f = t.delay_factor <- f
-
-let clear_all t =
-  heal t;
-  t.loss <- None;
-  Hashtbl.reset t.link_loss;
-  t.duplication <- None;
-  t.delay_factor <- 1.0
-
-(* Each installed knob's rng advances exactly once per message (mirroring
-   Net), so disabling one knob never shifts another's stream. *)
-let draw = function
-  | None -> false
-  | Some (rng, rate) -> Tact_util.Prng.float rng 1.0 < rate
+let delay t = t.nominal_delay *. Tact_sim.Links.delay_factor t.links
 
 let forward t ~dst payload =
   t.stats.f_sent <- t.stats.f_sent + 1;
-  let delay = t.nominal_delay *. t.delay_factor in
+  let delay = delay t in
   if delay > 0.0 then begin
     t.stats.f_delayed <- t.stats.f_delayed + 1;
     t.schedule ~delay (fun () -> ignore (t.real_send ~dst payload));
@@ -99,27 +49,21 @@ let forward t ~dst payload =
 let send t ~dst payload =
   if dst < 0 || dst >= t.n then
     Error (Tact_store.Transport.Unreachable (Printf.sprintf "faulty: bad dst %d" dst))
-  else if partitioned t ~dst then begin
-    t.stats.f_dropped_cut <- t.stats.f_dropped_cut + 1;
-    Ok ()
-  end
-  else begin
-    let lost_global = draw t.loss in
-    let lost_link = draw (Hashtbl.find_opt t.link_loss (t.self, dst)) in
-    let duplicate = draw t.duplication in
-    if lost_global || lost_link then begin
+  else
+    match Tact_sim.Links.fate t.links ~src:t.self ~dst with
+    | Tact_sim.Links.Cut ->
+      t.stats.f_dropped_cut <- t.stats.f_dropped_cut + 1;
+      Ok ()
+    | Tact_sim.Links.Lost ->
       t.stats.f_dropped_loss <- t.stats.f_dropped_loss + 1;
       Ok ()
-    end
-    else begin
+    | Tact_sim.Links.Once -> forward t ~dst payload
+    | Tact_sim.Links.Twice extra ->
       let r = forward t ~dst payload in
-      if duplicate then begin
-        t.stats.f_duplicated <- t.stats.f_duplicated + 1;
-        (* The copy is strictly later than the original, as in Net: defer it
-           through the timer even when the original went out synchronously. *)
-        let extra = max (t.nominal_delay *. t.delay_factor) 0.001 in
-        t.schedule ~delay:extra (fun () -> ignore (t.real_send ~dst payload))
-      end;
+      t.stats.f_duplicated <- t.stats.f_duplicated + 1;
+      (* The copy is strictly later than the original, as in Net: defer it
+         through the timer even when the original went out synchronously. *)
+      t.schedule
+        ~delay:((delay t *. (1.0 +. extra)) +. 0.001)
+        (fun () -> ignore (t.real_send ~dst payload));
       r
-    end
-  end

@@ -1,20 +1,17 @@
 (** Fault injection at the real-network seam: a transport decorator that
-    interprets the nemesis disturbance vocabulary ({!Tact_check.Fault})
-    against live sockets instead of the simulator.
+    applies the nemesis disturbance vocabulary ({!Tact_check.Fault}) to live
+    sockets instead of the simulator.
 
     The decorator wraps two injected closures — the underlying send and a
-    timer — and owns the same knobs {!Tact_sim.Net} exposes: directed
-    partitions, global and per-link loss, duplication, and a delay factor.
-    It deliberately does {e not} depend on [lib/check] (the daemon maps
-    {!Tact_check.Fault.action} values onto these setters), and it drops
-    {e outgoing} traffic only, exactly like [Net.send] dropping on the
-    directed link at send time: a symmetric cut installed on every process
-    of a live system silences both directions.
-
-    Determinism mirrors [Net] too: each installed stochastic knob carries
-    its own seeded {!Tact_util.Prng} and advances exactly once per message,
-    so a replayed schedule reproduces the same drop/duplicate pattern
-    regardless of which other knobs are active. *)
+    timer — and holds one {!Tact_sim.Links.t}, the same link-fault state
+    {!Tact_sim.Net} holds.  It asks {!Tact_sim.Links.fate} once per message
+    for the directed link [self -> dst], so with the same knob seeds a live
+    process and the simulator decide every message alike: cut, lost,
+    delivered, or delivered twice.  It drops {e outgoing} traffic only,
+    exactly like [Net.send] dropping on the directed link at send time: a
+    symmetric cut installed on every process of a live system silences
+    both directions.  The bandwidth factor has no live analog (the kernel
+    owns the pipe) and is ignored. *)
 
 type stats = {
   mutable f_sent : int;  (** messages passed through to the real send *)
@@ -39,29 +36,16 @@ val create :
     the baseline one-way delay the delay factor scales: each message waits
     [nominal_delay * delay_factor] before hitting the real send, so a spike
     factor stretches live traffic the same way it stretches simulated
-    traffic.  With the default 0 baseline only the factor's excess over 1
-    matters when a nominal delay is later configured; factor 1 with
-    baseline 0 keeps the decorator synchronous and bit-transparent. *)
+    traffic.  With the default 0 baseline the decorator stays synchronous
+    and bit-transparent whatever the factor. *)
+
+val links : t -> Tact_sim.Links.t
+(** The link-fault state {!send} consults; {!Tact_check.Fault.apply}
+    programs it.  Ids are the system's replica ids. *)
 
 val send : t -> dst:int -> string -> (unit, Tact_store.Transport.error) result
-(** Apply the disturbances, then forward.  A dropped message still returns
-    [Ok ()] — faults are silent, exactly as on a real network. *)
-
-(** {2 The knobs — mirror of {!Tact_sim.Net}} *)
-
-val partition : t -> int list -> int list -> unit
-val partition_oneway : t -> int list -> int list -> unit
-val heal_between : t -> int list -> int list -> unit
-val heal : t -> unit
-val partitioned : t -> dst:int -> bool
-(** Is our directed link [self -> dst] currently cut? *)
-
-val set_loss : t -> (Tact_util.Prng.t * float) option -> unit
-val set_link_loss : t -> dst:int -> (Tact_util.Prng.t * float) option -> unit
-val set_duplication : t -> (Tact_util.Prng.t * float) option -> unit
-val set_delay_factor : t -> float -> unit
-
-val clear_all : t -> unit
-(** Lift every disturbance: heal, disable loss/duplication, factor 1. *)
+(** Apply the link's fate, then forward; a duplicate's copy follows after
+    [delay * (1 + x) + 1 ms] for the fate's [x].  A dropped message still
+    returns [Ok ()] — faults are silent, exactly as on a real network. *)
 
 val stats : t -> stats

@@ -18,8 +18,8 @@ let read ~replica ~deps ~key results sys =
 let strong_read ~replica ~conit ~key results sys =
   read ~replica ~deps:[ (conit, Tact_core.Bounds.strong) ] ~key results sys
 
-let partition a b sys = Tact_sim.Net.partition (System.net sys) a b
-let heal sys = Tact_sim.Net.heal (System.net sys)
+let partition a b sys = Tact_sim.Links.partition (Tact_sim.Net.links (System.net sys)) a b
+let heal sys = Tact_sim.Links.heal (Tact_sim.Net.links (System.net sys))
 let crash i sys = Replica.crash (System.replica sys i)
 let recover i sys = Replica.recover (System.replica sys i)
 

@@ -24,7 +24,7 @@ open Tact_store
 open Tact_transport
 module Fault = Tact_check.Fault
 module Gen = Tact_check.Gen
-module Json = Tact_check.Json
+module Json = Tact_util.Json
 
 let n = 3
 let log_dir = "serve-smoke-logs"

@@ -7,6 +7,7 @@ open Tact_core
 open Tact_sim
 open Tact_replica
 open Tact_check
+module Json = Tact_util.Json
 
 (* --- engine choice points --------------------------------------------- *)
 

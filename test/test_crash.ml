@@ -55,7 +55,7 @@ let test_crash_abandons_parked_accesses () =
   let config = { Config.default with Config.conits = [ Conit.declare "c" ] } in
   let sys = System.create ~topology:(topo 2) ~config () in
   let engine = System.engine sys in
-  Net.partition (System.net sys) [ 0 ] [ 1 ];
+  Links.partition (Net.links (System.net sys)) [ 0 ] [ 1 ];
   let timed_out = ref false and served = ref false in
   Engine.schedule engine ~delay:1.0 (fun () ->
       Replica.submit_read
@@ -91,13 +91,13 @@ let test_durable_log_survives_crash () =
   let sys = System.create ~topology:(topo 2) ~config () in
   let engine = System.engine sys in
   (* Replica 1 accepts a write, crashes before any gossip, then recovers. *)
-  Net.partition (System.net sys) [ 0 ] [ 1 ];
+  Links.partition (Net.links (System.net sys)) [ 0 ] [ 1 ];
   Engine.schedule engine ~delay:0.1 (fun () ->
       Replica.submit_write (System.replica sys 1) ~deps:[] ~affects:[ unit_w "c" ]
         ~op:(Op.Add ("y", 1.0)) ~k:ignore);
   Engine.schedule engine ~delay:0.5 (fun () -> Replica.crash (System.replica sys 1));
   Engine.schedule engine ~delay:5.0 (fun () ->
-      Net.heal (System.net sys);
+      Links.heal (Net.links (System.net sys));
       Replica.recover (System.replica sys 1));
   System.run ~until:60.0 sys;
   Alcotest.(check bool) "write survived and propagated" true
@@ -121,7 +121,7 @@ let test_inflight_transfer_discarded_on_crash () =
         ~op:(Op.Add ("x", 1.0)) ~k:ignore);
   Engine.schedule engine ~delay:0.51 (fun () ->
       Replica.crash (System.replica sys 1);
-      Net.partition (System.net sys) [ 0 ] [ 1 ]);
+      Links.partition (Net.links (System.net sys)) [ 0 ] [ 1 ]);
   Engine.schedule engine ~delay:0.52 (fun () -> Replica.recover (System.replica sys 1));
   System.run ~until:3.0 sys;
   Alcotest.(check bool) "recovered and isolated" true
@@ -135,7 +135,7 @@ let test_on_timeout_fires_exactly_once () =
   let config = { Config.default with Config.conits = [ Conit.declare "c" ] } in
   let sys = System.create ~topology:(topo 2) ~config () in
   let engine = System.engine sys in
-  Net.partition (System.net sys) [ 0 ] [ 1 ];
+  Links.partition (Net.links (System.net sys)) [ 0 ] [ 1 ];
   let timeouts = ref 0 and served = ref false in
   Engine.schedule engine ~delay:1.0 (fun () ->
       Replica.submit_read ~deadline:5.0
@@ -146,7 +146,7 @@ let test_on_timeout_fires_exactly_once () =
         ~k:(fun _ -> served := true));
   Engine.schedule engine ~delay:2.0 (fun () -> Replica.crash (System.replica sys 1));
   Engine.schedule engine ~delay:3.0 (fun () -> Replica.recover (System.replica sys 1));
-  Engine.schedule engine ~delay:6.0 (fun () -> Net.heal (System.net sys));
+  Engine.schedule engine ~delay:6.0 (fun () -> Links.heal (Net.links (System.net sys)));
   System.run ~until:20.0 sys;
   Alcotest.(check int) "on_timeout fired exactly once" 1 !timeouts;
   Alcotest.(check bool) "never served" false !served

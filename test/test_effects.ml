@@ -6,7 +6,7 @@
    through System.run). *)
 
 open Tact_staticcheck
-module Json = Tact_check.Json
+module Json = Tact_util.Json
 
 let root = if Sys.file_exists "fixtures/staticcheck" then "" else "test/"
 let fixture name = root ^ "fixtures/staticcheck/" ^ name

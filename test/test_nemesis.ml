@@ -4,6 +4,7 @@ open Tact_sim
 open Tact_store
 open Tact_replica
 open Tact_check
+module Json = Tact_util.Json
 
 (* Every sampled schedule is well formed for its plan's replica count, and
    the sampler does produce disturbances (not all-empty schedules). *)

@@ -165,7 +165,7 @@ let test_partition_blocks_stability_commit () =
   let config = { Config.default with Config.antientropy_period = Some 0.5 } in
   let sys = System.create ~topology:(topo 3) ~config () in
   let engine = System.engine sys in
-  Net.partition (System.net sys) [ 2 ] [ 0; 1 ];
+  Links.partition (Net.links (System.net sys)) [ 2 ] [ 0; 1 ];
   Engine.schedule engine ~delay:1.0 (fun () ->
       Replica.submit_write (System.replica sys 0) ~deps:[]
         ~affects:[ unit_weight "c" ] ~op:(Op.Add ("x", 1.0)) ~k:ignore);
@@ -174,7 +174,7 @@ let test_partition_blocks_stability_commit () =
   Alcotest.(check int) "stability stalls" 0
     (Wlog.committed_count (Replica.log (System.replica sys 0)));
   (* Heal: commitment resumes. *)
-  Net.heal (System.net sys);
+  Links.heal (Net.links (System.net sys));
   Engine.schedule engine ~delay:1.0 (fun () -> ());
   System.run ~until:90.0 sys;
   Alcotest.(check int) "commits after heal" 1
@@ -190,7 +190,7 @@ let test_partitioned_strong_read_blocks_then_serves () =
       Replica.submit_write (System.replica sys 0) ~deps:[]
         ~affects:[ unit_weight "c" ] ~op:(Op.Add ("x", 1.0)) ~k:ignore);
   Engine.schedule engine ~delay:1.0 (fun () ->
-      Net.partition (System.net sys) [ 0 ] [ 1 ]);
+      Links.partition (Net.links (System.net sys)) [ 0 ] [ 1 ]);
   let served_at = ref nan in
   Engine.schedule engine ~delay:2.0 (fun () ->
       Replica.submit_read (System.replica sys 1)
@@ -199,7 +199,7 @@ let test_partitioned_strong_read_blocks_then_serves () =
         ~k:(fun v ->
           served_at := Engine.now engine;
           Alcotest.(check bool) "sees the write" true (feq (Value.to_float v) 1.0)));
-  Engine.schedule engine ~delay:10.0 (fun () -> Net.heal (System.net sys));
+  Engine.schedule engine ~delay:10.0 (fun () -> Links.heal (Net.links (System.net sys)));
   System.run ~until:60.0 sys;
   Alcotest.(check bool) "blocked across the partition" true (!served_at > 10.0);
   Alcotest.(check bool) "eventually served" true (not (Float.is_nan !served_at));
@@ -219,7 +219,7 @@ let test_budget_ignores_unbounded_conits () =
   in
   let sys = System.create ~topology:(topo 3) ~config () in
   let engine = System.engine sys in
-  Net.partition (System.net sys) [ 0 ] [ 1; 2 ];
+  Links.partition (Net.links (System.net sys)) [ 0 ] [ 1; 2 ];
   let free_at = ref nan and held_at = ref nan in
   Engine.schedule engine ~delay:1.0 (fun () ->
       Replica.submit_write (System.replica sys 0) ~deps:[]
@@ -229,7 +229,7 @@ let test_budget_ignores_unbounded_conits () =
       Replica.submit_write (System.replica sys 0) ~deps:[]
         ~affects:[ unit_weight "u"; unit_weight "b" ] ~op:(Op.Add ("x", 1.0))
         ~k:(fun _ -> held_at := Engine.now engine));
-  Engine.schedule engine ~delay:10.0 (fun () -> Net.heal (System.net sys));
+  Engine.schedule engine ~delay:10.0 (fun () -> Links.heal (Net.links (System.net sys)));
   System.run ~until:60.0 sys;
   Alcotest.(check (float 1e-9)) "unbounded write returns at once" 1.0 !free_at;
   Alcotest.(check bool) "bounded write held until the heal" true (!held_at > 10.0);
@@ -294,8 +294,8 @@ let random_system_ok seed =
     let victim = Tact_util.Prng.int rng n in
     let others = List.filter (fun j -> j <> victim) (List.init n Fun.id) in
     Engine.schedule engine ~delay:4.0 (fun () ->
-        Net.partition (System.net sys) [ victim ] others);
-    Engine.schedule engine ~delay:8.0 (fun () -> Net.heal (System.net sys))
+        Links.partition (Net.links (System.net sys)) [ victim ] others);
+    Engine.schedule engine ~delay:8.0 (fun () -> Links.heal (Net.links (System.net sys)))
   end;
   System.run ~until:300.0 sys;
   let violations = Verify.check sys in
@@ -451,7 +451,7 @@ let test_deadline_timeout_under_partition () =
   let config = { Config.default with Config.conits = [ Conit.declare "c" ] } in
   let sys = System.create ~topology:(topo 2) ~config () in
   let engine = System.engine sys in
-  Net.partition (System.net sys) [ 0 ] [ 1 ];
+  Links.partition (Net.links (System.net sys)) [ 0 ] [ 1 ];
   let timed_out = ref false and served = ref false in
   Engine.schedule engine ~delay:1.0 (fun () ->
       Replica.submit_read ~deadline:3.0
@@ -492,7 +492,7 @@ let test_deadline_sweep_out_of_order () =
   let sys = System.create ~topology:(topo 2) ~config () in
   let engine = System.engine sys in
   let r1 = System.replica sys 1 in
-  Net.partition (System.net sys) [ 0 ] [ 1 ];
+  Links.partition (Net.links (System.net sys)) [ 0 ] [ 1 ];
   let fired = ref [] in
   let served = ref false and late = ref false in
   Engine.schedule engine ~delay:1.0 (fun () ->
@@ -563,7 +563,7 @@ let test_deadline_sweep_reentrant () =
   let sys = System.create ~topology:(topo 2) ~config () in
   let engine = System.engine sys in
   let r1 = System.replica sys 1 in
-  Net.partition (System.net sys) [ 0 ] [ 1 ];
+  Links.partition (Net.links (System.net sys)) [ 0 ] [ 1 ];
   let strong_read ~deadline ~on_timeout =
     Replica.submit_read ~deadline ~on_timeout r1
       ~deps:[ ("c", Bounds.strong) ]

@@ -95,8 +95,8 @@ let test_system_runs_clean () =
               ~k:ignore)
       done;
       Engine.at engine ~time:2.0 (fun () ->
-          Net.partition (System.net sys) [ 0; 1 ] [ 2 ]);
-      Engine.at engine ~time:4.0 (fun () -> Net.heal (System.net sys));
+          Links.partition (Net.links (System.net sys)) [ 0; 1 ] [ 2 ]);
+      Engine.at engine ~time:4.0 (fun () -> Links.heal (Net.links (System.net sys)));
       System.run ~until:12.0 sys;
       (* And the explicit per-replica audit hook is callable. *)
       for i = 0 to 2 do
@@ -113,7 +113,7 @@ let test_sweep_audit () =
   let config = { Config.default with Config.conits = [ Conit.declare "c" ] } in
   let sys = System.create ~topology ~config () in
   let r = System.replica sys 1 in
-  Net.partition (System.net sys) [ 0 ] [ 1 ];
+  Links.partition (Net.links (System.net sys)) [ 0 ] [ 1 ];
   Engine.at (System.engine sys) ~time:1.0 (fun () ->
       Replica.submit_read ~deadline:4.375 r ~deps:[ ("c", Bounds.strong) ]
         ~f:(fun db -> Db.get db "x")

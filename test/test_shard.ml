@@ -458,12 +458,13 @@ let test_fault_projection_shard_local () =
   in
   let sh = Sharded.create ~router ~topology:(topo n) ~config () in
   (* Crashing replica 3 must only touch shard 1's sub-system. *)
-  Tact_check.Fault.apply sh (Tact_check.Fault.Crash 3);
+  let targets = Tact_check.Fault.targets sh in
+  List.iter (fun t -> Tact_check.Fault.apply t (Tact_check.Fault.Crash 3)) targets;
   Alcotest.(check bool) "crashed in its shard" false
     (Replica.is_up (Sharded.replica sh ~shard:1 3));
   Alcotest.(check bool) "shard 0 untouched" true
     (Replica.is_up (Sharded.replica sh ~shard:0 0));
-  Tact_check.Fault.clear_all sh;
+  List.iter Tact_check.Fault.clear targets;
   Alcotest.(check bool) "recovered" true
     (Replica.is_up (Sharded.replica sh ~shard:1 3));
   (* O6: a timeout at replica 0 (shard 0) cannot be excused by a crash
@@ -515,7 +516,8 @@ let test_one_shard_view () =
     done
   done;
   (* Replica 1 down while replica 0 writes: diverged and not recovered. *)
-  Tact_check.Fault.apply view (Tact_check.Fault.Crash 1);
+  let targets = Tact_check.Fault.targets view in
+  List.iter (fun t -> Tact_check.Fault.apply t (Tact_check.Fault.Crash 1)) targets;
   Alcotest.(check bool) "the view's crash reaches the system" false
     (Replica.is_up (System.replica sys 1));
   Engine.at (System.engine sys) ~time:0.5 (fun () ->
@@ -536,8 +538,8 @@ let test_one_shard_view () =
          && not (String.starts_with ~prefix:"liveness: shard" l))
        o5);
   Alcotest.(check int) "no shard leaks" 0 (List.length (Sharded.shard_leaks view));
-  Tact_check.Fault.clear_all view;
-  Alcotest.(check bool) "clear_all recovers through the view" true
+  List.iter Tact_check.Fault.clear targets;
+  Alcotest.(check bool) "clear recovers through the view" true
     (Replica.is_up (System.replica sys 1))
 
 let suite =

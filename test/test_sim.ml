@@ -147,7 +147,7 @@ let test_net_delivery_and_stats () =
 let test_net_partition_drops () =
   let e = Engine.create () in
   let net = Net.create e (Topology.uniform ~n:3 ~latency:0.1 ~bandwidth:1e6) () in
-  Net.partition net [ 0 ] [ 1 ];
+  Links.partition (Net.links net) [ 0 ] [ 1 ];
   let delivered = ref 0 in
   Net.send net ~src:0 ~dst:1 ~size:10 (fun () -> incr delivered);
   Net.send net ~src:1 ~dst:0 ~size:10 (fun () -> incr delivered);
@@ -155,7 +155,7 @@ let test_net_partition_drops () =
   Engine.run e;
   Alcotest.(check int) "only unpartitioned pair delivers" 1 !delivered;
   Alcotest.(check int) "two dropped" 2 (Net.stats net).Net.dropped;
-  Net.heal net;
+  Links.heal (Net.links net);
   Net.send net ~src:0 ~dst:1 ~size:10 (fun () -> incr delivered);
   Engine.run e;
   Alcotest.(check int) "healed" 2 !delivered
@@ -236,42 +236,6 @@ let base_suite =
     Alcotest.test_case "net reset stats" `Quick test_net_reset_stats;
   ]
 
-let test_net_queued_links () =
-  let e = Engine.create () in
-  (* 1000 B/s link, 0.1s propagation: two 100-byte messages sent together. *)
-  let net =
-    Net.create e (Topology.uniform ~n:2 ~latency:0.1 ~bandwidth:1000.0)
-      ~queued:true ()
-  in
-  let t1 = ref nan and t2 = ref nan in
-  Net.send net ~src:0 ~dst:1 ~size:100 (fun () -> t1 := Engine.now e);
-  Net.send net ~src:0 ~dst:1 ~size:100 (fun () -> t2 := Engine.now e);
-  Engine.run e;
-  (* First: 0.1s ser + 0.1s prop = 0.2; second queues behind: 0.2s ser. *)
-  Alcotest.(check bool) "first at 0.2" true (feq !t1 0.2);
-  Alcotest.(check bool) "second queued to 0.3" true (feq !t2 0.3)
-
-let test_net_queued_independent_links () =
-  let e = Engine.create () in
-  let net =
-    Net.create e (Topology.uniform ~n:3 ~latency:0.1 ~bandwidth:1000.0)
-      ~queued:true ()
-  in
-  let t1 = ref nan and t2 = ref nan in
-  (* Different destinations: no contention. *)
-  Net.send net ~src:0 ~dst:1 ~size:100 (fun () -> t1 := Engine.now e);
-  Net.send net ~src:0 ~dst:2 ~size:100 (fun () -> t2 := Engine.now e);
-  Engine.run e;
-  Alcotest.(check bool) "both at 0.2" true (feq !t1 0.2 && feq !t2 0.2)
-
-let queued_suite =
-  [
-    Alcotest.test_case "queued link serialises" `Quick test_net_queued_links;
-    Alcotest.test_case "queued links independent" `Quick test_net_queued_independent_links;
-  ]
-
-
-
 let test_traffic_where () =
   let e = Engine.create () in
   let net = Net.create e (Topology.uniform ~n:3 ~latency:0.01 ~bandwidth:1e9) () in
@@ -293,14 +257,14 @@ let traffic_suite =
 let test_net_oneway_partition () =
   let e = Engine.create () in
   let net = Net.create e (Topology.uniform ~n:2 ~latency:0.01 ~bandwidth:1e9) () in
-  Net.partition_oneway net [ 0 ] [ 1 ];
+  Links.partition_oneway (Net.links net) [ 0 ] [ 1 ];
   let fwd = ref 0 and back = ref 0 in
   Net.send net ~src:0 ~dst:1 ~size:10 (fun () -> incr fwd);
   Net.send net ~src:1 ~dst:0 ~size:10 (fun () -> incr back);
   Engine.run e;
   Alcotest.(check int) "forward dropped" 0 !fwd;
   Alcotest.(check int) "reverse flows" 1 !back;
-  Net.heal_between net [ 0 ] [ 1 ];
+  Links.heal_between (Net.links net) [ 0 ] [ 1 ];
   Net.send net ~src:0 ~dst:1 ~size:10 (fun () -> incr fwd);
   Engine.run e;
   Alcotest.(check int) "healed forward" 1 !fwd
@@ -308,25 +272,25 @@ let test_net_oneway_partition () =
 let test_net_heal_between_targeted () =
   let e = Engine.create () in
   let net = Net.create e (Topology.uniform ~n:3 ~latency:0.01 ~bandwidth:1e9) () in
-  Net.partition net [ 0 ] [ 1 ];
-  Net.partition net [ 0 ] [ 2 ];
-  Net.heal_between net [ 0 ] [ 1 ];
-  Alcotest.(check bool) "0-1 healed" false (Net.partitioned net 0 1);
-  Alcotest.(check bool) "1-0 healed" false (Net.partitioned net 1 0);
-  Alcotest.(check bool) "0-2 still cut" true (Net.partitioned net 0 2);
-  Net.heal net;
-  Alcotest.(check bool) "heal-all clears the rest" false (Net.partitioned net 0 2)
+  Links.partition (Net.links net) [ 0 ] [ 1 ];
+  Links.partition (Net.links net) [ 0 ] [ 2 ];
+  Links.heal_between (Net.links net) [ 0 ] [ 1 ];
+  Alcotest.(check bool) "0-1 healed" false (Links.partitioned (Net.links net) 0 1);
+  Alcotest.(check bool) "1-0 healed" false (Links.partitioned (Net.links net) 1 0);
+  Alcotest.(check bool) "0-2 still cut" true (Links.partitioned (Net.links net) 0 2);
+  Links.heal (Net.links net);
+  Alcotest.(check bool) "heal-all clears the rest" false (Links.partitioned (Net.links net) 0 2)
 
 let test_net_drop_accounting () =
   let e = Engine.create () in
   let net = Net.create e (Topology.uniform ~n:2 ~latency:0.01 ~bandwidth:1e9) () in
-  Net.partition net [ 0 ] [ 1 ];
+  Links.partition (Net.links net) [ 0 ] [ 1 ];
   Net.send net ~src:0 ~dst:1 ~size:10 ignore;
-  Net.heal net;
+  Links.heal (Net.links net);
   let rng = Tact_util.Prng.create ~seed:3 in
-  Net.set_loss net (Some (rng, 1.0));
+  Links.set_loss (Net.links net) (Some (rng, 1.0));
   Net.send net ~src:0 ~dst:1 ~size:10 ignore;
-  Net.set_loss net None;
+  Links.set_loss (Net.links net) None;
   Net.send net ~src:0 ~dst:1 ~size:10 ignore;
   Engine.run e;
   let s = Net.stats net in
@@ -342,14 +306,14 @@ let test_net_link_loss_directed () =
   let e = Engine.create () in
   let net = Net.create e (Topology.uniform ~n:2 ~latency:0.01 ~bandwidth:1e9) () in
   let rng = Tact_util.Prng.create ~seed:3 in
-  Net.set_link_loss net ~src:0 ~dst:1 (Some (rng, 1.0));
+  Links.set_link_loss (Net.links net) ~src:0 ~dst:1 (Some (rng, 1.0));
   let fwd = ref 0 and back = ref 0 in
   Net.send net ~src:0 ~dst:1 ~size:10 (fun () -> incr fwd);
   Net.send net ~src:1 ~dst:0 ~size:10 (fun () -> incr back);
   Engine.run e;
   Alcotest.(check int) "lossy direction drops" 0 !fwd;
   Alcotest.(check int) "other direction flows" 1 !back;
-  Net.set_link_loss net ~src:0 ~dst:1 None;
+  Links.set_link_loss (Net.links net) ~src:0 ~dst:1 None;
   Net.send net ~src:0 ~dst:1 ~size:10 (fun () -> incr fwd);
   Engine.run e;
   Alcotest.(check int) "cleared" 1 !fwd
@@ -358,7 +322,7 @@ let test_net_duplication () =
   let e = Engine.create () in
   let net = Net.create e (Topology.uniform ~n:2 ~latency:0.1 ~bandwidth:1e9) () in
   let rng = Tact_util.Prng.create ~seed:9 in
-  Net.set_duplication net (Some (rng, 1.0));
+  Links.set_duplication (Net.links net) (Some (rng, 1.0));
   let times = ref [] in
   Net.send net ~src:0 ~dst:1 ~size:10 (fun () -> times := Engine.now e :: !times);
   Engine.run e;
@@ -369,7 +333,7 @@ let test_net_duplication () =
     Alcotest.(check bool) "duplicate strictly later" true (second > first)
   | l ->
     Alcotest.failf "expected exactly 2 deliveries, got %d" (List.length l));
-  Net.set_duplication net None;
+  Links.set_duplication (Net.links net) None;
   let count = ref 0 in
   Net.send net ~src:0 ~dst:1 ~size:10 (fun () -> incr count);
   Engine.run e;
@@ -380,18 +344,18 @@ let test_net_delay_and_bandwidth_factors () =
   (* latency 0.1, 1 MB/s: 1000 bytes = 0.001s serialisation. *)
   let net = Net.create e (Topology.uniform ~n:2 ~latency:0.1 ~bandwidth:1e6) () in
   let t = ref nan in
-  Net.set_delay_factor net 2.0;
+  Links.set_delay_factor (Net.links net) 2.0;
   Net.send net ~src:0 ~dst:1 ~size:1000 (fun () -> t := Engine.now e);
   Engine.run e;
   Alcotest.(check bool) "delay doubled" true (feq !t 0.202);
-  Net.set_delay_factor net 1.0;
-  Net.set_bandwidth_factor net 0.5;
+  Links.set_delay_factor (Net.links net) 1.0;
+  Links.set_bandwidth_factor (Net.links net) 0.5;
   let t2 = ref nan in
   Net.send net ~src:0 ~dst:1 ~size:1000 (fun () -> t2 := Engine.now e);
   Engine.run e;
   Alcotest.(check bool) "bandwidth halved doubles serialisation" true
     (feq (!t2 -. 0.202) (0.1 +. 0.002));
-  Net.set_bandwidth_factor net 1.0;
+  Links.set_bandwidth_factor (Net.links net) 1.0;
   let t3 = ref nan in
   Net.send net ~src:0 ~dst:1 ~size:1000 (fun () -> t3 := Engine.now e);
   Engine.run e;
@@ -409,4 +373,4 @@ let fault_suite =
       test_net_delay_and_bandwidth_factors;
   ]
 
-let suite = base_suite @ queued_suite @ traffic_suite @ fault_suite
+let suite = base_suite @ traffic_suite @ fault_suite

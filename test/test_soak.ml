@@ -64,8 +64,8 @@ let soak ~seed ~scheme () =
   done;
   (* Fault schedule: a cross-cluster partition, a crash, staggered heals. *)
   Engine.schedule engine ~delay:15.0 (fun () ->
-      Net.partition (System.net sys) [ 0; 1; 2; 3 ] [ 4; 5; 6; 7 ]);
-  Engine.schedule engine ~delay:25.0 (fun () -> Net.heal (System.net sys));
+      Links.partition (Net.links (System.net sys)) [ 0; 1; 2; 3 ] [ 4; 5; 6; 7 ]);
+  Engine.schedule engine ~delay:25.0 (fun () -> Links.heal (Net.links (System.net sys)));
   Engine.schedule engine ~delay:35.0 (fun () -> Replica.crash (System.replica sys 5));
   Engine.schedule engine ~delay:45.0 (fun () -> Replica.recover (System.replica sys 5));
   System.run ~until:(duration +. 240.0) sys;

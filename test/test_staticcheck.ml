@@ -4,7 +4,7 @@
    JSON/SARIF renderers. *)
 
 open Tact_staticcheck
-module Json = Tact_check.Json
+module Json = Tact_util.Json
 
 (* Under `dune runtest` the cwd is the test directory; `dune exec
    test/main.exe` (the sanitizer CI step) runs from the project root. *)

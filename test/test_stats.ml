@@ -1,4 +1,4 @@
-(* Stats, Histogram, Table, Plot, Vec. *)
+(* Stats, Table, Plot, Vec. *)
 
 open Tact_util
 
@@ -52,29 +52,6 @@ let test_percentile_edge () =
   Alcotest.(check bool) "empty nan" true (Float.is_nan (Stats.percentile [||] 50.0));
   Alcotest.(check bool) "singleton" true (feq (Stats.percentile [| 7.0 |] 99.0) 7.0);
   Alcotest.(check bool) "median alias" true (feq (Stats.median [| 1.0; 2.0 |]) 1.5)
-
-let test_histogram_buckets () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.6; 9.9; -3.0; 42.0 ];
-  let counts = Histogram.bucket_counts h in
-  Alcotest.(check int) "bucket 0 (incl. underflow)" 2 counts.(0);
-  Alcotest.(check int) "bucket 1" 2 counts.(1);
-  Alcotest.(check int) "bucket 9 (incl. overflow)" 2 counts.(9);
-  Alcotest.(check int) "total" 6 (Histogram.count h)
-
-let test_histogram_bounds () =
-  let h = Histogram.create ~lo:0.0 ~hi:4.0 ~buckets:4 in
-  let bounds = Histogram.bucket_bounds h in
-  Alcotest.(check int) "4 buckets" 4 (Array.length bounds);
-  Alcotest.(check bool) "first bound" true (feq (fst bounds.(0)) 0.0);
-  Alcotest.(check bool) "last bound" true (feq (snd bounds.(3)) 4.0)
-
-let test_histogram_render () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:5 in
-  List.iter (Histogram.add h) [ 1.0; 1.0; 5.0 ];
-  let r = Histogram.render h in
-  Alcotest.(check bool) "mentions counts" true
-    (String.length r > 0 && String.contains r '#')
 
 let contains_sub hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -165,9 +142,6 @@ let base_suite =
     Alcotest.test_case "welford matches naive" `Quick test_welford_matches_naive;
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "percentile edges" `Quick test_percentile_edge;
-    Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
-    Alcotest.test_case "histogram bounds" `Quick test_histogram_bounds;
-    Alcotest.test_case "histogram render" `Quick test_histogram_render;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table cell_f" `Quick test_table_cell_f;
     Alcotest.test_case "plot series" `Quick test_plot_series;
@@ -191,18 +165,11 @@ let test_table_arity_checked () =
        false
      with Assert_failure _ -> true)
 
-let test_histogram_single_bucket () =
-  let h = Histogram.create ~lo:0.0 ~hi:1.0 ~buckets:1 in
-  Histogram.add h 0.5;
-  Histogram.add h 99.0;
-  Alcotest.(check int) "everything in the one bucket" 2 (Histogram.bucket_counts h).(0)
-
 let edge_suite =
   [
     Alcotest.test_case "plot single point" `Quick test_plot_single_point;
     Alcotest.test_case "plot negative values" `Quick test_plot_negative_values;
     Alcotest.test_case "table arity" `Quick test_table_arity_checked;
-    Alcotest.test_case "histogram single bucket" `Quick test_histogram_single_bucket;
   ]
 
 let suite = base_suite @ edge_suite

@@ -28,6 +28,45 @@ let test_replica_integration () =
   Alcotest.(check bool) "commit emitted" true
     (saw (function Event.Commit _ -> true | _ -> false))
 
+(* Simulated faults publish the same events live ones do: each action's
+   Fault.describe text, then the quiescent tail, in time order. *)
+let test_sim_faults_publish () =
+  let open Tact_sim in
+  let open Tact_replica in
+  let module Fault = Tact_check.Fault in
+  let events = ref [] in
+  let sys =
+    System.create
+      ~on_event:(fun e -> events := e :: !events)
+      ~topology:(Topology.uniform ~n:3 ~latency:0.03 ~bandwidth:1e6)
+      ~config:Config.default ()
+  in
+  let cut = Fault.Cut ([ 0 ], [ 1; 2 ]) and crash = Fault.Crash 2 in
+  let sched =
+    { Fault.events = [ { Fault.at = 2.0; action = crash }; { at = 1.0; action = cut } ];
+      quiet_after = 3.0 }
+  in
+  Fault.install (Sharded.of_system sys) sched;
+  System.run ~until:10.0 sys;
+  let faults =
+    List.filter_map
+      (fun (e : Event.t) ->
+        match e.Event.kind with
+        | Event.Fault { at; action } ->
+          Alcotest.(check (float 0.0)) "stamped when it fires" at e.Event.time;
+          Alcotest.(check int) "from the injector" (-1) e.Event.node;
+          Some (at, action)
+        | _ -> None)
+      (List.rev !events)
+  in
+  Alcotest.(check (list (pair (float 0.0) string)))
+    "each action, then the tail"
+    [ (1.0, Fault.describe cut); (2.0, Fault.describe crash);
+      (3.0, "heal-all (quiescent tail)") ]
+    faults;
+  Alcotest.(check bool) "tail recovered the crash" true
+    (Replica.is_up (System.replica sys 2))
+
 (* A live daemon's one sink: replica and connection events arrive through
    the same callback, on one clock, in time order. *)
 let test_serve_one_sink () =
@@ -63,5 +102,6 @@ let test_serve_one_sink () =
 let suite =
   [
     Alcotest.test_case "replica integration" `Quick test_replica_integration;
+    Alcotest.test_case "simulated faults publish" `Quick test_sim_faults_publish;
     Alcotest.test_case "serve: one sink in time order" `Quick test_serve_one_sink;
   ]

@@ -456,8 +456,8 @@ let run_faulty ~seed ~msgs =
         Ok ())
       ()
   in
-  Faulty.set_loss fy (Some (Prng.create ~seed, 0.3));
-  Faulty.set_duplication fy (Some (Prng.create ~seed:(seed + 1), 0.2));
+  Tact_sim.Links.set_loss (Faulty.links fy) (Some (Prng.create ~seed, 0.3));
+  Tact_sim.Links.set_duplication (Faulty.links fy) (Some (Prng.create ~seed:(seed + 1), 0.2));
   for i = 1 to msgs do
     let dst = 1 + (i mod 2) in
     match Faulty.send fy ~dst (Printf.sprintf "m%d" i) with
@@ -487,35 +487,114 @@ let test_faulty_partitions () =
       ()
   in
   let send dst = ignore (Faulty.send fy ~dst "m") in
+  let links = Faulty.links fy in
   (* Symmetric cut 0|{1,2}: outgoing to both drops, 3 unaffected. *)
-  Faulty.partition fy [ 0 ] [ 1; 2 ];
+  Tact_sim.Links.partition links [ 0 ] [ 1; 2 ];
   send 1; send 2; send 3;
   Alcotest.(check int) "only uncut link delivers" 1 !delivered;
-  Alcotest.(check bool) "partitioned observable" true (Faulty.partitioned fy ~dst:1);
+  Alcotest.(check bool) "partitioned observable" true (Tact_sim.Links.partitioned links 0 1);
   (* One-way: cuts only the listed direction from us. *)
-  Faulty.heal fy;
-  Faulty.partition_oneway fy [ 1 ] [ 0 ];
+  Tact_sim.Links.heal links;
+  Tact_sim.Links.partition_oneway links [ 1 ] [ 0 ];
   delivered := 0;
   send 1;
   Alcotest.(check int) "reverse direction unaffected" 1 !delivered;
-  Faulty.partition_oneway fy [ 0 ] [ 1 ];
+  Tact_sim.Links.partition_oneway links [ 0 ] [ 1 ];
   send 1;
   Alcotest.(check int) "forward direction cut" 1 !delivered;
   (* heal_between lifts both installs. *)
-  Faulty.heal_between fy [ 0 ] [ 1 ];
+  Tact_sim.Links.heal_between links [ 0 ] [ 1 ];
   send 1;
   Alcotest.(check int) "healed" 2 !delivered;
-  (* clear_all resets every knob. *)
-  Faulty.set_loss fy (Some (Prng.create ~seed:1, 1.0));
-  Faulty.set_delay_factor fy 10.0;
-  Faulty.clear_all fy;
+  (* clear resets every knob. *)
+  Tact_sim.Links.set_loss links (Some (Prng.create ~seed:1, 1.0));
+  Tact_sim.Links.set_delay_factor links 10.0;
+  Tact_sim.Links.clear links;
   delivered := 0;
   send 1;
-  Alcotest.(check int) "clear_all lifts loss" 1 !delivered;
+  Alcotest.(check int) "clear lifts loss" 1 !delivered;
   Alcotest.(check bool) "bad dst typed error" true
     (match Faulty.send fy ~dst:9 "m" with
     | Error (Transport.Unreachable _) -> true
     | _ -> false)
+
+(* Differential: the simulator's Net and the live Faulty decorator, given
+   the same fault actions on one directed link, decide every message alike.
+   A fate is read off each side's counters: cut, lost, or delivered once or
+   twice. *)
+type observed_fate = Cut | Lost | Delivered of int
+
+let test_faulty_matches_net () =
+  let module Fault = Tact_check.Fault in
+  let msgs = 300 in
+  let e = Tact_sim.Engine.create () in
+  let net =
+    Tact_sim.Net.create e (Tact_sim.Topology.uniform ~n:2 ~latency:0.01 ~bandwidth:1e9) ()
+  in
+  let net_got = Array.make msgs 0 and live_got = Array.make msgs 0 in
+  let timers = Queue.create () in
+  let fy =
+    Faulty.create ~self:0 ~n:2
+      ~schedule:(fun ~delay:_ f -> Queue.push f timers)
+      ~send:(fun ~dst:_ payload ->
+        let i = int_of_string payload in
+        live_got.(i) <- live_got.(i) + 1;
+        Ok ())
+      ()
+  in
+  let target links =
+    { Fault.links; local = [| 0; 1 |]; replicas = []; link_salt = 0; knob_salt = 0;
+      emit = None }
+  in
+  let targets = [ target (Tact_sim.Net.links net); target (Faulty.links fy) ] in
+  let act a = List.iter (fun t -> Fault.apply t a) targets in
+  (* A drop shows in a side's counters at send time, a delivery count only
+     once the timers have run. *)
+  let dropped ~cut ~lost send =
+    let c0 = cut () and l0 = lost () in
+    send ();
+    if cut () > c0 then Some Cut else if lost () > l0 then Some Lost else None
+  in
+  let net_stat f () = f (Tact_sim.Net.stats net) and live_stat f () = f (Faulty.stats fy) in
+  let drops =
+    List.init msgs (fun i ->
+        if i = 0 then act (Fault.Cut ([ 0 ], [ 1 ]));
+        if i = 20 then begin
+          act Fault.Heal_all;
+          act (Fault.Global_loss { rate = 0.2; salt = 3 });
+          act (Fault.Link_loss { src = 0; dst = 1; rate = 0.2; salt = 4 });
+          act (Fault.Duplication { rate = 0.2; salt = 5 })
+        end;
+        if i = 150 then act (Fault.Cut_oneway ([ 0 ], [ 1 ]));
+        if i = 170 then act (Fault.Heal_between ([ 0 ], [ 1 ]));
+        let n =
+          dropped
+            ~cut:(net_stat (fun s -> s.Tact_sim.Net.dropped_cut))
+            ~lost:(net_stat (fun s -> s.Tact_sim.Net.dropped_loss))
+            (fun () ->
+              Tact_sim.Net.send net ~src:0 ~dst:1 ~size:10 (fun () ->
+                  net_got.(i) <- net_got.(i) + 1))
+        in
+        let l =
+          dropped
+            ~cut:(live_stat (fun s -> s.Faulty.f_dropped_cut))
+            ~lost:(live_stat (fun s -> s.Faulty.f_dropped_loss))
+            (fun () -> ignore (Faulty.send fy ~dst:1 (string_of_int i)))
+        in
+        (n, l))
+  in
+  Tact_sim.Engine.run e;
+  Queue.iter (fun f -> f ()) timers;
+  let fate got = function Some f -> f | None -> Delivered got in
+  let count = Array.make 4 0 in
+  List.iteri
+    (fun i (n, l) ->
+      let fn = fate net_got.(i) n and fl = fate live_got.(i) l in
+      if fn <> fl then Alcotest.failf "message %d: net and faulty disagree" i;
+      let k = match fn with Cut -> 0 | Lost -> 1 | Delivered d -> 1 + d in
+      count.(k) <- count.(k) + 1)
+    drops;
+  Alcotest.(check bool) "every fate occurs" true (Array.for_all (fun c -> c > 0) count)
 
 (* --- Loopback TCP integration ----------------------------------------- *)
 
@@ -861,7 +940,9 @@ let test_serve_staggered_clock () =
   in
   settle 0.3;
   Array.iter
-    (fun s -> Tact_check.Live.apply s (Tact_check.Fault.Cut_oneway ([ 0 ], [ 1 ])))
+    (fun s ->
+      Tact_check.Fault.apply (Tact_check.Live.target s)
+        (Tact_check.Fault.Cut_oneway ([ 0 ], [ 1 ])))
     serves;
   settle 0.4;
   let r1 = Serve.replica serves.(1) in
@@ -1059,8 +1140,9 @@ let test_serve_nemesis_convergence () =
      through the same entry points the daemon uses. *)
   Array.iter
     (fun s ->
-      Tact_check.Live.apply s Tact_check.Fault.Heal_all;
-      Tact_check.Live.clear_all s)
+      let t = Tact_check.Live.target s in
+      Tact_check.Fault.apply t Tact_check.Fault.Heal_all;
+      Tact_check.Fault.clear t)
     serves;
   (* After the quiescent tail: every replica serves the same total under a
      staleness bound — convergence through the healed network. *)
@@ -1393,6 +1475,7 @@ let suite =
       test_config_transport_knobs;
     Alcotest.test_case "faulty: seeded determinism" `Quick test_faulty_deterministic;
     Alcotest.test_case "faulty: partition semantics" `Quick test_faulty_partitions;
+    Alcotest.test_case "faulty: same fates as net" `Quick test_faulty_matches_net;
     Alcotest.test_case "tcp: loopback delivery" `Quick test_tcp_loopback_delivery;
     Alcotest.test_case "tcp: park and reconnect-resync" `Quick
       test_tcp_park_and_reconnect_resync;

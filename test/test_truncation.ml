@@ -118,7 +118,7 @@ let test_rejoin_via_snapshot () =
   let engine = System.engine sys in
   (* Replica 2 is partitioned from the start; 0 and 1 accumulate and commit
      (and truncate) 40 writes. *)
-  Net.partition (System.net sys) [ 2 ] [ 0; 1 ];
+  Links.partition (Net.links (System.net sys)) [ 2 ] [ 0; 1 ];
   for k = 1 to 40 do
     Engine.schedule engine
       ~delay:(0.2 *. float_of_int k)
@@ -128,7 +128,7 @@ let test_rejoin_via_snapshot () =
           ~op:(Op.Add ("x", 1.0))
           ~k:ignore)
   done;
-  Engine.schedule engine ~delay:20.0 (fun () -> Net.heal (System.net sys));
+  Engine.schedule engine ~delay:20.0 (fun () -> Links.heal (Net.links (System.net sys)));
   System.run ~until:120.0 sys;
   (* The writers truncated their logs... *)
   Alcotest.(check bool) "logs truncated" true
