@@ -670,6 +670,61 @@ let parked_deadline_words reads =
   assert ((System.total_stats sys).Replica.timeouts = 0);
   (s, [ ("live_words", live) ])
 
+(* The sim-wan shape of the repo benchmark: 2 LAN clusters of 2 behind an
+   80 ms WAN, four conits with declared NE bound 8, gossip every second,
+   stability commitment and a bounded log.  [accesses] arrive as one seeded
+   Poisson stream of 200/s, each at a random replica: half are writes of
+   weight 1 on one conit (budgeted by its NE bound), half are reads bounding
+   it at NE 1, OE 2 and ST 0.5, which park and are re-checked on every
+   message until a pull round and commitment clear them.  Counts: the
+   network's messages and bytes, and minor-heap words per access. *)
+let wan_mix accesses =
+  let open Tact_sim in
+  let open Tact_replica in
+  let topology =
+    Topology.clustered ~clusters:2 ~per_cluster:2 ~local:0.002 ~wan:0.08
+      ~bandwidth:500_000.0
+  in
+  let conit i = "c" ^ string_of_int i in
+  let config =
+    {
+      Config.default with
+      Config.conits = List.init 4 (fun i -> Tact_core.Conit.declare ~ne_bound:8.0 (conit i));
+      antientropy_period = Some 1.0;
+      truncate_keep = Some 4000;
+      record_accesses = false;
+      bounded_log = true;
+    }
+  in
+  let sys = System.create ~seed:26 ~track_writes:false ~topology ~config () in
+  let engine = System.engine sys in
+  let rng = Tact_util.Prng.create ~seed:26 in
+  let bound = Tact_core.Bounds.make ~ne:1.0 ~oe:2.0 ~st:0.5 () in
+  let served = ref 0 and at = ref 0.0 in
+  for _ = 1 to accesses do
+    at := !at +. Tact_util.Prng.exponential rng ~mean:(1.0 /. 200.0);
+    let r = System.replica sys (Tact_util.Prng.int rng 4) in
+    let c = conit (Tact_util.Prng.int rng 4) in
+    let deadline = !at +. 30.0 in
+    Engine.at engine ~time:!at
+      (if Tact_util.Prng.bool rng then fun () ->
+         Replica.submit_write r ~deadline ~deps:[]
+           ~affects:[ { Write.conit = c; nweight = 1.0; oweight = 1.0 } ]
+           ~op:(Op.Add (c, 1.0))
+           ~k:(fun _ -> incr served)
+       else fun () ->
+         Replica.submit_read r ~deadline ~deps:[ (c, bound) ]
+           ~f:(fun db -> Db.get db c)
+           ~k:(fun _ -> incr served))
+  done;
+  let minor0 = Gc.minor_words () in
+  let (), s = time (fun () -> System.run ~until:(!at +. 30.0) sys) in
+  let minor = Gc.minor_words () -. minor0 in
+  assert (!served = accesses);
+  let traffic = System.traffic sys in
+  (s, [ ("messages", traffic.Net.messages); ("bytes", traffic.Net.bytes);
+        ("minor_words_per_op", int_of_float (minor /. float_of_int accesses)) ])
+
 (* The sharded workload: [shards] shards over [n] replicas, conits pinned
    round-robin, [total] writes spread millisecond-spaced across the shards,
    batched sync.  Building is deterministic, so two instances run at
@@ -949,6 +1004,7 @@ let kernels ~jobs =
     k "ring_relay" System 20_000 500 ring_relay;
     k "parked_deadline_words" System 10_000 200 parked_deadline_words;
     k "parked_deadline_words" System 20_000 400 parked_deadline_words;
+    k "wan_mix" System 20_000 500 wan_mix;
     k "shard_overhead_plain" System 4_000 200 shard_overhead_plain;
     k "shard_overhead_sharded1" System 4_000 200 shard_overhead_sharded1;
   ]

@@ -41,9 +41,28 @@ type round_state = {
           answer, not after the same reply arrives twice *)
 }
 
+(* Per-conit state: what an access or an own write needs to know about one
+   conit, resolved by name once — when an access is submitted or an own
+   write is served — and read as fields afterwards.  Created the first time
+   this replica meets the conit, so the table grows with the active conits,
+   not with the declared population. *)
+type cstate = {
+  c_name : string;
+  c_decl : Conit.t;  (** the declaration, or an unconstrained one *)
+  c_bounded : bool;
+      (** a finite declared NE bound, absolute or relative: any other
+          conit's share is infinite, so its weight never gates a write *)
+  c_tally : Wlog.tally;
+  mutable c_out : float array;
+      (** per peer: |nweight| of own accepted writes on this conit not yet
+          confirmed at that peer; [[||]] until the conit first enters the
+          budget window *)
+}
+
 type pending = {
   p_submit : float;
-  p_deps : (string * Bounds.t) list;
+  p_deps : (cstate * Bounds.t) list;
+  p_st : float;  (** the tightest ST bound among [p_deps] *)
   p_require : Version_vector.t option;
       (** serve only once the log covers this vector (session guarantees) *)
   p_on_timeout : (unit -> unit) option;
@@ -77,24 +96,48 @@ type unreturned = {
   u_obs : Version_vector.t * Write.id list Lazy.t * Write.id list Lazy.t;
   u_submit : float;
   u_serve : float;
-  u_deps : (string * Bounds.t) list;
+  u_deps : (cstate * Bounds.t) list;
+  u_over : cstate list;
+      (** the bounded conits the write weighs on: the ones that can hold it
+          back over a peer's budget *)
   u_k : Op.outcome -> unit;
 }
 
 type stats = {
-  pushes_budget : int;
-  pulls_ne : int;
-  pulls_oe : int;
-  pulls_st : int;
-  gossips : int;
-  blocked_accesses : int;
-  snapshots_sent : int;
-  snapshots_installed : int;
-  timeouts : int;
-  batches : int;
-  wrong_shard_frames : int;
-  malformed_frames : int;
+  mutable pushes_budget : int;
+  mutable pulls_ne : int;
+  mutable pulls_oe : int;
+  mutable pulls_st : int;
+  mutable gossips : int;
+  mutable blocked_accesses : int;
+  mutable snapshots_sent : int;
+  mutable snapshots_installed : int;
+  mutable timeouts : int;
+  mutable batches : int;
+  mutable wrong_shard_frames : int;
+  mutable malformed_frames : int;
 }
+
+let zero_stats () =
+  { pushes_budget = 0; pulls_ne = 0; pulls_oe = 0; pulls_st = 0; gossips = 0;
+    blocked_accesses = 0; snapshots_sent = 0; snapshots_installed = 0;
+    timeouts = 0; batches = 0; wrong_shard_frames = 0; malformed_frames = 0 }
+
+let add_stats a b =
+  {
+    pushes_budget = a.pushes_budget + b.pushes_budget;
+    pulls_ne = a.pulls_ne + b.pulls_ne;
+    pulls_oe = a.pulls_oe + b.pulls_oe;
+    pulls_st = a.pulls_st + b.pulls_st;
+    gossips = a.gossips + b.gossips;
+    blocked_accesses = a.blocked_accesses + b.blocked_accesses;
+    snapshots_sent = a.snapshots_sent + b.snapshots_sent;
+    snapshots_installed = a.snapshots_installed + b.snapshots_installed;
+    timeouts = a.timeouts + b.timeouts;
+    batches = a.batches + b.batches;
+    wrong_shard_frames = a.wrong_shard_frames + b.wrong_shard_frames;
+    malformed_frames = a.malformed_frames + b.malformed_frames;
+  }
 
 type t = {
   rid : int;
@@ -107,18 +150,15 @@ type t = {
                             time <= cover.(o) are known here *)
   acked : Version_vector.t array;  (** acked.(j): writes confirmed present at j *)
   acked_csn : int array;
-  outstanding : (string, float) Hashtbl.t array;
-      (** per peer: conit -> |nweight| of own accepted writes not yet
-          confirmed at that peer, for conits with a finite declared NE bound
-          (any other conit's share is infinite, so its weight never gates) *)
-  budget : (int * Write.weight list) Deque.t;
-      (** the budget window: (own seq, weights on bounded conits) of every
-          own write carrying such weight that some peer has not yet
+  conits : (string, cstate) Hashtbl.t;
+  budget : (int * (cstate * float) list) Deque.t;
+      (** the budget window: (own seq, bounded conits with |nweight|) of
+          every own write carrying such weight that some peer has not yet
           confirmed, oldest first *)
   mutable budget_base : int;  (** absolute index of the window's front *)
   budget_pos : int array;
       (** per peer: absolute index of the first window entry whose weight is
-          still counted in [outstanding] for that peer *)
+          still counted in its conits' [c_out] for that peer *)
   csn : Csn_buffer.t;
   mutable csn_committed : int;
   mutable in_csn : (Write.id, unit) Hashtbl.t;  (** primary only *)
@@ -131,7 +171,6 @@ type t = {
       (** the deadline the sweep is armed for ([infinity]: none); no live
           parked access has an earlier deadline *)
   return_queue : unreturned Queue.t;  (** oldest first *)
-  conit_decls : (string, Conit.t) Hashtbl.t;
   rounds : (int, round_state) Hashtbl.t;
   mutable round_ctr : int;
   mutable up : bool;
@@ -144,19 +183,7 @@ type t = {
       (* reusable encode arena for batched sync: cleared and refilled once
          per outgoing frame, so steady state allocates nothing *)
   dirty : bool array;  (* per peer: a coalesced batch flush is scheduled *)
-  (* stats *)
-  mutable s_pushes_budget : int;
-  mutable s_pulls_ne : int;
-  mutable s_pulls_oe : int;
-  mutable s_pulls_st : int;
-  mutable s_gossips : int;
-  mutable s_blocked : int;
-  mutable s_snapshots_sent : int;
-  mutable s_snapshots_installed : int;
-  mutable s_timeouts : int;
-  mutable s_batches : int;
-  mutable s_wrong_shard : int;
-  mutable s_malformed : int;
+  st : stats;  (* this replica's counters; {!stats} hands out copies *)
 }
 
 let now t = t.ep.Transport.ep_now ()
@@ -177,7 +204,7 @@ let create ~id ~n ~endpoint ~config ?(mutation = Mutation.Off) ?on_accept () =
       cover = Array.make n 0.0;
       acked = Array.init n (fun _ -> Version_vector.create n);
       acked_csn = Array.make n 0;
-      outstanding = Array.init n (fun _ -> Hashtbl.create 8);
+      conits = Hashtbl.create 8;
       budget = Deque.create ~filler:(0, []) ();
       budget_base = 0;
       budget_pos = Array.make n 0;
@@ -191,10 +218,6 @@ let create ~id ~n ~endpoint ~config ?(mutation = Mutation.Off) ?on_accept () =
       npending = 0;
       sweep_at = infinity;
       return_queue = Queue.create ();
-      conit_decls =
-        (let tbl = Hashtbl.create (List.length config.Config.conits) in
-         List.iter (fun (c : Conit.t) -> Hashtbl.replace tbl c.name c) config.Config.conits;
-         tbl);
       rounds = Hashtbl.create 8;
       round_ctr = 0;
       up = true;
@@ -205,18 +228,7 @@ let create ~id ~n ~endpoint ~config ?(mutation = Mutation.Off) ?on_accept () =
       retry_running = false;
       frame = Codec.Frame.create ();
       dirty = Array.make n false;
-      s_pushes_budget = 0;
-      s_pulls_ne = 0;
-      s_pulls_oe = 0;
-      s_pulls_st = 0;
-      s_gossips = 0;
-      s_blocked = 0;
-      s_snapshots_sent = 0;
-      s_snapshots_installed = 0;
-      s_timeouts = 0;
-      s_batches = 0;
-      s_wrong_shard = 0;
-      s_malformed = 0;
+      st = zero_stats ();
     }
   in
   (* The rate clock starts at creation: 0 in the simulator, the wall clock
@@ -242,8 +254,28 @@ let db t = Wlog.db t.wlog
 let records t = t.records
 let pending_count t = t.npending
 
+(* The conit's state, created on first sight.  [Hashtbl.find] rather than
+   [find_opt]: the hit path then allocates nothing. *)
+let cstate t name =
+  match Hashtbl.find t.conits name with
+  | c -> c
+  | exception Not_found ->
+    let d = Config.conit t.cfg name in
+    let c =
+      { c_name = name; c_decl = d;
+        c_bounded = d.Conit.ne_bound < infinity || d.Conit.ne_rel_bound < infinity;
+        c_tally = Wlog.tally t.wlog name; c_out = [||] }
+    in
+    Hashtbl.add t.conits name c;
+    c
+
+(* Every conit that has entered the budget window holds one outstanding
+   entry per peer. *)
 let bookkeeping_entries t =
-  Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.outstanding
+  (* lint: allow hashtbl-fold — commutative count *)
+  Hashtbl.fold
+    (fun _ c acc -> if Array.length c.c_out = 0 then acc else acc + t.n - 1)
+    t.conits 0
 
 (* Replica-level invariant audit (TACT_SANITIZE checking mode): execution
    state that sits above the write log — cover times, parked-access
@@ -277,7 +309,13 @@ let sanity_check t =
     if t.csn_committed < 0 then addf "csn_committed = %d negative" t.csn_committed;
     (* Budget window: every peer's cursor lies inside the window, and the
        weight recounted from it onward is exactly that peer's outstanding
-       weight, conit by conit. *)
+       weight, conit by conit (in name order, so mismatches are reported
+       deterministically). *)
+    let states =
+      (* lint: allow hashtbl-fold — sorted by name before use *)
+      Hashtbl.fold (fun _ c acc -> c :: acc) t.conits []
+      |> List.sort (fun a b -> String.compare a.c_name b.c_name)
+    in
     let top = t.budget_base + Deque.length t.budget in
     for j = 0 to t.n - 1 do
       let pos = t.budget_pos.(j) in
@@ -286,63 +324,37 @@ let sanity_check t =
         addf "budget_pos.(%d) = %d is outside the window [%d, %d]" j pos
           t.budget_base top
       else begin
-        (* Recount into an association list, so mismatches are reported in
-           a deterministic order. *)
-        let add acc { Write.conit; nweight; _ } =
-          let cur = Option.value ~default:0.0 (List.assoc_opt conit acc) in
-          (conit, cur +. Float.abs nweight) :: List.remove_assoc conit acc
+        let add acc (c, w) =
+          let cur = Option.value ~default:0.0 (List.assoc_opt c.c_name acc) in
+          (c.c_name, cur +. w) :: List.remove_assoc c.c_name acc
         in
         let recount = ref [] in
         for k = pos - t.budget_base to Deque.length t.budget - 1 do
           recount := List.fold_left add !recount (snd (Deque.get t.budget k))
         done;
-        let compare_conit (c, want) =
-          let got =
-            Option.value ~default:0.0 (Hashtbl.find_opt t.outstanding.(j) c)
-          in
-          if Float.abs (want -. got) > 1e-6 *. Float.max 1.0 (Float.abs want)
-          then
-            addf "outstanding.(%d) for %s is %g but its window recounts %g" j c
-              got want
-        in
-        List.iter compare_conit !recount;
-        let unrecounted =
-          (* lint: allow hashtbl-fold — the names are sorted before use *)
-          Hashtbl.fold
-            (fun c _ acc -> if List.mem_assoc c !recount then acc else c :: acc)
-            t.outstanding.(j) []
-        in
         List.iter
-          (fun c -> compare_conit (c, 0.0))
-          (List.sort String.compare unrecounted)
+          (fun c ->
+            let want = Option.value ~default:0.0 (List.assoc_opt c.c_name !recount) in
+            let got = if Array.length c.c_out = 0 then 0.0 else c.c_out.(j) in
+            if Float.abs (want -. got) > 1e-6 *. Float.max 1.0 (Float.abs want)
+            then
+              addf "outstanding.(%d) for %s is %g but its window recounts %g" j
+                c.c_name got want)
+          states
       end
     done;
     Sanitize.report ~ctx (List.rev !bad);
     Wlog.sanitize ~ctx t.wlog
   end
 
-let stats t =
-  {
-    pushes_budget = t.s_pushes_budget;
-    pulls_ne = t.s_pulls_ne;
-    pulls_oe = t.s_pulls_oe;
-    pulls_st = t.s_pulls_st;
-    gossips = t.s_gossips;
-    blocked_accesses = t.s_blocked;
-    snapshots_sent = t.s_snapshots_sent;
-    snapshots_installed = t.s_snapshots_installed;
-    timeouts = t.s_timeouts;
-    batches = t.s_batches;
-    wrong_shard_frames = t.s_wrong_shard;
-    malformed_frames = t.s_malformed;
-  }
+let stats t = add_stats t.st (zero_stats ())
 
 (* ------------------------------------------------------------------ *)
 (* Outgoing syncs                                                      *)
 
 (* A rejected incoming message: counted, reported, never applied. *)
 let reject t reason =
-  t.s_malformed <- t.s_malformed + 1;
+  t.st.malformed_frames <- t.st.malformed_frames + 1;
   if observed t then emit t (Event.Malformed (reason ()))
 
 (* A crashed replica neither processes nor emits messages: its network
@@ -374,7 +386,7 @@ and sync_msg t ~peer_vector ~csn_start ~kind =
       let vector = Version_vector.copy (Wlog.vector t.wlog) in
       let cover = my_cover t in
       (match payload with
-      | Batch.Full _ -> t.s_snapshots_sent <- t.s_snapshots_sent + 1
+      | Batch.Full _ -> t.st.snapshots_sent <- t.st.snapshots_sent + 1
       | Batch.Delta _ -> ());
       match (t.cfg.Config.sync, payload) with
       | Config.Per_write, Batch.Delta writes ->
@@ -400,7 +412,7 @@ and sync_msg t ~peer_vector ~csn_start ~kind =
           { Batch.from = t.rid; shard = t.cfg.Config.shard_id; kind; vector;
             cover; csn_start; csn = Csn_buffer.slice_from t.csn csn_start;
             rate = t.rate_ewma; payload };
-        t.s_batches <- t.s_batches + 1;
+        t.st.batches <- t.st.batches + 1;
         Batch_frame (Codec.Frame.contents t.frame))
 
 and push_now t dst =
@@ -435,25 +447,20 @@ and push_to t ~dst =
 (* ------------------------------------------------------------------ *)
 (* Budget bookkeeping                                                  *)
 
-and declared_bounds t conit_name =
-  match Hashtbl.find_opt t.conit_decls conit_name with
-  | Some c -> (c.Conit.ne_bound, c.Conit.ne_rel_bound, c.Conit.initial_value)
-  | None -> (infinity, infinity, 0.0)
-
 (* The absolute share of a receiver's NE budget this replica may consume for
    a conit; relative bounds are converted with a conservative local estimate
    of the conit's value. *)
-and share_for t ~receiver conit_name =
-  let ne_bound, ne_rel_bound, initial = declared_bounds t conit_name in
+and share_for t ~receiver c =
+  let d = c.c_decl in
   let abs_bound =
-    if Float.equal ne_rel_bound infinity then ne_bound
+    if Float.equal d.Conit.ne_rel_bound infinity then d.Conit.ne_bound
     else begin
       (* Conservative value estimate: the committed value minus everything
          still in flight could be lower, but for the monotone workloads the
          relative bound targets (counters, seat pools) the local full view is
          the estimate the TACT prototype uses. *)
-      let v = Float.abs (initial +. Wlog.conit_value t.wlog conit_name) in
-      Float.min ne_bound (ne_rel_bound *. v)
+      let v = Float.abs (d.Conit.initial_value +. Wlog.tally_value c.c_tally) in
+      Float.min d.Conit.ne_bound (d.Conit.ne_rel_bound *. v)
     end
   in
   if Float.equal abs_bound infinity then infinity
@@ -461,42 +468,28 @@ and share_for t ~receiver conit_name =
     Budget.share t.cfg.Config.budget_policy ~bound:abs_bound ~n:t.n ~self:t.rid
       ~receiver ~rates:t.rates
 
-and outstanding_for t ~peer conit_name =
-  match Hashtbl.find_opt t.outstanding.(peer) conit_name with
-  | Some v -> v
-  | None -> 0.0
-
 (* The budget window.  A write enters it only when it weighs on some conit
    with a finite declared NE bound — any other conit's share is infinite, so
    its weight can never hold a write back — and leaves it once every peer has
    confirmed it.  The window therefore holds what is in flight, not the
-   replica's history. *)
-and bounded_conit t conit_name =
-  let ne_bound, ne_rel_bound, _ = declared_bounds t conit_name in
-  ne_bound < infinity || ne_rel_bound < infinity
-
-and add_outstanding t (w : Write.t) =
-  let bounded { Write.conit; _ } = bounded_conit t conit in
-  match
-    if List.for_all bounded w.affects then w.affects
-    else List.filter bounded w.affects
-  with
+   replica's history.  [charges] are the write's bounded conits with the
+   absolute weight it puts on each. *)
+and add_outstanding t ~seq charges =
+  match charges with
   | [] -> ()
-  | weights ->
+  | _ ->
     let k = t.budget_base + Deque.length t.budget in
-    Deque.push_back t.budget (w.id.seq, weights);
+    Deque.push_back t.budget (seq, charges);
+    List.iter
+      (fun (c, _) -> if Array.length c.c_out = 0 then c.c_out <- Array.make t.n 0.0)
+      charges;
     for j = 0 to t.n - 1 do
       if j <> t.rid then
-        if Version_vector.covers t.acked.(j) ~origin:t.rid ~seq:w.id.seq then
+        if Version_vector.covers t.acked.(j) ~origin:t.rid ~seq then
           (* Already confirmed (the write round-tripped before acceptance —
              possible when it was pushed ahead of its return). *)
           (if t.budget_pos.(j) = k then t.budget_pos.(j) <- k + 1)
-        else
-          List.iter
-            (fun { Write.conit; nweight; _ } ->
-              let cur = outstanding_for t ~peer:j conit in
-              Hashtbl.replace t.outstanding.(j) conit (cur +. Float.abs nweight))
-            weights
+        else List.iter (fun (c, w) -> c.c_out.(j) <- c.c_out.(j) +. w) charges
     done;
     trim_budget t
 
@@ -521,14 +514,10 @@ and release_outstanding t ~peer =
     let rec advance pos =
       if pos = top then pos
       else
-        let seq, weights = Deque.get t.budget (pos - t.budget_base) in
+        let seq, charges = Deque.get t.budget (pos - t.budget_base) in
         if seq > confirmed then pos
         else begin
-          List.iter
-            (fun { Write.conit; nweight; _ } ->
-              let cur = outstanding_for t ~peer conit in
-              Hashtbl.replace t.outstanding.(peer) conit (cur -. Float.abs nweight))
-            weights;
+          List.iter (fun (c, w) -> c.c_out.(peer) <- c.c_out.(peer) -. w) charges;
           advance (pos + 1)
         end
     in
@@ -536,30 +525,16 @@ and release_outstanding t ~peer =
     if start = t.budget_base && t.budget_pos.(peer) > start then trim_budget t
   end
 
-(* Peers whose budget this replica currently exceeds for any conit the write
-   affects (empty = the write may return).  Only a nonzero weight on a conit
-   with a finite declared NE bound can exceed a share — any other conit's
-   share is infinite — so the others are dropped once, before the peer
-   loop. *)
-and over_budget_peers t (w : Write.t) =
-  match
-    List.filter
-      (fun { Write.conit; nweight; _ } ->
-        (not (Float.equal nweight 0.0)) && bounded_conit t conit)
-      w.affects
-  with
+(* Peers whose budget this replica currently exceeds for any of a write's
+   bounded conits ([u_over]; empty = the write may return). *)
+and over_budget_peers t over =
+  match over with
   | [] -> []
-  | weights ->
+  | _ ->
     let result = ref [] in
     for j = t.n - 1 downto 0 do
-      if j <> t.rid then
-        let over =
-          List.exists
-            (fun { Write.conit; _ } ->
-              outstanding_for t ~peer:j conit > share_for t ~receiver:j conit)
-            weights
-        in
-        if over then result := j :: !result
+      if j <> t.rid && List.exists (fun c -> c.c_out.(j) > share_for t ~receiver:j c) over
+      then result := j :: !result
     done;
     !result
 
@@ -611,45 +586,38 @@ and primary_assign t =
 and staleness_estimate t =
   if t.n = 1 then 0.0
   else begin
+    let nw = now t in
     let worst = ref 0.0 in
     for j = 0 to t.n - 1 do
-      if j <> t.rid then worst := Float.max !worst (now t -. t.cover.(j))
+      if j <> t.rid then worst := Float.max !worst (nw -. t.cover.(j))
     done;
     !worst
   end
 
 (* Does a dep require a one-off pull round (NE tighter than the declared,
    proactively maintained bound)? *)
-and needs_ne_round t (conit_name, (b : Bounds.t)) =
-  let ne_bound, ne_rel_bound, _ = declared_bounds t conit_name in
-  b.ne < ne_bound || b.ne_rel < ne_rel_bound
+and needs_ne_round (c, (b : Bounds.t)) =
+  b.ne < c.c_decl.Conit.ne_bound || b.ne_rel < c.c_decl.Conit.ne_rel_bound
 
-and deps_satisfied t p =
-  let require_ok =
-    match p.p_require with
-    | None -> true
-    | Some v -> Version_vector.dominates (Wlog.vector t.wlog) v
-  in
-  require_ok
-  &&
-  let oe_ok =
-    (* the checker's planted admission off-by-[slack]; 0 otherwise *)
-    let slack = match t.mutation with Mutation.Oe_slack s -> s | _ -> 0.0 in
-    List.for_all
-      (fun (c, (b : Bounds.t)) -> Wlog.tentative_oweight t.wlog c <= b.oe +. slack)
-      p.p_deps
-  in
+(* Can the access be served now, given the staleness estimate [est]?  The
+   tests run cheapest and most selective first: an unfinished NE round,
+   then the session vector, then OE per conit, then ST. *)
+and deps_satisfied t p ~est =
+  ((not p.p_needs_round) || p.p_round_done)
+  && (match p.p_require with
+     | None -> true
+     | Some v -> Version_vector.dominates (Wlog.vector t.wlog) v)
+  && (let slack =
+        (* the checker's planted admission off-by-[slack]; 0 otherwise *)
+        match t.mutation with Mutation.Oe_slack s -> s | _ -> 0.0
+      in
+      List.for_all
+        (fun (c, (b : Bounds.t)) -> Wlog.tally_tent_ow c.c_tally <= b.oe +. slack)
+        p.p_deps)
   (* A pull round completed after submission implies that every write
      returned before submission has been observed — hence both numerical
      error and staleness (measured at submission, per the model) are zero. *)
-  let st_ok =
-    p.p_round_done
-    ||
-    let est = staleness_estimate t in
-    List.for_all (fun (_, (b : Bounds.t)) -> est <= b.st) p.p_deps
-  in
-  let ne_ok = (not p.p_needs_round) || p.p_round_done in
-  oe_ok && st_ok && ne_ok
+  && (p.p_round_done || match p.p_deps with [] -> true | _ -> est <= p.p_st)
 
 (* ------------------------------------------------------------------ *)
 (* Serving                                                             *)
@@ -685,7 +653,7 @@ and access_record t ~kind ~obs:(vector, tentative, local) ~submit ~serve
     submit_time = submit;
     serve_time = serve;
     return_time = return_t;
-    deps = List.map (fun (conit, bound) -> { Access.conit; bound }) deps;
+    deps = List.map (fun (c, bound) -> { Access.conit = c.c_name; bound }) deps;
     observed_vector = vector;
     observed_tentative = tentative;
     observed_local = local;
@@ -710,12 +678,26 @@ and serve_write t p op affects k =
   let w =
     Write.make ~id:{ origin = t.rid; seq } ~accept_time:(now t) ~op ~affects
   in
+  (* The write resolves its conits once, for the budget window and for its
+     unreturned record. *)
+  let charges =
+    List.filter_map
+      (fun { Write.conit; nweight; _ } ->
+        let c = cstate t conit in
+        if c.c_bounded then Some (c, Float.abs nweight) else None)
+      affects
+  in
+  let over =
+    match charges with
+    | [] -> []
+    | _ -> List.filter_map (fun (c, w) -> if Float.equal w 0.0 then None else Some c) charges
+  in
   let obs = capture_observation t in
   let pre_vector = Version_vector.copy (Wlog.vector t.wlog) in
   let outcome = Wlog.accept t.wlog w in
   if observed t then emit t (Event.Accept w);
   update_rate t;
-  add_outstanding t w;
+  add_outstanding t ~seq charges;
   (match t.on_accept with Some f -> f w pre_vector | None -> ());
   (* Commitment may already be possible from local knowledge (the primary
      commits its own writes; a single-replica system is trivially covered). *)
@@ -729,9 +711,9 @@ and serve_write t p op affects k =
   let u =
     { u_write = w; u_outcome = outcome; u_wait_commit = wait_commit;
       u_obs = obs; u_submit = p.p_submit; u_serve = serve; u_deps = p.p_deps;
-      u_k = k }
+      u_over = over; u_k = k }
   in
-  let over = over_budget_peers t w in
+  let over = over_budget_peers t over in
   if over = [] && not wait_commit then begin
     record_write t u ~return_t:serve outcome;
     k outcome
@@ -742,13 +724,10 @@ and serve_write t p op affects k =
        write commits — driven by pulling covers from every peer). *)
     List.iter
       (fun j ->
-        t.s_pushes_budget <- t.s_pushes_budget + 1;
+        t.st.pushes_budget <- t.st.pushes_budget + 1;
         push_to t ~dst:j)
       over;
-    if wait_commit then
-      for j = 0 to t.n - 1 do
-        if j <> t.rid then send_pull t ~dst:j ~round:0
-      done;
+    if wait_commit then pull_all t ~round:0;
     Queue.push u t.return_queue;
     ensure_retry t
   end
@@ -812,6 +791,11 @@ and send_pull t ~dst ~round =
          round;
        })
 
+and pull_all t ~round =
+  for j = 0 to t.n - 1 do
+    if j <> t.rid then send_pull t ~dst:j ~round
+  done
+
 and trigger_syncs t p =
   (* Session-guarantee vector requirement: pull from the origins we lag. *)
   (match p.p_require with
@@ -826,9 +810,7 @@ and trigger_syncs t p =
   (* ST: pull from peers whose cover is too old; if targeted pulls have
      already failed to get under the bound (it may be tighter than the
      network's round-trip floor), escalate to a full round. *)
-  let st_bound =
-    List.fold_left (fun acc (_, (b : Bounds.t)) -> Float.min acc b.st) infinity p.p_deps
-  in
+  let st_bound = p.p_st in
   if (not p.p_round_done) && st_bound < infinity && staleness_estimate t > st_bound
   then begin
     p.p_st_tries <- p.p_st_tries + 1;
@@ -836,7 +818,7 @@ and trigger_syncs t p =
     else
       for j = 0 to t.n - 1 do
         if j <> t.rid && now t -. t.cover.(j) > st_bound then begin
-          t.s_pulls_st <- t.s_pulls_st + 1;
+          t.st.pulls_st <- t.st.pulls_st + 1;
           send_pull t ~dst:j ~round:0
         end
       done
@@ -857,26 +839,19 @@ and trigger_syncs t p =
     | Some _ | None ->
       let r = fresh_round t in
       p.p_round <- Some r;
-      t.s_pulls_ne <- t.s_pulls_ne + 1;
-      if t.n = 1 then p.p_round_done <- true
-      else
-        for j = 0 to t.n - 1 do
-          if j <> t.rid then send_pull t ~dst:j ~round:r
-        done
+      t.st.pulls_ne <- t.st.pulls_ne + 1;
+      if t.n = 1 then p.p_round_done <- true else pull_all t ~round:r
   end;
   (* OE: drive commitment. *)
   let oe_unmet =
     List.exists
-      (fun (c, (b : Bounds.t)) -> Wlog.tentative_oweight t.wlog c > b.oe)
+      (fun (c, (b : Bounds.t)) -> Wlog.tally_tent_ow c.c_tally > b.oe)
       p.p_deps
   in
   if oe_unmet then begin
-    t.s_pulls_oe <- t.s_pulls_oe + 1;
+    t.st.pulls_oe <- t.st.pulls_oe + 1;
     match t.cfg.Config.commit_scheme with
-    | Config.Stability ->
-      for j = 0 to t.n - 1 do
-        if j <> t.rid then send_pull t ~dst:j ~round:0
-      done
+    | Config.Stability -> pull_all t ~round:0
     | Config.Primary prim ->
       if t.rid = prim then commit_progress t
       else begin
@@ -896,10 +871,12 @@ and pump t =
   let snapshot = Queue.create () in
   Queue.transfer t.pending snapshot;
   let keep = Queue.create () in
+  (* One staleness reading serves the whole pass. *)
+  let est = if Queue.is_empty snapshot then 0.0 else staleness_estimate t in
   Queue.iter
     (fun p ->
       if p.p_done then ()
-      else if deps_satisfied t p then begin
+      else if deps_satisfied t p ~est then begin
         p.p_done <- true;
         t.npending <- t.npending - 1;
         match p.p_kind with
@@ -917,7 +894,7 @@ and pump t =
   let rec drain () =
     if not (Queue.is_empty t.return_queue) then begin
       let u = Queue.peek t.return_queue in
-      if over_budget_peers t u.u_write = [] then begin
+      if over_budget_peers t u.u_over = [] then begin
         let final = Wlog.final_outcome t.wlog u.u_write.id in
         match (u.u_wait_commit, final) with
         | true, None -> ()
@@ -953,12 +930,9 @@ and ensure_retry t =
           (fun u ->
             List.iter
               (fun j -> push_to t ~dst:j)
-              (over_budget_peers t u.u_write);
+              (over_budget_peers t u.u_over);
             if u.u_wait_commit && Wlog.final_outcome t.wlog u.u_write.id = None
-            then
-              for j = 0 to t.n - 1 do
-                if j <> t.rid then send_pull t ~dst:j ~round:0
-              done)
+            then pull_all t ~round:0)
           t.return_queue;
         pump t;
         schedule t ~tag:"retry" ~delay:t.cfg.Config.retry_period tick
@@ -985,7 +959,7 @@ and apply_sync t ~from ~vector ~cover ~csn_start ~csn ~rate ~kind payload =
     | Batch.Delta writes -> writes
     | Batch.Full (snap, writes) ->
       if Wlog.install_snapshot t.wlog snap then begin
-        t.s_snapshots_installed <- t.s_snapshots_installed + 1;
+        t.st.snapshots_installed <- t.st.snapshots_installed + 1;
         if observed t then
           emit t (Event.Snapshot { from; committed = snap.Wlog.snap_ncommitted });
         (* The committed prefix the snapshot represents counts as committed
@@ -1057,7 +1031,7 @@ and process t ~src msg =
       (* A frame carrying another shard's log must never be applied: its
          writes, vector and CSN slice all describe a different log.  Reject
          and account — the interest-set-aware oracle flags the counter. *)
-      t.s_wrong_shard <- t.s_wrong_shard + 1;
+      t.st.wrong_shard_frames <- t.st.wrong_shard_frames + 1;
       if observed t then
         emit t
           (Event.Wrong_shard { shard = b.Batch.shard; serving = t.cfg.Config.shard_id })
@@ -1099,7 +1073,7 @@ and sweep t ~due =
       else if p.p_deadline <= upto then begin
         p.p_done <- true;
         t.npending <- t.npending - 1;
-        t.s_timeouts <- t.s_timeouts + 1;
+        t.st.timeouts <- t.st.timeouts + 1;
         expired := p :: !expired
       end
       else if p.p_deadline < !next then next := p.p_deadline)
@@ -1113,12 +1087,12 @@ and sweep t ~due =
 let admit t p =
   if not t.up then (
     match p.p_on_timeout with Some f -> f () | None -> ())
-  else if deps_satisfied t p then
+  else if deps_satisfied t p ~est:(staleness_estimate t) then
     match p.p_kind with
     | Pread (f, k) -> serve_read t p f k
     | Pwrite (op, affects, k) -> serve_write t p op affects k
   else begin
-    t.s_blocked <- t.s_blocked + 1;
+    t.st.blocked_accesses <- t.st.blocked_accesses + 1;
     if observed t then
       emit t
         (Event.Blocked
@@ -1140,43 +1114,31 @@ let admit t p =
     if arm then schedule_sweep t p.p_deadline
   end
 
-let submit_read ?require ?deadline ?on_timeout t ~deps ~f ~k =
-  let p =
+(* An access resolves its conits once, here. *)
+let submit t ~require ~deadline ~on_timeout ~deps kind =
+  let deps = List.map (fun (name, b) -> (cstate t name, b)) deps in
+  admit t
     {
       p_submit = now t;
       p_deps = deps;
+      p_st = List.fold_left (fun acc (_, (b : Bounds.t)) -> Float.min acc b.st) infinity deps;
       p_require = require;
       p_on_timeout = on_timeout;
       p_deadline = Option.value deadline ~default:infinity;
-      p_kind = Pread (f, k);
+      p_kind = kind;
       p_round = None;
       p_round_done = false;
-      p_needs_round = List.exists (needs_ne_round t) deps;
+      p_needs_round = List.exists needs_ne_round deps;
       p_st_tries = 0;
       p_done = false;
-    }
-  in
-  admit t p;
+    };
   sanity_check t
 
+let submit_read ?require ?deadline ?on_timeout t ~deps ~f ~k =
+  submit t ~require ~deadline ~on_timeout ~deps (Pread (f, k))
+
 let submit_write ?require ?deadline ?on_timeout t ~deps ~affects ~op ~k =
-  let p =
-    {
-      p_submit = now t;
-      p_deps = deps;
-      p_require = require;
-      p_on_timeout = on_timeout;
-      p_deadline = Option.value deadline ~default:infinity;
-      p_kind = Pwrite (op, affects, k);
-      p_round = None;
-      p_round_done = false;
-      p_needs_round = List.exists (needs_ne_round t) deps;
-      p_st_tries = 0;
-      p_done = false;
-    }
-  in
-  admit t p;
-  sanity_check t
+  submit t ~require ~deadline ~on_timeout ~deps (Pwrite (op, affects, k))
 
 (* Clients of a crashed replica fail fast: parked accesses are abandoned
    (their timeout callbacks fire) and new submissions go straight to
@@ -1217,9 +1179,7 @@ let recover t =
     t.up <- true;
     emit t Event.Recover;
     (* Proactively resynchronise with every peer. *)
-    for j = 0 to t.n - 1 do
-      if j <> t.rid then send_pull t ~dst:j ~round:0
-    done;
+    pull_all t ~round:0;
     if not (Queue.is_empty t.return_queue) then ensure_retry t
   end
 
@@ -1245,7 +1205,14 @@ let deliver_wire t ~src s =
   | Error e -> reject t (fun () -> Transport.error_to_string e)
   | Ok msg -> receive t ~src msg
 
-let malformed_frames t = t.s_malformed
+let malformed_frames t = t.st.malformed_frames
+
+(* Deliberately corrupt one per-peer outstanding entry — exists solely so
+   tests can prove the sanitizer audits it. *)
+let unsafe_add_outstanding t ~peer conit delta =
+  let c = cstate t conit in
+  if Array.length c.c_out = 0 then c.c_out <- Array.make t.n 0.0;
+  c.c_out.(peer) <- c.c_out.(peer) +. delta
 
 (* Targeted resynchronisation: one pull at [peer], answered by the peer's
    sync builder with a delta against our vector or a snapshot if the peer
@@ -1287,7 +1254,7 @@ let start t =
           if t.up && Array.length ring > 0 then begin
             let target = ring.(!tick mod Array.length ring) in
             incr tick;
-            t.s_gossips <- t.s_gossips + 1;
+            t.st.gossips <- t.st.gossips + 1;
             push_to t ~dst:target
           end;
           true)

@@ -30,21 +30,21 @@
 type t
 
 type stats = {
-  pushes_budget : int;  (** transfers forced by the NE budget *)
-  pulls_ne : int;  (** pull rounds for tighter-than-declared NE *)
-  pulls_oe : int;  (** sync actions forced by OE bounds *)
-  pulls_st : int;  (** pulls forced by staleness bounds *)
-  gossips : int;
-  blocked_accesses : int;  (** accesses that could not be served immediately *)
-  snapshots_sent : int;  (** full-state transfers to peers behind the
-                             truncation point *)
-  snapshots_installed : int;
-  timeouts : int;  (** accesses abandoned at their deadline *)
-  batches : int;  (** coalesced anti-entropy frames sent (Batched sync) *)
-  wrong_shard_frames : int;
+  mutable pushes_budget : int;  (** transfers forced by the NE budget *)
+  mutable pulls_ne : int;  (** pull rounds for tighter-than-declared NE *)
+  mutable pulls_oe : int;  (** sync actions forced by OE bounds *)
+  mutable pulls_st : int;  (** pulls forced by staleness bounds *)
+  mutable gossips : int;
+  mutable blocked_accesses : int;  (** accesses that could not be served immediately *)
+  mutable snapshots_sent : int;  (** full-state transfers to peers behind the
+                                     truncation point *)
+  mutable snapshots_installed : int;
+  mutable timeouts : int;  (** accesses abandoned at their deadline *)
+  mutable batches : int;  (** coalesced anti-entropy frames sent (Batched sync) *)
+  mutable wrong_shard_frames : int;
       (** incoming Batch frames rejected because they carried another shard's
           log — nonzero only under a cross-shard routing bug *)
-  malformed_frames : int;
+  mutable malformed_frames : int;
       (** incoming wire payloads rejected before application: bytes that do
           not decode, sender-id spoofs, or embedded batch frames that fail
           the typed decoder.  Always 0 in simulation (the simulator delivers
@@ -112,6 +112,11 @@ val records : t -> Tact_core.Access.t list
 (** Access records emitted so far (most recent first). *)
 
 val stats : t -> stats
+(** A copy of the replica's counters: later activity does not change it. *)
+
+val zero_stats : unit -> stats
+val add_stats : stats -> stats -> stats
+(** A fresh record of the fieldwise sums. *)
 
 val start : t -> unit
 (** Begin background activity (gossip, retry loop).  Call once, after every
@@ -168,10 +173,21 @@ val close : t -> unit
     a closed replica can still be inspected. *)
 
 val bookkeeping_entries : t -> int
-(** Size of the numerical-error bookkeeping state (per-peer, per-conit
-    outstanding-weight entries).  Section 5 claims the protocols scale with
+(** Size of the numerical-error bookkeeping state: the (peer, conit)
+    outstanding-weight entries.  Section 5 claims the protocols scale with
     the number of {e active} conits because this state is created on demand
-    rather than statically per conit; experiment E8 measures it. *)
+    rather than statically per conit; experiment E8 measures it.
+
+    A replica keeps one state record per conit it has met, created the first
+    time an access names the conit or an own write weighs on it: the
+    declaration, a handle on the log's tallies ({!Tact_store.Wlog.tally}),
+    and — once an own write first puts bounded weight on the conit — one
+    outstanding-weight entry per peer.  An access resolves its conits once,
+    at submission; an own write once, when it is served.  A parked access is
+    then re-checked without a name lookup, cheapest and most selective test
+    first: an unfinished NE pull round, the session vector, each conit's
+    order weight, and last the staleness estimate, which is read once per
+    pass over the parked accesses. *)
 
 val sanity_check : t -> unit
 (** When {!Tact_util.Sanitize.enabled}, audit this replica's execution state
@@ -180,3 +196,9 @@ val sanity_check : t -> unit
     [Tact_util.Sanitize.Violation] tagged with the replica id and simulated
     time.  No-op otherwise.  Runs automatically after message processing and
     access submission. *)
+
+(**/**)
+
+val unsafe_add_outstanding : t -> peer:int -> string -> float -> unit
+(** Test-only: corrupt one per-peer outstanding entry, so tests can prove
+    the sanitizer detects it.  Never call otherwise. *)

@@ -254,40 +254,10 @@ let shard_leaks t =
     t.subs;
   !leaks
 
-let add_stats (a : Replica.stats) (b : Replica.stats) =
-  {
-    Replica.pushes_budget = a.pushes_budget + b.pushes_budget;
-    pulls_ne = a.pulls_ne + b.pulls_ne;
-    pulls_oe = a.pulls_oe + b.pulls_oe;
-    pulls_st = a.pulls_st + b.pulls_st;
-    gossips = a.gossips + b.gossips;
-    blocked_accesses = a.blocked_accesses + b.blocked_accesses;
-    snapshots_sent = a.snapshots_sent + b.snapshots_sent;
-    snapshots_installed = a.snapshots_installed + b.snapshots_installed;
-    timeouts = a.timeouts + b.timeouts;
-    batches = a.batches + b.batches;
-    wrong_shard_frames = a.wrong_shard_frames + b.wrong_shard_frames;
-    malformed_frames = a.malformed_frames + b.malformed_frames;
-  }
-
 let total_stats t =
   Array.fold_left
-    (fun acc sys -> add_stats acc (System.total_stats sys))
-    {
-      Replica.pushes_budget = 0;
-      pulls_ne = 0;
-      pulls_oe = 0;
-      pulls_st = 0;
-      gossips = 0;
-      blocked_accesses = 0;
-      snapshots_sent = 0;
-      snapshots_installed = 0;
-      timeouts = 0;
-      batches = 0;
-      wrong_shard_frames = 0;
-      malformed_frames = 0;
-    }
-    t.subs
+    (fun acc sys -> Replica.add_stats acc (System.total_stats sys))
+    (Replica.zero_stats ()) t.subs
 
 let traffic t =
   Array.fold_left

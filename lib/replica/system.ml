@@ -175,37 +175,8 @@ let traffic t = Net.stats t.net
 
 let total_stats t =
   Array.fold_left
-    (fun (acc : Replica.stats) r ->
-      let s = Replica.stats r in
-      {
-        Replica.pushes_budget = acc.pushes_budget + s.pushes_budget;
-        pulls_ne = acc.pulls_ne + s.pulls_ne;
-        pulls_oe = acc.pulls_oe + s.pulls_oe;
-        pulls_st = acc.pulls_st + s.pulls_st;
-        gossips = acc.gossips + s.gossips;
-        blocked_accesses = acc.blocked_accesses + s.blocked_accesses;
-        snapshots_sent = acc.snapshots_sent + s.snapshots_sent;
-        snapshots_installed = acc.snapshots_installed + s.snapshots_installed;
-        timeouts = acc.timeouts + s.timeouts;
-        batches = acc.batches + s.batches;
-        wrong_shard_frames = acc.wrong_shard_frames + s.wrong_shard_frames;
-        malformed_frames = acc.malformed_frames + s.malformed_frames;
-      })
-    {
-      Replica.pushes_budget = 0;
-      pulls_ne = 0;
-      pulls_oe = 0;
-      pulls_st = 0;
-      gossips = 0;
-      blocked_accesses = 0;
-      snapshots_sent = 0;
-      snapshots_installed = 0;
-      timeouts = 0;
-      batches = 0;
-      wrong_shard_frames = 0;
-      malformed_frames = 0;
-    }
-    t.replicas
+    (fun acc r -> Replica.add_stats acc (Replica.stats r))
+    (Replica.zero_stats ()) t.replicas
 
 let converged t =
   let reference = Replica.db t.replicas.(0) in

@@ -11,20 +11,16 @@ let zero_stats =
   { messages = 0; bytes = 0; dropped = 0; dropped_loss = 0; dropped_cut = 0;
     max_message = 0 }
 
-(* Per directed link counters, including drops (satellite: traffic_where used
-   to read [dropped = 0] because drops were only counted globally). *)
-type link_counters = {
-  mutable lc_messages : int;
-  mutable lc_bytes : int;
-  mutable lc_dropped : int;
-}
-
 type t = {
   engine : Engine.t;
   topo : Topology.t;
   jitter : (Tact_util.Prng.t * float) option;
   links : Links.t;
-  link_traffic : (int * int, link_counters) Hashtbl.t;
+  (* Per directed link counters, including drops, in flat [n * n] arrays
+     indexed [src * n + dst]. *)
+  lc_messages : int array;
+  lc_bytes : int array;
+  lc_dropped : int array;
   mutable messages : int;
   mutable bytes : int;
   mutable dropped_loss : int;
@@ -40,7 +36,9 @@ let create engine topo ?jitter ?loss () =
     topo;
     jitter;
     links;
-    link_traffic = Hashtbl.create 7;
+    lc_messages = Array.make (topo.Topology.n * topo.Topology.n) 0;
+    lc_bytes = Array.make (topo.Topology.n * topo.Topology.n) 0;
+    lc_dropped = Array.make (topo.Topology.n * topo.Topology.n) 0;
     messages = 0;
     bytes = 0;
     dropped_loss = 0;
@@ -50,17 +48,11 @@ let create engine topo ?jitter ?loss () =
 
 let links t = t.links
 
-let counters t src dst =
-  match Hashtbl.find_opt t.link_traffic (src, dst) with
-  | Some c -> c
-  | None ->
-    let c = { lc_messages = 0; lc_bytes = 0; lc_dropped = 0 } in
-    Hashtbl.replace t.link_traffic (src, dst) c;
-    c
+let link t src dst = (src * t.topo.Topology.n) + dst
 
 let record_drop t src dst ~cut =
-  let c = counters t src dst in
-  c.lc_dropped <- c.lc_dropped + 1;
+  let l = link t src dst in
+  t.lc_dropped.(l) <- t.lc_dropped.(l) + 1;
   if cut then t.dropped_cut <- t.dropped_cut + 1
   else t.dropped_loss <- t.dropped_loss + 1
 
@@ -68,9 +60,9 @@ let record_sent t src dst ~size =
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + size;
   if size > t.max_message then t.max_message <- size;
-  let c = counters t src dst in
-  c.lc_messages <- c.lc_messages + 1;
-  c.lc_bytes <- c.lc_bytes + size
+  let l = link t src dst in
+  t.lc_messages.(l) <- t.lc_messages.(l) + 1;
+  t.lc_bytes.(l) <- t.lc_bytes.(l) + size
 
 let base_delay t ~src ~dst ~size =
   let df = Links.delay_factor t.links and bf = Links.bandwidth_factor t.links in
@@ -119,19 +111,25 @@ let stats t =
     max_message = t.max_message;
   }
 
+(* Sums over the links that carried or dropped something; [pred] sees no
+   other link. *)
 let traffic_where t pred =
-  (* lint: allow hashtbl-fold — commutative sum over links *)
-  Hashtbl.fold
-    (fun (src, dst) c (acc : stats) ->
-      if pred ~src ~dst then
-        {
-          acc with
-          messages = acc.messages + c.lc_messages;
-          bytes = acc.bytes + c.lc_bytes;
-          dropped = acc.dropped + c.lc_dropped;
-        }
-      else acc)
-    t.link_traffic zero_stats
+  let n = t.topo.Topology.n in
+  let acc = ref zero_stats in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      let l = link t src dst in
+      if (t.lc_messages.(l) > 0 || t.lc_dropped.(l) > 0) && pred ~src ~dst then
+        acc :=
+          {
+            !acc with
+            messages = !acc.messages + t.lc_messages.(l);
+            bytes = !acc.bytes + t.lc_bytes.(l);
+            dropped = !acc.dropped + t.lc_dropped.(l);
+          }
+    done
+  done;
+  !acc
 
 let reset_stats t =
   t.messages <- 0;
@@ -139,4 +137,4 @@ let reset_stats t =
   t.dropped_loss <- 0;
   t.dropped_cut <- 0;
   t.max_message <- 0;
-  Hashtbl.reset t.link_traffic
+  List.iter (fun a -> Array.fill a 0 (Array.length a) 0) [ t.lc_messages; t.lc_bytes; t.lc_dropped ]

@@ -543,16 +543,16 @@ let vector t = t.vector
 (* Serve the delta beyond [v] by k-way-merging slices of the slot index:
    each origin's missing writes are the tail of its (seq-ordered, hence
    ts-ordered) slot array, so a [nreplicas]-way heap merge yields the result
-   in timestamp order directly — O(delta log k), no hashing, no sort. *)
+   in timestamp order directly — O(delta log k), no hashing, no sort.  When
+   one origin alone has missing writes (every own-write push, every ring
+   gossip), they are consed straight from its slots. *)
 let writes_since t v =
   let n = t.nreplicas in
-  (* Per live origin: the slots of its missing seqs, oldest first. *)
-  let slices = Array.make n [||] in
-  let k = ref 0 in
+  (* The live origins: the ones with missing writes. *)
+  let k = ref 0 and last = ref 0 in
   for origin = 0 to n - 1 do
     let have = Version_vector.get v origin in
-    let upto = Version_vector.get t.vector origin in
-    if upto > have then begin
+    if Version_vector.get t.vector origin > have then begin
       if have < Version_vector.get t.trunc_vec origin then begin
         (* Error path only: name the first seq actually gone (under CSN
            commits a lower-seq straggler may outlive the truncation that
@@ -565,16 +565,37 @@ let writes_since t v =
              "Wlog.writes_since: w%d.%d was truncated (check can_serve first)"
              origin !seq)
       end;
-      (* Every seq in (trunc_vec, vector] is resident, so [have + 1 .. upto]
-         are consecutive slots: one pointer blit per origin. *)
-      let oi = t.index.(origin) in
-      slices.(!k) <- Deque.sub oi.islots (have - oi.ibase) (upto - have);
-      incr k
+      incr k;
+      last := origin
     end
   done;
-  let k = !k in
-  if k = 0 then []
-  else begin
+  (* Every seq in (trunc_vec, vector] is resident, so an origin's missing
+     seqs [have + 1 .. upto] are the consecutive slots
+     [have - ibase .. upto - ibase - 1]. *)
+  match !k with
+  | 0 -> []
+  | 1 ->
+    let oi = t.index.(!last) in
+    let outl = ref [] in
+    for i = Version_vector.get t.vector !last - oi.ibase - 1
+        downto Version_vector.get v !last - oi.ibase do
+      outl := (Deque.get oi.islots i).s_write :: !outl
+    done;
+    !outl
+  | k ->
+    (* Per live origin: the slots of its missing seqs, oldest first — one
+       pointer blit each. *)
+    let slices = Array.make k [||] in
+    let s = ref 0 in
+    for origin = 0 to n - 1 do
+      let have = Version_vector.get v origin in
+      let upto = Version_vector.get t.vector origin in
+      if upto > have then begin
+        let oi = t.index.(origin) in
+        slices.(!s) <- Deque.sub oi.islots (have - oi.ibase) (upto - have);
+        incr s
+      end
+    done;
     (* Merge in descending order from the slice tails with a binary max-heap
        keyed by each slice's cached tail write, so each extracted write
        conses straight onto the front of the result list: ascending output,
@@ -650,7 +671,6 @@ let writes_since t v =
       end
     done;
     !outl
-  end
 
 let db t =
   force t;
@@ -793,6 +813,9 @@ let commit_ids t ids =
 
 let tentative_oweight t conit =
   match Hashtbl.find_opt t.tallies conit with Some r -> r.tent_ow | None -> 0.0
+
+let tally_tent_ow r = r.tent_ow
+let tally_value r = r.value
 
 let tentative_max_oweight t =
   (* lint: allow hashtbl-fold — max over values, order-independent *)

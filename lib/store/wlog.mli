@@ -138,6 +138,18 @@ val tentative_oweight : t -> string -> float
 (** Order error of a conit at this replica: summed oweight of tentative
     writes affecting it. *)
 
+type tally
+
+val tally : t -> string -> tally
+(** A handle on the conit's tallies, created at zero if no write has touched
+    the conit yet.  It stays valid for the life of the log
+    ({!install_snapshot} resets each tally in place), so a caller resolves a
+    conit once and reads {!tally_tent_ow} ({!tentative_oweight}) and
+    {!tally_value} ({!conit_value}) without a name lookup. *)
+
+val tally_tent_ow : tally -> float
+val tally_value : tally -> float
+
 val tentative_max_oweight : t -> float
 (** Max over conits of {!tentative_oweight} — a cheap upper bound used when a
     single commitment decision covers all conits. *)

@@ -1,8 +1,10 @@
 (* Growable array with a head offset: O(1) amortised push_back and pop_front,
    O(log n) binary search, O(distance-to-tail) mid insertion.  The front slack
-   left by pops is reclaimed whenever it exceeds the live length, so memory
-   stays within a constant factor of the live contents.  Every slot outside
-   the live range holds the caller's [filler], so a popped element is never
+   left by pops is reclaimed by sliding the live range left when the back
+   runs out of room, so a FIFO of steady length allocates nothing; the array
+   shrinks only once it exceeds four times the live length, so memory stays
+   within a constant factor of the live contents.  Every slot outside the
+   live range holds the caller's [filler], so a popped element is never
    pinned by the array. *)
 
 type 'a t = {
@@ -39,21 +41,28 @@ let realloc t extra =
     t.head <- 0
   end
 
-(* Make room for one more element at the back. *)
+(* Make room for one more element at the back.  When at least half the
+   array is free, slide the live range to the front instead of growing: the
+   slide copies [len] elements and frees [len] or more slots at the back, so
+   its cost is amortised over the pushes that fill them. *)
 let ensure_back t =
   if Array.length t.data = 0 then begin
     t.data <- Array.make 16 t.filler;
     t.head <- 0
   end
   else if t.head + t.len >= Array.length t.data then
-    if t.head > t.len then begin
-      (* Plenty of slack at the front: slide left instead of growing, then
-         clear the old span (disjoint from the new one, as head > len). *)
+    if t.head > 0 && 2 * t.len <= Array.length t.data then begin
       Array.blit t.data t.head t.data 0 t.len;
-      Array.fill t.data t.head t.len t.filler;
+      Array.fill t.data t.len t.head t.filler;
       t.head <- 0
     end
     else realloc t 1
+
+(* After front pops: an empty deque restarts at slot 0, and an array past
+   64 slots and four times the live length is reallocated at twice it. *)
+let shrink t =
+  if t.len = 0 then t.head <- 0;
+  if Array.length t.data > 64 && Array.length t.data > 4 * t.len then realloc t 0
 
 let push_back t x =
   ensure_back t;
@@ -70,7 +79,7 @@ let pop_front t =
   t.data.(t.head) <- t.filler;
   t.head <- t.head + 1;
   t.len <- t.len - 1;
-  if t.head > t.len && t.head > 16 then realloc t 0;
+  shrink t;
   x
 
 let pop_back t =
@@ -86,7 +95,7 @@ let drop_front t n =
   Array.fill t.data t.head n t.filler;
   t.head <- t.head + n;
   t.len <- t.len - n;
-  if t.head > t.len && t.head > 16 then realloc t 0
+  shrink t
 
 (* Insert at logical index [i], shifting the tail side right: O(len - i),
    which is O(1) for the common land-at-the-tail case. *)

@@ -1,8 +1,11 @@
 (** Growable array with a head offset: the indexed backing store for the
     write log.  O(1) amortised [push_back]/[pop_front], O(log n)
     [upper_bound], O(distance-to-tail) mid insertion/removal.  Front slack
-    left by pops is reclaimed once it exceeds the live length, keeping memory
-    within a constant factor of the live contents.
+    left by pops is reclaimed by sliding the live range left when a push
+    finds no room at the back, so a FIFO of steady length stops allocating
+    once warm.  The array shrinks only when it exceeds four times the live
+    length (and 64 slots), keeping memory within a constant factor of the
+    live contents.
 
     Popped and removed elements are released: their slots are overwritten
     with the deque's [filler], so the deque never keeps a dead element
@@ -27,8 +30,8 @@ val pop_front : 'a t -> 'a
 val pop_back : 'a t -> 'a
 
 val drop_front : 'a t -> int -> unit
-(** Discard the first [n] elements (a fill of their slots plus occasional
-    compaction). *)
+(** Discard the first [n] elements (a fill of their slots, plus a shrink
+    when the array exceeds four times what is left). *)
 
 val insert : 'a t -> int -> 'a -> unit
 (** Insert before logical index [i], shifting the tail side right. *)

@@ -690,10 +690,48 @@ let test_gossip_plan_validated () =
        false
      with Invalid_argument _ -> true)
 
+(* A parked read resolves its conits at submission, before any write has
+   touched them; the state it holds must still see the order weight that a
+   later write brings.  The read at replica 0 waits for replica 1's first
+   write (session vector) and bounds OE at 0 on the conit that write
+   weighs on.  Replica 2 is cut off, so the write cannot commit at 0 before
+   the heal at t = 5. *)
+let test_parked_read_sees_later_write () =
+  let sys = System.create ~topology:(topo 3) ~config:Config.default () in
+  let engine = System.engine sys in
+  let r0 = System.replica sys 0 and r1 = System.replica sys 1 in
+  let links = Net.links (System.net sys) in
+  Links.partition links [ 0; 1 ] [ 2 ];
+  let served = ref None in
+  Engine.at engine ~time:1.0 (fun () ->
+      let require = Version_vector.create 3 in
+      Version_vector.set require 1 1;
+      Replica.submit_read ~require r0
+        ~deps:[ ("fresh", Bounds.make ~oe:0.0 ()) ]
+        ~f:(fun db -> Db.get db "x")
+        ~k:(fun _ -> served := Some (Engine.now engine)));
+  Engine.at engine ~time:2.0 (fun () ->
+      Replica.submit_write r1 ~deps:[] ~affects:[ unit_weight "fresh" ]
+        ~op:(Op.Add ("x", 1.0)) ~k:ignore);
+  Engine.at engine ~time:5.0 (fun () ->
+      let log = Replica.log r0 in
+      Alcotest.(check int) "the write reached replica 0" 1
+        (Version_vector.get (Wlog.vector log) 1);
+      Alcotest.(check (float 0.0)) "its order weight is tentative" 1.0
+        (Wlog.tentative_oweight log "fresh");
+      Alcotest.(check bool) "the read is held" true (Option.is_none !served);
+      Links.heal links);
+  System.run ~until:30.0 sys;
+  match !served with
+  | Some t -> Alcotest.(check bool) "served after the heal" true (t > 5.0)
+  | None -> Alcotest.fail "the read was never served"
+
 let gossip_suite =
   [
     Alcotest.test_case "gossip plan respected" `Quick test_gossip_plan_respected;
     Alcotest.test_case "gossip plan validated" `Quick test_gossip_plan_validated;
+    Alcotest.test_case "parked read sees later write" `Quick
+      test_parked_read_sees_later_write;
   ]
 
 let suite = base_suite @ deadline_suite @ validation_suite @ gossip_suite

@@ -137,6 +137,32 @@ let test_sweep_audit () =
             (mentions "precedes the sweep" msg))
       | l -> Alcotest.failf "%d fields hold the armed deadline" (List.length l))
 
+(* The budget audit recounts each peer's outstanding weight from the budget
+   window: replica 0 writes twice on a bounded conit while cut off, so both
+   writes stay outstanding at each peer; a healthy replica audits clean, and
+   one corrupted entry trips the audit, naming the peer and the conit. *)
+let test_outstanding_audit () =
+  let topology = Topology.uniform ~n:3 ~latency:0.02 ~bandwidth:1_000_000.0 in
+  let config =
+    { Config.default with Config.conits = [ Conit.declare ~ne_bound:8.0 "c" ] }
+  in
+  let sys = System.create ~topology ~config () in
+  let r = System.replica sys 0 in
+  Links.partition (Net.links (System.net sys)) [ 0 ] [ 1; 2 ];
+  for _ = 1 to 2 do
+    Replica.submit_write r ~deps:[] ~affects:[ unit_w "c" ] ~op:(Op.Add ("x", 1.0))
+      ~k:ignore
+  done;
+  System.run ~until:1.0 sys;
+  with_sanitize (fun () ->
+      Replica.sanity_check r;
+      Replica.unsafe_add_outstanding r ~peer:2 "c" 0.5;
+      match Replica.sanity_check r with
+      | () -> Alcotest.fail "audit accepted a corrupted outstanding entry"
+      | exception Sanitize.Violation msg ->
+        Alcotest.(check bool) "names the entry" true
+          (mentions "outstanding.(2) for c is 2.5 but its window recounts 2" msg))
+
 let suite =
   [
     Alcotest.test_case "healthy log audits clean" `Quick test_healthy_clean;
@@ -146,4 +172,5 @@ let suite =
     Alcotest.test_case "system runs clean under sanitizer" `Quick
       test_system_runs_clean;
     Alcotest.test_case "sweep armed past a deadline" `Quick test_sweep_audit;
+    Alcotest.test_case "outstanding entry corruption" `Quick test_outstanding_audit;
   ]

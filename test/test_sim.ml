@@ -167,17 +167,17 @@ let test_net_jitter_bounded () =
     Net.create e (Topology.uniform ~n:2 ~latency:0.1 ~bandwidth:1e9)
       ~jitter:(rng, 0.5) ()
   in
+  let times = ref [] in
   for _ = 1 to 50 do
-    Net.send net ~src:0 ~dst:1 ~size:0 ignore
+    Net.send net ~src:0 ~dst:1 ~size:0 (fun () -> times := Engine.now e :: !times)
   done;
-  (* All deliveries within [0.1, 0.15). *)
-  let ok = ref true in
-  let last = ref 0.0 in
   Engine.run e;
-  ignore last;
-  ignore ok;
-  Alcotest.(check bool) "clock within jitter window" true
-    (Engine.now e >= 0.1 && Engine.now e < 0.15)
+  Alcotest.(check int) "all 50 delivered" 50 (List.length !times);
+  List.iteri
+    (fun i t ->
+      if not (t >= 0.1 && t < 0.15) then
+        Alcotest.failf "delivery %d at %g is outside [0.1, 0.15)" i t)
+    (List.rev !times)
 
 let test_net_reset_stats () =
   let e = Engine.create () in

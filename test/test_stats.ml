@@ -133,9 +133,39 @@ let test_deque_releases_popped () =
   Alcotest.(check int) "live length" 39 (Deque.length d);
   Alcotest.(check int) "front" 17 !(Deque.peek_front d)
 
+(* A FIFO of steady length reuses its array: once warm, pushing at the back
+   and popping at the front allocates nothing, however many times the live
+   range wraps through the array. *)
+let test_deque_steady_fifo () =
+  let d = Deque.create ~filler:0 () in
+  let cycle () =
+    Deque.push_back d 1;
+    ignore (Deque.pop_front d)
+  in
+  for i = 1 to 1_000 do
+    Deque.push_back d i
+  done;
+  for _ = 1 to 5_000 do
+    cycle ()
+  done;
+  (* Arrays this large go straight to the major heap: count both heaps. *)
+  let allocated () =
+    let minor, _, major = Gc.counters () in
+    minor +. major
+  in
+  let before = allocated () in
+  for _ = 1 to 20_000 do
+    cycle ()
+  done;
+  let words = allocated () -. before in
+  Alcotest.(check int) "live length" 1_000 (Deque.length d);
+  if words > 500.0 then
+    Alcotest.failf "20,000 steady push/pop cycles allocated %.0f words" words
+
 let base_suite =
   [
     Alcotest.test_case "deque releases popped" `Quick test_deque_releases_popped;
+    Alcotest.test_case "deque steady FIFO allocates nothing" `Quick test_deque_steady_fifo;
     Alcotest.test_case "mean/variance" `Quick test_mean_variance;
     Alcotest.test_case "empty stats" `Quick test_empty_stats;
     Alcotest.test_case "single observation" `Quick test_single_observation;

@@ -544,9 +544,41 @@ let test_straggler_writes_since () =
             (Printf.sprintf "evict=%b since [%d;%d]" evict have.(0) have.(1))
             (ids (reference have))
             (ids (Wlog.writes_since log (vec have))))
-        [ [| 2; 1 |]; [| 3; 1 |]; [| 2; 3 |]; [| 4; 2 |]; [| 4; 3 |] ];
+        (* [2;3], [3;3] and [4;2] miss writes of one origin only. *)
+        [ [| 2; 1 |]; [| 3; 1 |]; [| 2; 3 |]; [| 3; 3 |]; [| 4; 2 |]; [| 4; 3 |] ];
+      (match Wlog.writes_since log (vec [| 0; 3 |]) with
+      | _ -> Alcotest.fail "served a one-origin delta past the truncation vector"
+      | exception Invalid_argument m ->
+        Alcotest.(check string) "one origin: names the first seq gone"
+          "Wlog.writes_since: w0.2 was truncated (check can_serve first)" m);
       Alcotest.(check (list string)) "sanitizer clean" [] (Wlog.invariant_violations log))
     [ false; true ]
+
+(* A tally handle is resolved once and read forever after: it must see the
+   same figures as the by-name readers after a snapshot install resets the
+   tallies, including for a conit the handle created before any write. *)
+let test_tally_handle_survives_snapshot () =
+  let wt conit nweight oweight = { Write.conit; nweight; oweight } in
+  let w ~origin ~seq ~t affects = mk ~affects ~origin ~seq ~t () in
+  let src = Wlog.create ~replicas:2 ~initial:[] in
+  ignore (Wlog.accept src (w ~origin:0 ~seq:1 ~t:1.0 [ wt "c" 2.0 1.0; wt "d" 4.0 1.0 ]));
+  ignore (Wlog.insert src (w ~origin:1 ~seq:1 ~t:2.0 [ wt "c" 3.0 1.0 ]));
+  Alcotest.(check int) "both commit" 2 (Wlog.commit_stable src ~cover:[| 3.0; 3.0 |]);
+  let snap = Wlog.snapshot src in
+  let log = Wlog.create ~replicas:2 ~initial:[] in
+  let hc = Wlog.tally log "c" and hd = Wlog.tally log "d" in
+  ignore (Wlog.insert log (w ~origin:1 ~seq:1 ~t:2.0 [ wt "c" 3.0 1.0 ]));
+  ignore (Wlog.insert log (w ~origin:1 ~seq:2 ~t:4.0 [ wt "c" 0.5 0.25; wt "d" 1.0 0.5 ]));
+  Alcotest.(check bool) "installed" true (Wlog.install_snapshot log snap);
+  List.iter
+    (fun (name, h, value, tent_ow) ->
+      Alcotest.(check (float 0.0)) (name ^ " value") value (Wlog.tally_value h);
+      Alcotest.(check (float 0.0)) (name ^ " value = conit_value")
+        (Wlog.conit_value log name) (Wlog.tally_value h);
+      Alcotest.(check (float 0.0)) (name ^ " order weight") tent_ow (Wlog.tally_tent_ow h);
+      Alcotest.(check (float 0.0)) (name ^ " order weight = tentative_oweight")
+        (Wlog.tentative_oweight log name) (Wlog.tally_tent_ow h))
+    [ ("c", hc, 5.5, 0.25); ("d", hd, 5.0, 0.5) ]
 
 let extra_suite =
   [
@@ -555,6 +587,8 @@ let extra_suite =
     Alcotest.test_case "snapshot lists committed conits" `Quick test_snapshot_values;
     Alcotest.test_case "straggler: writes_since = reference" `Quick
       test_straggler_writes_since;
+    Alcotest.test_case "tally handle survives snapshot" `Quick
+      test_tally_handle_survives_snapshot;
   ]
 
 let suite = base_suite @ extra_suite
