@@ -11,15 +11,20 @@
 
    Every report has one JSON schema, written and read through
    Tact_util.Json:
-     {cores, ocaml_version, kernels: [{name, layer, n, seconds, counts?}]}
+     {cores, ocaml_version,
+      kernels: [{name, layer, n, seconds, counts?, gated?}]}
    [counts] holds the integer figures measured next to the time (messages,
    bytes, allocations, schedules) and the kernel's parameters besides [n].
-   Two reports compare kernel by kernel on (name, n).
+   [gated] maps the counts that are deterministic for the kernel's seed to
+   a relative tolerance, stated with the kernel in [kernels]; files written
+   before the field load with nothing gated.  Two reports compare kernel by
+   kernel on (name, n), and [--compare A B] exits 1 when a count gated in B
+   moved from A by more than its tolerance.
 
    Usage:
      dune exec bench/main.exe -- --smoke [-j N]             # smoke sizes + schema self-check
      dune exec bench/main.exe -- --json [--out=FILE] [-j N] # full sizes -> FILE (bench.json)
-     dune exec bench/main.exe -- --compare A.json B.json    # per-kernel A/B time ratio
+     dune exec bench/main.exe -- --compare A.json B.json    # A/B time ratio; gated counts must hold
 
    [-j N] sets the job counts of the kernels that sweep them, pool_scaling
    and shard_scaling, to 1 and N; the default sweep is 1, 2 and 4.  The
@@ -40,6 +45,8 @@ type kernel = {
   smoke : int;
   run : int -> float * (string * int) list;
       (* at size n: wall-clock seconds and integer counts *)
+  gated : (string * float) list;
+      (* count -> relative tolerance against a reference file *)
 }
 
 (* Wall clock of [f ()], rounded to the microsecond the reports carry. *)
@@ -579,9 +586,10 @@ let budget_window writes =
    log, no access records.  Replica 0 accepts [writes] weak writes, one per
    millisecond, and the system runs until every replica has inserted,
    committed and truncated all of them, so the time is dominated by the
-   per-write path of 24 write logs.  [minor_words_per_write] is the
-   allocation per write over the whole run; [live_words] is the live heap
-   afterwards, the system still reachable. *)
+   per-write path of 24 write logs.  [messages] and [bytes] are the ring's
+   traffic, [minor_words_per_write] is the allocation per write over the
+   whole run; [live_words] is the live heap afterwards, the system still
+   reachable. *)
 let ring_relay writes =
   let open Tact_sim in
   let open Tact_replica in
@@ -622,7 +630,9 @@ let ring_relay writes =
   for i = 0 to n - 1 do
     assert (Wlog.committed_count (Replica.log (System.replica sys i)) = writes)
   done;
-  (s, [ ("minor_words_per_write", int_of_float (minor /. float_of_int writes));
+  let traffic = System.traffic sys in
+  (s, [ ("messages", traffic.Net.messages); ("bytes", traffic.Net.bytes);
+        ("minor_words_per_write", int_of_float (minor /. float_of_int writes));
         ("live_words", live) ])
 
 (* Parked accesses on the paper's WAN leave nothing behind once served:
@@ -961,7 +971,7 @@ let pool_scaling ~jobs preemptions =
 (* One entry per job count, named [<name>_j<jobs>].  Each run returns its
    measurement and a witness (a digest, a schedule count); every witness
    must equal the first one measured at the same size. *)
-let sweep ~name ~layer ~full ~smoke ~jobs f =
+let sweep ?(gated = []) ~name ~layer ~full ~smoke ~jobs f =
   let first = ref [] in
   List.map
     (fun j ->
@@ -972,11 +982,20 @@ let sweep ~name ~layer ~full ~smoke ~jobs f =
         | Some w -> assert (String.equal w witness));
         m
       in
-      { name = Printf.sprintf "%s_j%d" name j; layer; full; smoke; run })
+      { name = Printf.sprintf "%s_j%d" name j; layer; full; smoke; run; gated })
     jobs
 
+(* Gated counts.  Message, byte, batch, frame-size and schedule counts come
+   from seeded runs and must match exactly.  Minor-heap words per operation
+   differ by a few words between runs of one build and are allowed 5%.
+   Live-heap words stay informative: an offset of about 800 words in
+   [parked_deadline_words] is not yet explained. *)
+let traffic = [ ("messages", 0.0); ("bytes", 0.0) ]
+let batched = traffic @ [ ("batches", 0.0); ("max_frame", 0.0) ]
+let words c = [ (c, 0.05) ]
+
 let kernels ~jobs =
-  let k name layer full smoke run = { name; layer; full; smoke; run } in
+  let k ?(gated = []) name layer full smoke run = { name; layer; full; smoke; run; gated } in
   [
     k "round_encode_naive" Codec 48_000 480 (round_encode ~arena:false);
     k "round_encode_arena" Codec 48_000 480 (round_encode ~arena:true);
@@ -997,26 +1016,30 @@ let kernels ~jobs =
     k "budget_share" Protocol 1_000_000 3_000 (timed budget_share);
     k "csn_buffer_offer" Protocol 100_000 1_000 (timed csn_buffer_offer);
     k "replica_serve" System 10_000 100 (timed serve);
-    k "sync_traffic_per_write" System 600 40 (sync_traffic ~sync:Tact_replica.Config.Per_write);
-    k "sync_traffic_batched" System 600 40 (sync_traffic ~sync:Tact_replica.Config.Batched);
+    k ~gated:batched "sync_traffic_per_write" System 600 40
+      (sync_traffic ~sync:Tact_replica.Config.Per_write);
+    k ~gated:batched "sync_traffic_batched" System 600 40
+      (sync_traffic ~sync:Tact_replica.Config.Batched);
     k "budget_window" System 20_000 400 budget_window;
     k "budget_window" System 40_000 800 budget_window;
-    k "ring_relay" System 20_000 500 ring_relay;
+    k ~gated:(traffic @ words "minor_words_per_write") "ring_relay" System 20_000 500
+      ring_relay;
     k "parked_deadline_words" System 10_000 200 parked_deadline_words;
     k "parked_deadline_words" System 20_000 400 parked_deadline_words;
-    k "wan_mix" System 20_000 500 wan_mix;
+    k ~gated:(traffic @ words "minor_words_per_op") "wan_mix" System 20_000 500 wan_mix;
     k "shard_overhead_plain" System 4_000 200 shard_overhead_plain;
     k "shard_overhead_sharded1" System 4_000 200 shard_overhead_sharded1;
   ]
   @ sweep ~name:"shard_scaling" ~layer:System ~full:6_000 ~smoke:200 ~jobs shard_scaling
   @ [
       k "sim_engine_events" System 200_000 10_000 (timed sim_engine_events);
-      k "bboard_sim" System 60 5 bboard_sim;
+      k ~gated:traffic "bboard_sim" System 60 5 bboard_sim;
       k "transport_frames_256B" Transport 20_000 64 (transport ~size:256);
       k "transport_frames_64KiB" Transport 2_000 8 (transport ~size:65_536);
       k "nemesis_campaign" Check 500 10 (timed nemesis_campaign);
     ]
-  @ sweep ~name:"pool_scaling" ~layer:Check ~full:3 ~smoke:1 ~jobs pool_scaling
+  @ sweep ~gated:[ ("schedules", 0.0) ] ~name:"pool_scaling" ~layer:Check ~full:3 ~smoke:1
+      ~jobs pool_scaling
 
 (* ------------------------------------------------------------------ *)
 (* The report: one schema, one writer, one reader                      *)
@@ -1027,6 +1050,7 @@ type row = {
   r_n : int;
   r_seconds : float;
   r_counts : (string * int) list;
+  r_gated : (string * float) list;
 }
 
 type report = {
@@ -1049,7 +1073,7 @@ let measure ~smoke kernels =
         let r_seconds, r_counts = k.run n in
         let r =
           { r_name = k.name; r_layer = List.assoc k.layer layer_names; r_n = n;
-            r_seconds; r_counts }
+            r_seconds; r_counts; r_gated = k.gated }
         in
         print_row r;
         r)
@@ -1067,8 +1091,11 @@ let to_json rep =
       ([ ("name", Str r.r_name); ("layer", Str r.r_layer); ("n", int r.r_n);
          ("seconds", Num r.r_seconds) ]
       @
-      if r.r_counts = [] then []
-      else [ ("counts", Obj (List.map (fun (c, v) -> (c, int v)) r.r_counts)) ])
+      (if r.r_counts = [] then []
+       else [ ("counts", Obj (List.map (fun (c, v) -> (c, int v)) r.r_counts)) ])
+      @
+      if r.r_gated = [] then []
+      else [ ("gated", Obj (List.map (fun (c, tol) -> (c, Num tol)) r.r_gated)) ])
   in
   Obj
     [ ("cores", opt int rep.cores);
@@ -1094,21 +1121,27 @@ let of_json j =
         if List.exists (fun (_, name) -> String.equal name l) layer_names then Some l
         else None)
   in
-  let counts v =
-    match member "counts" v with
+  (* An optional object of numbers, [[]] when absent. *)
+  let numbers key conv ~what v =
+    match member key v with
     | None -> []
     | Some (Obj kvs) ->
       List.map
         (fun (c, x) ->
-          match to_int x with
+          match conv x with
           | Some i -> (c, i)
-          | None -> raise (Schema (Printf.sprintf "count %S is not an integer" c)))
+          | None -> raise (Schema (Printf.sprintf "%s %S is not %s" key c what)))
         kvs
-    | Some _ -> raise (Schema "counts is not an object")
+    | Some _ -> raise (Schema (key ^ " is not an object"))
+  in
+  let tolerance x =
+    Option.bind (to_float x) (fun f -> if f >= 0.0 then Some f else None)
   in
   let row v =
     { r_name = get "name" to_str v; r_layer = get "layer" layer v; r_n = get "n" to_int v;
-      r_seconds = get "seconds" to_float v; r_counts = counts v }
+      r_seconds = get "seconds" to_float v;
+      r_counts = numbers "counts" to_int ~what:"an integer" v;
+      r_gated = numbers "gated" tolerance ~what:"a non-negative tolerance" v }
   in
   { cores = nullable "cores" to_int;
     ocaml_version = nullable "ocaml_version" to_str;
@@ -1130,6 +1163,19 @@ let load path =
 (* The row of [rows] measuring the same kernel at the same size. *)
 let pair rows r =
   List.find_opt (fun x -> String.equal x.r_name r.r_name && x.r_n = r.r_n) rows
+
+(* The counts gated in [y] that moved from [x] by more than their
+   tolerance, described.  A count [x] does not carry is not compared. *)
+let gate_failures x y =
+  List.filter_map
+    (fun (c, tol) ->
+      match (List.assoc_opt c x.r_counts, List.assoc_opt c y.r_counts) with
+      | Some v, Some w
+        when Float.abs (float_of_int (w - v)) > tol *. Float.abs (float_of_int v) ->
+        Some (Printf.sprintf "%s n=%d: gated count %s moved %d -> %d (tolerance %g%%)"
+                y.r_name y.r_n c v w (100.0 *. tol))
+      | Some _, (Some _ | None) | None, _ -> None)
+    y.r_gated
 
 let compare_files a b =
   let ra = load a and rb = load b in
@@ -1162,7 +1208,14 @@ let compare_files a b =
     (fun y ->
       if pair ra.rows y = None then
         Printf.printf "%-28s %8d %11s %9.6f s\n" y.r_name y.r_n "(missing)" y.r_seconds)
-    rb.rows
+    rb.rows;
+  let failures =
+    List.concat_map
+      (fun y -> match pair ra.rows y with Some x -> gate_failures x y | None -> [])
+      rb.rows
+  in
+  List.iter (fun f -> Printf.printf "FAIL %s\n" f) failures;
+  if failures <> [] then exit 1
 
 (* The smoke report goes through the one writer and the one reader, and
    every (name, n) must pair with itself — with at least one name measured

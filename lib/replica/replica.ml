@@ -357,6 +357,58 @@ let reject t reason =
   t.st.malformed_frames <- t.st.malformed_frames + 1;
   if observed t then emit t (Event.Malformed (reason ()))
 
+(* A decoded message must have the shape of this [n]-replica system before
+   any of it is applied: each vector and cover names every replica once,
+   and each write and CSN entry names a replica.  The checks raise
+   [Misshapen] with the first field that does not fit, so a well-shaped
+   message costs no allocation. *)
+exception Misshapen of string
+
+let check_length t what len =
+  if len <> t.n then
+    raise
+      (Misshapen (Printf.sprintf "%s has length %d on a %d-replica system" what len t.n))
+
+let check_origin t what (id : Write.id) =
+  if id.origin < 0 || id.origin >= t.n then
+    raise (Misshapen (Printf.sprintf "%s %s names no replica" what (Write.id_to_string id)))
+
+let rec check_writes t = function
+  | [] -> ()
+  | (w : Write.t) :: rest ->
+    check_origin t "write" w.id;
+    check_writes t rest
+
+let rec check_csn t = function
+  | [] -> ()
+  | id :: rest ->
+    check_origin t "CSN entry" id;
+    check_csn t rest
+
+let check_sync t ~vector ~cover ~snap ~writes ~csn =
+  check_length t "vector" (Version_vector.size vector);
+  check_length t "cover" (Array.length cover);
+  (match snap with
+  | Some (s : Wlog.snapshot) -> check_length t "snapshot vector" (Version_vector.size s.snap_vector)
+  | None -> ());
+  check_writes t writes;
+  check_csn t csn
+
+let check_msg t = function
+  | Transfer { writes; vector; cover; csn; _ } ->
+    check_sync t ~vector ~cover ~snap:None ~writes ~csn
+  | Snapshot { snap; writes; vector; cover; _ } ->
+    check_sync t ~vector ~cover ~snap:(Some snap) ~writes ~csn:[]
+  | Pull_req { vector; _ } | Ack { vector; _ } ->
+    check_length t "vector" (Version_vector.size vector)
+  | Batch_frame _ -> () (* checked once decoded *)
+
+let check_batch t (b : Batch.t) =
+  let snap, writes =
+    match b.payload with Batch.Delta ws -> (None, ws) | Batch.Full (s, ws) -> (Some s, ws)
+  in
+  check_sync t ~vector:b.vector ~cover:b.cover ~snap ~writes ~csn:b.csn
+
 (* A crashed replica neither processes nor emits messages: its network
    activity looks exactly like loss to its peers.  The write log itself is
    durable (write-ahead semantics), so recovery resumes from the full log;
@@ -1018,9 +1070,10 @@ and process t ~src msg =
     apply_sync t ~from ~vector ~cover ~csn_start:0 ~csn:[] ~rate
       ~kind:(Batch.Pull_reply round) (Batch.Full (snap, writes))
   | Batch_frame s -> (
-    (* Decode is typed and total: a frame that does not parse, or whose
+    (* Decode is typed and total: a frame that does not parse, whose
        embedded header claims a sender other than the peer it arrived from,
-       is counted and dropped, never fatal. *)
+       or that does not have this system's shape is counted and dropped,
+       never fatal. *)
     match Batch.decode s with
     | Error e -> reject t (fun () -> Transport.error_to_string e)
     | Ok b when b.Batch.from <> src ->
@@ -1035,10 +1088,13 @@ and process t ~src msg =
       if observed t then
         emit t
           (Event.Wrong_shard { shard = b.Batch.shard; serving = t.cfg.Config.shard_id })
-    | Ok b ->
-      apply_sync t ~from:b.Batch.from ~vector:b.Batch.vector
-        ~cover:b.Batch.cover ~csn_start:b.Batch.csn_start ~csn:b.Batch.csn
-        ~rate:b.Batch.rate ~kind:b.Batch.kind b.Batch.payload));
+    | Ok b -> (
+      match check_batch t b with
+      | exception Misshapen reason -> reject t (fun () -> reason)
+      | () ->
+        apply_sync t ~from:b.Batch.from ~vector:b.Batch.vector
+          ~cover:b.Batch.cover ~csn_start:b.Batch.csn_start ~csn:b.Batch.csn
+          ~rate:b.Batch.rate ~kind:b.Batch.kind b.Batch.payload)));
   pump t;
   sanity_check t
 
@@ -1190,15 +1246,19 @@ let crash_count t = t.crashes
 (* Incoming messages                                                   *)
 
 (* One message from the transport peer [src].  A message that claims a
-   sender other than [src] is counted and dropped — never applied; a crashed
-   replica drops everything else silently, like a partition. *)
+   sender other than [src], or does not have this system's shape, is counted
+   and dropped — never applied; a crashed replica drops everything else
+   silently, like a partition. *)
 let receive t ~src msg =
   match Wire.sender msg with
   | Some from when from <> src ->
     reject t (fun () ->
         Printf.sprintf "message claims sender %d but arrived from peer %d" from
           src)
-  | Some _ | None -> if t.up then process t ~src msg
+  | Some _ | None -> (
+    match check_msg t msg with
+    | exception Misshapen reason -> reject t (fun () -> reason)
+    | () -> if t.up then process t ~src msg)
 
 let deliver_wire t ~src s =
   match Wire.decode s with

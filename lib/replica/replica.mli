@@ -149,8 +149,11 @@ val receive : t -> src:int -> Wire.msg -> unit
 (** Feed one message from transport peer [src] into the protocol.  A
     message that claims a sender other than [src] — in its own header or in
     an embedded Batch frame's — is counted in [malformed_frames] and
-    dropped, as is a Batch frame that fails its typed decoder; never an
-    exception, never applied.  A crashed replica drops messages silently. *)
+    dropped, as is a Batch frame that fails its typed decoder, and a message
+    of the wrong shape: a vector or cover whose length is not the replica
+    count, or a write or CSN entry whose origin names no replica.  Each
+    refusal publishes an [Event.Malformed]; never an exception, never
+    applied.  A crashed replica drops messages silently. *)
 
 val deliver_wire : t -> src:int -> string -> unit
 (** {!receive} for one wire payload (the bytes inside a transport frame).

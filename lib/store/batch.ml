@@ -45,28 +45,55 @@ type header = {
   h_payload : [ `Delta | `Full ];
 }
 
+let payload_writes b = match b.payload with Delta ws | Full (_, ws) -> ws
+
 (* Per-origin contiguous sequence ranges of the carried writes.  Delta writes
    are exactly the suffix the receiver's vector lacks, so per origin they are
    contiguous; we compute min/max and leave holes (impossible by
-   construction) to the decoder's write-level dedup. *)
-let ranges_of_writes writes =
-  let tbl = Hashtbl.create 16 in
+   construction) to the decoder's write-level dedup.
+
+   One pass over the writes into two arrays indexed by origin, sized by the
+   sender's vector (and grown for a write from beyond it): [lo.(o)] is
+   [max_int] for an origin the batch does not carry.  Returns the arrays
+   and the number of origins carried. *)
+type spans = { lo : int array; hi : int array; carried : int }
+
+let spans b =
+  let size = Version_vector.size b.vector in
+  let lo = ref (Array.make size max_int) and hi = ref (Array.make size 0) in
+  let carried = ref 0 in
   List.iter
     (fun (w : Write.t) ->
       let o = w.id.origin and s = w.id.seq in
-      match Hashtbl.find_opt tbl o with
-      | None -> Hashtbl.replace tbl o (s, s)
-      | Some (lo, hi) -> Hashtbl.replace tbl o (min lo s, max hi s))
-    writes;
-  (* lint: allow hashtbl-fold -- collection only, sorted by origin below *)
-  Hashtbl.fold (fun o (lo, hi) acc -> (o, lo, hi) :: acc) tbl []
-  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+      if o >= Array.length !lo then begin
+        let grow a fill =
+          let a' = Array.make (max (o + 1) (2 * Array.length a)) fill in
+          Array.blit a 0 a' 0 (Array.length a);
+          a'
+        in
+        lo := grow !lo max_int;
+        hi := grow !hi 0
+      end;
+      let lo = !lo and hi = !hi in
+      if lo.(o) = max_int then begin
+        incr carried;
+        lo.(o) <- s;
+        hi.(o) <- s
+      end
+      else begin
+        if s < lo.(o) then lo.(o) <- s;
+        if s > hi.(o) then hi.(o) <- s
+      end)
+    (payload_writes b);
+  { lo = !lo; hi = !hi; carried = !carried }
 
 let ranges b =
-  match b.payload with
-  | Delta ws | Full (_, ws) -> ranges_of_writes ws
-
-let payload_writes b = match b.payload with Delta ws | Full (_, ws) -> ws
+  let { lo; hi; _ } = spans b in
+  let acc = ref [] in
+  for o = Array.length lo - 1 downto 0 do
+    if lo.(o) <> max_int then acc := (o, lo.(o), hi.(o)) :: !acc
+  done;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Exact arithmetic size — mirrors [encode] below; checked by tests.   *)
@@ -74,12 +101,12 @@ let payload_writes b = match b.payload with Delta ws | Full (_, ws) -> ws
 let writes_byte_size ws =
   List.fold_left (fun acc w -> acc + Write.byte_size w) 8 ws
 
-let byte_size b =
+let size_with_ranges b ~carried =
   let header =
     1 (* magic *) + 1 (* version *) + 8 (* from *) + 8 (* shard *)
     + 1 (* kind tag *)
     + 8 (* round *) + 8 (* rate *) + 8 (* csn_start *)
-    + 8 + (24 * List.length (ranges b))
+    + 8 + (24 * carried)
     + 1 (* payload tag *)
   in
   let csn = 8 + (16 * List.length b.csn) in
@@ -92,6 +119,8 @@ let byte_size b =
   in
   header + csn + vector + cover + payload
 
+let byte_size b = size_with_ranges b ~carried:(spans b).carried
+
 (* ------------------------------------------------------------------ *)
 (* Encode                                                              *)
 
@@ -100,7 +129,8 @@ let kind_round = function Pull_reply r -> r | Push | Gossip -> 0
 
 let encode frame b =
   let open Codec in
-  Frame.preallocate frame (byte_size b);
+  let { lo; hi; carried } = spans b in
+  Frame.preallocate frame (size_with_ranges b ~carried);
   put_u8 frame magic;
   put_u8 frame version;
   put_int frame b.from;
@@ -109,14 +139,14 @@ let encode frame b =
   put_int frame (kind_round b.kind);
   put_float frame b.rate;
   put_int frame b.csn_start;
-  let rs = ranges b in
-  put_int frame (List.length rs);
-  List.iter
-    (fun (o, lo, hi) ->
+  put_int frame carried;
+  for o = 0 to Array.length lo - 1 do
+    if lo.(o) <> max_int then begin
       put_int frame o;
-      put_int frame lo;
-      put_int frame hi)
-    rs;
+      put_int frame lo.(o);
+      put_int frame hi.(o)
+    end
+  done;
   (match b.payload with Delta _ -> put_u8 frame 0 | Full _ -> put_u8 frame 1);
   put_int frame (List.length b.csn);
   List.iter

@@ -63,23 +63,42 @@ end
 (* ------------------------------------------------------------------ *)
 (* Primitives: tagged, fixed-width integers/floats, length-prefixed
    strings.  Big-endian for determinism across hosts.  Each writes into
-   a span reserved from the frame arena. *)
+   a span reserved from the frame arena.
+
+   The 8-byte fields go through the compiler's 64-bit load/store and byte
+   swap primitives directly, so an int or a float crosses as an unboxed
+   [int64] and no [Int64] box is allocated per field.  Bounds are checked
+   first: by [Frame.reserve] when writing, by [need] when reading. *)
+
+external bytes_set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let set_be64 buf off x =
+  bytes_set64u buf off (if Sys.big_endian then x else bswap64 x)
+[@@inline]
+
+let get_be64 s off =
+  let x = string_get64u s off in
+  if Sys.big_endian then x else bswap64 x
+[@@inline]
 
 let put_u8 f n =
   let off = Frame.reserve f 1 in
   Bytes.unsafe_set f.Frame.buf off (Char.unsafe_chr (n land 0xff))
 
-let put_i64 f n =
+let put_int f n =
   let off = Frame.reserve f 8 in
-  Bytes.set_int64_be f.Frame.buf off n
+  set_be64 f.Frame.buf off (Int64.of_int n)
 
-let put_int f n = put_i64 f (Int64.of_int n)
-let put_float f x = put_i64 f (Int64.bits_of_float x)
+let put_float f x =
+  let off = Frame.reserve f 8 in
+  set_be64 f.Frame.buf off (Int64.bits_of_float x)
 
 let put_string f s =
   let n = String.length s in
   let off = Frame.reserve f (8 + n) in
-  Bytes.set_int64_be f.Frame.buf off (Int64.of_int n);
+  set_be64 f.Frame.buf off (Int64.of_int n);
   Bytes.blit_string s 0 f.Frame.buf (off + 8) n
 
 let put_raw f s =
@@ -97,14 +116,17 @@ let get_u8 c =
   c.pos <- c.pos + 1;
   b
 
-let get_i64 c =
+let get_int c =
   need c 8;
-  let v = String.get_int64_be c.data c.pos in
+  let v = Int64.to_int (get_be64 c.data c.pos) in
   c.pos <- c.pos + 8;
   v
 
-let get_int c = Int64.to_int (get_i64 c)
-let get_float c = Int64.float_of_bits (get_i64 c)
+let get_float c =
+  need c 8;
+  let v = Int64.float_of_bits (get_be64 c.data c.pos) in
+  c.pos <- c.pos + 8;
+  v
 
 let get_string c =
   let n = get_int c in
@@ -214,14 +236,30 @@ let encode_write f (w : Write.t) =
     w.affects;
   encode_op f w.op
 
-(* Bitwise float equality, so sharing never turns -0.0 into 0.0. *)
-let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+(* Is [s] encoded at [d.[off ..]]? *)
+let rec same_bytes d off s i =
+  i = String.length s
+  || (Char.equal (String.unsafe_get d (off + i)) (String.unsafe_get s i)
+     && same_bytes d off s (i + 1))
 
-let same_weights =
-  List.equal (fun (a : Write.weight) (b : Write.weight) ->
-      String.equal a.conit b.conit
-      && same_float a.nweight b.nweight
-      && same_float a.oweight b.oweight)
+(* Do the weights encoded in [d] from [pos] on, [n - k] of them, equal
+   [prev]?  Compared in place, byte for byte (so floats compare bitwise and
+   sharing never turns -0.0 into 0.0), so a repeated list is read without
+   allocating.  The position past them, or -1. *)
+let rec weights_at d pos k n (prev : Write.weight list) =
+  match prev with
+  | [] -> if k = n then pos else -1
+  | { conit; nweight; oweight } :: rest ->
+    let len = String.length conit in
+    if
+      k < n
+      && pos + 24 + len <= String.length d
+      && Int64.equal (get_be64 d pos) (Int64.of_int len)
+      && same_bytes d (pos + 8) conit 0
+      && Int64.equal (get_be64 d (pos + 8 + len)) (Int64.bits_of_float nweight)
+      && Int64.equal (get_be64 d (pos + 16 + len)) (Int64.bits_of_float oweight)
+    then weights_at d (pos + 24 + len) (k + 1) n rest
+    else -1
 
 (* A write whose weight list equals [prev] keeps [prev] itself. *)
 let decode_write_after c ~prev =
@@ -230,14 +268,19 @@ let decode_write_after c ~prev =
   let accept_time = get_float c in
   let n = get_int c in
   check_items c ~n ~min_size:24 ~what:"affect";
+  let past = weights_at c.data c.pos 0 n prev in
   let affects =
-    List.init n (fun _ ->
-        let conit = get_string c in
-        let nweight = get_float c in
-        let oweight = get_float c in
-        { Write.conit; nweight; oweight })
+    if past >= 0 then begin
+      c.pos <- past;
+      prev
+    end
+    else
+      List.init n (fun _ ->
+          let conit = get_string c in
+          let nweight = get_float c in
+          let oweight = get_float c in
+          { Write.conit; nweight; oweight })
   in
-  let affects = if same_weights affects prev then prev else affects in
   let op = decode_op c in
   Write.make ~id:{ origin; seq } ~accept_time ~op ~affects
 

@@ -73,7 +73,6 @@ val cursor : string -> cursor
 
 val put_u8 : Frame.t -> int -> unit
 val put_int : Frame.t -> int -> unit
-val put_i64 : Frame.t -> int64 -> unit
 val put_float : Frame.t -> float -> unit
 val put_string : Frame.t -> string -> unit
 (** Length-prefixed. *)
@@ -91,7 +90,6 @@ val check_items : cursor -> n:int -> min_size:int -> what:string -> unit
 
 val get_u8 : cursor -> int
 val get_int : cursor -> int
-val get_i64 : cursor -> int64
 val get_float : cursor -> float
 val get_string : cursor -> string
 

@@ -1,11 +1,11 @@
 (** Mutable database image: the state a replica exposes to reads.
 
-    Each replica maintains two images (see {!Wlog}): one reflecting only the
-    committed prefix of the write log, and the full view including tentative
-    writes.  Rollback of tentative writes works by journalling each write's
-    mutations as it is applied ({!recording}) and replaying the journal
-    backwards ({!revert}) — so a rollback costs the size of the undone suffix,
-    not of the whole image. *)
+    Each replica's write log keeps one image (see {!Wlog}): the committed
+    prefix plus the applied part of the tentative suffix.  Rollback of
+    tentative writes works by journalling each write's mutations as it is
+    applied ({!recording}) and replaying the journal backwards ({!revert}) —
+    so a rollback costs the size of the undone suffix, not of the whole
+    image, and the committed image is the journals reverted on a copy. *)
 
 type t
 

@@ -56,14 +56,17 @@ type snapshot = {
    timestamp order (binary-search insertion; the common landing-at-the-tail
    case is a plain append).
 
-   Tentative writes are applied to the full image when it is read, not when
-   they arrive: the full image is the committed image plus [tent.(0..a-1)],
-   where [a = Deque.length undo], and [undo.(i)] journals the db mutations
-   made when [tent.(i)] was applied.  An arrival at position [p < a] reverts
-   the journals back to [p] — O(applied suffix beyond the insertion point) —
-   and re-execution waits for the next read ({!force}).  A replica whose
-   clients never read never applies a remote write tentatively at all, and
-   keeps no journal or tentative outcome for it.
+   The log holds one database image: the committed prefix plus
+   [tent.(0..a-1)] applied, where [a = Deque.length undo] and [undo.(i)]
+   journals the db mutations made when [tent.(i)] was applied.  The
+   committed image is that image with the [a] journals reverted, newest
+   first; it is materialised only on a copy ({!committed_db}).
+   Tentative writes are applied when the image is read, not when they
+   arrive.  An arrival at position [p < a] reverts the journals back to
+   [p] — O(applied suffix beyond the insertion point) — and re-execution
+   waits for the next read ({!force}).  A replica whose clients never read
+   never applies a remote write tentatively at all, and keeps no journal or
+   tentative outcome for it: committing it is its one application.
 
    [journal] records the id of every write this log has ever committed, in
    commit order, and is never truncated: observation capture ({!commit_cursor})
@@ -87,7 +90,6 @@ type t = {
   committed : Write.t Deque.t; (* retained committed prefix, commit order *)
   journal : Write.id Vec.t; (* every commit ever, commit order; never truncated *)
   mutable ncommitted : int;
-  mutable committed_db : Db.t;
   tent : Write.t Deque.t; (* tentative suffix, timestamp order *)
   mutable view : Write.id list; (* last view's ids, newest first *)
   mutable view_cells : int; (* physical length of [view] *)
@@ -97,7 +99,12 @@ type t = {
   undo : Db.undo Deque.t;
       (* undo.(i) reverts the application of tent.(i); only the applied
          prefix of [tent] has entries *)
-  mutable full_db : Db.t;
+  mutable image : Db.t;
+      (* the committed prefix plus the applied part of the suffix *)
+  mutable audit_db : Db.t option;
+      (* sanitize only: the committed image, kept apart by applying every
+         commit to it, so the undo round-trip is audited against an image
+         the journals did not produce *)
   vector : Version_vector.t;
   committed_vec : Version_vector.t;  (* writes in the committed prefix *)
   trunc_vec : Version_vector.t;  (* writes that may have been discarded *)
@@ -127,14 +134,14 @@ let create_bounded ~procs ~journal ~evict_outcomes ~replicas ~initial =
     committed = Deque.create ~filler:no_write ();
     journal = Vec.create ();
     ncommitted = 0;
-    committed_db = Db.create initial;
     tent = Deque.create ~filler:no_write ();
     view = [];
     view_cells = 0;
     view_appended = 0;
     view_valid = true;
     undo = Deque.create ~filler:Db.no_undo ();
-    full_db = Db.create initial;
+    image = Db.create initial;
+    audit_db = (if Sanitize.enabled () then Some (Db.create initial) else None);
     vector = Version_vector.create replicas;
     committed_vec = Version_vector.create replicas;
     trunc_vec = Version_vector.create replicas;
@@ -236,6 +243,15 @@ let shed_dead t origin =
     ignore (Deque.pop_front oi.islots);
     oi.ibase <- oi.ibase + 1
   done
+
+(* The committed image, on a copy: the image with the applied suffix's
+   journals reverted, newest first. *)
+let committed_db t =
+  let d = Db.copy t.image in
+  for i = Deque.length t.undo - 1 downto 0 do
+    Db.revert d (Deque.get t.undo i)
+  done;
+  d
 
 (* ------------------------------------------------------------------ *)
 (* Invariant audit (sanitize mode)                                     *)
@@ -350,13 +366,22 @@ let invariant_violations t =
           tent_ow (htbl_get tent_o c))
     conits;
   (* Undo round-trip: replaying every journal entry newest-first over a copy
-     of the full image must restore the committed image exactly. *)
-  let img = Db.copy t.full_db in
-  for i = Deque.length t.undo - 1 downto 0 do
-    Db.revert img (Deque.get t.undo i)
-  done;
-  if not (Db.equal img t.committed_db) then
-    addf "undo journal does not revert the full image to the committed image";
+     of the image must restore the committed image exactly.  The reference
+     is the sanitizer's own committed image, or, for a log built without
+     it, a replay of the committed prefix when all of it is retained. *)
+  let reference =
+    match t.audit_db with
+    | Some d -> Some d
+    | None when Deque.length t.committed = t.ncommitted ->
+      let d = Db.create t.initial in
+      Deque.iter (fun (w : Write.t) -> ignore (Op.apply ~procs:t.procs w.op d)) t.committed;
+      Some d
+    | None -> None
+  in
+  (match reference with
+  | Some d when not (Db.equal (committed_db t) d) ->
+    addf "undo journal does not revert the image to the committed image"
+  | Some _ | None -> ());
   List.rev !bad
 
 let sanitize ?(ctx = "wlog") t =
@@ -395,22 +420,28 @@ let register t (w : Write.t) =
       r.tent_ow <- r.tent_ow +. oweight)
     w.affects
 
-(* Apply one tentative write to the full image, journalling its mutations so
-   it can be rolled back, and (re-)recording its outcome — outcomes may
-   change across reorderings; that is the point of write procedures. *)
+(* Apply one tentative write to the image, journalling its mutations so it
+   can be rolled back, and (re-)recording its outcome — outcomes may change
+   across reorderings; that is the point of write procedures. *)
 let apply_one t (w : Write.t) =
   let outcome, u =
-    Db.recording t.full_db (fun () -> Op.apply ~procs:t.procs w.op t.full_db)
+    Db.recording t.image (fun () -> Op.apply ~procs:t.procs w.op t.image)
   in
   (slot_exn t w.id).s_outcome <- Some outcome;
   Deque.push_back t.undo u
 
-(* Apply the unapplied tail of the suffix, so that the full image reflects
-   all of it.  Every read of the image or of a tentative outcome goes
+(* Apply the unapplied tail of the suffix, so that the image reflects all
+   of it.  Every read of the image or of a tentative outcome goes
    through here first. *)
 let force t =
   for i = Deque.length t.undo to Deque.length t.tent - 1 do
     apply_one t (Deque.get t.tent i)
+  done
+
+(* Revert the applications from suffix position [pos] on, newest first. *)
+let revert_to t pos =
+  while Deque.length t.undo > pos do
+    Db.revert t.image (Deque.pop_back t.undo)
   done
 
 (* After insertions whose lowest landing index is [pos]: the applications at
@@ -419,17 +450,8 @@ let force t =
 let unapply_from t pos =
   if pos < Deque.length t.undo then begin
     t.nrollbacks <- t.nrollbacks + 1;
-    while Deque.length t.undo > pos do
-      Db.revert t.full_db (Deque.pop_back t.undo)
-    done
+    revert_to t pos
   end
-
-(* Reset the image to the committed one, with nothing applied — only for
-   paths where the committed order itself changed (CSN reorder, snapshot
-   installation). *)
-let rebuild t =
-  t.full_db <- Db.copy t.committed_db;
-  Deque.clear t.undo
 
 (* Insert into the tentative suffix at its timestamp-order position (without
    applying); returns the insertion index. *)
@@ -674,8 +696,7 @@ let writes_since t v =
 
 let db t =
   force t;
-  t.full_db
-let committed_db t = t.committed_db
+  t.image
 let tentative t = Deque.to_list t.tent
 let tentative_ids t = List.init (Deque.length t.tent) (fun i -> (Deque.get t.tent i).Write.id)
 let iter_tentative t f = Deque.iter f t.tent
@@ -683,10 +704,20 @@ let committed t = Deque.to_list t.committed
 let committed_count t = t.ncommitted
 let num_known t = t.nresident
 
-(* Move one write into the committed prefix, applying it to the committed
-   image and recording its final outcome, which is also its latest one. *)
-let commit_one t (w : Write.t) =
-  let final = Some (Op.apply ~procs:t.procs w.op t.committed_db) in
+(* Move one write into the committed prefix with its final outcome, which is
+   also its latest one.  Under the sanitizer the write is applied to the
+   audit image too, and must reach the same outcome there. *)
+let commit_one t (w : Write.t) final =
+  (match t.audit_db with
+  | None -> ()
+  | Some d -> (
+    match (Op.apply ~procs:t.procs w.op d, final) with
+    | Op.Applied a, Some (Op.Applied b) when Value.equal a b -> ()
+    | Op.Conflict a, Some (Op.Conflict b) when String.equal a b -> ()
+    | _ ->
+      Sanitize.violation ~ctx:"wlog.commit"
+        "%s commits with an outcome its committed application does not reach"
+        (Write.id_to_string w.id)));
   let s = slot_exn t w.id in
   s.s_final <- final;
   s.s_outcome <- final;
@@ -703,16 +734,25 @@ let commit_one t (w : Write.t) =
       r.tent_ow <- r.tent_ow +. -.oweight)
     w.affects
 
-(* Commit the oldest tentative write.  If it was applied, its journal
-   dissolves into the base image; if not, nothing is applied and the full
-   image equals the committed one, so it is applied to both — plainly, as it
-   will never be reverted. *)
+(* Apply a write that is being committed to the image, which must be the
+   committed image (nothing of the suffix applied) — plainly, as it will
+   never be reverted. *)
+let apply_committed t (w : Write.t) = Some (Op.apply ~procs:t.procs w.op t.image)
+
+(* Commit the oldest tentative write.  If it was applied, it was applied
+   over exactly the committed image, so its journal is dropped and its
+   tentative outcome is final; if not, nothing is applied and the image is
+   the committed one, so committing is its one application. *)
 let commit_front t =
   let w = Deque.pop_front t.tent in
-  let applied = not (Deque.is_empty t.undo) in
-  if applied then ignore (Deque.pop_front t.undo);
-  commit_one t w;
-  if not applied then ignore (Op.apply ~procs:t.procs w.op t.full_db)
+  let final =
+    if Deque.is_empty t.undo then apply_committed t w
+    else begin
+      ignore (Deque.pop_front t.undo);
+      (slot_exn t w.id).s_outcome
+    end
+  in
+  commit_one t w final
 
 (* A tentative write is stable when no origin can still produce a write that
    precedes it in timestamp order.  The strict comparison handles simultaneous
@@ -735,32 +775,34 @@ let commit_stable t ~cover =
      or the runner-up when the write's own origin is the unique argmin.  The
      per-origin scan would make committing O(origins) per write, which
      dominates large-replica runs (E22); exact ties (timestamp equal to the
-     effective minimum) defer to the precise tie-breaking rule. *)
+     effective minimum) defer to the precise tie-breaking rule.  A plain
+     loop: refs captured by a closure would box a float per assignment. *)
   let min1 = ref infinity and min2 = ref infinity in
   let argmin = ref (-1) and nmin = ref 0 in
-  Array.iteri
-    (fun o c ->
-      if c < !min1 then begin
-        min2 := !min1;
-        min1 := c;
-        argmin := o;
-        nmin := 1
-      end
-      else if c = !min1 then begin
-        incr nmin;
-        min2 := c
-      end
-      else if c < !min2 then min2 := c)
-    cover;
+  for o = 0 to Array.length cover - 1 do
+    let c = cover.(o) in
+    if c < !min1 then begin
+      min2 := !min1;
+      min1 := c;
+      argmin := o;
+      nmin := 1
+    end
+    else if c = !min1 then begin
+      incr nmin;
+      min2 := c
+    end
+    else if c < !min2 then min2 := c
+  done;
+  let min1 = !min1 and min2 = !min2 and argmin = !argmin and nmin = !nmin in
   let stable_fast (w : Write.t) =
-    let m = if !argmin = w.id.origin && !nmin = 1 then !min2 else !min1 in
+    let m = if argmin = w.id.origin && nmin = 1 then min2 else min1 in
     if w.accept_time < m then true
     else if w.accept_time > m then false
     else stable ~cover w
   in
-  (* Commit order equals timestamp order here, so the full image and the
-     suffix's undo journals beyond the frontier are untouched: committing is
-     a front pop. *)
+  (* Commit order equals timestamp order here, so the image and the suffix's
+     undo journals beyond the frontier are untouched: committing is a front
+     pop. *)
   let n = ref 0 in
   while
     (not (Deque.is_empty t.tent)) && stable_fast (Deque.peek_front t.tent)
@@ -785,29 +827,28 @@ let commit_ids t ids =
       with
       | None -> ()
       | Some w ->
-        (* Commit order agrees with the full-image order only when the write
+        (* Commit order agrees with the image's order only when the write
            being committed is the oldest tentative one — then committing is a
-           front pop.  Otherwise remove it from the middle and re-derive the
-           image once, after the batch. *)
+           front pop.  Otherwise revert the applied suffix once, so the image
+           is the committed one, and commit from the middle of the suffix
+           onto it; the next read reapplies the suffix. *)
         if
           (not !reordered)
           && (not (Deque.is_empty t.tent))
           && Write.compare_id (Deque.peek_front t.tent).Write.id id = 0
         then commit_front t
         else begin
+          if not !reordered then revert_to t 0;
           reordered := true;
           let pos = Deque.upper_bound t.tent ~cmp:Write.ts_compare w - 1 in
           assert (pos >= 0 && Write.compare_id (Deque.get t.tent pos).Write.id id = 0);
           ignore (Deque.remove t.tent pos);
           t.view_valid <- false;
-          commit_one t w
+          commit_one t w (apply_committed t w)
         end;
         incr n)
     ids;
-  if !reordered then begin
-    t.nrollbacks <- t.nrollbacks + 1;
-    rebuild t
-  end;
+  if !reordered then t.nrollbacks <- t.nrollbacks + 1;
   if !n > 0 then sanitize ~ctx:"wlog.commit_ids" t;
   !n
 
@@ -931,7 +972,7 @@ let can_serve t v = Version_vector.dominates v t.trunc_vec
 
 let snapshot t =
   {
-    snap_db = Db.copy t.committed_db;
+    snap_db = committed_db t;
     snap_vector = Version_vector.copy t.committed_vec;
     snap_ncommitted = t.ncommitted;
     snap_values =
@@ -956,8 +997,11 @@ let install_snapshot t snap =
     let covered (w : Write.t) =
       Version_vector.covers snap.snap_vector ~origin:w.id.origin ~seq:w.id.seq
     in
-    (* Adopt the snapshot as the committed state. *)
-    t.committed_db <- Db.copy snap.snap_db;
+    (* Adopt the snapshot as the committed state, with nothing of the suffix
+       applied: the next read replays the kept suffix on top. *)
+    t.image <- Db.copy snap.snap_db;
+    Deque.clear t.undo;
+    if Option.is_some t.audit_db then t.audit_db <- Some (Db.copy snap.snap_db);
     t.ncommitted <- snap.snap_ncommitted;
     for o = 0 to t.nreplicas - 1 do
       Version_vector.set t.committed_vec o (Version_vector.get snap.snap_vector o);
@@ -1041,7 +1085,6 @@ let install_snapshot t snap =
     in
     List.iter (Hashtbl.remove t.pending) stale;
     t.nrollbacks <- t.nrollbacks + 1;
-    rebuild t;
     sanitize ~ctx:"wlog.install_snapshot" t;
     true
   end

@@ -4,16 +4,18 @@
     into a {e committed} prefix — totally ordered, never reordered again — and
     a {e tentative} suffix kept in the canonical timestamp order
     [(accept_time, origin, seq)] and subject to rollback and reapplication
-    when writes arrive out of order.  Two database images are maintained: the
-    committed image (state after the committed prefix only) and the full image
-    (committed plus tentative), which is what reads observe.
+    when writes arrive out of order.  One database image is kept: the
+    committed prefix plus the applied part of the suffix, which is what reads
+    observe.  The committed image is that image with the applied writes'
+    undo journals reverted; {!committed_db} and {!snapshot} build it on a
+    copy.
 
-    Tentative writes are applied to the full image when it is read, not when
-    they arrive: {!db}, {!outcome}, {!accept} and {!insert} first apply
-    whatever the suffix holds that is not yet applied, while {!insert_batch}
-    only places writes.  Only the applied part of the suffix carries undo
+    Tentative writes are applied to the image when it is read, not when they
+    arrive: {!db}, {!outcome}, {!accept} and {!insert} first apply whatever
+    the suffix holds that is not yet applied, while {!insert_batch} only
+    places writes.  Only the applied part of the suffix carries undo
     journals and tentative outcomes, so a replica whose clients never read
-    pays for neither.
+    pays for neither, and committing such a write is its one application.
 
     The log also maintains, incrementally, the quantities the conit metrics
     are built from: per-conit observed value (accumulated nweights of all
@@ -99,6 +101,9 @@ val db : t -> Db.t
     next call. *)
 
 val committed_db : t -> Db.t
+(** The committed image, as a private copy: the image with the applied
+    suffix's journals reverted on the copy.  O(image); the log's own image
+    and its applied suffix are left as they are. *)
 
 val tentative : t -> Write.t list
 (** The tentative suffix, in timestamp order. *)
@@ -122,17 +127,19 @@ val commit_stable : t -> cover:float array -> int
     [o] with accept time <= [cover.(o)] is known to this replica.  Commits
     the maximal stable prefix of the tentative suffix — writes that no origin
     can still precede in timestamp order — and returns how many were
-    committed.  Commit order equals timestamp order, so the full image is
-    unaffected (a committed write that was never applied is applied to both
-    images). *)
+    committed.  Commit order equals timestamp order, so the image is
+    unaffected: a committed write that was applied was applied over exactly
+    the committed image, so its journal is dropped and its tentative outcome
+    becomes its final one, and a write never applied is applied once. *)
 
 val commit_ids : t -> Write.id list -> int
 (** Commitment in an externally supplied order (the primary-CSN scheme).
     Commits each known, not-yet-committed id in the given order; ids must be
-    committed in the same order system-wide.  Because the order may differ
-    from timestamp order, the full image is reset to the committed image and
-    the suffix is reapplied at the next read.  Returns how many were
-    committed. *)
+    committed in the same order system-wide.  While the ids arrive in
+    suffix order, committing is as under {!commit_stable}.  At the first id
+    out of that order the applied suffix is reverted once, the rest commit
+    onto the committed image, and the suffix is reapplied at the next read.
+    Returns how many were committed. *)
 
 val tentative_oweight : t -> string -> float
 (** Order error of a conit at this replica: summed oweight of tentative
@@ -236,7 +243,8 @@ val can_serve : t -> Version_vector.t -> bool
     assembled, or have needed writes been truncated away? *)
 
 val snapshot : t -> snapshot
-(** Capture the current committed state for a full-state transfer. *)
+(** Capture the current committed state for a full-state transfer; its
+    image is built as {!committed_db} builds it. *)
 
 val install_snapshot : t -> snapshot -> bool
 (** Replace the committed state with the snapshot's if it is strictly ahead
@@ -256,9 +264,14 @@ val committed_vector : t -> Version_vector.t
     right after a read), retained committed prefix equal to the most recent
     slice of the commit journal, version-vector coverage and monotonicity,
     weight tallies agreeing with a recount, and the undo journal reverting
-    the full image exactly to the committed image — can be audited on
-    demand, or after every mutation when [TACT_SANITIZE=1] (see
-    {!Tact_util.Sanitize}). *)
+    the image exactly to the committed image — can be audited on demand, or
+    after every mutation when [TACT_SANITIZE=1] (see {!Tact_util.Sanitize}).
+    The committed image the undo round-trip is checked against does not come
+    from the journals: a log created under the sanitizer applies every
+    commit to a committed image of its own (and checks there that each final
+    outcome is reached), and any other log replays its committed prefix
+    from the initial bindings, which is possible while nothing has been
+    truncated or installed from a snapshot. *)
 
 val invariant_violations : t -> string list
 (** Full structural audit; empty when the log is healthy.  O(log size). *)

@@ -8,8 +8,7 @@ module Config = Tact_replica.Config
    responses out.  Same read-buffer discipline as Tcp's accepted conns. *)
 type client_conn = {
   k_fd : Unix.file_descr;
-  mutable k_buf : Bytes.t;
-  mutable k_len : int;
+  k_in : Inbuf.t;
   k_out : Outbuf.t;
   mutable k_closed : bool;
 }
@@ -175,49 +174,20 @@ let handle_request t (c : client_conn) req =
 
 let rec client_consume t (c : client_conn) =
   match
-    Transport.decode_frame_header
-      ~max_frame:t.config.Config.transport.Config.max_frame c.k_buf ~off:0
-      ~avail:c.k_len
+    Inbuf.next_frame c.k_in ~max_frame:t.config.Config.transport.Config.max_frame
   with
   | Ok None -> ()
   | Error _ -> drop_client t c
-  | Ok (Some len) ->
-    let hdr = Transport.frame_header_size in
-    if c.k_len >= hdr + len then begin
-      let payload = Bytes.sub_string c.k_buf hdr len in
-      let rest = c.k_len - hdr - len in
-      Bytes.blit c.k_buf (hdr + len) c.k_buf 0 rest;
-      c.k_len <- rest;
-      (match Client.decode_request payload with
-      | Ok req -> handle_request t c req
-      | Error e -> respond t c (Client.Err (Transport.error_to_string e)));
-      client_consume t c
-    end
-    else begin
-      let need = hdr + len in
-      if Bytes.length c.k_buf < need then begin
-        let fresh = Bytes.create need in
-        Bytes.blit c.k_buf 0 fresh 0 c.k_len;
-        c.k_buf <- fresh
-      end
-    end
+  | Ok (Some payload) ->
+    (match Client.decode_request payload with
+    | Ok req -> handle_request t c req
+    | Error e -> respond t c (Client.Err (Transport.error_to_string e)));
+    client_consume t c
 
 let client_read t (c : client_conn) =
-  let avail = Bytes.length c.k_buf - c.k_len in
-  let avail =
-    if avail > 0 then avail
-    else begin
-      let fresh = Bytes.create (2 * Bytes.length c.k_buf) in
-      Bytes.blit c.k_buf 0 fresh 0 c.k_len;
-      c.k_buf <- fresh;
-      Bytes.length fresh - c.k_len
-    end
-  in
-  match Unix.read c.k_fd c.k_buf c.k_len avail with
+  match Inbuf.read c.k_in c.k_fd with
   | 0 -> drop_client t c
-  | nread ->
-    c.k_len <- c.k_len + nread;
-    client_consume t c
+  | _ -> client_consume t c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error _ -> drop_client t c
 
@@ -227,7 +197,7 @@ let accept_client t listen_fd =
     Unix.set_nonblock fd;
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
     let c =
-      { k_fd = fd; k_buf = Bytes.create 4096; k_len = 0; k_out = Outbuf.create 512;
+      { k_fd = fd; k_in = Inbuf.create 4096; k_out = Outbuf.create 512;
         k_closed = false }
     in
     t.clients <- c :: t.clients;

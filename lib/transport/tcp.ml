@@ -43,8 +43,7 @@ type stats = {
 (* An accepted (incoming) connection: hello, then frames. *)
 type conn = {
   c_fd : Unix.file_descr;
-  mutable c_buf : Bytes.t;
-  mutable c_len : int;
+  c_in : Inbuf.t;
   mutable c_peer : int option;  (* set once the hello arrives *)
 }
 
@@ -400,23 +399,17 @@ let ack_probe t ~src =
 
 let rec conn_consume t (c : conn) =
   match c.c_peer with
-  | None ->
-    if c.c_len >= hello_size then
-      if
-        String.equal
-          (Bytes.sub_string c.c_buf 0 (String.length hello_magic))
-          hello_magic
-      then begin
-        let id =
-          Int64.to_int (Bytes.get_int64_be c.c_buf (String.length hello_magic))
-        in
+  | None -> (
+    match Inbuf.peek c.c_in hello_size with
+    | None -> ()
+    | Some hello ->
+      if String.starts_with ~prefix:hello_magic hello then begin
+        let id = Int64.to_int (String.get_int64_be hello (String.length hello_magic)) in
         if id < 0 || id >= t.n || id = t.self then poison_conn t c
         else begin
           if observed t then emit t (Event.Hello id);
           c.c_peer <- Some id;
-          let rest = c.c_len - hello_size in
-          Bytes.blit c.c_buf hello_size c.c_buf 0 rest;
-          c.c_len <- rest;
+          Inbuf.drop c.c_in hello_size;
           (* Traffic from the peer is host-liveness evidence: it refreshes an
              Up link's half-open clock and un-parks an exhausted one (the
              supervisor absorbs it in every other state). *)
@@ -426,64 +419,30 @@ let rec conn_consume t (c : conn) =
           conn_consume t c
         end
       end
-      else poison_conn t c
+      else poison_conn t c)
   | Some src -> (
-    match
-      Transport.decode_frame_header ~max_frame:t.knobs.max_frame c.c_buf
-        ~off:0 ~avail:c.c_len
-    with
+    match Inbuf.next_frame c.c_in ~max_frame:t.knobs.max_frame with
     | Ok None -> ()
     | Error _ ->
       (* Oversized or corrupt length prefix: there is no way to
          resynchronise a stream after a bad prefix — poison the
          connection (the peer's supervisor will redial). *)
       poison_conn t c
-    | Ok (Some len) ->
-      let hdr = Transport.frame_header_size in
-      if c.c_len >= hdr + len then begin
-        let payload = Bytes.sub_string c.c_buf hdr len in
-        let rest = c.c_len - hdr - len in
-        Bytes.blit c.c_buf (hdr + len) c.c_buf 0 rest;
-        c.c_len <- rest;
-        t.stats.recv_frames <- t.stats.recv_frames + 1;
-        t.stats.recv_bytes <- t.stats.recv_bytes + hdr + len;
-        if observed t then emit t (Event.Recv { peer = src; bytes = len });
-        (match t.peers.(src) with
-        | Some p -> run_actions t p (sup_event t p Supervisor.Rx)
-        | None -> ());
-        if len = 0 then ack_probe t ~src else t.handler ~src payload;
-        conn_consume t c
-      end
-      else begin
-        (* Grow to hold the announced frame ([len] is already bounded by
-           [max_frame], so this cannot balloon). *)
-        let need = hdr + len in
-        if Bytes.length c.c_buf < need then begin
-          (* bounded by max_frame; amortised by buffer reuse across
-             frames *)
-          let fresh = Bytes.create need in
-          Bytes.blit c.c_buf 0 fresh 0 c.c_len;
-          c.c_buf <- fresh
-        end
-      end)
+    | Ok (Some payload) ->
+      let len = String.length payload in
+      t.stats.recv_frames <- t.stats.recv_frames + 1;
+      t.stats.recv_bytes <- t.stats.recv_bytes + Transport.frame_header_size + len;
+      if observed t then emit t (Event.Recv { peer = src; bytes = len });
+      (match t.peers.(src) with
+      | Some p -> run_actions t p (sup_event t p Supervisor.Rx)
+      | None -> ());
+      if len = 0 then ack_probe t ~src else t.handler ~src payload;
+      conn_consume t c)
 
 let conn_read t (c : conn) =
-  let avail = Bytes.length c.c_buf - c.c_len in
-  let avail =
-    if avail > 0 then avail
-    else begin
-      (* doubling receive buffer, amortised *)
-      let fresh = Bytes.create (2 * Bytes.length c.c_buf) in
-      Bytes.blit c.c_buf 0 fresh 0 c.c_len;
-      c.c_buf <- fresh;
-      Bytes.length fresh - c.c_len
-    end
-  in
-  match Unix.read c.c_fd c.c_buf c.c_len avail with
+  match Inbuf.read c.c_in c.c_fd with
   | 0 -> drop_conn t c
-  | nread ->
-    c.c_len <- c.c_len + nread;
-    conn_consume t c
+  | _ -> conn_consume t c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error _ -> drop_conn t c
 
@@ -492,7 +451,7 @@ let accept_conn t listen_fd =
   | fd, _ ->
     Unix.set_nonblock fd;
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    let c = { c_fd = fd; c_buf = Bytes.create 4096; c_len = 0; c_peer = None } in
+    let c = { c_fd = fd; c_in = Inbuf.create 4096; c_peer = None } in
     t.conns <- c :: t.conns;
     Loop.on_readable t.loop fd (fun () -> conn_read t c)
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()

@@ -71,6 +71,26 @@ let test_db_corruption_detected () =
   let vs = Wlog.invariant_violations log in
   Alcotest.(check bool) "undo round-trip fails" true (vs <> [])
 
+(* A log built under the sanitizer keeps its own committed image, so the
+   undo round-trip is still audited once truncation or a snapshot install
+   has dropped the committed prefix a replay would need. *)
+let test_db_corruption_detected_truncated () =
+  with_sanitize (fun () ->
+      let log = sample_log () in
+      Alcotest.(check int) "one truncated" 1 (Wlog.truncate log ~keep:0);
+      Db.set (Wlog.db log) "y" (Value.Float 999.0);
+      Alcotest.(check bool) "truncated log: undo round-trip fails" true
+        (Wlog.invariant_violations log <> []);
+      let fresh = Wlog.create ~replicas:2 ~initial:[] in
+      Alcotest.(check bool) "installed" true
+        (Wlog.install_snapshot fresh (Wlog.snapshot (sample_log ())));
+      ignore (Wlog.accept fresh (mk ~op:(Op.Add ("x", 1.0)) ~origin:0 ~seq:2 ~t:4.0 ()));
+      Alcotest.(check (list string)) "snapshotted log audits clean" []
+        (Wlog.invariant_violations fresh);
+      Db.set (Wlog.db fresh) "y" (Value.Float 999.0);
+      Alcotest.(check bool) "snapshotted log: undo round-trip fails" true
+        (Wlog.invariant_violations fresh <> []))
+
 let test_system_runs_clean () =
   (* A small partitioned run with pushes, pulls, commits and healing — the
      sanitizer audits every replica after every step. *)
@@ -169,6 +189,8 @@ let suite =
     Alcotest.test_case "tentative swap detected" `Quick test_swap_detected;
     Alcotest.test_case "disabled mode is a no-op" `Quick test_disabled_is_noop;
     Alcotest.test_case "db corruption detected" `Quick test_db_corruption_detected;
+    Alcotest.test_case "db corruption detected, truncated" `Quick
+      test_db_corruption_detected_truncated;
     Alcotest.test_case "system runs clean under sanitizer" `Quick
       test_system_runs_clean;
     Alcotest.test_case "sweep armed past a deadline" `Quick test_sweep_audit;

@@ -1247,7 +1247,7 @@ let test_system_close_idempotent () =
 
 (* A replica on an endpoint that only records what it sends: an engine
    drives its timers, and nothing is delivered unless the test does it. *)
-let recording_replica ~engine ~id ~n config =
+let recording_replica ?emit ~engine ~id ~n config =
   let sent = ref [] in
   let endpoint =
     {
@@ -1260,7 +1260,7 @@ let recording_replica ~engine ~id ~n config =
           sent := (dst, msg) :: !sent;
           Ok ());
       ep_close = ignore;
-      ep_emit = None;
+      ep_emit = emit;
     }
   in
   (Replica.create ~id ~n ~endpoint ~config (), sent)
@@ -1421,6 +1421,123 @@ let test_seam_batch_sender_checked () =
   Alcotest.(check bool) "authentic batch frame applied" true
     (Wlog.known (Replica.log r) id)
 
+(* Messages shaped for another system size are refused before anything of
+   them is applied: on 3 replicas, a Batch frame whose vector has 5 entries,
+   an Ack whose vector has 5, and a Batch frame whose cover has 7.  Each is
+   counted in [malformed_frames], publishes [Event.Malformed], and leaves
+   the replica serving. *)
+let misshapen_probe name ~vector_len ~cover_len ~ack () =
+  let engine = Tact_sim.Engine.create () in
+  let events = ref [] in
+  let r, _ =
+    recording_replica ~emit:(fun e -> events := e :: !events) ~engine ~id:0 ~n:3
+      { Config.default with Config.conits = [ Conit.unconstrained "a" ] }
+  in
+  let id = { Write.origin = 1; seq = 1 } in
+  let w = Write.make ~id ~accept_time:0.0 ~op:(Op.Add ("x", 1.0)) ~affects:[ weight "a" ] in
+  let vector = Version_vector.create vector_len in
+  Version_vector.set vector 1 1;
+  let payload =
+    if ack then Wire.to_string (Wire.Ack { from = 1; vector; csn_known = 0 })
+    else
+      Wire.to_string
+        (Wire.Batch_frame
+           (Batch.to_string
+              { Batch.from = 1; shard = 0; kind = Batch.Push; vector;
+                cover = Array.make cover_len 0.0; csn_start = 0; csn = []; rate = 0.0;
+                payload = Batch.Delta [ w ] }))
+  in
+  Replica.deliver_wire r ~src:1 payload;
+  Alcotest.(check int) (name ^ ": counted") 1 (Replica.malformed_frames r);
+  Alcotest.(check bool) (name ^ ": published") true
+    (List.exists
+       (fun (e : Event.t) -> match e.kind with Event.Malformed _ -> true | _ -> false)
+       !events);
+  Alcotest.(check bool) (name ^ ": not applied") false (Wlog.known (Replica.log r) id);
+  (* The replica keeps serving: a well-shaped frame still applies. *)
+  let good = Version_vector.create 3 in
+  Version_vector.set good 1 1;
+  Replica.deliver_wire r ~src:1
+    (Wire.to_string
+       (Wire.Batch_frame
+          (Batch.to_string
+             { Batch.from = 1; shard = 0; kind = Batch.Gossip; vector = good;
+               cover = Array.make 3 0.0; csn_start = 0; csn = []; rate = 0.0;
+               payload = Batch.Delta [ w ] })));
+  Alcotest.(check int) (name ^ ": well-shaped accepted") 1 (Replica.malformed_frames r);
+  Alcotest.(check bool) (name ^ ": well-shaped applied") true
+    (Wlog.known (Replica.log r) id)
+
+(* 2,000 client requests written back to back are all answered, in order:
+   each adds 1 to one key, so the i-th outcome is i. *)
+let test_serve_pipelined_requests () =
+  let serves, client_addrs, pump_all = serve_fleet () in
+  let c = client_connect client_addrs.(0) in
+  let requests = 2_000 in
+  let one =
+    let payload =
+      Client.request_to_string
+        (Client.Submit { conit = "c"; nweight = 1.0; oweight = 1.0; op = Op.Add ("k", 1.0) })
+    in
+    Transport.encode_frame_header ~len:(String.length payload) ^ payload
+  in
+  let msg = String.concat "" (List.init requests (fun _ -> one)) in
+  (* One write: the daemon meets the requests many to a read.  Whatever the
+     socket did not take at once follows as it drains. *)
+  let sent = ref (Unix.write_substring c.cl_fd msg 0 (String.length msg)) in
+  let got = ref 0 in
+  Alcotest.(check bool) "every request answered" true
+    (pump_all ~wall:20.0 (fun () ->
+         (if !sent < String.length msg then
+            match Unix.write_substring c.cl_fd msg !sent (String.length msg - !sent) with
+            | n -> sent := !sent + n
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+         let rec drain () =
+           match client_try_read c with
+           | Some (Client.Outcome (Op.Applied (Value.Float v))) ->
+             incr got;
+             if not (Float.equal v (float_of_int !got)) then
+               Alcotest.failf "response %d carries %g: out of order" !got v;
+             drain ()
+           | Some r -> Alcotest.failf "submit: %s" (Client.describe_response r)
+           | None -> ()
+         in
+         drain ();
+         !got = requests));
+  (try Unix.close c.cl_fd with Unix.Unix_error _ -> ());
+  Array.iter Serve.request_stop serves;
+  Alcotest.(check bool) "drained" true
+    (pump_all ~wall:6.0 (fun () -> Array.for_all Serve.stopped serves));
+  Array.iter Serve.close serves
+
+(* 2,000 peer frames sent in one burst are all delivered, in order. *)
+let test_tcp_burst_in_order () =
+  let ports = Array.of_list (fresh_ports 2) in
+  let addrs = Array.map loopback ports in
+  let loop = Loop.create () in
+  let rng = Prng.create ~seed:27 in
+  let ts =
+    Array.init 2 (fun self ->
+        Tcp.create ~loop ~self ~addrs ~knobs:fast_knobs ~rng:(Prng.split rng) ())
+  in
+  let got = ref [] in
+  Tcp.set_handler ts.(1) (fun ~src payload -> if src = 0 then got := payload :: !got);
+  Array.iteri (fun i t -> Tcp.listen t ~addr:addrs.(i)) ts;
+  Alcotest.(check bool) "link up" true
+    (pump loop ~wall:5.0 (fun () -> Tcp.peer_up ts.(0) 1 && Tcp.peer_up ts.(1) 0));
+  let frames = 2_000 in
+  for i = 1 to frames do
+    match Tcp.send ts.(0) ~dst:1 (Printf.sprintf "frame %d" i) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "send %d: %s" i (Transport.error_to_string e)
+  done;
+  Alcotest.(check bool) "every frame delivered" true
+    (pump loop ~wall:10.0 (fun () -> List.length !got >= frames));
+  Alcotest.(check (list string)) "in order"
+    (List.init frames (fun i -> Printf.sprintf "frame %d" (i + 1)))
+    (List.rev !got);
+  Array.iter Tcp.close ts
+
 (* --- Loop timers: the engine's heap on the wall clock ------------------ *)
 
 (* [n] timers with seeded random delays on a 10 ms grid.  Scheduling them
@@ -1499,6 +1616,15 @@ let suite =
       test_system_run_teardown_on_raise;
     Alcotest.test_case "system: close idempotent" `Quick test_system_close_idempotent;
     Alcotest.test_case "seam: one sync builder" `Quick test_seam_sync_builder;
+    Alcotest.test_case "seam: batch vector of 5 refused" `Quick
+      (misshapen_probe "batch vector of 5" ~vector_len:5 ~cover_len:3 ~ack:false);
+    Alcotest.test_case "seam: ack vector of 5 refused" `Quick
+      (misshapen_probe "ack vector of 5" ~vector_len:5 ~cover_len:3 ~ack:true);
+    Alcotest.test_case "seam: batch cover of 7 refused" `Quick
+      (misshapen_probe "batch cover of 7" ~vector_len:3 ~cover_len:7 ~ack:false);
+    Alcotest.test_case "serve: 2,000 pipelined requests" `Quick
+      test_serve_pipelined_requests;
+    Alcotest.test_case "tcp: 2,000-frame burst in order" `Quick test_tcp_burst_in_order;
     Alcotest.test_case "seam: batch sender checked" `Quick
       test_seam_batch_sender_checked;
     Alcotest.test_case "loop: timers in (due, seq) order" `Quick

@@ -580,6 +580,198 @@ let test_tally_handle_survives_snapshot () =
         (Wlog.tentative_oweight log name) (Wlog.tally_tent_ow h))
     [ ("c", hc, 5.5, 0.25); ("d", hd, 5.0, 0.5) ]
 
+(* --- One database image --------------------------------------------------
+
+   The log keeps one image, the committed image being that image with the
+   applied suffix's journals reverted.  A seat pool makes outcomes depend on
+   the state: "book" takes a seat and records how many are left, and
+   conflicts once none is.  *)
+
+let seat_procs =
+  [
+    ( "book",
+      fun arg db ->
+        let name = match arg with Value.Str name -> name | _ -> "?" in
+        if Db.get_float db "seats" < 1.0 then Op.Conflict "full"
+        else begin
+          let left = Db.add db "seats" (-1.0) in
+          Db.set db ("seat." ^ name) left;
+          Op.Applied left
+        end );
+  ]
+
+let seat_log ~seats =
+  Wlog.create_bounded ~procs:seat_procs ~journal:true ~evict_outcomes:false ~replicas:3
+    ~initial:[ ("seats", Value.Float (float_of_int seats)) ]
+
+let book ~origin ~seq ~t =
+  mk ~op:(Op.Named ("book", Value.Str (Printf.sprintf "%d.%d" origin seq))) ~origin ~seq ~t ()
+
+(* The committed prefix replayed from the initial image: the final outcomes
+   and the committed image a log must agree with. *)
+let replay_committed log ~seats =
+  let db = Db.create [ ("seats", Value.Float (float_of_int seats)) ] in
+  let outcomes =
+    List.map
+      (fun (w : Write.t) -> (w.id, Op.apply ~procs:seat_procs w.op db))
+      (Wlog.committed log)
+  in
+  (db, outcomes)
+
+(* Two logs receive the same shuffled batches and commit under the same
+   covers.  One reads its image after every batch, so every write it
+   commits was applied first and keeps its tentative outcome; the other
+   never reads, so committing is each write's one application.  Both end
+   with the final outcomes and images of a replay of the committed order. *)
+let test_one_image_read_or_not () =
+  let seats = 7 and per_origin = 8 in
+  let rng = Tact_util.Prng.create ~seed:27 in
+  let writes =
+    List.concat_map
+      (fun origin ->
+        let t = ref 0.0 in
+        List.init per_origin (fun i ->
+            t := !t +. 0.01 +. Tact_util.Prng.float rng 1.0;
+            book ~origin ~seq:(i + 1) ~t:!t))
+      [ 0; 1; 2 ]
+  in
+  let arrivals = Array.of_list writes in
+  Tact_util.Prng.shuffle rng arrivals;
+  let reader = seat_log ~seats and blind = seat_log ~seats in
+  (* Origin o's cover: just under its oldest write not yet known. *)
+  let cover log =
+    Array.init 3 (fun o ->
+        List.fold_left
+          (fun acc (w : Write.t) ->
+            if w.id.origin = o && not (Wlog.known log w.id) then
+              Float.min acc (w.accept_time -. 1e-6)
+            else acc)
+          100.0 writes)
+  in
+  let pos = ref 0 in
+  while !pos < Array.length arrivals do
+    let len = min (1 + Tact_util.Prng.int rng 4) (Array.length arrivals - !pos) in
+    let batch = Array.to_list (Array.sub arrivals !pos len) in
+    pos := !pos + len;
+    ignore (Wlog.insert_batch reader batch);
+    ignore (Wlog.insert_batch blind batch);
+    ignore (Wlog.db reader);
+    let c = cover reader in
+    Alcotest.(check int) "same commits" (Wlog.commit_stable reader ~cover:c)
+      (Wlog.commit_stable blind ~cover:c)
+  done;
+  Alcotest.(check int) "everything committed" (List.length writes)
+    (Wlog.committed_count reader);
+  let db, outcomes = replay_committed reader ~seats in
+  let conflicts = List.filter (fun (_, o) -> Op.conflicted o) outcomes in
+  Alcotest.(check int) "the pool runs dry" (List.length writes - seats)
+    (List.length conflicts);
+  List.iter
+    (fun (id, o) ->
+      let name = Write.id_to_string id in
+      Alcotest.(check bool) (name ^ ": read log's final outcome") true
+        (Wlog.final_outcome reader id = Some o);
+      Alcotest.(check bool) (name ^ ": unread log's final outcome") true
+        (Wlog.final_outcome blind id = Some o))
+    outcomes;
+  List.iter
+    (fun (name, log) ->
+      Alcotest.(check bool) (name ^ ": committed image") true
+        (Db.equal (Wlog.committed_db log) db);
+      Alcotest.(check bool) (name ^ ": image") true (Db.equal (Wlog.db log) db);
+      Alcotest.(check (list string)) (name ^ ": audit") [] (Wlog.invariant_violations log))
+    [ ("read", reader); ("unread", blind) ]
+
+(* A CSN commit out of timestamp order after a read reverts the applied
+   suffix once and commits onto the committed image: the images and
+   outcomes are those of the committed order followed by the rest of the
+   suffix in timestamp order, exactly as for a log that never read. *)
+let test_one_image_commit_ids_after_read () =
+  let a = book ~origin:0 ~seq:1 ~t:1.0 and b = book ~origin:1 ~seq:1 ~t:2.0 in
+  let c = book ~origin:0 ~seq:2 ~t:3.0 and d = book ~origin:2 ~seq:1 ~t:4.0 in
+  let run ~read =
+    let log = seat_log ~seats:2 in
+    ignore (Wlog.insert_batch log [ a; b; c; d ]);
+    if read then begin
+      ignore (Wlog.db log);
+      Alcotest.(check bool) "a books first" true
+        (Wlog.outcome log a.Write.id = Some (Op.Applied (Value.Float 1.0)))
+    end;
+    let before = Wlog.rollbacks log in
+    Alcotest.(check int) "two commit" 2 (Wlog.commit_ids log [ d.Write.id; b.Write.id ]);
+    Alcotest.(check int) "one rollback" (before + 1) (Wlog.rollbacks log);
+    log
+  in
+  let expect log =
+    let committed = Wlog.committed_db log in
+    Alcotest.(check (float 0.0)) "d took a seat first" 1.0 (Db.get_float committed "seat.2.1");
+    Alcotest.(check (float 0.0)) "then b" 0.0 (Db.get_float committed "seat.1.1");
+    Alcotest.(check bool) "final d" true
+      (Wlog.final_outcome log d.Write.id = Some (Op.Applied (Value.Float 1.0)));
+    Alcotest.(check bool) "final b" true
+      (Wlog.final_outcome log b.Write.id = Some (Op.Applied (Value.Float 0.0)));
+    List.iter
+      (fun (w : Write.t) ->
+        Alcotest.(check bool) (Write.id_to_string w.id ^ " now conflicts") true
+          (Wlog.outcome log w.id = Some (Op.Conflict "full")))
+      [ a; c ];
+    Alcotest.(check bool) "image = committed image" true
+      (Db.equal (Wlog.db log) committed);
+    Alcotest.(check (list string)) "audit" [] (Wlog.invariant_violations log)
+  in
+  let read = run ~read:true and unread = run ~read:false in
+  expect read;
+  expect unread;
+  Alcotest.(check bool) "same committed image" true
+    (Db.equal (Wlog.committed_db read) (Wlog.committed_db unread))
+
+(* A snapshot taken while only part of the suffix is applied is the
+   committed image, and taking it leaves the image as it was. *)
+let test_one_image_snapshot_partly_applied () =
+  let log = seat_log ~seats:3 in
+  let ws = List.init 5 (fun i -> book ~origin:(i mod 3) ~seq:((i / 3) + 1) ~t:(float_of_int (i + 1))) in
+  ignore (Wlog.insert_batch log ws);
+  Alcotest.(check int) "two commit" 2 (Wlog.commit_stable log ~cover:[| 2.5; 2.5; 2.5 |]);
+  ignore (Wlog.db log);
+  (* A tail arrival after the read: the suffix is applied up to it. *)
+  ignore (Wlog.insert_batch log [ book ~origin:2 ~seq:2 ~t:6.0 ]);
+  let committed, _ = replay_committed log ~seats:3 in
+  let snap = Wlog.snapshot log in
+  Alcotest.(check bool) "snapshot = committed image" true (Db.equal snap.Wlog.snap_db committed);
+  Alcotest.(check (float 0.0)) "one seat left after the commits" 1.0
+    (Db.get_float snap.Wlog.snap_db "seats");
+  Alcotest.(check (float 0.0)) "the image still holds the suffix" 0.0
+    (Db.get_float (Wlog.db log) "seats");
+  Alcotest.(check (list string)) "audit" [] (Wlog.invariant_violations log);
+  let fresh = seat_log ~seats:3 in
+  Alcotest.(check bool) "installs" true (Wlog.install_snapshot fresh snap);
+  Alcotest.(check bool) "installed committed image" true
+    (Db.equal (Wlog.committed_db fresh) committed)
+
+(* Reading the committed image works on a copy: no rollback, and the next
+   read of the image applies nothing again. *)
+let test_one_image_committed_db_undisturbed () =
+  let counts = Hashtbl.create 16 in
+  let log =
+    Wlog.create_bounded ~procs:(counting_procs counts) ~journal:true ~evict_outcomes:false
+      ~replicas:2 ~initial:[]
+  in
+  let w ~origin ~seq ~t = mk ~op:(Op.Named ("count", Value.Int ((origin * 10) + seq))) ~origin ~seq ~t () in
+  ignore (Wlog.insert_batch log [ w ~origin:0 ~seq:1 ~t:1.0; w ~origin:1 ~seq:1 ~t:2.0 ]);
+  ignore (Wlog.commit_stable log ~cover:[| 1.5; 1.5 |]);
+  ignore (Wlog.insert_batch log [ w ~origin:0 ~seq:2 ~t:3.0; w ~origin:1 ~seq:2 ~t:4.0 ]);
+  let image = Db.copy (Wlog.db log) in
+  let rollbacks = Wlog.rollbacks log in
+  Hashtbl.reset counts;
+  let committed = Wlog.committed_db log in
+  Alcotest.(check (float 0.0)) "committed image holds the one commit" 1.0
+    (Db.get_float committed "n");
+  Alcotest.(check bool) "the next read applies nothing" true
+    (Db.equal (Wlog.db log) image && Hashtbl.length counts = 0);
+  Alcotest.(check int) "no rollback" rollbacks (Wlog.rollbacks log);
+  Alcotest.(check (float 0.0)) "the image still holds all four" 4.0
+    (Db.get_float (Wlog.db log) "n")
+
 let extra_suite =
   [
     Alcotest.test_case "csn final outcome order" `Quick test_csn_final_outcome_order;
@@ -589,6 +781,14 @@ let extra_suite =
       test_straggler_writes_since;
     Alcotest.test_case "tally handle survives snapshot" `Quick
       test_tally_handle_survives_snapshot;
+    Alcotest.test_case "one image: read or not, same commits" `Quick
+      test_one_image_read_or_not;
+    Alcotest.test_case "one image: commit_ids after a read" `Quick
+      test_one_image_commit_ids_after_read;
+    Alcotest.test_case "one image: snapshot partly applied" `Quick
+      test_one_image_snapshot_partly_applied;
+    Alcotest.test_case "one image: committed_db undisturbed" `Quick
+      test_one_image_committed_db_undisturbed;
   ]
 
 let suite = base_suite @ extra_suite
