@@ -453,7 +453,7 @@ let budget_share n =
 let csn_buffer_offer n =
   let b = Tact_protocols.Csn_buffer.create () in
   for i = 0 to n - 1 do
-    Tact_protocols.Csn_buffer.offer b ~start:i [ { Write.origin = 0; seq = i + 1 } ]
+    ignore (Tact_protocols.Csn_buffer.offer b ~start:i [ { Write.origin = 0; seq = i + 1 } ])
   done;
   assert (List.length (Tact_protocols.Csn_buffer.slice_from b (n - 100)) = 100)
 
@@ -1064,12 +1064,15 @@ let print_row r =
     (String.concat ""
        (List.map (fun (c, v) -> Printf.sprintf "  %s=%d" c v) r.r_counts))
 
-(* Run every kernel, one at a time, at its full or smoke size. *)
+(* Run every kernel, one at a time, at its full or smoke size.  Each starts
+   from a collected heap, so no kernel pays for the garbage of the ones
+   before it. *)
 let measure ~smoke kernels =
   let rows =
     List.map
       (fun k ->
         let n = if smoke then k.smoke else k.full in
+        Gc.full_major ();
         let r_seconds, r_counts = k.run n in
         let r =
           { r_name = k.name; r_layer = List.assoc k.layer layer_names; r_n = n;

@@ -1,5 +1,5 @@
 (** Randomized fault campaigns: fan hundreds of seeded runs across the
-    work-stealing domain pool, oracle-check every run, and shrink failures
+    domain pool, oracle-check every run, and shrink failures
     into replayable counterexamples.
 
     Determinism contract (asserted by the test suite, mirroring the

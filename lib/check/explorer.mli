@@ -28,7 +28,7 @@
     With [jobs > 1] the schedule space is explored by a domain pool in two
     phases: an optimistic parallel sweep memoizes a summary of every
     execution it performs (sharing the dedup set and violation cutoff
-    behind sharded locks), then the sequential walk above replays over the
+    behind locks), then the sequential walk above replays over the
     memo table, re-executing any schedule the sweep missed.  Because the
     walk itself is the same algorithm either way, the verdict, statistics
     and minimized counterexample are bit-identical to [jobs:1]; dedup races

@@ -17,9 +17,15 @@ val known : t -> int
 val append : t -> Tact_store.Write.id -> unit
 (** Primary only: extend the order by one id. *)
 
-val offer : t -> start:int -> Tact_store.Write.id list -> unit
+val agrees : t -> start:int -> Tact_store.Write.id list -> bool
+(** Whether a slice beginning at index [start] could merge: [start] is not
+    negative and every entry it shares with the known prefix is equal. *)
+
+val offer : t -> start:int -> Tact_store.Write.id list -> int
 (** Merge a slice beginning at index [start].  Overlapping entries are
-    ignored (they must agree — checked); a gapped slice is buffered. *)
+    skipped; a gapped slice is buffered.  A slice whose overlap disagrees
+    with the known prefix, now or once the gap fills, is dropped whole.
+    Returns how many slices (this one or buffered ones) were dropped. *)
 
 val slice_from : t -> int -> Tact_store.Write.id list
 (** The known suffix starting at the given index (for outbound transfers). *)

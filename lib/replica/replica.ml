@@ -359,9 +359,10 @@ let reject t reason =
 
 (* A decoded message must have the shape of this [n]-replica system before
    any of it is applied: each vector and cover names every replica once,
-   and each write and CSN entry names a replica.  The checks raise
-   [Misshapen] with the first field that does not fit, so a well-shaped
-   message costs no allocation. *)
+   each write and CSN entry names a replica, the CSN slice starts at a real
+   index and agrees with the known order, and the rate and cover are
+   finite.  The checks raise [Misshapen] with the first field that does not
+   fit, so a well-shaped message costs no allocation. *)
 exception Misshapen of string
 
 let check_length t what len =
@@ -385,20 +386,28 @@ let rec check_csn t = function
     check_origin t "CSN entry" id;
     check_csn t rest
 
-let check_sync t ~vector ~cover ~snap ~writes ~csn =
+let check_sync t ~vector ~cover ~snap ~writes ~csn_start ~csn ~rate =
   check_length t "vector" (Version_vector.size vector);
   check_length t "cover" (Array.length cover);
+  for j = 0 to Array.length cover - 1 do
+    if not (Float.is_finite cover.(j)) then
+      raise (Misshapen (Printf.sprintf "cover entry %d is %g" j cover.(j)))
+  done;
+  if not (Float.is_finite rate) then raise (Misshapen (Printf.sprintf "rate is %g" rate));
   (match snap with
   | Some (s : Wlog.snapshot) -> check_length t "snapshot vector" (Version_vector.size s.snap_vector)
   | None -> ());
   check_writes t writes;
-  check_csn t csn
+  check_csn t csn;
+  if not (Csn_buffer.agrees t.csn ~start:csn_start csn) then
+    raise
+      (Misshapen (Printf.sprintf "CSN slice at %d does not fit the known order" csn_start))
 
 let check_msg t = function
-  | Transfer { writes; vector; cover; csn; _ } ->
-    check_sync t ~vector ~cover ~snap:None ~writes ~csn
-  | Snapshot { snap; writes; vector; cover; _ } ->
-    check_sync t ~vector ~cover ~snap:(Some snap) ~writes ~csn:[]
+  | Transfer { writes; vector; cover; csn_start; csn; rate; _ } ->
+    check_sync t ~vector ~cover ~snap:None ~writes ~csn_start ~csn ~rate
+  | Snapshot { snap; writes; vector; cover; rate; _ } ->
+    check_sync t ~vector ~cover ~snap:(Some snap) ~writes ~csn_start:0 ~csn:[] ~rate
   | Pull_req { vector; _ } | Ack { vector; _ } ->
     check_length t "vector" (Version_vector.size vector)
   | Batch_frame _ -> () (* checked once decoded *)
@@ -407,7 +416,8 @@ let check_batch t (b : Batch.t) =
   let snap, writes =
     match b.payload with Batch.Delta ws -> (None, ws) | Batch.Full (s, ws) -> (Some s, ws)
   in
-  check_sync t ~vector:b.vector ~cover:b.cover ~snap ~writes ~csn:b.csn
+  check_sync t ~vector:b.vector ~cover:b.cover ~snap ~writes ~csn_start:b.csn_start
+    ~csn:b.csn ~rate:b.rate
 
 (* A crashed replica neither processes nor emits messages: its network
    activity looks exactly like loss to its peers.  The write log itself is
@@ -1027,7 +1037,9 @@ and apply_sync t ~from ~vector ~cover ~csn_start ~csn ~rate ~kind payload =
   Array.iteri (fun o c -> if c > t.cover.(o) then t.cover.(o) <- c) cover;
   t.cover.(t.rid) <- now t;
   t.rates.(from) <- rate;
-  Csn_buffer.offer t.csn ~start:csn_start csn;
+  for _ = 1 to Csn_buffer.offer t.csn ~start:csn_start csn do
+    reject t (fun () -> "a buffered CSN slice disagrees with the known order")
+  done;
   note_peer_vector t ~peer:from vector;
   t.acked_csn.(from) <- max t.acked_csn.(from) (csn_start + List.length csn);
   commit_progress t;

@@ -30,6 +30,10 @@ let drop t n =
   t.off <- t.off + n;
   t.len <- t.len - n
 
+let clear t =
+  t.off <- 0;
+  t.len <- 0
+
 let next_frame t ~max_frame =
   let hdr = Transport.frame_header_size in
   match Transport.decode_frame_header ~max_frame t.buf ~off:t.off ~avail:t.len with

@@ -21,6 +21,9 @@ val peek : t -> int -> string option
 val drop : t -> int -> unit
 (** Consume the first [n] unread bytes. *)
 
+val clear : t -> unit
+(** Discard every unread byte (the connection they came on is gone). *)
+
 val next_frame : t -> max_frame:int -> (string option, Tact_store.Transport.error) result
 (** Take the next length-prefixed frame ({!Tact_store.Transport}) and return
     its payload.  [Ok None] when no whole frame is buffered: the unread

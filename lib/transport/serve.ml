@@ -154,10 +154,23 @@ let status t =
     c_now = Loop.now t.loop;
   }
 
+(* Every bound component is a number, zero or more ([infinity] leaves it
+   unconstrained); NaN fails the comparison. *)
+let sane_bounds { Tact_core.Bounds.ne; ne_rel; oe; st } =
+  ne >= 0.0 && ne_rel >= 0.0 && oe >= 0.0 && st >= 0.0
+
+(* Input the replica must never see is answered [Err] here: a non-finite
+   weight would make the conit's value NaN on every replica, and a NaN or
+   negative bound would park the query until its deadline. *)
 let handle_request t (c : client_conn) req =
   let deadline = Loop.now t.loop +. t.request_timeout in
   match (req : Client.request) with
   | Client.Status -> respond t c (Client.Status_r (status t))
+  | Client.Submit { nweight; oweight; _ }
+    when not (Float.is_finite nweight && Float.is_finite oweight) ->
+    respond t c (Client.Err "write weights must be finite")
+  | Client.Query { bounds; _ } when not (sane_bounds bounds) ->
+    respond t c (Client.Err "bounds must be numbers, zero or more")
   | Client.Submit { conit; nweight; oweight; op } ->
     Replica.submit_write t.replica ~deadline
       ~on_timeout:(fun () -> respond t c (Client.Err "deadline"))

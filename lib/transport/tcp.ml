@@ -57,8 +57,7 @@ type peer = {
   p_out : Outbuf.t;  (* bytes accepted for the live connection *)
   p_parked : string Queue.t;  (* whole frames parked while down *)
   mutable p_parked_bytes : int;
-  mutable p_rbuf : Bytes.t;  (* probe acks arriving on the dialed conn *)
-  mutable p_rlen : int;
+  p_in : Inbuf.t;  (* probe acks arriving on the dialed conn *)
 }
 
 type t = {
@@ -134,8 +133,7 @@ let create ?(park_cap_bytes = 64 * 1024 * 1024) ?on_event ~loop ~self ~addrs
                 p_out = Outbuf.create 4096;
                 p_parked = Queue.create ();
                 p_parked_bytes = 0;
-                p_rbuf = Bytes.create 4096;
-                p_rlen = 0;
+                p_in = Inbuf.create 4096;
               });
     listen_fd = None;
     conns = [];
@@ -182,7 +180,7 @@ let hang_up t (p : peer) =
     close_fd_quietly fd
   | None -> ());
   p.p_fd <- None;
-  p.p_rlen <- 0;
+  Inbuf.clear p.p_in;
   Outbuf.clear p.p_out
 
 let sup_event t (p : peer) ev =
@@ -330,36 +328,18 @@ and flush_out t (p : peer) =
    violation and poisons the connection. *)
 and read_dialed t (p : peer) fd =
   if p.p_fd = Some fd then begin
-    let avail = Bytes.length p.p_rbuf - p.p_rlen in
-    let avail, buf =
-      if avail > 0 then (avail, p.p_rbuf)
-      else begin
-        (* rare: probe-ack buffer growth *)
-        let fresh = Bytes.create (2 * Bytes.length p.p_rbuf) in
-        Bytes.blit p.p_rbuf 0 fresh 0 p.p_rlen;
-        p.p_rbuf <- fresh;
-        (Bytes.length fresh - p.p_rlen, fresh)
-      end
-    in
-    match Unix.read fd buf p.p_rlen avail with
+    match Inbuf.read p.p_in fd with
     | 0 ->
       hang_up t p;
       run_actions t p (sup_event t p Supervisor.Io_failed)
-    | nread -> (
-      p.p_rlen <- p.p_rlen + nread;
-      (* Consume whole frames; only empty ones are legal here. *)
+    | _ -> (
+      (* Consume whole frames; only empty ones are legal here, so a frame
+         limit of 0 refuses any other length prefix as soon as it lands. *)
       let rec consume () =
-        match
-          Transport.decode_frame_header ~max_frame:t.knobs.max_frame p.p_rbuf
-            ~off:0 ~avail:p.p_rlen
-        with
+        match Inbuf.next_frame p.p_in ~max_frame:0 with
         | Ok None -> `Keep
-        | Ok (Some 0) ->
-          let hdr = Transport.frame_header_size in
-          Bytes.blit p.p_rbuf hdr p.p_rbuf 0 (p.p_rlen - hdr);
-          p.p_rlen <- p.p_rlen - hdr;
-          consume ()
-        | Ok (Some _) | Error _ -> `Poison
+        | Ok (Some _) -> consume ()
+        | Error _ -> `Poison
       in
       match consume () with
       | `Keep -> run_actions t p (sup_event t p Supervisor.Rx)

@@ -1,12 +1,10 @@
-(** Fixed-size work-stealing domain pool.
+(** Fixed-size domain pool over one shared task stack.
 
-    [create ~jobs] spawns [jobs] worker domains, each owning a deque of
-    pending tasks.  A worker drains its own deque LIFO (depth-first, cache
-    warm); when empty it takes from the shared injection queue, then steals
-    the older half of a victim's deque (breadth-first, so thieves grab the
-    biggest remaining subtrees).  Tasks submitted from outside the pool land
-    in the injection queue; tasks submitted by a worker land in its own
-    deque.
+    [create ~jobs] spawns [jobs] worker domains that share a single stack of
+    pending tasks under one lock; tasks submitted from inside and outside
+    the pool land on the same stack.  Workers pop the newest task, so a
+    task's children run before older work (depth-first); a caller helping
+    inside {!await} or {!await_idle} pops the oldest.
 
     Exceptions never vanish: a task's exception is captured with its
     backtrace and re-raised at {!await} (for futures) or at the next

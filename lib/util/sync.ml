@@ -28,42 +28,30 @@ module Cell = struct
 end
 
 module Map = struct
-  type ('k, 'v) shard = { lock : Mutex.t; tbl : ('k, 'v) Hashtbl.t }
-  type ('k, 'v) t = ('k, 'v) shard array
+  type ('k, 'v) t = { lock : Mutex.t; tbl : ('k, 'v) Hashtbl.t }
 
-  let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
-
-  let create ?(shards = 16) size_hint =
-    let n = pow2 (Stdlib.max 1 shards) 1 in
-    let per = Stdlib.max 16 (size_hint / n) in
-    Array.init n (fun _ ->
-        { lock = Mutex.create (); tbl = Hashtbl.create per })
-
-  let shard t k = t.(Hashtbl.hash k land (Array.length t - 1))
+  let create size_hint =
+    { lock = Mutex.create (); tbl = Hashtbl.create size_hint }
 
   let find_opt t k =
-    let s = shard t k in
-    Mutex.lock s.lock;
-    let r = Hashtbl.find_opt s.tbl k in
-    Mutex.unlock s.lock;
+    Mutex.lock t.lock;
+    let r = Hashtbl.find_opt t.tbl k in
+    Mutex.unlock t.lock;
     r
 
   let update t k f =
-    let s = shard t k in
-    Mutex.lock s.lock;
-    (match f (Hashtbl.find_opt s.tbl k) with
-    | Some v -> Hashtbl.replace s.tbl k v
-    | None -> Hashtbl.remove s.tbl k
+    Mutex.lock t.lock;
+    (match f (Hashtbl.find_opt t.tbl k) with
+    | Some v -> Hashtbl.replace t.tbl k v
+    | None -> Hashtbl.remove t.tbl k
     | exception e ->
-      Mutex.unlock s.lock;
+      Mutex.unlock t.lock;
       raise e);
-    Mutex.unlock s.lock
+    Mutex.unlock t.lock
 
   let length t =
-    Array.fold_left (fun acc s ->
-        Mutex.lock s.lock;
-        let n = Hashtbl.length s.tbl in
-        Mutex.unlock s.lock;
-        acc + n)
-      0 t
+    Mutex.lock t.lock;
+    let n = Hashtbl.length t.tbl in
+    Mutex.unlock t.lock;
+    n
 end

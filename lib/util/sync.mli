@@ -28,14 +28,13 @@ module Cell : sig
 end
 
 module Map : sig
-  (** A sharded hash map: shard = hash of the key, one mutex per shard, so
-      concurrent updates to different keys rarely contend. *)
+  (** A hash map under one mutex.  Its users touch it a few times per
+      simulation run, so one lock does not contend. *)
 
   type ('k, 'v) t
 
-  val create : ?shards:int -> int -> ('k, 'v) t
-  (** [create ?shards size_hint]; [shards] is rounded up to a power of
-      two. *)
+  val create : int -> ('k, 'v) t
+  (** [create size_hint]. *)
 
   val find_opt : ('k, 'v) t -> 'k -> 'v option
 

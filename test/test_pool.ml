@@ -1,4 +1,4 @@
-(* Work-stealing pool: ordering, exception propagation, nested submission,
+(* Domain pool: ordering, exception propagation, nested submission,
    and empty-batch edge cases. *)
 
 open Tact_util
@@ -128,7 +128,7 @@ let test_sync_primitives () =
   Pool.with_pool ~jobs:4 (fun p ->
       let c = Sync.Counter.make () in
       let cell = Sync.Cell.make 0 in
-      let m = Sync.Map.create ~shards:8 64 in
+      let m = Sync.Map.create 64 in
       List.iter
         (fun f -> Pool.post p f)
         (List.init 200 (fun i () ->

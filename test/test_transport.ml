@@ -19,8 +19,9 @@
      raises mid-run
    - the replica seam on a recording endpoint: every outgoing sync comes
      from one builder (Per_write or Batched, delta or snapshot fallback,
-     push or pull reply), and a Batch frame's embedded sender is checked
-     against the transport peer
+     push or pull reply), a Batch frame's embedded sender is checked
+     against the transport peer, and hostile peer input (wrong shapes, bad
+     CSN slices, non-finite floats) is refused and counted
    - Loop timers on the shared heap: (due, seq) order under random delays,
      scheduling order among equal delays *)
 
@@ -789,6 +790,46 @@ let test_tcp_poisons_hostile_bytes () =
   (try Unix.close sneaky with Unix.Unix_error _ -> ());
   Tcp.close t0
 
+(* The dialed direction carries only probe acks (empty frames) back.  A
+   fake peer accepts 0's dial and writes 1,000 empty frames in one write:
+   the link stays up and nothing is poisoned.  A non-empty frame behind them
+   poisons the connection, which also shows every ack before it was read. *)
+let test_tcp_dialed_reads_acks () =
+  let ports = Array.of_list (fresh_ports 2) in
+  let addrs = Array.map loopback ports in
+  let loop = Loop.create () in
+  let fake = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt fake Unix.SO_REUSEADDR true;
+  Unix.bind fake addrs.(1);
+  Unix.listen fake 4;
+  Unix.set_nonblock fake;
+  let t0 = Tcp.create ~loop ~self:0 ~addrs ~knobs:fast_knobs ~rng:(Prng.create ~seed:9) () in
+  Tcp.listen t0 ~addr:addrs.(0);
+  let conn = ref None in
+  let accepted () =
+    (match Unix.accept fake with
+    | fd, _ -> conn := Some fd
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+    !conn <> None
+  in
+  Alcotest.(check bool) "dial accepted" true (pump loop ~wall:5.0 accepted);
+  let fd = Option.get !conn in
+  Alcotest.(check bool) "link up" true (pump loop ~wall:5.0 (fun () -> Tcp.peer_up t0 1));
+  let acks = String.concat "" (List.init 1000 (fun _ -> Transport.encode_frame_header ~len:0)) in
+  Alcotest.(check int) "acks in one write" (String.length acks)
+    (Unix.write_substring fd acks 0 (String.length acks));
+  ignore (pump loop ~wall:0.2 (fun () -> false));
+  Alcotest.(check bool) "still up after the acks" true (Tcp.peer_up t0 1);
+  Alcotest.(check int) "acks poison nothing" 0 (Tcp.stats t0).Tcp.poisoned;
+  let frame = Transport.encode_frame_header ~len:1 ^ "x" in
+  ignore (Unix.write_substring fd frame 0 (String.length frame));
+  Alcotest.(check bool) "non-empty frame poisons" true
+    (pump loop ~wall:5.0 (fun () -> (Tcp.stats t0).Tcp.poisoned >= 1));
+  Alcotest.(check int) "poisoned once" 1 (Tcp.stats t0).Tcp.poisoned;
+  Tcp.close t0;
+  Unix.close fd;
+  Unix.close fake
+
 let count_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_tcp_no_fd_leak () =
@@ -978,6 +1019,42 @@ let test_serve_unknown_procedure () =
   | Some (Client.Status_r _) -> ()
   | Some r -> Alcotest.failf "status: %s" (Client.describe_response r)
   | None -> Alcotest.fail "status not answered after the conflict");
+  (try Unix.close c.cl_fd with Unix.Unix_error _ -> ());
+  Array.iter Serve.request_stop serves;
+  Alcotest.(check bool) "drained" true
+    (pump_all ~wall:6.0 (fun () -> Array.for_all Serve.stopped serves));
+  Array.iter Serve.close serves
+
+(* Client input the replica must never see is answered [Err] at the daemon:
+   writes with a NaN or infinite weight, queries with a NaN or negative
+   bound.  None reaches the replica: nothing is logged, nothing parks, and
+   a sane write is still served. *)
+let test_serve_refuses_bad_input () =
+  let serves, client_addrs, pump_all = serve_fleet () in
+  let c = client_connect client_addrs.(0) in
+  let submit nweight oweight =
+    Client.Submit { conit = "c"; nweight; oweight; op = Op.Add ("k", 1.0) }
+  in
+  let query bounds = Client.Query { key = "k"; conit = "c"; bounds } in
+  List.iter
+    (fun (what, req) ->
+      match client_call ~pump_all c req with
+      | Some (Client.Err m) when m <> "deadline" -> ()
+      | Some r -> Alcotest.failf "%s: %s" what (Client.describe_response r)
+      | None -> Alcotest.failf "%s not answered" what)
+    [
+      ("NaN nweight", submit Float.nan 1.0);
+      ("infinite oweight", submit 1.0 infinity);
+      ("NaN bound", query (Bounds.make ~ne:Float.nan ()));
+      ("negative bound", query (Bounds.make ~st:(-1.0) ()));
+    ];
+  let r0 = Serve.replica serves.(0) in
+  Alcotest.(check int) "nothing logged" 0 (Wlog.num_known (Replica.log r0));
+  Alcotest.(check int) "nothing parked" 0 (Replica.pending_count r0);
+  (match client_call ~pump_all c (submit 1.0 1.0) with
+  | Some (Client.Outcome _) -> ()
+  | Some r -> Alcotest.failf "sane write: %s" (Client.describe_response r)
+  | None -> Alcotest.fail "sane write not answered");
   (try Unix.close c.cl_fd with Unix.Unix_error _ -> ());
   Array.iter Serve.request_stop serves;
   Alcotest.(check bool) "drained" true
@@ -1421,52 +1498,55 @@ let test_seam_batch_sender_checked () =
   Alcotest.(check bool) "authentic batch frame applied" true
     (Wlog.known (Replica.log r) id)
 
-(* Messages shaped for another system size are refused before anything of
-   them is applied: on 3 replicas, a Batch frame whose vector has 5 entries,
-   an Ack whose vector has 5, and a Batch frame whose cover has 7.  Each is
-   counted in [malformed_frames], publishes [Event.Malformed], and leaves
-   the replica serving. *)
-let misshapen_probe name ~vector_len ~cover_len ~ack () =
+(* Peer input that would crash or poison a replica is refused before any of
+   it applies.  On 3 replicas, peer 1 sends messages shaped for another
+   system size (a Batch frame whose vector has 5 entries, an Ack whose
+   vector has 5, a Batch frame whose cover has 7), a CSN slice that starts
+   at -1, a CSN slice that disagrees with the one already known, a buffered
+   slice that disagrees once its gap fills, a NaN rate and an infinite
+   cover entry.  Each refusal is counted in [malformed_frames], publishes
+   [Event.Malformed] and applies nothing, and the replica keeps serving. *)
+let probe_id = { Write.origin = 1; seq = 1 }
+
+let probe_write =
+  Write.make ~id:probe_id ~accept_time:0.0 ~op:(Op.Add ("x", 1.0)) ~affects:[ weight "a" ]
+
+(* A vector of [len] entries that has seen the probe write. *)
+let probe_vector len =
+  let v = Version_vector.create len in
+  Version_vector.set v 1 1;
+  v
+
+let sync_frame ?(kind = Batch.Gossip) ?(vector = Version_vector.create 3)
+    ?(cover = Array.make 3 0.0) ?(csn_start = 0) ?(csn = []) ?(rate = 0.0)
+    ?(writes = []) () =
+  Wire.to_string
+    (Wire.Batch_frame
+       (Batch.to_string
+          { Batch.from = 1; shard = 0; kind; vector; cover; csn_start; csn; rate;
+            payload = Batch.Delta writes }))
+
+let refusal_probe name frames () =
   let engine = Tact_sim.Engine.create () in
   let events = ref [] in
   let r, _ =
     recording_replica ~emit:(fun e -> events := e :: !events) ~engine ~id:0 ~n:3
       { Config.default with Config.conits = [ Conit.unconstrained "a" ] }
   in
-  let id = { Write.origin = 1; seq = 1 } in
-  let w = Write.make ~id ~accept_time:0.0 ~op:(Op.Add ("x", 1.0)) ~affects:[ weight "a" ] in
-  let vector = Version_vector.create vector_len in
-  Version_vector.set vector 1 1;
-  let payload =
-    if ack then Wire.to_string (Wire.Ack { from = 1; vector; csn_known = 0 })
-    else
-      Wire.to_string
-        (Wire.Batch_frame
-           (Batch.to_string
-              { Batch.from = 1; shard = 0; kind = Batch.Push; vector;
-                cover = Array.make cover_len 0.0; csn_start = 0; csn = []; rate = 0.0;
-                payload = Batch.Delta [ w ] }))
-  in
-  Replica.deliver_wire r ~src:1 payload;
+  List.iter (Replica.deliver_wire r ~src:1) frames;
   Alcotest.(check int) (name ^ ": counted") 1 (Replica.malformed_frames r);
   Alcotest.(check bool) (name ^ ": published") true
     (List.exists
        (fun (e : Event.t) -> match e.kind with Event.Malformed _ -> true | _ -> false)
        !events);
-  Alcotest.(check bool) (name ^ ": not applied") false (Wlog.known (Replica.log r) id);
-  (* The replica keeps serving: a well-shaped frame still applies. *)
-  let good = Version_vector.create 3 in
-  Version_vector.set good 1 1;
+  Alcotest.(check bool) (name ^ ": not applied") false (Wlog.known (Replica.log r) probe_id);
   Replica.deliver_wire r ~src:1
-    (Wire.to_string
-       (Wire.Batch_frame
-          (Batch.to_string
-             { Batch.from = 1; shard = 0; kind = Batch.Gossip; vector = good;
-               cover = Array.make 3 0.0; csn_start = 0; csn = []; rate = 0.0;
-               payload = Batch.Delta [ w ] })));
+    (sync_frame ~vector:(probe_vector 3) ~writes:[ probe_write ] ());
   Alcotest.(check int) (name ^ ": well-shaped accepted") 1 (Replica.malformed_frames r);
   Alcotest.(check bool) (name ^ ": well-shaped applied") true
-    (Wlog.known (Replica.log r) id)
+    (Wlog.known (Replica.log r) probe_id)
+
+let csn_id origin seq = { Write.origin; seq }
 
 (* 2,000 client requests written back to back are all answered, in order:
    each adds 1 to one key, so the i-th outcome is i. *)
@@ -1617,11 +1697,32 @@ let suite =
     Alcotest.test_case "system: close idempotent" `Quick test_system_close_idempotent;
     Alcotest.test_case "seam: one sync builder" `Quick test_seam_sync_builder;
     Alcotest.test_case "seam: batch vector of 5 refused" `Quick
-      (misshapen_probe "batch vector of 5" ~vector_len:5 ~cover_len:3 ~ack:false);
+      (refusal_probe "batch vector of 5"
+         [ sync_frame ~kind:Batch.Push ~vector:(probe_vector 5) ~writes:[ probe_write ] () ]);
     Alcotest.test_case "seam: ack vector of 5 refused" `Quick
-      (misshapen_probe "ack vector of 5" ~vector_len:5 ~cover_len:3 ~ack:true);
+      (refusal_probe "ack vector of 5"
+         [ Wire.to_string (Wire.Ack { from = 1; vector = probe_vector 5; csn_known = 0 }) ]);
     Alcotest.test_case "seam: batch cover of 7 refused" `Quick
-      (misshapen_probe "batch cover of 7" ~vector_len:3 ~cover_len:7 ~ack:false);
+      (refusal_probe "batch cover of 7"
+         [ sync_frame ~kind:Batch.Push ~vector:(probe_vector 3) ~cover:(Array.make 7 0.0)
+             ~writes:[ probe_write ] () ]);
+    Alcotest.test_case "seam: CSN slice at -1 refused" `Quick
+      (refusal_probe "CSN slice at -1" [ sync_frame ~csn_start:(-1) ~csn:[ csn_id 0 1 ] () ]);
+    Alcotest.test_case "seam: disagreeing CSN slice refused" `Quick
+      (refusal_probe "disagreeing CSN slice"
+         [ sync_frame ~csn:[ csn_id 0 1 ] (); sync_frame ~csn:[ csn_id 0 2 ] () ]);
+    Alcotest.test_case "seam: disagreeing buffered CSN slice dropped" `Quick
+      (refusal_probe "disagreeing buffered CSN slice"
+         [ sync_frame ~csn_start:1 ~csn:[ csn_id 0 3 ] ();
+           sync_frame ~csn:[ csn_id 0 1; csn_id 0 2 ] () ]);
+    Alcotest.test_case "seam: NaN rate refused" `Quick
+      (refusal_probe "NaN rate" [ sync_frame ~rate:Float.nan () ]);
+    Alcotest.test_case "seam: infinite cover refused" `Quick
+      (refusal_probe "infinite cover" [ sync_frame ~cover:[| 0.0; infinity; 0.0 |] () ]);
+    Alcotest.test_case "serve: bad client input refused" `Quick
+      test_serve_refuses_bad_input;
+    Alcotest.test_case "tcp: dialed side reads acks through Inbuf" `Quick
+      test_tcp_dialed_reads_acks;
     Alcotest.test_case "serve: 2,000 pipelined requests" `Quick
       test_serve_pipelined_requests;
     Alcotest.test_case "tcp: 2,000-frame burst in order" `Quick test_tcp_burst_in_order;
