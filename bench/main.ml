@@ -297,7 +297,7 @@ let log_live_words tentative =
   Gc.full_major ();
   let before = (Gc.stat ()).Gc.live_words in
   let log =
-    Wlog.create_bounded ~procs:[] ~journal:false ~evict_outcomes:true ~replicas:2
+    Wlog.create_bounded ~procs:[] ~bounded:true ~replicas:2
       ~initial:[]
   in
   let vector = Version_vector.create 2 in

@@ -114,6 +114,7 @@ let check_converged sh =
    keep [theorem1] off when they use them. *)
 let check_theorem1 sys =
   let cfg = System.config sys in
+  let metrics = Verify.metrics sys in
   List.concat_map
     (fun (a : Tact_core.Access.t) ->
       List.filter_map
@@ -127,7 +128,7 @@ let check_theorem1 sys =
                   system-wide bound %g"
                  (describe_access a) m.Verify.ne m.Verify.conit bound)
           else None)
-        (Verify.access_metrics sys a))
+        (metrics a))
     (System.records sys)
 
 (* ------------------------------------------------------------------ *)

@@ -198,8 +198,7 @@ let create ~id ~n ~endpoint ~config ?(mutation = Mutation.Off) ?on_accept () =
       mutation;
       wlog =
         Wlog.create_bounded ~procs:config.Config.procs
-          ~journal:(not config.Config.bounded_log)
-          ~evict_outcomes:config.Config.bounded_log ~replicas:n
+          ~bounded:config.Config.bounded_log ~replicas:n
           ~initial:config.Config.initial_db;
       cover = Array.make n 0.0;
       acked = Array.init n (fun _ -> Version_vector.create n);

@@ -20,8 +20,9 @@ type violation = {
 let covered vector (id : Write.id) =
   Version_vector.covers vector ~origin:id.origin ~seq:id.seq
 
-let access_metrics sys (a : Access.t) =
-  let all = System.all_writes sys in
+(* [all] is {!System.all_writes}: a fold and a sort over every write, so
+   callers checking many accesses take it once ({!metrics}). *)
+let metrics_against ~all sys (a : Access.t) =
   let return_time = System.return_time sys in
   let observed_pred id = covered a.observed_vector id in
   let actual =
@@ -65,11 +66,15 @@ let access_metrics sys (a : Access.t) =
       })
     a.deps
 
+let metrics sys = metrics_against ~all:(System.all_writes sys) sys
+let access_metrics sys a = metrics sys a
+
 let check ?(lcp = false) ?(eps = 1e-9) sys =
   let violations = ref [] in
+  let metrics = metrics sys in
   List.iter
     (fun (a : Access.t) ->
-      let ms = access_metrics sys a in
+      let ms = metrics a in
       List.iter2
         (fun (d : Access.dep) m ->
           let b = d.bound in

@@ -39,6 +39,11 @@ type violation = {
 val access_metrics : System.t -> Tact_core.Access.t -> computed list
 (** The true metrics of each conit the access depends on. *)
 
+val metrics : System.t -> Tact_core.Access.t -> computed list
+(** [metrics sys] is {!access_metrics}[ sys] with the reference history
+    gathered and sorted once, for checking many accesses of one finished
+    run: apply it to [sys] once, then to each access. *)
+
 val check : ?lcp:bool -> ?eps:float -> System.t -> violation list
 (** Verify every recorded access.  [lcp] additionally checks the definitional
     order-error reading against the OE bound (sound under stability

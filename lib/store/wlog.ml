@@ -81,12 +81,10 @@ type t = {
   nreplicas : int;
   initial : (string * Value.t) list;
   procs : Op.procs;
-  journal_on : bool;
-      (* record the commit journal (observation capture needs it); off for
-         bounded-memory long runs, where it would grow without bound *)
-  evict_on_truncate : bool;
-      (* truncation also evicts per-write side tables (outcomes, finals,
-         committed ids), bounding memory by the truncation horizon *)
+  bounded : bool;
+      (* bounded-memory long runs: no commit journal (observation capture
+         needs it, and it grows without bound), and truncation also evicts
+         the per-write side tables (outcomes, finals, committed ids) *)
   committed : Write.t Deque.t; (* retained committed prefix, commit order *)
   journal : Write.id Vec.t; (* every commit ever, commit order; never truncated *)
   mutable ncommitted : int;
@@ -124,13 +122,12 @@ let no_write =
 let no_slot =
   { s_write = no_write; s_outcome = None; s_final = None; s_committed = false }
 
-let create_bounded ~procs ~journal ~evict_outcomes ~replicas ~initial =
+let create_bounded ~procs ~bounded ~replicas ~initial =
   {
     nreplicas = replicas;
     initial;
     procs;
-    journal_on = journal;
-    evict_on_truncate = evict_outcomes;
+    bounded;
     committed = Deque.create ~filler:no_write ();
     journal = Vec.create ();
     ncommitted = 0;
@@ -156,7 +153,7 @@ let create_bounded ~procs ~journal ~evict_outcomes ~replicas ~initial =
   }
 
 let create ~replicas ~initial =
-  create_bounded ~procs:[] ~journal:true ~evict_outcomes:false ~replicas ~initial
+  create_bounded ~procs:[] ~bounded:false ~replicas ~initial
 
 let htbl_add tbl key delta =
   let v = match Hashtbl.find_opt tbl key with Some v -> v | None -> 0.0 in
@@ -282,7 +279,7 @@ let invariant_violations t =
   if Vec.length t.journal > t.ncommitted then
     addf "commit journal length %d exceeds commit count %d"
       (Vec.length t.journal) t.ncommitted;
-  if t.journal_on then begin
+  if not t.bounded then begin
     let retained = Deque.length t.committed in
     if retained > Vec.length t.journal then
       addf "retained committed prefix (%d) longer than commit journal (%d)"
@@ -725,7 +722,7 @@ let commit_one t (w : Write.t) final =
   Version_vector.set t.committed_vec w.id.origin
     (max w.id.seq (Version_vector.get t.committed_vec w.id.origin));
   Deque.push_back t.committed w;
-  if t.journal_on then Vec.push t.journal w.id;
+  if not t.bounded then Vec.push t.journal w.id;
   t.ncommitted <- t.ncommitted + 1;
   List.iter
     (fun { Write.conit; nweight; oweight } ->
@@ -884,8 +881,8 @@ let rollbacks t = t.nrollbacks
    history an access observed — the part truncation dropped included — and
    its length at service time describes that history forever. *)
 let commit_cursor t =
-  if not t.journal_on then
-    invalid_arg "Wlog.commit_cursor: commit journal disabled (journal:false)";
+  if t.bounded then
+    invalid_arg "Wlog.commit_cursor: commit journal disabled (bounded:true)";
   Vec.length t.journal
 
 let commit_slice t ~hi = List.init hi (Vec.get t.journal)
@@ -946,7 +943,7 @@ let truncate t ~keep =
       let s = slot_exn t w.Write.id in
       s.s_write <- no_write;
       t.nresident <- t.nresident - 1;
-      if t.evict_on_truncate then begin
+      if t.bounded then begin
         (* Per-write slot data would otherwise grow forever; the eviction is
            safe because nothing consults it for truncated writes: the
            primary scheme's csn pointer never re-offers a committed prefix,
@@ -962,7 +959,7 @@ let truncate t ~keep =
       let o = w.id.origin in
       Version_vector.set t.trunc_vec o
         (max w.id.seq (Version_vector.get t.trunc_vec o));
-      if t.evict_on_truncate then shed_dead t o
+      if t.bounded then shed_dead t o
     done;
     sanitize ~ctx:"wlog.truncate" t;
     drop
@@ -1018,7 +1015,7 @@ let install_snapshot t snap =
         let s = slot_exn t w.Write.id in
         s.s_write <- no_write;
         t.nresident <- t.nresident - 1;
-        if t.evict_on_truncate then begin
+        if t.bounded then begin
           s.s_outcome <- None;
           s.s_final <- None;
           s.s_committed <- false
@@ -1045,7 +1042,7 @@ let install_snapshot t snap =
     (* Rebuild the derived quantities: known vector, conit values, tentative
        oweights. *)
     Version_vector.merge_into t.vector snap.snap_vector;
-    if t.evict_on_truncate then
+    if t.bounded then
       for o = 0 to t.nreplicas - 1 do
         shed_dead t o;
         (* If the origin's index emptied, jump its base over the snapshot's

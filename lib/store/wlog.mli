@@ -41,29 +41,26 @@ type insertion =
   | Buffered  (** a per-origin sequence gap; parked until the gap fills *)
 
 val create : replicas:int -> initial:(string * Value.t) list -> t
-(** Equivalent to {!create_bounded} with no write procedures, [journal:true]
-    and [evict_outcomes:false] — full history retention. *)
+(** Equivalent to {!create_bounded} with no write procedures and
+    [bounded:false] — full history retention. *)
 
 val create_bounded :
   procs:Op.procs ->
-  journal:bool ->
-  evict_outcomes:bool ->
+  bounded:bool ->
   replicas:int ->
   initial:(string * Value.t) list ->
   t
 (** [procs]: the write procedures that {!Op.Named} ops resolve against,
     every time the log applies a write (tentatively or at commit).
 
-    [journal]: keep the append-only commit journal that observation capture
-    ({!commit_cursor}) relies on.  Disable it for bounded-memory long runs —
-    it grows with every commit, forever — at the price of {!commit_cursor}
-    raising [Invalid_argument].
-
-    [evict_outcomes]: make {!truncate} (and snapshot installation) also evict
-    the truncated writes' entries from the per-write side tables (tentative
-    outcomes, final outcomes, committed-id set), so total memory is bounded
-    by the truncation horizon instead of by history.  Safe because no code
-    path consults these tables for truncated writes; the visible cost is
+    [bounded]: bound memory by the truncation horizon instead of by history,
+    for long runs.  Two things change.  The append-only commit journal that
+    observation capture ({!commit_cursor}) relies on is not kept — it grows
+    with every commit, forever — so {!commit_cursor} raises
+    [Invalid_argument].  And {!truncate} (and snapshot installation) also
+    evicts the truncated writes' entries from the per-write side tables
+    (tentative outcomes, final outcomes, committed-id set); no code path
+    consults these for truncated writes, and the visible cost is
     {!final_outcome} returning [None] for them. *)
 
 val accept : t -> Write.t -> Op.outcome

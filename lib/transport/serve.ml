@@ -4,15 +4,6 @@ module Replica = Tact_replica.Replica
 module Wire = Tact_replica.Wire
 module Config = Tact_replica.Config
 
-(* A connected client: length-prefixed Client-protocol frames in, buffered
-   responses out.  Same read-buffer discipline as Tcp's accepted conns. *)
-type client_conn = {
-  k_fd : Unix.file_descr;
-  k_in : Inbuf.t;
-  k_out : Outbuf.t;
-  mutable k_closed : bool;
-}
-
 type t = {
   sid : int;
   n : int;
@@ -25,8 +16,8 @@ type t = {
   client_addr : Unix.sockaddr;
   request_timeout : float;
   frame : Codec.Frame.t;  (* response encode arena, reused *)
-  mutable client_listen : Unix.file_descr option;
-  mutable clients : client_conn list;
+  mutable client_listen : Conn.t option;
+  mutable clients : Conn.t list;  (* Client-protocol frames in, responses out *)
   mutable draining : bool;
   mutable stopped : bool;
 }
@@ -108,37 +99,20 @@ let create ?(request_timeout = 30.0) ?(nominal_delay = 0.0) ?on_event ~id ~n ~pe
 (* ------------------------------------------------------------------ *)
 (* Client protocol service                                             *)
 
-let close_fd_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let drop_client t c =
+  Conn.close c;
+  t.clients <- List.filter (fun c' -> c' != c) t.clients
 
-let drop_client t (c : client_conn) =
-  if not c.k_closed then begin
-    c.k_closed <- true;
-    Loop.forget t.loop c.k_fd;
-    close_fd_quietly c.k_fd;
-    t.clients <- List.filter (fun c' -> c' != c) t.clients
-  end
+let rec flush_client t c =
+  match Conn.flush c ~resume:(fun () -> flush_client t c) with
+  | Ok (_ : int) -> ()
+  | Error (_ : Unix.error) -> drop_client t c
 
-let rec flush_client t (c : client_conn) =
-  if not c.k_closed then begin
-    if Outbuf.is_empty c.k_out then Loop.clear_writable t.loop c.k_fd
-    else
-      match Outbuf.write c.k_out c.k_fd with
-      | (_ : int) ->
-        if Outbuf.is_empty c.k_out then Loop.clear_writable t.loop c.k_fd
-        else Loop.on_writable t.loop c.k_fd (fun () -> flush_client t c)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        Loop.on_writable t.loop c.k_fd (fun () -> flush_client t c)
-      | exception Unix.Unix_error _ -> drop_client t c
-  end
-
-let respond t (c : client_conn) resp =
-  if not c.k_closed then begin
+let respond t c resp =
+  if not (Conn.is_closed c) then begin
     Codec.Frame.clear t.frame;
     Client.encode_response t.frame resp;
-    let payload = Codec.Frame.contents t.frame in
-    Outbuf.add_string c.k_out
-      (Transport.encode_frame_header ~len:(String.length payload));
-    Outbuf.add_string c.k_out payload;
+    Conn.add_frame_of c t.frame;
     flush_client t c
   end
 
@@ -162,7 +136,7 @@ let sane_bounds { Tact_core.Bounds.ne; ne_rel; oe; st } =
 (* Input the replica must never see is answered [Err] here: a non-finite
    weight would make the conit's value NaN on every replica, and a NaN or
    negative bound would park the query until its deadline. *)
-let handle_request t (c : client_conn) req =
+let handle_request t c req =
   let deadline = Loop.now t.loop +. t.request_timeout in
   match (req : Client.request) with
   | Client.Status -> respond t c (Client.Status_r (status t))
@@ -185,63 +159,39 @@ let handle_request t (c : client_conn) req =
       ~f:(fun db -> Db.get db key)
       ~k:(fun v -> respond t c (Client.Value v))
 
-let rec client_consume t (c : client_conn) =
-  match
-    Inbuf.next_frame c.k_in ~max_frame:t.config.Config.transport.Config.max_frame
-  with
-  | Ok None -> ()
+let handle_frame t c payload =
+  match Client.decode_request payload with
+  | Ok req -> handle_request t c req
+  | Error e -> respond t c (Client.Err (Transport.error_to_string e))
+
+let client_read t c =
+  match Conn.read c with
+  | Ok false -> ()
+  | Ok true ->
+    let max_frame = t.config.Config.transport.Config.max_frame in
+    if Result.is_error (Conn.frames c ~max_frame (handle_frame t c)) then drop_client t c
   | Error _ -> drop_client t c
-  | Ok (Some payload) ->
-    (match Client.decode_request payload with
-    | Ok req -> handle_request t c req
-    | Error e -> respond t c (Client.Err (Transport.error_to_string e)));
-    client_consume t c
 
-let client_read t (c : client_conn) =
-  match Inbuf.read c.k_in c.k_fd with
-  | 0 -> drop_client t c
-  | _ -> client_consume t c
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error _ -> drop_client t c
-
-let accept_client t listen_fd =
-  match Unix.accept listen_fd with
-  | fd, _ ->
-    Unix.set_nonblock fd;
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    let c =
-      { k_fd = fd; k_in = Inbuf.create 4096; k_out = Outbuf.create 512;
-        k_closed = false }
-    in
-    t.clients <- c :: t.clients;
-    Loop.on_readable t.loop fd (fun () -> client_read t c)
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error _ -> ()
+let accept_client t c =
+  t.clients <- c :: t.clients;
+  Conn.on_readable c (fun () -> client_read t c)
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
 let start t =
   Tcp.listen t.tcp ~addr:t.peer_addr;
-  let fd = Unix.socket (Unix.domain_of_sockaddr t.client_addr) Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.set_nonblock fd;
-  Unix.bind fd t.client_addr;
-  Unix.listen fd t.config.Config.transport.Config.listen_backlog;
-  t.client_listen <- Some fd;
-  Loop.on_readable t.loop fd (fun () -> accept_client t fd);
+  t.client_listen <-
+    Some
+      (Conn.listen t.loop t.client_addr
+         ~backlog:t.config.Config.transport.Config.listen_backlog (accept_client t));
   Replica.start t.replica
 
 let close t =
   if not t.stopped then begin
     t.stopped <- true;
-    (match t.client_listen with
-    | Some fd ->
-      Loop.forget t.loop fd;
-      close_fd_quietly fd
-    | None -> ());
-    t.client_listen <- None;
-    List.iter (fun c -> Loop.forget t.loop c.k_fd; close_fd_quietly c.k_fd) t.clients;
+    Option.iter Conn.close t.client_listen;
+    List.iter Conn.close t.clients;
     t.clients <- [];
     Replica.close t.replica;
     (* Replica.close runs ep_close -> Tcp.close; belt and braces: *)
@@ -254,12 +204,7 @@ let request_stop t =
     t.draining <- true;
     (* Stop accepting new clients; existing ones may still collect their
        pending responses. *)
-    (match t.client_listen with
-    | Some fd ->
-      Loop.forget t.loop fd;
-      close_fd_quietly fd
-    | None -> ());
-    t.client_listen <- None;
+    Option.iter Conn.close t.client_listen;
     let deadline =
       Loop.now t.loop +. t.config.Config.transport.Config.drain_timeout
     in
@@ -268,7 +213,7 @@ let request_stop t =
         else begin
           let drained =
             Replica.pending_count t.replica = 0
-            && List.for_all (fun c -> Outbuf.is_empty c.k_out) t.clients
+            && List.for_all (fun c -> Conn.unsent c = 0) t.clients
           in
           if drained || Loop.now t.loop >= deadline then begin
             close t;

@@ -5,7 +5,8 @@
     message through {!Tact_replica.Wire}, mounts a replica on it
     ({!Tact_replica.Replica.create}), serves the {!Client} protocol
     on a second listening socket, and owns the lifecycle: start, run,
-    graceful SIGTERM-style drain, idempotent close.
+    graceful SIGTERM-style drain, idempotent close.  Clients connect over
+    {!Conn}, as peers do; responses are framed straight from one arena.
 
     Every outgoing peer frame passes through the {!Faulty} decorator (a
     transparent no-op until a fault schedule programs it), so nemesis

@@ -15,10 +15,10 @@
     {!stats}); the replica keeps serving within its declared bounds and the
     reconnect resync heals whatever parking lost.
 
-    Byte-level hardening: 4-byte length-prefix framing with the configured
-    [max_frame] bound checked {e before} allocation; a peer sending an
-    oversized or corrupt prefix poisons only its own connection.  A hello
-    exchange authenticates the peer id carried by every delivery. *)
+    Byte-level hardening: every connection is a {!Conn}, framed under the
+    configured [max_frame] bound checked {e before} allocation; a peer
+    sending an oversized or corrupt prefix poisons only its own connection.
+    A raw 16-byte hello authenticates the peer id of every delivery. *)
 
 type t
 

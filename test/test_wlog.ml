@@ -30,7 +30,7 @@ let procs =
   ]
 
 let create ~replicas ~initial =
-  Wlog.create_bounded ~procs ~journal:true ~evict_outcomes:false ~replicas ~initial
+  Wlog.create_bounded ~procs ~bounded:false ~replicas ~initial
 
 let seq_stamp_op name = Op.Named ("stamp", Value.Str name)
 let take = Op.Named ("take", Value.Nil)
@@ -403,7 +403,7 @@ let test_apply_on_read_counts () =
   Tact_util.Prng.shuffle rng arrivals;
   let counts = Hashtbl.create 64 and eager_counts = Hashtbl.create 64 in
   let log_with procs =
-    Wlog.create_bounded ~procs ~journal:true ~evict_outcomes:false ~replicas ~initial:[]
+    Wlog.create_bounded ~procs ~bounded:false ~replicas ~initial:[]
   in
   let lazy_log = log_with (counting_procs counts) in
   let eager = log_with (counting_procs eager_counts) in
@@ -505,7 +505,7 @@ let test_straggler_writes_since () =
   List.iter
     (fun evict ->
       let log =
-        Wlog.create_bounded ~procs ~journal:true ~evict_outcomes:evict ~replicas:2
+        Wlog.create_bounded ~procs ~bounded:evict ~replicas:2
           ~initial:[]
       in
       let all =
@@ -601,7 +601,7 @@ let seat_procs =
   ]
 
 let seat_log ~seats =
-  Wlog.create_bounded ~procs:seat_procs ~journal:true ~evict_outcomes:false ~replicas:3
+  Wlog.create_bounded ~procs:seat_procs ~bounded:false ~replicas:3
     ~initial:[ ("seats", Value.Float (float_of_int seats)) ]
 
 let book ~origin ~seq ~t =
@@ -753,7 +753,7 @@ let test_one_image_snapshot_partly_applied () =
 let test_one_image_committed_db_undisturbed () =
   let counts = Hashtbl.create 16 in
   let log =
-    Wlog.create_bounded ~procs:(counting_procs counts) ~journal:true ~evict_outcomes:false
+    Wlog.create_bounded ~procs:(counting_procs counts) ~bounded:false
       ~replicas:2 ~initial:[]
   in
   let w ~origin ~seq ~t = mk ~op:(Op.Named ("count", Value.Int ((origin * 10) + seq))) ~origin ~seq ~t () in

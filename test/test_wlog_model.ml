@@ -26,7 +26,7 @@ let procs =
   ]
 
 let create ~replicas ~initial =
-  Wlog.create_bounded ~procs ~journal:true ~evict_outcomes:false ~replicas ~initial
+  Wlog.create_bounded ~procs ~bounded:false ~replicas ~initial
 
 (* ------------------------------------------------------------------ *)
 (* The reference model: a bag of known writes, a commit frontier, and   *)
