@@ -77,10 +77,15 @@ let parse_options args =
       Printf.eprintf "tact_check: unknown option %s\n" arg;
       usage ()
   in
-  try go args
-  with Failure _ ->
-    prerr_endline "tact_check: bad numeric option value";
-    usage ()
+  let cli =
+    try go args
+    with Failure _ ->
+      prerr_endline "tact_check: bad numeric option value";
+      usage ()
+  in
+  (* stderr only: stdout, verdicts and digests do not depend on -j *)
+  Option.iter (Printf.eprintf "tact_check: %s\n%!") (Tact_util.Pool.oversubscription ~jobs:cli.jobs);
+  cli
 
 let trace_path cli (sc : Scenario.t) =
   Filename.concat cli.trace_dir

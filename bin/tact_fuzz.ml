@@ -112,10 +112,15 @@ let parse_options args =
       Printf.eprintf "tact_fuzz: unknown option %s\n" arg;
       usage ()
   in
-  try go args
-  with Failure _ ->
-    prerr_endline "tact_fuzz: bad numeric option value";
-    usage ()
+  let cli =
+    try go args
+    with Failure _ ->
+      prerr_endline "tact_fuzz: bad numeric option value";
+      usage ()
+  in
+  (* stderr only: stdout, verdicts and digests do not depend on -j *)
+  Option.iter (Printf.eprintf "tact_fuzz: %s\n%!") (Tact_util.Pool.oversubscription ~jobs:cli.jobs);
+  cli
 
 let cx_path cli seed =
   Filename.concat cli.trace_dir (Printf.sprintf "tact_fuzz.%d.cx.json" seed)

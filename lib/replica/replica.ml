@@ -83,6 +83,13 @@ and pkind =
   | Pread of (Db.t -> Value.t) * (Value.t -> unit)
   | Pwrite of Op.t * Write.weight list * (Op.outcome -> unit)
 
+(* Filler for the vacated slots of the parked-access deque. *)
+let no_pending =
+  { p_submit = 0.0; p_deps = []; p_st = infinity; p_require = None;
+    p_on_timeout = None; p_deadline = infinity; p_kind = Pread ((fun _ -> Value.Nil), ignore);
+    p_round = None; p_round_done = false; p_needs_round = false; p_st_tries = 0;
+    p_done = true }
+
 (* A write accepted but not yet returned to its client — because the NE
    budget demands that some peers acknowledge older writes first, or because
    a zero order-error dependency makes the write commit-synchronous: the
@@ -117,6 +124,12 @@ type stats = {
   mutable wrong_shard_frames : int;
   mutable malformed_frames : int;
 }
+
+(* Placeholders for what nothing reads: the vector before an own write when
+   no [on_accept] hook wants it, and what an access observed when records
+   are off. *)
+let no_vector = Version_vector.create 0
+let no_observation = (no_vector, lazy [], lazy [])
 
 let zero_stats () =
   { pushes_budget = 0; pulls_ne = 0; pulls_oe = 0; pulls_st = 0; gossips = 0;
@@ -165,11 +178,15 @@ type t = {
   mutable rate_ewma : float;
   mutable last_rate_update : float;
   rates : float array;
-  mutable pending : pending Queue.t;  (** oldest first *)
+  mutable pending : pending Deque.t;  (** oldest first *)
   mutable npending : int;  (** live (not [p_done]) entries in [pending] *)
   mutable sweep_at : float;
       (** the deadline the sweep is armed for ([infinity]: none); no live
           parked access has an earlier deadline *)
+  mutable rescan : bool;
+      (** something a parked access's admission reads (round flags, the log
+          vector, the tallies, the covers) may have changed since the last
+          scan of [pending]; clear only after a scan that served nothing *)
   return_queue : unreturned Queue.t;  (** oldest first *)
   rounds : (int, round_state) Hashtbl.t;
   mutable round_ctr : int;
@@ -213,9 +230,10 @@ let create ~id ~n ~endpoint ~config ?(mutation = Mutation.Off) ?on_accept () =
       rate_ewma = 0.0;
       last_rate_update = 0.0;
       rates = Array.make n 0.0;
-      pending = Queue.create ();
+      pending = Deque.create ~filler:no_pending ();
       npending = 0;
       sweep_at = infinity;
+      rescan = false;
       return_queue = Queue.create ();
       rounds = Hashtbl.create 8;
       round_ctr = 0;
@@ -292,7 +310,7 @@ let sanity_check t =
           addf "cover.(%d) = %g is in the future (now %g)" o c nw)
       t.cover;
     let live = ref 0 in
-    Queue.iter
+    Deque.iter
       (fun p ->
         if not p.p_done then begin
           incr live;
@@ -572,19 +590,32 @@ and release_outstanding t ~peer =
     let confirmed = Version_vector.get t.acked.(peer) t.rid in
     let start = t.budget_pos.(peer) in
     let top = t.budget_base + Deque.length t.budget in
-    let rec advance pos =
-      if pos = top then pos
-      else
-        let seq, charges = Deque.get t.budget (pos - t.budget_base) in
-        if seq > confirmed then pos
-        else begin
-          List.iter (fun (c, w) -> c.c_out.(peer) <- c.c_out.(peer) -. w) charges;
-          advance (pos + 1)
-        end
-    in
-    t.budget_pos.(peer) <- advance start;
+    t.budget_pos.(peer) <- release_from t ~peer ~confirmed ~top start;
     if start = t.budget_base && t.budget_pos.(peer) > start then trim_budget t
   end
+
+(* Does this replica exceed peer [j]'s budget for any of [over]? *)
+and over_for t j = function
+  | [] -> false
+  | c :: rest -> c.c_out.(j) > share_for t ~receiver:j c || over_for t j rest
+
+(* Release the window entries from [pos] on that [peer] confirms; returns
+   the first entry it does not. *)
+and release_from t ~peer ~confirmed ~top pos =
+  if pos = top then pos
+  else
+    let seq, charges = Deque.get t.budget (pos - t.budget_base) in
+    if seq > confirmed then pos
+    else begin
+      release_charges peer charges;
+      release_from t ~peer ~confirmed ~top (pos + 1)
+    end
+
+and release_charges peer = function
+  | [] -> ()
+  | (c, w) :: rest ->
+    c.c_out.(peer) <- c.c_out.(peer) -. w;
+    release_charges peer rest
 
 (* Peers whose budget this replica currently exceeds for any of a write's
    bounded conits ([u_over]; empty = the write may return). *)
@@ -594,10 +625,20 @@ and over_budget_peers t over =
   | _ ->
     let result = ref [] in
     for j = t.n - 1 downto 0 do
-      if j <> t.rid && List.exists (fun c -> c.c_out.(j) > share_for t ~receiver:j c) over
-      then result := j :: !result
+      if j <> t.rid && over_for t j over then result := j :: !result
     done;
     !result
+
+(* [over_budget_peers t over = []], without building the list. *)
+and within_budget t over =
+  match over with
+  | [] -> true
+  | _ ->
+    let j = ref 0 in
+    while !j < t.n && (!j = t.rid || not (over_for t !j over)) do
+      incr j
+    done;
+    !j = t.n
 
 (* ------------------------------------------------------------------ *)
 (* Commitment                                                          *)
@@ -605,7 +646,10 @@ and over_budget_peers t over =
 and commit_progress t =
   (match t.cfg.Config.commit_scheme with
   | Config.Stability ->
-    let n = Wlog.commit_stable t.wlog ~cover:(my_cover t) in
+    (* [cover.(rid)] is read nowhere else, so the own entry is refreshed in
+       place rather than on a copy. *)
+    t.cover.(t.rid) <- now t;
+    let n = Wlog.commit_stable t.wlog ~cover:t.cover in
     if n > 0 && observed t then emit t (Event.Commit { writes = n; csn = false })
   | Config.Primary _ -> commit_progress_primary t);
   match t.cfg.Config.truncate_keep with
@@ -668,17 +712,19 @@ and deps_satisfied t p ~est =
   && (match p.p_require with
      | None -> true
      | Some v -> Version_vector.dominates (Wlog.vector t.wlog) v)
-  && (let slack =
-        (* the checker's planted admission off-by-[slack]; 0 otherwise *)
-        match t.mutation with Mutation.Oe_slack s -> s | _ -> 0.0
-      in
-      List.for_all
-        (fun (c, (b : Bounds.t)) -> Wlog.tally_tent_ow c.c_tally <= b.oe +. slack)
-        p.p_deps)
+  && oe_within t p.p_deps
   (* A pull round completed after submission implies that every write
      returned before submission has been observed — hence both numerical
      error and staleness (measured at submission, per the model) are zero. *)
   && (p.p_round_done || match p.p_deps with [] -> true | _ -> est <= p.p_st)
+
+(* Every dep's conit holds no more tentative order weight than its OE
+   bound allows (plus the checker's planted off-by-[slack], 0 otherwise). *)
+and oe_within t = function
+  | [] -> true
+  | (c, (b : Bounds.t)) :: rest ->
+    let slack = match t.mutation with Mutation.Oe_slack s -> s | _ -> 0.0 in
+    Wlog.tally_tent_ow c.c_tally <= b.oe +. slack && oe_within t rest
 
 (* ------------------------------------------------------------------ *)
 (* Serving                                                             *)
@@ -696,7 +742,7 @@ and capture_observation t =
     (* Records are discarded (see the guards at the record sites), so skip
        the vector copy, tentative view and journal cursor — the cursor is
        unavailable anyway when the journal is off (bounded_log). *)
-    (Version_vector.create 0, lazy [], lazy [])
+    no_observation
   else begin
     let vector = Version_vector.copy (Wlog.vector t.wlog) in
     let tentative = Wlog.tentative_view t.wlog in
@@ -754,7 +800,11 @@ and serve_write t p op affects k =
     | _ -> List.filter_map (fun (c, w) -> if Float.equal w 0.0 then None else Some c) charges
   in
   let obs = capture_observation t in
-  let pre_vector = Version_vector.copy (Wlog.vector t.wlog) in
+  let pre_vector =
+    match t.on_accept with
+    | Some _ -> Version_vector.copy (Wlog.vector t.wlog)
+    | None -> no_vector
+  in
   let outcome = Wlog.accept t.wlog w in
   if observed t then emit t (Event.Accept w);
   update_rate t;
@@ -835,27 +885,33 @@ and round_reply t ~round ~from =
         st.remaining <- st.remaining - 1;
         if st.remaining <= 0 then begin
           Hashtbl.remove t.rounds round;
-          Queue.iter
+          Deque.iter
             (fun p -> if p.p_round = Some round then p.p_round_done <- true)
             t.pending
         end
       end
     | None -> ()
 
-and send_pull t ~dst ~round =
-  send t ~dst
-    (Pull_req
-       {
-         from = t.rid;
-         vector = Version_vector.copy (Wlog.vector t.wlog);
-         csn_known = Csn_buffer.known t.csn;
-         round;
-       })
+and pull_msg t ~round =
+  Pull_req
+    {
+      from = t.rid;
+      vector = Version_vector.copy (Wlog.vector t.wlog);
+      csn_known = Csn_buffer.known t.csn;
+      round;
+    }
 
+and send_pull t ~dst ~round = send t ~dst (pull_msg t ~round)
+
+(* One message serves every peer: messages are values no receiver mutates,
+   and nothing changes the vector or the CSN prefix between the sends. *)
 and pull_all t ~round =
-  for j = 0 to t.n - 1 do
-    if j <> t.rid then send_pull t ~dst:j ~round
-  done
+  if t.n > 1 then begin
+    let msg = pull_msg t ~round in
+    for j = 0 to t.n - 1 do
+      if j <> t.rid then send t ~dst:j msg
+    done
+  end
 
 and trigger_syncs t p =
   (* Session-guarantee vector requirement: pull from the origins we lag. *)
@@ -925,54 +981,101 @@ and trigger_syncs t p =
 (* The pump: re-evaluate parked work after any state change            *)
 
 and pump t =
-  (* Parked accesses (any order — self-determination keeps them independent).
-     Serving an access runs its continuation, which may submit — and park —
-     further accesses; work over a snapshot and merge what accumulated.  Dead
-     entries ([p_done]: timed out or abandoned) are dropped here. *)
-  let snapshot = Queue.create () in
-  Queue.transfer t.pending snapshot;
-  let keep = Queue.create () in
+  (* Parked accesses are rescanned only when something their admission
+     reads may have changed ([rescan]): a [Pull_req] or [Ack] moves only the
+     acks and the budget, and staleness only grows while nothing arrives.
+     Nothing parked, nothing to rebuild. *)
+  if Deque.is_empty t.pending then t.rescan <- false
+  else if t.rescan then scan t
+  else if Sanitize.enabled () then begin
+    let est = staleness_estimate t in
+    Deque.iter
+      (fun p ->
+        if (not p.p_done) && deps_satisfied t p ~est then
+          Sanitize.violation
+            ~ctx:(Printf.sprintf "replica %d at t=%g" t.rid (now t))
+            "pump skipped its scan but a parked access is servable")
+      t.pending
+  end;
+  (* Return queue: FIFO, release writes whose budget cleared (and, for
+     commit-synchronous ones, that have committed).  The drain closure is
+     built only when something waits. *)
+  if not (Queue.is_empty t.return_queue) then begin
+    let rec drain () =
+      if not (Queue.is_empty t.return_queue) then begin
+        let u = Queue.peek t.return_queue in
+        if within_budget t u.u_over then begin
+          let final = Wlog.final_outcome t.wlog u.u_write.id in
+          match (u.u_wait_commit, final) with
+          | true, None -> ()
+          | false, _ | true, Some _ ->
+            let outcome =
+              match (u.u_wait_commit, final) with
+              | true, Some f -> f
+              | _ -> u.u_outcome
+            in
+            ignore (Queue.pop t.return_queue);
+            record_write t u ~return_t:(now t) outcome;
+            u.u_k outcome;
+            drain ()
+        end
+      end
+    in
+    drain ()
+  end
+
+(* Parked accesses (any order — self-determination keeps them independent).
+   Serving an access runs its continuation, which may submit — and park —
+   further accesses; the pass works over the parked deque detached from
+   [pending], compacting the survivors in place, and appends what parked
+   meanwhile.  Dead entries ([p_done]: timed out or abandoned) are dropped
+   here.  Up to the first dead or servable entry nothing changes, so a pass
+   that finds none stops there, having moved and allocated nothing.  A
+   served access leaves [rescan] set: what it changed (under the primary
+   scheme a write may commit on the spot) can unblock an entry this pass
+   already kept. *)
+and scan t =
+  t.rescan <- false;
   (* One staleness reading serves the whole pass. *)
-  let est = if Queue.is_empty snapshot then 0.0 else staleness_estimate t in
-  Queue.iter
-    (fun p ->
+  let est = staleness_estimate t in
+  let parked = t.pending in
+  let n = Deque.length parked in
+  let first = ref 0 in
+  while
+    !first < n
+    &&
+    let p = Deque.get parked !first in
+    (not p.p_done) && not (deps_satisfied t p ~est)
+  do
+    incr first
+  done;
+  if !first < n then begin
+    t.pending <- Deque.create ~filler:no_pending ();
+    let kept = ref !first in
+    for i = !first to n - 1 do
+      let p = Deque.get parked i in
       if p.p_done then ()
       else if deps_satisfied t p ~est then begin
         p.p_done <- true;
         t.npending <- t.npending - 1;
-        match p.p_kind with
+        (match p.p_kind with
         | Pread (f, k) -> serve_read t p f k
-        | Pwrite (op, affects, k) -> serve_write t p op affects k
+        | Pwrite (op, affects, k) -> serve_write t p op affects k);
+        t.rescan <- true
       end
-      else Queue.push p keep)
-    snapshot;
-  (* Entries parked during serving come after the survivors, preserving the
-     oldest-first order. *)
-  Queue.transfer t.pending keep;
-  t.pending <- keep;
-  (* Return queue: FIFO, release writes whose budget cleared (and, for
-     commit-synchronous ones, that have committed). *)
-  let rec drain () =
-    if not (Queue.is_empty t.return_queue) then begin
-      let u = Queue.peek t.return_queue in
-      if over_budget_peers t u.u_over = [] then begin
-        let final = Wlog.final_outcome t.wlog u.u_write.id in
-        match (u.u_wait_commit, final) with
-        | true, None -> ()
-        | false, _ | true, Some _ ->
-          let outcome =
-            match (u.u_wait_commit, final) with
-            | true, Some f -> f
-            | _ -> u.u_outcome
-          in
-          ignore (Queue.pop t.return_queue);
-          record_write t u ~return_t:(now t) outcome;
-          u.u_k outcome;
-          drain ()
+      else begin
+        Deque.set parked !kept p;
+        incr kept
       end
-    end
-  in
-  drain ()
+    done;
+    while Deque.length parked > !kept do
+      ignore (Deque.pop_back parked)
+    done;
+    (* Entries parked during serving come after the survivors, preserving
+       the oldest-first order. *)
+    Deque.iter (Deque.push_back parked) t.pending;
+    t.pending <- parked
+  end
 
 and ensure_retry t =
   if not t.retry_running then begin
@@ -984,8 +1087,9 @@ and ensure_retry t =
         (* Stay armed; resume after recovery. *)
         schedule t ~tag:"retry" ~delay:t.cfg.Config.retry_period tick
       else begin
+        t.rescan <- true;
         commit_progress t;
-        Queue.iter (fun p -> if not p.p_done then trigger_syncs t p) t.pending;
+        Deque.iter (fun p -> if not p.p_done then trigger_syncs t p) t.pending;
         (* Re-sync for stalled returns (covers loss under partitions). *)
         Queue.iter
           (fun u ->
@@ -1015,6 +1119,7 @@ and note_peer_vector t ~peer vector =
    are pointwise max — so a duplicated or re-delivered sync cannot
    double-apply. *)
 and apply_sync t ~from ~vector ~cover ~csn_start ~csn ~rate ~kind payload =
+  t.rescan <- true;
   let writes =
     match payload with
     | Batch.Delta writes -> writes
@@ -1033,7 +1138,9 @@ and apply_sync t ~from ~vector ~cover ~csn_start ~csn ~rate ~kind payload =
   if fresh <> [] && observed t then
     emit t (Event.Transfer { from; writes = List.length fresh });
   (* Cover merge is sound only after the writes are in the log. *)
-  Array.iteri (fun o c -> if c > t.cover.(o) then t.cover.(o) <- c) cover;
+  for o = 0 to t.n - 1 do
+    if cover.(o) > t.cover.(o) then t.cover.(o) <- cover.(o)
+  done;
   t.cover.(t.rid) <- now t;
   t.rates.(from) <- rate;
   for _ = 1 to Csn_buffer.offer t.csn ~start:csn_start csn do
@@ -1134,7 +1241,7 @@ let rec schedule_sweep t d =
 and sweep t ~due =
   let upto = Float.max (now t) due in
   let expired = ref [] and next = ref infinity in
-  Queue.iter
+  Deque.iter
     (fun p ->
       if p.p_done then ()
       else if p.p_deadline <= upto then begin
@@ -1152,6 +1259,7 @@ and sweep t ~due =
     (List.rev !expired)
 
 let admit t p =
+  t.rescan <- true;
   if not t.up then (
     match p.p_on_timeout with Some f -> f () | None -> ())
   else if deps_satisfied t p ~est:(staleness_estimate t) then
@@ -1165,7 +1273,7 @@ let admit t p =
         (Event.Blocked
            { write = (match p.p_kind with Pread _ -> false | Pwrite _ -> true);
              deps = List.length p.p_deps });
-    Queue.push p t.pending;
+    Deque.push_back t.pending p;
     t.npending <- t.npending + 1;
     (* Claim the sweep before triggering and pumping run continuations, so
        the audit holds throughout.  Schedule it last: a retry tick this
@@ -1214,6 +1322,7 @@ let crash t =
   if t.up then begin
     emit t Event.Crash;
     t.up <- false;
+    t.rescan <- true;
     t.crashes <- t.crashes + 1;
     match t.mutation with
     | Mutation.Crash_replay ->
@@ -1222,17 +1331,17 @@ let crash t =
          recovery replays them, so each such client hears back twice.  The
          nemesis liveness oracle (O5) flags the double completion; see
          doc/FAULTS.md. *)
-      Queue.iter
+      Deque.iter
         (fun p ->
           if not p.p_done then
             match p.p_on_timeout with Some f -> f () | None -> ())
         t.pending
     | Mutation.Off | Mutation.Oe_slack _ | Mutation.Wrong_shard ->
       let parked = t.pending in
-      t.pending <- Queue.create ();
+      t.pending <- Deque.create ~filler:no_pending ();
       t.npending <- 0;
       Hashtbl.reset t.rounds;
-      Queue.iter
+      Deque.iter
         (fun p ->
           if not p.p_done then begin
             p.p_done <- true;
@@ -1244,6 +1353,7 @@ let crash t =
 let recover t =
   if not t.up then begin
     t.up <- true;
+    t.rescan <- true;
     emit t Event.Recover;
     (* Proactively resynchronise with every peer. *)
     pull_all t ~round:0;
@@ -1261,15 +1371,22 @@ let crash_count t = t.crashes
    and dropped — never applied; a crashed replica drops everything else
    silently, like a partition. *)
 let receive t ~src msg =
-  match Wire.sender msg with
-  | Some from when from <> src ->
+  (* The sender the message claims, checked against the transport peer; a
+     Batch frame's embedded header carries its own, checked once the frame
+     decodes. *)
+  let from =
+    match msg with
+    | Transfer { from; _ } | Snapshot { from; _ } | Pull_req { from; _ } | Ack { from; _ } -> from
+    | Batch_frame _ -> src (* the embedded batch header carries its own *)
+  in
+  if from <> src then
     reject t (fun () ->
         Printf.sprintf "message claims sender %d but arrived from peer %d" from
           src)
-  | Some _ | None -> (
+  else
     match check_msg t msg with
     | exception Misshapen reason -> reject t (fun () -> reason)
-    | () -> if t.up then process t ~src msg)
+    | () -> if t.up then process t ~src msg
 
 let deliver_wire t ~src s =
   match Wire.decode s with

@@ -41,12 +41,6 @@ type msg =
           slice, vector, cover and delta/snapshot payload in a single
           message (Batched sync mode) *)
 
-let sender = function
-  | Transfer { from; _ } | Snapshot { from; _ } | Pull_req { from; _ }
-  | Ack { from; _ } ->
-    Some from
-  | Batch_frame _ -> None (* the embedded batch header carries its own *)
-
 (* ------------------------------------------------------------------ *)
 (* Encode                                                              *)
 

@@ -40,12 +40,6 @@ type msg =
   | Batch_frame of string
       (** one {!Tact_store.Batch} frame, actually serialised *)
 
-val sender : msg -> int option
-(** The sender id a message claims, for source authentication against the
-    transport-level peer identity ([None] for {!Batch_frame}, whose embedded
-    header carries its own — {!Replica.receive} checks it against the
-    transport peer once the frame decodes). *)
-
 val encode : Codec.Frame.t -> msg -> unit
 (** Append the message's encoding (own magic + version, distinct from
     {!Tact_store.Batch}) to an encode arena. *)

@@ -3,41 +3,72 @@ type undo = undo_entry list
 
 let no_undo = []
 
+(* One mutable cell per key: a read-modify-write of a bound key is one
+   [Hashtbl.find] and an in-place store — one hash, no option, no rebinding.
+   A copy must copy the cells too, or the two images would share them. *)
+type cell = { mutable v : Value.t }
+
 type t = {
-  tbl : (string, Value.t) Hashtbl.t;
+  tbl : (string, cell) Hashtbl.t;
   mutable watch : undo_entry list ref option;
 }
 
 let create bindings =
   let tbl = Hashtbl.create 64 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) bindings;
+  List.iter (fun (k, v) -> Hashtbl.replace tbl k { v }) bindings;
   { tbl; watch = None }
 
-let copy t = { tbl = Hashtbl.copy t.tbl; watch = None }
+let copy t =
+  let tbl = Hashtbl.copy t.tbl in
+  (* lint: allow hashtbl-filter-map-inplace — per-cell copy, order-independent *)
+  Hashtbl.filter_map_inplace (fun _ c -> Some { v = c.v }) tbl;
+  { tbl; watch = None }
 
-let get t k = match Hashtbl.find_opt t.tbl k with Some v -> v | None -> Value.Nil
+let get t k = match Hashtbl.find t.tbl k with c -> c.v | exception Not_found -> Value.Nil
+
+(* Journal the binding [k] had, under a recording only: the option is built
+   there, so an unrecorded mutation allocates nothing for the journal. *)
+let journal_bound t k prev =
+  match t.watch with
+  | Some log -> log := { u_key = k; u_prev = Some prev } :: !log
+  | None -> ()
+
+let journal_unbound t k =
+  match t.watch with
+  | Some log -> log := { u_key = k; u_prev = None } :: !log
+  | None -> ()
+
+(* Bind [k] to [v], its cell found or made. *)
+let store t k v =
+  match Hashtbl.find t.tbl k with
+  | c -> c.v <- v
+  | exception Not_found -> Hashtbl.add t.tbl k { v }
 
 let set t k v =
-  (match t.watch with
-  | Some log -> log := { u_key = k; u_prev = Hashtbl.find_opt t.tbl k } :: !log
-  | None -> ());
-  Hashtbl.replace t.tbl k v
+  match Hashtbl.find t.tbl k with
+  | c ->
+    journal_bound t k c.v;
+    c.v <- v
+  | exception Not_found ->
+    journal_unbound t k;
+    Hashtbl.add t.tbl k { v }
 
 let get_float t k = Value.to_float (get t k)
 let get_int t k = Value.to_int (get t k)
 
 (* One find serves both the sum and the undo journal. *)
 let add t k delta =
-  let prev = Hashtbl.find_opt t.tbl k in
-  let v =
-    Value.Float
-      ((match prev with Some p -> Value.to_float p | None -> 0.0) +. delta)
-  in
-  (match t.watch with
-  | Some log -> log := { u_key = k; u_prev = prev } :: !log
-  | None -> ());
-  Hashtbl.replace t.tbl k v;
-  v
+  match Hashtbl.find t.tbl k with
+  | c ->
+    let v = Value.Float (Value.to_float c.v +. delta) in
+    journal_bound t k c.v;
+    c.v <- v;
+    v
+  | exception Not_found ->
+    let v = Value.Float (0.0 +. delta) in
+    journal_unbound t k;
+    Hashtbl.add t.tbl k { v };
+    v
 
 let append t k v = set t k (Value.List (v :: Value.to_list (get t k)))
 
@@ -50,22 +81,26 @@ let recording t f =
   assert (t.watch = None);
   let log = ref [] in
   t.watch <- Some log;
-  Fun.protect
-    ~finally:(fun () -> t.watch <- None)
-    (fun () ->
-      let result = f () in
-      (result, !log))
+  match f () with
+  | result ->
+    t.watch <- None;
+    (result, !log)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.watch <- None;
+    Printexc.raise_with_backtrace e bt
 
 (* The journal holds entries newest first, and each entry stores the binding
    before its own mutation, so replaying the journal in list order restores
    the pre-recording state — even with repeated writes to one key. *)
-let revert t (u : undo) =
-  List.iter
-    (fun { u_key; u_prev } ->
-      match u_prev with
-      | Some v -> Hashtbl.replace t.tbl u_key v
-      | None -> Hashtbl.remove t.tbl u_key)
-    u
+let rec revert t (u : undo) =
+  match u with
+  | [] -> ()
+  | { u_key; u_prev } :: rest ->
+    (match u_prev with
+    | Some v -> store t u_key v
+    | None -> Hashtbl.remove t.tbl u_key);
+    revert t rest
 
 exception Unequal
 
@@ -76,9 +111,7 @@ let equal a b =
     try
       (* lint: allow hashtbl-iter — membership test, order-independent *)
       Hashtbl.iter
-        (fun k v ->
-          let w = match Hashtbl.find_opt y.tbl k with Some w -> w | None -> Value.Nil in
-          if not (Value.equal v w) then raise Unequal)
+        (fun k c -> if not (Value.equal c.v (get y k)) then raise Unequal)
         x.tbl;
       true
     with Unequal -> false

@@ -6,17 +6,23 @@ let get t i = t.(i)
 let set t i v = t.(i) <- v
 let copy = Array.copy
 
+(* Plain loops: a closure over a ref would allocate on every call, and
+   both run on every message. *)
 let merge_into dst src =
   assert (Array.length dst = Array.length src);
-  Array.iteri (fun i v -> if v > dst.(i) then dst.(i) <- v) src
+  for i = 0 to Array.length src - 1 do
+    if src.(i) > dst.(i) then dst.(i) <- src.(i)
+  done
 
 (* effects: pure — anti-entropy ordering decisions must depend on the two
    vectors alone; tact_analyze (SA064) verifies the claim. *)
 let dominates a b =
   assert (Array.length a = Array.length b);
-  let ok = ref true in
-  Array.iteri (fun i v -> if a.(i) < v then ok := false) b;
-  !ok
+  let i = ref 0 in
+  while !i < Array.length b && a.(!i) >= b.(!i) do
+    incr i
+  done;
+  !i = Array.length b
 
 let equal a b = a = b
 

@@ -43,6 +43,23 @@ type tally = {
   mutable committed_value : float;  (* accumulated nweight of committed writes *)
 }
 
+(* Scratch state of {!writes_since}'s k-way merge, one entry per live origin
+   (a cursor), sized for every origin at creation so a merge allocates
+   nothing but its result.  [m_pos.(c)] is the slot-deque index of cursor
+   [c]'s current write, the next one extracted from its origin; the cursor
+   is spent once that index falls below [m_lo.(c)].  [m_key] is an unboxed
+   copy of each current write's accept_time, so heap comparisons stay on a
+   flat float array.  [m_cur] is cleared after every merge, so it pins no
+   write. *)
+type merge = {
+  m_org : int array;
+  m_pos : int array;
+  m_lo : int array;
+  m_key : float array;
+  m_cur : Write.t array;
+  m_heap : int array;  (* cursors, a binary max-heap on (key, origin) *)
+}
+
 type snapshot = {
   snap_db : Db.t;
   snap_vector : Version_vector.t;
@@ -110,6 +127,9 @@ type t = {
   mutable nresident : int;  (* slots whose [s_write] is a real write *)
   pending : (Write.id, Write.t) Hashtbl.t; (* per-origin sequence gaps *)
   tallies : (string, tally) Hashtbl.t;  (* conit -> its weight tallies *)
+  mutable memo_conit : string;  (* the conit {!tally} resolved last ... *)
+  mutable memo_tally : tally;  (* ... and its tallies ([no_tally]: none yet) *)
+  merge : merge;
   mutable nrollbacks : int;
   mutable shadow_vector : Version_vector.t option;
       (* last vector seen by the sanitizer, for monotonicity (sanitize only) *)
@@ -121,6 +141,8 @@ let no_write =
 
 let no_slot =
   { s_write = no_write; s_outcome = None; s_final = None; s_committed = false }
+
+let no_tally = { value = 0.0; tent_ow = 0.0; committed_value = Float.nan }
 
 let create_bounded ~procs ~bounded ~replicas ~initial =
   {
@@ -148,6 +170,12 @@ let create_bounded ~procs ~bounded ~replicas ~initial =
     nresident = 0;
     pending = Hashtbl.create 8;
     tallies = Hashtbl.create 16;
+    memo_conit = "";
+    memo_tally = no_tally;
+    merge =
+      { m_org = Array.make replicas 0; m_pos = Array.make replicas 0;
+        m_lo = Array.make replicas 0; m_key = Array.make replicas 0.0;
+        m_cur = Array.make replicas no_write; m_heap = Array.make replicas 0 };
     nrollbacks = 0;
     shadow_vector = None;
   }
@@ -162,15 +190,31 @@ let htbl_add tbl key delta =
 let htbl_get tbl key =
   match Hashtbl.find_opt tbl key with Some v -> v | None -> 0.0
 
-(* The conit's tallies, created on first sight.  [Hashtbl.find] rather than
-   [find_opt]: the hit path then allocates nothing. *)
+(* The conit's tallies, created on first sight.  Consecutive lookups of one
+   conit (a write's registration and its commit, a run of writes on one
+   conit) skip the hash through the memo: names decoded from the wire are
+   fresh strings, hence the content test behind the physical one.  Tallies
+   are never removed ({!install_snapshot} resets them in place), so the memo
+   never goes stale.  [Hashtbl.find] rather than [find_opt]: a miss on a
+   known conit allocates nothing either. *)
 let tally t conit =
-  match Hashtbl.find t.tallies conit with
-  | r -> r
-  | exception Not_found ->
-    let r = { value = 0.0; tent_ow = 0.0; committed_value = Float.nan } in
-    Hashtbl.add t.tallies conit r;
+  if
+    t.memo_tally != no_tally
+    && (t.memo_conit == conit || String.equal t.memo_conit conit)
+  then t.memo_tally
+  else begin
+    let r =
+      match Hashtbl.find t.tallies conit with
+      | r -> r
+      | exception Not_found ->
+        let r = { value = 0.0; tent_ow = 0.0; committed_value = Float.nan } in
+        Hashtbl.add t.tallies conit r;
+        r
+    in
+    t.memo_conit <- conit;
+    t.memo_tally <- r;
     r
+  end
 
 (* A committed value, reading "never committed" as 0.0. *)
 let committed_or_zero r =
@@ -182,12 +226,14 @@ let committed_or_zero r =
 let fresh_slot () =
   { s_write = no_write; s_outcome = None; s_final = None; s_committed = false }
 
-(* The slot for an id, if the index still covers it. *)
+(* The slot for an id, or [no_slot] (no write, no outcomes, not committed)
+   when the index does not cover it — read-only: a probe allocates no
+   option. *)
 let slot_find t (id : Write.id) =
   let oi = t.index.(id.origin) in
   let i = id.seq - oi.ibase - 1 in
-  if i < 0 || i >= Deque.length oi.islots then None
-  else Some (Deque.get oi.islots i)
+  if i < 0 || i >= Deque.length oi.islots then no_slot
+  else Deque.get oi.islots i
 
 (* The slot for an id known to be covered (registered and not evicted). *)
 let slot_exn t (id : Write.id) =
@@ -216,15 +262,14 @@ let resident t origin seq =
   && (Deque.get oi.islots i).s_write != no_write
 
 let resident_write t (id : Write.id) =
-  match slot_find t id with
-  | Some s when s.s_write != no_write -> Some s.s_write
-  | Some _ | None -> None
+  let s = slot_find t id in
+  if s.s_write != no_write then Some s.s_write else None
 
 (* The old committed-id-set membership: the slot flag while the slot lives.
    A shed slot (bounded mode) reads as not-committed here; callers that can
    meet shed ids ({!commit_ids}) treat non-residency as already-covered. *)
 let committed_mem t (id : Write.id) =
-  match slot_find t id with Some s -> s.s_committed | None -> false
+  (slot_find t id).s_committed
 
 (* Bounded-memory mode: pop dead leading slots (write gone, side data
    evicted) so the index stays within the truncation horizon.  Stops at the
@@ -404,18 +449,33 @@ let unsafe_swap_tentative t i j =
   Deque.set t.tent j a;
   t.view_valid <- false
 
+(* A known write's weights join its conits' tallies (plain recursion: a
+   closure over [t] would allocate per write). *)
+let rec tally_known t = function
+  | [] -> ()
+  | { Write.conit; nweight; oweight } :: rest ->
+    let r = tally t conit in
+    r.value <- r.value +. nweight;
+    r.tent_ow <- r.tent_ow +. oweight;
+    tally_known t rest
+
+(* A committing write's weights move from the tentative to the committed
+   tallies. *)
+let rec tally_committed t = function
+  | [] -> ()
+  | { Write.conit; nweight; oweight } :: rest ->
+    let r = tally t conit in
+    r.committed_value <- committed_or_zero r +. nweight;
+    r.tent_ow <- r.tent_ow +. -.oweight;
+    tally_committed t rest
+
 (* Bookkeeping common to every successful insertion. *)
 let register t (w : Write.t) =
   let s = slot_ensure t w.id.origin w.id.seq in
   s.s_write <- w;
   t.nresident <- t.nresident + 1;
   Version_vector.set t.vector w.id.origin w.id.seq;
-  List.iter
-    (fun { Write.conit; nweight; oweight } ->
-      let r = tally t conit in
-      r.value <- r.value +. nweight;
-      r.tent_ow <- r.tent_ow +. oweight)
-    w.affects
+  tally_known t w.affects
 
 (* Apply one tentative write to the image, journalling its mutations so it
    can be rolled back, and (re-)recording its outcome — outcomes may change
@@ -525,50 +585,100 @@ let insert t (w : Write.t) =
     | None -> assert false
   end
 
+(* [Write.ts_compare a b <= 0], with the common strict case decided here
+   on the accept times. *)
 let rec ts_sorted = function
-  | a :: (b :: _ as rest) -> Write.ts_compare a b <= 0 && ts_sorted rest
+  | (a : Write.t) :: ((b : Write.t) :: _ as rest) ->
+    (a.accept_time < b.accept_time || Write.ts_compare a b <= 0) && ts_sorted rest
   | [ _ ] | [] -> true
 
+(* The batch loop: [fresh] holds the newly known writes newest first,
+   [drained] whether a filled gap released pending writes, [minpos] the
+   lowest landing index.  A plain loop, so a batch allocates only the
+   result list. *)
+let rec insert_batch_from t fresh drained minpos = function
+  | (w : Write.t) :: rest ->
+    if known t w.id then insert_batch_from t fresh drained minpos rest
+    else if w.id.seq > next_seq t w.id.origin then begin
+      Hashtbl.replace t.pending w.id w;
+      insert_batch_from t fresh drained minpos rest
+    end
+    else begin
+      register t w;
+      let pos = insert_tent t w in
+      match
+        if Hashtbl.length t.pending = 0 then None
+        else Some (drain_pending t w.id.origin [] pos)
+      with
+      | None | Some ([], _) -> insert_batch_from t (w :: fresh) drained (min minpos pos) rest
+      | Some (released, mp) ->
+        insert_batch_from t (List.rev_append (w :: released) fresh) true (min minpos mp) rest
+    end
+  | [] ->
+    (* At most one rollback for the whole batch, from the lowest position
+       any of its writes landed at; nothing is applied until the next
+       read. *)
+    unapply_from t minpos;
+    sanitize ~ctx:"wlog.insert_batch" t;
+    (* The fresh writes are a subsequence of the sorted batch, unless a
+       filled gap released pending writes of its origin, which may
+       interleave with the batch's later writes. *)
+    if drained then List.sort Write.ts_compare fresh else List.rev fresh
+
+(* Every producer of a batch is [writes_since], whose output is already in
+   timestamp order, so the sort is for foreign input only. *)
 let insert_batch t ws =
-  (* At most one rollback for the whole batch, from the lowest position any
-     of its writes landed at; nothing is applied until the next read.  Every
-     producer of a batch is [writes_since], whose output is already in
-     timestamp order, so the sort is for foreign input only. *)
   let ws = if ts_sorted ws then ws else List.sort Write.ts_compare ws in
-  let fresh = ref [] in
-  let drained = ref false in
-  let minpos = ref max_int in
-  List.iter
-    (fun (w : Write.t) ->
-      if known t w.id then ()
-      else if w.id.seq > next_seq t w.id.origin then
-        Hashtbl.replace t.pending w.id w
-      else begin
-        let new_writes, mp = insert_positions t w in
-        minpos := min !minpos mp;
-        (match new_writes with [ _ ] -> () | _ -> drained := true);
-        fresh := List.rev_append new_writes !fresh
-      end)
-    ws;
-  unapply_from t !minpos;
-  sanitize ~ctx:"wlog.insert_batch" t;
-  (* The fresh writes are a subsequence of the sorted batch, unless a filled
-     gap released pending writes of its origin, which may interleave with
-     the batch's later writes. *)
-  if !drained then List.sort Write.ts_compare !fresh else List.rev !fresh
+  insert_batch_from t [] false max_int ws
 
 let vector t = t.vector
 
-(* Serve the delta beyond [v] by k-way-merging slices of the slot index:
-   each origin's missing writes are the tail of its (seq-ordered, hence
-   ts-ordered) slot array, so a [nreplicas]-way heap merge yields the result
-   in timestamp order directly — O(delta log k), no hashing, no sort.  When
-   one origin alone has missing writes (every own-write push, every ring
-   gossip), they are consed straight from its slots. *)
+(* Heap order for {!writes_since}'s merge: cursor [a] above cursor [b] when
+   its current write is later in timestamp order.  Cursors are distinct
+   origins, so an accept_time tie breaks on the origin alone, exactly as
+   [Write.ts_compare] does (times are never NaN). *)
+let merge_greater m a b =
+  let ka = m.m_key.(a) and kb = m.m_key.(b) in
+  ka > kb || (ka = kb && m.m_org.(a) > m.m_org.(b))
+
+let rec merge_sift_up m i =
+  if i > 0 then begin
+    let h = m.m_heap in
+    let p = (i - 1) / 2 in
+    if merge_greater m h.(i) h.(p) then begin
+      let tmp = h.(i) in
+      h.(i) <- h.(p);
+      h.(p) <- tmp;
+      merge_sift_up m p
+    end
+  end
+
+let rec merge_sift_down m size i =
+  let l = (2 * i) + 1 in
+  if l < size then begin
+    let h = m.m_heap in
+    let c = if l + 1 < size && merge_greater m h.(l + 1) h.(l) then l + 1 else l in
+    if merge_greater m h.(c) h.(i) then begin
+      let tmp = h.(i) in
+      h.(i) <- h.(c);
+      h.(c) <- tmp;
+      merge_sift_down m size c
+    end
+  end
+
+(* Serve the delta beyond [v] by k-way-merging the tails of the slot index
+   in place: each origin's missing writes are the tail of its (seq-ordered,
+   hence ts-ordered) slot deque, so a heap merge over the live origins
+   yields the result in timestamp order directly — O(delta log k), no
+   hashing, no sort, and no allocation but the result list (the cursors live
+   in the log's scratch arrays).  When one origin alone has missing writes
+   (every own-write push, every ring gossip), they are consed straight from
+   its slots. *)
 let writes_since t v =
   let n = t.nreplicas in
   (* The live origins: the ones with missing writes. *)
-  let k = ref 0 and last = ref 0 in
+  let m = t.merge in
+  let k = ref 0 in
   for origin = 0 to n - 1 do
     let have = Version_vector.get v origin in
     if Version_vector.get t.vector origin > have then begin
@@ -584,8 +694,8 @@ let writes_since t v =
              "Wlog.writes_since: w%d.%d was truncated (check can_serve first)"
              origin !seq)
       end;
-      incr k;
-      last := origin
+      m.m_org.(!k) <- origin;
+      incr k
     end
   done;
   (* Every seq in (trunc_vec, vector] is resident, so an origin's missing
@@ -594,101 +704,49 @@ let writes_since t v =
   match !k with
   | 0 -> []
   | 1 ->
-    let oi = t.index.(!last) in
+    let origin = m.m_org.(0) in
+    let oi = t.index.(origin) in
     let outl = ref [] in
-    for i = Version_vector.get t.vector !last - oi.ibase - 1
-        downto Version_vector.get v !last - oi.ibase do
+    for i = Version_vector.get t.vector origin - oi.ibase - 1
+        downto Version_vector.get v origin - oi.ibase do
       outl := (Deque.get oi.islots i).s_write :: !outl
     done;
     !outl
   | k ->
-    (* Per live origin: the slots of its missing seqs, oldest first — one
-       pointer blit each. *)
-    let slices = Array.make k [||] in
-    let s = ref 0 in
-    for origin = 0 to n - 1 do
-      let have = Version_vector.get v origin in
-      let upto = Version_vector.get t.vector origin in
-      if upto > have then begin
-        let oi = t.index.(origin) in
-        slices.(!s) <- Deque.sub oi.islots (have - oi.ibase) (upto - have);
-        incr s
-      end
+    (* Merge in descending order from the tails, so each extracted write
+       conses straight onto the front of the result: ascending output, one
+       cons per element, no rev and no intermediate array. *)
+    for c = 0 to k - 1 do
+      let origin = m.m_org.(c) in
+      let oi = t.index.(origin) in
+      let pos = Version_vector.get t.vector origin - oi.ibase - 1 in
+      let w = (Deque.get oi.islots pos).s_write in
+      m.m_pos.(c) <- pos;
+      m.m_lo.(c) <- Version_vector.get v origin - oi.ibase;
+      m.m_cur.(c) <- w;
+      m.m_key.(c) <- w.Write.accept_time;
+      m.m_heap.(c) <- c;
+      merge_sift_up m c
     done;
-    (* Merge in descending order from the slice tails with a binary max-heap
-       keyed by each slice's cached tail write, so each extracted write
-       conses straight onto the front of the result list: ascending output,
-       one cons per element, no rev and no intermediate array.  ts_compare
-       is a total order (ties break on origin and seq), so extraction order
-       is deterministic. *)
-    let pos = Array.make k 0 in
-    let heap = Array.make k 0 in
-    let cur = Array.make k no_write in
-    (* Unboxed copy of each tail's accept_time: heap comparisons stay on a
-       flat float array instead of chasing into the write records (the
-       compare is by (accept_time, id), and times are never NaN). *)
-    let curk = Array.make k 0.0 in
-    for s = 0 to k - 1 do
-      let last = Array.length slices.(s) - 1 in
-      let w = slices.(s).(last).s_write in
-      pos.(s) <- last;
-      cur.(s) <- w;
-      curk.(s) <- w.Write.accept_time
-    done;
-    let greater a b =
-      let ka = curk.(a) and kb = curk.(b) in
-      if ka > kb then true
-      else if ka < kb then false
-      else Write.compare_id cur.(a).Write.id cur.(b).Write.id > 0
-    in
-    let rec sift_up i =
-      if i > 0 then begin
-        let p = (i - 1) / 2 in
-        if greater heap.(i) heap.(p) then begin
-          let tmp = heap.(i) in
-          heap.(i) <- heap.(p);
-          heap.(p) <- tmp;
-          sift_up p
-        end
-      end
-    in
-    let hsize = ref k in
-    let rec sift_down i =
-      let l = (2 * i) + 1 in
-      if l < !hsize then begin
-        let m =
-          if l + 1 < !hsize && greater heap.(l + 1) heap.(l) then l + 1 else l
-        in
-        if greater heap.(m) heap.(i) then begin
-          let tmp = heap.(i) in
-          heap.(i) <- heap.(m);
-          heap.(m) <- tmp;
-          sift_down m
-        end
-      end
-    in
-    for s = 0 to k - 1 do
-      heap.(s) <- s;
-      sift_up s
-    done;
+    let size = ref k in
     let outl = ref [] in
-    while !hsize > 0 do
-      let s = heap.(0) in
-      outl := cur.(s) :: !outl;
-      let p = pos.(s) - 1 in
-      pos.(s) <- p;
-      if p >= 0 then begin
-        let w = slices.(s).(p).s_write in
-        cur.(s) <- w;
-        curk.(s) <- w.Write.accept_time;
-        sift_down 0
+    while !size > 0 do
+      let c = m.m_heap.(0) in
+      outl := m.m_cur.(c) :: !outl;
+      let p = m.m_pos.(c) - 1 in
+      if p >= m.m_lo.(c) then begin
+        let w = (Deque.get t.index.(m.m_org.(c)).islots p).s_write in
+        m.m_pos.(c) <- p;
+        m.m_cur.(c) <- w;
+        m.m_key.(c) <- w.Write.accept_time
       end
       else begin
-        decr hsize;
-        heap.(0) <- heap.(!hsize);
-        if !hsize > 0 then sift_down 0
-      end
+        decr size;
+        m.m_heap.(0) <- m.m_heap.(!size)
+      end;
+      merge_sift_down m !size 0
     done;
+    Array.fill m.m_cur 0 k no_write;
     !outl
 
 let db t =
@@ -724,12 +782,7 @@ let commit_one t (w : Write.t) final =
   Deque.push_back t.committed w;
   if not t.bounded then Vec.push t.journal w.id;
   t.ncommitted <- t.ncommitted + 1;
-  List.iter
-    (fun { Write.conit; nweight; oweight } ->
-      let r = tally t conit in
-      r.committed_value <- committed_or_zero r +. nweight;
-      r.tent_ow <- r.tent_ow +. -.oweight)
-    w.affects
+  tally_committed t w.affects
 
 (* Apply a write that is being committed to the image, which must be the
    committed image (nothing of the suffix applied) — plainly, as it will
@@ -869,8 +922,8 @@ let committed_conit_value t conit =
 
 let outcome t id =
   force t;
-  match slot_find t id with Some s -> s.s_outcome | None -> None
-let final_outcome t id = match slot_find t id with Some s -> s.s_final | None -> None
+  (slot_find t id).s_outcome
+let final_outcome t id = (slot_find t id).s_final
 let rollbacks t = t.nrollbacks
 
 (* ------------------------------------------------------------------ *)

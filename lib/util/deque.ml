@@ -122,10 +122,6 @@ let clear t =
   t.head <- 0;
   t.len <- 0
 
-let sub t src len =
-  if src < 0 || len < 0 || src + len > t.len then invalid_arg "Deque.sub";
-  Array.sub t.data (t.head + src) len
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(t.head + i)

@@ -41,11 +41,6 @@ val remove : 'a t -> int -> 'a
 
 val clear : 'a t -> unit
 
-val sub : 'a t -> int -> int -> 'a array
-(** [sub t src len] is a fresh array of the [len] elements at logical
-    indices [src..src+len-1] — one [Array.sub], no per-element bounds
-    checks. *)
-
 val iter : ('a -> unit) -> 'a t -> unit
 val to_list : 'a t -> 'a list
 

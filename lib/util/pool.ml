@@ -168,3 +168,12 @@ let with_pool ~jobs f =
 
 let recommended_jobs ?(cap = max_int) () =
   max 1 (min cap (Domain.recommended_domain_count () - 1))
+
+let oversubscription ~jobs =
+  let cores = Domain.recommended_domain_count () in
+  if jobs > cores then
+    Some
+      (Printf.sprintf
+         "-j %d exceeds the %d core%s available; the run may be slower than at -j %d"
+         jobs cores (if cores = 1 then "" else "s") cores)
+  else None

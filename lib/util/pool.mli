@@ -66,3 +66,8 @@ val recommended_jobs : ?cap:int -> unit -> int
     count minus one (the caller's domain keeps working), clamped to
     [\[1, cap\]].  The sanctioned way for upper layers to size a pool
     without touching [Domain] directly. *)
+
+val oversubscription : jobs:int -> string option
+(** A one-line warning when [jobs] worker domains exceed the runtime's
+    recommended domain count (the cores this process may use): past that,
+    workers time-share cores and a run only gets slower.  [None] otherwise. *)

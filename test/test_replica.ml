@@ -726,12 +726,74 @@ let test_parked_read_sees_later_write () =
   | Some t -> Alcotest.(check bool) "served after the heal" true (t > 5.0)
   | None -> Alcotest.fail "the read was never served"
 
+(* Under the primary scheme a write served by a pump's scan can commit on
+   the spot, and that commit can unblock an access the same scan already
+   kept.  Replica 1 (not the primary) is cut off from both peers and fed by
+   hand.  It holds replica 2's w2.1 on conit "c" tentatively, and knows a
+   commit order [w1.1; w2.1] that waits for its own first write.  A read
+   bounding OE on "c" at 0 parks first; a write requiring w2.2 parks behind
+   it.  w2.2's arrival serves the write, and accepting it as w1.1 commits
+   w1.1 and w2.1, after the scan kept the read.  The next message is an
+   Ack, which changes nothing the read waits on; the read must be served on
+   it all the same. *)
+let test_served_write_unblocks_kept_read () =
+  let config = { Config.default with Config.commit_scheme = Config.Primary 0 } in
+  let sys = System.create ~topology:(topo 3) ~config () in
+  let engine = System.engine sys in
+  let r1 = System.replica sys 1 in
+  Links.partition (Net.links (System.net sys)) [ 1 ] [ 0; 2 ];
+  let vec entries =
+    let v = Version_vector.create 3 in
+    List.iteri (Version_vector.set v) entries;
+    v
+  in
+  let write ~origin ~seq ~t conit =
+    Write.make ~id:{ Write.origin; seq } ~accept_time:t ~op:(Op.Add ("x", 1.0))
+      ~affects:[ unit_weight conit ]
+  in
+  let gossip ~from ?(csn = []) writes vector =
+    Wire.Transfer
+      { from; writes; vector; cover = Array.make 3 0.0; csn_start = 0; csn;
+        rate = 0.0; kind = `Gossip }
+  in
+  let served = ref false and written = ref false in
+  Engine.at engine ~time:1.0 (fun () ->
+      let log = Replica.log r1 in
+      Replica.receive r1 ~src:2 (gossip ~from:2 [ write ~origin:2 ~seq:1 ~t:0.5 "c" ] (vec [ 0; 0; 1 ]));
+      Replica.receive r1 ~src:0
+        (gossip ~from:0
+           ~csn:[ { Write.origin = 1; seq = 1 }; { Write.origin = 2; seq = 1 } ]
+           [] (vec [ 0; 0; 0 ]));
+      Replica.submit_read r1
+        ~deps:[ ("c", Bounds.make ~oe:0.0 ()) ]
+        ~f:(fun db -> Db.get db "x")
+        ~k:(fun _ -> served := true);
+      Replica.submit_write r1 ~require:(vec [ 0; 0; 2 ]) ~deps:[]
+        ~affects:[ unit_weight "d" ] ~op:(Op.Add ("y", 1.0))
+        ~k:(fun _ -> written := true);
+      Alcotest.(check int) "both accesses parked" 2 (Replica.pending_count r1);
+      Replica.receive r1 ~src:2 (gossip ~from:2 [ write ~origin:2 ~seq:2 ~t:0.6 "d" ] (vec [ 0; 0; 2 ]));
+      Alcotest.(check bool) "the write was served" true !written;
+      Alcotest.(check int) "its acceptance committed w1.1 and w2.1" 2
+        (Wlog.committed_count log);
+      Alcotest.(check (float 0.0)) "nothing on c is tentative" 0.0
+        (Wlog.tentative_oweight log "c");
+      Alcotest.(check bool) "the scan had already kept the read" false !served;
+      Replica.receive r1 ~src:0
+        (Wire.Ack { from = 0; vector = vec [ 0; 0; 0 ]; csn_known = 0 });
+      Alcotest.(check bool) "the next message serves the read" true !served;
+      Alcotest.(check int) "nothing left parked" 0 (Replica.pending_count r1));
+  System.run ~until:1.5 sys;
+  Alcotest.(check bool) "the read was served" true !served
+
 let gossip_suite =
   [
     Alcotest.test_case "gossip plan respected" `Quick test_gossip_plan_respected;
     Alcotest.test_case "gossip plan validated" `Quick test_gossip_plan_validated;
     Alcotest.test_case "parked read sees later write" `Quick
       test_parked_read_sees_later_write;
+    Alcotest.test_case "served write unblocks a kept read" `Quick
+      test_served_write_unblocks_kept_read;
   ]
 
 let suite = base_suite @ deadline_suite @ validation_suite @ gossip_suite

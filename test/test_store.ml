@@ -140,11 +140,47 @@ let test_db_append_newest_first () =
   Alcotest.(check bool) "newest first" true
     (Value.equal (Db.get db "l") (Value.List [ Value.Int 2; Value.Int 1 ]))
 
+(* A copy owns its bindings: no mutation on either side, whether it
+   rebinds a key, adds to one in place or reverts a journal, reaches the
+   other. *)
 let test_db_copy_isolated () =
-  let db = Db.create [ ("a", Value.Int 1) ] in
+  let db = Db.create [ ("a", Value.Int 1); ("n", Value.Float 1.0) ] in
   let cp = Db.copy db in
+  let is d k v = Value.equal (Db.get d k) v in
   Db.set db "a" (Value.Int 9);
-  Alcotest.(check bool) "copy unaffected" true (Value.equal (Db.get cp "a") (Value.Int 1))
+  Alcotest.(check bool) "copy unaffected" true (is cp "a" (Value.Int 1));
+  (* add on an existing key, both ways *)
+  ignore (Db.add db "n" 2.0);
+  Alcotest.(check bool) "add: original" true (is db "n" (Value.Float 3.0));
+  Alcotest.(check bool) "add: copy unaffected" true (is cp "n" (Value.Float 1.0));
+  ignore (Db.add cp "n" 4.0);
+  Alcotest.(check bool) "add on copy: copy" true (is cp "n" (Value.Float 5.0));
+  Alcotest.(check bool) "add on copy: original unaffected" true (is db "n" (Value.Float 3.0));
+  (* add on a new key *)
+  ignore (Db.add db "m" 5.0);
+  Alcotest.(check bool) "new key: copy unaffected" true (is cp "m" Value.Nil);
+  Alcotest.(check int) "new key: copy size" 2 (Db.size cp);
+  ignore (Db.add cp "m" 1.0);
+  Alcotest.(check bool) "new key on copy: original unaffected" true (is db "m" (Value.Float 5.0));
+  (* set on the copy *)
+  Db.set cp "a" (Value.Int 7);
+  Alcotest.(check bool) "set on copy: original unaffected" true (is db "a" (Value.Int 9));
+  Alcotest.(check bool) "set on copy: copy" true (is cp "a" (Value.Int 7));
+  (* revert of a recorded add on a copy: the committed-image pattern *)
+  let (), u =
+    Db.recording db (fun () ->
+        ignore (Db.add db "n" 10.0);
+        ignore (Db.add db "fresh" 1.0))
+  in
+  let back = Db.copy db in
+  Db.revert back u;
+  Alcotest.(check bool) "revert: copy restored" true (is back "n" (Value.Float 3.0));
+  Alcotest.(check bool) "revert: new key gone from copy" true (is back "fresh" Value.Nil);
+  Alcotest.(check bool) "revert: original keeps the add" true (is db "n" (Value.Float 13.0));
+  Alcotest.(check bool) "revert: original keeps the new key" true (is db "fresh" (Value.Float 1.0));
+  ignore (Db.add db "n" 1.0);
+  Alcotest.(check bool) "revert: copy unaffected by a later add" true
+    (is back "n" (Value.Float 3.0))
 
 let test_db_equal () =
   let a = Db.create [ ("x", Value.Int 1) ] in

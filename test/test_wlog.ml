@@ -205,33 +205,59 @@ let test_writes_since () =
   Alcotest.(check (list (float 1e-9))) "ts order" [ 1.5; 2.0 ]
     (List.map (fun (w : Write.t) -> w.Write.accept_time) diff)
 
-(* The k-way merge agrees with a sort of the same writes at every lag,
-   including ties on accept_time (broken by origin, then seq) and origins
-   with empty deltas. *)
+(* The merge agrees with an independent reference, every resident write
+   [v] does not cover sorted by [Write.ts_compare], at every lag — so a
+   merge that drops, repeats or misorders a write fails.  Ties on
+   accept_time are plentiful, within and across origins (broken by origin,
+   then seq), and there are origins with empty deltas.  The second log
+   covers every set of 1 to 5 live origins. *)
 let test_writes_since_merge_order () =
-  let replicas = 5 in
-  let log = Wlog.create ~replicas ~initial:[] in
-  for origin = 0 to replicas - 2 do
-    (* Origin [replicas-1] stays empty. *)
-    for seq = 1 to 40 do
-      (* Coarse timestamps: non-decreasing per origin, with plenty of
-         cross-origin ties. *)
-      let t = float_of_int ((seq + origin) / 2) in
-      ignore (Wlog.insert log (mk ~origin ~seq ~t ()))
-    done
-  done;
   let ids l = List.map (fun (w : Write.t) -> w.id) l in
+  let build ~replicas ~writers ~per =
+    let log = Wlog.create ~replicas ~initial:[] in
+    let all = ref [] in
+    for origin = 0 to writers - 1 do
+      for seq = 1 to per do
+        (* Coarse timestamps: non-decreasing per origin, with plenty of
+           ties. *)
+        let w = mk ~origin ~seq ~t:(float_of_int ((seq + origin) / 2)) () in
+        all := w :: !all;
+        ignore (Wlog.insert log w)
+      done
+    done;
+    (log, !all)
+  in
+  let check name (log, all) v =
+    let reference =
+      List.filter (fun (w : Write.t) -> w.id.seq > Version_vector.get v w.id.origin) all
+      |> List.sort Write.ts_compare
+    in
+    Alcotest.(check bool) name true (ids (Wlog.writes_since log v) = ids reference)
+  in
+  (* Origin [replicas-1] stays empty. *)
+  let replicas = 5 in
+  let sample = build ~replicas ~writers:(replicas - 1) ~per:40 in
   for lag = 0 to 40 do
     let v = Version_vector.create replicas in
     for o = 0 to replicas - 1 do
       Version_vector.set v o (max 0 (40 - lag - o))
     done;
-    let diff = Wlog.writes_since log v in
-    let expect = List.sort Write.ts_compare diff in
-    Alcotest.(check bool)
-      (Printf.sprintf "merge order at lag %d" lag)
-      true
-      (ids diff = ids expect)
+    check (Printf.sprintf "merge order at lag %d" lag) sample v
+  done;
+  (* Origins 0-4 write, origin 5 never does; [v] covers every origin outside
+     [live] completely. *)
+  let replicas = 6 and per = 30 in
+  let sample = build ~replicas ~writers:5 ~per in
+  for live = 1 to 31 do
+    List.iter
+      (fun lag ->
+        let v = Version_vector.create replicas in
+        for o = 0 to 4 do
+          let lag = if live land (1 lsl o) <> 0 then lag + o else 0 in
+          Version_vector.set v o (max 0 (per - lag))
+        done;
+        check (Printf.sprintf "origins %#x live at lag %d" live lag) sample v)
+      [ 1; 2; 7; per ]
   done
 
 let test_insert_batch_single_replay () =
