@@ -27,7 +27,8 @@
      dune exec bench/main.exe -- --compare A.json B.json    # A/B time ratio; gated counts must hold
 
    [-j N] sets the job counts of the kernels that sweep them, pool_scaling
-   and shard_scaling, to 1 and N; the default sweep is 1, 2 and 4.  The
+   and shard_scaling, to 1 and N; the default sweep is 1, 2 and 4.  A job
+   count is a number of domains, the calling one included.  The
    paper experiments are run by [tact all] and [tact exp]. *)
 
 open Tact_store
@@ -1241,6 +1242,8 @@ let usage () =
     "usage: main.exe --smoke [-j N]\n\
     \       main.exe --json [--out=FILE] [-j N]\n\
     \       main.exe --compare A.json B.json\n\
+     -j N sweeps pool_scaling and shard_scaling at 1 and N domains, the\n\
+     calling one included (default: 1, 2 and 4)\n\
      (the paper experiments: tact all [--full] [-j N], tact exp <id>)";
   exit 2
 

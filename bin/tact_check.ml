@@ -15,8 +15,8 @@
      --no-prune         disable commute-forward pruning
      --no-dedup         disable fingerprint deduplication
      --trace-dir DIR    where to write counterexample traces (default ".")
-     -j, --jobs N       explore with N worker domains (default 1); the
-                        verdict, statistics and trace are identical to -j 1
+     -j, --jobs N       explore on N domains, this one included (default 1);
+                        the verdict, statistics and trace are identical to -j 1
 
    replay accepts a counterexample written by tact_check or tact_fuzz.
 
@@ -92,7 +92,7 @@ let trace_path cli (sc : Scenario.t) =
     (Printf.sprintf "tact_check.%s.trace.json" sc.Scenario.name)
 
 let check_one cli (sc : Scenario.t) =
-  (* Wall clock, not [Sys.time]: CPU time sums over worker domains. *)
+  (* Wall clock, not [Sys.time]: CPU time sums over the pool's domains. *)
   let start = Unix.gettimeofday () in
   let outcome = Explorer.explore ~options:cli.options ~jobs:cli.jobs sc in
   let elapsed = Unix.gettimeofday () -. start in

@@ -47,7 +47,8 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ]
         ~doc:
-          "Run experiments on $(docv) worker domains. Each experiment is an \
+          "Run experiments on $(docv) domains, the calling one included \
+           (1 runs them one after another). Each experiment is an \
            independent deterministic simulation, so the simulated results \
            are identical at any job count." ~docv:"JOBS")
 

@@ -15,8 +15,8 @@
      --mutation M       planted bug: off | crash_replay | oe_slack:<x> (x > 0)
                         (self-test mode; default off)
      --trace-dir DIR    where to write shrunk counterexamples (default ".")
-     -j, --jobs N       fan runs over N worker domains (default 1); the
-                        runs, verdicts and digest are identical to -j 1
+     -j, --jobs N       fan runs over N domains, this one included (default
+                        1); the runs, verdicts and digest are identical to -j 1
 
    replay accepts a counterexample written by tact_fuzz or tact_check.
 

@@ -322,6 +322,11 @@ let explore ?(options = default_options) ?(jobs = 1) ?mutation
     summarize ~options ~floor ~ndeviations:(List.length deviations)
       (run deviations)
   in
+  (* One domain walks the tree live.  This is not a fork of the parallel
+     path: on one domain a precomputed table buys nothing, and when
+     [max_schedules] binds, the table fills oldest-first (a helping caller
+     takes the oldest task), so the replay would re-execute what it
+     missed. *)
   let get_summary =
     if jobs <= 1 then live
     else begin

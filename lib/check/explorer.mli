@@ -25,11 +25,11 @@
     On the first violating schedule the explorer minimizes the deviation map
     and returns a replayable counterexample.
 
-    With [jobs > 1] the schedule space is explored by a domain pool in two
-    phases: an optimistic parallel sweep memoizes a summary of every
-    execution it performs (sharing the dedup set and violation cutoff
-    behind locks), then the sequential walk above replays over the
-    memo table, re-executing any schedule the sweep missed.  Because the
+    With [jobs > 1] the schedule space is explored by a [jobs]-domain pool
+    (the caller is one of them) in two phases: an optimistic parallel
+    sweep memoizes a summary of every execution it performs (sharing the
+    dedup set and violation cutoff behind locks), then the sequential walk
+    above replays over the memo table, re-executing any schedule the sweep missed.  Because the
     walk itself is the same algorithm either way, the verdict, statistics
     and minimized counterexample are bit-identical to [jobs:1]; dedup races
     only shift work between the sweep and the replay. *)

@@ -148,14 +148,12 @@ let all =
     };
   ]
 
+(* Experiments are independent simulations; run them on a domain pool and
+   collect outputs back in registry order. *)
 let run_all ?(jobs = 1) ?quick () =
-  if jobs <= 1 then List.map (fun e -> (e, e.run ?quick ())) all
-  else
-    (* Experiments are independent simulations; run them on a domain pool
-       and collect outputs back in registry order. *)
-    Tact_util.Pool.with_pool ~jobs (fun pool ->
-        List.combine all
-          (Tact_util.Pool.map_list pool (fun e -> e.run ?quick ()) all))
+  Tact_util.Pool.with_pool ~jobs (fun pool ->
+      List.combine all
+        (Tact_util.Pool.map_list pool (fun e -> e.run ?quick ()) all))
 
 let find key =
   let k = String.lowercase_ascii key in

@@ -12,8 +12,9 @@ val all : entry list
 
 val run_all : ?jobs:int -> ?quick:bool -> unit -> (entry * string) list
 (** Run every experiment and pair it with its report, in registry order.
-    [jobs > 1] runs them concurrently on a {!Tact_util.Pool} (each
-    experiment is an independent simulation); the output order — and, since
+    They run on a [jobs]-domain {!Tact_util.Pool}, the caller included, so
+    [jobs = 1] runs them one after another (each experiment is an
+    independent simulation); the output order — and, since
     each simulation is internally deterministic, every simulated result —
     is the same at any job count.  (Reports that print measured host CPU
     time, e.g. E8's cpu-per-write column, vary between runs regardless of

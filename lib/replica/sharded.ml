@@ -220,13 +220,17 @@ let submit_read ?require ?deadline ?on_timeout t ~replica:r ~deps ~f ~k =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
+(* Shards share no mutable state, so spreading their engines over domains
+   cannot change any engine's event order.  [map_array] re-raises the
+   lowest-index failing shard's exception; at [jobs = 1] the caller drains
+   the engines itself, in shard order. *)
 let run ?(jobs = 1) ?until t =
   Array.iter System.prepare t.subs;
-  let engines = Array.map System.engine t.subs in
-  if jobs > 1 && Array.length engines > 1 then
-    Tact_util.Pool.with_pool ~jobs (fun pool ->
-        Engine.run_group ~pool ?until engines)
-  else Engine.run_group ?until engines;
+  Tact_util.Pool.with_pool ~jobs (fun pool ->
+      ignore
+        (Tact_util.Pool.map_array pool
+           (fun sys -> Engine.run ?until (System.engine sys))
+           t.subs));
   Array.iter System.collect_returns t.subs
 
 (* ------------------------------------------------------------------ *)

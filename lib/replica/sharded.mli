@@ -11,10 +11,10 @@
     accesses touch.
 
     Because shards share no mutable state (the router is an immutable pure
-    function), their engines are embarrassingly parallel: {!run} dispatches
-    them across pool domains and the outcome is bit-identical at any job
-    count ({!digest} compares equal).  With [shards = 1] and full interest,
-    a sharded system reduces exactly to a plain {!System} under the same
+    function), their engines are embarrassingly parallel: {!run} drains
+    them on a [jobs]-domain pool, the caller one of the [jobs], and the
+    outcome is bit-identical at any job count ({!digest} compares equal).
+    With [shards = 1] and full interest, a sharded system reduces exactly to a plain {!System} under the same
     seed — the differential tests assert byte identity.
 
     Cross-shard accesses are rejected: a write's affected conits (plus any
@@ -130,10 +130,12 @@ val submit_read :
     view).  Same errors and planted-bug behaviour as {!submit_write}. *)
 
 val run : ?jobs:int -> ?until:float -> t -> unit
-(** Drain every shard's event queue (to virtual time [until]).  With
-    [jobs > 1], shard engines are dispatched across a [jobs]-domain pool
-    ({!Tact_sim.Engine.run_group}); shards are independent, so results are
-    bit-identical to [jobs = 1]. *)
+(** Drain every shard's event queue (to virtual time [until]) on a
+    [jobs]-domain pool ({!Tact_util.Pool.map_array}), counting the caller:
+    at [jobs = 1] the caller drains the engines in shard order.  Shards are
+    independent, so results are bit-identical at any job count, provided
+    the events a caller schedules on shard engines share no mutable state
+    across shards either: they run on their shard's domain. *)
 
 val converged : t -> bool
 (** Interest-set-aware quiescent convergence: within {e every} shard, all

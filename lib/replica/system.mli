@@ -60,12 +60,12 @@ val prepare : t -> unit
 (** Start background activity (gossip, retry loops) on every replica without
     draining any events.  Idempotent; [run] calls it.  Exposed so a driver
     that owns several systems ({!Sharded}) can start them all and then drain
-    their engines together with [Engine.run_group]. *)
+    their engines itself, on a domain pool. *)
 
 val collect_returns : t -> unit
 (** Fold write return times out of the replicas' access records into the
     omniscient write registry ({!return_time}).  [run] does this after
-    draining; a driver using [Engine.run_group] must call it itself. *)
+    draining; a driver that drains the engine itself must call it. *)
 
 val all_writes : t -> Tact_store.Write.t list
 (** Every write accepted anywhere, in canonical (timestamp) order. *)

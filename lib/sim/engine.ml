@@ -182,15 +182,3 @@ let run ?(until = infinity) ?(max_events = 200_000_000) t =
   | Some f -> run_choosing ~until ~max_events t f
 
 let events_executed t = t.executed
-
-(* Drain several independent engines — same semantics as running each with
-   {!run} in array order.  Engines share no mutable state (each drives its
-   own net/replicas), so dispatching them across pool workers cannot change
-   any engine's event order: parallel outcomes are bit-identical to
-   sequential ones.  Exceptions surface for the lowest-index failing engine,
-   matching the sequential order (Pool.map_array awaits in input order). *)
-let run_group ?pool ?until ?max_events engines =
-  match pool with
-  | Some p when Array.length engines > 1 ->
-    ignore (Tact_util.Pool.map_array p (fun t -> run ?until ?max_events t) engines)
-  | _ -> Array.iter (fun t -> run ?until ?max_events t) engines

@@ -78,15 +78,3 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     Raises {!Runaway} before dispatching event number [max_events + 1]. *)
 
 val events_executed : t -> int
-
-val run_group :
-  ?pool:Tact_util.Pool.t -> ?until:float -> ?max_events:int -> t array -> unit
-(** Drain several {e independent} engines — engines whose events share no
-    mutable state (each driving its own network and replicas, as the shards
-    of {!Tact_replica.Sharded} do).  Without a pool, runs each engine with
-    {!run} in array order; with one, dispatches them across the pool's
-    worker domains.  Because the engines are independent, the parallel
-    schedule cannot perturb any engine's internal event order: results are
-    bit-identical to the sequential run at any pool size.  An exception
-    (including {!Runaway}) from the lowest-index failing engine is re-raised,
-    matching sequential behaviour. *)

@@ -133,7 +133,9 @@ let create ~jobs =
   let worker () =
     help_until ~oldest:false t (fun () -> if t.closed then Some () else None)
   in
-  t.domains <- List.init njobs (fun _ -> Domain.spawn worker);
+  (* The caller helps inside [await]/[await_idle], so it is the last of the
+     [njobs] domains. *)
+  t.domains <- List.init (njobs - 1) (fun _ -> Domain.spawn worker);
   t
 
 let shutdown t =
@@ -167,7 +169,7 @@ let with_pool ~jobs f =
     Printexc.raise_with_backtrace e bt
 
 let recommended_jobs ?(cap = max_int) () =
-  max 1 (min cap (Domain.recommended_domain_count () - 1))
+  max 1 (min cap (Domain.recommended_domain_count ()))
 
 let oversubscription ~jobs =
   let cores = Domain.recommended_domain_count () in

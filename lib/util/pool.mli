@@ -1,10 +1,11 @@
 (** Fixed-size domain pool over one shared task stack.
 
-    [create ~jobs] spawns [jobs] worker domains that share a single stack of
-    pending tasks under one lock; tasks submitted from inside and outside
-    the pool land on the same stack.  Workers pop the newest task, so a
-    task's children run before older work (depth-first); a caller helping
-    inside {!await} or {!await_idle} pops the oldest.
+    [create ~jobs] runs tasks on [jobs] domains, the calling one included:
+    it spawns [jobs - 1] workers that share a single stack of pending tasks
+    under one lock; tasks submitted from inside and outside the pool land on
+    the same stack.  Workers pop the newest task, so a task's children run
+    before older work (depth-first); a caller helping inside {!await} or
+    {!await_idle} pops the oldest.
 
     Exceptions never vanish: a task's exception is captured with its
     backtrace and re-raised at {!await} (for futures) or at the next
@@ -20,11 +21,14 @@ type t
 type 'a future
 
 val create : jobs:int -> t
-(** Spawn [max 1 jobs] worker domains.  The calling domain is not a worker;
-    it only executes tasks while inside {!await} or {!await_idle}. *)
+(** A pool of [max 1 jobs] domains: spawn [max 1 jobs - 1] workers, and
+    count the calling domain as the last one, which executes tasks while
+    inside {!await} or {!await_idle}.  At [jobs <= 1] nothing is spawned and
+    every task runs in the caller, oldest first, when it awaits. *)
 
 val size : t -> int
-(** Number of worker domains. *)
+(** Number of domains the pool runs tasks on, the caller included:
+    [max 1 jobs]. *)
 
 val submit : t -> (unit -> 'a) -> 'a future
 (** Queue a task; its result (or exception) is delivered through the
@@ -63,11 +67,11 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 
 val recommended_jobs : ?cap:int -> unit -> int
 (** A sensible pool size for this host: the runtime's recommended domain
-    count minus one (the caller's domain keeps working), clamped to
-    [\[1, cap\]].  The sanctioned way for upper layers to size a pool
-    without touching [Domain] directly. *)
+    count (the cores this process may use, the caller's among them),
+    clamped to [\[1, cap\]].  The sanctioned way for upper layers to size
+    a pool without touching [Domain] directly. *)
 
 val oversubscription : jobs:int -> string option
-(** A one-line warning when [jobs] worker domains exceed the runtime's
+(** A one-line warning when a [jobs]-domain pool exceeds the runtime's
     recommended domain count (the cores this process may use): past that,
-    workers time-share cores and a run only gets slower.  [None] otherwise. *)
+    domains time-share cores and a run only gets slower.  [None] otherwise. *)

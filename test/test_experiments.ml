@@ -126,7 +126,12 @@ let test_e23_partial_replication () =
   Alcotest.(check bool) "membership shrinks with overlap" true
     (narrow.avg_members < full.avg_members);
   Alcotest.(check bool) "traffic falls with overlap" true
-    (narrow.messages < full.messages)
+    (narrow.messages < full.messages);
+  (* Shard engines on two domains: every row field, the write count
+     included, must match the one-domain run. *)
+  Alcotest.(check bool) "same row at -j 2" true
+    (E23_shards.run_one ~n:8 ~shards:4 ~overlap:1 ~total:1_500 ~jobs:2
+    = narrow)
 
 let test_registry_complete () =
   Alcotest.(check int) "23 experiments" 23 (List.length Registry.all);

@@ -110,11 +110,18 @@ let test_empty () =
       Pool.await_idle p;
       Alcotest.(check (list int)) "empty map_list" [] (Pool.map_list p (fun x -> x) []);
       Pool.await_idle p);
-  (* jobs below 1 clamps to a single worker rather than failing *)
+  (* jobs below 1 clamps to the calling domain alone rather than failing *)
   Pool.with_pool ~jobs:0 (fun p ->
       Alcotest.(check int) "clamped size" 1 (Pool.size p);
       Alcotest.(check (list int)) "still works" [ 2; 4 ]
-        (Pool.map_list p (fun x -> 2 * x) [ 1; 2 ]))
+        (Pool.map_list p (fun x -> 2 * x) [ 1; 2 ]));
+  (* The size counts the caller: jobs domains in all. *)
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun p ->
+          Alcotest.(check int) (Printf.sprintf "size at jobs:%d" jobs) jobs
+            (Pool.size p)))
+    [ 1; 2; 3 ]
 
 let test_shutdown_rejects () =
   let p = Pool.create ~jobs:2 in
@@ -149,6 +156,43 @@ let test_sync_primitives () =
       done;
       Alcotest.(check int) "map total" 200 !total)
 
+(* At jobs:1 the pool spawns no worker: the caller is its only domain. *)
+let test_single_domain_runs_in_caller () =
+  let self = Domain.self () in
+  Pool.with_pool ~jobs:1 (fun p ->
+      let ids = Pool.map_list p (fun _ -> Domain.self ()) (List.init 200 Fun.id) in
+      Alcotest.(check bool) "map_list tasks ran in the caller" true
+        (List.for_all (fun d -> d = self) ids);
+      let foreign = Sync.Counter.make () and ran = Sync.Counter.make () in
+      let rec node depth () =
+        ignore (Sync.Counter.incr ran);
+        if Domain.self () <> self then ignore (Sync.Counter.incr foreign);
+        if depth > 0 then
+          for _ = 1 to 3 do
+            Pool.post p (node (depth - 1))
+          done
+      in
+      Pool.post p (node 4);
+      Pool.await_idle p;
+      Alcotest.(check int) "post tree drained" 121 (Sync.Counter.get ran);
+      Alcotest.(check int) "post tasks ran in the caller" 0
+        (Sync.Counter.get foreign))
+
+let test_nested_await_without_workers () =
+  Pool.with_pool ~jobs:1 (fun p ->
+      let fut =
+        Pool.submit p (fun () -> Pool.await p (Pool.submit p (fun () -> 7)) * 6)
+      in
+      Alcotest.(check int) "nested await completes" 42 (Pool.await p fut))
+
+(* Pure in [jobs]: no pool of [cores + 1] domains is created. *)
+let test_oversubscription_is_exact () =
+  let cores = Domain.recommended_domain_count () in
+  Alcotest.(check bool) "jobs = cores fits" true
+    (Option.is_none (Pool.oversubscription ~jobs:cores));
+  Alcotest.(check bool) "jobs = cores + 1 warns" true
+    (Option.is_some (Pool.oversubscription ~jobs:(cores + 1)))
+
 let suite =
   [
     Alcotest.test_case "map_list preserves order" `Quick test_map_order;
@@ -169,4 +213,10 @@ let suite =
       test_shutdown_rejects;
     Alcotest.test_case "sync primitives under contention" `Quick
       test_sync_primitives;
+    Alcotest.test_case "jobs:1 runs every task in the caller" `Quick
+      test_single_domain_runs_in_caller;
+    Alcotest.test_case "nested await completes with no worker" `Quick
+      test_nested_await_without_workers;
+    Alcotest.test_case "oversubscription warns past the cores" `Quick
+      test_oversubscription_is_exact;
   ]

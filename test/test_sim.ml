@@ -186,36 +186,8 @@ let test_net_reset_stats () =
   Net.reset_stats net;
   Alcotest.(check int) "reset" 0 (Net.stats net).Net.messages
 
-(* run_group: several independent engines drain to the same state whether
-   run sequentially or across pool domains. *)
-let test_run_group_matches_sequential () =
-  let build () =
-    Array.init 6 (fun k ->
-        let e = Engine.create () in
-        let acc = ref 0.0 in
-        for i = 1 to 50 do
-          Engine.at e ~time:(float_of_int i *. 0.1) (fun () ->
-              acc := !acc +. (float_of_int (k + 1) *. Engine.now e))
-        done;
-        (e, acc))
-  in
-  let seq = build () and par = build () in
-  Engine.run_group ~until:4.0 (Array.map fst seq);
-  Tact_util.Pool.with_pool ~jobs:4 (fun pool ->
-      Engine.run_group ~pool ~until:4.0 (Array.map fst par));
-  Array.iteri
-    (fun k (e, acc) ->
-      let ep, accp = par.(k) in
-      Alcotest.(check bool) "same clock" true (feq (Engine.now e) (Engine.now ep));
-      Alcotest.(check int) "same event count" (Engine.events_executed e)
-        (Engine.events_executed ep);
-      Alcotest.(check bool) "same accumulated state" true (feq !acc !accp))
-    seq
-
 let base_suite =
   [
-    Alcotest.test_case "run_group parallel == sequential" `Quick
-      test_run_group_matches_sequential;
     Alcotest.test_case "engine temporal order" `Quick test_engine_runs_in_order;
     Alcotest.test_case "engine simultaneous fifo" `Quick test_engine_simultaneous_fifo;
     Alcotest.test_case "engine nested" `Quick test_engine_nested_scheduling;
