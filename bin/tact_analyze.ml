@@ -16,7 +16,9 @@
    analysis/tact_analyze.baseline.  test/ and examples/ are always loaded
    as reference-only sources: their references keep exported API alive for
    SA004, but no findings are reported on them.  Exit 1 when any finding
-   is not covered by the baseline. *)
+   is not covered by the baseline, or when a baseline key on an analyzed
+   file matches no finding (stale); exit 2 when either rules file is
+   missing or does not parse. *)
 
 open Tact_staticcheck
 
@@ -110,14 +112,42 @@ let dump_graph graph =
     (Graph.module_edges graph)
 
 let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  text
+  match open_in_bin path with
+  | ic ->
+    let len = in_channel_length ic in
+    let text = really_input_string ic len in
+    close_in ic;
+    Ok text
+  | exception Sys_error e -> Error e
+
+(* Both rules files are required: without the effect table there is no
+   trusted boundary and no det core, without the layer table no layering. *)
+let load_rules what path load =
+  match load path with
+  | Ok rules -> rules
+  | Error e ->
+    Printf.eprintf "tact_analyze: %s rules %s: %s\n" what path e;
+    exit 2
+
+(* The baseline keys a run over [dirs] can judge: those on files under one
+   of the analyzed directories. *)
+let under dirs key =
+  match String.split_on_char ' ' key with
+  | _ :: path :: _ ->
+    List.exists
+      (fun d ->
+        let d = if String.ends_with ~suffix:"/" d then d else d ^ "/" in
+        String.starts_with ~prefix:d path)
+      dirs
+  | _ -> false
 
 let () =
   let o = parse_args () in
+  let effect_rules =
+    load_rules "effect" o.effect_rules_file (fun p ->
+        Result.bind (read_file p) Effects.parse_rules)
+  in
+  let layering_rules = load_rules "layering" o.rules_file Layering.load_rules in
   let loaded = Loader.load_dirs o.dirs in
   let sums = List.map (Summary.of_source loaded) loaded.Loader.sources in
   let graph = Graph.build sums in
@@ -125,22 +155,6 @@ let () =
     dump_graph graph;
     exit 0
   end;
-  (* The effect rules feed the fixpoint; without the file the effect
-     passes are skipped (--why/--dot still work on the bare graph). *)
-  let effect_rules, have_effect_rules =
-    if Sys.file_exists o.effect_rules_file then
-      match Effects.parse_rules (read_file o.effect_rules_file) with
-      | Ok r -> (r, true)
-      | Error e ->
-        Printf.eprintf "tact_analyze: %s: %s\n" o.effect_rules_file e;
-        exit 2
-    else begin
-      Printf.eprintf
-        "tact_analyze: note: %s not found, skipping effect passes\n"
-        o.effect_rules_file;
-      (Effects.empty_rules, false)
-    end
-  in
   let cg = Callgraph.build graph in
   let eff = Effects.infer effect_rules graph cg in
   (match o.dot with
@@ -154,24 +168,9 @@ let () =
     List.iter print_endline (Effects.why eff sym);
     exit 0
   | None -> ());
-  let effect_findings = if have_effect_rules then Effects.run eff else [] in
   let findings =
-    if o.effects_only then Report.dedup effect_findings
+    if o.effects_only then Effects.run eff
     else begin
-      let layering =
-        if Sys.file_exists o.rules_file then
-          match Layering.load_rules o.rules_file with
-          | Ok rules -> Layering.run rules graph
-          | Error e ->
-            Printf.eprintf "tact_analyze: %s\n" e;
-            exit 2
-        else begin
-          Printf.eprintf
-            "tact_analyze: note: %s not found, skipping layering pass\n"
-            o.rules_file;
-          []
-        end
-      in
       (* test/ and examples/ join the universe for SA004 only: their
          references count, their findings do not. *)
       let ref_loaded = Loader.load_dirs ref_dirs in
@@ -182,9 +181,10 @@ let () =
       let graph_all = Graph.build sums_all in
       Report.dedup
         (syntax_findings loaded.Loader.sources
-        @ layering @ Races.run graph @ Determinism.run effect_rules sums
+        @ Layering.run layering_rules graph
+        @ Races.run eff @ Determinism.run effect_rules sums
         @ Interfaces.run ~analyzed:o.dirs graph_all
-        @ effect_findings)
+        @ Effects.run eff)
     end
   in
   let old_baseline = Baseline.load o.baseline_file in
@@ -201,14 +201,17 @@ let () =
     exit 0
   end;
   (* A stale key matches nothing: the finding it excused is gone, so the
-     entry only masks future regressions that happen to collide with it. *)
-  if (not o.effects_only) && stale <> [] then begin
+     entry only masks future regressions that happen to collide with it.
+     An --effects run judges too few rules to tell. *)
+  let stale =
+    if o.effects_only then [] else List.filter (under o.dirs) stale
+  in
+  if stale <> [] then
     Printf.eprintf
-      "tact_analyze: warning: %d stale baseline key(s) in %s (prune with \
+      "tact_analyze: %d stale baseline key(s) in %s (prune with \
        --update-baseline):\n"
       (List.length stale) o.baseline_file;
-    List.iter (fun k -> Printf.eprintf "  %s\n" k) stale
-  end;
+  List.iter (fun k -> Printf.eprintf "  %s\n" k) stale;
   let baselined = Baseline.mem old_baseline in
   let fresh = List.filter (fun f -> not (baselined f)) findings in
   (match o.sarif with
@@ -227,4 +230,4 @@ let () =
       (List.length findings - List.length fresh)
       (List.length fresh)
   end;
-  if fresh <> [] then exit 1
+  if fresh <> [] || stale <> [] then exit 1

@@ -28,37 +28,46 @@ type t = {
   cg_succ : (node * Location.t) list SMap.t;  (* key -> sorted callees *)
 }
 
-(* Same tail-matching as the race pass: a dotted path names a definition
-   either exactly ("State.make" for a nested module) or by its last
-   component. *)
-let resolve_def (s : Summary.t) path =
-  if Graph.defines s path then Some path
-  else
-    match String.rindex_opt path '.' with
-    | Some i ->
-      let tail = String.sub path (i + 1) (String.length path - i - 1) in
-      if Graph.defines s tail then Some tail else None
-    | None -> None
+(* The one resolver.  A reference lands in a loaded module (its own, or the
+   one a [Proj] names) at a dotted path, and that path names a member either
+   exactly ("State.make" for a nested module) or by its last component. *)
+let resolve graph (s : Summary.t) target member =
+  let landing =
+    match target with
+    | Summary.Self path -> Some (s, path)
+    | Summary.Proj { p_dir; p_mod; p_path } when not (String.equal p_path "")
+      ->
+      Option.map
+        (fun dst -> (dst, p_path))
+        (Graph.find graph ~dir:p_dir ~modname:p_mod)
+    | Summary.Proj _ | Summary.Local | Summary.Extern _ -> None
+  in
+  match landing with
+  | None -> None
+  | Some (dst, path) -> (
+    let found p = Option.map (fun m -> (dst, m)) (member dst p) in
+    match found path with
+    | Some _ as hit -> hit
+    | None -> (
+      match String.rindex_opt path '.' with
+      | Some i -> found (String.sub path (i + 1) (String.length path - i - 1))
+      | None -> None))
 
-let target_node graph (s : Summary.t) (r : Summary.vref) =
-  let src = s.Summary.sum_source in
-  match r.Summary.r_target with
-  | Summary.Local | Summary.Extern _ -> None
-  | Summary.Self path -> (
-    match resolve_def s path with
-    | Some d ->
-      Some
-        { cg_dir = src.Loader.s_dir; cg_mod = src.Loader.s_module; cg_def = d }
-    | None -> None)
-  | Summary.Proj { p_dir; p_mod; p_path } ->
-    if String.equal p_path "" then None
-    else (
-      match Graph.find graph ~dir:p_dir ~modname:p_mod with
-      | None -> None
-      | Some dst -> (
-        match resolve_def dst p_path with
-        | Some d -> Some { cg_dir = p_dir; cg_mod = p_mod; cg_def = d }
-        | None -> None))
+let target_node graph s (r : Summary.vref) =
+  Option.map
+    (fun ((dst : Summary.t), d) ->
+      { cg_dir = dst.sum_source.Loader.s_dir;
+        cg_mod = dst.sum_source.Loader.s_module;
+        cg_def = d })
+    (resolve graph s r.Summary.r_target (fun dst p ->
+         if List.mem p dst.Summary.sum_defs then Some p else None))
+
+let target_global graph s target =
+  resolve graph s target (fun dst p ->
+      List.find_opt
+        (fun (g : Summary.mutable_global) ->
+          String.equal g.mg_name p && not g.mg_sync)
+        dst.Summary.sum_globals)
 
 let build graph =
   let nodes = ref SMap.empty in

@@ -21,9 +21,17 @@ val compare_node : node -> node -> int
 
 val target_node : Graph.t -> Summary.t -> Summary.vref -> node option
 (** The definition a reference resolves to, when it names one in the
-    loaded universe ([Self], or [Proj] into a loaded module).  [None] for
-    locals, externals, bare module references, and paths that name a
+    loaded universe ([Self], or [Proj] into a loaded module).  A dotted
+    path matches a definition exactly or by its last component.  [None]
+    for locals, externals, bare module references, and paths that name a
     global or type rather than a definition. *)
+
+val target_global :
+  Graph.t -> Summary.t -> Summary.target ->
+  (Summary.t * Summary.mutable_global) option
+(** The non-[Sync] module-level mutable value a target names, with the
+    summary of the module that defines it; same resolution as
+    {!target_node}. *)
 
 type t
 

@@ -84,8 +84,6 @@ type rules = {
   ru_det_roots : (string * string) list;  (* (dir, module) *)
 }
 
-let empty_rules = { ru_entries = []; ru_trust = []; ru_det_roots = [] }
-
 let kind_of = function
   | "wall" -> Some Wall
   | "random" -> Some Random
@@ -222,16 +220,6 @@ let allowed_atom src path (r : Summary.vref) = function
       r.r_loc.Location.loc_start.Lexing.pos_lnum
   | _ -> false
 
-let resolve_global (s : Summary.t) path =
-  match Graph.mutable_global s path with
-  | Some g -> Some g
-  | None -> (
-    match String.rindex_opt path '.' with
-    | Some i ->
-      Graph.mutable_global s
-        (String.sub path (i + 1) (String.length path - i - 1))
-    | None -> None)
-
 (* The external dotted path of a reference for table classification:
    [Extern] paths, and [Proj] paths into modules the loader has not seen
    (those are outside the universe, so the rules table is all we have). *)
@@ -247,41 +235,19 @@ let extern_path graph (r : Summary.vref) =
 
 (* A reference that resolves to a non-Sync mutable global: touching shared
    mutable state is itself an effect (reads are interleaving-dependent). *)
-let global_touch graph (s : Summary.t) (r : Summary.vref) =
-  match r.Summary.r_target with
-  | Summary.Self path -> (
-    match resolve_global s path with
-    | Some g -> Some (s.sum_source.Loader.s_module ^ "." ^ g.mg_name)
-    | None -> None)
-  | Summary.Proj { p_dir; p_mod; p_path } when not (String.equal p_path "") -> (
-    match Graph.find graph ~dir:p_dir ~modname:p_mod with
-    | None -> None
-    | Some dst -> (
-      match resolve_global dst p_path with
-      | Some g -> Some (p_mod ^ "." ^ g.mg_name)
-      | None -> None))
-  | _ -> None
+let global_touch graph s target =
+  Option.map
+    (fun ((dst : Summary.t), (g : Summary.mutable_global)) ->
+      dst.sum_source.Loader.s_module ^ "." ^ g.mg_name)
+    (Callgraph.target_global graph s target)
 
+(* A mutation names its global even when the target is no known one. *)
 let canon_mutation graph (s : Summary.t) (mu : Summary.mutation) =
-  match mu.Summary.mu_target with
-  | Summary.Self path ->
-    let name =
-      match resolve_global s path with
-      | Some g -> g.mg_name
-      | None -> path
-    in
-    Some (s.sum_source.Loader.s_module ^ "." ^ name)
-  | Summary.Proj { p_dir; p_mod; p_path } ->
-    let name =
-      match Graph.find graph ~dir:p_dir ~modname:p_mod with
-      | Some dst -> (
-        match resolve_global dst p_path with
-        | Some g -> g.mg_name
-        | None -> p_path)
-      | None -> p_path
-    in
-    Some (p_mod ^ "." ^ name)
-  | Summary.Local | Summary.Extern _ -> None
+  match (global_touch graph s mu.mu_target, mu.mu_target) with
+  | (Some _ as g), _ -> g
+  | None, Summary.Self path -> Some (s.sum_source.Loader.s_module ^ "." ^ path)
+  | None, Summary.Proj { p_mod; p_path; _ } -> Some (p_mod ^ "." ^ p_path)
+  | None, (Summary.Local | Summary.Extern _) -> None
 
 type eff = {
   e_rules : rules;
@@ -322,7 +288,7 @@ let direct_of_summary rules graph (s : Summary.t) acc =
           match classify rules p with
           | Some a when not (allowed_atom src p r a) -> add r.r_def a r.r_loc
           | _ -> ()));
-        match global_touch graph s r with
+        match global_touch graph s r.r_target with
         | Some g -> add r.r_def (Global_mutation g) r.r_loc
         | None -> ())
       s.sum_refs;
@@ -395,6 +361,11 @@ let infer rules graph cg =
     (Callgraph.sccs cg);
   { e_rules = rules; e_graph = graph; e_cg = cg; e_direct = direct;
     e_summ = !summ }
+
+let judged eff =
+  List.filter
+    (fun (s : Summary.t) -> not (trusted eff.e_rules s.sum_source.Loader.s_dir))
+    (Graph.summaries eff.e_graph)
 
 let summary_of eff n =
   match SMap.find_opt (Callgraph.key n) eff.e_summ with
@@ -546,7 +517,7 @@ let task_direct eff (s : Summary.t) (site : Summary.pool_site) =
         match classify eff.e_rules p with
         | Some a when not (allowed_atom src p r a) -> add a r.r_loc
         | _ -> ()));
-      match global_touch eff.e_graph s r with
+      match global_touch eff.e_graph s r.r_target with
       | Some g -> add (Global_mutation g) r.r_loc
       | None -> ())
     site.ps_refs;
@@ -601,69 +572,68 @@ let pool_findings eff =
   List.iter
     (fun (s : Summary.t) ->
       let src = s.sum_source in
-      if not (trusted eff.e_rules src.Loader.s_dir) then
-        List.iter
-          (fun (site : Summary.pool_site) ->
-            let atoms = task_summary eff s site in
-            let flag rule_id label message =
-              findings :=
-                Report.finding ~rule_id ~path:src.Loader.s_path
-                  ~loc:site.ps_loc
-                  ~context:
-                    (Printf.sprintf "def:%s:%s" (def_display site.ps_def)
-                       label)
-                  message
-                :: !findings
+      List.iter
+        (fun (site : Summary.pool_site) ->
+          let atoms = task_summary eff s site in
+          let flag rule_id label message =
+            findings :=
+              Report.finding ~rule_id ~path:src.Loader.s_path
+                ~loc:site.ps_loc
+                ~context:
+                  (Printf.sprintf "def:%s:%s" (def_display site.ps_def)
+                     label)
+                message
+              :: !findings
+          in
+          AtomSet.iter
+            (fun a ->
+              match a with
+              | Blocking p
+                when String.length p >= 5
+                     && String.equal (String.sub p 0 5) "Unix." ->
+                flag "SA060" p
+                  (Printf.sprintf
+                     "Pool.%s task in %s can block on %s (%s); a blocked \
+                      worker starves the pool"
+                     site.ps_fn (def_display site.ps_def) p
+                     (task_via eff s site a))
+              | Blocking p ->
+                flag "SA061" p
+                  (Printf.sprintf
+                     "Pool.%s task in %s blocks on %s (%s); tasks that \
+                      wait on each other can deadlock the fixed worker \
+                      set"
+                     site.ps_fn (def_display site.ps_def) p
+                     (task_via eff s site a))
+              | Domain_spawn ->
+                flag "SA061" "domain-spawn"
+                  (Printf.sprintf
+                     "Pool.%s task in %s spawns domains (%s); nested \
+                      spawn inside the fixed pool oversubscribes or \
+                      deadlocks"
+                     site.ps_fn (def_display site.ps_def)
+                     (task_via eff s site a))
+              | _ -> ())
+            atoms;
+          let raises =
+            AtomSet.filter (function Raises _ -> true | _ -> false) atoms
+          in
+          if not (AtomSet.is_empty raises) then begin
+            let labels =
+              String.concat ", "
+                (List.map atom_label (AtomSet.elements raises))
             in
-            AtomSet.iter
-              (fun a ->
-                match a with
-                | Blocking p
-                  when String.length p >= 5
-                       && String.equal (String.sub p 0 5) "Unix." ->
-                  flag "SA060" p
-                    (Printf.sprintf
-                       "Pool.%s task in %s can block on %s (%s); a blocked \
-                        worker starves the pool"
-                       site.ps_fn (def_display site.ps_def) p
-                       (task_via eff s site a))
-                | Blocking p ->
-                  flag "SA061" p
-                    (Printf.sprintf
-                       "Pool.%s task in %s blocks on %s (%s); tasks that \
-                        wait on each other can deadlock the fixed worker \
-                        set"
-                       site.ps_fn (def_display site.ps_def) p
-                       (task_via eff s site a))
-                | Domain_spawn ->
-                  flag "SA061" "domain-spawn"
-                    (Printf.sprintf
-                       "Pool.%s task in %s spawns domains (%s); nested \
-                        spawn inside the fixed pool oversubscribes or \
-                        deadlocks"
-                       site.ps_fn (def_display site.ps_def)
-                       (task_via eff s site a))
-                | _ -> ())
-              atoms;
-            let raises =
-              AtomSet.filter (function Raises _ -> true | _ -> false) atoms
-            in
-            if not (AtomSet.is_empty raises) then begin
-              let labels =
-                String.concat ", "
-                  (List.map atom_label (AtomSet.elements raises))
-              in
-              let first = AtomSet.min_elt raises in
-              flag "SA062" "raises"
-                (Printf.sprintf
-                   "Pool.%s task in %s can raise (%s, %s) with no handler \
-                    in the task body; the exception is rethrown at await \
-                    and cancels sibling results"
-                   site.ps_fn (def_display site.ps_def) labels
-                   (task_via eff s site first))
-            end)
-          s.sum_pool_sites)
-    (Graph.summaries eff.e_graph);
+            let first = AtomSet.min_elt raises in
+            flag "SA062" "raises"
+              (Printf.sprintf
+                 "Pool.%s task in %s can raise (%s, %s) with no handler \
+                  in the task body; the exception is rethrown at await \
+                  and cancels sibling results"
+                 site.ps_fn (def_display site.ps_def) labels
+                 (task_via eff s site first))
+          end)
+        s.sum_pool_sites)
+    (judged eff);
   !findings
 
 let entry_findings eff =
@@ -727,48 +697,47 @@ let annot_findings eff =
   List.iter
     (fun (s : Summary.t) ->
       let src = s.sum_source in
-      if not (trusted eff.e_rules src.Loader.s_dir) then
-        List.iter
-          (fun (cline, text) ->
-            if contains text "effects: pure" then begin
-              let last = ref cline in
-              String.iter (fun c -> if c = '\n' then incr last) text;
-              match
-                List.find_opt
-                  (fun (_, l) -> l >= cline && l <= !last + 1)
-                  s.sum_def_lines
-              with
-              | None -> ()
-              | Some (d, line) ->
-                let n =
-                  { Callgraph.cg_dir = src.Loader.s_dir;
-                    cg_mod = src.Loader.s_module;
-                    cg_def = d }
+      List.iter
+        (fun (cline, text) ->
+          if contains text "effects: pure" then begin
+            let last = ref cline in
+            String.iter (fun c -> if c = '\n' then incr last) text;
+            match
+              List.find_opt
+                (fun (_, l) -> l >= cline && l <= !last + 1)
+                s.sum_def_lines
+            with
+            | None -> ()
+            | Some (d, line) ->
+              let n =
+                { Callgraph.cg_dir = src.Loader.s_dir;
+                  cg_mod = src.Loader.s_module;
+                  cg_def = d }
+              in
+              let atoms = summary_of eff n in
+              if not (AtomSet.is_empty atoms) then begin
+                let first = AtomSet.min_elt atoms in
+                let via =
+                  match chain eff n first with
+                  | Some nodes -> "; first chain: " ^ chain_text nodes
+                  | None -> ""
                 in
-                let atoms = summary_of eff n in
-                if not (AtomSet.is_empty atoms) then begin
-                  let first = AtomSet.min_elt atoms in
-                  let via =
-                    match chain eff n first with
-                    | Some nodes -> "; first chain: " ^ chain_text nodes
-                    | None -> ""
-                  in
-                  findings :=
-                    Report.finding ~rule_id:"SA064" ~path:src.Loader.s_path
-                      ~loc:(loc_of_line src.Loader.s_path line)
-                      ~context:(Printf.sprintf "def:%s:effects-pure" d)
-                      (Printf.sprintf
-                         "%s is declared `effects: pure` but the inferred \
-                          summary is {%s}%s"
-                         d
-                         (String.concat ", "
-                            (List.map atom_label (AtomSet.elements atoms)))
-                         via)
-                    :: !findings
-                end
-            end)
-          src.Loader.s_comments)
-    (Graph.summaries eff.e_graph);
+                findings :=
+                  Report.finding ~rule_id:"SA064" ~path:src.Loader.s_path
+                    ~loc:(loc_of_line src.Loader.s_path line)
+                    ~context:(Printf.sprintf "def:%s:effects-pure" d)
+                    (Printf.sprintf
+                       "%s is declared `effects: pure` but the inferred \
+                        summary is {%s}%s"
+                       d
+                       (String.concat ", "
+                          (List.map atom_label (AtomSet.elements atoms)))
+                       via)
+                  :: !findings
+              end
+          end)
+        src.Loader.s_comments)
+    (judged eff);
   !findings
 
 let run eff =

@@ -36,8 +36,6 @@ module AtomSet : Set.S with type elt = atom
 type rules
 (** Parsed [analysis/effects.rules]. *)
 
-val empty_rules : rules
-
 val parse_rules : string -> (rules, string) result
 (** Parse the rules text.  Directives: [atom <kind> <pat>...] with kinds
     [wall random hashtbl block raise domain], [pure <pat>...],
@@ -59,6 +57,10 @@ type eff
 val infer : rules -> Graph.t -> Callgraph.t -> eff
 (** Run the fixpoint over the loaded universe. *)
 
+val judged : eff -> Summary.t list
+(** The loaded modules outside the [trust]ed directories, in load order:
+    the ones the rule families report on. *)
+
 val summary_of : eff -> Callgraph.node -> AtomSet.t
 (** Transitive effect summary of one definition (empty = pure). *)
 
@@ -69,6 +71,11 @@ val task_summary : eff -> Summary.t -> Summary.pool_site -> AtomSet.t
 (** Transitive effects of a Pool task body: direct atoms of the task
     argument plus the summaries of everything it references; [Raises]
     dropped when the body carries its own handler. *)
+
+val task_via : eff -> Summary.t -> Summary.pool_site -> atom -> string
+(** How an atom of {!task_summary} enters the task: ["directly in the task
+    body (line N)"], or ["via "] and the {!chain} from the first referenced
+    definition that carries it. *)
 
 val chain : eff -> Callgraph.node -> atom -> Callgraph.node list option
 (** Shortest call chain from the node to a definition carrying the atom

@@ -59,17 +59,3 @@ let module_edges t =
           (node_key b.e_dst.n_dir b.e_dst.n_mod)
       | c -> c)
     !edges
-
-let value_refs t node def =
-  match find t ~dir:node.n_dir ~modname:node.n_mod with
-  | None -> []
-  | Some s ->
-    List.filter (fun (r : Summary.vref) -> String.equal r.r_def def) s.sum_refs
-
-let defines (s : Summary.t) name = List.mem name s.sum_defs
-
-let mutable_global (s : Summary.t) name =
-  List.find_opt
-    (fun (g : Summary.mutable_global) ->
-      String.equal g.mg_name name && not g.mg_sync)
-    s.sum_globals

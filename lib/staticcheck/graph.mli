@@ -1,8 +1,7 @@
-(** The cross-module reference graph derived from summaries.
-
-    Two views: module-level edges (one per referencing site, for the
-    layering pass and for [tact_analyze --graph] dumps) and value-level
-    adjacency (the call graph the race pass traverses). *)
+(** The loaded summaries, indexed by (directory, module), and the
+    module-level edges between them (one per referencing site, for the
+    layering pass and for [tact_analyze --graph] dumps).  Value-level
+    adjacency is {!Callgraph}'s. *)
 
 type node = { n_dir : string; n_mod : string }
 
@@ -25,13 +24,3 @@ val find : t -> dir:string -> modname:string -> Summary.t option
 val module_edges : t -> edge list
 (** One edge per distinct (src, dst) module pair, keeping the first
     referencing location; sorted. *)
-
-val value_refs : t -> node -> string -> Summary.vref list
-(** The references recorded inside one top-level definition of a module —
-    the adjacency the race pass walks.  [[]] for unknown nodes or defs. *)
-
-val defines : Summary.t -> string -> bool
-(** Is the name a top-level definition of the module? *)
-
-val mutable_global : Summary.t -> string -> Summary.mutable_global option
-(** The module's (non-[Sync]) mutable global of that name, if any. *)

@@ -1,157 +1,77 @@
-module SSet = Set.Make (String)
-
-let util_dir dir = String.equal dir "lib/util"
-
 let lib_dir dir =
   String.length dir >= 4 && String.equal (String.sub dir 0 4) "lib/"
 
-(* The last component of a dotted value path ("State.make" -> "make"),
-   used to line references up against [sum_defs]/[sum_globals] entries. *)
-let resolve_def (s : Summary.t) path =
-  if Graph.defines s path then Some path
-  else
-    match String.rindex_opt path '.' with
-    | Some i ->
-      let tail = String.sub path (i + 1) (String.length path - i - 1) in
-      if Graph.defines s tail then Some tail else None
-    | None -> None
+let def_display d = if String.equal d "" then "(toplevel)" else d
 
-let resolve_global (s : Summary.t) path =
-  match Graph.mutable_global s path with
-  | Some g -> Some g
-  | None -> (
-    match String.rindex_opt path '.' with
-    | Some i ->
-      Graph.mutable_global s
-        (String.sub path (i + 1) (String.length path - i - 1))
-    | None -> None)
+(* A global of the site's own module is keyed by its bare name, any other by
+   [Mod.g] — the form the effect atom already carries. *)
+let global_label (s : Summary.t) g =
+  let own = s.sum_source.Loader.s_module ^ "." in
+  let n = String.length own in
+  if String.length g > n && String.equal (String.sub g 0 n) own then
+    String.sub g n (String.length g - n)
+  else g
 
-(* Walk the reference graph task-first: every (module, definition) node the
-   task can call is visited once; mutable globals spotted along the way are
-   reported against the pool site that reaches them. *)
-let trace graph (site_sum : Summary.t) (site : Summary.pool_site) =
-  let src = site_sum.sum_source in
-  let findings = ref [] in
-  let flag rule ~mod_label ~(g : Summary.mutable_global) ~hops =
-    let via =
-      match hops with
-      | [] -> ""
-      | h -> " via " ^ String.concat " -> " (List.rev h)
-    in
-    findings :=
-      Report.finding ~rule_id:rule ~path:src.Loader.s_path ~loc:site.ps_loc
-        ~context:(Printf.sprintf "def:%s:%s" site.ps_def
-                    (if String.equal mod_label "" then g.mg_name
-                     else mod_label ^ "." ^ g.mg_name))
-        (Printf.sprintf
-           "Pool.%s task in %s reaches mutable %s %s (%s)%s; route it \
-            through Sync or confine it to the task"
-           site.ps_fn
-           (if String.equal site.ps_def "" then "(toplevel)" else site.ps_def)
-           g.mg_creator
-           (if String.equal mod_label "" then g.mg_name
-            else mod_label ^ "." ^ g.mg_name)
-           (Printf.sprintf "defined at line %d"
-              g.mg_loc.Location.loc_start.Lexing.pos_lnum)
-           via)
-      :: !findings
+let site_findings eff (s : Summary.t) (site : Summary.pool_site) =
+  let path = s.sum_source.Loader.s_path in
+  let captured =
+    List.filter_map
+      (fun (m : Summary.mutation) ->
+        match m.mu_target with
+        | Summary.Local when m.mu_captured ->
+          Some
+            (Report.finding ~rule_id:"SA021" ~path ~loc:m.mu_loc
+               ~context:(Printf.sprintf "def:%s:%s" site.ps_def m.mu_name)
+               (Printf.sprintf
+                  "Pool.%s task captures %s and mutates it with %s; every \
+                   worker shares the closure, so this races"
+                  site.ps_fn m.mu_name m.mu_op))
+        | _ -> None)
+      site.ps_mutations
   in
-  let visited = ref SSet.empty in
-  let rec visit (s : Summary.t) (refs : Summary.vref list) hops =
-    List.iter
-      (fun (r : Summary.vref) ->
-        match r.r_target with
-        | Summary.Local | Summary.Extern _ -> ()
-        | Summary.Self path -> follow s path hops
-        | Summary.Proj { p_dir; p_mod; p_path } ->
-          if not (util_dir p_dir) then
-            match Graph.find graph ~dir:p_dir ~modname:p_mod with
-            | None -> ()
-            | Some dst ->
-              if String.equal p_path "" then ()
-              else follow dst (p_mod ^ "." ^ p_path) hops)
-      refs
-  and follow (s : Summary.t) dotted hops =
-    let dir = s.sum_source.Loader.s_dir in
-    if util_dir dir then ()
-    else
-      let local =
-        (* strip a leading module qualifier added for cross-module hops *)
-        match String.index_opt dotted '.' with
-        | Some i
-          when String.equal
-                 (String.sub dotted 0 i)
-                 s.sum_source.Loader.s_module ->
-          String.sub dotted (i + 1) (String.length dotted - i - 1)
-        | _ -> dotted
-      in
-      (match resolve_global s local with
-      | Some g ->
-        let mod_label =
-          if s == site_sum then "" else s.sum_source.Loader.s_module
-        in
-        flag "SA020" ~mod_label ~g ~hops
-      | None -> ());
-      match resolve_def s local with
-      | None -> ()
-      | Some def ->
-        let key =
-          s.sum_source.Loader.s_dir ^ "//" ^ s.sum_source.Loader.s_module
-          ^ "//" ^ def
-        in
-        if not (SSet.mem key !visited) then begin
-          visited := SSet.add key !visited;
-          let node =
-            { Graph.n_dir = s.sum_source.Loader.s_dir;
-              n_mod = s.sum_source.Loader.s_module }
-          in
-          visit s (Graph.value_refs graph node def) (def :: hops)
-        end
+  (* Every non-Sync global the task touches, in its body or through
+     anything it calls, is one atom of the task's effect summary. *)
+  let reached =
+    List.filter_map
+      (fun atom ->
+        match atom with
+        | Effects.Global_mutation g ->
+          let g = global_label s g in
+          Some
+            (Report.finding ~rule_id:"SA020" ~path ~loc:site.ps_loc
+               ~context:(Printf.sprintf "def:%s:%s" site.ps_def g)
+               (Printf.sprintf
+                  "Pool.%s task in %s reaches mutable %s (%s); route it \
+                   through Sync or confine it to the task"
+                  site.ps_fn (def_display site.ps_def) g
+                  (Effects.task_via eff s site atom)))
+        | _ -> None)
+      (Effects.AtomSet.elements (Effects.task_summary eff s site))
   in
-  (* Direct mutations inside the task body. *)
-  List.iter
-    (fun (m : Summary.mutation) ->
-      match m.mu_target with
-      | Summary.Local when m.mu_captured ->
-        findings :=
-          Report.finding ~rule_id:"SA021" ~path:src.Loader.s_path ~loc:m.mu_loc
-            ~context:(Printf.sprintf "def:%s:%s" site.ps_def m.mu_name)
-            (Printf.sprintf
-               "Pool.%s task captures %s and mutates it with %s; every \
-                worker shares the closure, so this races"
-               site.ps_fn m.mu_name m.mu_op)
-          :: !findings
-      | _ -> ())
-    site.ps_mutations;
-  (* Everything the task references, transitively. *)
-  visit site_sum site.ps_refs [];
-  !findings
+  captured @ reached
 
-let run graph =
-  let findings = ref [] in
-  List.iter
-    (fun (s : Summary.t) ->
-      let dir = s.sum_source.Loader.s_dir in
-      if not (util_dir dir) then begin
-        (* SA030: module-level mutable state as such, lib/ only. *)
-        if lib_dir dir then
-          List.iter
-            (fun (g : Summary.mutable_global) ->
-              if not g.mg_sync then
-                findings :=
-                  Report.finding ~rule_id:"SA030" ~path:s.sum_source.Loader.s_path
-                    ~loc:g.mg_loc
-                    ~context:("def:" ^ g.mg_name)
-                    (Printf.sprintf
-                       "module-level mutable state (%s %s) couples callers \
-                        through hidden shared memory; prefer explicit state \
-                        or a Sync wrapper"
-                       g.mg_creator g.mg_name)
-                  :: !findings)
-            s.sum_globals;
-        List.iter
-          (fun site -> findings := trace graph s site @ !findings)
-          s.sum_pool_sites
-      end)
-    (Graph.summaries graph);
-  Report.dedup !findings
+let run eff =
+  Report.dedup
+    (List.concat_map
+       (fun (s : Summary.t) ->
+         (* SA030: module-level mutable state as such, lib/ only. *)
+         let state =
+           if not (lib_dir s.sum_source.Loader.s_dir) then []
+           else
+             List.filter_map
+               (fun (g : Summary.mutable_global) ->
+                 if g.mg_sync then None
+                 else
+                   Some
+                     (Report.finding ~rule_id:"SA030"
+                        ~path:s.sum_source.Loader.s_path ~loc:g.mg_loc
+                        ~context:("def:" ^ g.mg_name)
+                        (Printf.sprintf
+                           "module-level mutable state (%s %s) couples \
+                            callers through hidden shared memory; prefer \
+                            explicit state or a Sync wrapper"
+                           g.mg_creator g.mg_name)))
+               s.sum_globals
+         in
+         state @ List.concat_map (site_findings eff s) s.sum_pool_sites)
+       (Effects.judged eff))

@@ -1,19 +1,21 @@
 (** The domain-race pass.
 
-    From every [Pool.submit]/[Pool.post]/[Pool.map_list] call site the pass
-    walks the value-level reference graph of the submitted task and flags
-    mutable state that parallel tasks can reach without going through the
-    [Sync] wrappers in [lib/util/sync.ml]:
+    Reads the effect pass's summary of every [Pool.submit]/[Pool.post]/
+    [Pool.map_list]/[Pool.map_array] task and flags mutable state that
+    parallel tasks can reach without going through the [Sync] wrappers in
+    [lib/util/sync.ml]:
 
     - [SA020] a module-level mutable value (of this module or another
-      project module) mutated or reachable from inside a pool task;
+      project module) that the task touches, directly or through anything
+      it calls — one [mutates:] atom of {!Effects.task_summary}, reported at
+      the pool call with its {!Effects.chain};
     - [SA021] a locally bound mutable value captured by the task closure
       and mutated inside it;
     - [SA030] module-level mutable state as such (the scope-aware
-      replacement of the textual [module-state] rule), under [lib/] but
-      outside [lib/util].
+      replacement of the textual [module-state] rule), under [lib/].
 
-    Everything defined under [lib/util] is the sanctioned concurrency
-    boundary and is never traversed or flagged. *)
+    Modules in a [trust]ed directory of the effect rules ([lib/util], the
+    sanctioned concurrency boundary) are never flagged, and the effect
+    summaries never traverse them. *)
 
-val run : Graph.t -> Report.finding list
+val run : Effects.eff -> Report.finding list

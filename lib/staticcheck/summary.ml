@@ -236,7 +236,7 @@ let float_consts =
   [ "infinity"; "neg_infinity"; "nan"; "epsilon_float"; "max_float";
     "min_float" ]
 
-let pool_fns = [ "submit"; "post"; "map_list" ]
+let pool_fns = [ "submit"; "post"; "map_list"; "map_array" ]
 
 (* Pool/Sync are recognised by module name, not just by resolved directory,
    so fixtures and partial loads (where lib/util itself is not parsed) still

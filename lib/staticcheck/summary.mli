@@ -46,7 +46,7 @@ type escape = {
     so the enclosing definition widens to ⊤ (SA053). *)
 
 type pool_site = {
-  ps_fn : string;  (** ["submit"], ["post"] or ["map_list"] *)
+  ps_fn : string;  (** ["submit"], ["post"], ["map_list"] or ["map_array"] *)
   ps_def : string;  (** enclosing top-level definition *)
   ps_loc : Location.t;
   ps_refs : vref list;  (** references inside the task argument *)

@@ -36,6 +36,11 @@ let effect_rules =
      | Ok r -> r
      | Error e -> Alcotest.failf "effects.rules did not parse: %s" e)
 
+(* The race pass reads the effect pass's task summaries. *)
+let races graph =
+  Races.run
+    (Effects.infer (Lazy.force effect_rules) graph (Callgraph.build graph))
+
 (* Run every pass over a set of (path, contents) synthetic sources. *)
 let analyze sources =
   let loaded =
@@ -44,7 +49,7 @@ let analyze sources =
   in
   let sums = List.map (Summary.of_source loaded) loaded.Loader.sources in
   let graph = Graph.build sums in
-  (graph, Races.run graph @ Determinism.run (Lazy.force effect_rules) sums)
+  (graph, races graph @ Determinism.run (Lazy.force effect_rules) sums)
 
 let find_rule findings id =
   List.filter (fun (f : Report.finding) -> f.f_rule.Report.id = id) findings
@@ -73,7 +78,7 @@ let load_fixtures () =
         Loader.load_file (fixture "synced.ml") ]
   in
   let sums = List.map (Summary.of_source loaded) loaded.Loader.sources in
-  Races.run (Graph.build sums)
+  races (Graph.build sums)
 
 let test_racy_flagged () =
   let findings = load_fixtures () in
@@ -110,6 +115,60 @@ let test_synced_clean () =
       findings
   in
   Alcotest.(check int) "Sync-wrapped twin is clean" 0 (List.length synced)
+
+(* A task in one module reaches another module's table through a call: the
+   key names the owning module, the finding sits at the pool call, and the
+   message names the function on the route.  The Sync twin stays clean. *)
+let test_cross_module_race () =
+  let _, findings =
+    analyze
+      [ ("lib/core/pin_a.ml",
+         "let kick pool k =\n  Pool.post pool (fun () -> Pin_b.bump k)\n");
+        ("lib/core/pin_b.ml",
+         "let counts : (string, int) Hashtbl.t = Hashtbl.create 16\n\
+          let bump k = Hashtbl.replace counts k 1\n");
+        ("lib/core/pin_c.ml",
+         "let kick pool k =\n  Pool.post pool (fun () -> Pin_d.bump k)\n");
+        ("lib/core/pin_d.ml",
+         "let counts : (string, int) Sync.Map.t = Sync.Map.create 16\n\
+          let bump k = Sync.Map.update counts k (fun _ -> Some 1)\n") ]
+  in
+  let in_file path =
+    List.filter (fun (f : Report.finding) -> f.Report.f_path = path)
+  in
+  (match in_file "lib/core/pin_a.ml" (find_rule findings "SA020") with
+  | [ f ] ->
+    Alcotest.(check string) "SA020 key names the owning module"
+      "def:kick:Pin_b.counts" f.Report.f_context;
+    Alcotest.(check int) "SA020 at the Pool.post call" 2 f.Report.f_line;
+    let msg = f.Report.f_message in
+    let has sub =
+      let n = String.length sub in
+      let rec go i =
+        i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+      in
+      go 0
+    in
+    Alcotest.(check bool) "message names bump on the route" true (has "bump")
+  | l -> Alcotest.failf "expected one SA020 in pin_a.ml, got %d" (List.length l));
+  Alcotest.(check int) "Sync twin is clean" 0
+    (List.length (in_file "lib/core/pin_c.ml" findings))
+
+(* [Pool.map_array] is an escape point like the other three: the shard
+   engines of [Sharded.run] are submitted through it. *)
+let test_map_array_race () =
+  let _, findings =
+    analyze
+      [ ("lib/core/shards.ml",
+         "let seen : (int, unit) Hashtbl.t = Hashtbl.create 16\n\
+          let run pool xs =\n\
+         \  Pool.map_array pool (fun x -> Hashtbl.replace seen x ()) xs\n") ]
+  in
+  match find_rule findings "SA020" with
+  | [ f ] ->
+    Alcotest.(check string) "SA020 key" "def:run:seen" f.Report.f_context;
+    Alcotest.(check int) "SA020 at the Pool.map_array call" 3 f.Report.f_line
+  | l -> Alcotest.failf "expected one SA020, got %d" (List.length l)
 
 (* --- module-state (SA030) ---------------------------------------------- *)
 
@@ -366,6 +425,48 @@ let test_baseline_render_deterministic () =
   Alcotest.(check (list string)) "sorted unique keys"
     [ "SA040 lib/a.ml f:compare"; "SA041 lib/b.ml g:wall-clock" ] keys
 
+(* The analyzer as built next to this suite, run from a scratch tree holding
+   one clean module: a stale baseline key fails the run, and a missing rules
+   file stops it before any pass. *)
+let test_analyzer_exit_codes () =
+  let bin = if String.equal root "" then "../bin/" else "_build/default/bin/" in
+  let abs p = Filename.concat (Sys.getcwd ()) p in
+  let exe = abs (bin ^ "tact_analyze.exe") in
+  let effects_path =
+    if Sys.file_exists "../analysis/effects.rules" then
+      "../analysis/effects.rules"
+    else "analysis/effects.rules"
+  in
+  let dir = Filename.temp_dir "tact_analyze" "" in
+  let write path text =
+    Out_channel.with_open_bin (Filename.concat dir path) (fun oc ->
+        output_string oc text)
+  in
+  Sys.mkdir (Filename.concat dir "lib") 0o755;
+  Sys.mkdir (Filename.concat dir "lib/core") 0o755;
+  write "lib/core/clean.ml" "let f x = x + 1\n";
+  write "fresh.baseline" "";
+  write "stale.baseline" "SA020 lib/core/clean.ml def:f:gone\n";
+  let run ?(rules = abs rules_path) ?(effect_rules = abs effects_path)
+      baseline =
+    Sys.command
+      (Printf.sprintf
+         "cd %s && %s --rules %s --effect-rules %s --baseline %s lib \
+          > /dev/null 2>&1"
+         (Filename.quote dir) (Filename.quote exe) (Filename.quote rules)
+         (Filename.quote effect_rules) baseline)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      Alcotest.(check int) "clean tree exits 0" 0 (run "fresh.baseline");
+      Alcotest.(check int) "stale key exits 1" 1 (run "stale.baseline");
+      Alcotest.(check int) "missing effect rules exit 2" 2
+        (run ~effect_rules:"absent.rules" "fresh.baseline");
+      Alcotest.(check int) "missing layering rules exit 2" 2
+        (run ~rules:"absent.rules" "fresh.baseline"))
+
 (* --- renderers ---------------------------------------------------------- *)
 
 let test_json_renders () =
@@ -433,4 +534,8 @@ let suite =
       test_baseline_render_deterministic;
     Alcotest.test_case "json renders" `Quick test_json_renders;
     Alcotest.test_case "sarif renders" `Quick test_sarif_renders;
+    Alcotest.test_case "cross-module race via a call" `Quick
+      test_cross_module_race;
+    Alcotest.test_case "map_array task race" `Quick test_map_array_race;
+    Alcotest.test_case "analyzer exit codes" `Quick test_analyzer_exit_codes;
   ]
