@@ -1,24 +1,28 @@
 (* tact_analyze — the AST-based static analyzer.
 
-   Parses the tree with compiler-libs, builds per-module summaries, the
+   Parses one fixed universe — lib, bin, bench, test, examples and
+   perfbench — with compiler-libs, summarises each module once, builds the
    cross-module reference graph and the value-level call graph, then runs
    the layering, domain-race, determinism and source-hygiene, interface and
-   interprocedural effect passes (see doc/ANALYSIS.md for the SA0xx
-   catalogue and the [(* lint: allow <key> -- why *)] suppression syntax).
+   interprocedural effect passes over that one graph (see doc/ANALYSIS.md
+   for the SA0xx catalogue and the [(* lint: allow <key> -- why *)]
+   suppression syntax).
 
    Usage:
      tact_analyze [--rules FILE] [--effect-rules FILE] [--baseline FILE]
                   [--update-baseline] [--json] [--sarif FILE] [--graph]
                   [--dot FILE] [--effects] [--why SYMBOL] [DIR ...]
 
-   Defaults: DIRs = lib bin bench, rules = analysis/layering.rules,
-   effect rules = analysis/effects.rules, baseline =
-   analysis/tact_analyze.baseline.  test/ and examples/ are always loaded
-   as reference-only sources: their references keep exported API alive for
-   SA004, but no findings are reported on them.  Exit 1 when any finding
-   is not covered by the baseline, or when a baseline key on an analyzed
-   file matches no finding (stale); exit 2 when either rules file is
-   missing or does not parse. *)
+   The DIRs only choose the judged directories: findings are reported on
+   files under them (default lib bin bench), while every reference in the
+   universe counts — a test-only or benchmark-only consumer keeps an export
+   alive for SA004.  --graph, --dot and --why span the whole universe.
+   Defaults: rules = analysis/layering.rules, effect rules =
+   analysis/effects.rules, baseline = analysis/tact_analyze.baseline.
+   Exit 1 when any finding is not covered by the baseline, or when a
+   baseline key on a judged file matches no finding (stale); exit 2 when
+   either rules file is missing or does not parse, or a DIR lies outside
+   the universe. *)
 
 open Tact_staticcheck
 
@@ -81,25 +85,9 @@ let parse_args () =
   else o.dirs <- List.rev o.dirs;
   o
 
-let ref_dirs = [ "test"; "examples" ]
-
-let syntax_findings (sources : Loader.source list) =
-  List.filter_map
-    (fun (s : Loader.source) ->
-      match s.s_error with
-      | None -> None
-      | Some (line, col, msg) ->
-        let loc =
-          let pos =
-            { Lexing.pos_fname = s.s_path; pos_lnum = line; pos_bol = 0;
-              pos_cnum = col }
-          in
-          { Location.loc_start = pos; loc_end = pos; loc_ghost = false }
-        in
-        Some
-          (Report.finding ~rule_id:"SA001" ~path:s.s_path ~loc
-             ~context:"syntax" msg))
-    sources
+(* Every run loads and summarises this one tree; DIRs only choose which
+   findings are reported.  perfbench is read, never judged by default. *)
+let universe = [ "lib"; "bin"; "bench"; "test"; "examples"; "perfbench" ]
 
 let dump_graph graph =
   List.iter
@@ -129,26 +117,30 @@ let load_rules what path load =
     Printf.eprintf "tact_analyze: %s rules %s: %s\n" what path e;
     exit 2
 
-(* The baseline keys a run over [dirs] can judge: those on files under one
-   of the analyzed directories. *)
-let under dirs key =
-  match String.split_on_char ' ' key with
-  | _ :: path :: _ ->
-    List.exists
-      (fun d ->
-        let d = if String.ends_with ~suffix:"/" d then d else d ^ "/" in
-        String.starts_with ~prefix:d path)
-      dirs
-  | _ -> false
+(* A path a run over [dirs] judges: one under a judged directory. *)
+let under dirs path =
+  List.exists
+    (fun d ->
+      let d = if String.ends_with ~suffix:"/" d then d else d ^ "/" in
+      String.starts_with ~prefix:d path)
+    dirs
 
 let () =
   let o = parse_args () in
+  List.iter
+    (fun d ->
+      if not (under universe (d ^ "/")) then begin
+        Printf.eprintf "tact_analyze: %s is outside the analyzed tree (%s)\n" d
+          (String.concat " " universe);
+        exit 2
+      end)
+    o.dirs;
   let effect_rules =
     load_rules "effect" o.effect_rules_file (fun p ->
         Result.bind (read_file p) Effects.parse_rules)
   in
   let layering_rules = load_rules "layering" o.rules_file Layering.load_rules in
-  let loaded = Loader.load_dirs o.dirs in
+  let loaded = Loader.load_dirs universe in
   let sums = List.map (Summary.of_source loaded) loaded.Loader.sources in
   let graph = Graph.build sums in
   if o.graph_dump then begin
@@ -169,23 +161,15 @@ let () =
     exit 0
   | None -> ());
   let findings =
-    if o.effects_only then Effects.run eff
-    else begin
-      (* test/ and examples/ join the universe for SA004 only: their
-         references count, their findings do not. *)
-      let ref_loaded = Loader.load_dirs ref_dirs in
-      let all =
-        Loader.of_sources (loaded.Loader.sources @ ref_loaded.Loader.sources)
-      in
-      let sums_all = List.map (Summary.of_source all) all.Loader.sources in
-      let graph_all = Graph.build sums_all in
-      Report.dedup
-        (syntax_findings loaded.Loader.sources
-        @ Layering.run layering_rules graph
-        @ Races.run eff @ Determinism.run effect_rules sums
-        @ Interfaces.run ~analyzed:o.dirs graph_all
-        @ Effects.run eff)
-    end
+    List.filter
+      (fun (f : Report.finding) -> under o.dirs f.Report.f_path)
+      (if o.effects_only then Effects.run eff
+       else
+         Report.dedup
+           (Interfaces.run graph
+           @ Layering.run layering_rules graph
+           @ Races.run eff @ Determinism.run effect_rules sums
+           @ Effects.run eff))
   in
   let old_baseline = Baseline.load o.baseline_file in
   let stale = Baseline.stale old_baseline findings in
@@ -204,7 +188,14 @@ let () =
      entry only masks future regressions that happen to collide with it.
      An --effects run judges too few rules to tell. *)
   let stale =
-    if o.effects_only then [] else List.filter (under o.dirs) stale
+    if o.effects_only then []
+    else
+      List.filter
+        (fun key ->
+          match String.split_on_char ' ' key with
+          | _ :: path :: _ -> under o.dirs path
+          | _ -> false)
+        stale
   in
   if stale <> [] then
     Printf.eprintf
@@ -225,7 +216,10 @@ let () =
     List.iter (fun f -> print_endline (Report.to_text f)) fresh;
     Printf.printf
       "tact_analyze: %d file(s), %d finding(s), %d baselined, %d new\n"
-      (List.length loaded.Loader.sources)
+      (List.length
+         (List.filter
+            (fun (s : Loader.source) -> under o.dirs s.s_path)
+            loaded.Loader.sources))
       (List.length findings)
       (List.length findings - List.length fresh)
       (List.length fresh)

@@ -28,18 +28,7 @@ let compare a b =
 
 let sort ds = List.sort compare ds
 
-let errors ds = List.filter (fun d -> d.severity = Error) ds
-let has_errors ds = List.exists (fun d -> d.severity = Error) ds
-
 let to_string d =
   Printf.sprintf "%s %s [%s]: %s (hint: %s)" d.code
     (severity_to_string d.severity)
     d.subject d.message d.hint
-
-let render ds =
-  String.concat "\n" (List.map to_string (sort ds))
-
-let summary ds =
-  let count sev = List.length (List.filter (fun d -> d.severity = sev) ds) in
-  Printf.sprintf "%d error(s), %d warning(s), %d info" (count Error)
-    (count Warning) (count Info)

@@ -26,20 +26,8 @@ val make :
   hint:string ->
   t
 
-val severity_to_string : severity -> string
-
-val compare : t -> t -> int
-(** Errors first, then by code, then by subject. *)
-
 val sort : t list -> t list
-val errors : t list -> t list
-val has_errors : t list -> bool
+(** Errors first, then by code, then by subject. *)
 
 val to_string : t -> string
 (** ["TA003 error [conit]: message (hint: ...)"]. *)
-
-val render : t list -> string
-(** Sorted, one per line. *)
-
-val summary : t list -> string
-(** ["2 error(s), 1 warning(s), 0 info"]. *)

@@ -78,9 +78,6 @@ val targets : Tact_replica.Sharded.t -> target list
     {!Tact_replica.Sharded.of_system}, whose one target is the unprojected
     system; its [emit] is {!Tact_replica.System.emit}. *)
 
-val fault_label : Tact_sim.Engine.label
-(** Engine label ([actor = -1], tag ["fault"]) of installed fault events. *)
-
 val arm : at:(float -> (unit -> unit) -> unit) -> target -> schedule -> unit
 (** Hand every event, then the quiescent tail ({!clear}) at [quiet_after],
     to [at time step].  Each step first publishes
@@ -104,5 +101,3 @@ val validate : n:int -> schedule -> string list
 
 val schedule_to_json : schedule -> Tact_util.Json.t
 val schedule_of_json : Tact_util.Json.t -> schedule option
-val event_to_json : event -> Tact_util.Json.t
-val event_of_json : Tact_util.Json.t -> event option

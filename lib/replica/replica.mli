@@ -75,7 +75,6 @@ val create :
 val id : t -> int
 val log : t -> Tact_store.Wlog.t
 val db : t -> Tact_store.Db.t
-val now : t -> float
 
 val submit_read :
   ?require:Tact_store.Version_vector.t ->

@@ -1,8 +1,8 @@
 (* Library directories that are real-time by design: they implement the
    TRANSPORT seam's production side (sockets, deadlines, wall clocks) and
    never run inside a simulation, so the wall-clock rule (SA041) does not
-   apply there.  Every other determinism rule (polymorphic compare, global
-   Random, Obj.magic) still does. *)
+   apply there.  Every other determinism rule (polymorphic compare,
+   unseeded Random, Obj.magic) still does. *)
 let realtime_dirs = [ "lib/transport" ]
 
 let lib_dir dir =
@@ -19,34 +19,31 @@ let ctxt (r : Summary.vref) tail =
   (if String.equal r.r_def "" then "(toplevel)" else r.r_def) ^ ":" ^ tail
 
 (* [Extern] paths arrive alias-chased, so [module S = Stdlib ... S.compare]
-   shows up here as ["Stdlib"; "compare"]. *)
-let check_ref ~dir path (r : Summary.vref) =
+   shows up here as ["Stdlib"; "compare"].  SA041/SA042 read the effect
+   table, so they and the effect pass never disagree. *)
+let check_ref rules ~dir path (r : Summary.vref) =
+  let hit rule_id tail msg =
+    Some (Report.finding ~rule_id ~path ~loc:r.r_loc ~context:(ctxt r tail) msg)
+  in
   match r.r_target with
   | Summary.Extern [ "compare" ] | Summary.Extern [ "Stdlib"; "compare" ] ->
-    Some
-      (Report.finding ~rule_id:"SA040" ~path ~loc:r.r_loc
-         ~context:(ctxt r "compare")
-         "polymorphic compare walks arbitrary structure and breaks on \
-          functional values; use a typed compare")
-  | Summary.Extern (("Unix" | "Stdlib") :: ([ "time" ] | [ "gettimeofday" ]))
-  | Summary.Extern [ "Sys"; "time" ]
-    when not (List.mem dir realtime_dirs) ->
-    Some
-      (Report.finding ~rule_id:"SA041" ~path ~loc:r.r_loc
-         ~context:(ctxt r "wall-clock")
-         "wall-clock read breaks simulation determinism; use the simulated \
-          clock")
-  | Summary.Extern ("Random" :: tail)
-    when tail <> [] && not (String.equal (List.hd tail) "State") ->
-    Some
-      (Report.finding ~rule_id:"SA042" ~path ~loc:r.r_loc
-         ~context:(ctxt r ("Random." ^ String.concat "." tail))
-         "global Random state breaks run-to-run determinism; use a seeded \
-          Random.State")
+    hit "SA040" "compare"
+      "polymorphic compare walks arbitrary structure and breaks on \
+       functional values; use a typed compare"
   | Summary.Extern [ "Obj"; "magic" ] ->
-    Some
-      (Report.finding ~rule_id:"SA043" ~path ~loc:r.r_loc
-         ~context:(ctxt r "Obj.magic") "Obj.magic defeats the type system")
+    hit "SA043" "Obj.magic" "Obj.magic defeats the type system"
+  | Summary.Extern (_ :: _ as p) -> (
+    let dotted = String.concat "." p in
+    match Effects.classify rules dotted with
+    | Some Effects.Wall_clock when not (List.mem dir realtime_dirs) ->
+      hit "SA041" "wall-clock"
+        "wall-clock read breaks simulation determinism; use the simulated \
+         clock"
+    | Some Effects.Unseeded_random ->
+      hit "SA042" dotted
+        "unseeded Random state breaks run-to-run determinism; use a seeded \
+         Random.State"
+    | _ -> None)
   | _ -> None
 
 (* The source-hygiene rules: each hit carries the annotation key that
@@ -115,7 +112,7 @@ let run rules sums =
         let raw = ref [] in
         List.iter
           (fun (r : Summary.vref) ->
-            Option.iter emit (check_ref ~dir path r);
+            Option.iter emit (check_ref rules ~dir path r);
             match hygiene_ref rules ~dir path r with
             | None -> ()
             | Some (key, f) ->

@@ -1,29 +1,26 @@
-(* Dead exported API (SA004): a value exported in a .mli but referenced by
-   no *other* module anywhere in the loaded universe — which, for this
-   pass, includes test/ and examples/ as reference-only sources, so a
-   value used only by tests is still counted as live.
+(* Files that do not parse (SA001), and dead exported API (SA004): a value
+   exported in a .mli but referenced by no *other* module anywhere in the
+   loaded universe — lib, bin, bench, test, examples and perfbench — so a
+   value used only by tests or by the benchmark harness is still counted
+   as live.
 
-   Conservative by construction: a module that is the target of any bare
-   module reference from elsewhere (an [open], a [module X = Mod] alias
-   that Summary could not chase into a value path, an [include]) is
-   skipped entirely, because such references can reach every export
-   without naming it.  An interface that fails to parse is reported as
-   SA001 on the .mli path, mirroring implementations. *)
+   Summary chases opens and aliases of project modules, so a use through
+   [open Api] or [module A = Api] arrives here as an exact value reference.
+   What it cannot chase — an [include], a functor argument, a first-class
+   module — reaches every export without naming it, so a module that is
+   the target of such a bare module reference is skipped entirely.  An
+   implementation or interface that fails to parse is reported as SA001
+   on its own path. *)
 
 module SSet = Set.Make (String)
 
 let mod_key dir m = dir ^ "//" ^ m
 
-(* prefix match: analyzed dir "lib" covers source dir "lib/store" *)
-let under dirs sdir =
-  List.exists
-    (fun d ->
-      String.equal d sdir
-      || String.length sdir > String.length d
-         && String.equal (String.sub sdir 0 (String.length d + 1)) (d ^ "/"))
-    dirs
+let at path line col =
+  let p = { Lexing.pos_fname = path; pos_lnum = line; pos_bol = 0; pos_cnum = col } in
+  { Location.loc_start = p; loc_end = p; loc_ghost = false }
 
-let run ~analyzed graph =
+let run graph =
   let sums = Graph.summaries graph in
   (* One sweep over every reference in the universe: exact value uses and
      bare-module uses, both keyed by target module. *)
@@ -51,52 +48,39 @@ let run ~analyzed graph =
   List.iter
     (fun (s : Summary.t) ->
       let src = s.sum_source in
-      if under analyzed src.Loader.s_dir then
-        match src.Loader.s_intf with
-        | None -> ()
-        | Some intf -> (
-          match intf.Loader.i_error with
-          | Some (l, c, msg) ->
-            findings :=
-              Report.finding ~rule_id:"SA001" ~path:intf.Loader.i_path
-                ~loc:
-                  {
-                    Location.loc_start =
-                      { Lexing.pos_fname = intf.Loader.i_path; pos_lnum = l;
-                        pos_bol = 0; pos_cnum = c };
-                    loc_end =
-                      { Lexing.pos_fname = intf.Loader.i_path; pos_lnum = l;
-                        pos_bol = 0; pos_cnum = c };
-                    loc_ghost = false;
-                  }
-                ~context:"interface" ("interface does not parse: " ^ msg)
-              :: !findings
-          | None ->
-            let mk = mod_key src.Loader.s_dir src.Loader.s_module in
-            if not (SSet.mem mk !bare) then
-              List.iter
-                (fun (name, line) ->
-                  if not (SSet.mem (mk ^ "//" ^ name) !used) then
-                    findings :=
-                      Report.finding ~rule_id:"SA004" ~path:intf.Loader.i_path
-                        ~loc:
-                          {
-                            Location.loc_start =
-                              { Lexing.pos_fname = intf.Loader.i_path;
-                                pos_lnum = line; pos_bol = 0; pos_cnum = 0 };
-                            loc_end =
-                              { Lexing.pos_fname = intf.Loader.i_path;
-                                pos_lnum = line; pos_bol = 0; pos_cnum = 0 };
-                            loc_ghost = false;
-                          }
-                        ~context:
-                          (Printf.sprintf "val:%s.%s" src.Loader.s_module
-                             name)
-                        (Printf.sprintf
-                           "%s.%s is exported but no other module in \
-                            lib/bin/bench/test/examples references it"
-                           src.Loader.s_module name)
-                      :: !findings)
-                intf.Loader.i_vals))
+      Option.iter
+        (fun (l, c, msg) ->
+          findings :=
+            Report.finding ~rule_id:"SA001" ~path:src.Loader.s_path
+              ~loc:(at src.Loader.s_path l c) ~context:"syntax" msg
+            :: !findings)
+        src.Loader.s_error;
+      match src.Loader.s_intf with
+      | None -> ()
+      | Some intf -> (
+        let ipath = intf.Loader.i_path in
+        match intf.Loader.i_error with
+        | Some (l, c, msg) ->
+          findings :=
+            Report.finding ~rule_id:"SA001" ~path:ipath ~loc:(at ipath l c)
+              ~context:"interface" ("interface does not parse: " ^ msg)
+            :: !findings
+        | None ->
+          let mk = mod_key src.Loader.s_dir src.Loader.s_module in
+          if not (SSet.mem mk !bare) then
+            List.iter
+              (fun (name, line) ->
+                if not (SSet.mem (mk ^ "//" ^ name) !used) then
+                  findings :=
+                    Report.finding ~rule_id:"SA004" ~path:ipath
+                      ~loc:(at ipath line 0)
+                      ~context:
+                        (Printf.sprintf "val:%s.%s" src.Loader.s_module name)
+                      (Printf.sprintf
+                         "%s.%s is exported but no other module in \
+                          lib/bin/bench/test/examples/perfbench references it"
+                         src.Loader.s_module name)
+                    :: !findings)
+              intf.Loader.i_vals))
     sums;
   Report.dedup !findings

@@ -10,8 +10,8 @@ let rules =
     { id = "SA004"; title = "dead-exported-api";
       advice =
         "exported in the .mli but referenced by no other module in the \
-         loaded universe (lib/bin/bench plus test/examples); narrow the \
-         interface or delete the value";
+         loaded universe (lib/bin/bench/test/examples/perfbench); narrow \
+         the interface or delete the value";
       severity = Info };
     { id = "SA010"; title = "layer-violation";
       advice =
@@ -61,7 +61,7 @@ let rules =
       severity = Error };
     { id = "SA042"; title = "global-random";
       advice =
-        "global Random state breaks run-to-run determinism; use a seeded \
+        "unseeded Random state breaks run-to-run determinism; use a seeded \
          Random.State";
       severity = Error };
     { id = "SA043"; title = "obj-magic";

@@ -67,7 +67,9 @@ type env = {
   vals : SSet.t;  (* locally bound values *)
   mods : SSet.t;  (* locally bound module names (letmodule, functor args) *)
   aliases : string list SMap.t;  (* module alias -> raw target path *)
-  opens : string list list;  (* innermost-first opened module paths *)
+  opens : (string * string * SSet.t) list;
+      (* innermost-first opened project modules: dir, module ("" for a
+         library wrapper), the values its .mli exports *)
   prefix : string;  (* nested-module prefix for top-level names, "" or "Sub." *)
   def : string;  (* enclosing top-level definition *)
   task : task option;  (* inside a Pool task argument *)
@@ -135,7 +137,10 @@ let rec resolve ctx env path =
     if SSet.mem x env.vals then Local
     else if SSet.mem (env.prefix ^ x) ctx.defs || SSet.mem x ctx.defs then
       Self (if SSet.mem (env.prefix ^ x) ctx.defs then env.prefix ^ x else x)
-    else Extern [ x ]
+    else (
+      match List.find_opt (fun (_, _, vs) -> SSet.mem x vs) env.opens with
+      | Some (d, m, _) -> Proj { p_dir = d; p_mod = m; p_path = x }
+      | None -> Extern [ x ])
   | m :: rest -> resolve_mod ctx env ~depth:0 m rest
 
 and resolve_mod ctx env ~depth m rest =
@@ -170,17 +175,13 @@ and resolve_mod ctx env ~depth m rest =
         else
           let via_open =
             List.find_map
-              (fun opath ->
-                match opath with
-                | [ w ] -> (
-                  match Loader.wrapper_dir w with
-                  | Some d when List.mem m (Loader.modules_in_dir ctx.loader d)
-                    ->
-                    Some
-                      (Proj
-                         { p_dir = d; p_mod = m; p_path = String.concat "." rest })
-                  | _ -> None)
-                | _ -> None)
+              (fun (d, om, _) ->
+                if
+                  String.equal om ""
+                  && List.mem m (Loader.modules_in_dir ctx.loader d)
+                then
+                  Some (Proj { p_dir = d; p_mod = m; p_path = String.concat "." rest })
+                else None)
               env.opens
           in
           (match via_open with
@@ -348,9 +349,8 @@ let rec walk_expr ctx env (e : Parsetree.expression) =
     let env' =
       match (name.txt, me.Parsetree.pmod_desc) with
       | Some n, Pmod_ident { txt; _ } -> (
-        record_module_ref ctx env txt me.Parsetree.pmod_loc;
-        match flatten txt with
-        | Some p -> { env with aliases = SMap.add n p env.aliases }
+        match record_module_ref ~chased:true ctx env txt me.Parsetree.pmod_loc with
+        | Some (p, _) -> { env with aliases = SMap.add n p env.aliases }
         | None -> { env with mods = SSet.add n env.mods })
       | Some n, _ ->
         walk_module_expr ctx env me;
@@ -499,28 +499,40 @@ and walk_apply ctx env e f args =
     walk_expr ctx env f;
     List.iter (fun (_, a) -> walk_expr ctx env a) args
 
-and record_module_ref ctx env lid loc =
-  match flatten lid with
-  | None -> ()
-  | Some path -> (
-    match resolve ctx env path with
-    | Local -> ()
-    | t -> ctx.refs <- { r_target = t; r_loc = loc; r_def = env.def } :: ctx.refs)
+(* A module path as a reference: the flattened path and its target.  An
+   open or alias of a project module is [~chased]: what the scope uses
+   through it resolves to the module's own values, so the module path is
+   not itself recorded as a bare reference. *)
+and record_module_ref ?(chased = false) ctx env lid loc =
+  Option.map
+    (fun path ->
+      let t = resolve ctx env path in
+      (match t with
+      | Local -> ()
+      | Proj _ when chased -> ()
+      | t -> ctx.refs <- { r_target = t; r_loc = loc; r_def = env.def } :: ctx.refs);
+      (path, t))
+    (flatten lid)
 
 and push_open ctx env (od : Parsetree.open_declaration) =
   match od.popen_expr.pmod_desc with
   | Pmod_ident { txt; loc } -> (
-    record_module_ref ctx env txt loc;
-    match flatten txt with
-    | Some p -> { env with opens = p :: env.opens }
-    | None -> env)
+    match record_module_ref ~chased:true ctx env txt loc with
+    | Some (_, Proj { p_dir; p_mod; p_path = "" }) ->
+      let vs =
+        match Loader.find_module ctx.loader ~dir:p_dir p_mod with
+        | Some { Loader.s_intf = Some i; _ } -> List.map fst i.Loader.i_vals
+        | _ -> []
+      in
+      { env with opens = (p_dir, p_mod, SSet.of_list vs) :: env.opens }
+    | _ -> env)
   | _ ->
     walk_module_expr ctx env od.popen_expr;
     env
 
 and walk_module_expr ctx env (me : Parsetree.module_expr) =
   match me.pmod_desc with
-  | Pmod_ident { txt; _ } -> record_module_ref ctx env txt me.pmod_loc
+  | Pmod_ident { txt; _ } -> ignore (record_module_ref ctx env txt me.pmod_loc)
   | Pmod_structure items ->
     ignore (walk_structure ctx { env with prefix = env.prefix } items)
   | Pmod_functor (param, body) ->
@@ -594,9 +606,8 @@ and walk_module_binding ctx env (mb : Parsetree.module_binding) =
   ctx.submodules <- SSet.add (env.prefix ^ name) ctx.submodules;
   match mb.pmb_expr.pmod_desc with
   | Pmod_ident { txt; loc } -> (
-    record_module_ref ctx { env with def = "" } txt loc;
-    match flatten txt with
-    | Some p -> { env with aliases = SMap.add name p env.aliases }
+    match record_module_ref ~chased:true ctx { env with def = "" } txt loc with
+    | Some (p, _) -> { env with aliases = SMap.add name p env.aliases }
     | None -> env)
   | Pmod_structure items ->
     ignore

@@ -3,17 +3,20 @@
     The walk resolves every value reference to a {!target} — tracking local
     bindings (so a shadowed name never reports), module aliases
     ([module S = Stdlib]), library wrapper prefixes ([Tact_util.Pool] and
-    [open Tact_util]), and nested modules — and records the facts the
-    downstream passes consume: module-level mutable state, Pool escape
-    points with everything referenced or mutated inside the submitted task,
-    and exact float (in)equalities. *)
+    [open Tact_util]), nested modules, and the unqualified names an [open]
+    of a project module brings in from its [.mli] (unless a local binding
+    or own definition claims them); an open or alias of a project module
+    is not itself a reference, what is used through it is.  It records the
+    facts the downstream passes consume: module-level mutable state, Pool
+    escape points with everything referenced or mutated inside the
+    submitted task, and exact float (in)equalities. *)
 
 type target =
   | Local  (** bound in an enclosing pattern / a shadowing definition *)
   | Self of string  (** a top-level value of this module (dotted if nested) *)
   | Proj of { p_dir : string; p_mod : string; p_path : string }
       (** another project module; [p_path] may be [""] (a bare module
-          reference, e.g. an [open]) or dotted (["State.make"]) *)
+          reference, e.g. an [include]) or dotted (["State.make"]) *)
   | Extern of string list
       (** unresolved / outside the project: stdlib, compiler-libs, or a
           module the loader has not seen.  The full dotted path, head

@@ -389,7 +389,6 @@ let write_to_string w = to_string encode_write w
 let write_of_string s = decode_write (cursor s)
 
 let snapshot_to_string s = to_string encode_snapshot s
-let snapshot_of_string s = decode_snapshot (cursor s)
 
 let magic = "TACTSNAP1"
 

@@ -100,10 +100,9 @@ val encode_op : Frame.t -> Op.t -> unit
 val decode_op : cursor -> Op.t
 
 val encode_write : Frame.t -> Write.t -> unit
-val decode_write : cursor -> Write.t
 
 val decode_writes : cursor -> Write.t list
-(** A count-prefixed sequence of {!decode_write}s, as batches and wire
+(** A count-prefixed sequence of writes, as batches and wire
     messages carry them.  A write whose weight list equals the previous
     write's shares that list, so a frame of writes with one weight
     specification holds it once. *)
@@ -134,7 +133,6 @@ val write_to_string : Write.t -> string
 val write_of_string : string -> Write.t
 
 val snapshot_to_string : Wlog.snapshot -> string
-val snapshot_of_string : string -> Wlog.snapshot
 
 (** {2 Durable snapshots} *)
 

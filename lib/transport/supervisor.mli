@@ -47,11 +47,6 @@ val knobs_of_config : Tact_replica.Config.transport_knobs -> knobs
 val initial : state
 (** [Down] with no delay: the first [Tick] dials immediately. *)
 
-val backoff_delay : knobs -> Tact_util.Prng.t -> prev_delay:float -> float
-(** The decorrelated-jitter schedule:
-    [min cap (uniform base (3 * prev_delay))], or the base itself when
-    [prev_delay <= 0] (first retry).  Exposed for the table tests. *)
-
 val step : knobs -> Tact_util.Prng.t -> state -> event -> now:float -> state * action list
 (** One transition.  Total: stale events (a late failure for a connection
     already abandoned, a dial result while parked) are absorbed without

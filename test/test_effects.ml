@@ -355,7 +355,7 @@ let interfaces sources =
          sources)
   in
   let sums = List.map (Summary.of_source loaded) loaded.Loader.sources in
-  Interfaces.run ~analyzed:[ "lib" ] (Graph.build sums)
+  Interfaces.run (Graph.build sums)
 
 let test_dead_api () =
   let findings =
@@ -369,13 +369,29 @@ let test_dead_api () =
   Alcotest.(check int) "only the dead export flagged" 1 (List.length findings)
 
 let test_dead_api_bare_ref_skips () =
-  Alcotest.(check (list string)) "bare module alias disables the pass" []
+  Alcotest.(check (list string)) "include disables the pass" []
     (ids
        (interfaces
           [ ("lib/core/api.ml", Some "val used : int -> int\nval dead : int\n",
              "let used x = x\nlet dead = 3\n");
-            ("lib/replica/client.ml", None,
-             "module A = Api\nlet f x = A.used x\n") ]))
+            ("lib/replica/client.ml", None, "include Api\nlet f x = used x\n") ]))
+
+(* A use through an open or an alias is an exact reference: the export it
+   names is live, its unused sibling is still reported. *)
+let test_dead_api_through_open () =
+  List.iter
+    (fun (how, client) ->
+      let findings =
+        interfaces
+          [ ("lib/core/api.ml", Some "val used : int -> int\nval dead : int\n",
+             "let used x = x\nlet dead = 3\n");
+            ("lib/replica/client.ml", None, client) ]
+      in
+      Alcotest.(check (list string)) (how ^ ": only the sibling is dead")
+        [ "val:Api.dead" ]
+        (List.map (fun (f : Report.finding) -> f.Report.f_context) findings))
+    [ ("let open", "let f () = let open Api in used 1\n");
+      ("alias", "module A = Api\nlet f x = A.used x\n") ]
 
 let test_dead_api_self_ref_not_alive () =
   (* A module using its own export does not keep it alive. *)
@@ -521,4 +537,6 @@ let suite =
       test_repo_det_core_clean;
     Alcotest.test_case "real tree: campaign reaches raise" `Quick
       test_repo_campaign_reaches_raise;
+    Alcotest.test_case "dead api: use through open or alias" `Quick
+      test_dead_api_through_open;
   ]

@@ -398,6 +398,17 @@ let test_repo_rules_parse () =
       [ "lib/util"; "lib/core"; "lib/replica"; "lib/staticcheck"; "bin";
         "bench" ]
 
+(* SA041/SA042 fire on every path the effect table gives the [wall] or
+   [random] atom; lib/transport is real-time by design. *)
+let test_effect_table_reads () =
+  Alcotest.(check (list string)) "Random.State.make_self_init" [ "SA042" ]
+    (ids (det "lib/core/a.ml" "let st () = Random.State.make_self_init ()\n"));
+  let gmtime = "let stamp () = Unix.gmtime 0.\n" in
+  Alcotest.(check (list string)) "Unix.gmtime in lib/core" [ "SA012"; "SA041" ]
+    (ids (det "lib/core/a.ml" gmtime @ layering [ ("lib/core/a.ml", gmtime) ]));
+  Alcotest.(check (list string)) "Unix.gmtime in lib/transport is real-time" []
+    (ids (det "lib/transport/a.ml" gmtime))
+
 (* --- baseline ----------------------------------------------------------- *)
 
 let mk_finding id path context =
@@ -426,8 +437,10 @@ let test_baseline_render_deterministic () =
     [ "SA040 lib/a.ml f:compare"; "SA041 lib/b.ml g:wall-clock" ] keys
 
 (* The analyzer as built next to this suite, run from a scratch tree holding
-   one clean module: a stale baseline key fails the run, and a missing rules
-   file stops it before any pass. *)
+   clean modules: a stale baseline key fails the run, a missing rules file
+   or a DIR outside the tree stops it before any pass, and judging lib/core
+   alone still reads the whole tree, so an export used only from
+   lib/replica stays live. *)
 let test_analyzer_exit_codes () =
   let bin = if String.equal root "" then "../bin/" else "_build/default/bin/" in
   let abs p = Filename.concat (Sys.getcwd ()) p in
@@ -444,17 +457,21 @@ let test_analyzer_exit_codes () =
   in
   Sys.mkdir (Filename.concat dir "lib") 0o755;
   Sys.mkdir (Filename.concat dir "lib/core") 0o755;
+  Sys.mkdir (Filename.concat dir "lib/replica") 0o755;
   write "lib/core/clean.ml" "let f x = x + 1\n";
+  write "lib/core/api.mli" "val used : int -> int\n";
+  write "lib/core/api.ml" "let used x = x + 1\n";
+  write "lib/replica/user.ml" "let g x = Api.used x\n";
   write "fresh.baseline" "";
   write "stale.baseline" "SA020 lib/core/clean.ml def:f:gone\n";
   let run ?(rules = abs rules_path) ?(effect_rules = abs effects_path)
-      baseline =
+      ?(judged = "lib") baseline =
     Sys.command
       (Printf.sprintf
-         "cd %s && %s --rules %s --effect-rules %s --baseline %s lib \
+         "cd %s && %s --rules %s --effect-rules %s --baseline %s %s \
           > /dev/null 2>&1"
          (Filename.quote dir) (Filename.quote exe) (Filename.quote rules)
-         (Filename.quote effect_rules) baseline)
+         (Filename.quote effect_rules) baseline judged)
   in
   Fun.protect
     ~finally:(fun () ->
@@ -462,6 +479,10 @@ let test_analyzer_exit_codes () =
     (fun () ->
       Alcotest.(check int) "clean tree exits 0" 0 (run "fresh.baseline");
       Alcotest.(check int) "stale key exits 1" 1 (run "stale.baseline");
+      Alcotest.(check int) "lib/core alone sees its lib/replica user" 0
+        (run ~judged:"lib/core" "fresh.baseline");
+      Alcotest.(check int) "a DIR outside the tree exits 2" 2
+        (run ~judged:"scripts" "fresh.baseline");
       Alcotest.(check int) "missing effect rules exit 2" 2
         (run ~effect_rules:"absent.rules" "fresh.baseline");
       Alcotest.(check int) "missing layering rules exit 2" 2
@@ -538,4 +559,6 @@ let suite =
       test_cross_module_race;
     Alcotest.test_case "map_array task race" `Quick test_map_array_race;
     Alcotest.test_case "analyzer exit codes" `Quick test_analyzer_exit_codes;
+    Alcotest.test_case "wall clock and random from the effect table" `Quick
+      test_effect_table_reads;
   ]
