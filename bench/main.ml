@@ -173,8 +173,9 @@ let writes_since ~reference writes =
    shape); [index_flat] and [index_hashtbl] replay the bookkeeping alone —
    register (duplicate check + store), record the tentative outcome, mark
    committed in batches with the final outcome, shed at truncation —
-   against a mirror of the flat per-origin slot index and of the seed's four
-   Write.id-keyed Hashtbls it replaced. *)
+   against flat per-origin columns shaped like the log's (write, flag byte,
+   unboxed float outcome) and against the seed's four Write.id-keyed
+   Hashtbls they replaced. *)
 let origins = 16
 let commit_batch = 64
 
@@ -197,47 +198,48 @@ let index_delivery writes =
   assert (Wlog.committed_count log = writes);
   (s, [])
 
-type slot = {
-  mutable s_w : Write.t option;
-  mutable s_out : int;
-  mutable s_final : int;
-  mutable s_comm : bool;
-}
+type columns = { c_write : Write.t array; c_flags : Bytes.t; c_out : float array }
+
+let no_write = bench_write ~origin:(-1) ~seq:0 ~t:0.0
+(* The mirror's own flag byte: bit 0 marks a float outcome, bit 1 a
+   committed write with its final outcome. *)
+let float_outcome = 1
+let committed_final = 2
 
 let index_flat writes =
   let per_origin = writes / origins in
   let flat =
     Array.init (origins + 1) (fun _ ->
-        Array.init per_origin (fun _ ->
-            { s_w = None; s_out = 0; s_final = 0; s_comm = false }))
+        { c_write = Array.make per_origin no_write; c_flags = Bytes.make per_origin '\000';
+          c_out = Array.make per_origin 0.0 })
   in
   let (), s =
     time (fun () ->
         for seq = 1 to per_origin do
           for o = 1 to origins do
-            let s = flat.(o).(seq - 1) in
-            assert (s.s_w = None);  (* duplicate check *)
-            s.s_w <- Some (bench_write ~origin:o ~seq ~t:(float_of_int seq));
-            s.s_out <- seq
+            let c = flat.(o) in
+            assert (c.c_write.(seq - 1) == no_write);  (* duplicate check *)
+            c.c_write.(seq - 1) <- bench_write ~origin:o ~seq ~t:(float_of_int seq);
+            c.c_out.(seq - 1) <- float_of_int seq;
+            Bytes.set c.c_flags (seq - 1) (Char.chr float_outcome)
           done;
           if seq mod commit_batch = 0 || seq = per_origin then
             for b = max 1 (seq - commit_batch + 1) to seq do
               for o = 1 to origins do
-                let s = flat.(o).(b - 1) in
-                if not s.s_comm then begin
-                  s.s_comm <- true;
-                  s.s_final <- b
-                end
+                let c = flat.(o) in
+                let f = Char.code (Bytes.get c.c_flags (b - 1)) in
+                if f land committed_final = 0 then
+                  Bytes.set c.c_flags (b - 1) (Char.chr (f lor committed_final))
               done
             done
         done;
         for o = 1 to origins do
           for i = 0 to per_origin - 1 do
-            flat.(o).(i).s_w <- None  (* truncation shed *)
+            flat.(o).c_write.(i) <- no_write  (* truncation shed *)
           done
         done)
   in
-  assert (Array.for_all (Array.for_all (fun s -> s.s_w = None)) flat);
+  assert (Array.for_all (fun c -> Array.for_all (fun w -> w == no_write) c.c_write) flat);
   (s, [])
 
 let index_hashtbl writes =
@@ -285,52 +287,111 @@ let accept_stable writes =
   ignore (Wlog.commit_stable log ~cover:[| infinity; infinity |]);
   assert (Wlog.committed_count log = writes)
 
-(* The write log's memory per held write.  A replica that never reads
-   receives one origin's writes in 64-write [Batch] frames, commits all but
-   [tentative] of them, and truncates to [tentative / 4] retained, as a
-   bounded-memory replica does.  [words_per_write] is the live heap the log
-   adds, after a full major collection, per write it still holds. *)
+(* Deliver origin 1's writes 1 .. [n] to a log of two replicas in 64-write
+   [Batch] frames, as a replica that never reads receives them. *)
+let deliver_frames log n =
+  let vector = Version_vector.create 2 in
+  let seq = ref 0 in
+  while !seq < n do
+    let ws =
+      List.init (min 64 (n - !seq)) (fun i ->
+          let seq = !seq + i + 1 in
+          bench_write ~origin:1 ~seq ~t:(float_of_int seq))
+    in
+    seq := !seq + List.length ws;
+    Version_vector.set vector 1 !seq;
+    let frame =
+      { Batch.from = 1; shard = 0; kind = Batch.Push; vector; cover = [| 0.0; 0.0 |];
+        csn_start = 0; csn = []; rate = 0.0; payload = Batch.Delta ws }
+    in
+    let fresh =
+      Wlog.insert_batch log (Batch.payload_writes (Batch.of_string (Batch.to_string frame)))
+    in
+    assert (List.length fresh = List.length ws)
+  done
+
+(* The live heap [f ()] leaves behind, in words, after full major
+   collections. *)
+let live_words_of f =
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let r, s = time f in
+  Gc.full_major ();
+  (r, s, (Gc.stat ()).Gc.live_words - before)
+
+(* The write log's memory per held write, the write itself included.  A
+   bounded-memory replica that never reads receives one origin's writes,
+   commits all but [tentative] of them, and truncates to [tentative / 4]
+   retained: [words_per_write] is the live heap the log adds per write it
+   still holds.  [retained_words_per_write] is the same for a log that
+   commits every write it receives and truncates nothing, so each one it
+   holds is committed and retained, with its final outcome. *)
 let log_live_words tentative =
   let keep = tentative / 4 in
   let committed = 2 * tentative in
   let total = committed + tentative in
-  let frame_len = 64 in
-  Gc.full_major ();
-  let before = (Gc.stat ()).Gc.live_words in
-  let log =
-    Wlog.create_bounded ~procs:[] ~bounded:true ~replicas:2
-      ~initial:[]
-  in
-  let vector = Version_vector.create 2 in
-  let (), s =
-    time (fun () ->
-        let seq = ref 0 in
-        while !seq < total do
-          let ws =
-            List.init (min frame_len (total - !seq)) (fun i ->
-                let seq = !seq + i + 1 in
-                bench_write ~origin:1 ~seq ~t:(float_of_int seq))
-          in
-          seq := !seq + List.length ws;
-          Version_vector.set vector 1 !seq;
-          let frame =
-            { Batch.from = 1; shard = 0; kind = Batch.Push; vector; cover = [| 0.0; 0.0 |];
-              csn_start = 0; csn = []; rate = 0.0; payload = Batch.Delta ws }
-          in
-          let fresh =
-            Wlog.insert_batch log (Batch.payload_writes (Batch.of_string (Batch.to_string frame)))
-          in
-          assert (List.length fresh = List.length ws)
-        done;
+  let create () = Wlog.create_bounded ~procs:[] ~bounded:true ~replicas:2 ~initial:[] in
+  let log, s, live =
+    live_words_of (fun () ->
+        let log = create () in
+        deliver_frames log total;
         let cover = [| float_of_int committed +. 0.5; 0.0 |] in
         assert (Wlog.commit_stable log ~cover = committed);
-        assert (Wlog.truncate log ~keep = committed - keep))
+        assert (Wlog.truncate log ~keep = committed - keep);
+        log)
   in
-  Gc.full_major ();
-  let live = (Gc.stat ()).Gc.live_words - before in
   assert (Wlog.retained log = keep);
   assert (List.length (Wlog.tentative_ids log) = tentative);
-  (s, [ ("words_per_write", live / (tentative + keep)); ("retained", keep) ])
+  let held = tentative + keep in
+  let all, _, retained_live =
+    live_words_of (fun () ->
+        let log = create () in
+        deliver_frames log held;
+        assert (Wlog.commit_stable log ~cover:[| infinity; infinity |] = held);
+        log)
+  in
+  assert (Wlog.retained all = held && Wlog.tentative_ids all = []);
+  ( s,
+    [ ("words_per_write", live / held); ("retained_words_per_write", retained_live / held);
+      ("retained", keep) ] )
+
+(* Truncation under a large retained prefix, the sim-wan shape: a bounded
+   log of four origins holds [keep] = 4,000 committed writes, then [steps]
+   steps each deliver one write, commit it and truncate back to [keep], so
+   every step drops the write committed 4,000 steps earlier.  Times the
+   steps; [ns_per_drop] is that time per step and [minor_words_per_drop]
+   the allocation per step, the delivered write itself excluded. *)
+let truncate_steps steps =
+  let keep = 4_000 and replicas = 4 in
+  let ws =
+    Array.init (keep + steps) (fun i ->
+        bench_write ~origin:(i mod replicas) ~seq:((i / replicas) + 1) ~t:(float_of_int (i + 1)))
+  in
+  let log = Wlog.create_bounded ~procs:[] ~bounded:true ~replicas ~initial:[] in
+  let cover = Array.make replicas 0.0 in
+  let step i =
+    let w = ws.(i) in
+    ignore (Wlog.insert log w);
+    Array.fill cover 0 replicas (w.accept_time +. 0.5);
+    assert (Wlog.commit_stable log ~cover = 1);
+    ignore (Wlog.truncate log ~keep)
+  in
+  for i = 0 to keep - 1 do
+    step i
+  done;
+  assert (Wlog.retained log = keep);
+  let minor0 = Gc.minor_words () in
+  let (), s =
+    time (fun () ->
+        for i = keep to keep + steps - 1 do
+          step i
+        done)
+  in
+  let minor = Gc.minor_words () -. minor0 in
+  assert (Wlog.retained log = keep && Wlog.committed_count log = keep + steps);
+  ( s,
+    [ ("keep", keep); ("ns_per_drop", int_of_float (s *. 1e9 /. float_of_int steps));
+      ("minor_words_per_drop", int_of_float (minor /. float_of_int steps)) ] )
 
 (* Observation capture on a records-on replica whose tentative suffix never
    commits: [accesses] weak accesses, alternating writes and reads, at one
@@ -989,11 +1050,13 @@ let sweep ?(gated = []) ~name ~layer ~full ~smoke ~jobs f =
 (* Gated counts.  Message, byte, batch, frame-size and schedule counts come
    from seeded runs and must match exactly.  Minor-heap words per operation
    differ by a few words between runs of one build and are allowed 5%.
-   Live-heap words stay informative: an offset of about 800 words in
-   [parked_deadline_words] is not yet explained. *)
+   Whole live-heap counts stay informative: an offset of about 800 words in
+   [parked_deadline_words] is not yet explained.  Live words per held write
+   divide such an offset by thousands of writes, and are allowed 10%. *)
 let traffic = [ ("messages", 0.0); ("bytes", 0.0) ]
 let batched = traffic @ [ ("batches", 0.0); ("max_frame", 0.0) ]
 let words c = [ (c, 0.05) ]
+let live c = [ (c, 0.1) ]
 
 let kernels ~jobs =
   let k ?(gated = []) name layer full smoke run = { name; layer; full; smoke; run; gated } in
@@ -1011,7 +1074,9 @@ let kernels ~jobs =
     k "wlog_index_flat" Wlog 64_000 2_048 index_flat;
     k "wlog_index_hashtbl" Wlog 64_000 2_048 index_hashtbl;
     k "observe_capture" Wlog 4_000 200 observe_capture;
-    k "log_live_words" Wlog 2_000 200 log_live_words;
+    k ~gated:(live "words_per_write" @ live "retained_words_per_write") "log_live_words" Wlog
+      2_000 200 log_live_words;
+    k ~gated:(words "minor_words_per_drop") "wlog_truncate" Wlog 20_000 500 truncate_steps;
     k "metrics_lcp" Protocol 100_000 300 (timed metrics_lcp);
     k "version_vector_merge" Protocol 200_000 1_000 (timed version_vector_merge);
     k "budget_share" Protocol 1_000_000 3_000 (timed budget_share);

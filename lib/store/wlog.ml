@@ -2,34 +2,41 @@ open Tact_util
 
 type insertion = Inserted of Op.outcome | Duplicate | Buffered
 
-(* Typed-key flat per-write bookkeeping.  One slot per (origin, seq) replaces
-   the four [Write.id]-keyed hashtables the log used to carry (id index,
-   committed-id set, tentative outcomes, final outcomes): origins are dense
-   small ints and each origin's seqs are a contiguous range, so a slot is
-   found by array arithmetic — no hashing, no key boxing — on every delivery,
-   commit and outcome probe, and {!writes_since} merges over slices of the
-   same slot arrays. *)
-type slot = {
-  mutable s_write : Write.t;
-      (* physically resident in the log (tentative or retained committed);
-         the [no_write] sentinel (compared physically) once truncated,
-         snapshot-covered, or a never-received seq the vector jumped over *)
-  mutable s_outcome : Op.outcome option;
-      (* latest application: tentative, or the final one once committed *)
-  mutable s_final : Op.outcome option;  (* outcome against the committed image *)
-  mutable s_committed : bool;
-}
+(* Per-write state, in flat per-origin columns.  Origins are dense small
+   ints and each origin's seqs are a contiguous range, so a write's cell is
+   found by array arithmetic — no hashing, no key boxing, no per-write
+   record — on every delivery, commit and outcome probe, and {!writes_since}
+   merges over runs of the write column.  Logical cell [i] covers seq
+   [ibase + i + 1] and sits at column index [head + i], wrapped: the columns
+   are parallel rings that grow and shrink together by [Deque]'s capacity
+   policy, so a log whose cells are shed as fast as they are added never
+   copies them.  Bounded-memory logs
+   advance [ibase] past dead prefixes (see {!shed_dead}); unbounded logs
+   keep [ibase = 0] forever.  Every seq in [(trunc_vec.(o), vector.(o)]] is
+   resident, in seq (hence timestamp) order, which is all {!writes_since}
+   needs.
 
-(* Per-origin slot array.  [islots] is a flat growable array with a head
-   offset ([Deque.t] is exactly that): logical slot [i] covers seq
-   [ibase + i + 1].  Bounded-memory logs advance [ibase] past dead prefixes
-   (see {!shed_dead}); unbounded logs keep [ibase = 0] forever, mirroring the
-   old hashtables' retention.  It is the log's only per-origin index: every
-   seq in [(trunc_vec.(o), vector.(o)]] is resident in it, in seq (hence
-   timestamp) order, which is all {!writes_since} needs. *)
+   - [writes]: the write while it is physically resident in the log
+     (tentative or retained committed); the [no_write] sentinel (compared
+     physically) once truncated, snapshot-covered, or a never-received seq
+     the vector jumped over.
+   - [flags]: one byte per cell: the kind of the write's latest outcome
+     (the tentative one, or the final one once committed), whether that
+     outcome is final, and whether the write has committed.
+   - [floats]: [x] of an [Applied (Float x)] outcome, unboxed.
+   - [others]: any other outcome; [[||]] until the origin first has
+     one.
+
+   {!outcome} and {!final_outcome} rebuild the option when asked.  Every
+   cell outside the live range is empty: [no_write], flags 0, [no_other]. *)
 type origin_index = {
   mutable ibase : int;  (* seqs <= ibase have been evicted from the index *)
-  islots : slot Deque.t;
+  mutable head : int;  (* column index of logical cell 0 *)
+  mutable len : int;  (* cells: seqs ibase + 1 .. ibase + len *)
+  mutable writes : Write.t array;
+  mutable flags : Bytes.t;
+  mutable floats : float array;
+  mutable others : Op.outcome array;
 }
 
 (* One conit's weight tallies, updated together by one lookup.  All fields
@@ -45,7 +52,7 @@ type tally = {
 
 (* Scratch state of {!writes_since}'s k-way merge, one entry per live origin
    (a cursor), sized for every origin at creation so a merge allocates
-   nothing but its result.  [m_pos.(c)] is the slot-deque index of cursor
+   nothing but its result.  [m_pos.(c)] is the logical cell of cursor
    [c]'s current write, the next one extracted from its origin; the cursor
    is spent once that index falls below [m_lo.(c)].  [m_key] is an unboxed
    copy of each current write's accept_time, so heap comparisons stay on a
@@ -68,10 +75,12 @@ type snapshot = {
 }
 
 (* Both halves of the log are indexed deques kept in their canonical orders:
-   the committed prefix in commit order (append at the back on commit, drop
-   from the front on truncation — a pointer bump) and the tentative suffix in
-   timestamp order (binary-search insertion; the common landing-at-the-tail
-   case is a plain append).
+   the committed prefix in commit order, as one packed [(origin, seq)] int
+   per retained write (append at the back on commit, drop from the front on
+   truncation, which so reads only flat memory and the dropped write's
+   cells), and the tentative suffix in timestamp order
+   (binary-search insertion; the common landing-at-the-tail case is a plain
+   append).
 
    The log holds one database image: the committed prefix plus
    [tent.(0..a-1)] applied, where [a = Deque.length undo] and [undo.(i)]
@@ -100,9 +109,11 @@ type t = {
   procs : Op.procs;
   bounded : bool;
       (* bounded-memory long runs: no commit journal (observation capture
-         needs it, and it grows without bound), and truncation also evicts
-         the per-write side tables (outcomes, finals, committed ids) *)
-  committed : Write.t Deque.t; (* retained committed prefix, commit order *)
+         needs it, and it grows without bound), and truncation also empties
+         the per-write cells (outcome, final and committed flags) *)
+  committed : int Deque.t;
+      (* retained committed prefix, commit order: each write's id packed as
+         [seq * nreplicas + origin] (see {!pack}) *)
   journal : Write.id Vec.t; (* every commit ever, commit order; never truncated *)
   mutable ncommitted : int;
   tent : Write.t Deque.t; (* tentative suffix, timestamp order *)
@@ -123,8 +134,8 @@ type t = {
   vector : Version_vector.t;
   committed_vec : Version_vector.t;  (* writes in the committed prefix *)
   trunc_vec : Version_vector.t;  (* writes that may have been discarded *)
-  index : origin_index array;  (* per-write bookkeeping slots, per origin *)
-  mutable nresident : int;  (* slots whose [s_write] is a real write *)
+  index : origin_index array;  (* per-write state, per origin *)
+  mutable nresident : int;  (* cells whose write is a real write *)
   pending : (Write.id, Write.t) Hashtbl.t; (* per-origin sequence gaps *)
   tallies : (string, tally) Hashtbl.t;  (* conit -> its weight tallies *)
   mutable memo_conit : string;  (* the conit {!tally} resolved last ... *)
@@ -135,12 +146,20 @@ type t = {
       (* last vector seen by the sanitizer, for monotonicity (sanitize only) *)
 }
 
-(* Deque fillers: static sentinels that occupy vacated slots. *)
+(* Fillers: static sentinels that occupy vacated deque slots and cells. *)
 let no_write =
   Write.make ~id:{ origin = -1; seq = 0 } ~accept_time:0.0 ~op:Op.Noop ~affects:[]
 
-let no_slot =
-  { s_write = no_write; s_outcome = None; s_final = None; s_committed = false }
+let no_other = Op.Conflict ""
+
+(* A cell's flag byte: the outcome kind in the low two bits, then the final
+   and committed bits. *)
+let k_none = 0
+let k_float = 1
+let k_other = 2
+let kind_mask = 3
+let f_final = 4
+let f_committed = 8
 
 let no_tally = { value = 0.0; tent_ow = 0.0; committed_value = Float.nan }
 
@@ -150,7 +169,7 @@ let create_bounded ~procs ~bounded ~replicas ~initial =
     initial;
     procs;
     bounded;
-    committed = Deque.create ~filler:no_write ();
+    committed = Deque.create ~filler:0 ();
     journal = Vec.create ();
     ncommitted = 0;
     tent = Deque.create ~filler:no_write ();
@@ -166,7 +185,8 @@ let create_bounded ~procs ~bounded ~replicas ~initial =
     trunc_vec = Version_vector.create replicas;
     index =
       Array.init replicas (fun _ ->
-          { ibase = 0; islots = Deque.create ~filler:no_slot () });
+          { ibase = 0; head = 0; len = 0; writes = [||]; flags = Bytes.empty;
+            floats = [||]; others = [||] });
     nresident = 0;
     pending = Hashtbl.create 8;
     tallies = Hashtbl.create 16;
@@ -221,70 +241,150 @@ let committed_or_zero r =
   if Float.is_nan r.committed_value then 0.0 else r.committed_value
 
 (* ------------------------------------------------------------------ *)
-(* Slot index primitives                                               *)
+(* Per-origin columns                                                  *)
 
-let fresh_slot () =
-  { s_write = no_write; s_outcome = None; s_final = None; s_committed = false }
+(* The column index of logical cell [i] (below twice the capacity): the
+   columns are rings, laid out as a [Deque.t] is. *)
+let slot oi i = Deque.wrap ~cap:(Array.length oi.writes) (oi.head + i)
 
-(* The slot for an id, or [no_slot] (no write, no outcomes, not committed)
-   when the index does not cover it — read-only: a probe allocates no
-   option. *)
-let slot_find t (id : Write.id) =
+(* The column index of a covered [seq]'s cell. *)
+let pos oi seq = slot oi (seq - oi.ibase - 1)
+
+(* Empty the cell at column index [p]. *)
+let clear_cell oi p =
+  oi.writes.(p) <- no_write;
+  Bytes.set oi.flags p '\000';
+  if Array.length oi.others > 0 then oi.others.(p) <- no_other
+
+(* Move the live cells, in order, to column index 0 of fresh columns of
+   capacity [cap]. *)
+let realloc oi cap =
+  let writes = Array.make cap no_write and flags = Bytes.make cap '\000'
+  and floats = Array.make cap 0.0
+  and others = if Array.length oi.others > 0 then Array.make cap no_other else [||] in
+  let first = min oi.len (Array.length oi.writes - oi.head) in
+  let copy src_pos dst_pos n =
+    Array.blit oi.writes src_pos writes dst_pos n;
+    Bytes.blit oi.flags src_pos flags dst_pos n;
+    Array.blit oi.floats src_pos floats dst_pos n;
+    if Array.length others > 0 then Array.blit oi.others src_pos others dst_pos n
+  in
+  copy oi.head 0 first;
+  copy 0 first (oi.len - first);
+  oi.writes <- writes;
+  oi.flags <- flags;
+  oi.floats <- floats;
+  oi.others <- others;
+  oi.head <- 0
+
+(* Append one empty cell, growing full columns as a [Deque] grows. *)
+let push_cell oi =
+  if oi.len = Array.length oi.writes then realloc oi (Deque.grown oi.len);
+  oi.len <- oi.len + 1
+
+(* Drop the first [n] cells, advancing [ibase], then shrink the columns as
+   a [Deque] shrinks after [drop_front]. *)
+let drop_cells oi n =
+  for i = 0 to n - 1 do
+    clear_cell oi (slot oi i)
+  done;
+  oi.head <- (if n = oi.len then 0 else slot oi n);
+  oi.len <- oi.len - n;
+  oi.ibase <- oi.ibase + n;
+  let cap = Deque.shrunk ~cap:(Array.length oi.writes) ~len:oi.len in
+  if cap <> Array.length oi.writes then realloc oi cap
+
+let flag oi p = Char.code (Bytes.get oi.flags p)
+let set_flag oi p f = Bytes.set oi.flags p (Char.unsafe_chr f)
+
+(* Record [o] as the latest outcome of the cell at [p], keeping its final
+   and committed bits. *)
+let set_outcome oi p (o : Op.outcome) =
+  let kind =
+    match o with
+    | Op.Applied (Value.Float x) ->
+      oi.floats.(p) <- x;
+      if Array.length oi.others > 0 then oi.others.(p) <- no_other;
+      k_float
+    | Op.Applied _ | Op.Conflict _ ->
+      if Array.length oi.others = 0 then
+        oi.others <- Array.make (Array.length oi.writes) no_other;
+      oi.others.(p) <- o;
+      k_other
+  in
+  set_flag oi p (flag oi p land lnot kind_mask lor kind)
+
+(* The latest outcome of the cell at [p], rebuilt. *)
+let get_outcome oi p =
+  let kind = flag oi p land kind_mask in
+  if kind = k_float then Some (Op.Applied (Value.Float oi.floats.(p)))
+  else if kind = k_other then Some oi.others.(p)
+  else None
+
+(* The column index of an id's cell, or -1 when the index does not cover
+   it.  Allocation-free. *)
+let cell t (id : Write.id) =
   let oi = t.index.(id.origin) in
   let i = id.seq - oi.ibase - 1 in
-  if i < 0 || i >= Deque.length oi.islots then no_slot
-  else Deque.get oi.islots i
+  if i < 0 || i >= oi.len then -1 else slot oi i
 
-(* The slot for an id known to be covered (registered and not evicted). *)
-let slot_exn t (id : Write.id) =
-  let oi = t.index.(id.origin) in
-  Deque.get oi.islots (id.seq - oi.ibase - 1)
-
-(* Extend the origin's slot array to cover [seq], padding any gap the vector
-   jumped over (snapshot installation) with empty slots, and return [seq]'s
-   slot.  Registration is per-origin monotone, so the common case pushes
-   exactly one slot. *)
-let slot_ensure t origin seq =
+(* Extend the origin's cells to cover [seq], padding any gap the vector
+   jumped over (snapshot installation) with empty cells, and return [seq]'s
+   column index.  Registration is per-origin monotone, so the common case
+   appends exactly one cell. *)
+let cell_ensure t origin seq =
   let oi = t.index.(origin) in
   let need = seq - oi.ibase in
-  while Deque.length oi.islots < need do
-    Deque.push_back oi.islots (fresh_slot ())
-  done;
-  Deque.get oi.islots (need - 1)
+  while oi.len < need do push_cell oi done;
+  slot oi (need - 1)
 
-(* Is the write physically resident in the log?  Exactly the old id-index
-   membership: slots outlive residency (unbounded logs keep them forever),
-   and bounded logs only shed slots whose write is already gone. *)
+(* Is the write physically resident in the log?  Cells outlive residency
+   (unbounded logs keep them forever), and bounded logs only shed cells
+   whose write is already gone. *)
 let resident t origin seq =
   let oi = t.index.(origin) in
   let i = seq - oi.ibase - 1 in
-  i >= 0 && i < Deque.length oi.islots
-  && (Deque.get oi.islots i).s_write != no_write
+  i >= 0 && i < oi.len && oi.writes.(slot oi i) != no_write
 
 let resident_write t (id : Write.id) =
-  let s = slot_find t id in
-  if s.s_write != no_write then Some s.s_write else None
+  let p = cell t id in
+  if p >= 0 && t.index.(id.origin).writes.(p) != no_write then
+    Some t.index.(id.origin).writes.(p)
+  else None
 
-(* The old committed-id-set membership: the slot flag while the slot lives.
-   A shed slot (bounded mode) reads as not-committed here; callers that can
-   meet shed ids ({!commit_ids}) treat non-residency as already-covered. *)
+(* The committed flag while the cell lives.  A shed cell (bounded mode)
+   reads as not committed here; callers that can meet shed ids
+   ({!commit_ids}) treat non-residency as already covered. *)
 let committed_mem t (id : Write.id) =
-  (slot_find t id).s_committed
+  let p = cell t id in
+  p >= 0 && flag t.index.(id.origin) p land f_committed <> 0
 
-(* Bounded-memory mode: pop dead leading slots (write gone, side data
-   evicted) so the index stays within the truncation horizon.  Stops at the
-   first resident slot — under CSN commits a lower-seq straggler can outlive
-   the truncation that overtook it, and its slot must keep serving lookups
-   until the write itself is popped. *)
+(* A committed write's id as one int, so the committed prefix is one flat
+   int deque.  Origins are below [nreplicas] (the index has no others). *)
+let pack t (id : Write.id) = (id.seq * t.nreplicas) + id.origin
+let origin_of t k = k mod t.nreplicas
+let seq_of t k = k / t.nreplicas
+
+(* The retained committed prefix's [i]th id and write (resident by
+   construction). *)
+let retained_id t i =
+  let k = Deque.get t.committed i in
+  { Write.origin = origin_of t k; seq = seq_of t k }
+
+let retained_write t i =
+  let id = retained_id t i in
+  t.index.(id.origin).writes.(cell t id)
+
+(* Bounded-memory mode: pop dead leading cells (write gone) so the index
+   stays within the truncation horizon.  Stops at the first resident cell —
+   under CSN commits a lower-seq straggler can outlive the truncation that
+   overtook it, and its cell must keep serving lookups until the write
+   itself is popped. *)
 let shed_dead t origin =
   let oi = t.index.(origin) in
-  while
-    (not (Deque.is_empty oi.islots))
-    && (Deque.peek_front oi.islots).s_write == no_write
-  do
-    ignore (Deque.pop_front oi.islots);
-    oi.ibase <- oi.ibase + 1
-  done
+  let n = ref 0 in
+  while !n < oi.len && oi.writes.(slot oi !n) == no_write do incr n done;
+  if !n > 0 then drop_cells oi !n
 
 (* The committed image, on a copy: the image with the applied suffix's
    journals reverted, newest first. *)
@@ -324,28 +424,34 @@ let invariant_violations t =
   if Vec.length t.journal > t.ncommitted then
     addf "commit journal length %d exceeds commit count %d"
       (Vec.length t.journal) t.ncommitted;
+  let retained = Deque.length t.committed in
   if not t.bounded then begin
-    let retained = Deque.length t.committed in
     if retained > Vec.length t.journal then
       addf "retained committed prefix (%d) longer than commit journal (%d)"
         retained (Vec.length t.journal)
     else
       for i = 0 to retained - 1 do
-        let w = Deque.get t.committed i in
+        let id = retained_id t i in
         let jid = Vec.get t.journal (Vec.length t.journal - retained + i) in
-        if Write.compare_id w.Write.id jid <> 0 then
+        if Write.compare_id id jid <> 0 then
           addf "committed prefix diverges from commit journal at retained position %d: %s vs %s"
-            i (Write.id_to_string w.Write.id) (Write.id_to_string jid)
+            i (Write.id_to_string id) (Write.id_to_string jid)
       done
   end;
-  (* Id discipline: committed writes are flagged committed, tentative writes
-     are not, and the known vector covers everything in the log. *)
-  Deque.iter
-    (fun (w : Write.t) ->
-      if not (committed_mem t w.id) then
-        addf "committed write %s missing from the committed-id set"
-          (Write.id_to_string w.id))
-    t.committed;
+  (* Id discipline: retained committed writes are resident, flagged
+     committed and hold their final outcome; tentative writes are not
+     committed; the known vector covers everything in the log. *)
+  for i = 0 to retained - 1 do
+    let id = retained_id t i in
+    match resident_write t id with
+    | None -> addf "committed write %s is not resident" (Write.id_to_string id)
+    | Some _ ->
+      let f = flag t.index.(id.origin) (cell t id) in
+      if f land f_committed = 0 then
+        addf "committed write %s missing from the committed-id set" (Write.id_to_string id);
+      if f land f_final = 0 then
+        addf "committed write %s holds no final outcome" (Write.id_to_string id)
+  done;
   let pos = ref 0 in
   Deque.iter
     (fun (w : Write.t) ->
@@ -365,17 +471,65 @@ let invariant_violations t =
     addf "known vector %s does not dominate committed vector %s"
       (Version_vector.to_string t.vector)
       (Version_vector.to_string t.committed_vec);
-  (* Slot index: every seq in trunc+1..vector is resident and holds its own
-     write — the invariant the writes_since merge path relies on. *)
+  (* Columns: every seq in trunc+1..vector is resident — the invariant the
+     writes_since merge path relies on; every live cell holds its own write
+     or none, a flag byte that names the outcome it stores, and a final
+     outcome only once committed; every cell outside the live range is
+     empty; the columns are no larger than the ring policy keeps them; and
+     the resident cells are the ones counted. *)
   for o = 0 to t.nreplicas - 1 do
     for seq = Version_vector.get t.trunc_vec o + 1 to Version_vector.get t.vector o do
-      match resident_write t { Write.origin = o; seq } with
-      | Some w when w.Write.id.origin = o && w.Write.id.seq = seq -> ()
-      | Some w ->
-        addf "slot index for w%d.%d holds %s" o seq (Write.id_to_string w.Write.id)
-      | None -> addf "w%d.%d is above the truncation vector but not resident" o seq
+      if not (resident t o seq) then
+        addf "w%d.%d is above the truncation vector but not resident" o seq
     done
   done;
+  let nresident = ref 0 in
+  Array.iteri
+    (fun o oi ->
+      let cap = Array.length oi.writes in
+      if
+        Bytes.length oi.flags <> cap || Array.length oi.floats <> cap
+        || (Array.length oi.others <> 0 && Array.length oi.others <> cap)
+      then addf "origin %d: columns of unequal capacity" o
+      else if
+        oi.len < 0 || oi.len > cap || oi.ibase < 0
+        || (if cap = 0 then oi.head <> 0 else oi.head < 0 || oi.head >= cap)
+      then addf "origin %d: %d live cells from index %d in capacity %d" o oi.len oi.head cap
+      else begin
+        if oi.ibase + oi.len > Version_vector.get t.vector o then
+          addf "origin %d: cells reach seq %d past the known vector %d" o
+            (oi.ibase + oi.len) (Version_vector.get t.vector o);
+        if Deque.shrunk ~cap ~len:oi.len <> cap then
+          addf "origin %d: %d cells in columns of capacity %d, which should shrink" o
+            oi.len cap;
+        let other p = Array.length oi.others > 0 && oi.others.(p) != no_other in
+        for i = 0 to cap - 1 do
+          let p = slot oi i in
+          let f = flag oi p and seq = oi.ibase + i + 1 in
+          if i >= oi.len then begin
+            if oi.writes.(p) != no_write || f <> 0 || other p then
+              addf "origin %d: column index %d outside the live cells is not empty" o p
+          end
+          else begin
+            let w = oi.writes.(p) in
+            if w != no_write then begin
+              incr nresident;
+              if w.Write.id.origin <> o || w.Write.id.seq <> seq then
+                addf "cell of w%d.%d holds %s" o seq (Write.id_to_string w.Write.id)
+            end;
+            if f land lnot (kind_mask lor f_final lor f_committed) <> 0 then
+              addf "cell of w%d.%d has flag byte %d" o seq f;
+            if (f land kind_mask = k_other) <> other p then
+              addf "cell of w%d.%d: outcome kind %d disagrees with its other outcome" o
+                seq (f land kind_mask);
+            if f land f_final <> 0 && (f land f_committed = 0 || f land kind_mask = k_none)
+            then addf "cell of w%d.%d is final but not committed with an outcome" o seq
+          end
+        done
+      end)
+    t.index;
+  if !nresident <> t.nresident then
+    addf "%d resident cells, %d counted" !nresident t.nresident;
   (* Weight accounting: the incremental conit-value and order-weight tallies
      must agree with a recount of the tentative suffix. *)
   let tent_n = Hashtbl.create 16 and tent_o = Hashtbl.create 16 in
@@ -414,9 +568,11 @@ let invariant_violations t =
   let reference =
     match t.audit_db with
     | Some d -> Some d
-    | None when Deque.length t.committed = t.ncommitted ->
+    | None when retained = t.ncommitted ->
       let d = Db.create t.initial in
-      Deque.iter (fun (w : Write.t) -> ignore (Op.apply ~procs:t.procs w.op d)) t.committed;
+      for i = 0 to retained - 1 do
+        ignore (Op.apply ~procs:t.procs (retained_write t i).op d)
+      done;
       Some d
     | None -> None
   in
@@ -471,8 +627,9 @@ let rec tally_committed t = function
 
 (* Bookkeeping common to every successful insertion. *)
 let register t (w : Write.t) =
-  let s = slot_ensure t w.id.origin w.id.seq in
-  s.s_write <- w;
+  (* The cell first: extending the columns may replace them. *)
+  let p = cell_ensure t w.id.origin w.id.seq in
+  t.index.(w.id.origin).writes.(p) <- w;
   t.nresident <- t.nresident + 1;
   Version_vector.set t.vector w.id.origin w.id.seq;
   tally_known t w.affects
@@ -484,7 +641,7 @@ let apply_one t (w : Write.t) =
   let outcome, u =
     Db.recording t.image (fun () -> Op.apply ~procs:t.procs w.op t.image)
   in
-  (slot_exn t w.id).s_outcome <- Some outcome;
+  set_outcome t.index.(w.id.origin) (cell t w.id) outcome;
   Deque.push_back t.undo u
 
 (* Apply the unapplied tail of the suffix, so that the image reflects all
@@ -537,7 +694,7 @@ let accept t (w : Write.t) =
   unapply_from t (insert_tent t w);
   force t;
   sanitize ~ctx:"wlog.accept" t;
-  match (slot_exn t w.id).s_outcome with
+  match get_outcome t.index.(w.id.origin) (cell t w.id) with
   | Some o -> o
   | None -> assert false
 
@@ -580,7 +737,7 @@ let insert t (w : Write.t) =
     unapply_from t minpos;
     force t;
     sanitize ~ctx:"wlog.insert" t;
-    match (slot_exn t w.id).s_outcome with
+    match get_outcome t.index.(w.id.origin) (cell t w.id) with
     | Some o -> Inserted o
     | None -> assert false
   end
@@ -666,14 +823,14 @@ let rec merge_sift_down m size i =
     end
   end
 
-(* Serve the delta beyond [v] by k-way-merging the tails of the slot index
-   in place: each origin's missing writes are the tail of its (seq-ordered,
-   hence ts-ordered) slot deque, so a heap merge over the live origins
-   yields the result in timestamp order directly — O(delta log k), no
-   hashing, no sort, and no allocation but the result list (the cursors live
-   in the log's scratch arrays).  When one origin alone has missing writes
-   (every own-write push, every ring gossip), they are consed straight from
-   its slots. *)
+(* Serve the delta beyond [v] by k-way-merging the tails of the write
+   columns in place: each origin's missing writes are the tail of its
+   (seq-ordered, hence ts-ordered) cells, so a heap merge over the live
+   origins yields the result in timestamp order directly — O(delta log k),
+   no hashing, no sort, and no allocation but the result list (the cursors
+   live in the log's scratch arrays).  When one origin alone has missing
+   writes (every own-write push, every ring gossip), they are consed
+   straight from its column. *)
 let writes_since t v =
   let n = t.nreplicas in
   (* The live origins: the ones with missing writes. *)
@@ -699,8 +856,9 @@ let writes_since t v =
     end
   done;
   (* Every seq in (trunc_vec, vector] is resident, so an origin's missing
-     seqs [have + 1 .. upto] are the consecutive slots
-     [have - ibase .. upto - ibase - 1]. *)
+     seqs [have + 1 .. upto] are the consecutive logical cells
+     [have - ibase .. upto - ibase - 1]; the merge's cursors hold logical
+     cells. *)
   match !k with
   | 0 -> []
   | 1 ->
@@ -709,7 +867,7 @@ let writes_since t v =
     let outl = ref [] in
     for i = Version_vector.get t.vector origin - oi.ibase - 1
         downto Version_vector.get v origin - oi.ibase do
-      outl := (Deque.get oi.islots i).s_write :: !outl
+      outl := oi.writes.(slot oi i) :: !outl
     done;
     !outl
   | k ->
@@ -719,9 +877,9 @@ let writes_since t v =
     for c = 0 to k - 1 do
       let origin = m.m_org.(c) in
       let oi = t.index.(origin) in
-      let pos = Version_vector.get t.vector origin - oi.ibase - 1 in
-      let w = (Deque.get oi.islots pos).s_write in
-      m.m_pos.(c) <- pos;
+      let i = Version_vector.get t.vector origin - oi.ibase - 1 in
+      let w = oi.writes.(slot oi i) in
+      m.m_pos.(c) <- i;
       m.m_lo.(c) <- Version_vector.get v origin - oi.ibase;
       m.m_cur.(c) <- w;
       m.m_key.(c) <- w.Write.accept_time;
@@ -735,7 +893,8 @@ let writes_since t v =
       outl := m.m_cur.(c) :: !outl;
       let p = m.m_pos.(c) - 1 in
       if p >= m.m_lo.(c) then begin
-        let w = (Deque.get t.index.(m.m_org.(c)).islots p).s_write in
+        let oi = t.index.(m.m_org.(c)) in
+        let w = oi.writes.(slot oi p) in
         m.m_pos.(c) <- p;
         m.m_cur.(c) <- w;
         m.m_key.(c) <- w.Write.accept_time
@@ -755,39 +914,39 @@ let db t =
 let tentative t = Deque.to_list t.tent
 let tentative_ids t = List.init (Deque.length t.tent) (fun i -> (Deque.get t.tent i).Write.id)
 let iter_tentative t f = Deque.iter f t.tent
-let committed t = Deque.to_list t.committed
+let committed t = List.init (Deque.length t.committed) (retained_write t)
 let committed_count t = t.ncommitted
 let num_known t = t.nresident
 
-(* Move one write into the committed prefix with its final outcome, which is
-   also its latest one.  Under the sanitizer the write is applied to the
-   audit image too, and must reach the same outcome there. *)
-let commit_one t (w : Write.t) final =
+(* Move one write into the committed prefix: its latest outcome, already in
+   its cell, becomes its final one.  Under the sanitizer the write is
+   applied to the audit image too, and must reach the same outcome there. *)
+let commit_one t (w : Write.t) =
+  let oi = t.index.(w.id.origin) in
+  let p = cell t w.id in
   (match t.audit_db with
   | None -> ()
   | Some d -> (
-    match (Op.apply ~procs:t.procs w.op d, final) with
+    match (Op.apply ~procs:t.procs w.op d, get_outcome oi p) with
     | Op.Applied a, Some (Op.Applied b) when Value.equal a b -> ()
     | Op.Conflict a, Some (Op.Conflict b) when String.equal a b -> ()
     | _ ->
       Sanitize.violation ~ctx:"wlog.commit"
         "%s commits with an outcome its committed application does not reach"
         (Write.id_to_string w.id)));
-  let s = slot_exn t w.id in
-  s.s_final <- final;
-  s.s_outcome <- final;
-  s.s_committed <- true;
+  set_flag oi p (flag oi p lor f_final lor f_committed);
   Version_vector.set t.committed_vec w.id.origin
     (max w.id.seq (Version_vector.get t.committed_vec w.id.origin));
-  Deque.push_back t.committed w;
+  Deque.push_back t.committed (pack t w.id);
   if not t.bounded then Vec.push t.journal w.id;
   t.ncommitted <- t.ncommitted + 1;
   tally_committed t w.affects
 
 (* Apply a write that is being committed to the image, which must be the
    committed image (nothing of the suffix applied) — plainly, as it will
-   never be reverted. *)
-let apply_committed t (w : Write.t) = Some (Op.apply ~procs:t.procs w.op t.image)
+   never be reverted — and record its outcome. *)
+let apply_committed t (w : Write.t) =
+  set_outcome t.index.(w.id.origin) (cell t w.id) (Op.apply ~procs:t.procs w.op t.image)
 
 (* Commit the oldest tentative write.  If it was applied, it was applied
    over exactly the committed image, so its journal is dropped and its
@@ -795,14 +954,9 @@ let apply_committed t (w : Write.t) = Some (Op.apply ~procs:t.procs w.op t.image
    the committed one, so committing is its one application. *)
 let commit_front t =
   let w = Deque.pop_front t.tent in
-  let final =
-    if Deque.is_empty t.undo then apply_committed t w
-    else begin
-      ignore (Deque.pop_front t.undo);
-      (slot_exn t w.id).s_outcome
-    end
-  in
-  commit_one t w final
+  if Deque.is_empty t.undo then apply_committed t w
+  else ignore (Deque.pop_front t.undo);
+  commit_one t w
 
 (* A tentative write is stable when no origin can still produce a write that
    precedes it in timestamp order.  The strict comparison handles simultaneous
@@ -868,7 +1022,7 @@ let commit_ids t ids =
   let reordered = ref false in
   List.iter
     (fun id ->
-      (* A known-but-not-resident id (its slot shed by a bounded log after
+      (* A known-but-not-resident id (its cell shed by a bounded log after
          snapshot adoption) is already part of the committed state — skip it
          rather than recommit. *)
       match
@@ -894,7 +1048,8 @@ let commit_ids t ids =
           assert (pos >= 0 && Write.compare_id (Deque.get t.tent pos).Write.id id = 0);
           ignore (Deque.remove t.tent pos);
           t.view_valid <- false;
-          commit_one t w (apply_committed t w)
+          apply_committed t w;
+          commit_one t w
         end;
         incr n)
     ids;
@@ -922,8 +1077,14 @@ let committed_conit_value t conit =
 
 let outcome t id =
   force t;
-  (slot_find t id).s_outcome
-let final_outcome t id = (slot_find t id).s_final
+  let p = cell t id in
+  if p < 0 then None else get_outcome t.index.(id.origin) p
+
+let final_outcome t (id : Write.id) =
+  let p = cell t id in
+  if p >= 0 && flag t.index.(id.origin) p land f_final <> 0 then
+    get_outcome t.index.(id.origin) p
+  else None
 let rollbacks t = t.nrollbacks
 
 (* ------------------------------------------------------------------ *)
@@ -986,34 +1147,38 @@ let retained t = Deque.length t.committed
 
 let committed_vector t = t.committed_vec
 
+(* The retained committed write [(o, seq)] leaves the log.  A bounded log also
+   empties its cell: per-write state would otherwise grow forever, and
+   nothing consults it for a dropped write — the primary scheme's csn
+   pointer never re-offers a committed prefix, and stability commits only
+   pop tentative writes.  An unbounded log keeps the outcome and flags. *)
+let drop_retained t o seq =
+  let oi = t.index.(o) in
+  let p = pos oi seq in
+  if t.bounded then clear_cell oi p else oi.writes.(p) <- no_write;
+  t.nresident <- t.nresident - 1
+
 let truncate t ~keep =
   let n = Deque.length t.committed in
   if n <= keep then 0
   else begin
     let drop = n - keep in
     for _ = 1 to drop do
-      let w = Deque.pop_front t.committed in
-      let s = slot_exn t w.Write.id in
-      s.s_write <- no_write;
-      t.nresident <- t.nresident - 1;
-      if t.bounded then begin
-        (* Per-write slot data would otherwise grow forever; the eviction is
-           safe because nothing consults it for truncated writes: the
-           primary scheme's csn pointer never re-offers a committed prefix,
-           and stability commits only pop tentative writes. *)
-        s.s_outcome <- None;
-        s.s_final <- None;
-        s.s_committed <- false
-      end;
+      let k = Deque.pop_front t.committed in
+      let o = origin_of t k and seq = seq_of t k in
+      drop_retained t o seq;
       (* Under CSN commits the truncated write need not be its origin's
          oldest (commit order is the primary's, not seq order): lower-seq
          stragglers it jumps over stay resident until they are popped in
          turn, but become unservable the moment trunc_vec passes them. *)
-      let o = w.id.origin in
-      Version_vector.set t.trunc_vec o
-        (max w.id.seq (Version_vector.get t.trunc_vec o));
-      if t.bounded then shed_dead t o
+      Version_vector.set t.trunc_vec o (max seq (Version_vector.get t.trunc_vec o))
     done;
+    (* One shed per origin for the whole batch, so the columns shrink once,
+       to fit what is left. *)
+    if t.bounded then
+      for o = 0 to t.nreplicas - 1 do
+        shed_dead t o
+      done;
     sanitize ~ctx:"wlog.truncate" t;
     drop
   end
@@ -1063,17 +1228,10 @@ let install_snapshot t snap =
     (* Retained committed records are all covered by the snapshot; drop them.
        (The commit journal keeps their ids: it describes this log's own
        commit history, which the snapshot does not rewrite.) *)
-    Deque.iter
-      (fun (w : Write.t) ->
-        let s = slot_exn t w.Write.id in
-        s.s_write <- no_write;
-        t.nresident <- t.nresident - 1;
-        if t.bounded then begin
-          s.s_outcome <- None;
-          s.s_final <- None;
-          s.s_committed <- false
-        end)
-      t.committed;
+    for i = 0 to Deque.length t.committed - 1 do
+      let k = Deque.get t.committed i in
+      drop_retained t (origin_of t k) (seq_of t k)
+    done;
     Deque.clear t.committed;
     (* Tentative writes the snapshot covers were committed remotely — drop
        them (their final outcomes are not locally recoverable); keep the
@@ -1082,10 +1240,10 @@ let install_snapshot t snap =
     Deque.iter
       (fun (w : Write.t) ->
         if covered w then begin
-          let s = slot_exn t w.id in
-          s.s_write <- no_write;
+          let oi = t.index.(w.id.origin) and p = cell t w.id in
+          oi.writes.(p) <- no_write;
           t.nresident <- t.nresident - 1;
-          s.s_committed <- true
+          set_flag oi p (flag oi p lor f_committed)
         end
         else kept := w :: !kept)
       t.tent;
@@ -1099,11 +1257,11 @@ let install_snapshot t snap =
       for o = 0 to t.nreplicas - 1 do
         shed_dead t o;
         (* If the origin's index emptied, jump its base over the snapshot's
-           covered range so the next registration does not pad dead slots for
+           covered range so the next registration does not pad dead cells for
            seqs this log never held. *)
         let oi = t.index.(o) in
         let cover = Version_vector.get snap.snap_vector o in
-        if Deque.is_empty oi.islots && oi.ibase < cover then oi.ibase <- cover
+        if oi.len = 0 && oi.ibase < cover then oi.ibase <- cover
       done;
     (* lint: allow hashtbl-iter — per-entry reset, order-independent *)
     Hashtbl.iter

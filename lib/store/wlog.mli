@@ -25,9 +25,12 @@
     conit, so registering or committing a write costs one table lookup per
     conit it affects and allocates nothing.
 
-    Each per-write job has one mechanism: one slot per (origin, seq) holds
-    a write's residency, outcomes and commit flag, and the same per-origin
-    slot arrays serve {!writes_since} as a merge over their tails.
+    Each per-write job has one mechanism: one cell per (origin, seq), in
+    flat per-origin columns, holds a write's residency, its latest outcome
+    (a float stored unboxed) and its final and commit flags, and the same
+    write column serves {!writes_since} as a merge over its tails.  The
+    committed prefix is one int deque of packed [(origin, seq)] ids, so
+    truncation reads only flat memory.
 
     Out-of-order arrival {e within one origin's sequence} (possible only under
     message loss plus reordering) is absorbed by a pending buffer, so the
@@ -58,10 +61,9 @@ val create_bounded :
     observation capture ({!commit_cursor}) relies on is not kept — it grows
     with every commit, forever — so {!commit_cursor} raises
     [Invalid_argument].  And {!truncate} (and snapshot installation) also
-    evicts the truncated writes' entries from the per-write side tables
-    (tentative outcomes, final outcomes, committed-id set); no code path
-    consults these for truncated writes, and the visible cost is
-    {!final_outcome} returning [None] for them. *)
+    empties the truncated writes' per-write state (outcome, final and
+    committed flags); no code path consults it for truncated writes, and
+    the visible cost is {!final_outcome} returning [None] for them. *)
 
 val accept : t -> Write.t -> Op.outcome
 (** Insert a locally originated write and apply the suffix up to it,

@@ -1,10 +1,11 @@
-(* Growable array with a head offset: O(1) amortised push_back and pop_front,
-   O(log n) binary search, O(distance-to-tail) mid insertion.  The front slack
-   left by pops is reclaimed by sliding the live range left when the back
-   runs out of room, so a FIFO of steady length allocates nothing; the array
-   shrinks only once it exceeds four times the live length, so memory stays
-   within a constant factor of the live contents.  Every slot outside the
-   live range holds the caller's [filler], so a popped element is never
+(* Growable ring buffer: O(1) amortised push_back and pop_front, O(log n)
+   binary search, O(distance-to-tail) mid insertion.  Logical index [i]
+   lives at array slot [wrap ~cap (head + i)], so the live range may run off
+   the end of the array and continue at slot 0: a FIFO of steady length
+   never copies and, once warm, allocates nothing, whatever slack the array
+   has.  The capacity policy ({!grown}, {!shrunk}) is shared with the write
+   log's per-origin columns, which are parallel rings.  Every slot outside
+   the live range holds the caller's [filler], so a popped element is never
    pinned by the array. *)
 
 type 'a t = {
@@ -14,59 +15,64 @@ type 'a t = {
   filler : 'a;
 }
 
+(* ------------------------------------------------------------------ *)
+(* Capacity policy                                                     *)
+
+(* The slot of position [p] (below [2 * cap]) of a ring of capacity
+   [cap]. *)
+let wrap ~cap p = if p >= cap then p - cap else p
+
+(* A full ring of [len] elements grows by half (to 16 at least). *)
+let grown len = max 16 (len + (len / 2))
+
+(* After removals: a ring past 64 slots and less than half full shrinks to
+   a quarter above its live count (16 at least).  Memory so stays within
+   twice the live count, and every reallocation is paid for by operations
+   proportional to the elements it copies: a quarter of the live count in
+   pushes to regrow, the removal of a quarter of it or more to shrink
+   again. *)
+let shrunk ~cap ~len =
+  if cap > 64 && 2 * len < cap then max 16 (len + (len / 4)) else cap
+
+(* ------------------------------------------------------------------ *)
+
 let create ~filler () = { data = [||]; head = 0; len = 0; filler }
 
 let length t = t.len
 let is_empty t = t.len = 0
 
+let slot t i = wrap ~cap:(Array.length t.data) (t.head + i)
+
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Deque.get: index out of bounds";
-  t.data.(t.head + i)
+  t.data.(slot t i)
 
 let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Deque.set: index out of bounds";
-  t.data.(t.head + i) <- x
+  t.data.(slot t i) <- x
 
-(* Reallocate so that [t.len + extra] elements fit starting at head 0. *)
-let realloc t extra =
-  if t.len > 0 then begin
-    let cap = max 16 (max (t.len + extra) (2 * t.len)) in
-    let a = Array.make cap t.filler in
-    Array.blit t.data t.head a 0 t.len;
-    t.data <- a;
-    t.head <- 0
-  end
-  else begin
-    if Array.length t.data > 64 then t.data <- [||];
-    t.head <- 0
-  end
+(* Reallocate at capacity [cap] (at least [len]), the live range moved to
+   slot 0. *)
+let realloc t cap =
+  let a = Array.make cap t.filler in
+  let first = min t.len (Array.length t.data - t.head) in
+  Array.blit t.data t.head a 0 first;
+  Array.blit t.data 0 a first (t.len - first);
+  t.data <- a;
+  t.head <- 0
 
-(* Make room for one more element at the back.  When at least half the
-   array is free, slide the live range to the front instead of growing: the
-   slide copies [len] elements and frees [len] or more slots at the back, so
-   its cost is amortised over the pushes that fill them. *)
-let ensure_back t =
-  if Array.length t.data = 0 then begin
-    t.data <- Array.make 16 t.filler;
-    t.head <- 0
-  end
-  else if t.head + t.len >= Array.length t.data then
-    if t.head > 0 && 2 * t.len <= Array.length t.data then begin
-      Array.blit t.data t.head t.data 0 t.len;
-      Array.fill t.data t.len t.head t.filler;
-      t.head <- 0
-    end
-    else realloc t 1
+let ensure_back t = if t.len = Array.length t.data then realloc t (grown t.len)
 
-(* After front pops: an empty deque restarts at slot 0, and an array past
-   64 slots and four times the live length is reallocated at twice it. *)
+(* After removals from the front or middle: an empty ring restarts at slot
+   0, and a mostly empty one shrinks. *)
 let shrink t =
   if t.len = 0 then t.head <- 0;
-  if Array.length t.data > 64 && Array.length t.data > 4 * t.len then realloc t 0
+  let cap = shrunk ~cap:(Array.length t.data) ~len:t.len in
+  if cap <> Array.length t.data then realloc t cap
 
 let push_back t x =
   ensure_back t;
-  t.data.(t.head + t.len) <- x;
+  t.data.(slot t t.len) <- x;
   t.len <- t.len + 1
 
 let peek_front t =
@@ -77,14 +83,14 @@ let pop_front t =
   if t.len = 0 then invalid_arg "Deque.pop_front: empty";
   let x = t.data.(t.head) in
   t.data.(t.head) <- t.filler;
-  t.head <- t.head + 1;
+  t.head <- slot t 1;
   t.len <- t.len - 1;
   shrink t;
   x
 
 let pop_back t =
   if t.len = 0 then invalid_arg "Deque.pop_back: empty";
-  let p = t.head + t.len - 1 in
+  let p = slot t (t.len - 1) in
   let x = t.data.(p) in
   t.data.(p) <- t.filler;
   t.len <- t.len - 1;
@@ -92,29 +98,42 @@ let pop_back t =
 
 let drop_front t n =
   if n < 0 || n > t.len then invalid_arg "Deque.drop_front: bad count";
-  Array.fill t.data t.head n t.filler;
-  t.head <- t.head + n;
+  let first = min n (Array.length t.data - t.head) in
+  Array.fill t.data t.head first t.filler;
+  Array.fill t.data 0 (n - first) t.filler;
+  t.head <- slot t n;
   t.len <- t.len - n;
   shrink t
+
+(* Shift logical positions [i .. j-1] one place toward the back ([d = 1])
+   or the front ([d = -1]), in the order that reads each slot before
+   overwriting it. *)
+let shift t i j d =
+  if d > 0 then
+    for k = j - 1 downto i do
+      t.data.(slot t (k + 1)) <- t.data.(slot t k)
+    done
+  else
+    for k = i to j - 1 do
+      t.data.(slot t (k - 1)) <- t.data.(slot t k)
+    done
 
 (* Insert at logical index [i], shifting the tail side right: O(len - i),
    which is O(1) for the common land-at-the-tail case. *)
 let insert t i x =
   if i < 0 || i > t.len then invalid_arg "Deque.insert: index out of bounds";
   ensure_back t;
-  let p = t.head + i in
-  Array.blit t.data p t.data (p + 1) (t.len - i);
-  t.data.(p) <- x;
+  shift t i t.len 1;
+  t.data.(slot t i) <- x;
   t.len <- t.len + 1
 
 (* Remove the element at logical index [i], shifting the tail side left. *)
 let remove t i =
   if i < 0 || i >= t.len then invalid_arg "Deque.remove: index out of bounds";
-  let p = t.head + i in
-  let x = t.data.(p) in
-  Array.blit t.data (p + 1) t.data p (t.len - i - 1);
+  let x = t.data.(slot t i) in
+  shift t (i + 1) t.len (-1);
   t.len <- t.len - 1;
-  t.data.(t.head + t.len) <- t.filler;
+  t.data.(slot t t.len) <- t.filler;
   x
 
 let clear t =
@@ -124,10 +143,10 @@ let clear t =
 
 let iter f t =
   for i = 0 to t.len - 1 do
-    f t.data.(t.head + i)
+    f t.data.(slot t i)
   done
 
-let to_list t = List.init t.len (fun i -> t.data.(t.head + i))
+let to_list t = List.init t.len (fun i -> t.data.(slot t i))
 
 (* Index of the first element for which [cmp elt probe > 0] — the insertion
    point keeping a sorted deque sorted (stable for equal keys).  O(log n). *)
@@ -135,6 +154,6 @@ let upper_bound t ~cmp probe =
   let lo = ref 0 and hi = ref t.len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if cmp t.data.(t.head + mid) probe > 0 then hi := mid else lo := mid + 1
+    if cmp t.data.(slot t mid) probe > 0 then hi := mid else lo := mid + 1
   done;
   !lo

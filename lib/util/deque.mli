@@ -1,11 +1,10 @@
-(** Growable array with a head offset: the indexed backing store for the
-    write log.  O(1) amortised [push_back]/[pop_front], O(log n)
-    [upper_bound], O(distance-to-tail) mid insertion/removal.  Front slack
-    left by pops is reclaimed by sliding the live range left when a push
-    finds no room at the back, so a FIFO of steady length stops allocating
-    once warm.  The array shrinks only when it exceeds four times the live
-    length (and 64 slots), keeping memory within a constant factor of the
-    live contents.
+(** Growable ring buffer: the indexed backing store for the write log.
+    O(1) amortised [push_back]/[pop_front], O(log n) [upper_bound],
+    O(distance-to-tail) mid insertion/removal.  The live range wraps round
+    the end of the array, so a FIFO of steady length never copies and stops
+    allocating once warm.  A full array grows by half; after removals, one
+    past 64 slots and less than half full shrinks to a quarter above the
+    live length, so memory stays within twice the live contents.
 
     Popped and removed elements are released: their slots are overwritten
     with the deque's [filler], so the deque never keeps a dead element
@@ -31,7 +30,7 @@ val pop_back : 'a t -> 'a
 
 val drop_front : 'a t -> int -> unit
 (** Discard the first [n] elements (a fill of their slots, plus a shrink
-    when the array exceeds four times what is left). *)
+    when the array is less than half full). *)
 
 val insert : 'a t -> int -> 'a -> unit
 (** Insert before logical index [i], shifting the tail side right. *)
@@ -48,3 +47,18 @@ val upper_bound : 'a t -> cmp:('a -> 'a -> int) -> 'a -> int
 (** Index of the first element comparing greater than the probe — the
     insertion point that keeps a [cmp]-sorted deque sorted.  The deque must
     be sorted by [cmp]. *)
+
+(** {2 Capacity policy}
+
+    The deque's sizing decisions as pure functions, for parallel arrays
+    that keep the same ring layout (the write log's per-origin columns). *)
+
+val wrap : cap:int -> int -> int
+(** [wrap ~cap p] is the slot of ring position [p], for [0 <= p < 2 * cap]. *)
+
+val grown : int -> int
+(** The capacity a full ring of [len] elements grows to. *)
+
+val shrunk : cap:int -> len:int -> int
+(** The capacity a ring of capacity [cap] holding [len] elements shrinks to
+    after removals: [cap] itself when it keeps its size. *)

@@ -103,10 +103,10 @@ let test_vec_get_out_of_bounds () =
     (fun () -> ignore (Vec.get v 1))
 
 (* Popped elements must not stay reachable through their old slots.  The
-   sizes keep the deque below its compaction threshold, so only the pops
-   themselves can release anything. *)
+   sizes keep the deque at or below 64 slots, where it never shrinks, so
+   only the pops themselves can release anything. *)
 let test_deque_releases_popped () =
-  let n = 64 in
+  let n = 48 in
   let d = Deque.create ~filler:(ref (-1)) () in
   let weak = Weak.create n in
   for i = 0 to n - 1 do
@@ -122,7 +122,7 @@ let test_deque_releases_popped () =
   done;
   Deque.drop_front d 8;
   ignore (Deque.remove d 0);
-  (* Live now: the elements pushed at indices 17 .. 55. *)
+  (* Live now: the elements pushed at indices 17 .. 39. *)
   Gc.full_major ();
   let popped i = i < 17 || i >= n - 8 in
   for i = 0 to n - 1 do
@@ -130,7 +130,7 @@ let test_deque_releases_popped () =
       (Printf.sprintf "element %d %s" i (if popped i then "released" else "held"))
       (not (popped i)) (Weak.check weak i)
   done;
-  Alcotest.(check int) "live length" 39 (Deque.length d);
+  Alcotest.(check int) "live length" 23 (Deque.length d);
   Alcotest.(check int) "front" 17 !(Deque.peek_front d)
 
 (* A FIFO of steady length reuses its array: once warm, pushing at the back
@@ -162,6 +162,85 @@ let test_deque_steady_fifo () =
   if words > 500.0 then
     Alcotest.failf "20,000 steady push/pop cycles allocated %.0f words" words
 
+(* Every operation against a list model, with the live range wrapping round
+   the array: mid insertions and removals shift across the wrap point, and
+   growth and shrinking move a wrapped range. *)
+let test_deque_ring_model () =
+  let rng = Random.State.make [| 35 |] in
+  let d = Deque.create ~filler:(-1) () in
+  let model = ref [] in
+  let check step =
+    if Deque.to_list d <> !model then
+      Alcotest.failf "step %d: deque [%s] diverges from model [%s]" step
+        (String.concat ";" (List.map string_of_int (Deque.to_list d)))
+        (String.concat ";" (List.map string_of_int !model))
+  in
+  let insert_at l i x = List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l) in
+  for step = 1 to 20_000 do
+    let n = List.length !model in
+    (* Phases of net growth and net shrinkage, so the array grows, wraps
+       and shrinks many times. *)
+    let grow = step / 2_000 mod 2 = 0 in
+    (match Random.State.int rng 10 with
+    | 0 | 1 | 2 when grow || n = 0 ->
+      Deque.push_back d step;
+      model := !model @ [ step ]
+    | 0 | 1 | 2 | 3 when n > 0 ->
+      Alcotest.(check int) "pop_front" (List.hd !model) (Deque.pop_front d);
+      model := List.tl !model
+    | 4 when n > 0 ->
+      let last = List.nth !model (n - 1) in
+      Alcotest.(check int) "pop_back" last (Deque.pop_back d);
+      model := List.filteri (fun j _ -> j < n - 1) !model
+    | 5 ->
+      let i = Random.State.int rng (n + 1) in
+      Deque.insert d i step;
+      model := insert_at !model i step
+    | 6 when n > 0 ->
+      let i = Random.State.int rng n in
+      Alcotest.(check int) "remove" (List.nth !model i) (Deque.remove d i);
+      model := List.filteri (fun j _ -> j <> i) !model
+    | 7 when n > 0 ->
+      let k = Random.State.int rng (min n 8 + 1) in
+      Deque.drop_front d k;
+      model := List.filteri (fun j _ -> j >= k) !model
+    | 8 when n > 0 ->
+      let i = Random.State.int rng n in
+      Deque.set d i (-step);
+      model := List.mapi (fun j x -> if j = i then -step else x) !model
+    | _ ->
+      Deque.push_back d step;
+      model := !model @ [ step ]);
+    check step
+  done;
+  let sorted = Deque.create ~filler:0 () in
+  (* A sorted deque whose live range wraps: [upper_bound] still bisects it. *)
+  for i = 1 to 40 do Deque.push_back sorted i done;
+  for _ = 1 to 30 do ignore (Deque.pop_front sorted) done;
+  for i = 41 to 60 do Deque.push_back sorted i done;
+  Alcotest.(check int) "upper_bound across the wrap" 15
+    (Deque.upper_bound sorted ~cmp:compare 45)
+
+(* The capacity policy: a ring that just grew does not shrink on the next
+   removals, a shrink keeps room above the live count and never exceeds
+   twice it, and the result never drops below what is live. *)
+let test_deque_capacity_policy () =
+  for len = 0 to 5_000 do
+    let cap = Deque.grown len in
+    if cap <= len then Alcotest.failf "grown %d = %d leaves no room" len cap;
+    (* After growing, a quarter of the old length may be removed before it
+       shrinks. *)
+    let safe = len + 1 - (len / 4) in
+    if Deque.shrunk ~cap ~len:safe <> cap then
+      Alcotest.failf "a ring grown to %d shrinks at %d live" cap safe;
+    for live = 0 to min len 70 do
+      let c = Deque.shrunk ~cap:(max cap 65) ~len:(len - live) in
+      if c < len - live then Alcotest.failf "shrunk to %d below %d live" c (len - live);
+      if c <> max cap 65 && Deque.shrunk ~cap:c ~len:(len - live) <> c then
+        Alcotest.failf "shrinking to %d is not stable at %d live" c (len - live)
+    done
+  done
+
 let base_suite =
   [
     Alcotest.test_case "deque releases popped" `Quick test_deque_releases_popped;
@@ -177,6 +256,8 @@ let base_suite =
     Alcotest.test_case "plot series" `Quick test_plot_series;
     Alcotest.test_case "vec basics" `Quick test_vec;
     Alcotest.test_case "vec bounds" `Quick test_vec_get_out_of_bounds;
+    Alcotest.test_case "deque ring matches a list" `Quick test_deque_ring_model;
+    Alcotest.test_case "deque capacity policy" `Quick test_deque_capacity_policy;
   ]
 
 let test_plot_single_point () =
