@@ -304,9 +304,12 @@ let deliver_frames log n =
       { Batch.from = 1; shard = 0; kind = Batch.Push; vector; cover = [| 0.0; 0.0 |];
         csn_start = 0; csn = []; rate = 0.0; payload = Batch.Delta ws }
     in
-    let fresh =
-      Wlog.insert_batch log (Batch.payload_writes (Batch.of_string (Batch.to_string frame)))
+    let frame =
+      match Batch.decode (Batch.to_string frame) with
+      | Ok b -> b
+      | Error e -> failwith (Transport.error_to_string e)
     in
+    let fresh = Wlog.insert_batch log (Batch.payload_writes frame) in
     assert (List.length fresh = List.length ws)
   done
 

@@ -28,9 +28,8 @@ type msg = Wire.msg =
   | Pull_req of { from : int; vector : Version_vector.t; csn_known : int; round : int }
   | Ack of { from : int; vector : Version_vector.t; csn_known : int }
   | Batch_frame of string
-      (** one {!Tact_store.Batch} frame, actually serialised — header, CSN
-          slice, vector, cover and delta/snapshot payload in a single
-          message (Batched sync mode) *)
+      (** one {!Tact_store.Batch} frame, actually serialised — sender,
+          shard and sync body in a single message (Batched sync mode) *)
 
 type round_state = {
   mutable remaining : int;
@@ -469,16 +468,10 @@ and sync_msg t ~peer_vector ~csn_start ~kind =
       | Batch.Delta _ -> ());
       match (t.cfg.Config.sync, payload) with
       | Config.Per_write, Batch.Delta writes ->
-        let kind =
-          match kind with
-          | Batch.Push -> `Push
-          | Batch.Pull_reply r -> `Pull_reply r
-          | Batch.Gossip -> `Gossip
-        in
         Transfer
           { from = t.rid; writes; vector; cover; csn_start;
             csn = Csn_buffer.slice_from t.csn csn_start; rate = t.rate_ewma;
-            kind }
+            kind = Wire.transfer_kind kind }
       | Config.Per_write, Batch.Full (snap, writes) ->
         let round =
           match kind with Batch.Pull_reply r -> r | Batch.Push | Batch.Gossip -> 0
@@ -1175,13 +1168,7 @@ and process t ~src msg =
     note_peer_vector t ~peer:from vector;
     t.acked_csn.(from) <- max t.acked_csn.(from) csn_known
   | Transfer { from; writes; vector; cover; csn_start; csn; rate; kind } ->
-    let kind =
-      match kind with
-      | `Push -> Batch.Push
-      | `Pull_reply r -> Batch.Pull_reply r
-      | `Gossip -> Batch.Gossip
-    in
-    apply_sync t ~from ~vector ~cover ~csn_start ~csn ~rate ~kind
+    apply_sync t ~from ~vector ~cover ~csn_start ~csn ~rate ~kind:(Wire.batch_kind kind)
       (Batch.Delta writes)
   | Snapshot { from; snap; writes; vector; cover; rate; round } ->
     (* No CSN slice, and never acknowledged: [Pull_reply 0] is a no-op. *)
@@ -1377,7 +1364,7 @@ let receive t ~src msg =
   let from =
     match msg with
     | Transfer { from; _ } | Snapshot { from; _ } | Pull_req { from; _ } | Ack { from; _ } -> from
-    | Batch_frame _ -> src (* the embedded batch header carries its own *)
+    | Batch_frame _ -> src (* the frame carries its own, checked once decoded *)
   in
   if from <> src then
     reject t (fun () ->

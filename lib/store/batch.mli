@@ -1,14 +1,20 @@
-(** Framed anti-entropy batches.
+(** Anti-entropy syncs in bytes.
 
-    One frame per sync round per peer, replacing the per-write transfer
-    stream: the header carries the sender id, frame kind, rate estimate, CSN
-    window start and the per-origin sequence ranges of the carried writes;
-    the body carries the CSN slice, the sender's vector and cover, and either
-    a {e delta} (exactly the writes the receiver's vector proves it lacks) or
-    a {e full} payload (committed snapshot plus the retained tail) when the
-    sender has truncated below the receiver's vector.
+    One sync carries the sender's rate estimate, the CSN slice and where it
+    starts, the sender's vector and cover, and either a {e delta} (exactly
+    the writes the receiver's vector proves it lacks) or a {e full} payload
+    (committed snapshot plus the retained tail) when the sender has
+    truncated below the receiver's vector.  Its kind says whether the
+    receiver acknowledges it (a push), completes a pull round with it, or
+    neither (gossip).
 
-    Encoding goes through {!Codec.Frame}: the exact frame size is computed
+    This module is the only place a sync's fields are laid out in bytes
+    (the {e sync body}).  A Batch frame — one per sync round per peer in
+    Batched sync mode — is its magic, version, sender and shard followed by
+    the body; {!Tact_replica.Wire} carries the same body behind its own
+    envelope ({!encode_body}, {!decode_body}).
+
+    Encoding goes through {!Codec.Frame}: the exact size is computed
     arithmetically ({!byte_size}, leaning on the memoized
     {!Write.byte_size}), preallocated in one step, and filled in place — one
     arena allocation per round, amortised zero once the arena reaches
@@ -17,6 +23,10 @@
     Frames are self-delimiting and idempotent to apply: every write, CSN
     entry and cover component the receiver already knows deduplicates, so a
     duplicated or re-delivered frame cannot double-apply. *)
+
+val magic : int
+(** The first byte of every Batch frame, distinct from every other
+    envelope's so a decoder can dispatch on it. *)
 
 type kind = Push | Pull_reply of int | Gossip
 
@@ -39,26 +49,11 @@ type t = {
   payload : payload;
 }
 
-type header = {
-  h_from : int;
-  h_shard : int;
-  h_kind : kind;
-  h_rate : float;
-  h_csn_start : int;
-  h_ranges : (int * int * int) list;
-      (** (origin, lo, hi): the batch carries origin's writes seq lo..hi *)
-  h_payload : [ `Delta | `Full ];
-}
-
-val ranges : t -> (int * int * int) list
-(** Per-origin contiguous sequence ranges of the carried writes, sorted by
-    origin — what the wire header advertises. *)
-
 val payload_writes : t -> Write.t list
 
 val byte_size : t -> int
-(** Exact encoded size without encoding (mirrors {!encode}; checked by
-    tests). *)
+(** Exact encoded frame size without encoding (mirrors {!encode}; checked
+    by tests). *)
 
 val encode : Codec.Frame.t -> t -> unit
 (** Append the frame's encoding to the arena, preallocating {!byte_size}
@@ -66,24 +61,22 @@ val encode : Codec.Frame.t -> t -> unit
 
 val to_string : t -> string
 
-val decode_header : string -> header
-(** Decode only the fixed-size header — frame summary without touching the
-    payload. *)
-
-val of_string : string -> t
-(** Full decode.  Raises {!Codec.Malformed} on corrupt, truncated or
-    trailing-garbage input. *)
-
 val decode : string -> (t, Transport.error) result
-(** Typed full decode for untrusted input: total over arbitrary bytes.
-    Corrupt, truncated, oversized-count or trailing-garbage frames return
+(** Total decode for untrusted input ({!Transport.decode_message}):
+    corrupt, truncated, oversized-count or trailing-garbage frames return
     [Error (Transport.Malformed _)] — never an exception, and (via
-    {!Codec.check_items}) never an allocation proportional to a corrupt count
-    field.  Backends feeding network bytes into the protocol decode through
-    this. *)
+    {!Codec.check_items}) never an allocation proportional to a corrupt
+    count field. *)
 
-val decode_header_safe : string -> (header, Transport.error) result
-(** {!decode_header} with the same totality guarantee as {!decode}. *)
+(** {2 The sync body alone} *)
+
+val encode_body : Codec.Frame.t -> t -> unit
+(** Append the sync body only — no magic, version, sender or shard — after
+    preallocating its exact size. *)
+
+val decode_body : Codec.cursor -> from:int -> shard:int -> t
+(** Read one sync body; the envelope around it supplies [from] and [shard].
+    Raises {!Codec.Malformed} on corrupt input. *)
 
 val plan :
   log:Wlog.t -> peer_vector:Version_vector.t -> (payload -> 'a) -> 'a

@@ -378,7 +378,7 @@ let snapshot_byte_size (s : Wlog.snapshot) =
   vector + 8 (* ncommitted *) + values + db
 
 (* ------------------------------------------------------------------ *)
-(* Whole messages and files *)
+(* Whole messages *)
 
 let to_string f x =
   let frame = Frame.create ~initial:256 () in
@@ -389,34 +389,3 @@ let write_to_string w = to_string encode_write w
 let write_of_string s = decode_write (cursor s)
 
 let snapshot_to_string s = to_string encode_snapshot s
-
-let magic = "TACTSNAP1"
-
-let save_snapshot ~path snap =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc magic;
-     output_string oc (snapshot_to_string snap);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  Sys.rename tmp path
-
-let load_snapshot ~path =
-  let ic = open_in_bin path in
-  let contents =
-    try
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  let mlen = String.length magic in
-  if String.length contents < mlen || String.sub contents 0 mlen <> magic then
-    raise (Malformed "bad snapshot magic");
-  decode_snapshot (cursor (String.sub contents mlen (String.length contents - mlen)))

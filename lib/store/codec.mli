@@ -1,9 +1,8 @@
 (** Binary codec for the serialisable protocol types.
 
     A compact, self-describing binary format for values, operations, writes,
-    version vectors and snapshots — the groundwork for durable state
-    (snapshot files, write-ahead logs) and the exact-size accounting a real
-    transport would have.  Every {!Op.t} encodes: write procedures travel as
+    version vectors and snapshots, with the exact-size accounting a real
+    transport needs.  Every {!Op.t} encodes: write procedures travel as
     {!Op.Named} name-and-argument pairs, never as code.
 
     The format is length-prefixed and versioned; decoding a corrupt or
@@ -133,12 +132,3 @@ val write_to_string : Write.t -> string
 val write_of_string : string -> Write.t
 
 val snapshot_to_string : Wlog.snapshot -> string
-
-(** {2 Durable snapshots} *)
-
-val save_snapshot : path:string -> Wlog.snapshot -> unit
-(** Write the snapshot to a file (magic header + payload), atomically via a
-    temporary file and rename. *)
-
-val load_snapshot : path:string -> Wlog.snapshot
-(** Raises {!Malformed} on bad magic/corruption, [Sys_error] on IO failure. *)

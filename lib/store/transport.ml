@@ -26,6 +26,24 @@ let is_transient = function
   | Timeout _ | Refused _ | Reset _ | Unreachable _ -> true
   | Closed _ | Malformed _ | Too_large _ -> false
 
+(* The one total decoder every byte format goes through: envelope checks
+   around [body], and every decode failure mapped onto [Malformed]. *)
+let decode_message ~what ~magic ~version body s =
+  let c = Codec.cursor s in
+  match
+    let m = Codec.get_u8 c in
+    if m <> magic then raise (Codec.Malformed (Printf.sprintf "%s: bad magic 0x%02x" what m));
+    let v = Codec.get_u8 c in
+    if v <> version then
+      raise (Codec.Malformed (Printf.sprintf "%s: unsupported version %d" what v));
+    let x = body c in
+    if c.pos <> String.length s then raise (Codec.Malformed (what ^ ": trailing bytes"));
+    x
+  with
+  | x -> Ok x
+  | exception Codec.Malformed m -> Error (Malformed m)
+  | exception Invalid_argument m -> Error (Malformed (what ^ ": " ^ m))
+
 type 'm endpoint = {
   ep_now : unit -> float;
   ep_schedule : tag:string -> delay:float -> (unit -> unit) -> unit;

@@ -41,6 +41,17 @@ val is_transient : error -> bool
     [Reset] and [Unreachable] are transient (the peer may heal); [Closed],
     [Malformed] and [Too_large] are not — retrying cannot fix them. *)
 
+val decode_message :
+  what:string -> magic:int -> version:int -> (Codec.cursor -> 'a) -> string ->
+  ('a, error) result
+(** Total decode of one message of a byte format: the first byte must be
+    [magic], the second [version], the body decoder reads the rest and must
+    consume every byte.  Whatever goes wrong — bad magic or version,
+    truncation, a corrupt field ({!Codec.Malformed}), trailing bytes —
+    comes back as [Error (Malformed _)] prefixed with [what], never as an
+    exception.  Every decoder of untrusted bytes ({!Batch},
+    {!Tact_replica.Wire}, {!Tact_transport.Client}) goes through this. *)
+
 (** {2 The endpoint a replica runs against}
 
     A first-class record rather than a functor so one replica

@@ -80,78 +80,53 @@ let encode_response frame resp =
 
 (* ---- total decoders ---- *)
 
-let check_header what magic cur =
-  let m = Codec.get_u8 cur in
-  if m <> magic then
-    raise (Codec.Malformed (Printf.sprintf "%s: bad magic 0x%02x" what m));
-  let v = Codec.get_u8 cur in
-  if v <> version then
-    raise (Codec.Malformed (Printf.sprintf "%s: unsupported version %d" what v))
+let request_fields cur =
+  match Codec.get_u8 cur with
+  | 0 ->
+      let conit = Codec.get_string cur in
+      let nweight = Codec.get_float cur in
+      let oweight = Codec.get_float cur in
+      let op = Codec.decode_op cur in
+      Submit { conit; nweight; oweight; op }
+  | 1 ->
+      let key = Codec.get_string cur in
+      let conit = Codec.get_string cur in
+      let ne = Codec.get_float cur in
+      let ne_rel = Codec.get_float cur in
+      let oe = Codec.get_float cur in
+      let st = Codec.get_float cur in
+      Query { key; conit; bounds = { Tact_core.Bounds.ne; ne_rel; oe; st } }
+  | 2 -> Status
+  | t -> raise (Codec.Malformed (Printf.sprintf "client request: bad tag %d" t))
 
-let check_drained what (cur : Codec.cursor) =
-  if cur.pos <> String.length cur.data then
-    raise (Codec.Malformed (what ^ ": trailing bytes"))
+let response_fields cur =
+  match Codec.get_u8 cur with
+  | 0 -> (
+      match Codec.get_u8 cur with
+      | 0 -> Outcome (Op.Applied (Codec.decode_value cur))
+      | 1 -> Outcome (Op.Conflict (Codec.get_string cur))
+      | t -> raise (Codec.Malformed (Printf.sprintf "client response: bad outcome %d" t)))
+  | 1 -> Value (Codec.decode_value cur)
+  | 2 ->
+      let c_id = Codec.get_int cur in
+      let c_n = Codec.get_int cur in
+      let c_up = Codec.get_u8 cur <> 0 in
+      let c_log_len = Codec.get_int cur in
+      let c_pending = Codec.get_int cur in
+      let c_malformed = Codec.get_int cur in
+      let c_peers_up = Codec.get_int cur in
+      let c_now = Codec.get_float cur in
+      Status_r { c_id; c_n; c_up; c_log_len; c_pending; c_malformed; c_peers_up; c_now }
+  | 3 -> Err (Codec.get_string cur)
+  | t -> raise (Codec.Malformed (Printf.sprintf "client response: bad tag %d" t))
 
-let decode_request_exn s =
-  let cur = Codec.cursor s in
-  check_header "client request" request_magic cur;
-  let req =
-    match Codec.get_u8 cur with
-    | 0 ->
-        let conit = Codec.get_string cur in
-        let nweight = Codec.get_float cur in
-        let oweight = Codec.get_float cur in
-        let op = Codec.decode_op cur in
-        Submit { conit; nweight; oweight; op }
-    | 1 ->
-        let key = Codec.get_string cur in
-        let conit = Codec.get_string cur in
-        let ne = Codec.get_float cur in
-        let ne_rel = Codec.get_float cur in
-        let oe = Codec.get_float cur in
-        let st = Codec.get_float cur in
-        Query { key; conit; bounds = { Tact_core.Bounds.ne; ne_rel; oe; st } }
-    | 2 -> Status
-    | t -> raise (Codec.Malformed (Printf.sprintf "client request: bad tag %d" t))
-  in
-  check_drained "client request" cur;
-  req
+let decode_request s =
+  Transport.decode_message ~what:"client request" ~magic:request_magic ~version
+    request_fields s
 
-let decode_response_exn s =
-  let cur = Codec.cursor s in
-  check_header "client response" response_magic cur;
-  let resp =
-    match Codec.get_u8 cur with
-    | 0 -> (
-        match Codec.get_u8 cur with
-        | 0 -> Outcome (Op.Applied (Codec.decode_value cur))
-        | 1 -> Outcome (Op.Conflict (Codec.get_string cur))
-        | t -> raise (Codec.Malformed (Printf.sprintf "client response: bad outcome %d" t)))
-    | 1 -> Value (Codec.decode_value cur)
-    | 2 ->
-        let c_id = Codec.get_int cur in
-        let c_n = Codec.get_int cur in
-        let c_up = Codec.get_u8 cur <> 0 in
-        let c_log_len = Codec.get_int cur in
-        let c_pending = Codec.get_int cur in
-        let c_malformed = Codec.get_int cur in
-        let c_peers_up = Codec.get_int cur in
-        let c_now = Codec.get_float cur in
-        Status_r { c_id; c_n; c_up; c_log_len; c_pending; c_malformed; c_peers_up; c_now }
-    | 3 -> Err (Codec.get_string cur)
-    | t -> raise (Codec.Malformed (Printf.sprintf "client response: bad tag %d" t))
-  in
-  check_drained "client response" cur;
-  resp
-
-let total f s =
-  match f s with
-  | v -> Ok v
-  | exception Codec.Malformed m -> Error (Transport.Malformed m)
-  | exception Invalid_argument m -> Error (Transport.Malformed ("client decode: " ^ m))
-
-let decode_request s = total decode_request_exn s
-let decode_response s = total decode_response_exn s
+let decode_response s =
+  Transport.decode_message ~what:"client response" ~magic:response_magic ~version
+    response_fields s
 
 let request_to_string req = Codec.to_string encode_request req
 let response_to_string resp = Codec.to_string encode_response resp

@@ -77,7 +77,11 @@ let check_roundtrip name b =
   Alcotest.(check int)
     (name ^ ": byte_size is exact")
     (String.length s) (Batch.byte_size b);
-  let b' = Batch.of_string s in
+  let b' =
+    match Batch.decode s with
+    | Ok b' -> b'
+    | Error e -> Alcotest.failf "%s: %s" name (Transport.error_to_string e)
+  in
   Alcotest.(check int) (name ^ ": from") b.Batch.from b'.Batch.from;
   Alcotest.(check int) (name ^ ": shard") b.Batch.shard b'.Batch.shard;
   Alcotest.(check bool)
@@ -119,53 +123,36 @@ let check_roundtrip name b =
 let test_batch_roundtrip_delta () =
   let writes = [ mk ~origin:0 ~seq:4 ~t:1.0; mk ~origin:2 ~seq:7 ~t:2.0 ] in
   let b = sample_batch ~kind:(Batch.Pull_reply 9) ~shard:3 (Batch.Delta writes) in
-  ignore (check_roundtrip "delta" b);
-  (* Header-only decode agrees with the full decode. *)
-  let h = Batch.decode_header (Batch.to_string b) in
-  Alcotest.(check int) "header from" 1 h.Batch.h_from;
-  Alcotest.(check int) "header shard" 3 h.Batch.h_shard;
-  Alcotest.(check bool) "header kind" true (h.Batch.h_kind = Batch.Pull_reply 9);
-  Alcotest.(check int) "header csn window" 2 h.Batch.h_csn_start;
-  Alcotest.(check bool) "header payload tag" true (h.Batch.h_payload = `Delta);
-  Alcotest.(check bool)
-    "header ranges advertise origins" true
-    (h.Batch.h_ranges = [ (0, 4, 4); (2, 7, 7) ])
+  ignore (check_roundtrip "delta" b)
 
-let test_batch_ranges () =
-  let writes =
-    [
-      mk ~origin:3 ~seq:5 ~t:1.0;
-      mk ~origin:1 ~seq:2 ~t:2.0;
-      mk ~origin:3 ~seq:6 ~t:3.0;
-      mk ~origin:3 ~seq:7 ~t:4.0;
-      mk ~origin:1 ~seq:3 ~t:5.0;
-    ]
-  in
-  let b = sample_batch (Batch.Delta writes) in
-  Alcotest.(check bool)
-    "ranges sorted by origin, min..max" true
-    (Batch.ranges b = [ (1, 2, 3); (3, 5, 7) ])
+(* [byte_size] is the encoded length for every payload shape: an empty and
+   a non-empty delta, and a snapshot with and without a retained tail, each
+   with and without a CSN slice. *)
+let test_batch_sizes_every_shape () =
+  let log = Wlog.create ~replicas:3 ~initial:[ ("greet", Value.Str "hi") ] in
+  ignore (Wlog.accept log (mk ~origin:0 ~seq:1 ~t:1.0));
+  ignore (Wlog.commit_stable log ~cover:[| infinity; infinity; infinity |]);
+  let snap = Wlog.snapshot log in
+  let tail = [ mk ~origin:2 ~seq:1 ~t:2.0; mk ~origin:2 ~seq:2 ~t:3.0 ] in
+  List.iteri
+    (fun i payload ->
+      let b = sample_batch payload in
+      ignore (check_roundtrip (Printf.sprintf "shape %d" i) b);
+      ignore
+        (check_roundtrip (Printf.sprintf "shape %d, no CSN" i)
+           { b with Batch.csn = []; csn_start = 0; kind = Batch.Gossip }))
+    [ Batch.Delta []; Batch.Delta tail; Batch.Full (snap, []); Batch.Full (snap, tail) ]
 
 let test_batch_rejects_garbage () =
   let b = sample_batch (Batch.Delta [ mk ~origin:0 ~seq:4 ~t:1.0 ]) in
   let s = Batch.to_string b in
-  let trailing = s ^ "x" in
-  Alcotest.(check bool) "trailing garbage rejected" true
-    (try
-       ignore (Batch.of_string trailing);
-       false
-     with Codec.Malformed _ -> true);
-  let truncated = String.sub s 0 (String.length s - 3) in
-  Alcotest.(check bool) "truncation rejected" true
-    (try
-       ignore (Batch.of_string truncated);
-       false
-     with Codec.Malformed _ -> true);
-  Alcotest.(check bool) "bad magic rejected" true
-    (try
-       ignore (Batch.of_string ("\x00" ^ String.sub s 1 (String.length s - 1)));
-       false
-     with Codec.Malformed _ -> true)
+  let rejected name s =
+    Alcotest.(check bool) name true
+      (match Batch.decode s with Error (Transport.Malformed _) -> true | _ -> false)
+  in
+  rejected "trailing garbage rejected" (s ^ "x");
+  rejected "truncation rejected" (String.sub s 0 (String.length s - 3));
+  rejected "bad magic rejected" ("\x00" ^ String.sub s 1 (String.length s - 1))
 
 (* Satellite: the planner falls back to a snapshot frame exactly when the
    peer's vector is below the truncation horizon, and that frame round-trips
@@ -196,9 +183,7 @@ let test_plan_snapshot_fallback () =
           snap.Wlog.snap_ncommitted;
         Alcotest.(check int) "no tail past the snapshot" 0 (List.length tail);
         let b = sample_batch (Batch.Full (snap, tail)) in
-        ignore (check_roundtrip "snapshot fallback" b);
-        let h = Batch.decode_header (Batch.to_string b) in
-        Alcotest.(check bool) "header says full" true (h.Batch.h_payload = `Full))
+        ignore (check_roundtrip "snapshot fallback" b))
 
 (* --- Differential: Batched vs Per_write -------------------------------- *)
 
@@ -420,7 +405,8 @@ let suite =
     Alcotest.test_case "frame growth and reuse" `Quick test_frame_growth_and_reuse;
     Alcotest.test_case "frame preallocate" `Quick test_frame_preallocate;
     Alcotest.test_case "batch round-trip (delta)" `Quick test_batch_roundtrip_delta;
-    Alcotest.test_case "batch origin ranges" `Quick test_batch_ranges;
+    Alcotest.test_case "batch byte_size exact for every payload shape" `Quick
+      test_batch_sizes_every_shape;
     Alcotest.test_case "batch rejects garbage" `Quick test_batch_rejects_garbage;
     Alcotest.test_case "planner snapshot fallback" `Quick test_plan_snapshot_fallback;
     Alcotest.test_case "differential: clean workload" `Quick test_differential_clean;

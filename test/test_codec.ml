@@ -188,36 +188,6 @@ let test_malformed_rejected () =
   let corrupted = "\x04\xff\xff\xff\xff\xff\xff\xff\xff" ^ String.sub s 9 (String.length s - 9) in
   Alcotest.(check bool) "negative length" true (reject corrupted)
 
-(* --- Snapshots to disk ------------------------------------------------------ *)
-
-let test_snapshot_file_roundtrip () =
-  (* Build a real snapshot from a log. *)
-  let log = Wlog.create ~replicas:2 ~initial:[ ("greet", Value.Str "hi") ] in
-  for seq = 1 to 5 do
-    ignore
-      (Wlog.accept log
-         (Write.make
-            ~id:{ origin = 0; seq }
-            ~accept_time:(float_of_int seq)
-            ~op:(Op.Add ("x", 2.0))
-            ~affects:[ { Write.conit = "c"; nweight = 2.0; oweight = 1.0 } ]))
-  done;
-  ignore (Wlog.commit_stable log ~cover:[| infinity; infinity |]);
-  let snap = Wlog.snapshot log in
-  let path = Filename.temp_file "tact_snap" ".bin" in
-  Codec.save_snapshot ~path snap;
-  let snap' = Codec.load_snapshot ~path in
-  Sys.remove path;
-  Alcotest.(check int) "ncommitted" snap.Wlog.snap_ncommitted snap'.Wlog.snap_ncommitted;
-  Alcotest.(check bool) "vector" true
-    (Version_vector.equal snap.Wlog.snap_vector snap'.Wlog.snap_vector);
-  Alcotest.(check bool) "db" true (Db.equal snap.Wlog.snap_db snap'.Wlog.snap_db);
-  (* And a fresh log can install the reloaded snapshot. *)
-  let dst = Wlog.create ~replicas:2 ~initial:[] in
-  Alcotest.(check bool) "installable" true (Wlog.install_snapshot dst snap');
-  Alcotest.(check bool) "state restored" true
-    (feq (Db.get_float (Wlog.db dst) "x") 10.0)
-
 (* The arithmetic sizes must agree exactly with the encoders they mirror —
    replicas account snapshot wire sizes without serialising. *)
 let test_byte_sizes () =
@@ -260,20 +230,6 @@ let test_byte_sizes () =
     (String.length (Codec.snapshot_to_string snap))
     (Codec.snapshot_byte_size snap)
 
-let test_snapshot_bad_magic () =
-  let path = Filename.temp_file "tact_snap" ".bin" in
-  let oc = open_out_bin path in
-  output_string oc "NOTASNAPSHOT";
-  close_out oc;
-  let rejected =
-    try
-      ignore (Codec.load_snapshot ~path);
-      false
-    with Codec.Malformed _ -> true
-  in
-  Sys.remove path;
-  Alcotest.(check bool) "bad magic rejected" true rejected
-
 let base_suite =
   [
     test_value_roundtrip;
@@ -286,9 +242,7 @@ let base_suite =
       test_decode_writes_shares_weights;
     Alcotest.test_case "vector round trip" `Quick test_vector_roundtrip;
     Alcotest.test_case "malformed rejected" `Quick test_malformed_rejected;
-    Alcotest.test_case "snapshot file round trip" `Quick test_snapshot_file_roundtrip;
     Alcotest.test_case "arithmetic byte sizes" `Quick test_byte_sizes;
-    Alcotest.test_case "snapshot bad magic" `Quick test_snapshot_bad_magic;
   ]
 
 (* A whole system whose writes run a procedure from its table: it converges,

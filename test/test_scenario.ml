@@ -1,9 +1,9 @@
-(* The scenario DSL and the event-derived commit series. *)
+(* Timelines of writes, reads and faults driven straight through the
+   simulator's engine, and the event-derived commit series. *)
 
 open Tact_sim
 open Tact_store
 open Tact_replica
-open Tact_workload
 
 let feq a b = Float.abs (a -. b) < 1e-9
 
@@ -18,15 +18,33 @@ let system ?on_event () =
       }
     ()
 
+(* Run [action] at virtual time [time]; actions at equal times run in the
+   order they were scheduled. *)
+let at sys time action =
+  Engine.at (System.engine sys) ~time (fun () -> action sys)
+
+let write ~replica op sys =
+  Replica.submit_write (System.replica sys replica) ~deps:[]
+    ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ]
+    ~op ~k:ignore
+
+(* A zero-error read of "x" on conit "c"; its (completion time, value) is
+   appended to [results]. *)
+let strong_read ~replica results sys =
+  Replica.submit_read (System.replica sys replica)
+    ~deps:[ ("c", Tact_core.Bounds.strong) ]
+    ~f:(fun db -> Db.get db "x")
+    ~k:(fun v -> results := !results @ [ (System.now sys, v) ])
+
+let links sys = Net.links (System.net sys)
+
 let test_scenario_happy_path () =
   let sys = system () in
   let results = ref [] in
-  Scenario.run sys ~until:60.0
-    [
-      Scenario.at 1.0 (Scenario.write ~replica:0 ~conit:"c" (Op.Add ("x", 1.0)));
-      Scenario.at 2.0 (Scenario.write ~replica:1 ~conit:"c" (Op.Add ("x", 1.0)));
-      Scenario.at 5.0 (Scenario.strong_read ~replica:2 ~conit:"c" ~key:"x" results);
-    ];
+  at sys 1.0 (write ~replica:0 (Op.Add ("x", 1.0)));
+  at sys 2.0 (write ~replica:1 (Op.Add ("x", 1.0)));
+  at sys 5.0 (strong_read ~replica:2 results);
+  System.run ~until:60.0 sys;
   (match !results with
   | [ (t, v) ] ->
     Alcotest.(check bool) "both writes seen" true (feq (Value.to_float v) 2.0);
@@ -37,15 +55,13 @@ let test_scenario_happy_path () =
 let test_scenario_fault_timeline () =
   let sys = system () in
   let results = ref [] in
-  Scenario.run sys ~until:120.0
-    [
-      Scenario.at 1.0 (Scenario.write ~replica:0 ~conit:"c" (Op.Add ("x", 1.0)));
-      Scenario.at 2.0 (Scenario.partition [ 2 ] [ 0; 1 ]);
-      Scenario.at 3.0 (Scenario.strong_read ~replica:2 ~conit:"c" ~key:"x" results);
-      Scenario.at 10.0 Scenario.heal;
-      Scenario.at 12.0 (Scenario.crash 1);
-      Scenario.at 15.0 (Scenario.recover 1);
-    ];
+  at sys 1.0 (write ~replica:0 (Op.Add ("x", 1.0)));
+  at sys 2.0 (fun sys -> Links.partition (links sys) [ 2 ] [ 0; 1 ]);
+  at sys 3.0 (strong_read ~replica:2 results);
+  at sys 10.0 (fun sys -> Links.heal (links sys));
+  at sys 12.0 (fun sys -> Replica.crash (System.replica sys 1));
+  at sys 15.0 (fun sys -> Replica.recover (System.replica sys 1));
+  System.run ~until:120.0 sys;
   (match !results with
   | [ (t, v) ] ->
     Alcotest.(check bool) "read blocked across the partition" true (t > 10.0);
@@ -60,11 +76,9 @@ let test_monitor_series () =
     Tact_experiments.E12_commit.commit_progress ~node:0 ~period:1.0 ~until:20.0
   in
   let sys = system ~on_event () in
-  Scenario.run sys ~until:40.0
-    [
-      Scenario.at 2.0 (Scenario.write ~replica:0 ~conit:"c" (Op.Add ("x", 1.0)));
-      Scenario.at 8.0 (Scenario.write ~replica:1 ~conit:"c" (Op.Add ("x", 1.0)));
-    ];
+  at sys 2.0 (write ~replica:0 (Op.Add ("x", 1.0)));
+  at sys 8.0 (write ~replica:1 (Op.Add ("x", 1.0)));
+  System.run ~until:40.0 sys;
   let committed0 = progress () in
   Alcotest.(check bool) "sampled about 20 times" true (List.length committed0 >= 18);
   (* Chronological and monotone in committed count. *)
