@@ -5,7 +5,10 @@
     sees every write accepted anywhere, with acceptance and return times)
     recomputes the true NE/OE/ST of each depended-on conit against the
     reference history and compares with the bounds — this is how integration
-    tests establish that the protocols enforce the model. *)
+    tests establish that the protocols enforce the model.
+
+    A record is plain data of a fixed shape: what the access observed is two
+    vector copies taken at service time, not a copy of the history. *)
 
 type kind =
   | Read
@@ -25,21 +28,16 @@ type t = {
           for writes delayed by the numerical-error push protocol *)
   deps : dep list;
   observed_vector : Tact_store.Version_vector.t;
-      (** the replica's version vector at service time — identifies the
-          observed prefix history *)
-  observed_tentative : Tact_store.Write.id list Lazy.t;
-      (** ids of the tentative suffix at service time, in local order.
-          Lazy: replicas capture it as a {!Tact_store.Wlog.tentative_view},
-          which shares one persistent id list across consecutive records, so
-          a record costs O(1) amortised memory instead of a copy of the
-          suffix; forcing it copies the suffix's ids once. *)
-  observed_local : Tact_store.Write.id list Lazy.t;
-      (** the full local history order at service time (committed prefix then
-          tentative suffix) — input to the definitional order-error check.
-          Lazy: replicas capture it as an O(1) cursor into the write log's
-          append-only commit journal (plus the tentative ids); forcing it
-          expands the cursor.  The expansion is stable — the journal is never
-          truncated — so verification may force it long after the fact. *)
+      (** a copy of the replica's version vector at service time —
+          identifies the observed prefix history *)
+  observed_committed : Tact_store.Version_vector.t;
+      (** a copy of the replica's committed vector at service time.  With
+          [observed_vector] it determines the local history the access saw:
+          the writes both vectors cover form the committed prefix, in commit
+          order, and the writes only [observed_vector] covers form the
+          tentative suffix, in timestamp order.  {!Tact_replica.Verify}
+          rebuilds both from the run's writes, so a record is plain data of
+          a fixed shape. *)
   observed_result : Tact_store.Value.t;
 }
 

@@ -61,9 +61,9 @@ type t = {
       (* capture per-access observation records (the verifier's food); off
          for long bounded-memory runs, where they grow without bound *)
   bounded_log : bool;
-      (* bound per-replica log memory by the truncation horizon: disables
-         the commit journal and evicts truncated writes' side-table entries
-         (see Wlog.create_bounded); requires record_accesses = false *)
+      (* bound per-replica log memory by the truncation horizon: truncation
+         also empties the cells of the writes it drops (see
+         Wlog.create_bounded) *)
   shards : int;
       (* number of shards the conit space is partitioned into (Sharded
          systems); plain [System]s serve the whole space as one shard *)
@@ -183,9 +183,6 @@ let validate ~n t =
         then err "truncate_keep must be non-negative"
         else if t.sync = Batched && not (t.batch_flush > 0.0) then
           err "batch_flush must be positive in Batched sync mode"
-        else if t.bounded_log && t.record_accesses then
-          err "bounded_log requires record_accesses = false (observation \
-               capture needs the commit journal)"
         else begin
           let dups names =
             List.length (List.sort_uniq String.compare names) <> List.length names

@@ -95,21 +95,19 @@ type t = {
           becoming dirty and its coalesced batch frame being flushed *)
   record_accesses : bool;
       (** capture per-access observation records ({!Replica.records}, the
-          consistency verifier's input).  Default [true].  A record costs
-          O(1) amortised time and memory per access: consecutive records
-          share the tentative suffix ({!Tact_store.Wlog.tentative_view})
-          instead of copying it.  Disable for long bounded-memory runs —
-          the records still grow linearly with every access, forever, and
-          [bounded_log] requires them off. *)
+          consistency verifier's input).  Default [true].  A record is plain
+          data of a fixed shape: two vector copies taken at service time
+          (the known and the committed vector), from which {!Verify}
+          rebuilds what the access observed.  Disable for long runs — the
+          records grow linearly with every access, forever. *)
   bounded_log : bool;
-      (** bound per-replica log memory by the truncation horizon: the write
-          log drops its append-only commit journal and evicts truncated
-          writes' side-table entries ({!Tact_store.Wlog.create_bounded}).
-          Requires [record_accesses = false]; pair with [truncate_keep].
-          The replica's budget window holds only the own writes some peer
-          has not confirmed, so with this flag a replica's memory depends
-          on what is in flight, not on how many writes the run has
-          processed. *)
+      (** bound per-replica log memory by the truncation horizon: truncation
+          and snapshot installation also empty the cells of the writes they
+          drop ({!Tact_store.Wlog.create_bounded}).  Pair with
+          [truncate_keep].  The replica's budget window holds only the own
+          writes some peer has not confirmed, so with this flag a replica's
+          log memory depends on what is in flight, not on how many writes
+          the run has processed. *)
   shards : int;
       (** how many shards the conit space is partitioned into (see
           {!Tact_store.Shard}).  Plain {!System}s serve the whole space as

@@ -99,7 +99,7 @@ type unreturned = {
   u_outcome : Op.outcome;  (* tentative outcome at acceptance *)
   u_wait_commit : bool;
   (* what the access record needs besides its return time and result *)
-  u_obs : Version_vector.t * Write.id list Lazy.t * Write.id list Lazy.t;
+  u_obs : Version_vector.t * Version_vector.t;
   u_submit : float;
   u_serve : float;
   u_deps : (cstate * Bounds.t) list;
@@ -128,7 +128,7 @@ type stats = {
    no [on_accept] hook wants it, and what an access observed when records
    are off. *)
 let no_vector = Version_vector.create 0
-let no_observation = (no_vector, lazy [], lazy [])
+let no_observation = (no_vector, no_vector)
 
 let zero_stats () =
   { pushes_budget = 0; pulls_ne = 0; pulls_oe = 0; pulls_st = 0; gossips = 0;
@@ -267,6 +267,7 @@ let emit t kind =
 let id t = t.rid
 let log t = t.wlog
 let db t = Wlog.db t.wlog
+let csn_order t = Csn_buffer.slice_from t.csn 0
 let records t = t.records
 let pending_count t = t.npending
 
@@ -724,29 +725,20 @@ and oe_within t = function
 
 (* The observed prefix of an access is its origin's history when the access
    is served but before the access itself applies — capture it first, then
-   finalise with times and result.  The committed history, including the
-   part truncation dropped, is captured as an O(1) cursor into the log's
-   append-only commit journal and only expanded if a consumer forces
-   [observed_local]; the tentative ids are captured as the log's tentative
-   view, O(writes appended since the previous capture) amortised, with the
-   suffix itself shared across consecutive records rather than copied. *)
+   finalise with times and result.  Two vector copies describe it: the known
+   vector and the committed one; the verifier rebuilds the committed prefix
+   and the tentative suffix from them ({!Verify}). *)
 and capture_observation t =
   if not t.cfg.Config.record_accesses then
     (* Records are discarded (see the guards at the record sites), so skip
-       the vector copy, tentative view and journal cursor — the cursor is
-       unavailable anyway when the journal is off (bounded_log). *)
+       the vector copies. *)
     no_observation
-  else begin
-    let vector = Version_vector.copy (Wlog.vector t.wlog) in
-    let tentative = Wlog.tentative_view t.wlog in
-    let hi = Wlog.commit_cursor t.wlog in
-    let wlog = t.wlog in
-    let local = lazy (Wlog.commit_slice wlog ~hi @ Lazy.force tentative) in
-    (vector, tentative, local)
-  end
+  else
+    ( Version_vector.copy (Wlog.vector t.wlog),
+      Version_vector.copy (Wlog.committed_vector t.wlog) )
 
-and access_record t ~kind ~obs:(vector, tentative, local) ~submit ~serve
-    ~return_t ~deps ~result =
+and access_record t ~kind ~obs:(vector, committed) ~submit ~serve ~return_t
+    ~deps ~result =
   {
     Access.kind;
     replica = t.rid;
@@ -755,8 +747,7 @@ and access_record t ~kind ~obs:(vector, tentative, local) ~submit ~serve
     return_time = return_t;
     deps = List.map (fun (c, bound) -> { Access.conit = c.c_name; bound }) deps;
     observed_vector = vector;
-    observed_tentative = tentative;
-    observed_local = local;
+    observed_committed = committed;
     observed_result = result;
   }
 

@@ -76,6 +76,12 @@ val id : t -> int
 val log : t -> Tact_store.Wlog.t
 val db : t -> Tact_store.Db.t
 
+val csn_order : t -> Tact_store.Write.id list
+(** The commit order this replica knows under the primary scheme: the
+    contiguous known prefix of the commit sequence, in CSN order.  At the
+    primary it is every write the primary has ordered, so it holds the
+    commit order of every replica; [[]] under stability commitment. *)
+
 val submit_read :
   ?require:Tact_store.Version_vector.t ->
   ?deadline:float ->

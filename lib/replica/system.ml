@@ -153,9 +153,6 @@ let all_writes t =
 
 let write_count t = Hashtbl.length t.writes
 
-let find_write t id =
-  Option.map (fun m -> m.write) (Hashtbl.find_opt t.writes id)
-
 let return_time t id =
   match Hashtbl.find_opt t.writes id with
   | Some m -> m.return_time

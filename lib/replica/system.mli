@@ -72,8 +72,6 @@ val all_writes : t -> Tact_store.Write.t list
 
 val write_count : t -> int
 
-val find_write : t -> Tact_store.Write.id -> Tact_store.Write.t option
-
 val return_time : t -> Tact_store.Write.id -> float
 (** When the write returned to its client (the basis of external order). *)
 

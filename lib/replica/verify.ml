@@ -20,21 +20,37 @@ type violation = {
 let covered vector (id : Write.id) =
   Version_vector.covers vector ~origin:id.origin ~seq:id.seq
 
-(* [all] is {!System.all_writes}: a fold and a sort over every write, so
-   callers checking many accesses take it once ({!metrics}). *)
-let metrics_against ~all sys (a : Access.t) =
+(* The run's writes in commit order: timestamp order under stability
+   commitment, and the primary's CSN order under the primary scheme, where
+   every replica commits a prefix of it. *)
+let commit_order ~all sys =
+  match (System.config sys).Config.commit_scheme with
+  | Config.Stability -> all
+  | Config.Primary p ->
+    let by_id = Hashtbl.create 1024 in
+    List.iter (fun (w : Write.t) -> Hashtbl.replace by_id w.id w) all;
+    List.filter_map (Hashtbl.find_opt by_id) (Replica.csn_order (System.replica sys p))
+
+(* [all] is {!System.all_writes} and [order] its {!commit_order}: a fold and
+   a sort over every write, so callers checking many accesses take them once
+   ({!metrics}).  The access's local history is rebuilt from its two vectors:
+   the committed prefix is what [observed_committed] covers, in commit
+   order, and the tentative suffix is what only [observed_vector] covers, in
+   timestamp order. *)
+let metrics_against ~all ~order sys (a : Access.t) =
   let return_time = System.return_time sys in
   let observed_pred id = covered a.observed_vector id in
+  let committed_pred id = covered a.observed_committed id in
   let actual =
     Ecg.actual_prefix ~all ~return_time ~stime:a.submit_time ~observed:observed_pred
   in
   let observed = List.filter (fun (w : Write.t) -> observed_pred w.id) all in
   let ecg = all (* already canonical *) in
-  let local_writes =
-    List.filter_map (System.find_write sys) (Lazy.force a.observed_local)
-  in
   let tentative_writes =
-    List.filter_map (System.find_write sys) (Lazy.force a.observed_tentative)
+    List.filter (fun (w : Write.t) -> not (committed_pred w.id)) observed
+  in
+  let local_writes =
+    List.filter (fun (w : Write.t) -> committed_pred w.id) order @ tentative_writes
   in
   (* Writes that returned before submission but were not observed: the pool
      staleness is measured over. *)
@@ -66,7 +82,9 @@ let metrics_against ~all sys (a : Access.t) =
       })
     a.deps
 
-let metrics sys = metrics_against ~all:(System.all_writes sys) sys
+let metrics sys =
+  let all = System.all_writes sys in
+  metrics_against ~all ~order:(commit_order ~all sys) sys
 let access_metrics sys a = metrics sys a
 
 let check ?(lcp = false) ?(eps = 1e-9) sys =

@@ -16,7 +16,13 @@
       conit's declared initial value;
     - OE is checked in both readings: the enforcement reading (tentative
       oweight at service) always, the definitional LCP reading optionally
-      (it is guaranteed only under stability commitment);
+      (it is guaranteed only under stability commitment).  Both read the
+      access's local history, rebuilt from its two vectors: the committed
+      prefix is what [observed_committed] covers, in commit order
+      (timestamp order under stability commitment, the primary's CSN order
+      under the primary scheme, {!Replica.csn_order}), followed by the
+      tentative suffix, what only [observed_vector] covers, in timestamp
+      order;
     - ST is the age, at submission, of the oldest write affecting the conit
       that had returned before submission but was not observed. *)
 

@@ -92,36 +92,19 @@ type snapshot = {
    [p] — O(applied suffix beyond the insertion point) — and re-execution
    waits for the next read ({!force}).  A replica whose clients never read
    never applies a remote write tentatively at all, and keeps no journal or
-   tentative outcome for it: committing it is its one application.
-
-   [journal] records the id of every write this log has ever committed, in
-   commit order, and is never truncated: observation capture ({!commit_cursor})
-   reduces to one index into it.
-
-   [view] is the last tentative view handed out ({!tentative_view}): the
-   suffix's ids newest-first, so the next view shares it by consing only the
-   ids appended since.  Front pops need no bookkeeping — the live view is
-   always the first [Deque.length tent] cells, reversed — and any other
-   change to the suffix order clears [view_valid]. *)
+   tentative outcome for it: committing it is its one application. *)
 type t = {
   nreplicas : int;
   initial : (string * Value.t) list;
   procs : Op.procs;
   bounded : bool;
-      (* bounded-memory long runs: no commit journal (observation capture
-         needs it, and it grows without bound), and truncation also empties
-         the per-write cells (outcome, final and committed flags) *)
+      (* bounded-memory long runs: truncation also empties the per-write
+         cells (outcome, final and committed flags) *)
   committed : int Deque.t;
       (* retained committed prefix, commit order: each write's id packed as
          [seq * nreplicas + origin] (see {!pack}) *)
-  journal : Write.id Vec.t; (* every commit ever, commit order; never truncated *)
   mutable ncommitted : int;
   tent : Write.t Deque.t; (* tentative suffix, timestamp order *)
-  mutable view : Write.id list; (* last view's ids, newest first *)
-  mutable view_cells : int; (* physical length of [view] *)
-  mutable view_appended : int; (* tail appends to [tent] since [view] *)
-  mutable view_valid : bool;
-      (* false once [tent] changed other than by tail appends and front pops *)
   undo : Db.undo Deque.t;
       (* undo.(i) reverts the application of tent.(i); only the applied
          prefix of [tent] has entries *)
@@ -170,13 +153,8 @@ let create_bounded ~procs ~bounded ~replicas ~initial =
     procs;
     bounded;
     committed = Deque.create ~filler:0 ();
-    journal = Vec.create ();
     ncommitted = 0;
     tent = Deque.create ~filler:no_write ();
-    view = [];
-    view_cells = 0;
-    view_appended = 0;
-    view_valid = true;
     undo = Deque.create ~filler:Db.no_undo ();
     image = Db.create initial;
     audit_db = (if Sanitize.enabled () then Some (Db.create initial) else None);
@@ -399,7 +377,7 @@ let committed_db t =
 (* Invariant audit (sanitize mode)                                     *)
 
 (* Full structural audit of the log: the invariants every fast path in this
-   module (and the incremental observation capture above it) relies on.
+   module relies on.
    O(log size) — only the TACT_SANITIZE checking mode runs it per-operation. *)
 let invariant_violations t =
   let bad = ref [] in
@@ -416,33 +394,20 @@ let invariant_violations t =
   if Deque.length t.undo > Deque.length t.tent then
     addf "undo journal length %d exceeds tentative suffix length %d"
       (Deque.length t.undo) (Deque.length t.tent);
-  (* Commit-journal prefix property: the journal records every commit this
-     log performed itself (snapshot installation folds in remote commits
-     without journalling them, so the journal may lag the commit count), and
-     the retained committed deque is exactly its most recent slice, in order
-     (the property observation cursors depend on). *)
-  if Vec.length t.journal > t.ncommitted then
-    addf "commit journal length %d exceeds commit count %d"
-      (Vec.length t.journal) t.ncommitted;
   let retained = Deque.length t.committed in
-  if not t.bounded then begin
-    if retained > Vec.length t.journal then
-      addf "retained committed prefix (%d) longer than commit journal (%d)"
-        retained (Vec.length t.journal)
-    else
-      for i = 0 to retained - 1 do
-        let id = retained_id t i in
-        let jid = Vec.get t.journal (Vec.length t.journal - retained + i) in
-        if Write.compare_id id jid <> 0 then
-          addf "committed prefix diverges from commit journal at retained position %d: %s vs %s"
-            i (Write.id_to_string id) (Write.id_to_string jid)
-      done
-  end;
-  (* Id discipline: retained committed writes are resident, flagged
-     committed and hold their final outcome; tentative writes are not
-     committed; the known vector covers everything in the log. *)
+  if retained > t.ncommitted then
+    addf "retained committed prefix (%d) longer than the commit count (%d)"
+      retained t.ncommitted;
+  (* Id discipline: retained committed writes are covered by the committed
+     vector (the verifier rebuilds an access's committed prefix from that
+     vector), resident, flagged committed and hold their final outcome;
+     tentative writes are not committed; the known vector covers everything
+     in the log. *)
   for i = 0 to retained - 1 do
     let id = retained_id t i in
+    if not (Version_vector.covers t.committed_vec ~origin:id.origin ~seq:id.seq) then
+      addf "committed vector %s does not cover retained committed write %s"
+        (Version_vector.to_string t.committed_vec) (Write.id_to_string id);
     match resident_write t id with
     | None -> addf "committed write %s is not resident" (Write.id_to_string id)
     | Some _ ->
@@ -602,8 +567,7 @@ let sanitize ?(ctx = "wlog") t =
 let unsafe_swap_tentative t i j =
   let a = Deque.get t.tent i and b = Deque.get t.tent j in
   Deque.set t.tent i b;
-  Deque.set t.tent j a;
-  t.view_valid <- false
+  Deque.set t.tent j a
 
 (* A known write's weights join its conits' tallies (plain recursion: a
    closure over [t] would allocate per write). *)
@@ -673,13 +637,11 @@ let insert_tent t (w : Write.t) =
   let n = Deque.length t.tent in
   if n = 0 || Write.ts_compare (Deque.get t.tent (n - 1)) w < 0 then begin
     Deque.push_back t.tent w;
-    t.view_appended <- t.view_appended + 1;
     n
   end
   else begin
     let pos = Deque.upper_bound t.tent ~cmp:Write.ts_compare w in
     Deque.insert t.tent pos w;
-    t.view_valid <- false;
     pos
   end
 
@@ -938,7 +900,6 @@ let commit_one t (w : Write.t) =
   Version_vector.set t.committed_vec w.id.origin
     (max w.id.seq (Version_vector.get t.committed_vec w.id.origin));
   Deque.push_back t.committed (pack t w.id);
-  if not t.bounded then Vec.push t.journal w.id;
   t.ncommitted <- t.ncommitted + 1;
   tally_committed t w.affects
 
@@ -1047,7 +1008,6 @@ let commit_ids t ids =
           let pos = Deque.upper_bound t.tent ~cmp:Write.ts_compare w - 1 in
           assert (pos >= 0 && Write.compare_id (Deque.get t.tent pos).Write.id id = 0);
           ignore (Deque.remove t.tent pos);
-          t.view_valid <- false;
           apply_committed t w;
           commit_one t w
         end;
@@ -1086,59 +1046,6 @@ let final_outcome t (id : Write.id) =
     get_outcome t.index.(id.origin) p
   else None
 let rollbacks t = t.nrollbacks
-
-(* ------------------------------------------------------------------ *)
-(* Observation capture                                                 *)
-
-(* Commits append to the journal, and truncation and snapshot installation
-   only shorten the retained deque, so the journal holds the whole committed
-   history an access observed — the part truncation dropped included — and
-   its length at service time describes that history forever. *)
-let commit_cursor t =
-  if t.bounded then
-    invalid_arg "Wlog.commit_cursor: commit journal disabled (bounded:true)";
-  Vec.length t.journal
-
-let commit_slice t ~hi = List.init hi (Vec.get t.journal)
-
-(* The first [n] cells of a newest-first id list, oldest first. *)
-let rec take_rev n l acc =
-  if n = 0 then acc
-  else match l with x :: rest -> take_rev (n - 1) rest (x :: acc) | [] -> assert false
-
-(* Cons the ids appended since the last view onto it — at most the whole
-   live suffix, since front pops may have consumed some of them.  Rebuild
-   from the deque instead when the view was invalidated, or when it would
-   exceed 2n + 32 cells: the cells past the live n are dead ids that commits
-   popped, and the cap keeps them to a constant factor while the rebuild's
-   O(n) is paid for by the pops that made them dead. *)
-let tentative_view t =
-  let n = Deque.length t.tent in
-  let fresh = min t.view_appended n in
-  let from, base, cells =
-    if t.view_valid && t.view_cells + fresh <= (2 * n) + 32 then
-      (n - fresh, t.view, t.view_cells + fresh)
-    else (0, [], n)
-  in
-  let view = ref base in
-  for i = from to n - 1 do
-    view := (Deque.get t.tent i).Write.id :: !view
-  done;
-  let view = !view in
-  t.view <- view;
-  t.view_cells <- cells;
-  t.view_appended <- 0;
-  t.view_valid <- true;
-  if Sanitize.enabled () then begin
-    let got = List.rev (List.filteri (fun i _ -> i < n) view) in
-    let want = tentative_ids t in
-    if not (List.equal (fun a b -> Write.compare_id a b = 0) got want) then
-      Sanitize.report ~ctx:"wlog.tentative_view"
-        [ Printf.sprintf "incremental view [%s] diverges from the tentative suffix [%s]"
-            (String.concat "; " (List.map Write.id_to_string got))
-            (String.concat "; " (List.map Write.id_to_string want)) ]
-  end;
-  lazy (take_rev n view [])
 
 (* ------------------------------------------------------------------ *)
 (* Truncation and snapshots                                            *)
@@ -1225,9 +1132,7 @@ let install_snapshot t snap =
       Version_vector.set t.trunc_vec o
         (max (Version_vector.get t.trunc_vec o) (Version_vector.get snap.snap_vector o))
     done;
-    (* Retained committed records are all covered by the snapshot; drop them.
-       (The commit journal keeps their ids: it describes this log's own
-       commit history, which the snapshot does not rewrite.) *)
+    (* Retained committed records are all covered by the snapshot; drop them. *)
     for i = 0 to Deque.length t.committed - 1 do
       let k = Deque.get t.committed i in
       drop_retained t (origin_of t k) (seq_of t k)
@@ -1249,7 +1154,6 @@ let install_snapshot t snap =
       t.tent;
     Deque.clear t.tent;
     List.iter (Deque.push_back t.tent) (List.rev !kept);
-    t.view_valid <- false;
     (* Rebuild the derived quantities: known vector, conit values, tentative
        oweights. *)
     Version_vector.merge_into t.vector snap.snap_vector;

@@ -57,13 +57,10 @@ val create_bounded :
     every time the log applies a write (tentatively or at commit).
 
     [bounded]: bound memory by the truncation horizon instead of by history,
-    for long runs.  Two things change.  The append-only commit journal that
-    observation capture ({!commit_cursor}) relies on is not kept — it grows
-    with every commit, forever — so {!commit_cursor} raises
-    [Invalid_argument].  And {!truncate} (and snapshot installation) also
-    empties the truncated writes' per-write state (outcome, final and
-    committed flags); no code path consults it for truncated writes, and
-    the visible cost is {!final_outcome} returning [None] for them. *)
+    for long runs: {!truncate} (and snapshot installation) also empties the
+    truncated writes' per-write state (outcome, final and committed flags).
+    No code path consults it for truncated writes, and the visible cost is
+    {!final_outcome} returning [None] for them. *)
 
 val accept : t -> Write.t -> Op.outcome
 (** Insert a locally originated write and apply the suffix up to it,
@@ -176,41 +173,6 @@ val final_outcome : t -> Write.id -> Op.outcome option
 val rollbacks : t -> int
 (** Number of rollback/reapply episodes (a cost metric). *)
 
-(** {2 Observation capture}
-
-    Serving an access must record which writes it observed (for later
-    consistency verification) without walking the whole committed prefix,
-    or copying the tentative suffix.  The log keeps an append-only journal
-    of every commit it has ever made, including the ones truncation or a
-    snapshot install later dropped from the retained prefix, so the
-    committed part reduces to one journal length captured in O(1) and
-    expandable at any later time; the tentative part is a
-    {!tentative_view} that shares its cells with the views before it. *)
-
-val commit_cursor : t -> int
-(** The current length of the commit journal: the committed history this log
-    has made, in commit order.  O(1).  Because the journal is append-only,
-    the cursor denotes the same writes forever.  (Writes a snapshot install
-    folded in without this log committing them are not journalled; stability
-    commitment, the scheme under which the order-error LCP reading is sound,
-    never installs snapshots.) *)
-
-val commit_slice : t -> hi:int -> Write.id list
-(** Expand a cursor captured earlier by {!commit_cursor} into the ids it
-    denotes, in commit order.  [hi] must come from a cursor captured on this
-    log. *)
-
-val tentative_view : t -> Write.id list Lazy.t
-(** The ids of the tentative suffix now, in timestamp order, as a lazy list
-    that stays fixed however the log changes afterwards.  Consecutive views
-    share one persistent newest-first id list: a view costs O(Δ) amortised
-    time and memory, Δ the writes appended at the tail of the suffix since
-    the previous view (a mid-suffix insertion, a reordering commit or a
-    snapshot install makes the next view rebuild in O(suffix)).  An unforced
-    view of a suffix of n holds at most 2n + 32 id cells; forcing copies its
-    n ids once.  Under [TACT_SANITIZE] every view is checked against
-    {!tentative_ids}. *)
-
 (** {2 Log truncation and snapshots}
 
     A long-lived replica cannot retain every committed write.  Truncation
@@ -260,8 +222,8 @@ val committed_vector : t -> Version_vector.t
 
     The structural invariants the indexed log relies on — tentative suffix in
     strict timestamp order, undo journal no longer than it (as long only
-    right after a read), retained committed prefix equal to the most recent
-    slice of the commit journal, version-vector coverage and monotonicity,
+    right after a read), every retained committed write covered by the
+    committed vector, version-vector coverage and monotonicity,
     weight tallies agreeing with a recount, and the undo journal reverting
     the image exactly to the committed image — can be audited on demand, or
     after every mutation when [TACT_SANITIZE=1] (see {!Tact_util.Sanitize}).

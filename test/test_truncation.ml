@@ -199,6 +199,46 @@ let test_lcp_reading_survives_truncation () =
   Alcotest.(check int) "truncated run verifies" 0
     (lcp_violations ~truncate_keep:(Some 10))
 
+(* Under stability commitment a replica that falls behind a peer's
+   truncation point still catches up by a snapshot, which folds in commits
+   this replica never made itself.  An access's local history is rebuilt
+   from its committed vector, so those commits stay part of it, and the
+   definitional (LCP) order-error reading stays within every OE bound. *)
+let test_lcp_reading_survives_snapshot () =
+  let topology = Topology.uniform ~n:3 ~latency:0.05 ~bandwidth:1e9 in
+  let config =
+    {
+      Config.default with
+      Config.conits = [ Tact_core.Conit.declare ~ne_bound:3.0 "c" ];
+      antientropy_period = Some 0.3;
+      truncate_keep = Some 5;
+    }
+  in
+  let sys = System.create ~seed:1 ~topology ~config () in
+  let engine = System.engine sys in
+  let rng = Tact_util.Prng.create ~seed:1 in
+  for k = 1 to 400 do
+    let r = System.replica sys (Tact_util.Prng.int rng 3) in
+    let write = Tact_util.Prng.bool rng in
+    let deps =
+      if Tact_util.Prng.int rng 4 = 0 then [ ("c", Tact_core.Bounds.make ~oe:1.0 ()) ]
+      else []
+    in
+    Engine.schedule engine
+      ~delay:(0.01 *. float_of_int k)
+      (fun () ->
+        if write then
+          Replica.submit_write r ~deps ~affects:[ unit_w "c" ]
+            ~op:(Op.Add ("x", 1.0)) ~k:ignore
+        else Replica.submit_read r ~deps ~f:(fun db -> Db.get db "x") ~k:ignore)
+  done;
+  System.run ~until:60.0 sys;
+  Alcotest.(check bool) "a snapshot installed" true
+    ((System.total_stats sys).Replica.snapshots_installed > 0);
+  Alcotest.(check bool) "converged" true (System.converged sys);
+  Alcotest.(check int) "lcp reading verifies" 0
+    (List.length (Verify.check ~lcp:true sys))
+
 let suite =
   [
     Alcotest.test_case "truncate basics" `Quick test_truncate_basics;
@@ -210,4 +250,6 @@ let suite =
     Alcotest.test_case "convergence under loss" `Quick test_convergence_under_loss;
     Alcotest.test_case "lcp reading survives truncation" `Quick
       test_lcp_reading_survives_truncation;
+    Alcotest.test_case "lcp reading survives a snapshot install" `Quick
+      test_lcp_reading_survives_snapshot;
   ]

@@ -157,4 +157,133 @@ let test_relative_error_with_initial () =
 let initial_suite =
   [ Alcotest.test_case "relative error with initial value" `Quick test_relative_error_with_initial ]
 
-let suite = base_suite @ initial_suite
+(* The verifier rebuilds each access's local history from its two vectors.
+   Differential check against the log itself: every read's [f] captures, at
+   service, the tentative suffix ({!Wlog.tentative_ids}) and the committed
+   prefix in commit order ({!Wlog.committed}, whole because nothing is
+   truncated), and returns a tag naming the capture.  Both order-error
+   readings the verifier computes must equal {!Metrics} over the captured
+   lists. *)
+let rebuilt_matches_log ~scheme ~loss seed =
+  let n = 3 in
+  let config =
+    { Config.default with Config.commit_scheme = scheme; antientropy_period = Some 0.2 }
+  in
+  let sys =
+    System.create ~seed ~loss ~topology:(Topology.uniform ~n ~latency:0.05 ~bandwidth:1e9)
+      ~config ()
+  in
+  let engine = System.engine sys in
+  let rng = Tact_util.Prng.create ~seed in
+  let captured = Hashtbl.create 128 in
+  for k = 1 to 300 do
+    let i = Tact_util.Prng.int rng n in
+    let r = System.replica sys i in
+    let write = Tact_util.Prng.int rng 3 > 0 in
+    let oweight = float_of_int (1 + Tact_util.Prng.int rng 3) in
+    let deps =
+      [ ("c", if Tact_util.Prng.bool rng then Bounds.weak else Bounds.make ~oe:4.0 ()) ]
+    in
+    Engine.schedule engine
+      ~delay:(0.01 *. float_of_int k)
+      (fun () ->
+        if write then
+          Replica.submit_write r ~deps:[]
+            ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight } ]
+            ~op:(Op.Add ("x", 1.0)) ~k:ignore
+        else
+          Replica.submit_read r ~deps
+            ~f:(fun _ ->
+              let log = Replica.log r in
+              let ids = List.map (fun (w : Write.t) -> w.Write.id) in
+              Hashtbl.replace captured k (Wlog.tentative_ids log, ids (Wlog.committed log));
+              Value.Int k)
+            ~k:ignore)
+  done;
+  System.run ~until:30.0 sys;
+  let all = System.all_writes sys in
+  let by_id = Hashtbl.create 512 in
+  List.iter (fun (w : Write.t) -> Hashtbl.replace by_id w.Write.id w) all;
+  let writes = List.map (Hashtbl.find by_id) in
+  let compared = ref 0 in
+  List.iter
+    (fun (a : Access.t) ->
+      match (a.kind, a.observed_result) with
+      | Access.Read, Value.Int k ->
+        let tentative_ids, committed_ids = Hashtbl.find captured k in
+        let tentative = writes tentative_ids in
+        let local = writes committed_ids @ tentative in
+        List.iter
+          (fun (m : Verify.computed) ->
+            incr compared;
+            Alcotest.(check (float 1e-9)) "oe_tentative" m.Verify.oe_tentative
+              (Metrics.order_error_tentative ~tentative "c");
+            Alcotest.(check (float 1e-9)) "oe_lcp" m.Verify.oe_lcp
+              (Metrics.order_error_lcp ~ecg:all ~local "c"))
+          (Verify.access_metrics sys a)
+      | _ -> ())
+    (System.records sys);
+  Alcotest.(check bool) "reads compared" true (!compared > 50)
+
+let test_rebuilt_matches_log () =
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun loss -> List.iter (rebuilt_matches_log ~scheme ~loss) [ 1; 2 ])
+        [ 0.0; 0.1 ])
+    [ Config.Stability; Config.Primary 0; Config.Primary 2 ]
+
+(* Records no longer tie the log to history: a system with records on, a
+   bounded log and truncation verifies clean, under both commit schemes. *)
+let test_bounded_log_with_records () =
+  List.iter
+    (fun scheme ->
+      let config =
+        {
+          Config.default with
+          Config.commit_scheme = scheme;
+          conits = [ Conit.declare ~ne_bound:3.0 "c" ];
+          antientropy_period = Some 0.3;
+          truncate_keep = Some 5;
+          bounded_log = true;
+        }
+      in
+      let sys =
+        System.create ~seed:1 ~topology:(Topology.uniform ~n:3 ~latency:0.05 ~bandwidth:1e9)
+          ~config ()
+      in
+      let engine = System.engine sys in
+      let rng = Tact_util.Prng.create ~seed:1 in
+      for k = 1 to 300 do
+        let r = System.replica sys (Tact_util.Prng.int rng 3) in
+        let write = Tact_util.Prng.bool rng in
+        let deps =
+          if Tact_util.Prng.int rng 4 = 0 then [ ("c", Bounds.make ~oe:1.0 ()) ] else []
+        in
+        Engine.schedule engine
+          ~delay:(0.01 *. float_of_int k)
+          (fun () ->
+            if write then
+              Replica.submit_write r ~deps
+                ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ]
+                ~op:(Op.Add ("x", 1.0)) ~k:ignore
+            else Replica.submit_read r ~deps ~f:(fun db -> Db.get db "x") ~k:ignore)
+      done;
+      System.run ~until:60.0 sys;
+      Alcotest.(check int) "every access recorded" 300 (List.length (System.records sys));
+      Alcotest.(check bool) "logs truncated" true
+        (Wlog.retained (Replica.log (System.replica sys 0)) <= 5);
+      Alcotest.(check bool) "converged" true (System.converged sys);
+      let lcp = scheme = Config.Stability in
+      Alcotest.(check string) "verifies" "no violations"
+        (Verify.summarize (Verify.check ~lcp sys)))
+    [ Config.Stability; Config.Primary 0 ]
+
+let rebuild_suite =
+  [
+    Alcotest.test_case "rebuilt history matches the log" `Quick test_rebuilt_matches_log;
+    Alcotest.test_case "bounded log with records verifies" `Quick
+      test_bounded_log_with_records;
+  ]
+
+let suite = base_suite @ initial_suite @ rebuild_suite

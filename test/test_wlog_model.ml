@@ -364,17 +364,7 @@ let run_big_scenario ~scheme seed =
   in
   let ops = ref 0 in
   let ok = ref true in
-  (* Each checkpoint also captures an observation the way a replica now does:
-     the O(1) commit cursor next to the eager committed-id list it replaced.
-     All captures are re-expanded at the very end, after further commits and
-     a truncation, and must still match. *)
-  let cursors = ref [] in
-  let checkpoint () =
-    if not (agree_big log m) then ok := false;
-    let hi = Wlog.commit_cursor log in
-    let eager = List.map (fun (w : Write.t) -> w.Write.id) (Wlog.committed log) in
-    cursors := (hi, eager) :: !cursors
-  in
+  let checkpoint () = if not (agree_big log m) then ok := false in
   let commit_some () =
     match scheme with
     | `Stability ->
@@ -434,13 +424,7 @@ let run_big_scenario ~scheme seed =
     ignore (Wlog.commit_ids log ids);
     Bigmodel.commit_ids m ids);
   checkpoint ();
-  ignore (Wlog.truncate log ~keep:5);
-  let cursors_ok =
-    List.for_all
-      (fun (hi, eager) -> Wlog.commit_slice log ~hi = eager)
-      !cursors
-  in
-  !ok && cursors_ok
+  !ok
   && !ops >= 1000
   && Wlog.tentative log = []
   && Wlog.committed_count log = List.length m.Bigmodel.committed
@@ -528,152 +512,6 @@ let test_read_points ~scheme name =
     (QCheck.Test.make ~name ~count:20
        QCheck.(int_bound 1_000_000)
        (run_read_point_scenario ~scheme))
-
-(* ------------------------------------------------------------------ *)
-(* The incremental tentative view against the eager id list, across
-   every kind of suffix mutation: in-order local accepts (tail appends),
-   remote inserts out of order and across per-origin gaps (mid-suffix
-   insertions and gap releases), stability commits (front pops), in-order
-   and reordering CSN commits, snapshot installs and raw entry swaps.  Each
-   view must equal the suffix when it was taken, and every view taken
-   earlier must still force to what the suffix was then. *)
-
-let run_view_scenario seed =
-  let rng = Tact_util.Prng.create ~seed in
-  let replicas = 3 in
-  (* Remote writes of origins 1 and 2, offered in shuffled order. *)
-  let remote =
-    gen_big_pool rng ~replicas
-    |> Array.to_list
-    |> List.filter (fun (w : Write.t) -> w.id.origin <> 0)
-    |> Array.of_list
-  in
-  Tact_util.Prng.shuffle rng remote;
-  let log = create ~replicas ~initial:[] in
-  let own = ref [] in
-  let latest = ref 0.0 in
-  let next_remote = ref 0 in
-  let views = ref [] in
-  let ok = ref true in
-  let check () =
-    let taken = Wlog.tentative_view log in
-    let want = Wlog.tentative_ids log in
-    views := (taken, want) :: !views;
-    if Lazy.force (Wlog.tentative_view log) <> want then ok := false
-  in
-  let offer (w : Write.t) =
-    latest := Float.max !latest w.accept_time;
-    ignore (Wlog.insert log w)
-  in
-  let accept () =
-    let seq = Version_vector.get (Wlog.vector log) 0 + 1 in
-    latest := !latest +. Tact_util.Prng.float rng 1.0 +. 0.001;
-    let w =
-      Write.make ~id:{ origin = 0; seq } ~accept_time:!latest
-        ~op:(Op.Add ("k", 1.0))
-        ~affects:[ { Write.conit = "a"; nweight = 1.0; oweight = 1.0 } ]
-    in
-    own := w :: !own;
-    ignore (Wlog.accept log w)
-  in
-  (* In order: the oldest few, front pops.  Reordering: a scattered few of
-     the suffix in reverse, removals from its middle. *)
-  let commit_ids () =
-    let tent = Wlog.tentative_ids log in
-    let k = Tact_util.Prng.int rng 5 in
-    let ids =
-      if Tact_util.Prng.bool rng then List.filteri (fun j _ -> j < k) tent
-      else List.rev (List.filter (fun _ -> Tact_util.Prng.int rng 4 = 0) tent)
-    in
-    ignore (Wlog.commit_ids log ids)
-  in
-  (* A donor that knows everything commits a per-origin prefix at or past
-     this log's committed vector; its snapshot is installed here when it is
-     strictly ahead. *)
-  let install () =
-    let donor = create ~replicas ~initial:[] in
-    ignore (Wlog.insert_batch donor (List.rev !own @ Array.to_list remote));
-    let have = Wlog.committed_vector log in
-    let target =
-      Array.init replicas (fun o ->
-          let c = Version_vector.get have o in
-          let room = Version_vector.get (Wlog.vector donor) o - c in
-          c + if room > 0 then Tact_util.Prng.int rng (room + 1) else 0)
-    in
-    let ids =
-      Wlog.tentative donor
-      |> List.filter (fun (w : Write.t) -> w.id.seq <= target.(w.id.origin))
-      |> List.map (fun (w : Write.t) -> w.Write.id)
-    in
-    ignore (Wlog.commit_ids donor ids);
-    ignore (Wlog.install_snapshot log (Wlog.snapshot donor))
-  in
-  for _ = 1 to 300 do
-    (match Tact_util.Prng.int rng 16 with
-    | 0 | 1 | 2 | 3 | 4 -> accept ()
-    | 5 | 6 | 7 | 8 | 9 ->
-      if !next_remote < Array.length remote then begin
-        offer remote.(!next_remote);
-        incr next_remote
-      end
-    | 10 | 11 ->
-      let cover =
-        Array.init replicas (fun _ -> Tact_util.Prng.float rng (!latest +. 1.0))
-      in
-      ignore (Wlog.commit_stable log ~cover)
-    | 12 -> commit_ids ()
-    | 13 ->
-      (* Several mutations between two views: appends that a full commit
-         then pops, and appends after it. *)
-      for _ = 0 to Tact_util.Prng.int rng 3 do accept () done;
-      ignore (Wlog.commit_stable log ~cover:(Array.make replicas infinity));
-      for _ = 1 to Tact_util.Prng.int rng 3 do accept () done
-    | 14 -> install ()
-    | _ ->
-      let n = List.length (Wlog.tentative_ids log) in
-      if n >= 2 then begin
-        let i = Tact_util.Prng.int rng n and j = Tact_util.Prng.int rng n in
-        Wlog.unsafe_swap_tentative log i j;
-        check ();
-        Wlog.unsafe_swap_tentative log i j
-      end);
-    check ()
-  done;
-  !ok && List.for_all (fun (v, want) -> Lazy.force v = want) !views
-
-let test_view_equivalence =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"tentative view equals the suffix, and stays fixed"
-       ~count:60
-       QCheck.(int_bound 1_000_000)
-       run_view_scenario)
-
-(* A view shares the cells of the views before it, but not without bound:
-   once commits have popped most of the suffix, the next view is rebuilt
-   instead of pinning every committed id.  An unforced view of a suffix of
-   n holds at most 2n + 32 id cells (3 words each, plus the 3-word id each
-   points at), plus its closure. *)
-let test_view_sheds_committed () =
-  let log = Wlog.create ~replicas:1 ~initial:[] in
-  let accept seq =
-    ignore
-      (Wlog.accept log
-         (Write.make ~id:{ origin = 0; seq } ~accept_time:(float_of_int seq)
-            ~op:Op.Noop ~affects:[]))
-  in
-  let views = List.init 200 (fun i -> accept (i + 1); Wlog.tentative_view log) in
-  Alcotest.(check bool) "views share one id list" true
-    (Obj.reachable_words (Obj.repr views) <= 20 * 200);
-  List.iteri
-    (fun i v -> Alcotest.(check int) "view length" (i + 1) (List.length (Lazy.force v)))
-    views;
-  ignore (Wlog.commit_stable log ~cover:[| infinity |]);
-  accept 201;
-  let v = Wlog.tentative_view log in
-  Alcotest.(check bool) "dead cells dropped" true
-    (Obj.reachable_words (Obj.repr v) <= (6 * ((2 * 1) + 32)) + 16);
-  Alcotest.(check bool) "content" true
-    (Lazy.force v = [ { Write.origin = 0; seq = 201 } ])
 
 (* insert_batch returns the writes new to the log in timestamp order,
    whatever order the batch came in: the pool, shuffled, is cut into
@@ -1082,9 +920,7 @@ let walk_suite =
     [ true; false ]
 
 let suite =
-  [ test_model_equivalence; test_truncation_preserves_state; test_view_equivalence;
-    Alcotest.test_case "tentative view sheds committed cells" `Quick
-      test_view_sheds_committed; test_batch_order;
+  [ test_model_equivalence; test_truncation_preserves_state; test_batch_order;
     Alcotest.test_case "insert_batch: drained gap interleaves" `Quick
       test_batch_drain_interleaves ]
   @ big_suite @ walk_suite
