@@ -1196,6 +1196,12 @@ let install_snapshot t snap =
         t.pending []
     in
     List.iter (Hashtbl.remove t.pending) stale;
+    (* The snapshot's vector may have filled the gap in front of buffered
+       writes: they are known now, and join the suffix (nothing of it is
+       applied, so nothing is reverted). *)
+    for o = 0 to t.nreplicas - 1 do
+      ignore (drain_pending t o [] 0)
+    done;
     t.nrollbacks <- t.nrollbacks + 1;
     sanitize ~ctx:"wlog.install_snapshot" t;
     true

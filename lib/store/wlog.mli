@@ -212,8 +212,11 @@ val install_snapshot : t -> snapshot -> bool
     (its vector dominates the local committed vector); local writes the
     snapshot already covers are dropped (their final outcomes were computed
     remotely and are not recoverable locally), the rest of the tentative
-    suffix is replayed on top at the next read.  Returns false (and does
-    nothing) if the local committed state is not behind the snapshot. *)
+    suffix is replayed on top at the next read.  Buffered writes whose
+    per-origin gap the snapshot's vector fills are released into the
+    suffix, as an arrival that fills a gap releases them.  Returns false
+    (and does nothing) if the local committed state is not behind the
+    snapshot. *)
 
 val committed_vector : t -> Version_vector.t
 (** The vector describing the committed prefix (do not mutate). *)

@@ -817,4 +817,28 @@ let extra_suite =
       test_one_image_committed_db_undisturbed;
   ]
 
-let suite = base_suite @ extra_suite
+(* A snapshot that fills a per-origin gap releases the writes waiting
+   behind it: a log holding w1.13 in its pending buffer installs a snapshot
+   of w1.1-12, and w1.13 is then known, tentative and applied. *)
+let test_snapshot_drains_pending () =
+  let donor = Wlog.create ~replicas:2 ~initial:[] in
+  for seq = 1 to 12 do
+    ignore (Wlog.accept donor (mk ~op:(add_op "x") ~origin:1 ~seq ~t:(float_of_int seq) ()))
+  done;
+  ignore (Wlog.commit_stable donor ~cover:[| infinity; infinity |]);
+  let log = Wlog.create ~replicas:2 ~initial:[] in
+  let w13 = mk ~op:(add_op "x") ~origin:1 ~seq:13 ~t:13.0 () in
+  Alcotest.(check bool) "w1.13 buffered" true (Wlog.insert log w13 = Wlog.Buffered);
+  Alcotest.(check bool) "installed" true (Wlog.install_snapshot log (Wlog.snapshot donor));
+  Alcotest.(check string) "vector" "<0,13>" (Version_vector.to_string (Wlog.vector log));
+  Alcotest.(check bool) "w1.13 tentative" true
+    (Wlog.tentative_ids log = [ { Write.origin = 1; seq = 13 } ]);
+  Alcotest.(check bool) "w1.13 applied" true (feq (Db.get_float (Wlog.db log) "x") 13.0);
+  Alcotest.(check bool) "conit value" true (feq (Wlog.conit_value log "c") 13.0);
+  Alcotest.(check bool) "order error" true (feq (Wlog.tentative_oweight log "c") 1.0);
+  Alcotest.(check bool) "re-offer is a duplicate" true (Wlog.insert log w13 = Wlog.Duplicate)
+
+let drain_suite =
+  [ Alcotest.test_case "snapshot drains pending" `Quick test_snapshot_drains_pending ]
+
+let suite = base_suite @ extra_suite @ drain_suite

@@ -617,15 +617,16 @@ module Walk_model = struct
       retained = Queue.create (); no_final = Hashtbl.create 256 }
 
   (* An origin's known prefix grows as the log's does: an arrival that
-     fills the next seq releases the offered writes right behind it, and a
-     snapshot install covers a prefix without releasing anything. *)
+     fills the next seq, or a snapshot install that covers it, releases the
+     offered writes right behind it. *)
+  let release t o =
+    while Hashtbl.mem t.offered { Write.origin = o; seq = t.upto.(o) + 1 } do
+      t.upto.(o) <- t.upto.(o) + 1
+    done
+
   let offer t (w : Write.t) =
-    let o = w.id.origin in
     Hashtbl.replace t.offered w.id ();
-    if w.id.seq = t.upto.(o) + 1 then
-      while Hashtbl.mem t.offered { Write.origin = o; seq = t.upto.(o) + 1 } do
-        t.upto.(o) <- t.upto.(o) + 1
-      done
+    if w.id.seq = t.upto.(w.id.origin) + 1 then release t w.id.origin
 
   let known t (id : Write.id) = id.seq <= t.upto.(id.origin)
 
@@ -679,7 +680,8 @@ module Walk_model = struct
       end;
       t.upto.(id.origin) <- max t.upto.(id.origin) id.seq;
       t.trunc.(id.origin) <- max t.trunc.(id.origin) id.seq
-    done
+    done;
+    Array.iteri (fun o _ -> release t o) t.upto
 
   (* Both images and every known write's outcome, replayed: the committed
      writes in commit order, then the tentative suffix. *)
