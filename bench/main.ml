@@ -399,9 +399,10 @@ let truncate_steps steps =
 (* Observation capture on a records-on replica whose tentative suffix never
    commits: [accesses] weak accesses, alternating writes and reads, at one
    replica of two with no gossip, so the suffix grows to [accesses / 2]
-   writes and every access records it.  Times the records-on run and counts
-   the minor words one capture allocates: the run's minor words less those
-   of the same run with records off, per access. *)
+   writes while every capture stays one record and two vector copies.
+   Times the records-on run and counts the minor words one capture
+   allocates: the run's minor words less those of the same run with records
+   off, per access.  The count has a fixed shape, so it is gated. *)
 let observe_capture accesses =
   let open Tact_sim in
   let open Tact_replica in
@@ -1076,7 +1077,7 @@ let kernels ~jobs =
     k "wlog_index_delivery" Wlog 64_000 2_048 index_delivery;
     k "wlog_index_flat" Wlog 64_000 2_048 index_flat;
     k "wlog_index_hashtbl" Wlog 64_000 2_048 index_hashtbl;
-    k "observe_capture" Wlog 4_000 200 observe_capture;
+    k ~gated:(words "capture_words") "observe_capture" Wlog 4_000 200 observe_capture;
     k ~gated:(live "words_per_write" @ live "retained_words_per_write") "log_live_words" Wlog
       2_000 200 log_live_words;
     k ~gated:(words "minor_words_per_drop") "wlog_truncate" Wlog 20_000 500 truncate_steps;

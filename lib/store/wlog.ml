@@ -395,9 +395,6 @@ let invariant_violations t =
     addf "undo journal length %d exceeds tentative suffix length %d"
       (Deque.length t.undo) (Deque.length t.tent);
   let retained = Deque.length t.committed in
-  if retained > t.ncommitted then
-    addf "retained committed prefix (%d) longer than the commit count (%d)"
-      retained t.ncommitted;
   (* Id discipline: retained committed writes are covered by the committed
      vector (the verifier rebuilds an access's committed prefix from that
      vector), resident, flagged committed and hold their final outcome;

@@ -314,9 +314,10 @@ let test_random_system =
        random_system_ok)
 
 (* Access records under weak traffic, where nothing commits and the
-   tentative suffix grows all run: consecutive records share the suffix, so
-   their memory grows linearly with the accesses.  Copying the suffix into
-   every record made it grow with their square (about 4x per doubling). *)
+   tentative suffix grows all run: a record holds two vector copies, not
+   the suffix, so their memory grows linearly with the accesses.  Copying
+   the suffix into every record made it grow with their square (about 4x
+   per doubling). *)
 let test_records_memory_linear () =
   let sys = System.create ~seed:1 ~topology:(topo 3) ~config:Config.default () in
   let engine = System.engine sys in

@@ -199,19 +199,21 @@ let test_lcp_reading_survives_truncation () =
   Alcotest.(check int) "truncated run verifies" 0
     (lcp_violations ~truncate_keep:(Some 10))
 
-(* Under stability commitment a replica that falls behind a peer's
-   truncation point still catches up by a snapshot, which folds in commits
-   this replica never made itself.  An access's local history is rebuilt
-   from its committed vector, so those commits stay part of it, and the
-   definitional (LCP) order-error reading stays within every OE bound. *)
-let test_lcp_reading_survives_snapshot () =
+(* The snapshot workload: 3 replicas, conit "c" with NE bound 3, gossip
+   every 0.3 s, truncation to 5 committed writes, and an access every 10 ms
+   at a random replica — half of them writes, a quarter of all of them
+   bounded at OE 1.  A replica that falls behind a peer's truncation point
+   catches up by a snapshot, under stability commitment too. *)
+let snapshot_workload ?(scheme = Config.Stability) ?(bounded_log = false) () =
   let topology = Topology.uniform ~n:3 ~latency:0.05 ~bandwidth:1e9 in
   let config =
     {
       Config.default with
-      Config.conits = [ Tact_core.Conit.declare ~ne_bound:3.0 "c" ];
+      Config.commit_scheme = scheme;
+      conits = [ Tact_core.Conit.declare ~ne_bound:3.0 "c" ];
       antientropy_period = Some 0.3;
       truncate_keep = Some 5;
+      bounded_log;
     }
   in
   let sys = System.create ~seed:1 ~topology ~config () in
@@ -233,6 +235,14 @@ let test_lcp_reading_survives_snapshot () =
         else Replica.submit_read r ~deps ~f:(fun db -> Db.get db "x") ~k:ignore)
   done;
   System.run ~until:60.0 sys;
+  sys
+
+(* A snapshot folds in commits the installing replica never made itself.
+   An access's local history is rebuilt from its committed vector, so those
+   commits stay part of it, and the definitional (LCP) order-error reading
+   stays within every OE bound. *)
+let test_lcp_reading_survives_snapshot () =
+  let sys = snapshot_workload () in
   Alcotest.(check bool) "a snapshot installed" true
     ((System.total_stats sys).Replica.snapshots_installed > 0);
   Alcotest.(check bool) "converged" true (System.converged sys);

@@ -238,39 +238,8 @@ let test_rebuilt_matches_log () =
 let test_bounded_log_with_records () =
   List.iter
     (fun scheme ->
-      let config =
-        {
-          Config.default with
-          Config.commit_scheme = scheme;
-          conits = [ Conit.declare ~ne_bound:3.0 "c" ];
-          antientropy_period = Some 0.3;
-          truncate_keep = Some 5;
-          bounded_log = true;
-        }
-      in
-      let sys =
-        System.create ~seed:1 ~topology:(Topology.uniform ~n:3 ~latency:0.05 ~bandwidth:1e9)
-          ~config ()
-      in
-      let engine = System.engine sys in
-      let rng = Tact_util.Prng.create ~seed:1 in
-      for k = 1 to 300 do
-        let r = System.replica sys (Tact_util.Prng.int rng 3) in
-        let write = Tact_util.Prng.bool rng in
-        let deps =
-          if Tact_util.Prng.int rng 4 = 0 then [ ("c", Bounds.make ~oe:1.0 ()) ] else []
-        in
-        Engine.schedule engine
-          ~delay:(0.01 *. float_of_int k)
-          (fun () ->
-            if write then
-              Replica.submit_write r ~deps
-                ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ]
-                ~op:(Op.Add ("x", 1.0)) ~k:ignore
-            else Replica.submit_read r ~deps ~f:(fun db -> Db.get db "x") ~k:ignore)
-      done;
-      System.run ~until:60.0 sys;
-      Alcotest.(check int) "every access recorded" 300 (List.length (System.records sys));
+      let sys = Test_truncation.snapshot_workload ~scheme ~bounded_log:true () in
+      Alcotest.(check int) "every access recorded" 400 (List.length (System.records sys));
       Alcotest.(check bool) "logs truncated" true
         (Wlog.retained (Replica.log (System.replica sys 0)) <= 5);
       Alcotest.(check bool) "converged" true (System.converged sys);

@@ -214,9 +214,7 @@ let test_truncation_preserves_state =
 (* ------------------------------------------------------------------ *)
 (* Widened differential scenarios: a thousand-plus operations per seed,
    order-sensitive write procedures (whose outcomes flip under reordering),
-   duplicate and gapped deliveries, both commitment schemes — and the O(1)
-   observation cursors checked against the eager lists they replaced, long
-   after capture and across truncation. *)
+   duplicate and gapped deliveries, both commitment schemes. *)
 
 (* A faster reference model (hash-indexed rather than quadratic list scans)
    so the scenarios can afford hundreds of writes; still recomputes the
